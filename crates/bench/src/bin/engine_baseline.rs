@@ -44,12 +44,13 @@
 //! The alloc-per-visit lanes sweep the
 //! pre-v8 *narrow* corpus (the `Wide*` stress programs are excluded by
 //! name prefix) so the v5/v6 bars stay like-for-like comparable; the
-//! wide programs run in every other lane. Writes
-//! `crates/bench/baselines/engine_baseline.json` — the perf trajectory
-//! anchor for later PRs. Run from the workspace root:
+//! wide programs run in every other lane. Writes `engine_baseline.json`
+//! and `dpor_report.json` into the directory named by its one argument
+//! (the committed copies live in `crates/bench/baselines`, the perf
+//! trajectory anchor for later PRs):
 //!
 //! ```text
-//! cargo run --release -p bdrst-bench --bin engine_baseline
+//! cargo run --release -p bdrst-bench --bin engine_baseline -- crates/bench/baselines
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -433,6 +434,13 @@ fn store_lane(n: usize) -> StoreLane {
 }
 
 fn main() {
+    let mut args = std::env::args().skip(1);
+    let (Some(out_dir), None) = (args.next(), args.next()) else {
+        eprintln!("usage: engine_baseline OUT_DIR");
+        std::process::exit(2);
+    };
+    let out_dir = std::path::PathBuf::from(out_dir);
+    std::fs::create_dir_all(&out_dir).expect("create the output directory");
     let seq = measure(|| {
         assert!(corpus_passes(&run_corpus(RunConfig::default())));
     });
@@ -813,12 +821,10 @@ fn main() {
         obs_dropped = obs_profile.dropped,
     );
     print!("{json}");
-    let out =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines/engine_baseline.json");
+    let out = out_dir.join("engine_baseline.json");
     std::fs::write(&out, json).expect("write baseline");
     eprintln!("wrote {}", out.display());
-    let dpor_out =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines/dpor_report.json");
+    let dpor_out = out_dir.join("dpor_report.json");
     std::fs::write(&dpor_out, &dpor_report).expect("write dpor report");
     eprintln!("wrote {}", dpor_out.display());
 

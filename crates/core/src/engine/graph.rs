@@ -16,9 +16,12 @@
 //!   [`StateGraph::replay`]. State predicates (terminal outcome
 //!   extraction, reachability counts) re-check in a linear scan.
 //! * [`TraceGraph`] — the *trace tree* of the program, recorded once,
-//!   unfiltered and unpruned, by `TraceEngine::record`: per node, the
-//!   transition label that created it and the labels enabled at its
-//!   target. Trace-dependent checkers (data races, happens-before,
+//!   unfiltered and unpruned, by `TraceEngine::record` (on every core
+//!   once the tree is big enough to split). It is one CSR table in
+//!   depth-first preorder that stores each transition label once: a
+//!   node's row lists its children and their labels, and because the
+//!   recording is unfiltered those labels are exactly the ones enabled
+//!   at the node. Trace-dependent checkers (data races, happens-before,
 //!   L-stability, Theorem 15 soundness) consume exactly label sequences
 //!   and enabled-label sets, so [`TraceGraph::replay`] can drive any
 //!   [`ReplayVisitor`] — with its own step filter, pruning, stopping and
@@ -218,16 +221,6 @@ impl<E> StateGraph<E> {
     }
 }
 
-/// One recorded node of the trace tree: see [`TraceGraph`].
-#[derive(Clone, Copy, Debug)]
-struct TraceNode {
-    /// The transition label whose extension created this node.
-    label: TransitionLabel,
-    /// Slice `(start, len)` into the enabled-label pool: the labels
-    /// enabled at this node's target machine.
-    enabled: (u32, u32),
-}
-
 /// What a [`ReplayVisitor`] sees at one replayed trace extension: the
 /// extension's label, the labels enabled at the reached machine, and
 /// whether that machine is terminal.
@@ -258,111 +251,98 @@ pub trait ReplayVisitor {
 
 /// The complete trace tree of a program, recorded once (unfiltered,
 /// unpruned, budget-bounded) and replayable under any number of
-/// predicates. Nodes are stored in depth-first preorder; the children
-/// lists (CSR) preserve sibling order, so a replay walks extensions in
-/// exactly the order a live [`crate::engine::TraceEngine`] walk would.
+/// predicates.
+///
+/// Nodes are numbered in depth-first preorder. The tree is one CSR table
+/// over `len() + 1` rows — one per node, then the virtual root (the
+/// initial machine) as the last row — and each transition label is
+/// stored exactly once: `labels[j]` is the label of the extension that
+/// created node `children[j]`. Because a recording is unfiltered, the
+/// children of a node are exactly the transitions enabled at it, so row
+/// `r`'s slice of `labels` is also the set of labels enabled at node `r`.
+/// Rows keep sibling order, so a replay walks extensions in exactly the
+/// order a live [`crate::engine::TraceEngine`] walk would.
 #[derive(Debug)]
 pub struct TraceGraph {
-    nodes: Vec<TraceNode>,
-    /// Pool backing every node's `enabled` slice.
-    enabled_pool: Vec<TransitionLabel>,
-    /// CSR over `nodes.len() + 1` rows; the last row is the virtual root
-    /// (the initial machine), whose children are the depth-1 nodes.
+    /// One label per node, in CSR row order.
+    labels: Vec<TransitionLabel>,
+    /// CSR row offsets over `len() + 1` rows; row `r` spans
+    /// `child_offsets[r]..child_offsets[r + 1]` of `labels` and
+    /// `children`.
     child_offsets: Vec<u32>,
+    /// `children[j]` is the node that `labels[j]` leads to.
     children: Vec<u32>,
-    /// The labels enabled at the initial machine (the root's `enabled`).
-    root_enabled: Vec<TransitionLabel>,
 }
 
 impl TraceGraph {
-    /// Assembles the children CSR from parent pointers (`u32::MAX` marks
-    /// depth-1 nodes).
-    pub(crate) fn from_parts(
-        nodes: Vec<RecordedNode>,
-        enabled_pool: Vec<TransitionLabel>,
-        root_enabled: Vec<TransitionLabel>,
-    ) -> TraceGraph {
-        let n = nodes.len();
-        let row_of = |parent: u32| -> usize {
-            if parent == u32::MAX {
-                n
-            } else {
-                parent as usize
-            }
-        };
-        let mut counts = vec![0u32; n + 1];
-        for node in &nodes {
-            counts[row_of(node.parent)] += 1;
-        }
-        let mut child_offsets = Vec::with_capacity(n + 2);
+    /// Assembles the tree from what the recorder emits: `labels` holds
+    /// every node's row of enabled labels in preorder, followed by the
+    /// root's row; `widths[i]` is the width of node `i`'s row. A
+    /// preorder numbering plus per-node child counts fixes the tree, so
+    /// the children column is rebuilt in one pass and the widths become
+    /// the row offsets in place.
+    pub(crate) fn from_preorder(labels: Vec<TransitionLabel>, widths: Vec<u32>) -> TraceGraph {
+        let n = widths.len();
+        let mut child_offsets = widths;
         let mut acc = 0u32;
-        child_offsets.push(0);
-        for c in &counts {
-            acc += c;
-            child_offsets.push(acc);
+        for w in &mut child_offsets {
+            let width = *w;
+            *w = acc;
+            acc += width;
         }
-        let mut next: Vec<u32> = child_offsets[..=n].to_vec();
+        child_offsets.push(acc);
+        child_offsets.push(labels.len() as u32);
+        debug_assert_eq!(labels.len(), n, "one label per node");
+
+        // Node i's parent is the deepest row that still has an unfilled
+        // child slot: the rows on this stack, as (next slot, end).
         let mut children = vec![0u32; n];
-        // Node ids increase in creation (preorder) order, so filling in id
-        // order keeps every children row in sibling order.
-        for (i, node) in nodes.iter().enumerate() {
-            let row = row_of(node.parent);
-            children[next[row] as usize] = i as u32;
-            next[row] += 1;
+        let mut open = vec![(child_offsets[n], child_offsets[n + 1])];
+        for i in 0..n {
+            while open.last().is_some_and(|&(next, end)| next == end) {
+                open.pop();
+            }
+            let slot = open.last_mut().expect("every node has a parent row");
+            children[slot.0 as usize] = i as u32;
+            slot.0 += 1;
+            if child_offsets[i + 1] > child_offsets[i] {
+                open.push((child_offsets[i], child_offsets[i + 1]));
+            }
         }
         TraceGraph {
-            nodes: nodes
-                .into_iter()
-                .map(|s| TraceNode {
-                    label: s.label,
-                    enabled: s.enabled,
-                })
-                .collect(),
-            enabled_pool,
+            labels,
             child_offsets,
             children,
-            root_enabled,
         }
     }
 
     /// Number of recorded trace extensions (nodes).
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.children.len()
     }
 
     /// True iff the initial machine is terminal (no trace extends it).
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.children.is_empty()
     }
 
     /// The labels enabled at the initial machine.
     pub fn root_enabled(&self) -> &[TransitionLabel] {
-        &self.root_enabled
+        &self.labels[self.row(self.len())]
     }
 
-    fn enabled_of(&self, node: usize) -> &[TransitionLabel] {
-        let (start, len) = self.nodes[node].enabled;
-        &self.enabled_pool[start as usize..(start + len) as usize]
-    }
-
-    fn children_of(&self, row: usize) -> &[u32] {
-        let lo = self.child_offsets[row] as usize;
-        let hi = self.child_offsets[row + 1] as usize;
-        &self.children[lo..hi]
+    /// The span of `labels` and `children` that row `r` covers.
+    fn row(&self, r: usize) -> std::ops::Range<usize> {
+        self.child_offsets[r] as usize..self.child_offsets[r + 1] as usize
     }
 
     /// Serializes the trace tree for the content-addressed result store
-    /// ([`crate::wire`]): node labels, enabled slices, the enabled pool,
-    /// the children CSR, and the root's enabled labels, in that order.
+    /// ([`crate::wire`]): the labels, the CSR row offsets and the
+    /// children column, in that order.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let labels: Vec<TransitionLabel> = self.nodes.iter().map(|n| n.label).collect();
-        labels.encode(out);
-        let enabled: Vec<(u32, u32)> = self.nodes.iter().map(|n| n.enabled).collect();
-        enabled.encode(out);
-        self.enabled_pool.encode(out);
+        self.labels.encode(out);
         self.child_offsets.encode(out);
         self.children.encode(out);
-        self.root_enabled.encode(out);
     }
 
     /// Decodes a tree previously written by [`TraceGraph::encode`],
@@ -374,19 +354,18 @@ impl TraceGraph {
     /// # Errors
     ///
     /// Any [`WireError`]; in particular [`WireError::Invalid`] when the
-    /// children CSR is not the preorder tree shape the recorder emits
-    /// (non-monotone offsets, a node with zero or several parents, a
-    /// child preceding its parent, a children row disagreeing with the
-    /// node's enabled-label count) or an enabled slice escapes the pool.
+    /// label and children columns differ in length, or the CSR is not
+    /// the tree shape the recorder emits (non-monotone offsets, a node
+    /// with zero or several parents, a child preceding its parent).
     pub fn decode(r: &mut Reader<'_>) -> Result<TraceGraph, WireError> {
         let labels: Vec<TransitionLabel> = Vec::decode(r)?;
-        let enabled: Vec<(u32, u32)> = Vec::decode(r)?;
-        let enabled_pool: Vec<TransitionLabel> = Vec::decode(r)?;
         let child_offsets: Vec<u32> = Vec::decode(r)?;
         let children: Vec<u32> = Vec::decode(r)?;
-        let root_enabled: Vec<TransitionLabel> = Vec::decode(r)?;
-        let n = labels.len();
-        if enabled.len() != n || child_offsets.len() != n + 2 || children.len() != n {
+        let n = children.len();
+        if labels.len() != n {
+            return Err(WireError::Invalid("one label per trace node"));
+        }
+        if child_offsets.len() != n + 2 {
             return Err(WireError::Invalid("trace CSR table sizes"));
         }
         if child_offsets[0] != 0
@@ -395,28 +374,13 @@ impl TraceGraph {
         {
             return Err(WireError::Invalid("trace CSR offsets"));
         }
-        for &(start, len) in &enabled {
-            if (start as u64 + len as u64) > enabled_pool.len() as u64 {
-                return Err(WireError::Invalid("enabled slice out of the pool"));
-            }
-        }
         // The children rows must be a preorder tree: every node has
-        // exactly one parent, appears after it, rows are in sibling
-        // (ascending-id) order, and — because a successful recording is
-        // complete — each row is exactly as wide as its node's
-        // enabled-label set (the virtual root row matches root_enabled).
+        // exactly one parent, appears after it, and rows are in sibling
+        // (ascending-id) order.
         let mut seen = vec![false; n];
         for row in 0..=n {
             let lo = child_offsets[row] as usize;
             let hi = child_offsets[row + 1] as usize;
-            let want = if row == n {
-                root_enabled.len()
-            } else {
-                enabled[row].1 as usize
-            };
-            if hi - lo != want {
-                return Err(WireError::Invalid("children row width vs enabled labels"));
-            }
             let mut prev: Option<u32> = None;
             for &c in &children[lo..hi] {
                 let ci = c as usize;
@@ -428,15 +392,9 @@ impl TraceGraph {
             }
         }
         Ok(TraceGraph {
-            nodes: labels
-                .into_iter()
-                .zip(enabled)
-                .map(|(label, enabled)| TraceNode { label, enabled })
-                .collect(),
-            enabled_pool,
+            labels,
             child_offsets,
             children,
-            root_enabled,
         })
     }
 
@@ -457,30 +415,21 @@ impl TraceGraph {
         config: EngineConfig,
         visitor: &mut V,
     ) -> Result<ExploreStats, EngineError> {
-        struct Frame<'g> {
-            children: &'g [u32],
-            next: usize,
-        }
         let mut stats = ExploreStats::default();
         let mut budget = config.max_traces;
         let mut trace = TraceLabels::new();
-        let root = self.nodes.len();
-        let mut frames = vec![Frame {
-            children: self.children_of(root),
-            next: 0,
-        }];
+        // Each frame is the unvisited rest of one row.
+        let mut frames = vec![self.row(self.len())];
         while let Some(frame) = frames.last_mut() {
-            if frame.next >= frame.children.len() {
+            let Some(j) = frame.next() else {
                 frames.pop();
                 if !frames.is_empty() {
                     trace.pop();
                 }
                 continue;
-            }
-            let node = frame.children[frame.next] as usize;
-            frame.next += 1;
+            };
             stats.transitions += 1;
-            let label = self.nodes[node].label;
+            let label = self.labels[j];
             if !visitor.step_filter(&label) {
                 continue;
             }
@@ -490,7 +439,8 @@ impl TraceGraph {
             budget -= 1;
             stats.visited += 1;
             trace.push(label);
-            let enabled = self.enabled_of(node);
+            let row = self.row(self.children[j] as usize);
+            let enabled = &self.labels[row.clone()];
             let step = ReplayStep {
                 label,
                 enabled,
@@ -501,25 +451,11 @@ impl TraceGraph {
                 Control::Prune => {
                     trace.pop();
                 }
-                Control::Continue => {
-                    frames.push(Frame {
-                        children: self.children_of(node),
-                        next: 0,
-                    });
-                }
+                Control::Continue => frames.push(row),
             }
         }
         Ok(stats)
     }
-}
-
-/// The raw node shape the recorder produces (parent pointers survive only
-/// until the children CSR is built).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct RecordedNode {
-    pub(crate) parent: u32,
-    pub(crate) label: TransitionLabel,
-    pub(crate) enabled: (u32, u32),
 }
 
 #[cfg(test)]
@@ -731,6 +667,13 @@ mod tests {
         let decoded = TraceGraph::decode(&mut crate::wire::Reader::new(&bytes)).unwrap();
         assert_eq!(decoded.len(), graph.len());
         assert_eq!(decoded.root_enabled(), graph.root_enabled());
+        // One label per node: the root's row lists the two first steps,
+        // and the encoding holds the labels, offsets and children only.
+        assert_eq!(graph.labels.len(), graph.len());
+        assert_eq!(graph.root_enabled().len(), 2);
+        assert_eq!(decoded.labels, graph.labels);
+        assert_eq!(decoded.child_offsets, graph.child_offsets);
+        assert_eq!(decoded.children, graph.children);
         // The decoded tree replays identically to the original.
         let mut live = CountComplete {
             len: 4,
@@ -767,6 +710,32 @@ mod tests {
                 "truncation at {cut} decoded"
             );
         }
+        // Well-formed columns that disagree on the node count: one label
+        // too few or too many for the children, or offsets for a
+        // different number of rows.
+        let columns = |labels: &[TransitionLabel], offsets: &[u32], children: &[u32]| {
+            let mut out = Vec::new();
+            labels.to_vec().encode(&mut out);
+            offsets.to_vec().encode(&mut out);
+            children.to_vec().encode(&mut out);
+            TraceGraph::decode(&mut crate::wire::Reader::new(&out))
+        };
+        let (labels, offsets, children) = (&graph.labels, &graph.child_offsets, &graph.children);
+        assert!(columns(labels, offsets, children).is_ok());
+        let n = labels.len();
+        let extra: Vec<TransitionLabel> = labels.iter().chain(&labels[..1]).copied().collect();
+        assert_eq!(
+            columns(&labels[..n - 1], offsets, children).unwrap_err(),
+            WireError::Invalid("one label per trace node")
+        );
+        assert_eq!(
+            columns(&extra, offsets, children).unwrap_err(),
+            WireError::Invalid("one label per trace node")
+        );
+        assert_eq!(
+            columns(labels, &offsets[..n], children).unwrap_err(),
+            WireError::Invalid("trace CSR table sizes")
+        );
         // Flipping any single byte must either fail to decode or decode
         // to a tree whose replay still terminates with the recorded
         // structural invariants intact (walk a few positions).

@@ -167,7 +167,7 @@ impl FirstError {
 /// Brief-yield-then-sleep backoff for a worker that found no work: when
 /// the coordinator's visitor is the bottleneck the deques stay empty for
 /// long stretches and spinning would burn cores.
-fn idle_backoff(idle_spins: &mut u32) {
+pub(crate) fn idle_backoff(idle_spins: &mut u32) {
     if *idle_spins < 64 {
         *idle_spins += 1;
         std::thread::yield_now();

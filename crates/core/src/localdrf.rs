@@ -867,6 +867,8 @@ pub fn check_global_drf_reduced<E: Expr>(
     }
     Ok(status)
 }
+
+/// [`check_global_drf`] over one recorded trace tree. Theorem 14 needs two
 /// trace enumerations (the SC race scan and the weak-transition scan),
 /// which the plain checker runs as two live walks. This variant records
 /// the trace tree once ([`TraceEngine::record`]) and replays both scans
@@ -881,7 +883,7 @@ pub fn check_global_drf_reduced<E: Expr>(
 /// but not the whole tree fails here where the plain checker would
 /// succeed. With the default budgets the verdicts coincide on every
 /// corpus and generated program (the differential suite checks).
-pub fn check_global_drf_cached<E: Expr>(
+pub fn check_global_drf_cached<E: Expr + Send + Sync>(
     locs: &LocSet,
     m0: Machine<E>,
     config: EngineConfig,

@@ -40,8 +40,9 @@ use bdrst_core::engine::{canonical_fingerprint, EngineError, StateGraph, TraceGr
 use bdrst_core::wire::{checksum, Codec, Reader, WireError, SEMANTICS_VERSION};
 use bdrst_lang::{Observation, Program, ThreadState};
 
-/// Bumped whenever the on-disk entry layout changes.
-pub const ENTRY_FORMAT_VERSION: u32 = 2;
+/// Bumped whenever the on-disk entry layout changes (3: trace trees
+/// store each transition label once).
+pub const ENTRY_FORMAT_VERSION: u32 = 3;
 
 const MAGIC: &[u8; 4] = b"BDRS";
 

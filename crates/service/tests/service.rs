@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use bdrst_litmus::{run_corpus, RunConfig, RunError};
 use bdrst_service::service::CheckService;
-use bdrst_service::store::{version_tag, ResultStore, StoreConfig};
+use bdrst_service::store::{version_tag, ResultStore, StoreConfig, ENTRY_FORMAT_VERSION};
 
 static TEMP_SEQ: AtomicU32 = AtomicU32::new(0);
 
@@ -157,6 +157,47 @@ fn poisoned_disk_entries_recompute_instead_of_trusting() {
         let checked = s.check_source(src).unwrap();
         assert!(!checked.cached, "served an entry across a version flip");
         assert_eq!(checked.entry.op, baseline);
+        assert!(s.stats().disk_errors > 0, "{:?}", s.stats());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    // Format bump: entries whose header names the previous entry format
+    // (the trace-tree layout before each label was stored once) are
+    // found where this build looks. They must be a miss that recomputes
+    // everything, the trace tree included — never an error or a verdict
+    // read from the old bytes.
+    {
+        let dir = temp_dir("format");
+        let (baseline, racy) = {
+            let s = disk_service(&dir);
+            let checked = s.check_source(src).unwrap();
+            let racy = s.check_races(&checked).unwrap().racy();
+            assert!(
+                checked.entry.trace.get().is_some(),
+                "no trace tree persisted"
+            );
+            (checked.entry.op.clone(), racy)
+        };
+        for f in std::fs::read_dir(&dir).unwrap().filter_map(|e| e.ok()) {
+            let mut bytes = std::fs::read(f.path()).unwrap();
+            // Magic, then the little-endian format version.
+            assert_eq!(&bytes[..4], b"BDRS");
+            assert_eq!(bytes[4..8], ENTRY_FORMAT_VERSION.to_le_bytes());
+            bytes[4..8].copy_from_slice(&(ENTRY_FORMAT_VERSION - 1).to_le_bytes());
+            std::fs::write(f.path(), bytes).unwrap();
+        }
+        let s = disk_service(&dir);
+        let checked = s.check_source(src).unwrap();
+        assert!(!checked.cached, "served an entry of the previous format");
+        assert_eq!(checked.entry.op, baseline);
+        assert!(
+            checked.entry.trace.get().is_none(),
+            "loaded an old trace tree"
+        );
+        assert_eq!(s.check_races(&checked).unwrap().racy(), racy);
+        assert!(
+            checked.entry.trace.get().is_some(),
+            "the tree was not re-recorded"
+        );
         assert!(s.stats().disk_errors > 0, "{:?}", s.stats());
         let _ = std::fs::remove_dir_all(&dir);
     }
