@@ -13,8 +13,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use bdrst_core::engine::{
-    Control, EngineError, MergeableVisitor, ReplayStep, ReplayVisitor, TraceEngine, TraceGraph,
-    TraceVisitor,
+    Control, EngineError, ReplayStep, ReplayVisitor, TraceEngine, TraceGraph, TraceVisitor,
 };
 use bdrst_core::explore::ExploreConfig;
 use bdrst_core::loc::{Action, LocKind, LocSet};
@@ -231,15 +230,6 @@ impl ReplayVisitor for SoundnessVisitor<'_> {
     }
 }
 
-impl MergeableVisitor for SoundnessVisitor<'_> {
-    fn merge(&mut self, other: Self) {
-        self.checked += other.checked;
-        if self.violation.is_none() {
-            self.violation = other.violation;
-        }
-    }
-}
-
 /// Verifies Theorem 15 on `program`: the induced execution of every trace
 /// prefix is a consistent execution. Returns the number of trace prefixes
 /// checked.
@@ -261,37 +251,6 @@ pub fn check_soundness(program: &Program, config: ExploreConfig) -> Result<usize
     match visitor.violation {
         Some(v) => Err(SoundnessError::Violation(Box::new(v))),
         None => Ok(visitor.checked),
-    }
-}
-
-/// [`check_soundness`], with the trace walk sharded across `threads`
-/// workers (0 = all cores): each subtree is checked with its own visitor
-/// — re-forked below the root when the root frontier is narrower than
-/// the pool — and the per-subtree verdicts fold through the
-/// [`MergeableVisitor`] protocol, so the `checked` total equals the
-/// sequential count, which the differential suite asserts.
-///
-/// # Errors
-///
-/// As [`check_soundness`]; the trace budget is shared across shards.
-pub fn check_soundness_sharded(
-    program: &Program,
-    config: ExploreConfig,
-    threads: usize,
-) -> Result<usize, SoundnessError> {
-    let locs = &program.locs;
-    let (_, merged) = TraceEngine::new(config)
-        .explore_sharded_merged(locs, program.initial_machine(), threads, || {
-            SoundnessVisitor {
-                locs,
-                checked: 0,
-                violation: None,
-            }
-        })
-        .map_err(SoundnessError::Engine)?;
-    match merged.violation {
-        Some(violation) => Err(SoundnessError::Violation(Box::new(violation))),
-        None => Ok(merged.checked),
     }
 }
 
@@ -416,20 +375,6 @@ mod tests {
         // MP has 6 interleavings of 4 memory operations plus read
         // nondeterminism: 24 distinct trace prefixes in all.
         assert_eq!(checked, 24);
-    }
-
-    #[test]
-    fn sharded_soundness_matches_sequential_count() {
-        let p = Program::parse(
-            "nonatomic a; atomic f;
-             thread P0 { a = 1; f = 1; }
-             thread P1 { r0 = f; r1 = a; }",
-        )
-        .unwrap();
-        let seq = check_soundness(&p, ExploreConfig::default()).unwrap();
-        let shd = check_soundness_sharded(&p, ExploreConfig::default(), 4).unwrap();
-        assert_eq!(seq, shd);
-        assert_eq!(seq, 24);
     }
 
     #[test]

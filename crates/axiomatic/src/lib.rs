@@ -4,10 +4,10 @@
 //! Implements §6–§7 of *Bounding Data Races in Space and Time*: events and
 //! event graphs ([`event`]), candidate executions with `po`/`rf`/`co` and
 //! the consistency axioms Causality, CoWW and CoWR ([`exec`]), event-graph
-//! generation from programs under free reads ([`generate`]), exhaustive
-//! enumeration of consistent executions ([`enumerate`]), and the mapping
-//! `|Σ|` from operational traces to executions together with checkers for
-//! Theorems 15/16 ([`equiv`]). The `hb` decomposition (Theorem 17) and the
+//! generation from programs under free reads ([`generate`](mod@generate)),
+//! exhaustive enumeration of consistent executions ([`enumerate`]), and the
+//! mapping `|Σ|` from operational traces to executions together with
+//! checkers for Theorems 15/16 ([`equiv`]). The `hb` decomposition (Theorem 17) and the
 //! alternative consistency characterisation (Theorem 18) are methods on
 //! [`exec::CandidateExecution`].
 //!
@@ -36,8 +36,8 @@ pub use enumerate::{
     observable, EnumError, EnumLimits, ProgramExecution,
 };
 pub use equiv::{
-    check_equivalence, check_soundness, check_soundness_replayed, check_soundness_sharded,
-    execution_of_trace, EquivalenceError, EquivalenceReport, SoundnessError, SoundnessViolation,
+    check_equivalence, check_soundness, check_soundness_replayed, execution_of_trace,
+    EquivalenceError, EquivalenceReport, SoundnessError, SoundnessViolation,
 };
 pub use event::{Event, EventId};
 pub use exec::{CandidateExecution, EventSet, WellformednessError};

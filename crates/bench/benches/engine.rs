@@ -1,6 +1,6 @@
-//! Criterion benches for the exploration engine: sequential vs parallel
-//! corpus sweeps (the multi-test workload the engine refactor targets),
-//! and per-strategy single-test exploration probes.
+//! Criterion benches for the exploration engine: sequential vs per-test
+//! parallel corpus sweeps (the multi-test workload the engine refactor
+//! targets), and per-strategy single-test exploration probes.
 //!
 //! `cargo bench --bench engine`. The committed baseline lives in
 //! `baselines/engine_baseline.json` (regenerate with the
@@ -29,8 +29,10 @@ fn bench_corpus_sequential(c: &mut Criterion) {
     });
 }
 
-fn bench_corpus_parallel(c: &mut Criterion) {
-    c.bench_function("corpus_sweep_parallel", |b| {
+/// The corpus spread test by test over `parallel_map`, each test on
+/// sequential DFS.
+fn bench_corpus_per_test_dfs(c: &mut Criterion) {
+    c.bench_function("corpus_sweep_per_test_dfs", |b| {
         b.iter(|| {
             let entries = run_corpus_sharded(RunConfig::default(), 0);
             assert!(corpus_passes(&entries));
@@ -46,7 +48,6 @@ fn bench_single_test_strategies(c: &mut Criterion) {
     for (name, strategy) in [
         ("explore_iriw_dfs", Strategy::Dfs),
         ("explore_iriw_bfs", Strategy::Bfs),
-        ("explore_iriw_parallel", Strategy::Parallel),
         ("explore_iriw_worksteal", Strategy::WorkStealing),
     ] {
         c.bench_function(name, |b| {
@@ -129,7 +130,7 @@ fn bench_dedup_lanes(c: &mut Criterion) {
 criterion_group!(
     name = engine;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(5));
-    targets = bench_corpus_sequential, bench_corpus_parallel, bench_single_test_strategies,
+    targets = bench_corpus_sequential, bench_corpus_per_test_dfs, bench_single_test_strategies,
         bench_canonicalize_vs_fingerprint, bench_dedup_lanes
 );
 criterion_main!(engine);

@@ -1,7 +1,8 @@
 //! Records the engine performance baseline as JSON.
 //!
-//! Measures the litmus corpus sweep under the sequential and parallel
-//! engines (plus single-test strategy probes on IRIW), the
+//! Measures the litmus corpus sweep sequentially and spread test by test
+//! over `parallel_map` (each test on sequential DFS, or on the
+//! work-stealing engine), plus single-test strategy probes on IRIW, the
 //! canonicalize-vs-fingerprint throughput of the state-dedup hot path,
 //! the **cold-vs-warm** corpus sweep through the content-addressed
 //! result store (warm runs are asserted to make *zero* transition-
@@ -40,7 +41,10 @@
 //! with the structured JSON-lines logger installed at `warn` — the
 //! production server default — gating (same bar, same determinism) that
 //! live logging costs the exploration hot loop nothing: there are no
-//! log sites on engine paths, only on the service edges.
+//! log sites on engine paths, only on the service edges. v11 names the
+//! per-test DFS sweep for what it runs (`corpus_sweep_per_test_dfs_s`,
+//! formerly `corpus_sweep_parallel_s`) and drops the IRIW probe of the
+//! removed level-synchronous engine.
 //! The alloc-per-visit lanes sweep the
 //! pre-v8 *narrow* corpus (the `Wide*` stress programs are excluded by
 //! name prefix) so the v5/v6 bars stay like-for-like comparable; the
@@ -444,7 +448,9 @@ fn main() {
     let seq = measure(|| {
         assert!(corpus_passes(&run_corpus(RunConfig::default())));
     });
-    let par = measure(|| {
+    // Per-test DFS over `parallel_map`: the tests run in parallel, each
+    // on the sequential engine.
+    let per_test_dfs = measure(|| {
         assert!(corpus_passes(&run_corpus_sharded(RunConfig::default(), 0)));
     });
     let ws_config = RunConfig {
@@ -464,7 +470,6 @@ fn main() {
     };
     let dfs = probe(Strategy::Dfs);
     let bfs = probe(Strategy::Bfs);
-    let parallel = probe(Strategy::Parallel);
     let stealing = probe(Strategy::WorkStealing);
 
     // --- state-dedup hot path: canonicalize vs streaming fingerprint ---
@@ -753,16 +758,15 @@ fn main() {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         r#"{{
-  "schema": "bdrst-engine-baseline/v10",
+  "schema": "bdrst-engine-baseline/v11",
   "samples": {SAMPLES},
   "threads_available": {threads},
   "corpus_sweep_sequential_s": {seq:.6},
-  "corpus_sweep_parallel_s": {par:.6},
+  "corpus_sweep_per_test_dfs_s": {per_test_dfs:.6},
   "corpus_sweep_worksteal_s": {worksteal:.6},
   "corpus_sweep_speedup": {speedup:.3},
   "explore_iriw_dfs_s": {dfs:.6},
   "explore_iriw_bfs_s": {bfs:.6},
-  "explore_iriw_parallel_s": {parallel:.6},
   "explore_iriw_worksteal_s": {stealing:.6},
   "canonicalize_states_per_s": {canonicalize_states_per_s:.0},
   "fingerprint_states_per_s": {fingerprint_states_per_s:.0},
@@ -816,7 +820,7 @@ fn main() {
   "store_digest_hit_rate": [{store_digest_hit_rate}]
 }}
 "#,
-        speedup = seq / par,
+        speedup = seq / per_test_dfs,
         race_replay_speedup = race_live_s / race_replay_s,
         obs_dropped = obs_profile.dropped,
     );
@@ -955,25 +959,25 @@ fn main() {
     // clock is still noisy (shared CI runners), so by default a slower
     // parallel sweep is reported as a warning; set
     // ENGINE_BASELINE_ENFORCE=1 to turn it into a hard failure.
-    let best_par = par.min(worksteal);
+    let best_par = per_test_dfs.min(worksteal);
     if threads <= 1 {
         eprintln!("single-core host: skipping parallel-beats-sequential check");
     } else if best_par < seq {
         eprintln!(
-            "parallel sweep beats sequential ({:.2}x; level-sync {par:.4}s, worksteal \
-             {worksteal:.4}s) on {threads} cores",
+            "parallel sweep beats sequential ({:.2}x; per-test DFS {per_test_dfs:.4}s, \
+             worksteal {worksteal:.4}s) on {threads} cores",
             seq / best_par
         );
     } else if enforce {
         panic!(
-            "parallel corpus sweeps (level-sync {par:.4}s, worksteal {worksteal:.4}s) should \
-             beat sequential ({seq:.4}s) on {threads} cores"
+            "parallel corpus sweeps (per-test DFS {per_test_dfs:.4}s, worksteal \
+             {worksteal:.4}s) should beat sequential ({seq:.4}s) on {threads} cores"
         );
     } else {
         eprintln!(
-            "WARNING: parallel sweeps (level-sync {par:.4}s, worksteal {worksteal:.4}s) did not \
-             beat sequential ({seq:.4}s) on {threads} cores (noise? set \
-             ENGINE_BASELINE_ENFORCE=1 to make this fatal)"
+            "WARNING: parallel sweeps (per-test DFS {per_test_dfs:.4}s, worksteal \
+             {worksteal:.4}s) did not beat sequential ({seq:.4}s) on {threads} cores (noise? \
+             set ENGINE_BASELINE_ENFORCE=1 to make this fatal)"
         );
     }
 

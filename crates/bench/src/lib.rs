@@ -7,8 +7,8 @@
 //! (the §8 evaluation).
 //!
 //! Criterion benches measure the cost of the checkers, the simulator, and
-//! the exploration engine; see `benches/`. The `engine` bench compares the
-//! sequential and parallel engines on the litmus corpus sweep, and the
+//! the exploration engine; see `benches/`. The `engine` bench compares a
+//! sequential litmus corpus sweep with per-test parallel ones, and the
 //! `engine_baseline` binary records that comparison as JSON under
 //! `baselines/` (with the host's core count, since a single-core host
 //! cannot show a parallel win) so later PRs have a perf trajectory.

@@ -1,10 +1,11 @@
 //! Deque-based work-stealing: the persistent worker pool behind
 //! [`WorkStealingEngine`] and [`crate::engine::parallel_map`].
 //!
-//! The level-synchronous [`crate::engine::ParallelEngine`] pays a full
-//! thread barrier per BFS level; litmus-scale state spaces have shallow,
-//! narrow levels, so that barrier dominates. The work-stealing engine
-//! instead keeps one pool of workers alive for the whole exploration:
+//! It is the one parallel state engine. A level-synchronous engine would
+//! pay a full thread barrier per BFS level, and litmus-scale state spaces
+//! have shallow, narrow levels, so that barrier would dominate. The
+//! work-stealing engine instead keeps one pool of workers alive for the
+//! whole exploration:
 //!
 //! * each worker owns a deque ([`StealDeques`], riding the lock-free
 //!   [`ChaseLev`] deque) of machines awaiting expansion, pushed and
@@ -16,9 +17,10 @@
 //!   the steal path;
 //! * newly reached states are admitted through the claim-exactly-once
 //!   [`SharedInterner`], probed **fingerprint-first**
-//!   ([`canonical_fingerprint`]): a re-visit costs zero allocation, and
-//!   the full canonical state is built only on first claim (or verified
-//!   fingerprint collision), exactly as in the sequential engines;
+//!   ([`crate::engine::canonical_fingerprint`]): a re-visit costs zero
+//!   allocation, and the full canonical state is built only on first
+//!   claim (or verified fingerprint collision), exactly as in the
+//!   sequential engines;
 //! * the caller's [`StateVisitor`] — which is `&mut` and need not be
 //!   `Send` — runs on the coordinating thread, fed by a channel of
 //!   freshly claimed states; admitted states return to the pool through
@@ -498,9 +500,7 @@ impl<E: Expr + Send + Sync> Explorer<E> for WorkStealingEngine {
             // regime is search-order dependent even for the sequential
             // engines (DFS and BFS intern different state prefixes, and
             // the budget check precedes each visit); this engine resolves
-            // the race deterministically in favour of the verdict — the
-            // same precedence `TraceEngine::explore_sharded` gives a
-            // stopped shard.
+            // the race deterministically in favour of the verdict.
             Some(e) if !visitor_stopped => return Err(e),
             _ => {}
         }

@@ -1,8 +1,7 @@
 //! Sequential engines: the iterative state-space worklist and the
-//! iterative depth-first trace enumerator — plus the sharded trace walk
-//! ([`TraceEngine::explore_sharded`]) that forks the enumeration across
-//! the work-stealing pool, re-forking below the root when the root
-//! frontier alone cannot feed it.
+//! iterative depth-first trace enumerator ([`TraceEngine::explore`]), plus
+//! the trace-tree recorder ([`TraceEngine::record`]), the one trace lane
+//! that runs on the work-stealing pool.
 //!
 //! [`TraceEngine::record`] records the full trace tree into a
 //! [`TraceGraph`]. It walks depth-first on the calling thread; once the
@@ -18,14 +17,15 @@
 //! sequential recording — the graph is byte-identical at any worker
 //! count.
 //!
-//! Neither engine recurses — both carry explicit stacks — so exploration
+//! No walk here recurses — each carries an explicit stack — so exploration
 //! depth is bounded by heap, not by the thread's call stack, and the DFS /
 //! BFS choice is a one-line worklist-discipline swap.
 //!
 //! State dedup is fingerprint-first by default ([`Dedup`]): a popped
 //! machine is identified by its zero-allocation streaming
-//! [`canonical_fingerprint`], and the full [`crate::engine::CanonState`]
-//! is only built on first visit (or on a verified fingerprint collision).
+//! [`crate::engine::canonical_fingerprint`], and the full
+//! [`crate::engine::CanonState`] is only built on first visit (or on a
+//! verified fingerprint collision).
 //! [`Dedup::FullState`] keeps the old build-then-hash path alive as the
 //! reference the property suites compare against.
 
@@ -35,9 +35,9 @@ use std::sync::Mutex;
 
 use crate::engine::steal::idle_backoff;
 use crate::engine::{
-    canonicalize, engine_threads, intern_canonical, parallel_map_with, Control, Dedup,
-    EngineConfig, EngineError, ExploreStats, Explorer, MergeableVisitor, SearchOrder, StateGraph,
-    StateId, StateInterner, StateVisitor, StealDeques, TraceGraph, TraceVisitor,
+    canonicalize, engine_threads, intern_canonical, Control, Dedup, EngineConfig, EngineError,
+    ExploreStats, Explorer, SearchOrder, StateGraph, StateId, StateInterner, StateVisitor,
+    StealDeques, TraceGraph, TraceVisitor,
 };
 use crate::loc::LocSet;
 use crate::machine::{Expr, Machine, Transition, TransitionLabel};
@@ -203,102 +203,6 @@ impl<E: Expr> Explorer<E> for WorklistEngine {
         }
         Ok(finish(stats, &mut span))
     }
-}
-
-/// One suspended node of the iterative trace walk: the transitions enabled
-/// at a machine (each consumed at most once), and how many have been
-/// processed.
-struct Frame<E> {
-    transitions: Vec<Option<Transition<E>>>,
-    next: usize,
-}
-
-impl<E: Expr> Frame<E> {
-    fn at(m: &Machine<E>, locs: &LocSet) -> Frame<E> {
-        Frame {
-            transitions: m.transitions(locs).into_iter().map(Some).collect(),
-            next: 0,
-        }
-    }
-
-    /// A root frame restricted to a single transition — the fork point of
-    /// one shard of [`TraceEngine::explore_sharded`].
-    fn single(t: Transition<E>) -> Frame<E> {
-        Frame {
-            transitions: vec![Some(t)],
-            next: 0,
-        }
-    }
-}
-
-/// How one (sub)walk of the trace tree ended.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum WalkEnd {
-    /// Every trace in the subtree was enumerated (or pruned).
-    Exhausted,
-    /// The visitor returned [`Control::Stop`].
-    Stopped,
-}
-
-/// The iterative depth-first walk shared by the sequential and sharded
-/// trace enumerations. `trace` seeds the label stack (empty for a
-/// root-anchored walk, the fork prefix for a deep shard); `budget` holds
-/// the *remaining* extension budget — a plain counter for a sequential
-/// walk and shared across shards for a sharded one, so splitting the work
-/// never splits the budget.
-fn walk_traces<E: Expr>(
-    locs: &LocSet,
-    mut frames: Vec<Frame<E>>,
-    mut trace: TraceLabels,
-    visitor: &mut dyn TraceVisitor<E>,
-    budget: &AtomicUsize,
-    max_traces: usize,
-    stats: &mut ExploreStats,
-) -> Result<WalkEnd, EngineError> {
-    let _span = bdrst_obs::span(bdrst_obs::Phase::TraceWalk);
-    let base_depth = trace.len();
-    while let Some(frame) = frames.last_mut() {
-        if frame.next >= frame.transitions.len() {
-            // Subtree exhausted: pop the frame, and the label that led
-            // into it (the root frame has no such label).
-            frames.pop();
-            if trace.len() > base_depth {
-                trace.pop();
-            }
-            continue;
-        }
-        let i = frame.next;
-        frame.next += 1;
-        stats.transitions += 1;
-        let t = frame.transitions[i]
-            .take()
-            .expect("transition consumed once");
-        if !visitor.step_filter(&t) {
-            continue;
-        }
-        if budget
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1))
-            .is_err()
-        {
-            // The budget counts down from `max_traces`; exhaustion means
-            // the whole enumeration (across every shard) attempted its
-            // (max_traces + 1)-th extension — the same count the
-            // sequential engine reports.
-            return Err(EngineError::budget(max_traces + 1));
-        }
-        stats.visited += 1;
-        trace.push(t.label);
-        match visitor.visit(&trace, &t) {
-            Control::Stop => return Ok(WalkEnd::Stopped),
-            Control::Prune => {
-                trace.pop();
-            }
-            Control::Continue => {
-                frames.push(Frame::at(&t.target, locs));
-            }
-        }
-    }
-    Ok(WalkEnd::Exhausted)
 }
 
 /// A recording stays on the calling thread until its walk has recorded
@@ -670,12 +574,6 @@ fn join(
     (labels, widths)
 }
 
-/// Trunk expansion stops after this many levels even if the fork frontier
-/// is still narrower than the pool: a frontier that fails to widen within
-/// a few levels is chain-shaped, and serialising more of it in the trunk
-/// would cost more than the parallelism it buys.
-const MAX_FORK_DEPTH: usize = 16;
-
 /// The iterative depth-first trace enumerator.
 ///
 /// Enumerates every trace prefix from the initial machine (every prefix of
@@ -706,17 +604,41 @@ impl TraceEngine {
         m0: Machine<E>,
         visitor: &mut dyn TraceVisitor<E>,
     ) -> Result<ExploreStats, EngineError> {
+        let _span = bdrst_obs::span(bdrst_obs::Phase::TraceWalk);
         let mut stats = ExploreStats::default();
-        let budget = AtomicUsize::new(self.config.max_traces);
-        walk_traces(
-            locs,
-            vec![Frame::at(&m0, locs)],
-            TraceLabels::new(),
-            visitor,
-            &budget,
-            self.config.max_traces,
-            &mut stats,
-        )?;
+        let mut budget = self.config.max_traces;
+        let mut trace = TraceLabels::new();
+        // Each frame is the untaken rest of the transitions enabled at one
+        // node of the walk.
+        let mut frames = vec![m0.transitions(locs).into_iter()];
+        while let Some(frame) = frames.last_mut() {
+            let Some(t) = frame.next() else {
+                // Subtree exhausted: pop the frame, and the label that led
+                // into it (the root frame has no such label).
+                frames.pop();
+                if !frames.is_empty() {
+                    trace.pop();
+                }
+                continue;
+            };
+            stats.transitions += 1;
+            if !visitor.step_filter(&t) {
+                continue;
+            }
+            if budget == 0 {
+                return Err(EngineError::budget(self.config.max_traces + 1));
+            }
+            budget -= 1;
+            stats.visited += 1;
+            trace.push(t.label);
+            match visitor.visit(&trace, &t) {
+                Control::Stop => break,
+                Control::Prune => {
+                    trace.pop();
+                }
+                Control::Continue => frames.push(t.target.transitions(locs).into_iter()),
+            }
+        }
         Ok(stats)
     }
 
@@ -782,188 +704,6 @@ impl TraceEngine {
                 transitions: n,
             },
         ))
-    }
-
-    /// Walks every trace from `m0`, sharded across the work-stealing pool.
-    ///
-    /// Trace subtrees share no state, so any *frontier* of the tree is an
-    /// exact partition: by default each transition enabled at the root
-    /// starts an independent label stack explored with its own visitor
-    /// from `make_visitor`. When the root frontier is narrower than the
-    /// worker pool, the walk first expands a *trunk* — breadth-first, on
-    /// the calling thread, driven by a dedicated trunk visitor — until
-    /// the fork frontier is at least as wide as the pool (or stops
-    /// widening); the fork points then shard as usual, each seeded with
-    /// its prefix labels. Every trace prefix is still visited exactly
-    /// once, by exactly one visitor.
-    ///
-    /// The trace budget is a single atomic counter shared by the trunk
-    /// and every shard — splitting the work never splits the budget, so
-    /// for visitors that run to exhaustion a sharded walk errs out if and
-    /// only if the total number of extensions exceeds
-    /// `config.max_traces`, exactly like [`TraceEngine::explore`]. The
-    /// combined statistics and every visitor (the trunk visitor first,
-    /// then the shard visitors in fork order — root-transition order when
-    /// no trunk was needed) are returned for verdict merging;
-    /// [`TraceEngine::explore_sharded_merged`] folds them for
-    /// [`MergeableVisitor`]s.
-    ///
-    /// One shard returning [`Control::Stop`] does not interrupt its
-    /// siblings (they run to completion), and a stopped visitor's verdict
-    /// takes precedence over a concurrent budget trip in another shard;
-    /// a *trunk* stop ends the walk before the shards launch (its verdict
-    /// is already in hand). When a *stopping* visitor meets a budget
-    /// close to the space it would explore, which of the two lands first
-    /// is search-order dependent even sequentially (DFS and BFS intern
-    /// different prefixes); this engine resolves that race
-    /// deterministically in favour of the verdict.
-    ///
-    /// `threads == 0` means all cores (honouring `BDRST_ENGINE_THREADS`).
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::BudgetExceeded`] if the walk jointly exceeds
-    /// `config.max_traces` extensions and no visitor stopped;
-    /// [`EngineError::CorruptFrontier`] if any shard reaches a corrupted
-    /// machine.
-    pub fn explore_sharded<E, V, F>(
-        &self,
-        locs: &LocSet,
-        m0: Machine<E>,
-        threads: usize,
-        make_visitor: F,
-    ) -> Result<(ExploreStats, Vec<V>), EngineError>
-    where
-        E: Expr + Send + Sync,
-        V: TraceVisitor<E> + Send,
-        F: Fn() -> V + Sync,
-    {
-        let workers = crate::engine::engine_threads(threads);
-        let budget = AtomicUsize::new(self.config.max_traces);
-        let max_traces = self.config.max_traces;
-        let mut stats = ExploreStats::default();
-
-        // The fork frontier: each entry is one unvisited transition plus
-        // the (already visited) prefix leading to it.
-        let mut forks: Vec<(TraceLabels, Transition<E>)> = m0
-            .transitions(locs)
-            .into_iter()
-            .map(|t| (TraceLabels::new(), t))
-            .collect();
-
-        let mut trunk = make_visitor();
-        let mut trunk_stopped = false;
-        let mut budget_error = None;
-        let mut depth = 0;
-        while workers > 1
-            && !forks.is_empty()
-            && forks.len() < workers
-            && depth < MAX_FORK_DEPTH
-            && !trunk_stopped
-            && budget_error.is_none()
-        {
-            depth += 1;
-            let level = std::mem::take(&mut forks);
-            'level: for (prefix, t) in level {
-                stats.transitions += 1;
-                if !trunk.step_filter(&t) {
-                    continue;
-                }
-                if budget
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1))
-                    .is_err()
-                {
-                    budget_error = Some(EngineError::budget(max_traces + 1));
-                    break 'level;
-                }
-                stats.visited += 1;
-                let mut trace = prefix;
-                trace.push(t.label);
-                match trunk.visit(&trace, &t) {
-                    Control::Stop => {
-                        trunk_stopped = true;
-                        break 'level;
-                    }
-                    Control::Prune => {}
-                    Control::Continue => {
-                        for child in t.target.transitions(locs) {
-                            forks.push((trace.clone(), child));
-                        }
-                    }
-                }
-            }
-        }
-
-        let shards: Vec<(V, ExploreStats, Result<WalkEnd, EngineError>)> =
-            if trunk_stopped || budget_error.is_some() {
-                Vec::new()
-            } else {
-                parallel_map_with(&forks, threads, |(prefix, t)| {
-                    let mut visitor = make_visitor();
-                    let mut stats = ExploreStats::default();
-                    let end = walk_traces(
-                        locs,
-                        vec![Frame::single(t.clone())],
-                        prefix.clone(),
-                        &mut visitor,
-                        &budget,
-                        max_traces,
-                        &mut stats,
-                    );
-                    (visitor, stats, end)
-                })
-            };
-
-        let mut visitors = Vec::with_capacity(shards.len() + 1);
-        visitors.push(trunk);
-        let mut stopped = trunk_stopped;
-        for (visitor, shard_stats, end) in shards {
-            stats.visited += shard_stats.visited;
-            stats.transitions += shard_stats.transitions;
-            match end {
-                Ok(WalkEnd::Stopped) => stopped = true,
-                Ok(WalkEnd::Exhausted) => {}
-                Err(e @ EngineError::BudgetExceeded { .. }) => {
-                    budget_error.get_or_insert(e);
-                }
-                // Corruption is never masked by verdicts or budgets.
-                Err(e @ EngineError::CorruptFrontier { .. }) => return Err(e),
-            }
-            visitors.push(visitor);
-        }
-        match budget_error {
-            Some(e) if !stopped => Err(e),
-            _ => Ok((stats, visitors)),
-        }
-    }
-
-    /// [`TraceEngine::explore_sharded`] for visitors whose verdicts merge:
-    /// folds every per-subtree visitor (trunk first, then fork order) into
-    /// one through [`MergeableVisitor::merge`], so checkers need no
-    /// per-call verdict plumbing.
-    ///
-    /// # Errors
-    ///
-    /// As [`TraceEngine::explore_sharded`].
-    pub fn explore_sharded_merged<E, V, F>(
-        &self,
-        locs: &LocSet,
-        m0: Machine<E>,
-        threads: usize,
-        make_visitor: F,
-    ) -> Result<(ExploreStats, V), EngineError>
-    where
-        E: Expr + Send + Sync,
-        V: TraceVisitor<E> + MergeableVisitor + Send,
-        F: Fn() -> V + Sync,
-    {
-        let (stats, visitors) = self.explore_sharded(locs, m0, threads, make_visitor)?;
-        let mut it = visitors.into_iter();
-        let mut merged = it.next().expect("the trunk visitor is always present");
-        for v in it {
-            merged.merge(v);
-        }
-        Ok((stats, merged))
     }
 }
 
@@ -1249,165 +989,6 @@ mod tests {
             .explore(&locs, m0, &mut v)
             .unwrap();
         assert_eq!(v.complete, 2);
-    }
-
-    /// Counts complete interleavings; used by the sharded agreement tests.
-    struct CountComplete {
-        len: usize,
-        complete: usize,
-    }
-
-    impl TraceVisitor<RecordedExpr> for CountComplete {
-        fn visit(&mut self, trace: &TraceLabels, t: &Transition<RecordedExpr>) -> Control {
-            if trace.len() == self.len && t.target.is_terminal() {
-                self.complete += 1;
-            }
-            Control::Continue
-        }
-    }
-
-    impl MergeableVisitor for CountComplete {
-        fn merge(&mut self, other: Self) {
-            self.complete += other.complete;
-        }
-    }
-
-    #[test]
-    fn sharded_trace_walk_matches_sequential() {
-        let (locs, a, b) = locs_ab();
-        let m0 = sb_machine(&locs, a, b);
-        let mut seq = CountComplete {
-            len: 4,
-            complete: 0,
-        };
-        let seq_stats = TraceEngine::new(EngineConfig::default())
-            .explore(&locs, m0.clone(), &mut seq)
-            .unwrap();
-        // workers (4) exceed the root frontier (2): the walk re-forks
-        // below the root, and the totals must still match exactly.
-        let (shard_stats, visitors) = TraceEngine::new(EngineConfig::default())
-            .explore_sharded(&locs, m0.clone(), 4, || CountComplete {
-                len: 4,
-                complete: 0,
-            })
-            .unwrap();
-        let sharded: usize = visitors.iter().map(|v| v.complete).sum();
-        assert_eq!(seq.complete, sharded);
-        assert_eq!(seq_stats.visited, shard_stats.visited);
-        assert_eq!(seq_stats.transitions, shard_stats.transitions);
-        assert!(
-            visitors.len() > 3,
-            "root frontier (2) should have re-forked for 4 workers"
-        );
-
-        // The merged variant folds the same verdict.
-        let (merged_stats, merged) = TraceEngine::new(EngineConfig::default())
-            .explore_sharded_merged(&locs, m0, 4, || CountComplete {
-                len: 4,
-                complete: 0,
-            })
-            .unwrap();
-        assert_eq!(merged.complete, seq.complete);
-        assert_eq!(merged_stats.visited, seq_stats.visited);
-    }
-
-    #[test]
-    fn sharded_budget_is_shared_not_split() {
-        // A budget big enough for any single shard but not for the whole
-        // tree must still trip — the shards share one atomic counter.
-        let (locs, a, b) = locs_ab();
-        let m0 = sb_machine(&locs, a, b);
-        #[derive(Debug)]
-        struct Go;
-        impl TraceVisitor<RecordedExpr> for Go {
-            fn visit(&mut self, _: &TraceLabels, _: &Transition<RecordedExpr>) -> Control {
-                Control::Continue
-            }
-        }
-        let total = TraceEngine::new(EngineConfig::default())
-            .explore(&locs, m0.clone(), &mut Go)
-            .unwrap()
-            .visited;
-        let tight = EngineConfig {
-            max_states: usize::MAX,
-            max_traces: total - 1,
-        };
-        let seq = TraceEngine::new(tight).explore(&locs, m0.clone(), &mut Go);
-        let sharded = TraceEngine::new(tight).explore_sharded(&locs, m0.clone(), 4, || Go);
-        assert_eq!(seq.unwrap_err(), EngineError::budget(total));
-        assert_eq!(sharded.unwrap_err(), EngineError::budget(total));
-
-        // With exactly enough budget, both succeed with identical stats.
-        let exact = EngineConfig {
-            max_states: usize::MAX,
-            max_traces: total,
-        };
-        let seq_ok = TraceEngine::new(exact)
-            .explore(&locs, m0.clone(), &mut Go)
-            .unwrap();
-        let (shard_ok, _) = TraceEngine::new(exact)
-            .explore_sharded(&locs, m0, 4, || Go)
-            .unwrap();
-        assert_eq!(seq_ok.visited, shard_ok.visited);
-    }
-
-    #[test]
-    fn sharded_stop_takes_precedence_over_budget() {
-        let (locs, a, _) = locs_ab();
-        let mk = || RecordedExpr::new(vec![StepLabel::Write(a, Val(1)); 4]);
-        let m0 = Machine::initial(&locs, [mk(), mk()]);
-        // Stops on the very first extension it sees; every shard stops
-        // immediately, so exhaustion is impossible even with budget 2.
-        struct StopNow;
-        impl TraceVisitor<RecordedExpr> for StopNow {
-            fn visit(&mut self, _: &TraceLabels, _: &Transition<RecordedExpr>) -> Control {
-                Control::Stop
-            }
-        }
-        let tiny = EngineConfig {
-            max_states: 10,
-            max_traces: 2,
-        };
-        let (stats, visitors) = TraceEngine::new(tiny)
-            .explore_sharded(&locs, m0, 2, || StopNow)
-            .unwrap();
-        // The root frontier (2) matches the worker count (2): no trunk
-        // expansion, one shard per root transition plus the idle trunk
-        // visitor.
-        assert_eq!(visitors.len(), 3);
-        assert_eq!(stats.visited, 2); // each shard visited exactly one
-    }
-
-    #[test]
-    fn deep_sharding_narrow_root_matches_sequential() {
-        // A single thread: the root frontier has exactly one transition,
-        // the worst case for root-only forking. The trunk must re-fork
-        // and still visit every prefix exactly once.
-        let (locs, a, b) = locs_ab();
-        let p0 = RecordedExpr::new(vec![
-            StepLabel::Write(a, Val(1)),
-            StepLabel::Write(b, Val(1)),
-            StepLabel::Read(a),
-            StepLabel::Read(b),
-        ]);
-        let p1 = RecordedExpr::new(vec![StepLabel::Write(a, Val(2))]);
-        let m0 = Machine::initial(&locs, [p0, p1]);
-        let mut seq = CountComplete {
-            len: 5,
-            complete: 0,
-        };
-        let seq_stats = TraceEngine::new(EngineConfig::default())
-            .explore(&locs, m0.clone(), &mut seq)
-            .unwrap();
-        let (shard_stats, merged) = TraceEngine::new(EngineConfig::default())
-            .explore_sharded_merged(&locs, m0, 8, || CountComplete {
-                len: 5,
-                complete: 0,
-            })
-            .unwrap();
-        assert_eq!(seq.complete, merged.complete);
-        assert_eq!(seq_stats.visited, shard_stats.visited);
-        assert_eq!(seq_stats.transitions, shard_stats.transitions);
     }
 
     #[test]

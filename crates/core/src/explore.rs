@@ -14,7 +14,7 @@
 //!   happens-before are trace-dependent, so the DRF checkers use this mode.
 //!
 //! These functions are thin wrappers: the engines themselves (iterative
-//! worklist, interned canonical states, parallel frontier expansion) live
+//! worklist, interned canonical states, work-stealing exploration) live
 //! in [`crate::engine`], and checkers that need to steer the search
 //! implement [`crate::engine::StateVisitor`] / [`crate::engine::TraceVisitor`]
 //! directly.
@@ -29,9 +29,6 @@ use crate::trace::TraceLabels;
 
 pub use crate::engine::canonicalize;
 pub use crate::engine::CanonState;
-/// Visitor verdicts (the engine's [`Control`], re-exported under the
-/// historical name used by trace visitors).
-pub use crate::engine::Control as Visit;
 /// Budget configuration (the engine's [`crate::engine::EngineConfig`],
 /// re-exported under its historical name).
 pub use crate::engine::EngineConfig as ExploreConfig;
@@ -58,7 +55,7 @@ pub fn reachable_terminals<E: Expr>(
 }
 
 /// [`reachable_terminals`] with an explicit engine [`Strategy`]
-/// (DFS / BFS / parallel / DPOR). All strategies return the same
+/// (DFS / BFS / work-stealing / DPOR). All strategies return the same
 /// canonical terminal set; only discovery order — and, for
 /// [`Strategy::Dpor`], the number of traces explored to find it —
 /// differs.
@@ -133,7 +130,7 @@ impl<E, F, V> TraceVisitor<E> for ClosureTraceVisitor<F, V>
 where
     E: Expr,
     F: FnMut(&Transition<E>) -> bool,
-    V: FnMut(&TraceLabels, &Transition<E>) -> Visit,
+    V: FnMut(&TraceLabels, &Transition<E>) -> Control,
 {
     fn step_filter(&mut self, transition: &Transition<E>) -> bool {
         (self.filter)(transition)
@@ -161,7 +158,7 @@ pub fn for_each_trace<E: Expr>(
     m0: Machine<E>,
     config: ExploreConfig,
     step_filter: impl FnMut(&Transition<E>) -> bool,
-    visit: impl FnMut(&TraceLabels, &Transition<E>) -> Visit,
+    visit: impl FnMut(&TraceLabels, &Transition<E>) -> Control,
 ) -> Result<ExploreStats, EngineError> {
     let mut visitor = ClosureTraceVisitor {
         filter: step_filter,
@@ -236,7 +233,6 @@ mod tests {
         };
         let dfs = outcome_set(Strategy::Dfs);
         assert_eq!(dfs, outcome_set(Strategy::Bfs));
-        assert_eq!(dfs, outcome_set(Strategy::Parallel));
         assert_eq!(dfs, outcome_set(Strategy::WorkStealing));
     }
 
@@ -256,7 +252,7 @@ mod tests {
                 if tr.len() == 2 && t.target.is_terminal() {
                     complete += 1;
                 }
-                Visit::Continue
+                Control::Continue
             },
         )
         .unwrap();
@@ -277,7 +273,7 @@ mod tests {
             reachable_terminals(&locs, m0.clone(), tiny),
             Err(EngineError::BudgetExceeded { .. })
         ));
-        let r = for_each_trace(&locs, m0, tiny, |_| true, |_, _| Visit::Continue);
+        let r = for_each_trace(&locs, m0, tiny, |_| true, |_, _| Control::Continue);
         assert!(matches!(r, Err(EngineError::BudgetExceeded { .. })));
     }
 
@@ -294,7 +290,7 @@ mod tests {
             |_| true,
             |_, _| {
                 seen += 1;
-                Visit::Stop
+                Control::Stop
             },
         )
         .unwrap();

@@ -16,9 +16,9 @@
 //! Everything above is *checked by exhaustive exploration*, and that
 //! exploration is provided by the pluggable [`engine`] layer: an iterative
 //! worklist with DFS/BFS selection, canonical states interned to dense
-//! `u32` ids ([`engine::StateInterner`]), a parallel frontier-expansion
-//! engine ([`engine::ParallelEngine`]) that is outcome-equivalent to the
-//! sequential one, and an iterative trace enumerator
+//! `u32` ids ([`engine::StateInterner`]), a work-stealing parallel
+//! engine ([`engine::WorkStealingEngine`]) that visits the same state set
+//! as the sequential one, and an iterative trace enumerator
 //! ([`engine::TraceEngine`]) for the trace-dependent checkers. The
 //! historical helpers ([`explore::reachable_terminals`],
 //! [`explore::for_each_trace`]) remain as thin wrappers.
@@ -67,8 +67,8 @@ pub mod trace;
 pub mod wire;
 
 pub use engine::{
-    Control, EngineConfig, EngineError, Explorer, ParallelEngine, SearchOrder, StateId,
-    StateVisitor, Strategy, TraceEngine, TraceVisitor, WorkStealingEngine, WorklistEngine,
+    Control, EngineConfig, EngineError, Explorer, SearchOrder, StateId, StateVisitor, Strategy,
+    TraceEngine, TraceVisitor, WorkStealingEngine, WorklistEngine,
 };
 pub use explore::{ExploreConfig, ExploreStats};
 pub use frontier::Frontier;

@@ -22,15 +22,6 @@
 //! so the engine's budget and error surface ([`EngineError`]) apply
 //! uniformly.
 //!
-//! Every checker also has a `*_sharded` variant that forks the trace walk
-//! over the work-stealing pool
-//! ([`TraceEngine::explore_sharded_merged`]): each fork gets an
-//! independent label stack and a fresh visitor, verdicts are folded back
-//! through [`MergeableVisitor`] (any subtree's violation wins), and the
-//! trace budget is a single shared counter — a budget split never changes
-//! a verdict. The differential suites assert the sharded verdicts match
-//! the sequential ones across the corpus and generated programs.
-//!
 //! The core checkers additionally have `*_reduced` variants that walk a
 //! partial-order-reduced trace tree ([`DporEngine`] under
 //! [`Dependence::Conservative`]) instead of the full enumeration.
@@ -54,7 +45,7 @@
 
 use crate::engine::{
     Control, Dependence, DporEngine, DporStats, EngineConfig, EngineError, ExploreStats,
-    MergeableVisitor, ReplayStep, ReplayVisitor, TraceEngine, TraceGraph, TraceVisitor,
+    ReplayStep, ReplayVisitor, TraceEngine, TraceGraph, TraceVisitor,
 };
 use crate::loc::LocSet;
 use crate::machine::{Expr, Machine, Transition, TransitionLabel};
@@ -171,12 +162,6 @@ impl ReplayVisitor for LStabilityVisitor<'_> {
     }
 }
 
-impl MergeableVisitor for LStabilityVisitor<'_> {
-    fn merge(&mut self, other: Self) {
-        self.stable &= other.stable;
-    }
-}
-
 /// Checks Definition 12 for the state reached by `prefix_machine` via the
 /// transitions `prefix`: explores every L-sequential suffix and reports
 /// whether any suffix transition races with any prefix transition.
@@ -204,33 +189,6 @@ pub fn is_l_stable_for_prefix<E: Expr>(
     };
     TraceEngine::new(config).explore(locs, prefix_machine, &mut v)?;
     Ok(v.stable)
-}
-
-/// [`is_l_stable_for_prefix`], with the suffix exploration sharded across
-/// `threads` workers (0 = all cores). The state is L-stable iff every
-/// subtree was found race-free.
-///
-/// # Errors
-///
-/// As [`is_l_stable_for_prefix`]; the budget is shared across shards.
-pub fn is_l_stable_for_prefix_sharded<E: Expr + Send + Sync>(
-    locs: &LocSet,
-    prefix: &[TransitionLabel],
-    prefix_machine: Machine<E>,
-    l_set: &LocPredicate,
-    config: EngineConfig,
-    threads: usize,
-) -> Result<bool, EngineError> {
-    let (_, merged) =
-        TraceEngine::new(config).explore_sharded_merged(locs, prefix_machine, threads, || {
-            LStabilityVisitor {
-                locs,
-                prefix,
-                l_set,
-                stable: true,
-            }
-        })?;
-    Ok(merged.stable)
 }
 
 /// [`is_l_stable_for_prefix`] over a recorded [`TraceGraph`] of the
@@ -340,14 +298,6 @@ impl ReplayVisitor for LocalDrfVisitor<'_> {
     }
 }
 
-impl MergeableVisitor for LocalDrfVisitor<'_> {
-    fn merge(&mut self, other: Self) {
-        if self.violation.is_none() {
-            self.violation = other.violation;
-        }
-    }
-}
-
 /// Checks Theorem 13 from the machine state `m`, assumed L-stable.
 ///
 /// Explores every L-sequential transition sequence from `m` (within
@@ -382,44 +332,6 @@ pub fn check_local_drf<E: Expr>(
 
     let stats = TraceEngine::new(config).explore(locs, m, &mut visitor)?;
     match visitor.violation {
-        Some(v) => Err(CheckError::Violation(v)),
-        None => Ok(stats),
-    }
-}
-
-/// [`check_local_drf`], with the L-sequential suffix walk sharded across
-/// `threads` workers (0 = all cores). Any subtree's counterexample fails
-/// the theorem (the first, in trunk-then-fork order, is reported).
-///
-/// # Errors
-///
-/// As [`check_local_drf`]; the budget is shared across shards.
-pub fn check_local_drf_sharded<E: Expr + Send + Sync>(
-    locs: &LocSet,
-    m: Machine<E>,
-    l_set: &LocPredicate,
-    config: EngineConfig,
-    threads: usize,
-) -> Result<ExploreStats, CheckError<LocalDrfViolation>> {
-    let probe = LocalDrfVisitor {
-        locs,
-        l_set,
-        violation: None,
-    };
-    // The empty suffix (state `m` itself) must also satisfy the theorem.
-    let enabled: Vec<TransitionLabel> = m.transitions(locs).iter().map(|t| t.label).collect();
-    if let Some(v) = probe.check_state(&TraceLabels::new(), enabled.iter().copied()) {
-        return Err(CheckError::Violation(v));
-    }
-
-    let (stats, merged) = TraceEngine::new(config)
-        .explore_sharded_merged(locs, m, threads, || LocalDrfVisitor {
-            locs,
-            l_set,
-            violation: None,
-        })
-        .map_err(CheckError::from)?;
-    match merged.violation {
         Some(v) => Err(CheckError::Violation(v)),
         None => Ok(stats),
     }
@@ -566,14 +478,6 @@ impl ReplayVisitor for ScRaceVisitor<'_> {
     }
 }
 
-impl MergeableVisitor for ScRaceVisitor<'_> {
-    fn merge(&mut self, other: Self) {
-        if matches!(self.status, DrfStatus::RaceFree) {
-            self.status = other.status;
-        }
-    }
-}
-
 /// Determines whether the program starting at `m0` is data-race-free in the
 /// sense of Theorem 14's hypothesis: all sequentially consistent traces
 /// contain no data races.
@@ -592,28 +496,6 @@ pub fn sc_race_freedom<E: Expr>(
     };
     TraceEngine::new(config).explore(locs, m0, &mut v)?;
     Ok(v.status)
-}
-
-/// [`sc_race_freedom`], with the SC-trace enumeration sharded across
-/// `threads` workers (0 = all cores). The program is racy iff any
-/// subtree contains a racy SC trace; the classification (not the
-/// witness) matches the sequential checker exactly.
-///
-/// # Errors
-///
-/// As [`sc_race_freedom`]; the budget is shared across shards.
-pub fn sc_race_freedom_sharded<E: Expr + Send + Sync>(
-    locs: &LocSet,
-    m0: Machine<E>,
-    config: EngineConfig,
-    threads: usize,
-) -> Result<DrfStatus, EngineError> {
-    let (_, merged) =
-        TraceEngine::new(config).explore_sharded_merged(locs, m0, threads, || ScRaceVisitor {
-            locs,
-            status: DrfStatus::RaceFree,
-        })?;
-    Ok(merged.status)
 }
 
 /// [`sc_race_freedom`] over the partial-order-reduced SC trace tree
@@ -692,14 +574,6 @@ impl ReplayVisitor for WeakTraceVisitor {
     }
 }
 
-impl MergeableVisitor for WeakTraceVisitor {
-    fn merge(&mut self, other: Self) {
-        if self.witness.is_none() {
-            self.witness = other.witness;
-        }
-    }
-}
-
 /// Determines whether *every* trace of the program is sequentially
 /// consistent, i.e. no weak transition is ever enabled along a
 /// sequentially consistent trace. (The first weak transition of any trace
@@ -716,23 +590,6 @@ pub fn all_traces_sequentially_consistent<E: Expr>(
     let mut v = WeakTraceVisitor { witness: None };
     TraceEngine::new(config).explore(locs, m0, &mut v)?;
     Ok(v.witness.is_none())
-}
-
-/// [`all_traces_sequentially_consistent`], sharded across `threads`
-/// workers (0 = all cores).
-///
-/// # Errors
-///
-/// As [`all_traces_sequentially_consistent`]; the budget is shared.
-pub fn all_traces_sequentially_consistent_sharded<E: Expr + Send + Sync>(
-    locs: &LocSet,
-    m0: Machine<E>,
-    config: EngineConfig,
-    threads: usize,
-) -> Result<bool, EngineError> {
-    let (_, merged) = TraceEngine::new(config)
-        .explore_sharded_merged(locs, m0, threads, || WeakTraceVisitor { witness: None })?;
-    Ok(merged.witness.is_none())
 }
 
 /// [`all_traces_sequentially_consistent`] over the partial-order-reduced
@@ -803,33 +660,6 @@ pub fn check_global_drf<E: Expr>(
             .explore(locs, m0, &mut v)
             .map_err(CheckError::from)?;
         if let Some(weak_transition) = v.witness {
-            return Err(CheckError::Violation(GlobalDrfViolation {
-                weak_transition,
-            }));
-        }
-    }
-    Ok(status)
-}
-
-/// [`check_global_drf`], with both trace enumerations (the SC race scan
-/// and the weak-transition scan) sharded at the root frontier across
-/// `threads` workers (0 = all cores).
-///
-/// # Errors
-///
-/// As [`check_global_drf`]; both budgets are shared across their shards.
-pub fn check_global_drf_sharded<E: Expr + Send + Sync>(
-    locs: &LocSet,
-    m0: Machine<E>,
-    config: EngineConfig,
-    threads: usize,
-) -> Result<DrfStatus, CheckError<GlobalDrfViolation>> {
-    let status = sc_race_freedom_sharded(locs, m0.clone(), config, threads)?;
-    if let DrfStatus::RaceFree = status {
-        let (_, merged) = TraceEngine::new(config)
-            .explore_sharded_merged(locs, m0, threads, || WeakTraceVisitor { witness: None })
-            .map_err(CheckError::from)?;
-        if let Some(weak_transition) = merged.witness {
             return Err(CheckError::Violation(GlobalDrfViolation {
                 weak_transition,
             }));
@@ -1024,103 +854,6 @@ mod tests {
         assert!(!stable);
     }
 
-    #[test]
-    fn sharded_checkers_agree_with_sequential() {
-        let (locs, a, _b, f) = locs_abf();
-        // Race-free MP-style program.
-        let drf0 = RecordedExpr::new(vec![
-            StepLabel::Write(a, Val(1)),
-            StepLabel::Write(f, Val(1)),
-        ]);
-        let drf1 = RecordedExpr::new(vec![StepLabel::Read(f)]);
-        // Racy program.
-        let racy0 = RecordedExpr::new(vec![StepLabel::Write(a, Val(1)), StepLabel::Read(a)]);
-        let racy1 = RecordedExpr::new(vec![StepLabel::Write(a, Val(2))]);
-        for m0 in [
-            Machine::initial(&locs, [drf0, drf1]),
-            Machine::initial(&locs, [racy0, racy1]),
-        ] {
-            let seq = sc_race_freedom(&locs, m0.clone(), cfg()).unwrap();
-            let shd = sc_race_freedom_sharded(&locs, m0.clone(), cfg(), 4).unwrap();
-            assert_eq!(
-                matches!(seq, DrfStatus::Racy(_)),
-                matches!(shd, DrfStatus::Racy(_))
-            );
-            assert_eq!(
-                all_traces_sequentially_consistent(&locs, m0.clone(), cfg()).unwrap(),
-                all_traces_sequentially_consistent_sharded(&locs, m0.clone(), cfg(), 4).unwrap()
-            );
-            let seq_g = check_global_drf(&locs, m0.clone(), cfg());
-            let shd_g = check_global_drf_sharded(&locs, m0, cfg(), 4);
-            assert_eq!(seq_g.is_ok(), shd_g.is_ok());
-        }
-    }
-
-    #[test]
-    fn sharded_local_drf_agrees_with_sequential() {
-        let (locs, a, b, f) = locs_abf();
-        let p0 = RecordedExpr::new(vec![
-            StepLabel::Write(a, Val(1)),
-            StepLabel::Write(f, Val(1)),
-            StepLabel::Read(b),
-        ]);
-        let p1 = RecordedExpr::new(vec![
-            StepLabel::Read(f),
-            StepLabel::Write(b, Val(1)),
-            StepLabel::Read(a),
-        ]);
-        let m0 = Machine::initial(&locs, [p0, p1]);
-        let l: LocPredicate = [a, b].into_iter().collect();
-        assert!(check_local_drf(&locs, m0.clone(), &l, cfg()).is_ok());
-        assert!(check_local_drf_sharded(&locs, m0.clone(), &l, cfg(), 4).is_ok());
-        assert_eq!(
-            is_l_stable_for_prefix(&locs, &[], m0.clone(), &l, cfg()).unwrap(),
-            is_l_stable_for_prefix_sharded(&locs, &[], m0, &l, cfg(), 4).unwrap()
-        );
-    }
-
-    #[test]
-    fn sharded_budget_trips_mid_shard() {
-        // Budget large enough that every shard starts walking but the
-        // whole tree exceeds it: the shared counter must trip and surface
-        // the same CheckError::Engine(BudgetExceeded) as the sequential
-        // checker.
-        let (locs, a, _, _) = locs_abf();
-        let mk = || RecordedExpr::new(vec![StepLabel::Write(a, Val(1)); 6]);
-        let m0 = Machine::initial(&locs, [mk(), mk(), mk()]);
-        let tiny = EngineConfig {
-            max_states: 50,
-            max_traces: 50,
-        };
-        let l: LocPredicate = [a].into_iter().collect();
-        let seq = check_local_drf(&locs, m0.clone(), &l, tiny);
-        let shd = check_local_drf_sharded(&locs, m0.clone(), &l, tiny, 4);
-        for r in [seq, shd] {
-            match r {
-                Err(CheckError::Engine(EngineError::BudgetExceeded { visited })) => {
-                    assert_eq!(visited, tiny.max_traces + 1);
-                }
-                other => panic!("expected budget error, got {other:?}"),
-            }
-        }
-        // Same story for the SC race scan, on a conflict-free program so
-        // the race visitor never stops early.
-        let (locs2, a2, b2, _) = locs_abf();
-        let q0 = RecordedExpr::new(vec![StepLabel::Write(a2, Val(1)); 6]);
-        let q1 = RecordedExpr::new(vec![StepLabel::Write(b2, Val(1)); 6]);
-        let free = Machine::initial(&locs2, [q0, q1]);
-        let seq_sc = sc_race_freedom(&locs2, free.clone(), tiny);
-        let shd_sc = sc_race_freedom_sharded(&locs2, free, tiny, 4);
-        for r in [seq_sc, shd_sc] {
-            match r {
-                Err(EngineError::BudgetExceeded { visited }) => {
-                    assert_eq!(visited, tiny.max_traces + 1)
-                }
-                other => panic!("expected budget error, got {other:?}"),
-            }
-        }
-    }
-
     /// An [`Expr`] wrapper that counts every transition-semantics probe
     /// (`steps()` calls): the instrument behind the no-re-execution
     /// guarantees of the `*_replayed` checkers.
@@ -1236,8 +969,9 @@ mod tests {
             max_traces: 4,
         };
         let l: LocPredicate = [a].into_iter().collect();
+        // The trip is exact: the (max_traces + 1)-th extension fails.
         match check_local_drf(&locs, m0, &l, tiny) {
-            Err(CheckError::Engine(EngineError::BudgetExceeded { .. })) => {}
+            Err(CheckError::Engine(e)) => assert_eq!(e, EngineError::budget(tiny.max_traces + 1)),
             other => panic!("expected budget error, got {other:?}"),
         }
     }

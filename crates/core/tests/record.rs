@@ -3,12 +3,18 @@
 //! workers — split from the first node on, so small trees take the
 //! parallel path too — must produce byte-identical trees and identical
 //! statistics, and the trace budget must trip at exactly the same count.
+//! The live walk and the replay of the recording count the same tree and
+//! trip their budgets at the same count too.
 
 use std::path::Path;
 
-use bdrst_core::engine::{EngineConfig, EngineError, TraceEngine, TraceGraph};
+use bdrst_core::engine::{
+    Control, EngineConfig, EngineError, ExploreStats, ReplayStep, ReplayVisitor, TraceEngine,
+    TraceGraph, TraceVisitor,
+};
 use bdrst_core::loc::{LocKind, LocSet, Val};
-use bdrst_core::machine::{Expr, Machine, RecordedExpr, StepLabel};
+use bdrst_core::machine::{Expr, Machine, RecordedExpr, StepLabel, Transition};
+use bdrst_core::trace::TraceLabels;
 use bdrst_lang::Program;
 
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
@@ -26,14 +32,59 @@ fn budget(max_traces: usize) -> TraceEngine {
     })
 }
 
+/// Extends every trace, live or replayed.
+struct Go;
+
+impl<E: Expr> TraceVisitor<E> for Go {
+    fn visit(&mut self, _: &TraceLabels, _: &Transition<E>) -> Control {
+        Control::Continue
+    }
+}
+
+impl ReplayVisitor for Go {
+    fn visit(&mut self, _: &TraceLabels, _: ReplayStep<'_>) -> Control {
+        Control::Continue
+    }
+}
+
+/// Walks `m0`'s whole trace tree live and replays `graph` with `engine`'s
+/// budget: both must give the same result.
+fn walk_and_replay<E: Expr>(
+    engine: TraceEngine,
+    locs: &LocSet,
+    m0: &Machine<E>,
+    graph: &TraceGraph,
+) -> Result<ExploreStats, EngineError> {
+    let live = engine.explore(locs, m0.clone(), &mut Go);
+    let replayed = graph.replay(engine.config, &mut Go);
+    assert_eq!(live, replayed, "live walk and replay disagree");
+    live
+}
+
 /// Records `m0` at every worker count and split point and checks each
-/// result, and each budget trip, against the sequential recording.
+/// result, and each budget trip, against the sequential recording — and
+/// the live walk and the replay against the recorded tree's size.
 fn agrees_at_every_worker_count<E: Expr + Send + Sync>(name: &str, locs: &LocSet, m0: &Machine<E>) {
     let engine = TraceEngine::new(EngineConfig::default());
     let (seq, seq_stats) = engine.record_with(locs, m0.clone(), 1, usize::MAX).unwrap();
     let want = encoded(&seq);
     let total = seq.len();
     assert_eq!(seq_stats.visited, total, "{name}");
+
+    let walked = walk_and_replay(engine, locs, m0, &seq).unwrap();
+    assert_eq!(walked.visited, total, "{name}: live walk");
+    if total > 0 {
+        assert_eq!(
+            walk_and_replay(budget(total - 1), locs, m0, &seq).unwrap_err(),
+            EngineError::budget(total),
+            "{name}: live walk, budget one short"
+        );
+    }
+    assert_eq!(
+        walk_and_replay(budget(total), locs, m0, &seq).unwrap(),
+        walked,
+        "{name}: live walk, exact budget"
+    );
 
     let (public, public_stats) = engine.record(locs, m0.clone()).unwrap();
     assert_eq!(encoded(&public), want, "{name}: record");

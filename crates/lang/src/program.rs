@@ -153,12 +153,9 @@ impl Program {
 
     /// [`Program::state_graph`] under an explicit engine [`Strategy`].
     /// `Dfs`/`Bfs` record through the sequential worklist;
-    /// `WorkStealing` records through the work-stealing pool.
-    /// `Parallel` has no graph recorder (the level-synchronous engine
-    /// does not track edges) and falls back to work-stealing — same
-    /// graph, same parallelism class. All strategies record the same
-    /// canonical state set (the engines guarantee it); only id order
-    /// may differ.
+    /// `WorkStealing` records through the work-stealing pool. All
+    /// strategies record the same canonical state set (the engines
+    /// guarantee it); only id order may differ.
     ///
     /// # Errors
     ///
@@ -179,7 +176,7 @@ impl Program {
             Strategy::Bfs => {
                 WorklistEngine::new(config, SearchOrder::Bfs).explore_graph(&self.locs, m0)
             }
-            Strategy::Parallel | Strategy::WorkStealing => {
+            Strategy::WorkStealing => {
                 bdrst_core::engine::WorkStealingEngine::new(config).explore_graph(&self.locs, m0)
             }
         }

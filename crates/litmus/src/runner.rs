@@ -18,8 +18,9 @@ use crate::corpus::LitmusTest;
 pub struct RunConfig {
     /// Budget for operational exploration.
     pub explore: ExploreConfig,
-    /// Engine strategy for operational exploration
-    /// (DFS/BFS/parallel/work-stealing).
+    /// Engine strategy for operational exploration: sequential DFS or
+    /// BFS, the work-stealing pool, or DPOR (see
+    /// [`bdrst_core::engine::Strategy`]).
     pub strategy: Strategy,
     /// Budget for axiomatic/hardware enumeration.
     pub enumerate: EnumLimits,
@@ -404,27 +405,20 @@ mod tests {
 
     #[test]
     fn corpus_outcome_sets_identical_across_strategies() {
-        // The acceptance bar for the engine refactor: DFS, BFS, the
-        // level-synchronous parallel engine and the work-stealing engine
-        // produce byte-identical canonical outcome sets on the full
-        // corpus.
+        // The acceptance bar for the engine refactor: DFS, BFS and the
+        // work-stealing engine produce byte-identical canonical outcome
+        // sets on the full corpus.
         for t in corpus::all_tests() {
             let p = Program::parse(t.source).unwrap();
             let cfg = ExploreConfig::default();
             let dfs = p.outcomes_with(cfg, Strategy::Dfs).unwrap().set().clone();
             let bfs = p.outcomes_with(cfg, Strategy::Bfs).unwrap().set().clone();
-            let par = p
-                .outcomes_with(cfg, Strategy::Parallel)
-                .unwrap()
-                .set()
-                .clone();
             let ws = p
                 .outcomes_with(cfg, Strategy::WorkStealing)
                 .unwrap()
                 .set()
                 .clone();
             assert_eq!(dfs, bfs, "DFS vs BFS diverge on {}", t.name);
-            assert_eq!(dfs, par, "DFS vs parallel diverge on {}", t.name);
             assert_eq!(dfs, ws, "DFS vs work-stealing diverge on {}", t.name);
             assert_eq!(
                 format!("{dfs:?}"),
@@ -464,16 +458,6 @@ mod tests {
             let cached = p.outcomes_from_graph(&graph).set().clone();
             assert_eq!(live, cached, "graph replay diverges on {}", t.name);
         }
-    }
-
-    #[test]
-    fn parallel_strategy_in_run_config() {
-        let cfg = RunConfig {
-            strategy: Strategy::Parallel,
-            ..RunConfig::default()
-        };
-        let rep = run_test(&corpus::MP, cfg).unwrap();
-        assert!(rep.passes(), "{rep:?}");
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The cache-first check service: the one compute path shared by the CLI
 //! and the TCP server.
 //!
-//! Every query resolves the program's [`CacheKey`] (canonical fingerprint
-//! plus version tag) and consults the [`ResultStore`] first. On a hit the
+//! Every query resolves the program's [`CacheKey`](crate::store::CacheKey)
+//! (canonical fingerprint plus version tag) and consults the
+//! [`ResultStore`] first. On a hit the
 //! response is assembled purely from the cached entry — **zero
 //! transition-semantics steps**, which the test suite asserts through the
 //! engine's probe counter ([`bdrst_core::machine::semantics_probes`]).

@@ -1,30 +1,24 @@
 //! Property suite for the exploration engines: random programs are
 //! generated through the vendored proptest stub and every engine —
-//! sequential DFS, sequential BFS, level-synchronous parallel, and
-//! work-stealing — must agree on the *visited canonical state count*,
-//! the terminal outcome set, and every trace-checker verdict (sequential
-//! vs root-frontier-sharded).
+//! sequential DFS, sequential BFS and work-stealing — must agree on the
+//! *visited canonical state count* and the terminal outcome set, and the
+//! recorded trace tree must replay to the live soundness verdict.
 //!
-//! These are the lock-down tests for the work-stealing pool and the
-//! sharded trace engine: parallel decomposition must be observationally
-//! invisible.
+//! These are the lock-down tests for the work-stealing pool: parallel
+//! decomposition must be observationally invisible.
 
 use proptest::prelude::*;
 
 mod common;
 use common::small_program;
 
-use bdrst::axiomatic::{check_soundness, check_soundness_sharded, generate, GenLimits};
+use bdrst::axiomatic::{check_soundness, generate, GenLimits};
 use bdrst::core::engine::{
     explorer, Control, Dedup, EngineConfig, StateId, Strategy as EngineStrategy, TraceEngine,
     WorkStealingEngine, WorklistEngine,
 };
 use bdrst::core::engine::{Explorer, SearchOrder};
 use bdrst::core::explore::ExploreConfig;
-use bdrst::core::localdrf::{
-    all_traces_sequentially_consistent, all_traces_sequentially_consistent_sharded,
-    sc_race_freedom, sc_race_freedom_sharded, DrfStatus,
-};
 use bdrst::core::machine::Machine;
 use bdrst::lang::{Program, ThreadState};
 
@@ -44,10 +38,9 @@ fn visited_count(p: &Program, engine: &dyn Explorer<ThreadState>) -> usize {
     n
 }
 
-const ALL_STRATEGIES: [EngineStrategy; 4] = [
+const ALL_STRATEGIES: [EngineStrategy; 3] = [
     EngineStrategy::Dfs,
     EngineStrategy::Bfs,
-    EngineStrategy::Parallel,
     EngineStrategy::WorkStealing,
 ];
 
@@ -103,46 +96,6 @@ proptest! {
             .collect();
         prop_assert_eq!(counts[0], counts[1], "1 vs 2 workers on\n{}", p);
         prop_assert_eq!(counts[0], counts[2], "1 vs 8 workers on\n{}", p);
-    }
-
-    /// Sharding the SC-race scan at the root frontier never changes the
-    /// racy / race-free classification.
-    #[test]
-    fn sharded_race_verdict_matches_sequential(p in small_program()) {
-        let m0 = p.initial_machine();
-        let seq = sc_race_freedom(&p.locs, m0.clone(), EngineConfig::default())
-            .expect("fits budget");
-        let shd = sc_race_freedom_sharded(&p.locs, m0, EngineConfig::default(), 4)
-            .expect("fits budget");
-        prop_assert_eq!(
-            matches!(seq, DrfStatus::Racy(_)),
-            matches!(shd, DrfStatus::Racy(_)),
-            "race classification diverges on\n{}", p
-        );
-    }
-
-    /// Sharding the weak-transition scan never changes the all-SC verdict.
-    #[test]
-    fn sharded_sc_verdict_matches_sequential(p in small_program()) {
-        let m0 = p.initial_machine();
-        let seq = all_traces_sequentially_consistent(&p.locs, m0.clone(), EngineConfig::default())
-            .expect("fits budget");
-        let shd = all_traces_sequentially_consistent_sharded(
-            &p.locs, m0, EngineConfig::default(), 4,
-        )
-        .expect("fits budget");
-        prop_assert_eq!(seq, shd, "SC verdict diverges on\n{}", p);
-    }
-
-    /// The sharded Theorem-15 soundness checker inspects exactly the same
-    /// number of trace prefixes as the sequential one (the trace tree is
-    /// partitioned, never resampled).
-    #[test]
-    fn sharded_soundness_count_matches_sequential(p in small_program()) {
-        let seq = check_soundness(&p, ExploreConfig::default()).expect("theorem 15 holds");
-        let shd = check_soundness_sharded(&p, ExploreConfig::default(), 4)
-            .expect("theorem 15 holds");
-        prop_assert_eq!(seq, shd, "soundness prefix counts diverge on\n{}", p);
     }
 
     /// Fingerprint-first dedup visits exactly the same canonical state
