@@ -16,28 +16,33 @@
 //!   [`StateGraph::replay`]. State predicates (terminal outcome
 //!   extraction, reachability counts) re-check in a linear scan.
 //! * [`TraceGraph`] — the *trace tree* of the program, recorded once,
-//!   unfiltered and unpruned, by `TraceEngine::record` (on every core
-//!   once the tree is big enough to split). It is one CSR table in
-//!   depth-first preorder that stores each transition label once: a
-//!   node's row lists its children and their labels, and because the
-//!   recording is unfiltered those labels are exactly the ones enabled
-//!   at the node. Trace-dependent checkers (data races, happens-before,
-//!   L-stability, Theorem 15 soundness) consume exactly label sequences
-//!   and enabled-label sets, so [`TraceGraph::replay`] can drive any
-//!   [`ReplayVisitor`] — with its own step filter, pruning, stopping and
-//!   budget — over the cached tree and produce verdicts identical to a
-//!   live [`crate::engine::TraceEngine`] walk. Because the recording is
+//!   unfiltered and unpruned, by `TraceEngine::record`, and stored as a
+//!   DAG of exact machines. The semantics is a pure function of the
+//!   machine, so every node holding one machine roots the same subtree;
+//!   the graph keeps one CSR row per distinct machine, and every path
+//!   that reaches the machine points at that row. A row lists the
+//!   machine's children and their labels, and because the recording is
+//!   unfiltered those labels are exactly the ones enabled at it.
+//!   Trace-dependent checkers (data races, happens-before, L-stability,
+//!   Theorem 15 soundness) consume exactly label sequences and
+//!   enabled-label sets, so [`TraceGraph::replay`] — which unfolds the
+//!   DAG back into the tree as it walks — can drive any
+//!   [`ReplayVisitor`], with its own step filter, pruning, stopping and
+//!   budget, and produce verdicts identical to a live
+//!   [`crate::engine::TraceEngine`] walk. Because the recording is
 //!   unfiltered it is a supertree of every filtered walk; replaying a
 //!   filter simply skips the subtrees the live walk would never have
 //!   entered.
 //!
-//! A note on why *state*-graph paths cannot replace the trace tree for
-//! race checking: distinct traces reaching one canonical state are merged
-//! in the state graph, and transition labels along a state-graph path mix
-//! timestamps from different representative machines — happens-before
-//! over such a path is not the happens-before of any real trace. The
-//! trace tree keeps the label sequences exact; the state graph serves the
-//! state predicates. Both are budget-bounded by the recording engine's
+//! A note on why *state*-graph paths cannot replace the trace graph for
+//! race checking: the state graph merges machines by canonical form,
+//! which renames timestamps, so the transition labels along a state-graph
+//! path mix timestamps from different representative machines —
+//! happens-before over such a path is not the happens-before of any real
+//! trace. The trace graph shares a row only between *exactly* equal
+//! machines, whose subtrees carry identical labels, so every path through
+//! it spells a real trace; the state graph serves the state predicates.
+//! Both are budget-bounded by the recording engine's
 //! [`crate::engine::EngineConfig`].
 
 use crate::engine::{CanonState, Control, EngineConfig, EngineError, ExploreStats, StateId};
@@ -250,85 +255,70 @@ pub trait ReplayVisitor {
 }
 
 /// The complete trace tree of a program, recorded once (unfiltered,
-/// unpruned, budget-bounded) and replayable under any number of
-/// predicates.
+/// unpruned, budget-bounded) as a DAG of its distinct machines and
+/// replayable under any number of predicates.
 ///
-/// Nodes are numbered in depth-first preorder. The tree is one CSR table
-/// over `len() + 1` rows — one per node, then the virtual root (the
-/// initial machine) as the last row — and each transition label is
-/// stored exactly once: `labels[j]` is the label of the extension that
-/// created node `children[j]`. Because a recording is unfiltered, the
-/// children of a node are exactly the transitions enabled at it, so row
-/// `r`'s slice of `labels` is also the set of labels enabled at node `r`.
-/// Rows keep sibling order, so a replay walks extensions in exactly the
-/// order a live [`crate::engine::TraceEngine`] walk would.
+/// The graph is one CSR table with a row per distinct machine, in
+/// post-order: every child row precedes its parent, and the initial
+/// machine's row is the last. `labels[j]` is the label of the transition
+/// that leads to row `children[j]`; several entries may point at one row
+/// (every path to one machine shares its row). Because a recording is
+/// unfiltered, row `r`'s slice of `labels` is exactly the set of labels
+/// enabled at its machine. Rows keep sibling order, so a replay — which
+/// unfolds the DAG into the tree as it walks — takes extensions in
+/// exactly the order a live [`crate::engine::TraceEngine`] walk would.
 #[derive(Debug)]
 pub struct TraceGraph {
-    /// One label per node, in CSR row order.
+    /// One label per child entry, in CSR row order.
     labels: Vec<TransitionLabel>,
-    /// CSR row offsets over `len() + 1` rows; row `r` spans
+    /// CSR row offsets over `rows() + 1` entries; row `r` spans
     /// `child_offsets[r]..child_offsets[r + 1]` of `labels` and
     /// `children`.
     child_offsets: Vec<u32>,
-    /// `children[j]` is the node that `labels[j]` leads to.
+    /// `children[j]` is the row that `labels[j]` leads to.
     children: Vec<u32>,
+    /// The number of trace extensions the DAG unfolds to.
+    len: usize,
 }
 
 impl TraceGraph {
-    /// Assembles the tree from what the recorder emits: `labels` holds
-    /// every node's row of enabled labels in preorder, followed by the
-    /// root's row; `widths[i]` is the width of node `i`'s row. A
-    /// preorder numbering plus per-node child counts fixes the tree, so
-    /// the children column is rebuilt in one pass and the widths become
-    /// the row offsets in place.
-    pub(crate) fn from_preorder(labels: Vec<TransitionLabel>, widths: Vec<u32>) -> TraceGraph {
-        let n = widths.len();
-        let mut child_offsets = widths;
-        let mut acc = 0u32;
-        for w in &mut child_offsets {
-            let width = *w;
-            *w = acc;
-            acc += width;
-        }
-        child_offsets.push(acc);
-        child_offsets.push(labels.len() as u32);
-        debug_assert_eq!(labels.len(), n, "one label per node");
-
-        // Node i's parent is the deepest row that still has an unfilled
-        // child slot: the rows on this stack, as (next slot, end).
-        let mut children = vec![0u32; n];
-        let mut open = vec![(child_offsets[n], child_offsets[n + 1])];
-        for i in 0..n {
-            while open.last().is_some_and(|&(next, end)| next == end) {
-                open.pop();
-            }
-            let slot = open.last_mut().expect("every node has a parent row");
-            children[slot.0 as usize] = i as u32;
-            slot.0 += 1;
-            if child_offsets[i + 1] > child_offsets[i] {
-                open.push((child_offsets[i], child_offsets[i + 1]));
-            }
-        }
+    /// Assembles the graph from the recorder's post-order rows; `len` is
+    /// the unfolded extension count the recorder kept.
+    pub(crate) fn from_rows(
+        labels: Vec<TransitionLabel>,
+        child_offsets: Vec<u32>,
+        children: Vec<u32>,
+        len: usize,
+    ) -> TraceGraph {
+        debug_assert_eq!(unfolded_len(&child_offsets, &children), Ok(len));
         TraceGraph {
             labels,
             child_offsets,
             children,
+            len,
         }
     }
 
-    /// Number of recorded trace extensions (nodes).
+    /// Number of recorded trace extensions: the nodes of the unfolded
+    /// tree, not the rows of the DAG.
     pub fn len(&self) -> usize {
-        self.children.len()
+        self.len
     }
 
     /// True iff the initial machine is terminal (no trace extends it).
     pub fn is_empty(&self) -> bool {
-        self.children.is_empty()
+        self.len == 0
+    }
+
+    /// Number of rows: the distinct machines recorded, the initial one
+    /// included.
+    pub fn rows(&self) -> usize {
+        self.child_offsets.len() - 1
     }
 
     /// The labels enabled at the initial machine.
     pub fn root_enabled(&self) -> &[TransitionLabel] {
-        &self.labels[self.row(self.len())]
+        &self.labels[self.row(self.rows() - 1)]
     }
 
     /// The span of `labels` and `children` that row `r` covers.
@@ -336,7 +326,7 @@ impl TraceGraph {
         self.child_offsets[r] as usize..self.child_offsets[r + 1] as usize
     }
 
-    /// Serializes the trace tree for the content-addressed result store
+    /// Serializes the trace graph for the content-addressed result store
     /// ([`crate::wire`]): the labels, the CSR row offsets and the
     /// children column, in that order.
     pub fn encode(&self, out: &mut Vec<u8>) {
@@ -345,63 +335,47 @@ impl TraceGraph {
         self.children.encode(out);
     }
 
-    /// Decodes a tree previously written by [`TraceGraph::encode`],
+    /// Decodes a graph previously written by [`TraceGraph::encode`],
     /// re-validating every structural invariant `TraceEngine::record`
     /// guarantees — a corrupted entry must become a [`WireError`], never
-    /// a tree that panics, loops, or replays differently from the
+    /// a graph that panics, loops, or replays differently from the
     /// recording.
     ///
     /// # Errors
     ///
     /// Any [`WireError`]; in particular [`WireError::Invalid`] when the
-    /// label and children columns differ in length, or the CSR is not
-    /// the tree shape the recorder emits (non-monotone offsets, a node
-    /// with zero or several parents, a child preceding its parent).
+    /// label and children columns differ in length, the offsets are not
+    /// monotone over at least one row, a child row does not precede its
+    /// parent (the only way to encode a cycle), or the unfolded tree has
+    /// more extensions than a `usize` counts.
     pub fn decode(r: &mut Reader<'_>) -> Result<TraceGraph, WireError> {
         let labels: Vec<TransitionLabel> = Vec::decode(r)?;
         let child_offsets: Vec<u32> = Vec::decode(r)?;
         let children: Vec<u32> = Vec::decode(r)?;
-        let n = children.len();
-        if labels.len() != n {
-            return Err(WireError::Invalid("one label per trace node"));
+        if labels.len() != children.len() {
+            return Err(WireError::Invalid("one label per child entry"));
         }
-        if child_offsets.len() != n + 2 {
-            return Err(WireError::Invalid("trace CSR table sizes"));
-        }
-        if child_offsets[0] != 0
+        if child_offsets.len() < 2
+            || child_offsets[0] != 0
             || child_offsets.windows(2).any(|w| w[0] > w[1])
-            || child_offsets[n + 1] as usize != n
+            || child_offsets[child_offsets.len() - 1] as usize != children.len()
         {
             return Err(WireError::Invalid("trace CSR offsets"));
         }
-        // The children rows must be a preorder tree: every node has
-        // exactly one parent, appears after it, and rows are in sibling
-        // (ascending-id) order.
-        let mut seen = vec![false; n];
-        for row in 0..=n {
-            let lo = child_offsets[row] as usize;
-            let hi = child_offsets[row + 1] as usize;
-            let mut prev: Option<u32> = None;
-            for &c in &children[lo..hi] {
-                let ci = c as usize;
-                if ci >= n || seen[ci] || (row < n && ci <= row) || prev.is_some_and(|p| p >= c) {
-                    return Err(WireError::Invalid("children rows are not a preorder tree"));
-                }
-                seen[ci] = true;
-                prev = Some(c);
-            }
-        }
+        let len = unfolded_len(&child_offsets, &children)?;
         Ok(TraceGraph {
             labels,
             child_offsets,
             children,
+            len,
         })
     }
 
-    /// Replays the recorded tree under `visitor`, reproducing the exact
-    /// depth-first order, filtering, pruning, stopping, and budget
-    /// semantics of a live [`crate::engine::TraceEngine::explore`] walk —
-    /// without invoking the transition semantics at all. Verdicts are
+    /// Replays the recorded graph under `visitor`, unfolding it into the
+    /// trace tree as it walks and reproducing the exact depth-first
+    /// order, filtering, pruning, stopping, and budget semantics of a live
+    /// [`crate::engine::TraceEngine::explore`] walk — without invoking
+    /// the transition semantics at all. Verdicts are
     /// therefore identical to the live walk's for any visitor whose
     /// decisions depend only on labels (every checker in
     /// [`crate::localdrf`] and the Theorem 15 soundness scan qualify).
@@ -419,7 +393,7 @@ impl TraceGraph {
         let mut budget = config.max_traces;
         let mut trace = TraceLabels::new();
         // Each frame is the unvisited rest of one row.
-        let mut frames = vec![self.row(self.len())];
+        let mut frames = vec![self.row(self.rows() - 1)];
         while let Some(frame) = frames.last_mut() {
             let Some(j) = frame.next() else {
                 frames.pop();
@@ -456,6 +430,32 @@ impl TraceGraph {
         }
         Ok(stats)
     }
+}
+
+/// The number of extensions a post-order CSR DAG over at least one row
+/// unfolds to: each row's count is the sum over its children of one plus
+/// theirs.
+///
+/// # Errors
+///
+/// [`WireError::Invalid`] when a child row does not precede its parent
+/// (the only way to encode a cycle) or the count does not fit a `usize`.
+fn unfolded_len(child_offsets: &[u32], children: &[u32]) -> Result<usize, WireError> {
+    let mut below: Vec<usize> = Vec::with_capacity(child_offsets.len() - 1);
+    for w in child_offsets.windows(2) {
+        let mut n = 0usize;
+        for &c in &children[w[0] as usize..w[1] as usize] {
+            let child = below
+                .get(c as usize)
+                .ok_or(WireError::Invalid("child row does not precede its parent"))?;
+            n = n
+                .checked_add(*child)
+                .and_then(|n| n.checked_add(1))
+                .ok_or(WireError::Invalid("trace count overflows"))?;
+        }
+        below.push(n);
+    }
+    Ok(*below.last().expect("at least one row"))
 }
 
 #[cfg(test)]
@@ -667,9 +667,12 @@ mod tests {
         let decoded = TraceGraph::decode(&mut crate::wire::Reader::new(&bytes)).unwrap();
         assert_eq!(decoded.len(), graph.len());
         assert_eq!(decoded.root_enabled(), graph.root_enabled());
-        // One label per node: the root's row lists the two first steps,
-        // and the encoding holds the labels, offsets and children only.
-        assert_eq!(graph.labels.len(), graph.len());
+        // Rows are shared: fewer labels than extensions. The root's row
+        // lists the two first steps, and the encoding holds the labels,
+        // offsets and children only.
+        assert!(graph.labels.len() < graph.len());
+        assert!(graph.rows() < graph.len());
+        assert_eq!(decoded.rows(), graph.rows());
         assert_eq!(graph.root_enabled().len(), 2);
         assert_eq!(decoded.labels, graph.labels);
         assert_eq!(decoded.child_offsets, graph.child_offsets);
@@ -710,9 +713,10 @@ mod tests {
                 "truncation at {cut} decoded"
             );
         }
-        // Well-formed columns that disagree on the node count: one label
-        // too few or too many for the children, or offsets for a
-        // different number of rows.
+        // Well-formed columns that break the DAG's invariants: one label
+        // too few or too many for the children, offsets for a different
+        // number of rows or for none, a row that is its own child (a
+        // cycle), and a row pointing at a later one.
         let columns = |labels: &[TransitionLabel], offsets: &[u32], children: &[u32]| {
             let mut out = Vec::new();
             labels.to_vec().encode(&mut out);
@@ -721,23 +725,53 @@ mod tests {
             TraceGraph::decode(&mut crate::wire::Reader::new(&out))
         };
         let (labels, offsets, children) = (&graph.labels, &graph.child_offsets, &graph.children);
-        assert!(columns(labels, offsets, children).is_ok());
+        assert_eq!(
+            columns(labels, offsets, children).unwrap().len(),
+            graph.len()
+        );
         let n = labels.len();
         let extra: Vec<TransitionLabel> = labels.iter().chain(&labels[..1]).copied().collect();
         assert_eq!(
             columns(&labels[..n - 1], offsets, children).unwrap_err(),
-            WireError::Invalid("one label per trace node")
+            WireError::Invalid("one label per child entry")
         );
         assert_eq!(
             columns(&extra, offsets, children).unwrap_err(),
-            WireError::Invalid("one label per trace node")
+            WireError::Invalid("one label per child entry")
         );
         assert_eq!(
-            columns(labels, &offsets[..n], children).unwrap_err(),
-            WireError::Invalid("trace CSR table sizes")
+            columns(labels, &offsets[..offsets.len() - 1], children).unwrap_err(),
+            WireError::Invalid("trace CSR offsets")
         );
+        assert_eq!(
+            columns(&[], &[0], &[]).unwrap_err(),
+            WireError::Invalid("trace CSR offsets")
+        );
+        let label = labels[0];
+        assert_eq!(
+            columns(&[label], &[0, 1], &[0]).unwrap_err(),
+            WireError::Invalid("child row does not precede its parent")
+        );
+        assert_eq!(
+            columns(&[label], &[0, 1, 1], &[1]).unwrap_err(),
+            WireError::Invalid("child row does not precede its parent")
+        );
+        // 70 rows, each after the first with two children at the row
+        // before: 2^70 - 2 traces, more than a u64 counts.
+        let rows = 70u32;
+        let offsets: Vec<u32> = std::iter::once(0).chain((0..rows).map(|r| 2 * r)).collect();
+        let children: Vec<u32> = (1..rows).flat_map(|r| [r - 1, r - 1]).collect();
+        let labels = vec![label; children.len()];
+        assert_eq!(
+            columns(&labels, &offsets, &children).unwrap_err(),
+            WireError::Invalid("trace count overflows")
+        );
+        // The same ladder at 60 rows fits and counts exactly.
+        let fits = columns(&labels[..118], &offsets[..61], &children[..118]).unwrap();
+        assert_eq!(fits.rows(), 60);
+        assert_eq!(fits.len(), (1usize << 60) - 2);
         // Flipping any single byte must either fail to decode or decode
-        // to a tree whose replay still terminates with the recorded
+        // to a graph whose replay still terminates with the recorded
         // structural invariants intact (walk a few positions).
         for i in (0..bytes.len()).step_by(5) {
             let mut bad = bytes.clone();

@@ -36,8 +36,8 @@
 //! * **[`StateGraph`] / [`TraceGraph`]** ([`graph`]) — explore once,
 //!   re-check forever: the worklist and work-stealing engines record
 //!   the interned successor graph (CSR of successor ids + terminal
-//!   flags), and [`TraceEngine::record`] records the full trace tree;
-//!   both replay new predicates ([`ReplayVisitor`]) without re-running
+//!   flags), and [`TraceEngine::record`] records the full trace tree
+//!   as a DAG with one row per distinct machine; both replay new predicates ([`ReplayVisitor`]) without re-running
 //!   the transition semantics.
 //! * **[`deque::ChaseLev`]** ([`deque`]) — the lock-free work-stealing
 //!   deque under [`StealDeques`]: latched owner ops, CAS-only steals,

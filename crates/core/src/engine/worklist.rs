@@ -1,21 +1,13 @@
-//! Sequential engines: the iterative state-space worklist and the
-//! iterative depth-first trace enumerator ([`TraceEngine::explore`]), plus
-//! the trace-tree recorder ([`TraceEngine::record`]), the one trace lane
-//! that runs on the work-stealing pool.
+//! Sequential engines: the iterative state-space worklist, the iterative
+//! depth-first trace enumerator ([`TraceEngine::explore`]) and the
+//! trace recorder ([`TraceEngine::record`]).
 //!
 //! [`TraceEngine::record`] records the full trace tree into a
-//! [`TraceGraph`]. It walks depth-first on the calling thread; once the
-//! walk has recorded `SPLIT_AFTER` nodes it continues on the
-//! work-stealing pool. Whenever a worker is idle, a busy walk hands the
-//! last unrecorded child of its shallowest open node — the largest
-//! subtree it still owes — to the pool. Each walk writes a private run
-//! of nodes in preorder (per node, its row of enabled labels and the
-//! row's width), and reaching a handed subtree ends the current run, so
-//! every run is one contiguous range of node ids and CSR rows. The join
-//! appends the runs in preorder, freeing each as it goes, and the trace
-//! budget is drawn in blocks and trips at exactly the same count as a
-//! sequential recording — the graph is byte-identical at any worker
-//! count.
+//! [`TraceGraph`], memoized by exact machine: a depth-first walk that
+//! closes one row per distinct machine, in post-order, and points every
+//! later path to that machine at the closed row. The trace budget counts
+//! the unfolded tree, so it trips exactly where walking the whole tree
+//! would.
 //!
 //! No walk here recurses — each carries an explicit stack — so exploration
 //! depth is bounded by heap, not by the thread's call stack, and the DFS /
@@ -29,15 +21,12 @@
 //! [`Dedup::FullState`] keeps the old build-then-hash path alive as the
 //! reference the property suites compare against.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::collections::{HashMap, VecDeque};
 
-use crate::engine::steal::idle_backoff;
 use crate::engine::{
-    canonicalize, engine_threads, intern_canonical, Control, Dedup, EngineConfig, EngineError,
-    ExploreStats, Explorer, SearchOrder, StateGraph, StateId, StateInterner, StateVisitor,
-    StealDeques, TraceGraph, TraceVisitor,
+    canonicalize, intern_canonical, Control, Dedup, EngineConfig, EngineError, ExploreStats,
+    Explorer, SearchOrder, StateGraph, StateId, StateInterner, StateVisitor, TraceGraph,
+    TraceVisitor,
 };
 use crate::loc::LocSet;
 use crate::machine::{Expr, Machine, Transition, TransitionLabel};
@@ -205,373 +194,29 @@ impl<E: Expr> Explorer<E> for WorklistEngine {
     }
 }
 
-/// A recording stays on the calling thread until its walk has recorded
-/// this many nodes. A smaller tree records in about two milliseconds,
-/// and a split costs tens of microseconds to start the pool — so corpus-
-/// size trees stay sequential, and only trees that outgrow this split.
-const SPLIT_AFTER: usize = 2048;
-
-/// Recording workers draw the trace budget in allowances of at most this
-/// many extensions, so the shared budget is locked once per block rather
-/// than once per node.
-const BUDGET_BLOCK: usize = 256;
-
-/// A run of recorded nodes that is contiguous in the final preorder: per
-/// node, its row of enabled labels and that row's width (its child
-/// count). Appending runs in preorder is all the join does.
-#[derive(Default)]
-struct Run {
-    labels: Vec<TransitionLabel>,
-    widths: Vec<u32>,
-}
-
-/// One piece of a subtree's recording, in preorder: a run of nodes, or a
-/// child subtree handed to the pool (recorded into its own task slot).
-enum Piece {
-    Run(Run),
-    Handed(usize),
-}
-
-/// One node of a recording walk whose children are not all recorded:
-/// the transitions still to take, and the task slots of the children
-/// handed to the pool. Those are taken from the back of `rest`, so they
-/// follow it in sibling order; `handed` lists them last sibling first.
+/// One open node of the recording walk: its machine (the memo key once
+/// its row closes), the transitions not yet taken, its row of enabled
+/// labels, the rows of the children taken so far, and the number of
+/// trace extensions those children's subtrees unfold to.
 struct RecFrame<E> {
+    machine: Machine<E>,
     rest: std::vec::IntoIter<Transition<E>>,
-    handed: Vec<usize>,
+    labels: Vec<TransitionLabel>,
+    rows: Vec<u32>,
+    unfolded: usize,
 }
 
-impl<E> RecFrame<E> {
-    fn new(ts: Vec<Transition<E>>) -> RecFrame<E> {
+impl<E: Expr> RecFrame<E> {
+    fn open(locs: &LocSet, machine: Machine<E>) -> RecFrame<E> {
+        let ts = machine.transitions(locs);
         RecFrame {
+            labels: ts.iter().map(|t| t.label).collect(),
+            rows: Vec::with_capacity(ts.len()),
             rest: ts.into_iter(),
-            handed: Vec::new(),
+            machine,
+            unfolded: 0,
         }
     }
-}
-
-/// Extensions a walker may record before drawing on the shared budget.
-struct Allowance {
-    left: usize,
-    /// Whether `left` was granted by the pool (and so counts as
-    /// outstanding there until spent or returned).
-    granted: bool,
-}
-
-/// How a walk ended.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Walked {
-    /// The subtree is recorded.
-    Done,
-    /// A sequential walk reached its split threshold.
-    Split,
-    /// The trace budget is spent.
-    Tripped,
-}
-
-/// The depth-first recording of one subtree: the root walk, or a subtree
-/// a worker took from the pool.
-struct Walker<E> {
-    stack: Vec<RecFrame<E>>,
-    run: Run,
-    pieces: Vec<Piece>,
-    allowance: Allowance,
-}
-
-impl<E: Expr> Walker<E> {
-    /// A walk over the subtrees of `ts`, with `budget` extensions of its
-    /// own.
-    fn new(ts: Vec<Transition<E>>, budget: usize) -> Walker<E> {
-        Walker {
-            stack: vec![RecFrame::new(ts)],
-            run: Run::default(),
-            pieces: Vec::new(),
-            allowance: Allowance {
-                left: budget,
-                granted: false,
-            },
-        }
-    }
-
-    fn close_run(&mut self) {
-        if !self.run.widths.is_empty() {
-            self.pieces.push(Piece::Run(std::mem::take(&mut self.run)));
-        }
-    }
-
-    /// Records depth-first until the subtree is done, the budget trips,
-    /// or — with no pool — `split_after` nodes are in the current run.
-    fn walk(
-        &mut self,
-        locs: &LocSet,
-        pool: Option<(&Pool<E>, usize)>,
-        split_after: usize,
-    ) -> Walked {
-        while let Some(frame) = self.stack.last_mut() {
-            let Some(t) = frame.rest.next() else {
-                let handed = std::mem::take(&mut frame.handed);
-                self.stack.pop();
-                if !handed.is_empty() {
-                    // The handed subtrees come next in preorder.
-                    self.close_run();
-                    self.pieces
-                        .extend(handed.into_iter().rev().map(Piece::Handed));
-                }
-                continue;
-            };
-            if self.allowance.left == 0
-                && !pool.is_some_and(|(pool, _)| pool.refill(&mut self.allowance))
-            {
-                return Walked::Tripped;
-            }
-            self.allowance.left -= 1;
-            let ts = t.target.transitions(locs);
-            self.run.labels.extend(ts.iter().map(|c| c.label));
-            self.run.widths.push(ts.len() as u32);
-            self.stack.push(RecFrame::new(ts));
-            match pool {
-                Some((pool, worker)) if pool.hungry() => self.hand_off(pool, worker),
-                Some(_) => {}
-                None if self.run.widths.len() >= split_after => return Walked::Split,
-                None => {}
-            }
-        }
-        self.close_run();
-        Walked::Done
-    }
-
-    /// Hands the last unrecorded child of the shallowest frame that has
-    /// any — the largest subtree this walk still owes, and the one it
-    /// would reach last — to the pool. Taking it from the back keeps the
-    /// walk's current run going as far as possible.
-    fn hand_off(&mut self, pool: &Pool<E>, worker: usize) {
-        let Some(frame) = self.stack.iter_mut().find(|f| f.rest.len() > 0) else {
-            return;
-        };
-        let t = frame.rest.next_back().expect("the frame has a child left");
-        let slot = pool.slots.fetch_add(1, Ordering::Relaxed);
-        frame.handed.push(slot);
-        pool.pending.fetch_add(1, Ordering::AcqRel);
-        pool.queued.fetch_add(1, Ordering::AcqRel);
-        pool.deques.push(worker, (slot, t));
-    }
-}
-
-/// The trace budget of a parallel recording, handed out in allowances.
-///
-/// A walker that needs an extension when `free` is empty trips the
-/// budget only if no allowance is `outstanding`: then every granted
-/// extension was spent and this one would exceed `max_traces`. Otherwise
-/// it waits until the holders spend theirs (and trip) or return the rest
-/// — so the trip is exact at any worker count.
-struct Budget {
-    free: usize,
-    outstanding: usize,
-}
-
-/// The shared state of a recording split across the pool.
-struct Pool<E> {
-    /// Handed subtrees, with their task slots.
-    deques: StealDeques<(usize, Transition<E>)>,
-    budget: Mutex<Budget>,
-    /// Task slots allocated so far (slot 0 is the root walk).
-    slots: AtomicUsize,
-    /// Tasks not yet finished, the root walk included.
-    pending: AtomicUsize,
-    /// Handed tasks no worker has taken yet.
-    queued: AtomicUsize,
-    /// Workers looking for a task.
-    idle: AtomicUsize,
-    /// Set when the budget trips: every worker stops.
-    tripped: AtomicBool,
-}
-
-impl<E> Pool<E> {
-    /// More workers are looking for work than tasks are queued.
-    fn hungry(&self) -> bool {
-        self.idle.load(Ordering::Relaxed) > self.queued.load(Ordering::Relaxed)
-    }
-
-    /// Grants `allowance` a fresh block of the budget (its previous one
-    /// is spent); false once the budget has tripped.
-    fn refill(&self, allowance: &mut Allowance) -> bool {
-        let mut spins = 0;
-        loop {
-            {
-                let mut budget = self.budget.lock().expect("budget lock poisoned");
-                if std::mem::take(&mut allowance.granted) {
-                    budget.outstanding -= 1;
-                }
-                if budget.free > 0 {
-                    allowance.left = budget.free.min(BUDGET_BLOCK);
-                    budget.free -= allowance.left;
-                    budget.outstanding += 1;
-                    allowance.granted = true;
-                    return true;
-                }
-                if budget.outstanding == 0 {
-                    self.tripped.store(true, Ordering::Release);
-                    return false;
-                }
-            }
-            if self.tripped.load(Ordering::Acquire) {
-                return false;
-            }
-            idle_backoff(&mut spins);
-        }
-    }
-
-    /// Returns the unspent rest of `allowance` to the pool.
-    fn release(&self, allowance: &mut Allowance) {
-        if std::mem::take(&mut allowance.granted) {
-            let mut budget = self.budget.lock().expect("budget lock poisoned");
-            budget.free += std::mem::take(&mut allowance.left);
-            budget.outstanding -= 1;
-        }
-    }
-}
-
-/// One recording worker: finishes `root` (the root walk, on the calling
-/// thread), then records subtrees from the pool until every task is done
-/// or the budget trips. Returns each finished task's pieces by slot.
-fn record_worker<E: Expr>(
-    pool: &Pool<E>,
-    locs: &LocSet,
-    worker: usize,
-    root: Option<Walker<E>>,
-) -> Vec<(usize, Vec<Piece>)> {
-    let mut done = Vec::new();
-    let mut next = root.map(|walker| (0, walker));
-    let mut idle = false;
-    let mut spins = 0;
-    loop {
-        if let Some((slot, mut walker)) = next.take() {
-            let walked = walker.walk(locs, Some((pool, worker)), usize::MAX);
-            pool.release(&mut walker.allowance);
-            if walked == Walked::Tripped {
-                break;
-            }
-            done.push((slot, walker.pieces));
-            pool.pending.fetch_sub(1, Ordering::AcqRel);
-            continue;
-        }
-        if pool.tripped.load(Ordering::Acquire) {
-            break;
-        }
-        match pool.deques.take(worker) {
-            Some((slot, t)) => {
-                pool.queued.fetch_sub(1, Ordering::AcqRel);
-                if std::mem::take(&mut idle) {
-                    pool.idle.fetch_sub(1, Ordering::AcqRel);
-                }
-                spins = 0;
-                next = Some((slot, Walker::new(vec![t], 0)));
-            }
-            None => {
-                if !std::mem::replace(&mut idle, true) {
-                    pool.idle.fetch_add(1, Ordering::AcqRel);
-                }
-                if pool.pending.load(Ordering::Acquire) == 0 {
-                    break;
-                }
-                idle_backoff(&mut spins);
-            }
-        }
-    }
-    done
-}
-
-/// Continues the root walk on `workers` workers, the calling thread
-/// among them: the rest of the walk's budget becomes the pool's, and
-/// subtrees are handed out whenever a worker is idle. Returns every
-/// task's pieces by slot, or `None` if the budget tripped.
-fn record_on_pool<E: Expr + Send + Sync>(
-    locs: &LocSet,
-    mut root: Walker<E>,
-    workers: usize,
-) -> Option<Vec<Option<Vec<Piece>>>> {
-    let pool = Pool {
-        deques: StealDeques::new(workers),
-        budget: Mutex::new(Budget {
-            free: std::mem::take(&mut root.allowance.left),
-            outstanding: 0,
-        }),
-        slots: AtomicUsize::new(1),
-        pending: AtomicUsize::new(1),
-        queued: AtomicUsize::new(0),
-        idle: AtomicUsize::new(0),
-        tripped: AtomicBool::new(false),
-    };
-    let done = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..workers)
-            .map(|w| {
-                let pool = &pool;
-                scope.spawn(move || record_worker(pool, locs, w, None))
-            })
-            .collect();
-        let mut done = record_worker(&pool, locs, 0, Some(root));
-        for h in helpers {
-            done.extend(h.join().expect("recording worker panicked"));
-        }
-        done
-    });
-    if pool.tripped.into_inner() {
-        return None;
-    }
-    let mut slots: Vec<Option<Vec<Piece>>> = std::iter::repeat_with(|| None)
-        .take(pool.slots.into_inner())
-        .collect();
-    for (slot, pieces) in done {
-        slots[slot] = Some(pieces);
-    }
-    Some(slots)
-}
-
-/// Concatenates the recorded runs in depth-first preorder, starting from
-/// the root walk (slot 0) and descending into each handed subtree where
-/// it was handed, then appends the root's row. Each run is one
-/// contiguous range of nodes and rows, so joining is appending; a run is
-/// freed as soon as it is copied (the first is kept as the destination).
-fn join(
-    mut slots: Vec<Option<Vec<Piece>>>,
-    root_labels: Vec<TransitionLabel>,
-) -> (Vec<TransitionLabel>, Vec<u32>) {
-    let nodes: usize = slots
-        .iter()
-        .flatten()
-        .flatten()
-        .map(|p| match p {
-            Piece::Run(run) => run.widths.len(),
-            Piece::Handed(_) => 0,
-        })
-        .sum();
-    let mut labels: Vec<TransitionLabel> = Vec::new();
-    let mut widths: Vec<u32> = Vec::new();
-    let mut stack = vec![slots[0].take().expect("the root walk").into_iter()];
-    while let Some(top) = stack.last_mut() {
-        match top.next() {
-            None => {
-                stack.pop();
-            }
-            Some(Piece::Run(run)) if widths.is_empty() => {
-                (labels, widths) = (run.labels, run.widths);
-                labels.reserve_exact(nodes - labels.len());
-                widths.reserve_exact(nodes - widths.len());
-            }
-            Some(Piece::Run(run)) => {
-                labels.extend_from_slice(&run.labels);
-                widths.extend_from_slice(&run.widths);
-            }
-            Some(Piece::Handed(slot)) => {
-                let pieces = slots[slot]
-                    .take()
-                    .expect("every handed subtree is recorded");
-                stack.push(pieces.into_iter());
-            }
-        }
-    }
-    labels.extend(root_labels);
-    (labels, widths)
 }
 
 /// The iterative depth-first trace enumerator.
@@ -645,14 +290,18 @@ impl TraceEngine {
     /// Records the complete trace tree from `m0` — unfiltered and
     /// unpruned, bounded by `config.max_traces` — as a [`TraceGraph`]
     /// replayable under any number of predicates without re-running the
-    /// transition semantics. Each recorded node carries the labels
-    /// enabled at its target (its children's labels), which is
-    /// everything the label-level checkers consume.
+    /// transition semantics. Each recorded row carries the labels enabled
+    /// at its machine, which is everything the label-level checkers
+    /// consume.
     ///
-    /// The walk starts on the calling thread. A tree that outgrows
-    /// `SPLIT_AFTER` nodes is split into subtrees recorded on the
-    /// work-stealing pool ([`engine_threads`]`(0)` workers); the
-    /// resulting graph is identical whatever the worker count.
+    /// [`Machine::transitions`] is a pure function of the machine, so two
+    /// nodes holding equal machines have identical subtrees: the walk
+    /// memoizes rows by exact machine (timestamps and frontiers included,
+    /// never the canonical form) and every path that reaches a machine
+    /// points at its one row. The budget still counts the unfolded tree —
+    /// a memoized child adds its whole subtree — so it trips exactly where
+    /// a tree-by-tree recording would, and the graph's [`TraceGraph::len`]
+    /// is the tree's extension count.
     ///
     /// # Errors
     ///
@@ -660,48 +309,62 @@ impl TraceEngine {
     /// `config.max_traces` extensions. (A *filtered* live walk can fit a
     /// budget the full tree exceeds; recording trades that slack for
     /// replayability.)
-    pub fn record<E: Expr + Send + Sync>(
+    pub fn record<E: Expr>(
         &self,
         locs: &LocSet,
         m0: Machine<E>,
     ) -> Result<(TraceGraph, ExploreStats), EngineError> {
-        self.record_with(locs, m0, engine_threads(0), SPLIT_AFTER)
-    }
-
-    /// [`TraceEngine::record`] with an explicit worker count, splitting
-    /// once the calling thread's walk has recorded `split_after` nodes
-    /// (`SPLIT_AFTER` in production). Tests lower the threshold so that
-    /// small trees exercise the parallel path too.
-    ///
-    /// # Errors
-    ///
-    /// As [`TraceEngine::record`].
-    #[doc(hidden)]
-    pub fn record_with<E: Expr + Send + Sync>(
-        &self,
-        locs: &LocSet,
-        m0: Machine<E>,
-        workers: usize,
-        split_after: usize,
-    ) -> Result<(TraceGraph, ExploreStats), EngineError> {
-        let budget_error = EngineError::budget(self.config.max_traces + 1);
-        let root_ts = m0.transitions(locs);
-        let root_labels: Vec<TransitionLabel> = root_ts.iter().map(|t| t.label).collect();
-        let mut root = Walker::new(root_ts, self.config.max_traces);
-        let split_after = if workers > 1 { split_after } else { usize::MAX };
-        let slots = match root.walk(locs, None, split_after) {
-            Walked::Done => vec![Some(root.pieces)],
-            Walked::Tripped => return Err(budget_error),
-            Walked::Split => record_on_pool(locs, root, workers).ok_or(budget_error)?,
+        let max = self.config.max_traces;
+        // The store's only interior mutability is its memoized content
+        // digest, which neither `Hash` nor `Eq` reads.
+        #[allow(clippy::mutable_key_type)]
+        let mut memo: HashMap<Machine<E>, u32> = HashMap::new();
+        // Per closed row, the extensions its subtree unfolds to.
+        let mut unfolded_at: Vec<usize> = Vec::new();
+        let mut labels: Vec<TransitionLabel> = Vec::new();
+        let mut children: Vec<u32> = Vec::new();
+        let mut child_offsets: Vec<u32> = vec![0];
+        // Extensions of the unfolded tree counted so far, in preorder.
+        let mut unfolded = 0usize;
+        let mut stack = vec![RecFrame::open(locs, m0)];
+        let root = loop {
+            let frame = stack.last_mut().expect("the root closes last");
+            if let Some(t) = frame.rest.next() {
+                let memoized = memo.get(&t.target).copied();
+                let subtree = memoized.map_or(0, |row| unfolded_at[row as usize]);
+                unfolded = unfolded
+                    .checked_add(subtree)
+                    .and_then(|n| n.checked_add(1))
+                    .filter(|&n| n <= max)
+                    .ok_or_else(|| EngineError::budget(max + 1))?;
+                match memoized {
+                    Some(row) => {
+                        frame.rows.push(row);
+                        frame.unfolded += 1 + subtree;
+                    }
+                    None => stack.push(RecFrame::open(locs, t.target)),
+                }
+                continue;
+            }
+            let done = stack.pop().expect("the frame just inspected");
+            let row = unfolded_at.len() as u32;
+            labels.extend(done.labels);
+            children.extend(done.rows);
+            child_offsets.push(children.len() as u32);
+            unfolded_at.push(done.unfolded);
+            let Some(parent) = stack.last_mut() else {
+                break done.unfolded;
+            };
+            parent.rows.push(row);
+            parent.unfolded += 1 + done.unfolded;
+            memo.insert(done.machine, row);
         };
-        let (labels, widths) = join(slots, root_labels);
-        let graph = TraceGraph::from_preorder(labels, widths);
-        let n = graph.len();
+        let graph = TraceGraph::from_rows(labels, child_offsets, children, root);
         Ok((
             graph,
             ExploreStats {
-                visited: n,
-                transitions: n,
+                visited: root,
+                transitions: root,
             },
         ))
     }

@@ -27,7 +27,7 @@ use crate::timestamp::Timestamp;
 /// assert_eq!(h.latest(), (t1, Val(42)));
 /// assert_eq!(h.get(Timestamp::ZERO), Some(Val(0)));
 /// ```
-#[derive(Clone, PartialEq, Eq, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct History {
     writes: BTreeMap<Timestamp, Val>,
 }

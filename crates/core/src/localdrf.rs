@@ -698,22 +698,21 @@ pub fn check_global_drf_reduced<E: Expr>(
     Ok(status)
 }
 
-/// [`check_global_drf`] over one recorded trace tree. Theorem 14 needs two
-/// trace enumerations (the SC race scan and the weak-transition scan),
-/// which the plain checker runs as two live walks. This variant records
-/// the trace tree once ([`TraceEngine::record`]) and replays both scans
-/// against it, so the transition semantics runs exactly once for the two
-/// predicates — the cross-check caching the successor-graph work is
-/// about.
+/// [`check_global_drf`] over one recorded trace graph. Theorem 14 needs
+/// two trace enumerations (the SC race scan and the weak-transition
+/// scan), which the plain checker runs as two live walks. This variant
+/// records the trace tree once ([`TraceEngine::record`], which runs the
+/// transition semantics once per distinct machine) and replays both
+/// scans against it, so neither scan re-runs the semantics.
 ///
 /// # Errors
 ///
-/// As [`check_global_drf`], with one caveat: the *recording* enumerates
-/// the full (unfiltered) tree, so a budget that fits the SC-filtered scan
+/// As [`check_global_drf`], with one caveat: the *recording* counts the
+/// full (unfiltered) tree against the budget, so a budget that fits the SC-filtered scan
 /// but not the whole tree fails here where the plain checker would
 /// succeed. With the default budgets the verdicts coincide on every
 /// corpus and generated program (the differential suite checks).
-pub fn check_global_drf_cached<E: Expr + Send + Sync>(
+pub fn check_global_drf_cached<E: Expr>(
     locs: &LocSet,
     m0: Machine<E>,
     config: EngineConfig,

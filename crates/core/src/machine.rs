@@ -248,7 +248,7 @@ pub struct ThreadState<E> {
 }
 
 /// A machine configuration `M = ⟨S, P⟩`.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Machine<E> {
     /// The shared store.
     pub store: Store,
@@ -699,5 +699,39 @@ mod tests {
         let before = semantics_probes();
         let _ = m.transitions(&locs);
         assert!(semantics_probes() > before);
+    }
+
+    #[test]
+    fn timestamp_renamed_machines_share_a_fingerprint_but_not_equality() {
+        // One write of 1 to `a`, at timestamp 1 in one machine and 1/2 in
+        // the other, with the thread's frontier on it: canonically the
+        // same machine, exactly two different ones.
+        use crate::history::History;
+        use crate::store::LocContents;
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::Hasher;
+        let (locs, a, _) = locs2();
+        let at = |t: Timestamp| {
+            let mut m = Machine::initial(&locs, [RecordedExpr::new(vec![StepLabel::Read(a)])]);
+            let mut h = History::initial(Val::INIT);
+            h.insert(t, Val(1));
+            m.store.update(a, LocContents::Nonatomic(h));
+            m.threads[0].frontier.advance(a, t);
+            m
+        };
+        let one = Timestamp::ZERO.succ();
+        let (m1, m2) = (at(one), at(Timestamp::ZERO.midpoint(one)));
+        assert_eq!(
+            crate::engine::canonical_fingerprint(&locs, &m1).unwrap(),
+            crate::engine::canonical_fingerprint(&locs, &m2).unwrap()
+        );
+        assert_ne!(m1, m2, "an exact memo must not merge renamed machines");
+        let exact = |m: &Machine<RecordedExpr>| {
+            let mut h = DefaultHasher::new();
+            m.hash(&mut h);
+            h.finish()
+        };
+        assert_ne!(exact(&m1), exact(&m2));
+        assert_eq!(exact(&m1), exact(&at(one)));
     }
 }

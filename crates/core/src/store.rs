@@ -30,7 +30,7 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 
 use crate::frontier::Frontier;
 use crate::history::History;
@@ -39,7 +39,7 @@ use crate::pmap::{ContentDigest, PMap};
 use crate::wire::{Codec, Reader, WireError};
 
 /// The contents of a single location in a [`Store`].
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum LocContents {
     /// A nonatomic location's timestamped write history.
     Nonatomic(History),
@@ -330,6 +330,18 @@ impl Store {
     }
 }
 
+/// Exact: contents in location order, timestamps and frontiers
+/// included, so it agrees with the content equality of the map — equal
+/// stores hash equally however their trees were built.
+impl Hash for Store {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.len().hash(state);
+        for (_, c) in self.iter() {
+            c.hash(state);
+        }
+    }
+}
+
 impl Codec for Store {
     /// Contents in location order, independent of the tree shape: two
     /// equal stores encode identically however they were built.
@@ -472,6 +484,46 @@ mod tests {
         assert_eq!(s, d);
         assert!(!s.ptr_eq(&d));
         assert!(!std::ptr::eq(s.contents(a), d.contents(a)));
+    }
+
+    fn exact_hash(s: &Store) -> u64 {
+        let mut h = DefaultHasher::new();
+        s.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn content_equal_stores_hash_equal_however_built() {
+        // 40 locations: a multi-level map, so the two update orders below
+        // copy different paths and end in different allocations.
+        let mut locs = LocSet::new();
+        let ls: Vec<Loc> = (0..40)
+            .map(|i| locs.fresh(format!("x{i}"), LocKind::Nonatomic))
+            .collect();
+        let write = |v: i64| {
+            let mut h = History::initial(Val::INIT);
+            h.insert(Timestamp::ZERO.succ(), Val(v));
+            LocContents::Nonatomic(h)
+        };
+        let mut s1 = Store::initial(&locs);
+        s1.update(ls[3], write(1));
+        s1.update(ls[37], write(2));
+        let mut s2 = Store::initial(&locs);
+        s2.update(ls[37], write(9));
+        s2.update(ls[3], write(1));
+        s2.update(ls[37], write(2));
+        assert!(!s1.ptr_eq(&s2));
+        assert!(!std::ptr::eq(s1.contents(ls[3]), s2.contents(ls[3])));
+        assert_eq!(s1, s2);
+        assert_eq!(exact_hash(&s1), exact_hash(&s2));
+        assert_eq!(exact_hash(&s1), exact_hash(&s1.deep_clone()));
+        // A different timestamp for the same value is a different store.
+        let mut h = History::initial(Val::INIT);
+        h.insert(Timestamp::ZERO.succ().succ(), Val(1));
+        let mut s3 = s1.clone();
+        s3.update(ls[3], LocContents::Nonatomic(h));
+        assert_ne!(s1, s3);
+        assert_ne!(exact_hash(&s1), exact_hash(&s3));
     }
 
     #[test]

@@ -1,11 +1,14 @@
-//! The parallel trace recorder against the sequential one: on the litmus
-//! corpus and on generated programs, recording with 1, 2, 4 and 8
-//! workers — split from the first node on, so small trees take the
-//! parallel path too — must produce byte-identical trees and identical
-//! statistics, and the trace budget must trip at exactly the same count.
-//! The live walk and the replay of the recording count the same tree and
-//! trip their budgets at the same count too.
+//! The memoized trace recorder against the live walk: on the litmus
+//! corpus and on generated programs, replaying the recorded graph must
+//! show a visitor exactly the stream of extensions a live walk shows it —
+//! same depth, label and enabled labels, in the same order — and the
+//! recording, the live walk and the replay must trip the trace budget at
+//! exactly the same count. Recordings are deterministic and survive the
+//! wire byte for byte, and a tree with repeated machines is stored in
+//! fewer rows than it has extensions.
 
+use std::collections::hash_map::DefaultHasher;
+use std::hash::Hasher;
 use std::path::Path;
 
 use bdrst_core::engine::{
@@ -13,11 +16,10 @@ use bdrst_core::engine::{
     TraceGraph, TraceVisitor,
 };
 use bdrst_core::loc::{LocKind, LocSet, Val};
-use bdrst_core::machine::{Expr, Machine, RecordedExpr, StepLabel, Transition};
+use bdrst_core::machine::{Expr, Machine, RecordedExpr, StepLabel, Transition, TransitionLabel};
 use bdrst_core::trace::TraceLabels;
+use bdrst_core::wire::{Codec, Reader};
 use bdrst_lang::Program;
-
-const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 fn encoded(graph: &TraceGraph) -> Vec<u8> {
     let mut bytes = Vec::new();
@@ -32,97 +34,125 @@ fn budget(max_traces: usize) -> TraceEngine {
     })
 }
 
-/// Extends every trace, live or replayed.
-struct Go;
+/// Extends every trace and digests what it sees at each extension: the
+/// trace's depth, the label just taken and the labels enabled after it.
+/// The live side reads the enabled labels off the target machine.
+struct Digest {
+    hasher: DefaultHasher,
+    locs: LocSet,
+}
 
-impl<E: Expr> TraceVisitor<E> for Go {
-    fn visit(&mut self, _: &TraceLabels, _: &Transition<E>) -> Control {
+impl Digest {
+    fn new(locs: &LocSet) -> Digest {
+        Digest {
+            hasher: DefaultHasher::new(),
+            locs: locs.clone(),
+        }
+    }
+
+    fn step(&mut self, depth: usize, label: TransitionLabel, enabled: &[TransitionLabel]) {
+        let mut bytes = Vec::new();
+        depth.encode(&mut bytes);
+        label.encode(&mut bytes);
+        enabled.to_vec().encode(&mut bytes);
+        self.hasher.write(&bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hasher.finish()
+    }
+}
+
+impl<E: Expr> TraceVisitor<E> for Digest {
+    fn visit(&mut self, trace: &TraceLabels, t: &Transition<E>) -> Control {
+        let enabled: Vec<TransitionLabel> = t
+            .target
+            .transitions(&self.locs)
+            .iter()
+            .map(|c| c.label)
+            .collect();
+        self.step(trace.len(), t.label, &enabled);
         Control::Continue
     }
 }
 
-impl ReplayVisitor for Go {
-    fn visit(&mut self, _: &TraceLabels, _: ReplayStep<'_>) -> Control {
+impl ReplayVisitor for Digest {
+    fn visit(&mut self, trace: &TraceLabels, step: ReplayStep<'_>) -> Control {
+        self.step(trace.len(), step.label, step.enabled);
         Control::Continue
     }
 }
 
-/// Walks `m0`'s whole trace tree live and replays `graph` with `engine`'s
-/// budget: both must give the same result.
+/// Walks `m0`'s whole trace tree live and replays `graph`, both under
+/// `engine`'s budget: the results and the digested streams must agree.
 fn walk_and_replay<E: Expr>(
     engine: TraceEngine,
     locs: &LocSet,
     m0: &Machine<E>,
     graph: &TraceGraph,
 ) -> Result<ExploreStats, EngineError> {
-    let live = engine.explore(locs, m0.clone(), &mut Go);
-    let replayed = graph.replay(engine.config, &mut Go);
+    let mut live_digest = Digest::new(locs);
+    let live = engine.explore(locs, m0.clone(), &mut live_digest);
+    let mut replay_digest = Digest::new(locs);
+    let replayed = graph.replay(engine.config, &mut replay_digest);
     assert_eq!(live, replayed, "live walk and replay disagree");
+    assert_eq!(
+        live_digest.finish(),
+        replay_digest.finish(),
+        "live walk and replay show different streams"
+    );
     live
 }
 
-/// Records `m0` at every worker count and split point and checks each
-/// result, and each budget trip, against the sequential recording — and
-/// the live walk and the replay against the recorded tree's size.
-fn agrees_at_every_worker_count<E: Expr + Send + Sync>(name: &str, locs: &LocSet, m0: &Machine<E>) {
+/// Records `m0` and checks the recording against the live walk: the same
+/// extension stream and count, the same budget trip one short of the
+/// total, a deterministic encoding that round-trips exactly. Returns the
+/// recorded graph.
+fn replays_like_the_live_walk<E: Expr>(name: &str, locs: &LocSet, m0: &Machine<E>) -> TraceGraph {
     let engine = TraceEngine::new(EngineConfig::default());
-    let (seq, seq_stats) = engine.record_with(locs, m0.clone(), 1, usize::MAX).unwrap();
-    let want = encoded(&seq);
-    let total = seq.len();
-    assert_eq!(seq_stats.visited, total, "{name}");
+    let (graph, stats) = engine.record(locs, m0.clone()).unwrap();
+    let total = graph.len();
+    assert_eq!(stats.visited, total, "{name}: record stats");
+    assert_eq!(stats.transitions, total, "{name}: record stats");
 
-    let walked = walk_and_replay(engine, locs, m0, &seq).unwrap();
+    let walked = walk_and_replay(engine, locs, m0, &graph).unwrap();
     assert_eq!(walked.visited, total, "{name}: live walk");
+    assert_eq!(
+        walk_and_replay(budget(total), locs, m0, &graph).unwrap(),
+        walked,
+        "{name}: exact budget"
+    );
+    let (exact, _) = budget(total).record(locs, m0.clone()).unwrap();
+    assert_eq!(
+        encoded(&exact),
+        encoded(&graph),
+        "{name}: record, exact budget"
+    );
     if total > 0 {
         assert_eq!(
-            walk_and_replay(budget(total - 1), locs, m0, &seq).unwrap_err(),
+            walk_and_replay(budget(total - 1), locs, m0, &graph).unwrap_err(),
             EngineError::budget(total),
-            "{name}: live walk, budget one short"
+            "{name}: live walk and replay, budget one short"
+        );
+        assert_eq!(
+            budget(total - 1).record(locs, m0.clone()).unwrap_err(),
+            EngineError::budget(total),
+            "{name}: record, budget one short"
         );
     }
-    assert_eq!(
-        walk_and_replay(budget(total), locs, m0, &seq).unwrap(),
-        walked,
-        "{name}: live walk, exact budget"
-    );
 
-    let (public, public_stats) = engine.record(locs, m0.clone()).unwrap();
-    assert_eq!(encoded(&public), want, "{name}: record");
-    assert_eq!(public_stats, seq_stats, "{name}: record");
-
-    for workers in WORKERS {
-        for split_after in [0, 1, 5, 100] {
-            let (graph, stats) = engine
-                .record_with(locs, m0.clone(), workers, split_after)
-                .unwrap();
-            let at = format!("{name}: {workers} workers, split after {split_after}");
-            assert_eq!(encoded(&graph), want, "{at}");
-            assert_eq!(stats, seq_stats, "{at}");
-        }
-        if total == 0 {
-            continue;
-        }
-        assert_eq!(
-            budget(total - 1)
-                .record_with(locs, m0.clone(), workers, 0)
-                .unwrap_err(),
-            EngineError::budget(total),
-            "{name}: {workers} workers, budget one short"
-        );
-        let (graph, stats) = budget(total)
-            .record_with(locs, m0.clone(), workers, 0)
-            .unwrap();
-        assert_eq!(
-            encoded(&graph),
-            want,
-            "{name}: {workers} workers, exact budget"
-        );
-        assert_eq!(stats, seq_stats, "{name}: {workers} workers, exact budget");
-    }
+    let bytes = encoded(&graph);
+    let (again, _) = engine.record(locs, m0.clone()).unwrap();
+    assert_eq!(encoded(&again), bytes, "{name}: recording twice");
+    let decoded = TraceGraph::decode(&mut Reader::new(&bytes)).unwrap();
+    assert_eq!(encoded(&decoded), bytes, "{name}: encode, decode, encode");
+    assert_eq!(decoded.len(), total, "{name}: decoded count");
+    assert_eq!(decoded.rows(), graph.rows(), "{name}: decoded rows");
+    graph
 }
 
 #[test]
-fn corpus_records_identically_at_every_worker_count() {
+fn corpus_replays_like_the_live_walk() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
     let mut files: Vec<_> = std::fs::read_dir(&dir)
         .unwrap()
@@ -134,7 +164,7 @@ fn corpus_records_identically_at_every_worker_count() {
     for path in files {
         let p = Program::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         let name = path.file_name().unwrap().to_string_lossy();
-        agrees_at_every_worker_count(&name, &p.locs, &p.initial_machine());
+        replays_like_the_live_walk(&name, &p.locs, &p.initial_machine());
     }
 }
 
@@ -155,7 +185,7 @@ impl Rng {
 }
 
 #[test]
-fn generated_programs_record_identically_at_every_worker_count() {
+fn generated_programs_replay_like_the_live_walk() {
     let mut locs = LocSet::new();
     let pool = [
         locs.fresh("a", LocKind::Nonatomic),
@@ -183,14 +213,15 @@ fn generated_programs_record_identically_at_every_worker_count() {
             })
             .collect();
         let m0 = Machine::initial(&locs, prog);
-        agrees_at_every_worker_count(&format!("case {case}"), &locs, &m0);
+        replays_like_the_live_walk(&format!("case {case}"), &locs, &m0);
     }
 }
 
 #[test]
-fn trees_past_the_split_threshold_record_identically() {
+fn store_buffering_shares_rows_between_paths() {
     // Four threads of a write then a read (store buffering on four
-    // nonatomics): thousands of traces, so `record` itself splits.
+    // nonatomics): thousands of traces over a few hundred machines, so a
+    // recorder that stops sharing rows fails here.
     let mut locs = LocSet::new();
     let ls: Vec<_> = (0..4)
         .map(|i| locs.fresh(format!("x{i}"), LocKind::Nonatomic))
@@ -202,13 +233,12 @@ fn trees_past_the_split_threshold_record_identically() {
         ])
     });
     let m0 = Machine::initial(&locs, prog);
-    let (graph, _) = TraceEngine::new(EngineConfig::default())
-        .record_with(&locs, m0.clone(), 1, usize::MAX)
-        .unwrap();
+    let graph = replays_like_the_live_walk("sb-4", &locs, &m0);
+    assert!(graph.len() > 4096, "tree too small: {}", graph.len());
     assert!(
-        graph.len() > 4096,
-        "tree too small to split: {}",
+        graph.rows() < graph.len(),
+        "{} rows for {} extensions",
+        graph.rows(),
         graph.len()
     );
-    agrees_at_every_worker_count("sb-4", &locs, &m0);
 }

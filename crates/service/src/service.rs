@@ -195,9 +195,10 @@ impl CheckService {
         Ok(racefree)
     }
 
-    /// The recorded trace tree of a checked program, memoized into its
-    /// cache entry (and re-persisted on first recording): record once,
-    /// then answer every trace-dependent query — any `L` set of
+    /// The recorded trace graph of a checked program — its trace tree,
+    /// one row per distinct machine ([`TraceEngine::record`]) — memoized
+    /// into its cache entry (and re-persisted on first recording): record
+    /// once, then answer every trace-dependent query — any `L` set of
     /// `check-localdrf`, every `check-races` — by replay, without
     /// re-running the transition semantics.
     ///

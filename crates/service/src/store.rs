@@ -41,8 +41,9 @@ use bdrst_core::wire::{checksum, Codec, Reader, WireError, SEMANTICS_VERSION};
 use bdrst_lang::{Observation, Program, ThreadState};
 
 /// Bumped whenever the on-disk entry layout changes (3: trace trees
-/// store each transition label once).
-pub const ENTRY_FORMAT_VERSION: u32 = 3;
+/// store each transition label once; 4: trace graphs store one row per
+/// distinct machine, in post-order).
+pub const ENTRY_FORMAT_VERSION: u32 = 4;
 
 const MAGIC: &[u8; 4] = b"BDRS";
 
@@ -105,7 +106,7 @@ pub struct CacheEntry {
     /// Global-DRF verdict (Theorem 14 hypothesis: all SC traces race
     /// free), computed on first demand and memoized.
     pub global_racefree: OnceLock<bool>,
-    /// The recorded trace tree ([`bdrst_core::engine::TraceGraph`]),
+    /// The recorded trace graph ([`bdrst_core::engine::TraceGraph`]),
     /// recorded on the first trace-dependent query (`check-localdrf`,
     /// `check-races`) and memoized — warm queries replay it without
     /// running the transition semantics.

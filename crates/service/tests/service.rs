@@ -160,20 +160,21 @@ fn poisoned_disk_entries_recompute_instead_of_trusting() {
         assert!(s.stats().disk_errors > 0, "{:?}", s.stats());
         let _ = std::fs::remove_dir_all(&dir);
     }
-    // Format bump: entries whose header names the previous entry format
-    // (the trace-tree layout before each label was stored once) are
-    // found where this build looks. They must be a miss that recomputes
-    // everything, the trace tree included — never an error or a verdict
-    // read from the old bytes.
-    {
-        let dir = temp_dir("format");
+    // Format bump: entries whose header names any earlier entry format —
+    // 3 among them, the trace tree with a row per node before rows were
+    // shared between paths to one machine — are found where this build
+    // looks. They must be a miss that recomputes everything, the trace
+    // graph included — never an error or a verdict read from the old
+    // bytes.
+    for old_format in 1..ENTRY_FORMAT_VERSION {
+        let dir = temp_dir(&format!("format{old_format}"));
         let (baseline, racy) = {
             let s = disk_service(&dir);
             let checked = s.check_source(src).unwrap();
             let racy = s.check_races(&checked).unwrap().racy();
             assert!(
                 checked.entry.trace.get().is_some(),
-                "no trace tree persisted"
+                "no trace graph persisted"
             );
             (checked.entry.op.clone(), racy)
         };
@@ -182,21 +183,21 @@ fn poisoned_disk_entries_recompute_instead_of_trusting() {
             // Magic, then the little-endian format version.
             assert_eq!(&bytes[..4], b"BDRS");
             assert_eq!(bytes[4..8], ENTRY_FORMAT_VERSION.to_le_bytes());
-            bytes[4..8].copy_from_slice(&(ENTRY_FORMAT_VERSION - 1).to_le_bytes());
+            bytes[4..8].copy_from_slice(&old_format.to_le_bytes());
             std::fs::write(f.path(), bytes).unwrap();
         }
         let s = disk_service(&dir);
         let checked = s.check_source(src).unwrap();
-        assert!(!checked.cached, "served an entry of the previous format");
+        assert!(!checked.cached, "served an entry of format {old_format}");
         assert_eq!(checked.entry.op, baseline);
         assert!(
             checked.entry.trace.get().is_none(),
-            "loaded an old trace tree"
+            "loaded a format-{old_format} trace graph"
         );
         assert_eq!(s.check_races(&checked).unwrap().racy(), racy);
         assert!(
             checked.entry.trace.get().is_some(),
-            "the tree was not re-recorded"
+            "the trace graph was not re-recorded"
         );
         assert!(s.stats().disk_errors > 0, "{:?}", s.stats());
         let _ = std::fs::remove_dir_all(&dir);
