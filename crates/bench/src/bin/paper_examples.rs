@@ -22,7 +22,7 @@ fn main() {
             Ok(DrfStatus::RaceFree) => println!("program is data-race-free (Thm 14 applies)"),
             Ok(DrfStatus::Racy(w)) => println!(
                 "program has an SC race (transitions {} and {}) — local DRF still bounds it",
-                w.pair.0, w.pair.1
+                w.first, w.second
             ),
             Err(e) => println!("global DRF check: {e}"),
         }

@@ -32,9 +32,9 @@
 //! least one write as dependent. Commuting transitions that are
 //! independent in this sense permutes a trace without changing any label
 //! (weak flags included), its happens-before relation, or its data races,
-//! so *label-predicate* checkers — the SC/race/local-DRF family in
-//! [`crate::localdrf`] and the race detector — keep their verdicts under
-//! this mode. The `*_reduced` checker variants use it.
+//! so *label-predicate* checkers — the race detector of [`crate::hb`]
+//! and the checkers in [`crate::localdrf`] — keep their verdicts under
+//! this mode. [`crate::localdrf::sc_race_freedom_reduced`] uses it.
 //!
 //! [`Dependence::Observational`] additionally treats a nonatomic read and
 //! a nonatomic write to the same location as independent when the read
@@ -290,8 +290,8 @@ impl DporEngine {
         }
     }
 
-    /// An engine with an explicit [`Dependence`] mode (the `*_reduced`
-    /// checkers use [`Dependence::Conservative`]).
+    /// An engine with an explicit [`Dependence`] mode (the reduced SC
+    /// race scan uses [`Dependence::Conservative`]).
     pub fn with_dependence(config: EngineConfig, dependence: Dependence) -> DporEngine {
         DporEngine { config, dependence }
     }

@@ -240,9 +240,9 @@ pub struct ReplayStep<'g> {
 }
 
 /// A trace visitor over a recorded [`TraceGraph`]: the label-level
-/// counterpart of [`crate::engine::TraceVisitor`]. Every checker in
-/// [`crate::localdrf`] consumes only labels, so it implements both traits
-/// over shared logic.
+/// counterpart of [`crate::engine::TraceVisitor`]. The race detector
+/// ([`crate::hb::RaceDetector`]) and the local-DRF checker consume only
+/// labels, so each implements both traits over shared logic.
 pub trait ReplayVisitor {
     /// Whether this label may extend the current trace (mirrors
     /// [`crate::engine::TraceVisitor::step_filter`]).

@@ -11,7 +11,9 @@
 //! live in [`memop`]; machines and traces in [`machine`] and [`trace`];
 //! and the paper's headline guarantees — the local DRF theorem
 //! (Theorem 13) and the derived global DRF theorem (Theorem 14) — as
-//! executable checkers in [`localdrf`].
+//! executable checkers in [`localdrf`]. Every race check, those checkers
+//! and the race detector alike, runs on the one incremental
+//! happens-before of [`hb`].
 //!
 //! Everything above is *checked by exhaustive exploration*, and that
 //! exploration is provided by the pluggable [`engine`] layer: an iterative
@@ -54,6 +56,7 @@
 pub mod engine;
 pub mod explore;
 pub mod frontier;
+pub mod hb;
 pub mod history;
 pub mod loc;
 pub mod localdrf;

@@ -18,38 +18,30 @@
 //! semantics (e.g. non-synchronising atomics) are caught.
 //!
 //! Each checker drives the [`crate::engine::TraceEngine`] through its own
-//! [`TraceVisitor`] implementation — no intermediate closure plumbing —
-//! so the engine's budget and error surface ([`EngineError`]) apply
-//! uniformly.
+//! [`TraceVisitor`] implementation, so the engine's budget and error
+//! surface ([`EngineError`]) apply uniformly. Every race question is
+//! answered by the incremental happens-before of [`crate::hb`]: the
+//! visitors push each step onto an [`HbState`] and query the enabled (or
+//! just-taken) label, and [`sc_race_freedom`] is the race detector
+//! stopped at its first witness.
 //!
-//! The core checkers additionally have `*_reduced` variants that walk a
-//! partial-order-reduced trace tree ([`DporEngine`] under
-//! [`Dependence::Conservative`]) instead of the full enumeration.
-//! Conservative commutations preserve transition labels, happens-before,
-//! data races and weak flags, so trace-existence verdicts ("some SC trace
-//! races", "some trace has a weak transition") are invariant across each
-//! explored equivalence class and the reduced walk classifies programs
-//! exactly as the full one — in a fraction of the traces. The
-//! differential suites assert the agreement corpus-wide and on generated
-//! programs.
-//!
-//! Finally, every checker has a `*_replayed` variant over a recorded
-//! [`TraceGraph`] ([`TraceEngine::record`]): the verdict logic of each
-//! visitor consumes only transition *labels* (and the labels enabled at
-//! reached states), so it implements [`ReplayVisitor`] alongside
-//! [`TraceVisitor`] and re-checks against the cached tree without running
-//! the transition semantics at all. Record the tree once, then check
-//! L-stability for many `L` sets, SC-race-freedom, and the weak-trace
-//! scan against the same recording — [`check_global_drf_cached`] does
-//! exactly that for Theorem 14's two scans.
+//! Two lanes have production callers beyond the live walk:
+//! [`sc_race_freedom_reduced`] walks the partial-order-reduced trace tree
+//! ([`DporEngine`] under [`Dependence::Conservative`]), whose
+//! commutations preserve labels, happens-before and data races, so it
+//! classifies programs exactly as the full walk does; and
+//! [`check_local_drf_replayed`] re-checks Theorem 13 over a recorded
+//! [`TraceGraph`] ([`TraceEngine::record`]) without running the
+//! transition semantics.
 
 use crate::engine::{
-    Control, Dependence, DporEngine, DporStats, EngineConfig, EngineError, ExploreStats,
-    ReplayStep, ReplayVisitor, TraceEngine, TraceGraph, TraceVisitor,
+    Control, Dependence, DporEngine, EngineConfig, EngineError, ExploreStats, ReplayStep,
+    ReplayVisitor, TraceEngine, TraceGraph, TraceVisitor,
 };
+use crate::hb::{AccessTable, DetectorConfig, HbState, RaceDetector, RaceWitness};
 use crate::loc::LocSet;
 use crate::machine::{Expr, Machine, Transition, TransitionLabel};
-use crate::trace::{conflicting, is_l_sequential, LocPredicate, TraceLabels};
+use crate::trace::{is_l_sequential, LocPredicate, TraceLabels};
 
 /// A counterexample to Theorem 13 found by [`check_local_drf`]: an
 /// L-sequential suffix after which a non-L-sequential transition is enabled
@@ -103,43 +95,18 @@ impl<V> From<EngineError> for CheckError<V> {
     }
 }
 
-/// If the transition just appended to `all` (at index `n`) races with one
-/// of the first `limit` transitions, returns the index of that partner.
-fn races_with_prefix(locs: &LocSet, all: &TraceLabels, limit: usize) -> Option<usize> {
-    let n = all.len() - 1;
-    let hb = all.happens_before(locs);
-    let last = all.labels()[n];
-    all.labels()[..limit]
-        .iter()
-        .enumerate()
-        .find(|(i, ti)| conflicting(ti, &last, locs) && !hb.contains(*i, n))
-        .map(|(i, _)| i)
-}
-
 /// Visitor for Definition 12: explores L-sequential suffixes and reports a
 /// race between any suffix transition and any prefix transition. The
-/// verdict consumes labels only, so the visitor drives live walks
-/// ([`TraceVisitor`]) and graph replays ([`ReplayVisitor`]) alike.
+/// prefix is pushed once; its access table is snapshotted at the boundary
+/// and every suffix step is queried against that snapshot.
 struct LStabilityVisitor<'a> {
-    locs: &'a LocSet,
-    prefix: &'a [TransitionLabel],
+    hb: HbState<'a>,
+    /// The prefix length.
+    base: usize,
+    /// The prefix's accesses, as they stood at the prefix boundary.
+    prefix: AccessTable,
     l_set: &'a LocPredicate,
     stable: bool,
-}
-
-impl LStabilityVisitor<'_> {
-    fn check(&mut self, suffix: &TraceLabels) -> Control {
-        // Race between some prefix Ti and the transition just taken?
-        let mut all = TraceLabels::from_labels(self.prefix.to_vec());
-        for l in suffix.labels() {
-            all.push(*l);
-        }
-        if races_with_prefix(self.locs, &all, self.prefix.len()).is_some() {
-            self.stable = false;
-            return Control::Stop;
-        }
-        Control::Continue
-    }
 }
 
 impl<E: Expr> TraceVisitor<E> for LStabilityVisitor<'_> {
@@ -147,18 +114,14 @@ impl<E: Expr> TraceVisitor<E> for LStabilityVisitor<'_> {
         is_l_sequential(&t.label, self.l_set)
     }
 
-    fn visit(&mut self, suffix: &TraceLabels, _t: &Transition<E>) -> Control {
-        self.check(suffix)
-    }
-}
-
-impl ReplayVisitor for LStabilityVisitor<'_> {
-    fn step_filter(&mut self, label: &TransitionLabel) -> bool {
-        is_l_sequential(label, self.l_set)
-    }
-
-    fn visit(&mut self, suffix: &TraceLabels, _step: ReplayStep<'_>) -> Control {
-        self.check(suffix)
+    fn visit(&mut self, suffix: &TraceLabels, t: &Transition<E>) -> Control {
+        self.hb.truncate(self.base + suffix.len() - 1);
+        if self.hb.race_in(&self.prefix, &t.label).is_some() {
+            self.stable = false;
+            return Control::Stop;
+        }
+        self.hb.push(&t.label);
+        Control::Continue
     }
 }
 
@@ -181,38 +144,18 @@ pub fn is_l_stable_for_prefix<E: Expr>(
     l_set: &LocPredicate,
     config: EngineConfig,
 ) -> Result<bool, EngineError> {
+    let mut hb = HbState::new(locs);
+    for l in prefix {
+        hb.push(l);
+    }
     let mut v = LStabilityVisitor {
-        locs,
-        prefix,
+        base: prefix.len(),
+        prefix: hb.accesses().clone(),
+        hb,
         l_set,
         stable: true,
     };
     TraceEngine::new(config).explore(locs, prefix_machine, &mut v)?;
-    Ok(v.stable)
-}
-
-/// [`is_l_stable_for_prefix`] over a recorded [`TraceGraph`] of the
-/// prefix machine: re-checks Definition 12 (for this `prefix` and
-/// `l_set`) without re-running the transition semantics. One recording
-/// serves every `L` set and every prefix reaching the same machine.
-///
-/// # Errors
-///
-/// As [`is_l_stable_for_prefix`] (replay mirrors the live budget).
-pub fn is_l_stable_for_prefix_replayed(
-    locs: &LocSet,
-    prefix: &[TransitionLabel],
-    graph: &TraceGraph,
-    l_set: &LocPredicate,
-    config: EngineConfig,
-) -> Result<bool, EngineError> {
-    let mut v = LStabilityVisitor {
-        locs,
-        prefix,
-        l_set,
-        stable: true,
-    };
-    graph.replay(config, &mut v)?;
     Ok(v.stable)
 }
 
@@ -222,46 +165,52 @@ pub fn is_l_stable_for_prefix_replayed(
 /// the same visitor drives live walks and graph replays.
 struct LocalDrfVisitor<'a> {
     locs: &'a LocSet,
+    /// The suffix taken since the checked state, brought up to date only
+    /// where a race query is needed.
+    hb: HbState<'a>,
+    /// How many of `hb`'s labels still lead the current suffix. A
+    /// depth-first walk keeps all but the last label of the previous
+    /// trace at every visit.
+    synced: usize,
     l_set: &'a LocPredicate,
     violation: Option<LocalDrfViolation>,
 }
 
 impl<'a> LocalDrfVisitor<'a> {
-    /// Checks the theorem's conclusion at one state, reached via `suffix`,
+    fn new(locs: &'a LocSet, l_set: &'a LocPredicate) -> LocalDrfVisitor<'a> {
+        LocalDrfVisitor {
+            locs,
+            hb: HbState::new(locs),
+            synced: 0,
+            l_set,
+            violation: None,
+        }
+    }
+
+    /// Checks the theorem's conclusion at the state reached via `suffix`,
     /// whose enabled transitions carry the labels `enabled`.
     fn check_state(
-        &self,
+        &mut self,
         suffix: &TraceLabels,
         enabled: impl Iterator<Item = TransitionLabel> + Clone,
     ) -> Option<LocalDrfViolation> {
-        let mut non_l_seq = enabled.clone().filter(|l| !is_l_sequential(l, self.l_set));
-        let Some(offending) = non_l_seq.next() else {
-            return None; // first disjunct: all transitions L-sequential
-        };
-        // Second disjunct: find a non-weak transition on L racing with a Ti.
-        let witness_exists = enabled.into_iter().any(|label| {
-            if label.weak {
-                return false;
-            }
-            let Some(action) = label.action else {
-                return false;
-            };
-            if !self.l_set.contains(&action.loc) {
-                return false;
-            }
-            // Race between some suffix Ti and this transition?
-            let mut all = suffix.clone();
-            all.push(label);
-            races_with_prefix(self.locs, &all, all.len() - 1).is_some()
-        });
-        if witness_exists {
-            None
-        } else {
-            Some(LocalDrfViolation {
-                suffix: suffix.labels().to_vec(),
-                offending,
-            })
+        // First disjunct: every enabled transition is L-sequential.
+        let offending = enabled.clone().find(|l| !is_l_sequential(l, self.l_set))?;
+        // Second disjunct: a non-weak transition on L racing with a Ti.
+        self.hb.truncate(self.synced);
+        for l in &suffix.labels()[self.synced..] {
+            self.hb.push(l);
         }
+        self.synced = suffix.len();
+        let mut on_l =
+            enabled.filter(|l| !l.weak && l.action.is_some_and(|a| self.l_set.contains(&a.loc)));
+        if on_l.any(|l| self.hb.race(&l).is_some()) {
+            return None;
+        }
+        Some(LocalDrfViolation {
+            suffix: suffix.labels().to_vec(),
+            offending,
+        })
     }
 
     fn check(
@@ -269,11 +218,20 @@ impl<'a> LocalDrfVisitor<'a> {
         suffix: &TraceLabels,
         enabled: impl Iterator<Item = TransitionLabel> + Clone,
     ) -> Control {
+        self.synced = self.synced.min(suffix.len() - 1);
         if let Some(v) = self.check_state(suffix, enabled) {
             self.violation = Some(v);
             return Control::Stop;
         }
         Control::Continue
+    }
+
+    /// The verdict of a walk that started after the empty-suffix check.
+    fn verdict(self, stats: ExploreStats) -> Result<ExploreStats, CheckError<LocalDrfViolation>> {
+        match self.violation {
+            Some(v) => Err(CheckError::Violation(v)),
+            None => Ok(stats),
+        }
     }
 }
 
@@ -318,29 +276,20 @@ pub fn check_local_drf<E: Expr>(
     l_set: &LocPredicate,
     config: EngineConfig,
 ) -> Result<ExploreStats, CheckError<LocalDrfViolation>> {
-    let mut visitor = LocalDrfVisitor {
-        locs,
-        l_set,
-        violation: None,
-    };
-
+    let mut visitor = LocalDrfVisitor::new(locs, l_set);
     // The empty suffix (state `m` itself) must also satisfy the theorem.
     let enabled: Vec<TransitionLabel> = m.transitions(locs).iter().map(|t| t.label).collect();
     if let Some(v) = visitor.check_state(&TraceLabels::new(), enabled.iter().copied()) {
         return Err(CheckError::Violation(v));
     }
-
     let stats = TraceEngine::new(config).explore(locs, m, &mut visitor)?;
-    match visitor.violation {
-        Some(v) => Err(CheckError::Violation(v)),
-        None => Ok(stats),
-    }
+    visitor.verdict(stats)
 }
 
 /// [`check_local_drf`] over a recorded [`TraceGraph`] of the checked
 /// machine: Theorem 13 is re-verified — for any `l_set` — against the
-/// cached tree, without re-running the transition semantics. The
-/// recorded per-node enabled labels supply both the theorem's "every
+/// cached graph, without re-running the transition semantics. The
+/// recorded per-row enabled labels supply both the theorem's "every
 /// enabled transition is L-sequential" disjunct and its racing-witness
 /// search.
 ///
@@ -353,78 +302,14 @@ pub fn check_local_drf_replayed(
     l_set: &LocPredicate,
     config: EngineConfig,
 ) -> Result<ExploreStats, CheckError<LocalDrfViolation>> {
-    let mut visitor = LocalDrfVisitor {
-        locs,
-        l_set,
-        violation: None,
-    };
+    let mut visitor = LocalDrfVisitor::new(locs, l_set);
     // The empty suffix (the recorded root) must also satisfy the theorem.
     if let Some(v) = visitor.check_state(&TraceLabels::new(), graph.root_enabled().iter().copied())
     {
         return Err(CheckError::Violation(v));
     }
-    let stats = graph
-        .replay(config, &mut visitor)
-        .map_err(CheckError::from)?;
-    match visitor.violation {
-        Some(v) => Err(CheckError::Violation(v)),
-        None => Ok(stats),
-    }
-}
-
-/// [`check_local_drf`] over the partial-order-reduced suffix tree
-/// ([`DporEngine`], [`Dependence::Conservative`]): Theorem 13's
-/// conclusion is checked at every state along the DPOR-representative
-/// L-sequential suffixes instead of all of them.
-///
-/// Any violation reported is real (the checked states are genuinely
-/// reachable). Conversely, the per-state verdict depends only on data
-/// that conservative commutations preserve — suffix labels up to
-/// reordering of independent pairs, their races, and the (identical)
-/// reached machine state — so equivalent suffixes agree on it, and the
-/// reduced sweep covers one representative per class. The differential
-/// suites assert corpus-wide agreement with [`check_local_drf`].
-///
-/// # Errors
-///
-/// As [`check_local_drf`]; statistics come back as [`DporStats`].
-pub fn check_local_drf_reduced<E: Expr>(
-    locs: &LocSet,
-    m: Machine<E>,
-    l_set: &LocPredicate,
-    config: EngineConfig,
-) -> Result<DporStats, CheckError<LocalDrfViolation>> {
-    let mut visitor = LocalDrfVisitor {
-        locs,
-        l_set,
-        violation: None,
-    };
-
-    // The empty suffix (state `m` itself) must also satisfy the theorem.
-    let enabled: Vec<TransitionLabel> = m.transitions(locs).iter().map(|t| t.label).collect();
-    if let Some(v) = visitor.check_state(&TraceLabels::new(), enabled.iter().copied()) {
-        return Err(CheckError::Violation(v));
-    }
-
-    let stats = DporEngine::with_dependence(config, Dependence::Conservative).explore(
-        locs,
-        m,
-        &mut visitor,
-    )?;
-    match visitor.violation {
-        Some(v) => Err(CheckError::Violation(v)),
-        None => Ok(stats),
-    }
-}
-
-/// A witness that a program is not data-race-free: a sequentially
-/// consistent trace containing a data race.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct RaceWitness {
-    /// The racy sequentially consistent trace.
-    pub trace: Vec<TransitionLabel>,
-    /// Indices of the racing pair within `trace`.
-    pub pair: (usize, usize),
+    let stats = graph.replay(config, &mut visitor)?;
+    visitor.verdict(stats)
 }
 
 /// Classification of a program by [`sc_race_freedom`].
@@ -432,55 +317,35 @@ pub struct RaceWitness {
 pub enum DrfStatus {
     /// Every sequentially consistent trace is race-free.
     RaceFree,
-    /// Some sequentially consistent trace has a race.
+    /// Some sequentially consistent trace has a race: the race detector's
+    /// first witness.
     Racy(RaceWitness),
 }
 
-/// Visitor enumerating SC traces and reporting the first race.
-struct ScRaceVisitor<'a> {
-    locs: &'a LocSet,
-    status: DrfStatus,
-}
+/// The detector run behind [`sc_race_freedom`]: sequentially consistent
+/// traces only, stopping at the first race.
+const FIRST_SC_RACE: DetectorConfig = DetectorConfig {
+    sc_only: true,
+    max_witnesses: 1,
+};
 
-impl ScRaceVisitor<'_> {
-    fn check(&mut self, trace: &TraceLabels) -> Control {
-        // Only the freshly appended transition needs checking: earlier
-        // pairs were checked on earlier prefixes.
-        let n = trace.len() - 1;
-        if let Some(i) = races_with_prefix(self.locs, trace, n) {
-            self.status = DrfStatus::Racy(RaceWitness {
-                trace: trace.labels().to_vec(),
-                pair: (i, n),
-            });
-            return Control::Stop;
+impl DrfStatus {
+    fn of(detector: RaceDetector<'_>) -> DrfStatus {
+        match detector
+            .into_report(ExploreStats::default())
+            .witnesses
+            .pop()
+        {
+            Some(w) => DrfStatus::Racy(w),
+            None => DrfStatus::RaceFree,
         }
-        Control::Continue
-    }
-}
-
-impl<E: Expr> TraceVisitor<E> for ScRaceVisitor<'_> {
-    fn step_filter(&mut self, t: &Transition<E>) -> bool {
-        !t.label.weak
-    }
-
-    fn visit(&mut self, trace: &TraceLabels, _t: &Transition<E>) -> Control {
-        self.check(trace)
-    }
-}
-
-impl ReplayVisitor for ScRaceVisitor<'_> {
-    fn step_filter(&mut self, label: &TransitionLabel) -> bool {
-        !label.weak
-    }
-
-    fn visit(&mut self, trace: &TraceLabels, _step: ReplayStep<'_>) -> Control {
-        self.check(trace)
     }
 }
 
 /// Determines whether the program starting at `m0` is data-race-free in the
 /// sense of Theorem 14's hypothesis: all sequentially consistent traces
-/// contain no data races.
+/// contain no data races. Runs the race detector over the SC traces and
+/// stops at its first witness.
 ///
 /// # Errors
 ///
@@ -490,12 +355,9 @@ pub fn sc_race_freedom<E: Expr>(
     m0: Machine<E>,
     config: EngineConfig,
 ) -> Result<DrfStatus, EngineError> {
-    let mut v = ScRaceVisitor {
-        locs,
-        status: DrfStatus::RaceFree,
-    };
-    TraceEngine::new(config).explore(locs, m0, &mut v)?;
-    Ok(v.status)
+    let mut d = RaceDetector::new(locs, FIRST_SC_RACE);
+    TraceEngine::new(config).explore(locs, m0, &mut d)?;
+    Ok(DrfStatus::of(d))
 }
 
 /// [`sc_race_freedom`] over the partial-order-reduced SC trace tree
@@ -516,34 +378,9 @@ pub fn sc_race_freedom_reduced<E: Expr>(
     m0: Machine<E>,
     config: EngineConfig,
 ) -> Result<DrfStatus, EngineError> {
-    let mut v = ScRaceVisitor {
-        locs,
-        status: DrfStatus::RaceFree,
-    };
-    DporEngine::with_dependence(config, Dependence::Conservative).explore(locs, m0, &mut v)?;
-    Ok(v.status)
-}
-
-/// [`sc_race_freedom`] over a recorded [`TraceGraph`]: classifies the
-/// program from the cached tree, without re-running the transition
-/// semantics. Verdicts — including the witness — are identical to the
-/// sequential checker's, because the replay walks extensions in the same
-/// depth-first order under the same SC filter.
-///
-/// # Errors
-///
-/// As [`sc_race_freedom`] (replay mirrors the live budget).
-pub fn sc_race_freedom_replayed(
-    locs: &LocSet,
-    graph: &TraceGraph,
-    config: EngineConfig,
-) -> Result<DrfStatus, EngineError> {
-    let mut v = ScRaceVisitor {
-        locs,
-        status: DrfStatus::RaceFree,
-    };
-    graph.replay(config, &mut v)?;
-    Ok(v.status)
+    let mut d = RaceDetector::new(locs, FIRST_SC_RACE);
+    DporEngine::with_dependence(config, Dependence::Conservative).explore(locs, m0, &mut d)?;
+    Ok(DrfStatus::of(d))
 }
 
 /// Visitor that stops at the first trace containing a weak transition.
@@ -551,26 +388,13 @@ struct WeakTraceVisitor {
     witness: Option<TransitionLabel>,
 }
 
-impl WeakTraceVisitor {
-    fn check(&mut self, trace: &TraceLabels) -> Control {
-        let last = *trace.labels().last().expect("non-empty");
-        if last.weak {
-            self.witness = Some(last);
+impl<E: Expr> TraceVisitor<E> for WeakTraceVisitor {
+    fn visit(&mut self, _trace: &TraceLabels, t: &Transition<E>) -> Control {
+        if t.label.weak {
+            self.witness = Some(t.label);
             return Control::Stop;
         }
         Control::Continue
-    }
-}
-
-impl<E: Expr> TraceVisitor<E> for WeakTraceVisitor {
-    fn visit(&mut self, trace: &TraceLabels, _t: &Transition<E>) -> Control {
-        self.check(trace)
-    }
-}
-
-impl ReplayVisitor for WeakTraceVisitor {
-    fn visit(&mut self, trace: &TraceLabels, _step: ReplayStep<'_>) -> Control {
-        self.check(trace)
     }
 }
 
@@ -589,45 +413,6 @@ pub fn all_traces_sequentially_consistent<E: Expr>(
 ) -> Result<bool, EngineError> {
     let mut v = WeakTraceVisitor { witness: None };
     TraceEngine::new(config).explore(locs, m0, &mut v)?;
-    Ok(v.witness.is_none())
-}
-
-/// [`all_traces_sequentially_consistent`] over the partial-order-reduced
-/// trace tree ([`DporEngine`], [`Dependence::Conservative`]): scans one
-/// representative per equivalence class for a weak transition.
-///
-/// Weak flags are part of the transition labels, which conservative
-/// commutations preserve — a weak transition in any trace is a weak
-/// transition in its explored representative — so the verdict matches
-/// the full scan's.
-///
-/// # Errors
-///
-/// As [`all_traces_sequentially_consistent`].
-pub fn all_traces_sequentially_consistent_reduced<E: Expr>(
-    locs: &LocSet,
-    m0: Machine<E>,
-    config: EngineConfig,
-) -> Result<bool, EngineError> {
-    let mut v = WeakTraceVisitor { witness: None };
-    DporEngine::with_dependence(config, Dependence::Conservative).explore(locs, m0, &mut v)?;
-    Ok(v.witness.is_none())
-}
-
-/// [`all_traces_sequentially_consistent`] over a recorded [`TraceGraph`]:
-/// scans the cached tree for a weak transition without re-running the
-/// semantics.
-///
-/// # Errors
-///
-/// As [`all_traces_sequentially_consistent`] (replay mirrors the live
-/// budget).
-pub fn all_traces_sequentially_consistent_replayed(
-    graph: &TraceGraph,
-    config: EngineConfig,
-) -> Result<bool, EngineError> {
-    let mut v = WeakTraceVisitor { witness: None };
-    graph.replay(config, &mut v)?;
     Ok(v.witness.is_none())
 }
 
@@ -656,74 +441,7 @@ pub fn check_global_drf<E: Expr>(
     let status = sc_race_freedom(locs, m0.clone(), config)?;
     if let DrfStatus::RaceFree = status {
         let mut v = WeakTraceVisitor { witness: None };
-        TraceEngine::new(config)
-            .explore(locs, m0, &mut v)
-            .map_err(CheckError::from)?;
-        if let Some(weak_transition) = v.witness {
-            return Err(CheckError::Violation(GlobalDrfViolation {
-                weak_transition,
-            }));
-        }
-    }
-    Ok(status)
-}
-
-/// [`check_global_drf`] with both trace enumerations partial-order
-/// reduced ([`sc_race_freedom_reduced`] for the SC race scan,
-/// [`all_traces_sequentially_consistent_reduced`] for the weak-transition
-/// scan). Both scans check trace-existence properties that conservative
-/// commutations preserve, so the Theorem 14 verdict matches
-/// [`check_global_drf`]'s while exploring a fraction of the traces.
-///
-/// # Errors
-///
-/// As [`check_global_drf`].
-pub fn check_global_drf_reduced<E: Expr>(
-    locs: &LocSet,
-    m0: Machine<E>,
-    config: EngineConfig,
-) -> Result<DrfStatus, CheckError<GlobalDrfViolation>> {
-    let status = sc_race_freedom_reduced(locs, m0.clone(), config)?;
-    if let DrfStatus::RaceFree = status {
-        let mut v = WeakTraceVisitor { witness: None };
-        DporEngine::with_dependence(config, Dependence::Conservative)
-            .explore(locs, m0, &mut v)
-            .map_err(CheckError::from)?;
-        if let Some(weak_transition) = v.witness {
-            return Err(CheckError::Violation(GlobalDrfViolation {
-                weak_transition,
-            }));
-        }
-    }
-    Ok(status)
-}
-
-/// [`check_global_drf`] over one recorded trace graph. Theorem 14 needs
-/// two trace enumerations (the SC race scan and the weak-transition
-/// scan), which the plain checker runs as two live walks. This variant
-/// records the trace tree once ([`TraceEngine::record`], which runs the
-/// transition semantics once per distinct machine) and replays both
-/// scans against it, so neither scan re-runs the semantics.
-///
-/// # Errors
-///
-/// As [`check_global_drf`], with one caveat: the *recording* counts the
-/// full (unfiltered) tree against the budget, so a budget that fits the SC-filtered scan
-/// but not the whole tree fails here where the plain checker would
-/// succeed. With the default budgets the verdicts coincide on every
-/// corpus and generated program (the differential suite checks).
-pub fn check_global_drf_cached<E: Expr>(
-    locs: &LocSet,
-    m0: Machine<E>,
-    config: EngineConfig,
-) -> Result<DrfStatus, CheckError<GlobalDrfViolation>> {
-    let (graph, _) = TraceEngine::new(config)
-        .record(locs, m0)
-        .map_err(CheckError::from)?;
-    let status = sc_race_freedom_replayed(locs, &graph, config)?;
-    if let DrfStatus::RaceFree = status {
-        let mut v = WeakTraceVisitor { witness: None };
-        graph.replay(config, &mut v).map_err(CheckError::from)?;
+        TraceEngine::new(config).explore(locs, m0, &mut v)?;
         if let Some(weak_transition) = v.witness {
             return Err(CheckError::Violation(GlobalDrfViolation {
                 weak_transition,
@@ -776,7 +494,8 @@ mod tests {
         let m0 = Machine::initial(&locs, [p0, p1]);
         match sc_race_freedom(&locs, m0, cfg()).unwrap() {
             DrfStatus::Racy(w) => {
-                assert!(w.pair.0 < w.pair.1);
+                assert!(w.first < w.second);
+                assert!(w.validate(&locs));
             }
             DrfStatus::RaceFree => panic!("expected a race"),
         }
@@ -855,7 +574,7 @@ mod tests {
 
     /// An [`Expr`] wrapper that counts every transition-semantics probe
     /// (`steps()` calls): the instrument behind the no-re-execution
-    /// guarantees of the `*_replayed` checkers.
+    /// guarantee of [`check_local_drf_replayed`].
     #[derive(Clone, PartialEq, Eq, Hash, Debug)]
     struct CountedExpr(RecordedExpr);
 
@@ -898,64 +617,113 @@ mod tests {
         for prog in progs {
             let counted = Machine::initial(&locs, prog.iter().cloned().map(CountedExpr));
             let plain = Machine::initial(&locs, prog);
-
-            // Live verdicts (sequential oracles).
-            let live_sc = sc_race_freedom(&locs, plain.clone(), cfg()).unwrap();
-            let live_all_sc =
-                all_traces_sequentially_consistent(&locs, plain.clone(), cfg()).unwrap();
-            let live_drf = check_local_drf(&locs, plain.clone(), &l, cfg());
-            let live_stable = is_l_stable_for_prefix(&locs, &[], plain.clone(), &l, cfg()).unwrap();
-            let live_global = check_global_drf(&locs, plain, cfg());
+            let live = check_local_drf(&locs, plain, &l, cfg());
 
             // Record once — this is the only place the semantics runs.
             let (graph, _) = TraceEngine::new(cfg()).record(&locs, counted).unwrap();
             let before = STEP_PROBES.load(std::sync::atomic::Ordering::Relaxed);
-
-            let rep_sc = sc_race_freedom_replayed(&locs, &graph, cfg()).unwrap();
-            let rep_all_sc = all_traces_sequentially_consistent_replayed(&graph, cfg()).unwrap();
-            let rep_drf = check_local_drf_replayed(&locs, &graph, &l, cfg());
-            let rep_stable =
-                is_l_stable_for_prefix_replayed(&locs, &[], &graph, &l, cfg()).unwrap();
-
-            // The replays must not have probed the semantics at all.
+            let replayed = check_local_drf_replayed(&locs, &graph, &l, cfg());
             let after = STEP_PROBES.load(std::sync::atomic::Ordering::Relaxed);
             assert_eq!(before, after, "replay invoked the transition semantics");
-
-            assert_eq!(live_sc, rep_sc);
-            assert_eq!(live_all_sc, rep_all_sc);
-            assert_eq!(live_drf.is_ok(), rep_drf.is_ok());
-            assert_eq!(live_stable, rep_stable);
-            // Theorem 14 holds live, so the replayed scans must be
-            // consistent with it: racy, or all traces SC.
-            assert!(live_global.is_ok());
-            assert!(matches!(rep_sc, DrfStatus::Racy(_)) || rep_all_sc);
+            assert_eq!(live, replayed);
         }
     }
 
-    #[test]
-    fn cached_global_drf_matches_live() {
-        let (locs, a, _b, f) = locs_abf();
-        let drf0 = RecordedExpr::new(vec![
-            StepLabel::Write(a, Val(1)),
-            StepLabel::Write(f, Val(1)),
-        ]);
-        let drf1 = RecordedExpr::new(vec![StepLabel::Read(f)]);
-        let racy0 = RecordedExpr::new(vec![StepLabel::Write(a, Val(1)), StepLabel::Read(a)]);
-        let racy1 = RecordedExpr::new(vec![StepLabel::Write(a, Val(2))]);
-        for m0 in [
-            Machine::initial(&locs, [drf0, drf1]),
-            Machine::initial(&locs, [racy0, racy1]),
-        ] {
-            let live = check_global_drf(&locs, m0.clone(), cfg());
-            let cached = check_global_drf_cached(&locs, m0, cfg());
-            match (&live, &cached) {
-                (Ok(a), Ok(b)) => assert_eq!(
-                    matches!(a, DrfStatus::Racy(_)),
-                    matches!(b, DrfStatus::Racy(_))
-                ),
-                other => panic!("verdicts diverge: {other:?}"),
-            }
+    /// A visitor for `L = {a}` that has walked `suffix`, each step with
+    /// only L-sequential transitions enabled.
+    fn visitor_after<'a>(
+        locs: &'a LocSet,
+        l: &'a LocPredicate,
+        suffix: &[TransitionLabel],
+    ) -> (LocalDrfVisitor<'a>, TraceLabels) {
+        let mut v = LocalDrfVisitor::new(locs, l);
+        let mut trace = TraceLabels::new();
+        for s in suffix {
+            trace.push(*s);
+            assert_eq!(v.check(&trace, std::iter::empty()), Control::Continue);
         }
+        (v, trace)
+    }
+
+    fn label(thread: u32, loc: Loc, action: crate::loc::Action, weak: bool) -> TransitionLabel {
+        TransitionLabel {
+            thread: crate::machine::ThreadId(thread),
+            action: Some(crate::loc::LabeledAction { loc, action }),
+            timestamp: None,
+            weak,
+        }
+    }
+
+    /// Theorem 13's conclusion at one state, label by label: a weak read
+    /// of `a` is enabled after P0 wrote `a`, so the state needs an enabled
+    /// non-weak access to `a` that races with the suffix.
+    #[test]
+    fn theorem13_conclusion_needs_a_racing_non_weak_l_access() {
+        use crate::loc::Action::{Read, Write};
+        let (locs, a, b, f) = locs_abf();
+        let l: LocPredicate = [a].into_iter().collect();
+        let p0_writes_a = label(0, a, Write(Val(1)), false);
+        let weak_read_a = label(1, a, Read(Val(0)), true);
+
+        // No racing non-weak L access: the state violates the theorem.
+        let (mut v, suffix) = visitor_after(&locs, &l, &[p0_writes_a]);
+        let no_witness = [
+            weak_read_a,
+            label(1, b, Read(Val(0)), false), // not on L
+            label(0, a, Read(Val(1)), false), // on L, but ordered after the write
+        ];
+        let violation = v
+            .check_state(&suffix, no_witness.iter().copied())
+            .expect("no racing L access is enabled");
+        assert_eq!(violation.offending, weak_read_a);
+        assert_eq!(violation.suffix, vec![p0_writes_a]);
+
+        // A racing non-weak read of `a` by P1 is the theorem's witness.
+        let racing = [weak_read_a, label(1, a, Read(Val(1)), false)];
+        assert_eq!(v.check_state(&suffix, racing.iter().copied()), None);
+
+        // Once P1 has acquired P0's release, its read no longer races.
+        let (mut v, suffix) = visitor_after(
+            &locs,
+            &l,
+            &[
+                p0_writes_a,
+                label(0, f, Write(Val(1)), false),
+                label(1, f, Read(Val(1)), false),
+            ],
+        );
+        assert!(v.check_state(&suffix, racing.iter().copied()).is_some());
+
+        // Every enabled transition L-sequential: nothing to check.
+        let (mut v, suffix) = visitor_after(&locs, &l, &[p0_writes_a]);
+        let l_sequential = [label(1, b, Read(Val(0)), true)]; // weak outside L
+        assert_eq!(v.check_state(&suffix, l_sequential.iter().copied()), None);
+    }
+
+    #[test]
+    fn l_stability_sees_prefix_races_only() {
+        // P0 writes `a`; P1 writes `b`, then `a`, unsynchronised.
+        let (locs, a, b, _) = locs_abf();
+        let p0 = RecordedExpr::new(vec![StepLabel::Write(a, Val(1))]);
+        let p1 = RecordedExpr::new(vec![
+            StepLabel::Write(b, Val(1)),
+            StepLabel::Write(a, Val(2)),
+        ]);
+        let m0 = Machine::initial(&locs, [p0, p1]);
+        let first_of = |thread: usize| {
+            m0.transitions(&locs)
+                .into_iter()
+                .find(|t| t.label.thread.index() == thread)
+                .unwrap()
+        };
+        let on_a: LocPredicate = [a].into_iter().collect();
+        // After P0's write, P1's write of `a` races with the prefix.
+        let t = first_of(0);
+        assert!(!is_l_stable_for_prefix(&locs, &[t.label], t.target, &on_a, cfg()).unwrap());
+        // After P1's write of `b`, the two writes of `a` race only with
+        // each other, inside the suffix: the state is {a}-stable.
+        let t = first_of(1);
+        assert!(is_l_stable_for_prefix(&locs, &[t.label], t.target, &on_a, cfg()).unwrap());
     }
 
     #[test]

@@ -5,28 +5,28 @@
 //! races, and what the paper's space/time bounds look like on a concrete
 //! execution:
 //!
-//! * **[`detect`]** — the streaming [`detect::RaceDetector`]:
-//!   FastTrack-style per-thread vector clocks with epoch compression
-//!   ([`clock`]) over the model's happens-before (Definition 8 — atomic
-//!   writes release, atomic accesses acquire). It rides the existing
-//!   engines both **live** (as a `TraceVisitor` on
+//! * **[`detect`]** — live and replayed detection with
+//!   [`bdrst_core::hb::RaceDetector`], the streaming detector built on
+//!   the core's one incremental happens-before (Definition 8 — atomic
+//!   writes release, atomic accesses acquire, per-thread vector clocks).
+//!   It rides the existing engines both **live** (as a `TraceVisitor` on
 //!   [`bdrst_core::engine::TraceEngine`]) and **offline** (as a
 //!   `ReplayVisitor` over a recorded
 //!   [`bdrst_core::engine::TraceGraph`], running zero
-//!   transition-semantics steps).
-//! * **[`witness`]** — every racy pair becomes a structured
-//!   [`witness::RaceWitness`]: the two conflicting accesses, the
-//!   trace-index window between them (the *time* bound) and the set of
-//!   locations touched inside the window (the *space* bound), with an
-//!   O(n²) reference validator.
+//!   transition-semantics steps). Every racy pair becomes a structured
+//!   [`RaceWitness`]: the two conflicting accesses, the trace-index
+//!   window between them (the *time* bound) and the set of locations
+//!   touched inside the window (the *space* bound), with an O(n²)
+//!   reference validator.
 //! * **[`shrink`]** — ddmin-style delta debugging that minimises the
 //!   program and the interleaving while preserving the race
 //!   ([`shrink::shrink_witness`]).
 //!
 //! Detection quantifies over sequentially consistent traces by default,
 //! so "some explored trace races" agrees exactly with
-//! [`bdrst_core::localdrf::sc_race_freedom`] — the differential suites
-//! check this on the whole litmus corpus and on generated programs.
+//! [`bdrst_core::localdrf::sc_race_freedom`] — which is the same detector
+//! stopped at its first witness; the differential suites check this on
+//! the whole litmus corpus and on generated programs.
 //!
 //! ## Example: a store-buffering race and its bounds
 //!
@@ -47,18 +47,14 @@
 //! assert!(w.space_bound().contains(&w.loc));
 //! ```
 
-pub mod clock;
 pub mod detect;
 pub mod shrink;
-pub mod witness;
 
-pub use clock::{Access, VectorClock};
-pub use detect::{
-    detect_races, detect_races_reduced, detect_races_replayed, DetectorConfig, RaceDetector,
-    RaceReport,
+pub use bdrst_core::hb::{
+    Access, DetectorConfig, RaceDetector, RaceReport, RaceWitness, VectorClock,
 };
+pub use detect::{detect_races, detect_races_replayed};
 pub use shrink::{ddmin, run_schedule, shrink_witness, ShrunkRace};
-pub use witness::RaceWitness;
 
 use bdrst_core::engine::{EngineConfig, EngineError};
 use bdrst_lang::Program;
@@ -75,19 +71,4 @@ pub fn detect_races_program(
     config: DetectorConfig,
 ) -> Result<RaceReport, EngineError> {
     detect_races(&program.locs, program.initial_machine(), engine, config)
-}
-
-/// [`detect_races_program`] over the partial-order-reduced trace tree
-/// ([`detect::detect_races_reduced`]): identical `racy()` polarity in a
-/// fraction of the traces.
-///
-/// # Errors
-///
-/// As [`detect_races_reduced`].
-pub fn detect_races_reduced_program(
-    program: &Program,
-    engine: EngineConfig,
-    config: DetectorConfig,
-) -> Result<RaceReport, EngineError> {
-    detect_races_reduced(&program.locs, program.initial_machine(), engine, config)
 }

@@ -22,8 +22,9 @@ use bdrst_core::loc::{Loc, LocSet};
 use bdrst_core::machine::{Expr, Machine, ThreadId, TransitionLabel};
 use bdrst_lang::Program;
 
-use crate::detect::{detect_races, DetectorConfig, RaceDetector};
-use crate::witness::RaceWitness;
+use bdrst_core::hb::{DetectorConfig, RaceDetector, RaceWitness};
+
+use crate::detect::detect_races;
 
 /// Classic ddmin: given `items` for which `test` holds, returns a
 /// 1-minimal subsequence for which it still holds (removing any single

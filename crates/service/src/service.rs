@@ -242,12 +242,13 @@ impl CheckService {
     /// full tree exceeds the trace budget does it fall back to a
     /// filtered live walk.
     ///
+    /// Returns `Ok(true)` when the theorem holds and `Ok(false)` on a
+    /// violation (impossible for the paper's semantics).
+    ///
     /// # Errors
     ///
-    /// `Err(Some(..))` style is avoided: returns `Ok(true)` when the
-    /// theorem holds, `Ok(false)` with a violation (impossible for the
-    /// paper's semantics), or [`RunError`] on unknown locations and
-    /// engine failures.
+    /// [`RunError::Parse`] on an unknown location name, and
+    /// [`RunError::Operational`] on engine failures.
     pub fn local_drf(&self, checked: &Checked, loc_names: &[String]) -> Result<bool, RunError> {
         let program = &checked.program;
         let mut l = LocPredicate::default();

@@ -1,8 +1,9 @@
 //! The partial-order-reduction acceptance gate: on every corpus program
 //! with more than one thread, the DPOR lane must explore *strictly fewer*
 //! complete traces than the full enumeration while reproducing the exact
-//! outcome set, and the reduced checker variants must reproduce the full
-//! checkers' verdicts. Random programs extend the corpus sweep through
+//! outcome set, and the reduced SC race scan (`sc_race_freedom_reduced`,
+//! the race detector over the reduced tree) must reproduce the full
+//! walk's race polarity. Random programs extend the corpus sweep through
 //! the vendored proptest stub.
 
 use proptest::prelude::*;
@@ -17,14 +18,12 @@ use bdrst::core::engine::{
 use bdrst::core::explore::ExploreConfig;
 use bdrst::core::loc::LocKind;
 use bdrst::core::localdrf::{
-    all_traces_sequentially_consistent, all_traces_sequentially_consistent_reduced,
-    check_global_drf, check_global_drf_reduced, check_local_drf, check_local_drf_reduced,
-    sc_race_freedom, sc_race_freedom_reduced, DrfStatus,
+    check_global_drf, check_local_drf, sc_race_freedom, sc_race_freedom_reduced, DrfStatus,
 };
 use bdrst::core::trace::LocPredicate;
 use bdrst::lang::Program;
 use bdrst::litmus::all_tests;
-use bdrst::race::{detect_races_program, detect_races_reduced_program, DetectorConfig};
+use bdrst::race::{detect_races_program, DetectorConfig};
 use std::collections::BTreeSet;
 
 /// Outcome set of `p` through the full DFS engine.
@@ -110,41 +109,29 @@ fn corpus_reduced_checkers_match_full_verdicts() {
             t.name
         );
 
-        // Weak-trace scan: exact boolean agreement.
-        assert_eq!(
-            all_traces_sequentially_consistent(&p.locs, p.initial_machine(), cfg).unwrap(),
-            all_traces_sequentially_consistent_reduced(&p.locs, p.initial_machine(), cfg).unwrap(),
-            "all-traces-SC verdict diverges on {}",
-            t.name
-        );
-
-        // Theorem 14: both succeed (it holds for the paper semantics)
-        // with the same classification.
+        // Theorem 14 holds (for the paper semantics) with the same
+        // classification as the reduced scan.
         let full_g = check_global_drf(&p.locs, p.initial_machine(), cfg).unwrap();
-        let reduced_g = check_global_drf_reduced(&p.locs, p.initial_machine(), cfg).unwrap();
         assert_eq!(
             matches!(full_g, DrfStatus::Racy(_)),
-            matches!(reduced_g, DrfStatus::Racy(_)),
+            matches!(reduced, DrfStatus::Racy(_)),
             "global DRF classification diverges on {}",
             t.name
         );
 
-        // Theorem 13 from the initial state, L = all nonatomics: holds
-        // under both walks.
+        // Theorem 13 from the initial state, L = all nonatomics.
         let l = all_nonatomics(&p);
         assert!(
             check_local_drf(&p.locs, p.initial_machine(), &l, cfg).is_ok(),
-            "full local DRF fails on {}",
-            t.name
-        );
-        assert!(
-            check_local_drf_reduced(&p.locs, p.initial_machine(), &l, cfg).is_ok(),
-            "reduced local DRF fails on {}",
+            "local DRF fails on {}",
             t.name
         );
     }
 }
 
+/// The reduced race scan is the race detector over the reduced tree: its
+/// polarity must match full-tree detection, and its witness must be a
+/// real race.
 #[test]
 fn corpus_reduced_race_detection_matches_full_polarity() {
     for t in all_tests() {
@@ -152,23 +139,17 @@ fn corpus_reduced_race_detection_matches_full_polarity() {
         let full = detect_races_program(&p, EngineConfig::default(), DetectorConfig::default())
             .expect("full detection fits budget");
         let reduced =
-            detect_races_reduced_program(&p, EngineConfig::default(), DetectorConfig::default())
+            sc_race_freedom_reduced(&p.locs, p.initial_machine(), EngineConfig::default())
                 .expect("reduced detection fits budget");
-        assert_eq!(
-            full.racy(),
-            reduced.racy(),
-            "race polarity diverges on {}",
-            t.name
-        );
-        // The reduced walk never processes more detector events than the
-        // full one (same filter, strictly smaller tree).
-        assert!(
-            reduced.events <= full.events,
-            "{}: reduced detector saw {} events, full {}",
-            t.name,
-            reduced.events,
-            full.events
-        );
+        match reduced {
+            DrfStatus::Racy(w) => {
+                assert!(full.racy(), "{}: only the reduced scan races", t.name);
+                assert!(w.validate(&p.locs), "{}: invalid witness {w:?}", t.name);
+            }
+            DrfStatus::RaceFree => {
+                assert!(!full.racy(), "{}: only the full scan races", t.name)
+            }
+        }
     }
 }
 
@@ -186,8 +167,8 @@ proptest! {
         );
     }
 
-    /// The reduced checkers reproduce the full checkers' verdicts on
-    /// ≥128 random programs.
+    /// The reduced race scan reproduces the full checker's and the full
+    /// detector's polarity on ≥128 random programs.
     #[test]
     fn reduced_checkers_match_full_on_random_programs(p in small_program()) {
         let cfg = EngineConfig::default();
@@ -198,19 +179,11 @@ proptest! {
             matches!(reduced, DrfStatus::Racy(_)),
             "sc_race_freedom polarity diverges on\n{}", p
         );
-        prop_assert_eq!(
-            all_traces_sequentially_consistent(&p.locs, p.initial_machine(), cfg).unwrap(),
-            all_traces_sequentially_consistent_reduced(&p.locs, p.initial_machine(), cfg)
-                .unwrap(),
-            "all-traces-SC verdict diverges on\n{}", p
-        );
         let full_r =
             detect_races_program(&p, cfg, DetectorConfig::default()).unwrap();
-        let reduced_r =
-            detect_races_reduced_program(&p, cfg, DetectorConfig::default()).unwrap();
         prop_assert_eq!(
             full_r.racy(),
-            reduced_r.racy(),
+            matches!(reduced, DrfStatus::Racy(_)),
             "race polarity diverges on\n{}", p
         );
     }
