@@ -25,14 +25,16 @@
 //!   unfiltered those labels are exactly the ones enabled at it.
 //!   Trace-dependent checkers (data races, happens-before, L-stability,
 //!   Theorem 15 soundness) consume exactly label sequences and
-//!   enabled-label sets, so [`TraceGraph::replay`] — which unfolds the
-//!   DAG back into the tree as it walks — can drive any
-//!   [`ReplayVisitor`], with its own step filter, pruning, stopping and
-//!   budget, and produce verdicts identical to a live
-//!   [`crate::engine::TraceEngine`] walk. Because the recording is
-//!   unfiltered it is a supertree of every filtered walk; replaying a
-//!   filter simply skips the subtrees the live walk would never have
-//!   entered.
+//!   enabled-label sets, so [`TraceGraph::replay`] — which walks the
+//!   DAG as the tree it unfolds to — can drive any [`ReplayVisitor`],
+//!   with its own step filter, pruning, stopping and budget, and produce
+//!   verdicts identical to a live [`crate::engine::TraceEngine`] walk.
+//!   Because the recording is unfiltered it is a supertree of every
+//!   filtered walk; replaying a filter simply skips the subtrees the live
+//!   walk would never have entered. A visitor whose decisions below an
+//!   extension depend only on the reached row and a summary of its path
+//!   opts in to memoization ([`ReplayVisitor::summary`]), and the replay
+//!   then walks each (row, summary) pair once instead of once per path.
 //!
 //! A note on why *state*-graph paths cannot replace the trace graph for
 //! race checking: the state graph merges machines by canonical form,
@@ -44,6 +46,8 @@
 //! it spells a real trace; the state graph serves the state predicates.
 //! Both are budget-bounded by the recording engine's
 //! [`crate::engine::EngineConfig`].
+
+use std::collections::HashMap;
 
 use crate::engine::{CanonState, Control, EngineConfig, EngineError, ExploreStats, StateId};
 use crate::machine::TransitionLabel;
@@ -252,6 +256,27 @@ pub trait ReplayVisitor {
 
     /// Inspects one replayed extension; `trace` ends with `step.label`.
     fn visit(&mut self, trace: &TraceLabels, step: ReplayStep<'_>) -> Control;
+
+    /// Opts in to memoized replay. Called after [`ReplayVisitor::visit`]
+    /// returned [`Control::Continue`] on an extension that reaches a row
+    /// with more than one incoming edge and a subtree large enough to be
+    /// worth a key. A visitor whose filter, visits and verdicts below
+    /// the extension depend only on that row and on a summary of its own
+    /// state appends the summary to `key` and returns `true`. The replay
+    /// then skips the row under any later trace with an equal summary
+    /// (see [`TraceGraph::replay`]).
+    ///
+    /// The summary must be exact, not a hash: a visitor that opts in
+    /// promises that a skipped subtree would have replayed as the first
+    /// one did, found nothing new, and not stopped. The race detector
+    /// and the local-DRF checker opt in with
+    /// [`crate::hb::HbState::summary`]. The default opts out, so the
+    /// replay shows the visitor every extension of the unfolded tree, as
+    /// visitors that count or collect per trace (Theorem 15 soundness)
+    /// need.
+    fn summary(&mut self, _trace: &TraceLabels, _key: &mut Vec<u64>) -> bool {
+        false
+    }
 }
 
 /// The complete trace tree of a program, recorded once (unfiltered,
@@ -279,23 +304,24 @@ pub struct TraceGraph {
     children: Vec<u32>,
     /// The number of trace extensions the DAG unfolds to.
     len: usize,
+    /// Per row: whether a memoized replay keys it (see [`memo_rows`]).
+    memo: Vec<bool>,
 }
 
 impl TraceGraph {
-    /// Assembles the graph from the recorder's post-order rows; `len` is
-    /// the unfolded extension count the recorder kept.
+    /// Assembles the graph from the recorder's post-order rows.
     pub(crate) fn from_rows(
         labels: Vec<TransitionLabel>,
         child_offsets: Vec<u32>,
         children: Vec<u32>,
-        len: usize,
     ) -> TraceGraph {
-        debug_assert_eq!(unfolded_len(&child_offsets, &children), Ok(len));
+        let below = unfolded(&child_offsets, &children).expect("recorded rows are a DAG");
         TraceGraph {
+            len: *below.last().expect("at least one row"),
+            memo: memo_rows(&below, &children),
             labels,
             child_offsets,
             children,
-            len,
         }
     }
 
@@ -362,28 +388,41 @@ impl TraceGraph {
         {
             return Err(WireError::Invalid("trace CSR offsets"));
         }
-        let len = unfolded_len(&child_offsets, &children)?;
+        let below = unfolded(&child_offsets, &children)?;
         Ok(TraceGraph {
+            len: *below.last().expect("at least one row"),
+            memo: memo_rows(&below, &children),
             labels,
             child_offsets,
             children,
-            len,
         })
     }
 
-    /// Replays the recorded graph under `visitor`, unfolding it into the
-    /// trace tree as it walks and reproducing the exact depth-first
-    /// order, filtering, pruning, stopping, and budget semantics of a live
-    /// [`crate::engine::TraceEngine::explore`] walk — without invoking
-    /// the transition semantics at all. Verdicts are
+    /// Replays the recorded graph under `visitor`, reproducing the exact
+    /// depth-first order, filtering, pruning, stopping, and budget
+    /// semantics of a live [`crate::engine::TraceEngine::explore`] walk —
+    /// without invoking the transition semantics at all. Verdicts are
     /// therefore identical to the live walk's for any visitor whose
     /// decisions depend only on labels (every checker in
     /// [`crate::localdrf`] and the Theorem 15 soundness scan qualify).
     ///
+    /// A visitor that opts out of [`ReplayVisitor::summary`] is shown the
+    /// whole unfolded tree. For one that opts in, the replay keys each
+    /// shared row it enters (one with several incoming edges and a
+    /// subtree worth a key) by (row, summary), and skips a row it has
+    /// already finished under an equal key. This is exact: the DAG is
+    /// acyclic and the walk depth-first, so the first visit finishes
+    /// before an equal one starts, and by the visitor's promise the
+    /// skipped subtree would have replayed as the first did, without a
+    /// stop. A skip charges the first visit's `visited` and
+    /// `transitions` to the statistics and to the budget, so both stay
+    /// those of the unfolded walk.
+    ///
     /// # Errors
     ///
     /// Returns [`EngineError::BudgetExceeded`] after `config.max_traces`
-    /// filter-passing extensions, exactly like the live walk.
+    /// filter-passing extensions of the unfolded tree, exactly like the
+    /// live walk (a skipped subtree the budget does not cover trips it).
     pub fn replay<V: ReplayVisitor>(
         &self,
         config: EngineConfig,
@@ -392,11 +431,29 @@ impl TraceGraph {
         let mut stats = ExploreStats::default();
         let mut budget = config.max_traces;
         let mut trace = TraceLabels::new();
-        // Each frame is the unvisited rest of one row.
-        let mut frames = vec![self.row(self.rows() - 1)];
+        // Finished (row, summary) keys, with the statistics their
+        // subtrees added.
+        let mut done: HashMap<Vec<u64>, ExploreStats> = HashMap::new();
+        let mut key = Vec::new();
+        let mut frames = vec![Frame {
+            rest: self.row(self.rows() - 1),
+            memo: None,
+        }];
         while let Some(frame) = frames.last_mut() {
-            let Some(j) = frame.next() else {
-                frames.pop();
+            let Some(j) = frame.rest.next() else {
+                let frame = frames.pop().expect("a frame to finish");
+                if let Some((key, entry)) = frame.memo {
+                    let added = ExploreStats {
+                        visited: stats.visited - entry.visited,
+                        transitions: stats.transitions - entry.transitions,
+                    };
+                    if done.is_empty() {
+                        // Most keyed rows are keyed once: size the map
+                        // for them up front rather than rehash it.
+                        done.reserve(self.rows());
+                    }
+                    done.insert(key, added);
+                }
                 if !frames.is_empty() {
                     trace.pop();
                 }
@@ -413,7 +470,8 @@ impl TraceGraph {
             budget -= 1;
             stats.visited += 1;
             trace.push(label);
-            let row = self.row(self.children[j] as usize);
+            let child = self.children[j] as usize;
+            let row = self.row(child);
             let enabled = &self.labels[row.clone()];
             let step = ReplayStep {
                 label,
@@ -425,22 +483,77 @@ impl TraceGraph {
                 Control::Prune => {
                     trace.pop();
                 }
-                Control::Continue => frames.push(row),
+                Control::Continue => {
+                    let memoized = self.memo[child] && {
+                        key.clear();
+                        key.push(child as u64);
+                        visitor.summary(&trace, &mut key)
+                    };
+                    if !memoized {
+                        frames.push(Frame {
+                            rest: row,
+                            memo: None,
+                        });
+                    } else if let Some(added) = done.get(key.as_slice()) {
+                        if added.visited > budget {
+                            return Err(EngineError::budget(config.max_traces + 1));
+                        }
+                        budget -= added.visited;
+                        stats.visited += added.visited;
+                        stats.transitions += added.transitions;
+                        trace.pop();
+                    } else {
+                        frames.push(Frame {
+                            rest: row,
+                            memo: Some((key.clone(), stats)),
+                        });
+                    }
+                }
             }
         }
         Ok(stats)
     }
 }
 
-/// The number of extensions a post-order CSR DAG over at least one row
-/// unfolds to: each row's count is the sum over its children of one plus
-/// theirs.
+/// One row of a [`TraceGraph::replay`] in progress: the rest of its
+/// child entries and, for a memoized row, its (row, summary) key and the
+/// statistics at entry.
+struct Frame {
+    rest: std::ops::Range<usize>,
+    memo: Option<(Vec<u64>, ExploreStats)>,
+}
+
+/// Per row: whether a memoized replay keys it. Only a row that more than
+/// one child entry points at can be reached twice within one visit of
+/// its parents, and only one whose subtree unfolds to at least
+/// [`MEMO_MIN_SUBTREE`] extensions saves more than its key costs.
+fn memo_rows(below: &[usize], children: &[u32]) -> Vec<bool> {
+    let mut parents = vec![0u8; below.len()];
+    for &c in children {
+        let n = &mut parents[c as usize];
+        *n = n.saturating_add(1);
+    }
+    parents
+        .iter()
+        .zip(below)
+        .map(|(&n, &b)| n > 1 && b >= MEMO_MIN_SUBTREE)
+        .collect()
+}
+
+/// The smallest subtree, in extensions, worth a memo key. A key costs
+/// about as much as replaying ten extensions; below this size the corpus
+/// replays faster unkeyed, and no benchmark family slows down.
+const MEMO_MIN_SUBTREE: usize = 16;
+
+/// The number of extensions each row of a post-order CSR DAG over at
+/// least one row unfolds to: the sum over its children of one plus
+/// theirs. The last row's count is the whole tree's.
 ///
 /// # Errors
 ///
 /// [`WireError::Invalid`] when a child row does not precede its parent
-/// (the only way to encode a cycle) or the count does not fit a `usize`.
-fn unfolded_len(child_offsets: &[u32], children: &[u32]) -> Result<usize, WireError> {
+/// (the only way to encode a cycle) or a count does not fit a `usize`.
+fn unfolded(child_offsets: &[u32], children: &[u32]) -> Result<Vec<usize>, WireError> {
     let mut below: Vec<usize> = Vec::with_capacity(child_offsets.len() - 1);
     for w in child_offsets.windows(2) {
         let mut n = 0usize;
@@ -455,7 +568,7 @@ fn unfolded_len(child_offsets: &[u32], children: &[u32]) -> Result<usize, WireEr
         }
         below.push(n);
     }
-    Ok(*below.last().expect("at least one row"))
+    Ok(below)
 }
 
 #[cfg(test)]
@@ -786,6 +899,52 @@ mod tests {
                 let stats = g.replay(EngineConfig::default(), &mut Go).unwrap();
                 assert_eq!(stats.visited, g.len(), "replay lost nodes after flip {i}");
             }
+        }
+    }
+
+    /// Counts the extensions it is shown; opts in to memoization with an
+    /// empty summary when `memo` is set (its visits depend on nothing).
+    struct CountVisits {
+        memo: bool,
+        seen: usize,
+    }
+
+    impl ReplayVisitor for CountVisits {
+        fn visit(&mut self, _: &TraceLabels, _: ReplayStep<'_>) -> Control {
+            self.seen += 1;
+            Control::Continue
+        }
+
+        fn summary(&mut self, _: &TraceLabels, _: &mut Vec<u64>) -> bool {
+            self.memo
+        }
+    }
+
+    #[test]
+    fn memoized_replay_skips_shared_rows_and_charges_their_counts() {
+        let (locs, a, b) = locs_ab();
+        let thread = |l| RecordedExpr::new(vec![StepLabel::Write(l, Val(1)), StepLabel::Read(l)]);
+        let m0 = Machine::initial(&locs, [thread(a), thread(b), thread(a)]);
+        let (graph, _) = TraceEngine::new(EngineConfig::default())
+            .record(&locs, m0)
+            .unwrap();
+        let replay = |memo, config| {
+            let mut v = CountVisits { memo, seen: 0 };
+            graph.replay(config, &mut v).map(|stats| (stats, v.seen))
+        };
+        let (unfolded, seen) = replay(false, EngineConfig::default()).unwrap();
+        assert_eq!((unfolded.visited, seen), (graph.len(), graph.len()));
+        let (memoized, seen) = replay(true, EngineConfig::default()).unwrap();
+        assert_eq!(memoized, unfolded);
+        assert!(seen < graph.len(), "{seen} of {} visited", graph.len());
+        // A skipped subtree the budget does not cover trips it.
+        for max_traces in 0..=graph.len() {
+            let tight = EngineConfig {
+                max_states: usize::MAX,
+                max_traces,
+            };
+            let stats = |r: Result<(ExploreStats, usize), EngineError>| r.map(|(s, _)| s);
+            assert_eq!(stats(replay(true, tight)), stats(replay(false, tight)));
         }
     }
 

@@ -359,7 +359,8 @@ impl TraceEngine {
             parent.unfolded += 1 + done.unfolded;
             memo.insert(done.machine, row);
         };
-        let graph = TraceGraph::from_rows(labels, child_offsets, children, root);
+        let graph = TraceGraph::from_rows(labels, child_offsets, children);
+        debug_assert_eq!(graph.len(), root);
         Ok((
             graph,
             ExploreStats {

@@ -25,6 +25,13 @@
 //! Backtracking walks rewind the state through an undo stack
 //! ([`HbState::truncate`]) and re-synchronise on trace length alone.
 //!
+//! [`HbState::summary`] writes out everything later queries depend on:
+//! the clocks, the release clocks, and per location the accesses in
+//! trace order as (thread, kind, epoch), without trace indices. Two
+//! paths to one recorded machine with equal summaries have identical
+//! race verdicts below it, so a [`crate::engine::TraceGraph`] replay
+//! keys its memo by (row, summary) for the visitors built on this state.
+//!
 //! On top of the state sit the streaming [`RaceDetector`] (live, over a
 //! [`crate::engine::TraceGraph`] replay, or over one fixed label
 //! sequence) and its
@@ -66,6 +73,18 @@ impl VectorClock {
         let c = self.entries[t.index()];
         self.entries[t.index()] = c + 1;
         c
+    }
+
+    /// Appends the clock to `out` as its length without trailing zero
+    /// entries, then those entries: equal clocks append equal words.
+    fn summary(&self, out: &mut Vec<u64>) {
+        let len = self
+            .entries
+            .iter()
+            .rposition(|&e| e != 0)
+            .map_or(0, |i| i + 1);
+        out.push(len as u64);
+        out.extend_from_slice(&self.entries[..len]);
     }
 
     /// Undoes one [`VectorClock::tick`] of `t`.
@@ -301,6 +320,56 @@ impl<'a> HbState<'a> {
         }
     }
 
+    /// Appends to `out` a summary that decides every later push and
+    /// query: the thread clocks (without trailing all-zero ones), each
+    /// atomic location's release clock, and each nonatomic location's
+    /// access table row — its accesses as (thread, kind, epoch) and
+    /// their order in the trace, but not their trace indices. Two traces
+    /// with equal summaries answer every query on every common extension
+    /// alike, up to the shift of witness indices, so a replay may skip
+    /// the second (see [`ReplayVisitor::summary`]).
+    ///
+    /// The access order must stay in the summary, not only the epochs:
+    /// [`HbState::detector_partner`] picks the earliest unordered access
+    /// by index, and two reads of a location unordered by happens-before
+    /// can come in either order.
+    pub fn summary(&self, out: &mut Vec<u64>) {
+        let threads = self
+            .clocks
+            .iter()
+            .rposition(|c| c.entries.iter().any(|&e| e != 0))
+            .map_or(0, |i| i + 1);
+        out.push(threads as u64);
+        for clock in &self.clocks[..threads] {
+            clock.summary(out);
+        }
+        for loc in self.locs.iter() {
+            if self.locs.kind(loc) == LocKind::Atomic {
+                self.releases[loc.index()].summary(out);
+                continue;
+            }
+            // Each access as (thread and kind, epoch, rank in the row by
+            // trace index): a row holds at most two accesses per thread,
+            // so ranking by counting beats sorting.
+            let row = self.accesses.row(loc);
+            let count = out.len();
+            out.push(0);
+            for (t, slot) in row.iter().enumerate() {
+                for (write, a) in slot.iter().enumerate() {
+                    let Some(a) = a else { continue };
+                    let rank = row
+                        .iter()
+                        .flatten()
+                        .flatten()
+                        .filter(|b| b.index < a.index)
+                        .count();
+                    out.extend([(t as u64) << 1 | write as u64, a.epoch, rank as u64]);
+                    out[count] += 1;
+                }
+            }
+        }
+    }
+
     /// Definition 10 for `label`, which has not been pushed: the earliest
     /// access of `table` (the current [`HbState::accesses`] or a snapshot
     /// of an earlier prefix) that `label` conflicts with and that does
@@ -498,7 +567,10 @@ impl Default for DetectorConfig {
 pub struct RaceReport {
     /// Distinct witnesses, in discovery (depth-first) order.
     pub witnesses: Vec<RaceWitness>,
-    /// Events the detector processed (its throughput denominator).
+    /// Extensions judged: every extension of the explored trace tree
+    /// (its throughput denominator). The replayed lane sets it to the
+    /// unfolded tree's count, skipped extensions included, so it equals
+    /// the live walk's.
     pub events: u64,
     /// The driving exploration's statistics.
     pub stats: ExploreStats,
@@ -543,7 +615,8 @@ impl<'a> RaceDetector<'a> {
         }
     }
 
-    /// Events processed so far.
+    /// Extensions judged so far: on a memoized replay, the work done,
+    /// not counting the extensions the memo skipped.
     pub fn events(&self) -> u64 {
         self.events
     }
@@ -645,6 +718,16 @@ impl ReplayVisitor for RaceDetector<'_> {
 
     fn visit(&mut self, trace: &TraceLabels, _step: ReplayStep<'_>) -> Control {
         self.observe(trace)
+    }
+
+    /// Below an extension, the detector's prunes and witness keys depend
+    /// only on the row and [`HbState::summary`]. A later equal visit
+    /// finds only keys the first one already inserted, so it adds no
+    /// witness and cannot reach the witness cap.
+    fn summary(&mut self, trace: &TraceLabels, key: &mut Vec<u64>) -> bool {
+        debug_assert_eq!(self.hb.len(), trace.len());
+        self.hb.summary(key);
+        true
     }
 }
 

@@ -32,7 +32,8 @@
 //! classifies programs exactly as the full walk does; and
 //! [`check_local_drf_replayed`] re-checks Theorem 13 over a recorded
 //! [`TraceGraph`] ([`TraceEngine::record`]) without running the
-//! transition semantics.
+//! transition semantics, once per (row, happens-before summary) rather
+//! than once per trace ([`ReplayVisitor::summary`]).
 
 use crate::engine::{
     Control, Dependence, DporEngine, EngineConfig, EngineError, ExploreStats, ReplayStep,
@@ -187,6 +188,15 @@ impl<'a> LocalDrfVisitor<'a> {
         }
     }
 
+    /// Brings `hb` up to the whole of `suffix`.
+    fn sync(&mut self, suffix: &TraceLabels) {
+        self.hb.truncate(self.synced);
+        for l in &suffix.labels()[self.synced..] {
+            self.hb.push(l);
+        }
+        self.synced = suffix.len();
+    }
+
     /// Checks the theorem's conclusion at the state reached via `suffix`,
     /// whose enabled transitions carry the labels `enabled`.
     fn check_state(
@@ -197,11 +207,7 @@ impl<'a> LocalDrfVisitor<'a> {
         // First disjunct: every enabled transition is L-sequential.
         let offending = enabled.clone().find(|l| !is_l_sequential(l, self.l_set))?;
         // Second disjunct: a non-weak transition on L racing with a Ti.
-        self.hb.truncate(self.synced);
-        for l in &suffix.labels()[self.synced..] {
-            self.hb.push(l);
-        }
-        self.synced = suffix.len();
+        self.sync(suffix);
         let mut on_l =
             enabled.filter(|l| !l.weak && l.action.is_some_and(|a| self.l_set.contains(&a.loc)));
         if on_l.any(|l| self.hb.race(&l).is_some()) {
@@ -254,6 +260,15 @@ impl ReplayVisitor for LocalDrfVisitor<'_> {
     fn visit(&mut self, suffix: &TraceLabels, step: ReplayStep<'_>) -> Control {
         self.check(suffix, step.enabled.iter().copied())
     }
+
+    /// The filter and every later check depend only on the row and the
+    /// suffix's [`HbState::summary`], and any violation stops the walk.
+    /// `hb` syncs lazily, so it is brought up to the whole suffix first.
+    fn summary(&mut self, suffix: &TraceLabels, key: &mut Vec<u64>) -> bool {
+        self.sync(suffix);
+        self.hb.summary(key);
+        true
+    }
 }
 
 /// Checks Theorem 13 from the machine state `m`, assumed L-stable.
@@ -291,7 +306,10 @@ pub fn check_local_drf<E: Expr>(
 /// cached graph, without re-running the transition semantics. The
 /// recorded per-row enabled labels supply both the theorem's "every
 /// enabled transition is L-sequential" disjunct and its racing-witness
-/// search.
+/// search. The replay is memoized: every check below a recorded row
+/// depends only on the row and the suffix's [`HbState::summary`], so a
+/// row already checked under an equal summary is skipped, and the
+/// statistics still count the unfolded tree.
 ///
 /// # Errors
 ///
@@ -724,6 +742,334 @@ mod tests {
         // each other, inside the suffix: the state is {a}-stable.
         let t = first_of(1);
         assert!(is_l_stable_for_prefix(&locs, &[t.label], t.target, &on_a, cfg()).unwrap());
+    }
+
+    /// Memo ≡ unmemoized replay for Theorem 13: forwarding the filter and
+    /// the visits but not [`ReplayVisitor::summary`] makes the replay
+    /// walk the whole unfolded tree.
+    struct Unfolded<V>(V);
+
+    impl<V: ReplayVisitor> ReplayVisitor for Unfolded<V> {
+        fn step_filter(&mut self, label: &TransitionLabel) -> bool {
+            self.0.step_filter(label)
+        }
+
+        fn visit(&mut self, trace: &TraceLabels, step: ReplayStep<'_>) -> Control {
+            self.0.visit(trace, step)
+        }
+    }
+
+    /// [`check_local_drf_replayed`] with the visitor wrapped in
+    /// [`Unfolded`].
+    fn local_drf_unfolded(
+        locs: &LocSet,
+        graph: &TraceGraph,
+        l_set: &LocPredicate,
+        config: EngineConfig,
+    ) -> Result<ExploreStats, CheckError<LocalDrfViolation>> {
+        let mut visitor = Unfolded(LocalDrfVisitor::new(locs, l_set));
+        let root = graph.root_enabled().iter().copied();
+        if let Some(v) = visitor.0.check_state(&TraceLabels::new(), root) {
+            return Err(CheckError::Violation(v));
+        }
+        let stats = graph.replay(config, &mut visitor)?;
+        visitor.0.verdict(stats)
+    }
+
+    /// The memoized and the unfolded local-DRF replay agree on `graph`
+    /// for `l_set`; on a tree of at most `sweep` extensions they also
+    /// agree under every trace budget up to the tree's size.
+    fn memo_matches_unfolded(
+        name: &str,
+        locs: &LocSet,
+        graph: &TraceGraph,
+        l_set: &LocPredicate,
+        sweep: usize,
+    ) {
+        let memo = check_local_drf_replayed(locs, graph, l_set, cfg());
+        let unfolded = local_drf_unfolded(locs, graph, l_set, cfg());
+        assert_eq!(memo, unfolded, "{name}: L = {l_set:?}");
+        if graph.len() <= sweep {
+            for max_traces in 0..=graph.len() {
+                let tight = EngineConfig {
+                    max_states: usize::MAX,
+                    max_traces,
+                };
+                assert_eq!(
+                    check_local_drf_replayed(locs, graph, l_set, tight),
+                    local_drf_unfolded(locs, graph, l_set, tight),
+                    "{name}: L = {l_set:?}, max_traces = {max_traces}"
+                );
+            }
+        }
+    }
+
+    /// One thread's code for the memo differential: straight-line
+    /// accesses, and a guard that reads a flag and then, in a silent
+    /// step, ends the thread unless it read the expected value (the
+    /// guarded message-passing hop).
+    #[derive(Clone, PartialEq, Eq, Hash, Debug)]
+    struct Code {
+        ops: Vec<Op>,
+        pc: usize,
+        /// The value the last read returned.
+        last: Val,
+    }
+
+    #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+    enum Op {
+        Read(Loc),
+        Write(Loc, Val),
+        /// Continue only if the last read returned this value.
+        Branch(Val),
+    }
+
+    impl Expr for Code {
+        fn steps(&self) -> crate::machine::Steps {
+            crate::machine::Steps::one(match self.ops.get(self.pc) {
+                None => return crate::machine::Steps::none(),
+                Some(Op::Read(l)) => StepLabel::Read(*l),
+                Some(Op::Write(l, v)) => StepLabel::Write(*l, *v),
+                Some(Op::Branch(_)) => StepLabel::Silent,
+            })
+        }
+
+        fn apply_step(&self, _index: usize, read_value: Val) -> Code {
+            let mut next = self.clone();
+            next.pc += 1;
+            match self.ops[self.pc] {
+                Op::Read(_) => next.last = read_value,
+                Op::Branch(expected) if self.last != expected => next.pc = self.ops.len(),
+                _ => {}
+            }
+            next
+        }
+    }
+
+    /// Checks memo ≡ unfolded for `L` = every nonatomic location and
+    /// each singleton, on the recorded tree of `threads` over `locs`.
+    fn memo_matches_unfolded_on(name: &str, locs: &LocSet, threads: Vec<Vec<Op>>, sweep: usize) {
+        let m0 = Machine::initial(
+            locs,
+            threads.into_iter().map(|ops| Code {
+                ops,
+                pc: 0,
+                last: Val(0),
+            }),
+        );
+        let (graph, _) = TraceEngine::new(cfg()).record(locs, m0).unwrap();
+        let nonatomics: Vec<Loc> = locs.nonatomic().collect();
+        let mut l_sets: Vec<LocPredicate> = vec![nonatomics.iter().copied().collect()];
+        l_sets.extend(nonatomics.iter().map(|&l| LocPredicate::from([l])));
+        for l in &l_sets {
+            memo_matches_unfolded(name, locs, &graph, l, sweep);
+        }
+    }
+
+    /// The benchmark's families, rebuilt at the sizes it replays (each
+    /// unfolds to as many extensions as the benchmark's program): store
+    /// buffering over nonatomics (`sb-N`) and atomics (`sb-at-Nx1`),
+    /// unguarded message passing (`mp-2x2`) and the guarded
+    /// message-passing chain (`mp-chain-N`).
+    fn perfbench_shapes() -> Vec<(String, LocSet, Vec<Vec<Op>>)> {
+        let mut shapes = Vec::new();
+        for (name, n, kind) in [
+            ("sb-4", 4, LocKind::Nonatomic),
+            ("sb-5", 5, LocKind::Nonatomic),
+            ("sb-at-4x1", 4, LocKind::Atomic),
+            ("sb-at-5x1", 5, LocKind::Atomic),
+        ] {
+            let mut locs = LocSet::new();
+            let x: Vec<Loc> = (0..n).map(|i| locs.fresh(format!("x{i}"), kind)).collect();
+            let threads = (0..n)
+                .map(|i| vec![Op::Write(x[i], Val(1 + i as i64)), Op::Read(x[(i + 1) % n])])
+                .collect();
+            shapes.push((name.to_string(), locs, threads));
+        }
+        let mut locs = LocSet::new();
+        let d: Vec<Loc> = (0..2)
+            .map(|j| locs.fresh(format!("d{j}"), LocKind::Nonatomic))
+            .collect();
+        let f = locs.fresh("f", LocKind::Atomic);
+        let mut threads = vec![vec![
+            Op::Write(d[0], Val(1)),
+            Op::Write(d[1], Val(2)),
+            Op::Write(f, Val(1)),
+        ]];
+        threads.extend((0..2).map(|_| vec![Op::Read(f), Op::Read(d[0]), Op::Read(d[1])]));
+        shapes.push(("mp-2x2".to_string(), locs, threads));
+        for n in [4, 5] {
+            let mut locs = LocSet::new();
+            let d: Vec<Loc> = (0..n)
+                .map(|i| locs.fresh(format!("d{i}"), LocKind::Nonatomic))
+                .collect();
+            let f: Vec<Loc> = (0..n - 1)
+                .map(|i| locs.fresh(format!("f{i}"), LocKind::Atomic))
+                .collect();
+            let mut threads = vec![vec![Op::Write(d[0], Val(1)), Op::Write(f[0], Val(1))]];
+            for i in 1..n {
+                let mut hop = vec![Op::Read(f[i - 1]), Op::Branch(Val(1)), Op::Read(d[i - 1])];
+                if i + 1 < n {
+                    hop.extend([Op::Write(d[i], Val(1 + i as i64)), Op::Write(f[i], Val(1))]);
+                }
+                threads.push(hop);
+            }
+            shapes.push((format!("mp-chain-{n}"), locs, threads));
+        }
+        shapes
+    }
+
+    #[test]
+    fn memoized_local_drf_replay_matches_unfolded_on_perfbench_shapes() {
+        for (name, locs, threads) in perfbench_shapes() {
+            memo_matches_unfolded_on(&name, &locs, threads, 0);
+        }
+    }
+
+    #[test]
+    fn memoized_local_drf_replay_matches_unfolded_on_generated_programs() {
+        // xorshift64*: 128 programs of two or three threads with one to
+        // three operations each over nonatomic `a`, `b` and atomic `F`.
+        let mut state = 0x5eed_1dc0_ffee_u64;
+        let mut below = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
+        };
+        let (locs, a, b, f) = locs_abf();
+        let on = [a, b, f];
+        for case in 0..128 {
+            let threads: Vec<Vec<Op>> = (0..2 + below(2))
+                .map(|_| {
+                    (0..1 + below(3))
+                        .map(|_| {
+                            let loc = on[below(3) as usize];
+                            let val = Val(1 + below(2) as i64);
+                            match below(3) {
+                                0 => Op::Read(loc),
+                                1 => Op::Write(loc, val),
+                                _ => Op::Branch(val),
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            memo_matches_unfolded_on(&format!("case {case}: {threads:?}"), &locs, threads, 400);
+        }
+    }
+
+    /// A trace graph from rows in post-order, each given as its child
+    /// entries (label, child row). Rows 0 to 16 come first: a terminal
+    /// row and a chain of 16 writes of `tail` by thread 4 above it, so
+    /// row 16 unfolds to 16 extensions, enough to be worth a memo key.
+    fn dag_over_tail(tail: Loc, rows: &[&[(TransitionLabel, u32)]]) -> TraceGraph {
+        let mut offsets = vec![0u32];
+        let (mut labels, mut children) = (Vec::new(), Vec::new());
+        let chain = (0..16).map(|r| {
+            [(
+                label(4, tail, crate::loc::Action::Write(Val(r + 1)), false),
+                r as u32,
+            )]
+        });
+        let chain: Vec<[(TransitionLabel, u32); 1]> = chain.collect();
+        let all = std::iter::once(&[][..])
+            .chain(chain.iter().map(|r| &r[..]))
+            .chain(rows.iter().copied());
+        for row in all {
+            labels.extend(row.iter().map(|&(l, _)| l));
+            children.extend(row.iter().map(|&(_, c)| c));
+            offsets.push(labels.len() as u32);
+        }
+        TraceGraph::from_rows(labels, offsets, children)
+    }
+
+    /// Crafted graphs around a shared row, two of them with a Theorem 13
+    /// violation. The memoized replay must report the unfolded one's
+    /// verdict under every budget.
+    #[test]
+    fn memoized_replay_matches_unfolded_on_crafted_graphs() {
+        use crate::loc::Action::{Read, Write};
+        let mut locs = LocSet::new();
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|n| locs.fresh(n, LocKind::Nonatomic));
+        let f = locs.fresh("F", LocKind::Atomic);
+        let l: LocPredicate = [a].into_iter().collect();
+        let p0_writes_a = label(0, a, Write(Val(1)), false);
+        let p2_writes_b = label(2, b, Write(Val(1)), false);
+        let p3_writes_c = label(3, c, Write(Val(1)), false);
+        let violation = |graph: &TraceGraph, suffix: Vec<TransitionLabel>| {
+            match check_local_drf_replayed(&locs, graph, &l, cfg()) {
+                Err(CheckError::Violation(v)) => assert_eq!(v.suffix, suffix),
+                other => panic!("expected the violation, got {other:?}"),
+            }
+            memo_matches_unfolded("crafted", &locs, graph, &l, usize::MAX);
+        };
+        // Row 16 is the shared row over the tail of writes to `d`.
+        const SHARED: u32 = 16;
+
+        // The violation comes after a skip: both orders of two
+        // independent writes reach the shared row with equal summaries,
+        // so the second is skipped. The root's last branch then violates
+        // the theorem: P1 may read `a` weakly, and the only enabled
+        // non-weak access to `a` is P0's own read, ordered after its
+        // write.
+        let graph = dag_over_tail(
+            d,
+            &[
+                &[(p3_writes_c, SHARED)],
+                &[(p2_writes_b, SHARED)],
+                &[
+                    (label(1, a, Read(Val(0)), true), 0),
+                    (label(0, a, Read(Val(1)), false), 0),
+                ],
+                &[(p2_writes_b, 17), (p3_writes_c, 18), (p0_writes_a, 19)],
+            ],
+        );
+        violation(&graph, vec![p0_writes_a]);
+
+        // Without the violating branch the skip ends the walk: a budget
+        // one short of the tree must trip on it.
+        let graph = dag_over_tail(
+            d,
+            &[
+                &[(p3_writes_c, SHARED)],
+                &[(p2_writes_b, SHARED)],
+                &[(p2_writes_b, 17), (p3_writes_c, 18)],
+            ],
+        );
+        memo_matches_unfolded("crafted", &locs, &graph, &l, usize::MAX);
+
+        // The violation lies below a shared row reached twice with
+        // different happens-before: after P0's write alone P1's read of
+        // `a` races, but after P0 releases F and P1 acquires it, it does
+        // not. A key without the summary would skip the second visit.
+        let (p0_releases, p1_acquires) = (
+            label(0, f, Write(Val(1)), false),
+            label(1, f, Read(Val(1)), false),
+        );
+        let p3_writes_d = label(3, d, Write(Val(2)), false);
+        let graph = dag_over_tail(
+            c,
+            &[
+                // 17: P1 may read `a`, weakly or not.
+                &[
+                    (label(1, a, Read(Val(0)), true), 0),
+                    (label(1, a, Read(Val(1)), false), 0),
+                ],
+                // 18: the shared row, over the tail and row 17.
+                &[
+                    (label(3, d, Write(Val(1)), false), SHARED),
+                    (p3_writes_d, 17),
+                ],
+                &[(p1_acquires, 18)],
+                &[(p2_writes_b, 18), (p0_releases, 19)],
+                &[(p0_writes_a, 20)],
+            ],
+        );
+        violation(
+            &graph,
+            vec![p0_writes_a, p0_releases, p1_acquires, p3_writes_d],
+        );
     }
 
     #[test]

@@ -14,12 +14,18 @@
 //!   [`bdrst_core::engine::ReplayVisitor`] over a recorded
 //!   [`TraceGraph`]: verdicts consume labels only, so a replayed
 //!   detection runs **zero** transition-semantics steps (the
-//!   probe-counting suites assert this).
+//!   probe-counting suites assert this). The detector opts in to
+//!   memoized replay, so it judges each (row, happens-before summary)
+//!   once rather than once per trace.
 //!
 //! Each entry point puts its own span and event counter on the
 //! observability stack, so race work is attributed to the lane that did
-//! it. The shrinker runs the detector over one fixed label sequence
-//! ([`RaceDetector::run_linear`]).
+//! it. The counters and span arguments count the extensions the detector
+//! actually judged. [`RaceReport::events`] counts the judged extensions
+//! of the unfolded tree, on both lanes, so a live and a replayed report
+//! are equal; on a replay it exceeds the `RaceEventsReplayed` work by
+//! the extensions the memo skipped. The shrinker runs the detector over
+//! one fixed label sequence ([`RaceDetector::run_linear`]).
 
 use bdrst_core::engine::{EngineConfig, EngineError, TraceEngine, TraceGraph};
 use bdrst_core::hb::{DetectorConfig, RaceDetector, RaceReport};
@@ -46,10 +52,10 @@ pub fn detect_races<E: Expr>(
     Ok(d.into_report(stats))
 }
 
-/// Offline detection over a recorded [`TraceGraph`]: identical verdicts
-/// to [`detect_races`] (the replay reproduces the live walk's order,
-/// filter and budget semantics) with **zero** transition-semantics
-/// steps.
+/// Offline detection over a recorded [`TraceGraph`]: identical
+/// witnesses, statistics and `events` to [`detect_races`] (the replay
+/// reproduces the live walk's order, filter and budget semantics) with
+/// **zero** transition-semantics steps.
 ///
 /// # Errors
 ///
@@ -65,5 +71,9 @@ pub fn detect_races_replayed(
     let stats = graph.replay(engine, &mut d)?;
     bdrst_obs::counter_add(bdrst_obs::Counter::RaceEventsReplayed, d.events());
     span.set_arg(d.events());
-    Ok(d.into_report(stats))
+    // Every extension of the unfolded tree is judged, once or through
+    // the memo: the live walk's count.
+    let mut report = d.into_report(stats);
+    report.events = stats.visited as u64;
+    Ok(report)
 }

@@ -4,21 +4,87 @@
 //! with the DRF checkers' verdicts ([`sc_race_freedom`] /
 //! [`check_global_drf`]), and every surfaced witness must survive the
 //! O(n²) reference happens-before check with its space/time bounds
-//! intact.
+//! intact. The memoized replay must also match the unfolded one —
+//! witnesses, events and statistics, under every trace budget on small
+//! programs — there and on the benchmark's program shapes.
 
 use proptest::prelude::*;
 
 mod common;
 use common::small_program;
 
-use bdrst::core::engine::{EngineConfig, TraceEngine};
+use bdrst::core::engine::{
+    Control, EngineConfig, EngineError, ExploreStats, ReplayStep, ReplayVisitor, TraceEngine,
+    TraceGraph,
+};
 use bdrst::core::localdrf::{check_global_drf, sc_race_freedom, DrfStatus};
+use bdrst::core::machine::{ThreadId, TransitionLabel};
+use bdrst::core::trace::TraceLabels;
 use bdrst::lang::Program;
 use bdrst::litmus::all_tests;
-use bdrst::race::{detect_races_program, detect_races_replayed, DetectorConfig};
+use bdrst::race::{
+    detect_races_program, detect_races_replayed, DetectorConfig, RaceDetector, RaceReport,
+    RaceWitness,
+};
 
 fn cfg() -> EngineConfig {
     EngineConfig::default()
+}
+
+/// Forwards the filter and the visits but not
+/// [`ReplayVisitor::summary`], so the replay walks the whole unfolded
+/// tree.
+struct Unfolded<V>(V);
+
+impl<V: ReplayVisitor> ReplayVisitor for Unfolded<V> {
+    fn step_filter(&mut self, label: &TransitionLabel) -> bool {
+        self.0.step_filter(label)
+    }
+
+    fn visit(&mut self, trace: &TraceLabels, step: ReplayStep<'_>) -> Control {
+        self.0.visit(trace, step)
+    }
+}
+
+type Verdict = Result<(Vec<RaceWitness>, u64, ExploreStats), EngineError>;
+
+fn verdict(report: Result<RaceReport, EngineError>) -> Verdict {
+    report.map(|r| (r.witnesses, r.events, r.stats))
+}
+
+/// The memoized replay ([`detect_races_replayed`]) against the detector
+/// over the unfolded tree, for the default detector, one stopping at its
+/// first witness and one scanning weak traces too. On a tree of at most
+/// `sweep` extensions the default detector is also compared under every
+/// trace budget up to the tree's size.
+fn assert_memo_matches_unfolded(name: &str, p: &Program, graph: &TraceGraph, sweep: usize) {
+    let first_race = DetectorConfig {
+        max_witnesses: 1,
+        ..DetectorConfig::default()
+    };
+    let weak_too = DetectorConfig {
+        sc_only: false,
+        ..DetectorConfig::default()
+    };
+    let compare = |engine: EngineConfig, config: DetectorConfig| {
+        let memo = verdict(detect_races_replayed(&p.locs, graph, engine, config));
+        let mut unfolded = Unfolded(RaceDetector::new(&p.locs, config));
+        let stats = graph.replay(engine, &mut unfolded);
+        let unfolded = verdict(stats.map(|stats| unfolded.0.into_report(stats)));
+        assert_eq!(memo, unfolded, "{name}: {config:?}, {engine:?}");
+    };
+    for config in [DetectorConfig::default(), first_race, weak_too] {
+        compare(cfg(), config);
+    }
+    if graph.len() <= sweep {
+        for max_traces in 0..=graph.len() {
+            let engine = EngineConfig {
+                max_states: usize::MAX,
+                max_traces,
+            };
+            compare(engine, DetectorConfig::default());
+        }
+    }
 }
 
 /// One full agreement check: detector (live + replayed) vs the checkers,
@@ -56,6 +122,8 @@ fn assert_detector_agrees(name: &str, p: &Program) {
         "{name}: live and replayed witnesses diverge"
     );
     assert_eq!(live.events, replayed.events);
+    assert_eq!(live.stats, replayed.stats);
+    assert_memo_matches_unfolded(name, p, &graph, 300);
 
     // Every witness is a real race with coherent bounds.
     for w in &live.witnesses {
@@ -114,6 +182,101 @@ fn every_racy_corpus_test_yields_a_shrinkable_witness() {
             "{}: shrunk program lost the race",
             t.name
         );
+    }
+}
+
+/// Two reads of `x` unordered by happens-before, then a write: which
+/// read the write races with first depends on the order the reads came
+/// in, so a memoized replay must not merge the two read orders. (A
+/// summary with epochs but not the access order did, and replay then
+/// reported the (P1, P2) witness on a shorter trace than the live walk.)
+/// The bare program's shared row is too small to be keyed, so a
+/// variant pads it with an independent thread whose steps make the
+/// row's subtree worth a memo key.
+#[test]
+fn replay_keeps_the_order_of_unordered_reads() {
+    let threads = "thread P0 { r0 = x; } thread P1 { r1 = x; } thread P2 { x = 1; }";
+    let bare = format!("nonatomic x; {threads}");
+    let padded =
+        format!("nonatomic x z; {threads} thread P3 {{ z = 1; z = 2; z = 3; z = 4; z = 5; }}");
+    for src in [bare, padded] {
+        let p = Program::parse(&src).unwrap();
+        assert_detector_agrees(&src, &p);
+        // The live walk meets the (P1, P2) race first on
+        // `[P1 r, P0 r, P2 w]`.
+        let live = detect_races_program(&p, cfg(), DetectorConfig::default()).unwrap();
+        let p1_p2 = live
+            .witnesses
+            .iter()
+            .find(|w| w.threads == (ThreadId(1), ThreadId(2)))
+            .expect("P1 and P2 race");
+        assert_eq!(p1_p2.trace.len(), 3);
+    }
+}
+
+/// The benchmark's program shapes, rebuilt from their description: store
+/// buffering over nonatomics (`sb-N`) and atomics (`sb-at-Nx1`),
+/// unguarded message passing (`mp-2x2`) and the guarded
+/// message-passing chain (`mp-chain-N`).
+fn perfbench_shapes() -> Vec<(String, String)> {
+    let thread = |i: usize, body: &[String]| format!("thread P{i} {{ {} }}\n", body.join(" "));
+    let mut shapes = Vec::new();
+    for (n, kind, name) in [
+        (4, "nonatomic", "sb-4"),
+        (5, "nonatomic", "sb-5"),
+        (4, "atomic", "sb-at-4x1"),
+        (5, "atomic", "sb-at-5x1"),
+    ] {
+        let names: Vec<String> = (0..n).map(|i| format!("x{i}")).collect();
+        let mut src = format!("{kind} {};\n", names.join(" "));
+        for i in 0..n {
+            let body = [
+                format!("x{i} = {};", i + 1),
+                format!("r0 = x{};", (i + 1) % n),
+            ];
+            src += &thread(i, &body);
+        }
+        shapes.push((name.to_string(), src));
+    }
+    let mut src = "nonatomic d0 d1;\natomic f;\n".to_string();
+    src += &thread(0, &["d0 = 1;".into(), "d1 = 2;".into(), "f = 1;".into()]);
+    for t in 1..=2 {
+        src += &thread(t, &["r0 = f;".into(), "r1 = d0;".into(), "r2 = d1;".into()]);
+    }
+    shapes.push(("mp-2x2".to_string(), src));
+    for n in [4, 5] {
+        let data: Vec<String> = (0..n).map(|i| format!("d{i}")).collect();
+        let flags: Vec<String> = (0..n - 1).map(|i| format!("f{i}")).collect();
+        let mut src = format!(
+            "nonatomic {};\natomic {};\n",
+            data.join(" "),
+            flags.join(" ")
+        );
+        src += &thread(0, &["d0 = 1;".into(), "f0 = 1;".into()]);
+        for i in 1..n {
+            let mut guarded = format!("r1 = d{};", i - 1);
+            if i + 1 < n {
+                guarded += &format!(" d{i} = r1 + 1; f{i} = 1;");
+            }
+            let body = [
+                format!("r0 = f{};", i - 1),
+                format!("if (r0 == 1) {{ {guarded} }}"),
+            ];
+            src += &thread(i, &body);
+        }
+        shapes.push((format!("mp-chain-{n}"), src));
+    }
+    shapes
+}
+
+#[test]
+fn memoized_replay_matches_unfolded_on_perfbench_shapes() {
+    for (name, src) in perfbench_shapes() {
+        let p = Program::parse(&src).unwrap_or_else(|e| panic!("{name}: {e}\n{src}"));
+        let (graph, _) = TraceEngine::new(cfg())
+            .record(&p.locs, p.initial_machine())
+            .unwrap_or_else(|e| panic!("{name}: recording failed: {e}"));
+        assert_memo_matches_unfolded(&name, &p, &graph, 0);
     }
 }
 
