@@ -13,9 +13,9 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use bdrst_core::engine::{
-    Control, EngineError, ReplayStep, ReplayVisitor, TraceEngine, TraceGraph, TraceVisitor,
+    Control, EngineConfig, EngineError, ReplayStep, ReplayVisitor, TraceEngine, TraceGraph,
+    TraceVisitor,
 };
-use bdrst_core::explore::ExploreConfig;
 use bdrst_core::loc::{Action, LocKind, LocSet};
 use bdrst_core::machine::{Transition, TransitionLabel};
 use bdrst_core::relation::Relation;
@@ -238,7 +238,7 @@ impl ReplayVisitor for SoundnessVisitor<'_> {
 ///
 /// Returns [`SoundnessError::Violation`] with the first bad trace, or
 /// [`SoundnessError::Engine`] on exhaustion.
-pub fn check_soundness(program: &Program, config: ExploreConfig) -> Result<usize, SoundnessError> {
+pub fn check_soundness(program: &Program, config: EngineConfig) -> Result<usize, SoundnessError> {
     let locs = &program.locs;
     let mut visitor = SoundnessVisitor {
         locs,
@@ -266,7 +266,7 @@ pub fn check_soundness(program: &Program, config: ExploreConfig) -> Result<usize
 pub fn check_soundness_replayed(
     program: &Program,
     graph: &TraceGraph,
-    config: ExploreConfig,
+    config: EngineConfig,
 ) -> Result<usize, SoundnessError> {
     let locs = &program.locs;
     let mut visitor = SoundnessVisitor {
@@ -339,7 +339,7 @@ impl std::error::Error for EquivalenceError {}
 /// Returns [`EquivalenceError`] if either side's exploration fails.
 pub fn check_equivalence(
     program: &Program,
-    config: ExploreConfig,
+    config: EngineConfig,
     limits: EnumLimits,
 ) -> Result<EquivalenceReport, EquivalenceError> {
     let operational = program
@@ -360,7 +360,7 @@ mod tests {
 
     fn equiv(src: &str) -> EquivalenceReport {
         let p = Program::parse(src).unwrap();
-        check_equivalence(&p, ExploreConfig::default(), EnumLimits::default()).unwrap()
+        check_equivalence(&p, EngineConfig::default(), EnumLimits::default()).unwrap()
     }
 
     #[test]
@@ -371,7 +371,7 @@ mod tests {
              thread P1 { r0 = f; r1 = a; }",
         )
         .unwrap();
-        let checked = check_soundness(&p, ExploreConfig::default()).unwrap();
+        let checked = check_soundness(&p, EngineConfig::default()).unwrap();
         // MP has 6 interleavings of 4 memory operations plus read
         // nondeterminism: 24 distinct trace prefixes in all.
         assert_eq!(checked, 24);
@@ -385,11 +385,11 @@ mod tests {
              thread P1 { r0 = f; r1 = a; }",
         )
         .unwrap();
-        let live = check_soundness(&p, ExploreConfig::default()).unwrap();
-        let (graph, _) = TraceEngine::new(ExploreConfig::default())
+        let live = check_soundness(&p, EngineConfig::default()).unwrap();
+        let (graph, _) = TraceEngine::new(EngineConfig::default())
             .record(&p.locs, p.initial_machine())
             .unwrap();
-        let replayed = check_soundness_replayed(&p, &graph, ExploreConfig::default()).unwrap();
+        let replayed = check_soundness_replayed(&p, &graph, EngineConfig::default()).unwrap();
         assert_eq!(live, replayed);
         assert_eq!(live, 24);
     }

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use bdrst_axiomatic::{axiomatic_outcomes, check_equivalence, EnumLimits};
-use bdrst_core::explore::ExploreConfig;
+use bdrst_core::engine::EngineConfig;
 use bdrst_core::localdrf::check_local_drf;
 use bdrst_core::trace::LocPredicate;
 use bdrst_hw::{check_compilation, Target, BAL};
@@ -20,7 +20,7 @@ fn mp() -> Program {
 fn bench_operational(c: &mut Criterion) {
     let p = mp();
     c.bench_function("operational_outcomes_mp", |b| {
-        b.iter(|| black_box(p.outcomes(ExploreConfig::default()).unwrap().len()))
+        b.iter(|| black_box(p.outcomes(EngineConfig::default()).unwrap().len()))
     });
 }
 
@@ -36,7 +36,7 @@ fn bench_equivalence(c: &mut Criterion) {
     c.bench_function("equivalence_mp_thm15_16", |b| {
         b.iter(|| {
             let rep =
-                check_equivalence(&p, ExploreConfig::default(), EnumLimits::default()).unwrap();
+                check_equivalence(&p, EngineConfig::default(), EnumLimits::default()).unwrap();
             assert!(rep.holds());
         })
     });
@@ -47,7 +47,7 @@ fn bench_local_drf(c: &mut Criterion) {
     let l: LocPredicate = p.locs.nonatomic().collect();
     c.bench_function("local_drf_thm13_sb", |b| {
         b.iter(|| {
-            check_local_drf(&p.locs, p.initial_machine(), &l, ExploreConfig::default()).unwrap()
+            check_local_drf(&p.locs, p.initial_machine(), &l, EngineConfig::default()).unwrap()
         })
     });
 }

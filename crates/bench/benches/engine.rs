@@ -10,10 +10,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use bdrst_core::engine::{
-    canonical_fingerprint, canonicalize, Control, Dedup, EngineConfig, Explorer, SearchOrder,
-    StateId, Strategy, WorklistEngine,
+    canonical_fingerprint, canonicalize, Control, Dedup, EngineConfig, Explorer, StateId, Strategy,
+    WorklistEngine,
 };
-use bdrst_core::explore::ExploreConfig;
 use bdrst_core::machine::Machine;
 use bdrst_lang::{Program, ThreadState};
 use bdrst_litmus::corpus;
@@ -47,13 +46,12 @@ fn bench_single_test_strategies(c: &mut Criterion) {
     let p = Program::parse(corpus::IRIW_AT.source).unwrap();
     for (name, strategy) in [
         ("explore_iriw_dfs", Strategy::Dfs),
-        ("explore_iriw_bfs", Strategy::Bfs),
         ("explore_iriw_worksteal", Strategy::WorkStealing),
     ] {
         c.bench_function(name, |b| {
             b.iter(|| {
                 black_box(
-                    p.outcomes_with(ExploreConfig::default(), strategy)
+                    p.outcomes_with(EngineConfig::default(), strategy)
                         .unwrap()
                         .len(),
                 )
@@ -67,7 +65,7 @@ fn bench_canonicalize_vs_fingerprint(c: &mut Criterion) {
     // full canonical state vs streaming the zero-allocation fingerprint.
     let p = Program::parse(corpus::IRIW_AT.source).unwrap();
     let mut machines: Vec<Machine<ThreadState>> = Vec::new();
-    WorklistEngine::new(EngineConfig::default(), SearchOrder::Dfs)
+    WorklistEngine::new(EngineConfig::default())
         .explore(
             &p.locs,
             p.initial_machine(),
@@ -105,7 +103,7 @@ fn bench_dedup_lanes(c: &mut Criterion) {
         ("corpus_dfs_fingerprint_dedup", Dedup::FingerprintFirst),
         ("corpus_dfs_fullstate_dedup", Dedup::FullState),
     ] {
-        let engine = WorklistEngine::with_dedup(EngineConfig::default(), SearchOrder::Dfs, dedup);
+        let engine = WorklistEngine::with_dedup(EngineConfig::default(), dedup);
         c.bench_function(name, |b| {
             b.iter(|| {
                 let mut visited = 0usize;

@@ -19,11 +19,11 @@
 //! allocations per visited state below the pre-CoW bar; the
 //! per-program pruned-vs-full table lands in
 //! `crates/bench/baselines/dpor_report.json`. Since v7 it sweeps the
-//! check server's **connection scaling** — readiness-loop reactor vs
-//! the legacy thread-per-connection layer at equal worker count —
-//! hard-asserting the reactor sustains ≥4× the simultaneously held
-//! connections (admission counts are deterministic; wall clock stays
-//! informational on the single-core container). Since v8 it adds the
+//! check server's **connection scaling**: 320 connect attempts against
+//! the readiness-loop reactor capped at 256 connections, every admitted
+//! connection held open, hard-asserting the reactor holds its full cap
+//! (admission counts are deterministic; wall clock stays
+//! informational). Since v8 it adds the
 //! **persistent-store lane**: clone and path-copy-update cost at
 //! 8/64/256 locations, the bytes-shared ratio of an update against a
 //! full rebuild, and the memoized-digest hit rate of the incremental
@@ -44,7 +44,10 @@
 //! log sites on engine paths, only on the service edges. v11 names the
 //! per-test DFS sweep for what it runs (`corpus_sweep_per_test_dfs_s`,
 //! formerly `corpus_sweep_parallel_s`) and drops the IRIW probe of the
-//! removed level-synchronous engine.
+//! removed level-synchronous engine. v12 drops the IRIW BFS probe and
+//! the scaling lane of the old connection layer (one reader thread per
+//! connection) with the code they measured, and evaluates the eight
+//! warn-or-panic checks from one table, [`GATES`].
 //! The alloc-per-visit lanes sweep the
 //! pre-v8 *narrow* corpus (the `Wide*` stress programs are excluded by
 //! name prefix) so the v5/v6 bars stay like-for-like comparable; the
@@ -61,12 +64,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use bdrst_core::engine::Explorer;
 use bdrst_core::engine::{
-    canonical_fingerprint, canonicalize, Control, Dedup, EngineConfig, SearchOrder, StateId,
-    Strategy, WorklistEngine,
+    canonical_fingerprint, canonicalize, Control, Dedup, EngineConfig, Explorer, StateId, Strategy,
+    WorklistEngine,
 };
-use bdrst_core::explore::ExploreConfig;
 use bdrst_core::machine::Machine;
 use bdrst_lang::{Program, ThreadState};
 use bdrst_litmus::corpus;
@@ -104,22 +105,21 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 const SAMPLES: usize = 10;
 
-/// Connection attempts per lane of the v7 scaling sweep. Well over both
-/// caps, so each lane's held-connection count is its admission limit —
-/// a deterministic measure, not a wall-clock one.
+/// Connection attempts of the v7 scaling sweep. Well over the cap, so
+/// the held-connection count is the admission limit — a deterministic
+/// measure, not a wall-clock one.
 const CONN_ATTEMPTS: usize = 320;
 
-/// One lane of the connection-scaling sweep: a server under `model`
-/// capped at `max_conns`, swept with [`CONN_ATTEMPTS`] sequential
-/// connect+ping attempts, every admitted connection *held open* for the
-/// rest of the sweep. Returns (held connections, rejected connections,
-/// sweep seconds). The thread-per-connection lane must cap `max_conns`
-/// low because every admitted connection costs a live reader thread;
-/// the reactor holds the same sockets on per-connection buffers.
-fn connection_scaling_lane(
-    model: bdrst_service::ServeModel,
-    max_conns: usize,
-) -> (usize, usize, f64) {
+/// The reactor's connection cap in the scaling sweep: 4× the 64 the
+/// connection layer it replaced (one reader thread per connection)
+/// could hold.
+const REACTOR_CAP: usize = 256;
+
+/// The connection-scaling sweep: a server capped at `max_conns`, swept
+/// with [`CONN_ATTEMPTS`] sequential connect+ping attempts, every
+/// admitted connection *held open* for the rest of the sweep. Returns
+/// (held connections, rejected connections, sweep seconds).
+fn connection_scaling_lane(max_conns: usize) -> (usize, usize, f64) {
     use bdrst_service::json::Json;
     use bdrst_service::server::{serve, ServeConfig};
     use bdrst_service::service::CheckService;
@@ -134,7 +134,6 @@ fn connection_scaling_lane(
         ServeConfig {
             workers: 2,
             max_conns,
-            model,
             ..ServeConfig::default()
         },
     )
@@ -184,7 +183,7 @@ fn measure(mut f: impl FnMut()) -> f64 {
 /// worklist under `dedup`, returning (total visited states, total heap
 /// allocations, elapsed seconds).
 fn corpus_dfs_lane(programs: &[Program], dedup: Dedup) -> (u64, u64, f64) {
-    let engine = WorklistEngine::with_dedup(EngineConfig::default(), SearchOrder::Dfs, dedup);
+    let engine = WorklistEngine::with_dedup(EngineConfig::default(), dedup);
     let mut visited = 0u64;
     let start = Instant::now();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -437,6 +436,141 @@ fn store_lane(n: usize) -> StoreLane {
     }
 }
 
+/// The measurements the warn-or-panic gates read.
+struct Summary {
+    threads: usize,
+    alloc_reduction: f64,
+    allocs_per_visit_fp: f64,
+    store_update_alloc_growth: f64,
+    /// Sequential corpus sweep seconds.
+    seq: f64,
+    /// The faster of the two parallel corpus sweeps, seconds.
+    best_par: f64,
+    dpor_s: f64,
+    full_trace_s: f64,
+    race_live_s: f64,
+    race_replay_s: f64,
+    service_cold_s: f64,
+    service_warm_s: f64,
+}
+
+/// How a gate's value must compare with its bound.
+#[derive(Clone, Copy)]
+enum Cmp {
+    AtLeast,
+    Below,
+    AtMost,
+}
+
+/// One warn-or-panic check: `value` must compare with `bound` as `cmp`
+/// says. A miss prints a warning, or panics under
+/// `ENGINE_BASELINE_ENFORCE=1`.
+struct Gate {
+    what: &'static str,
+    value: fn(&Summary) -> f64,
+    cmp: Cmp,
+    bound: f64,
+    /// Skipped on a single-core host, where no parallel win is possible.
+    multicore: bool,
+}
+
+/// Every warn-or-panic gate. The first four are deterministic
+/// allocation counts, warn-first so a regression is visible before it
+/// is fatal; the last four are wall-clock races, noisy on shared
+/// runners. Each timing gate's hard twin is asserted where it is
+/// measured (strict DPOR pruning, zero semantics probes on replay and
+/// on a warm sweep).
+const GATES: &[Gate] = &[
+    // Fingerprint-first dedup and zero-copy successors cut allocations
+    // per visited state by ≥25% against the seed lane.
+    Gate {
+        what: "allocation reduction vs the seed lane",
+        value: |s| s.alloc_reduction,
+        cmp: Cmp::AtLeast,
+        bound: 0.25,
+        multicore: false,
+    },
+    // The persistent store beats the v6 copy-on-write spine bar.
+    Gate {
+        what: "allocations per visited state vs the v6 bar",
+        value: |s| s.allocs_per_visit_fp,
+        cmp: Cmp::Below,
+        bound: 32.4,
+        multicore: false,
+    },
+    // With no recorder installed and the logger live at warn, the hot
+    // loop holds the v8 bar. The bar was recorded at two decimals, so
+    // the value is compared at the same precision.
+    Gate {
+        what: "allocations per visited state, observability off, vs the v8 bar",
+        value: |s| (s.allocs_per_visit_fp * 100.0).round() / 100.0,
+        cmp: Cmp::AtMost,
+        bound: 31.69,
+        multicore: false,
+    },
+    // Path-copy updates are near-flat in the location count.
+    Gate {
+        what: "store update allocation growth from 8 to 256 locations",
+        value: |s| s.store_update_alloc_growth,
+        cmp: Cmp::AtMost,
+        bound: 2.0,
+        multicore: false,
+    },
+    Gate {
+        what: "parallel / sequential corpus sweep time",
+        value: |s| s.best_par / s.seq,
+        cmp: Cmp::Below,
+        bound: 1.0,
+        multicore: true,
+    },
+    Gate {
+        what: "DPOR / full trace enumeration time",
+        value: |s| s.dpor_s / s.full_trace_s,
+        cmp: Cmp::Below,
+        bound: 1.0,
+        multicore: false,
+    },
+    Gate {
+        what: "replayed / live race detection time",
+        value: |s| s.race_replay_s / s.race_live_s,
+        cmp: Cmp::Below,
+        bound: 1.0,
+        multicore: false,
+    },
+    Gate {
+        what: "warm / cold corpus sweep time through the result store",
+        value: |s| s.service_warm_s / s.service_cold_s,
+        cmp: Cmp::Below,
+        bound: 1.0,
+        multicore: false,
+    },
+];
+
+/// Evaluates [`GATES`] against `summary`: a held gate prints its value,
+/// a missed one warns, or panics when `enforce` is set.
+fn check_gates(summary: &Summary, enforce: bool) {
+    for gate in GATES {
+        if gate.multicore && summary.threads <= 1 {
+            eprintln!("single-core host: skipping gate: {}", gate.what);
+            continue;
+        }
+        let value = (gate.value)(summary);
+        let (holds, op) = match gate.cmp {
+            Cmp::AtLeast => (value >= gate.bound, ">="),
+            Cmp::Below => (value < gate.bound, "<"),
+            Cmp::AtMost => (value <= gate.bound, "<="),
+        };
+        let line = format!("{}: {value:.4} (must be {op} {})", gate.what, gate.bound);
+        if holds {
+            eprintln!("ok: {line}");
+        } else if enforce {
+            panic!("gate failed: {line}");
+        } else {
+            eprintln!("WARNING: {line}; set ENGINE_BASELINE_ENFORCE=1 to make this fatal");
+        }
+    }
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let (Some(out_dir), None) = (args.next(), args.next()) else {
@@ -464,19 +598,18 @@ fn main() {
     let iriw = Program::parse(corpus::IRIW_AT.source).unwrap();
     let probe = |strategy: Strategy| {
         measure(|| {
-            iriw.outcomes_with(ExploreConfig::default(), strategy)
+            iriw.outcomes_with(EngineConfig::default(), strategy)
                 .unwrap();
         })
     };
     let dfs = probe(Strategy::Dfs);
-    let bfs = probe(Strategy::Bfs);
     let stealing = probe(Strategy::WorkStealing);
 
     // --- state-dedup hot path: canonicalize vs streaming fingerprint ---
     // Collect every reachable machine of IRIW once, then time the two
     // identification paths over the same machines.
     let mut machines: Vec<Machine<ThreadState>> = Vec::new();
-    WorklistEngine::new(EngineConfig::default(), SearchOrder::Dfs)
+    WorklistEngine::new(EngineConfig::default())
         .explore(
             &iriw.locs,
             iriw.initial_machine(),
@@ -712,36 +845,21 @@ fn main() {
     );
     let service_warm_speedup = service_cold_s / service_warm_s;
 
-    // --- v7: connection-scaling sweep, reactor vs thread-per-conn ---
-    // Equal worker count, each lane capped at what its connection layer
-    // can sustainably hold: thread-per-connection pays a live reader
-    // thread per admitted socket, so its cap stays at 64; the reactor
-    // holds per-connection buffers only and runs at 256. Every admitted
-    // connection completes a real round-trip and is then held open for
-    // the rest of the sweep, so "held" is the simultaneous-connection
-    // count the lane actually sustained (deterministic — admission, not
-    // wall clock).
-    const TPC_CAP: usize = 64;
-    const REACTOR_CAP: usize = 256;
-    let (tpc_held, tpc_rejected, tpc_s) =
-        connection_scaling_lane(bdrst_service::ServeModel::ThreadPerConn, TPC_CAP);
-    let (reactor_held, reactor_rejected, reactor_s) =
-        connection_scaling_lane(bdrst_service::ServeModel::Reactor, REACTOR_CAP);
+    // --- v7: connection-scaling sweep ---
+    // Every admitted connection completes a real round-trip and is then
+    // held open for the rest of the sweep, so "held" is the
+    // simultaneous-connection count the reactor actually sustained
+    // (deterministic — admission, not wall clock).
+    let (reactor_held, reactor_rejected, reactor_s) = connection_scaling_lane(REACTOR_CAP);
     assert_eq!(
-        tpc_held + tpc_rejected,
+        reactor_held + reactor_rejected,
         CONN_ATTEMPTS,
         "every scaling-lane attempt resolves to admitted or rejected"
     );
-    assert_eq!(reactor_held + reactor_rejected, CONN_ATTEMPTS);
-    // The headline gate: the reactor sustains ≥4× the connections at
-    // equal worker count. Admission counts are deterministic, so this
-    // holds on any host, single-core included.
-    assert!(
-        reactor_held >= 4 * tpc_held,
-        "reactor should hold >=4x the connections of thread-per-conn: \
-         reactor held {reactor_held}, thread-per-conn held {tpc_held}"
+    assert_eq!(
+        reactor_held, REACTOR_CAP,
+        "the reactor should hold its full {REACTOR_CAP}-connection cap"
     );
-    let conn_scaling_ratio = reactor_held as f64 / tpc_held.max(1) as f64;
 
     // --- v8: persistent-store lane at 8 / 64 / 256 locations ---
     let lanes: Vec<StoreLane> = [8usize, 64, 256].into_iter().map(store_lane).collect();
@@ -758,7 +876,7 @@ fn main() {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         r#"{{
-  "schema": "bdrst-engine-baseline/v11",
+  "schema": "bdrst-engine-baseline/v12",
   "samples": {SAMPLES},
   "threads_available": {threads},
   "corpus_sweep_sequential_s": {seq:.6},
@@ -766,7 +884,6 @@ fn main() {
   "corpus_sweep_worksteal_s": {worksteal:.6},
   "corpus_sweep_speedup": {speedup:.3},
   "explore_iriw_dfs_s": {dfs:.6},
-  "explore_iriw_bfs_s": {bfs:.6},
   "explore_iriw_worksteal_s": {stealing:.6},
   "canonicalize_states_per_s": {canonicalize_states_per_s:.0},
   "fingerprint_states_per_s": {fingerprint_states_per_s:.0},
@@ -804,13 +921,9 @@ fn main() {
   "service_warm_speedup": {service_warm_speedup:.3},
   "service_warm_semantics_probes": {service_warm_probes},
   "conn_scaling_attempts": {CONN_ATTEMPTS},
-  "conn_scaling_thread_per_conn_cap": {TPC_CAP},
-  "conn_scaling_thread_per_conn_held": {tpc_held},
-  "conn_scaling_thread_per_conn_s": {tpc_s:.6},
   "conn_scaling_reactor_cap": {REACTOR_CAP},
   "conn_scaling_reactor_held": {reactor_held},
   "conn_scaling_reactor_s": {reactor_s:.6},
-  "conn_scaling_ratio": {conn_scaling_ratio:.3},
   "store_lane_locations": [{store_sizes}],
   "store_clone_ns": [{store_clone_ns}],
   "store_update_ns": [{store_update_ns}],
@@ -832,234 +945,27 @@ fn main() {
     std::fs::write(&dpor_out, &dpor_report).expect("write dpor report");
     eprintln!("wrote {}", dpor_out.display());
 
-    // Allocation check: fingerprint-first dedup must cut allocations per
-    // visited state by ≥25% against the full-state reference. This is a
-    // deterministic count (not wall clock), so it holds on any host; it
-    // still honours the warn-only default so a regression is visible
-    // before it is fatal.
     // An empty value counts as unset so a CI matrix can pass "" through.
     let enforce = std::env::var_os("ENGINE_BASELINE_ENFORCE").is_some_and(|v| !v.is_empty());
-    if alloc_reduction >= 0.25 {
-        eprintln!(
-            "new hot path allocates {:.1}% less per visited state than the seed \
-             ({allocs_per_visit_fp:.2} vs {allocs_per_visit_seed:.2}; dedup-only ablation \
-             {:.1}%)",
-            alloc_reduction * 100.0,
-            alloc_reduction_dedup_only * 100.0
-        );
-    } else if enforce {
-        panic!(
-            "new hot path should cut allocations per visit by >=25% vs the seed, got {:.1}% \
-             ({allocs_per_visit_fp:.2} vs {allocs_per_visit_seed:.2})",
-            alloc_reduction * 100.0
-        );
-    } else {
-        eprintln!(
-            "WARNING: new hot path cut allocations per visit by only {:.1}% vs the seed \
-             ({allocs_per_visit_fp:.2} vs {allocs_per_visit_seed:.2}); set \
-             ENGINE_BASELINE_ENFORCE=1 to make this fatal",
-            alloc_reduction * 100.0
-        );
-    }
-
-    // v8: the persistent store must beat the v6 (CoW spine) bar on the
-    // same narrow corpus. Deterministic count, fatal under enforce.
-    const V6_ALLOCS_PER_VISIT_FINGERPRINT: f64 = 32.4;
-    if allocs_per_visit_fp < V6_ALLOCS_PER_VISIT_FINGERPRINT {
-        eprintln!(
-            "persistent store beats the v6 allocation bar: {allocs_per_visit_fp:.2} < \
-             {V6_ALLOCS_PER_VISIT_FINGERPRINT} allocations per visited state"
-        );
-    } else if enforce {
-        panic!(
-            "persistent store should allocate less per visited state than the v6 CoW bar: \
-             got {allocs_per_visit_fp:.2}, bar {V6_ALLOCS_PER_VISIT_FINGERPRINT}"
-        );
-    } else {
-        eprintln!(
-            "WARNING: allocations per visited state {allocs_per_visit_fp:.2} is at or above \
-             the v6 bar {V6_ALLOCS_PER_VISIT_FINGERPRINT}; set ENGINE_BASELINE_ENFORCE=1 to \
-             make this fatal"
-        );
-    }
-
-    // v9/v10: the runtime-gated span sites, the always-on counter
-    // registry, and (since v10) the installed warn-level logger must be
-    // free when no recorder is installed and nothing logs — the
-    // recording-off sweep holds the v8 allocation bar exactly.
-    // Deterministic count, fatal under enforce; the obs-*enabled* lane
-    // is informational (it prices the recording tax, it is not a
-    // regression).
-    // The bar is the v8 artifact's value, which is recorded at two
-    // decimals — compare at the same precision so the gate asks "did
-    // instrumentation move the recorded number", not for luck in the
-    // third decimal.
-    const V8_ALLOCS_PER_VISIT_FINGERPRINT: f64 = 31.69;
-    let allocs_per_visit_fp_2dp = (allocs_per_visit_fp * 100.0).round() / 100.0;
-    if allocs_per_visit_fp_2dp <= V8_ALLOCS_PER_VISIT_FINGERPRINT {
-        eprintln!(
-            "observability is free when off: {allocs_per_visit_fp:.2} allocs/visit with no \
-             recorder and the logger live at warn (v8 bar {V8_ALLOCS_PER_VISIT_FINGERPRINT}); \
-             enabled recording costs \
-             {allocs_per_visit_obs:.2} allocs/visit, {obs_time_overhead:.2}x wall clock, \
-             {obs_span_events} span events ({} dropped)",
-            obs_profile.dropped
-        );
-    } else if enforce {
-        panic!(
-            "instrumented hot loop should hold the v8 allocation bar with recording off and \
-             the logger installed at warn: got {allocs_per_visit_fp:.2}, \
-             bar {V8_ALLOCS_PER_VISIT_FINGERPRINT}"
-        );
-    } else {
-        eprintln!(
-            "WARNING: obs-disabled sweep allocates {allocs_per_visit_fp:.2} per visited state, \
-             above the v8 bar {V8_ALLOCS_PER_VISIT_FINGERPRINT}; set ENGINE_BASELINE_ENFORCE=1 \
-             to make this fatal"
-        );
-    }
-
-    // v8: path-copy updates must be near-flat in the location count —
-    // ≤2× more allocations per update at 256 locations than at 8 (the
-    // CoW spine grew ~32× linear here). Deterministic count, fatal
-    // under enforce; the wall-clock lane stays informational.
-    if store_update_alloc_growth <= 2.0 {
-        eprintln!(
-            "store update cost is near-flat in locations: {:.2} allocs/update at 8 locs vs \
-             {:.2} at 256 ({store_update_alloc_growth:.2}x; clone {:.0}ns/{:.0}ns, update \
-             {:.0}ns/{:.0}ns, bytes shared {:.1}%/{:.1}%, digest hit rate {:.0}%/{:.0}%)",
-            lanes[0].update_allocs,
-            lanes[2].update_allocs,
-            lanes[0].clone_ns,
-            lanes[2].clone_ns,
-            lanes[0].update_ns,
-            lanes[2].update_ns,
-            lanes[0].bytes_shared * 100.0,
-            lanes[2].bytes_shared * 100.0,
-            lanes[0].digest_hit_rate * 100.0,
-            lanes[2].digest_hit_rate * 100.0,
-        );
-    } else if enforce {
-        panic!(
-            "store update cost should grow <=2x from 8 to 256 locations, got \
-             {store_update_alloc_growth:.2}x ({:.2} -> {:.2} allocs/update)",
-            lanes[0].update_allocs, lanes[2].update_allocs
-        );
-    } else {
-        eprintln!(
-            "WARNING: store update cost grew {store_update_alloc_growth:.2}x from 8 to 256 \
-             locations ({:.2} -> {:.2} allocs/update); set ENGINE_BASELINE_ENFORCE=1 to make \
-             this fatal",
-            lanes[0].update_allocs, lanes[2].update_allocs
-        );
-    }
-
-    // On a single-core host parallel_map degenerates to the sequential
-    // loop, so a wall-clock win is impossible. On multi-core hosts wall
-    // clock is still noisy (shared CI runners), so by default a slower
-    // parallel sweep is reported as a warning; set
-    // ENGINE_BASELINE_ENFORCE=1 to turn it into a hard failure.
-    let best_par = per_test_dfs.min(worksteal);
-    if threads <= 1 {
-        eprintln!("single-core host: skipping parallel-beats-sequential check");
-    } else if best_par < seq {
-        eprintln!(
-            "parallel sweep beats sequential ({:.2}x; per-test DFS {per_test_dfs:.4}s, \
-             worksteal {worksteal:.4}s) on {threads} cores",
-            seq / best_par
-        );
-    } else if enforce {
-        panic!(
-            "parallel corpus sweeps (per-test DFS {per_test_dfs:.4}s, worksteal \
-             {worksteal:.4}s) should beat sequential ({seq:.4}s) on {threads} cores"
-        );
-    } else {
-        eprintln!(
-            "WARNING: parallel sweeps (per-test DFS {per_test_dfs:.4}s, worksteal \
-             {worksteal:.4}s) did not beat sequential ({seq:.4}s) on {threads} cores (noise? \
-             set ENGINE_BASELINE_ENFORCE=1 to make this fatal)"
-        );
-    }
-
-    // The partial-order-reduced sweep enumerates strictly fewer traces
-    // (hard-asserted per program above), so it should beat the full
-    // trace enumeration on any host. Wall clock stays warn-gated per
-    // house style; the deterministic trace counts are the hard gate.
-    if dpor_s < full_trace_s {
-        eprintln!(
-            "DPOR corpus sweep beats full trace enumeration ({:.1}x: full {full_trace_s:.4}s / \
-             {full_traces_total} complete traces, reduced {dpor_s:.4}s / {dpor_traces_total} \
-             complete traces — {:.1}% pruned)",
-            full_trace_s / dpor_s,
-            dpor_trace_reduction * 100.0
-        );
-    } else if enforce {
-        panic!(
-            "DPOR corpus sweep ({dpor_s:.4}s) should beat full trace enumeration \
-             ({full_trace_s:.4}s)"
-        );
-    } else {
-        eprintln!(
-            "WARNING: DPOR corpus sweep ({dpor_s:.4}s) did not beat full trace enumeration \
-             ({full_trace_s:.4}s); set ENGINE_BASELINE_ENFORCE=1 to make this fatal"
-        );
-    }
-
-    // Replayed race detection runs no semantics (hard-asserted above),
-    // so it should beat the live walk on any host. Wall clock stays
-    // warn-gated per house style.
-    if race_replay_s < race_live_s {
-        eprintln!(
-            "replayed race detection beats live ({:.1}x: live {race_live_s:.4}s / \
-             {race_live_events_per_s:.0} events/s, replayed {race_replay_s:.4}s / \
-             {race_replay_events_per_s:.0} events/s; {race_racy}/{} corpus programs racy)",
-            race_live_s / race_replay_s,
-            programs.len(),
-        );
-    } else if enforce {
-        panic!(
-            "replayed race detection ({race_replay_s:.4}s) should beat live ({race_live_s:.4}s)"
-        );
-    } else {
-        eprintln!(
-            "WARNING: replayed race detection ({race_replay_s:.4}s) did not beat live \
-             ({race_live_s:.4}s); set ENGINE_BASELINE_ENFORCE=1 to make this fatal"
-        );
-    }
-
-    // The warm (fully cached) corpus sweep runs no exploration at all —
-    // asserted above via the probe counter — so it should beat the cold
-    // sweep on any host, single-core included. Wall clock stays
-    // warn-gated per house style; the zero-probe assert is the hard
-    // guarantee.
-    if service_warm_s < service_cold_s {
-        eprintln!(
-            "warm corpus sweep beats cold through the result store \
-             ({service_warm_speedup:.1}x: cold {service_cold_s:.4}s, warm {service_warm_s:.4}s)"
-        );
-    } else if enforce {
-        panic!("warm corpus sweep ({service_warm_s:.4}s) should beat cold ({service_cold_s:.4}s)");
-    } else {
-        eprintln!(
-            "WARNING: warm corpus sweep ({service_warm_s:.4}s) did not beat cold \
-             ({service_cold_s:.4}s); set ENGINE_BASELINE_ENFORCE=1 to make this fatal"
-        );
-    }
-
-    // The connection-scaling hard gate is the deterministic ≥4× held-
-    // connection ratio asserted above; the wall clock of the two sweeps
-    // stays informational per house style (on this single-core
-    // container the reactor's polling thread and the client share one
-    // core, so per-connection latency is not comparable to a real
-    // deployment).
+    check_gates(
+        &Summary {
+            threads,
+            alloc_reduction,
+            allocs_per_visit_fp,
+            store_update_alloc_growth,
+            seq,
+            best_par: per_test_dfs.min(worksteal),
+            dpor_s,
+            full_trace_s,
+            race_live_s,
+            race_replay_s,
+            service_cold_s,
+            service_warm_s,
+        },
+        enforce,
+    );
     eprintln!(
         "connection scaling: reactor held {reactor_held}/{CONN_ATTEMPTS} connections in \
-         {reactor_s:.3}s, thread-per-conn held {tpc_held}/{CONN_ATTEMPTS} in {tpc_s:.3}s \
-         ({conn_scaling_ratio:.1}x held, equal worker count{})",
-        if threads <= 1 {
-            "; single-core host — wall clock informational only"
-        } else {
-            ""
-        }
+         {reactor_s:.3}s"
     );
 }

@@ -622,9 +622,7 @@ pub fn dpor_reachable_terminals<E: Expr>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{
-        EngineConfig as ExploreConfig, Explorer, SearchOrder, StateId, WorklistEngine,
-    };
+    use crate::engine::{EngineConfig, Explorer, StateId, WorklistEngine};
     use crate::loc::{Loc, LocKind, Val};
     use crate::machine::{RecordedExpr, StepLabel};
     use std::collections::BTreeSet;
@@ -646,7 +644,7 @@ mod tests {
     /// Terminal read observations of the full state-space exploration.
     fn full_outcomes(locs: &LocSet, m0: Machine<RecordedExpr>) -> BTreeSet<Vec<i64>> {
         let mut out = BTreeSet::new();
-        WorklistEngine::new(ExploreConfig::default(), SearchOrder::Dfs)
+        WorklistEngine::new(EngineConfig::default())
             .explore(locs, m0, &mut |m: &Machine<RecordedExpr>, _: StateId| {
                 if m.is_terminal() {
                     out.insert(reads(m));
@@ -670,7 +668,7 @@ mod tests {
         dependence: Dependence,
     ) -> (BTreeSet<Vec<i64>>, DporStats) {
         let (terms, stats) =
-            dpor_reachable_terminals(locs, m0, ExploreConfig::default(), dependence).unwrap();
+            dpor_reachable_terminals(locs, m0, EngineConfig::default(), dependence).unwrap();
         (terms.iter().map(reads).collect(), stats)
     }
 
@@ -710,11 +708,11 @@ mod tests {
         let p0 = RecordedExpr::new(vec![StepLabel::Write(a, Val(1))]);
         let p1 = RecordedExpr::new(vec![StepLabel::Write(b, Val(1))]);
         let m0 = Machine::initial(&locs, [p0, p1]);
-        let full = full_complete_traces(&locs, m0.clone(), ExploreConfig::default()).unwrap();
+        let full = full_complete_traces(&locs, m0.clone(), EngineConfig::default()).unwrap();
         assert_eq!(full, 2);
         for dep in [Dependence::Conservative, Dependence::Observational] {
             let mut go = Go;
-            let stats = DporEngine::with_dependence(ExploreConfig::default(), dep)
+            let stats = DporEngine::with_dependence(EngineConfig::default(), dep)
                 .explore(&locs, m0.clone(), &mut go)
                 .unwrap();
             // One thread never even gets scheduled: no race, no
@@ -732,7 +730,7 @@ mod tests {
             let p1 = RecordedExpr::new(vec![StepLabel::Write(b, Val(1)), StepLabel::Read(a)]);
             Machine::initial(&locs, [p0, p1])
         };
-        let full_traces = full_complete_traces(&locs, mk(), ExploreConfig::default()).unwrap();
+        let full_traces = full_complete_traces(&locs, mk(), EngineConfig::default()).unwrap();
         let reference = full_outcomes(&locs, mk());
         assert_eq!(reference.len(), 4); // SB is racy: all four outcomes
         for dep in [Dependence::Conservative, Dependence::Observational] {
@@ -759,7 +757,7 @@ mod tests {
             let p1 = RecordedExpr::new(vec![StepLabel::Read(a), StepLabel::Read(a)]);
             Machine::initial(&locs, [p0, p1])
         };
-        let full_traces = full_complete_traces(&locs, mk(), ExploreConfig::default()).unwrap();
+        let full_traces = full_complete_traces(&locs, mk(), EngineConfig::default()).unwrap();
         assert_eq!(full_traces, 7); // 4 (write first) + 2 + 1
         let reference = full_outcomes(&locs, mk());
 
@@ -785,10 +783,10 @@ mod tests {
         let p0 = RecordedExpr::new(vec![StepLabel::Read(f)]);
         let p1 = RecordedExpr::new(vec![StepLabel::Read(f)]);
         let m0 = Machine::initial(&locs, [p0, p1]);
-        let full = full_complete_traces(&locs, m0.clone(), ExploreConfig::default()).unwrap();
+        let full = full_complete_traces(&locs, m0.clone(), EngineConfig::default()).unwrap();
         assert_eq!(full, 2);
         let mut go = Go;
-        let stats = DporEngine::new(ExploreConfig::default())
+        let stats = DporEngine::new(EngineConfig::default())
             .explore(&locs, m0, &mut go)
             .unwrap();
         assert_eq!(stats.complete_traces, 1);
@@ -806,7 +804,7 @@ mod tests {
             Machine::initial(&locs, [p0, p1])
         };
         let mut go = Go;
-        let stats = DporEngine::new(ExploreConfig::default())
+        let stats = DporEngine::new(EngineConfig::default())
             .explore(&locs, mk(), &mut go)
             .unwrap();
         assert!(stats.visited > 2);
@@ -841,7 +839,7 @@ mod tests {
             }
         }
         let mut v = StopNow(0);
-        DporEngine::new(ExploreConfig::default())
+        DporEngine::new(EngineConfig::default())
             .explore(&locs, m0, &mut v)
             .unwrap();
         assert_eq!(v.0, 1);
@@ -866,7 +864,7 @@ mod tests {
             }
         }
         let mut v = OnlyThreadZero(0);
-        let stats = DporEngine::new(ExploreConfig::default())
+        let stats = DporEngine::new(EngineConfig::default())
             .explore(&locs, m0, &mut v)
             .unwrap();
         assert_eq!(v.0, 3);
@@ -889,7 +887,7 @@ mod tests {
             }
         }
         let mut v = PruneAll(0);
-        DporEngine::new(ExploreConfig::default())
+        DporEngine::new(EngineConfig::default())
             .explore(&locs, m0, &mut v)
             .unwrap();
         // Only the root's scheduled thread runs: one extension, pruned.
@@ -903,7 +901,7 @@ mod tests {
         let (terms, stats) = dpor_reachable_terminals(
             &locs,
             m0,
-            ExploreConfig::default(),
+            EngineConfig::default(),
             Dependence::Observational,
         )
         .unwrap();

@@ -574,7 +574,7 @@ fn unfolded(child_offsets: &[u32], children: &[u32]) -> Result<Vec<usize>, WireE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{SearchOrder, TraceEngine, TraceVisitor, WorklistEngine};
+    use crate::engine::{TraceEngine, TraceVisitor, WorklistEngine};
     use crate::loc::{Loc, LocKind, LocSet, Val};
     use crate::machine::{Machine, RecordedExpr, StepLabel, Transition};
 
@@ -594,7 +594,7 @@ mod tests {
     #[test]
     fn state_graph_matches_live_exploration() {
         let (locs, a, b) = locs_ab();
-        let engine = WorklistEngine::new(EngineConfig::default(), SearchOrder::Dfs);
+        let engine = WorklistEngine::new(EngineConfig::default());
         let (graph, stats) = engine
             .explore_graph(&locs, sb_machine(&locs, a, b))
             .unwrap();
@@ -611,7 +611,7 @@ mod tests {
     #[test]
     fn state_graph_round_trips_through_the_wire() {
         let (locs, a, b) = locs_ab();
-        let engine = WorklistEngine::new(EngineConfig::default(), SearchOrder::Dfs);
+        let engine = WorklistEngine::new(EngineConfig::default());
         let (graph, _) = engine
             .explore_graph(&locs, sb_machine(&locs, a, b))
             .unwrap();
@@ -632,7 +632,7 @@ mod tests {
     #[test]
     fn corrupted_state_graph_bytes_are_rejected() {
         let (locs, a, b) = locs_ab();
-        let engine = WorklistEngine::new(EngineConfig::default(), SearchOrder::Dfs);
+        let engine = WorklistEngine::new(EngineConfig::default());
         let (graph, _) = engine
             .explore_graph(&locs, sb_machine(&locs, a, b))
             .unwrap();
@@ -665,7 +665,7 @@ mod tests {
     #[test]
     fn state_graph_replay_stops_early() {
         let (locs, a, b) = locs_ab();
-        let engine = WorklistEngine::new(EngineConfig::default(), SearchOrder::Bfs);
+        let engine = WorklistEngine::new(EngineConfig::default());
         let (graph, _) = engine
             .explore_graph(&locs, sb_machine(&locs, a, b))
             .unwrap();

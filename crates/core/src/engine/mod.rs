@@ -12,11 +12,10 @@
 //!   engine invokes the visitor exactly once per *canonical* state (up to
 //!   timestamp renaming) and lets it steer with [`Control`].
 //! * **[`WorklistEngine`]** ([`worklist`]) — the sequential engine: an
-//!   iterative explicit worklist (no recursion) with DFS or BFS
-//!   [`SearchOrder`] selection.
+//!   iterative depth-first worklist (an explicit stack, no recursion).
 //! * **[`WorkStealingEngine`]** ([`steal`]) — the parallel state engine:
 //!   a persistent worker pool with per-worker deques and FIFO stealing,
-//!   no barrier per BFS level, so a single deep exploration scales, not
+//!   no barrier per search level, so a single deep exploration scales, not
 //!   just multi-test sweeps. States are claimed exactly once through a
 //!   lock-striped interner, so it visits the same canonical state set as
 //!   the sequential engines.
@@ -24,8 +23,8 @@
 //!   enumeration for the trace-dependent checkers (data races and
 //!   happens-before are properties of traces, not states);
 //!   [`TraceEngine::explore`] drives a [`TraceVisitor`] on the calling
-//!   thread, and [`TraceEngine::record`] records the full tree on the
-//!   work-stealing pool for replay.
+//!   thread, and [`TraceEngine::record`] records the full tree for
+//!   replay: a sequential depth-first walk memoized by exact machine.
 //! * **[`StateInterner`] / [`SharedInterner`]** ([`intern`]) — state
 //!   dedup is **fingerprint-first** ([`canonical_fingerprint`] streams
 //!   the canonical form into a hasher with zero allocation; re-visits
@@ -37,8 +36,9 @@
 //!   re-check forever: the worklist and work-stealing engines record
 //!   the interned successor graph (CSR of successor ids + terminal
 //!   flags), and [`TraceEngine::record`] records the full trace tree
-//!   as a DAG with one row per distinct machine; both replay new predicates ([`ReplayVisitor`]) without re-running
-//!   the transition semantics.
+//!   as a DAG with one row per distinct machine; both replay new
+//!   predicates ([`ReplayVisitor`]) without re-running the transition
+//!   semantics.
 //! * **[`deque::ChaseLev`]** ([`deque`]) — the lock-free work-stealing
 //!   deque under [`StealDeques`]: latched owner ops, CAS-only steals,
 //!   `unsafe` confined to that module.
@@ -46,9 +46,9 @@
 //!   exhaustion and corrupted-frontier detection (formerly a panic in
 //!   `canonicalize`).
 //!
-//! The legacy helpers `reachable_terminals` / `reachable_states` /
-//! `for_each_trace` in [`crate::explore`] remain as thin wrappers over
-//! these engines.
+//! [`crate::explore`] keeps the terminal-state helpers
+//! (`reachable_terminals`, `reachable_terminals_with`) as thin wrappers
+//! over these engines.
 //!
 //! # Strategy selection and thread knobs
 //!
@@ -59,7 +59,6 @@
 //! | Strategy | Engine | When to prefer it |
 //! |---|---|---|
 //! | [`Strategy::Dfs`] | [`WorklistEngine`] (stack) | default; smallest footprint |
-//! | [`Strategy::Bfs`] | [`WorklistEngine`] (queue) | shortest-counterexample searches |
 //! | [`Strategy::WorkStealing`] | [`WorkStealingEngine`] | deep or irregular spaces; no per-level barrier |
 //!
 //! Every parallel entry point resolves its worker count through
@@ -74,7 +73,7 @@
 //! # Example: counting canonical states under each engine
 //!
 //! ```
-//! use bdrst_core::engine::{Control, EngineConfig, Explorer, SearchOrder, StateId,
+//! use bdrst_core::engine::{Control, EngineConfig, Explorer, StateId,
 //!                          WorkStealingEngine, WorklistEngine};
 //! use bdrst_core::loc::{LocKind, LocSet, Val};
 //! use bdrst_core::machine::{Machine, RecordedExpr, StepLabel};
@@ -86,7 +85,7 @@
 //! let m0 = Machine::initial(&locs, [p0, p1]);
 //!
 //! let mut count = 0usize;
-//! let engine = WorklistEngine::new(EngineConfig::default(), SearchOrder::Bfs);
+//! let engine = WorklistEngine::new(EngineConfig::default());
 //! engine.explore(&locs, m0.clone(), &mut |_m: &Machine<RecordedExpr>, _id: StateId| {
 //!     count += 1;
 //!     Control::Continue
@@ -299,16 +298,6 @@ pub enum Control {
     Stop,
 }
 
-/// The search order of the sequential [`WorklistEngine`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SearchOrder {
-    /// Depth-first: the worklist is a stack.
-    #[default]
-    Dfs,
-    /// Breadth-first: the worklist is a queue.
-    Bfs,
-}
-
 /// Which engine to run. This is the user-facing strategy knob threaded
 /// through the litmus runner and `Program::outcomes_with`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -316,8 +305,6 @@ pub enum Strategy {
     /// Sequential depth-first worklist.
     #[default]
     Dfs,
-    /// Sequential breadth-first worklist.
-    Bfs,
     /// Deque-based work-stealing over a persistent worker pool (no
     /// per-level barrier).
     WorkStealing,
@@ -399,8 +386,7 @@ pub fn explorer<E: Expr + Send + Sync>(
         // states; callers that need the full visited-state contract get
         // the sequential DFS engine. Outcome enumeration routes Dpor to
         // the reduced engine in `crate::explore` instead.
-        Strategy::Dfs | Strategy::Dpor => Box::new(WorklistEngine::new(config, SearchOrder::Dfs)),
-        Strategy::Bfs => Box::new(WorklistEngine::new(config, SearchOrder::Bfs)),
+        Strategy::Dfs | Strategy::Dpor => Box::new(WorklistEngine::new(config)),
         Strategy::WorkStealing => Box::new(WorkStealingEngine::new(config)),
     }
 }

@@ -62,7 +62,7 @@ use std::time::Duration;
 use crate::engine::deque::{ChaseLev, Steal};
 use crate::engine::{
     claim_canonical, CanonState, Control, EngineConfig, EngineError, ExploreStats, Explorer,
-    SearchOrder, SharedInterner, StateGraph, StateId, StateVisitor, WorklistEngine,
+    SharedInterner, StateGraph, StateId, StateVisitor, WorklistEngine,
 };
 use crate::loc::LocSet;
 use crate::machine::{Expr, Machine};
@@ -228,7 +228,7 @@ impl WorkStealingEngine {
     ) -> Result<(StateGraph<E>, ExploreStats), EngineError> {
         let workers = engine_threads(self.threads);
         if workers <= 1 {
-            return WorklistEngine::new(self.config, SearchOrder::Bfs).explore_graph(locs, m0);
+            return WorklistEngine::new(self.config).explore_graph(locs, m0);
         }
         let mut span = bdrst_obs::span(bdrst_obs::Phase::Explore);
         let started = std::time::Instant::now();
@@ -347,10 +347,10 @@ impl<E: Expr + Send + Sync> Explorer<E> for WorkStealingEngine {
     ) -> Result<ExploreStats, EngineError> {
         let workers = engine_threads(self.threads);
         if workers <= 1 {
-            // One worker degenerates to a sequential frontier walk; the
-            // worklist engine produces the identical state set and error
-            // surface without the channel machinery.
-            return WorklistEngine::new(self.config, SearchOrder::Bfs).explore(locs, m0, visitor);
+            // One worker degenerates to a sequential walk; the
+            // depth-first worklist engine produces the identical state
+            // set and error surface without the channel machinery.
+            return WorklistEngine::new(self.config).explore(locs, m0, visitor);
         }
         let mut span = bdrst_obs::span(bdrst_obs::Phase::Explore);
         let started = std::time::Instant::now();
@@ -497,10 +497,10 @@ impl<E: Expr + Send + Sync> Explorer<E> for WorkStealingEngine {
             // A visitor Stop is a definitive verdict, so a budget trip an
             // in-flight worker recorded concurrently does not override
             // it. Whether the stop or the budget lands first in this
-            // regime is search-order dependent even for the sequential
-            // engines (DFS and BFS intern different state prefixes, and
-            // the budget check precedes each visit); this engine resolves
-            // the race deterministically in favour of the verdict.
+            // regime is search-order dependent (different orders intern
+            // different state prefixes, and the budget check precedes
+            // each visit); this engine resolves the race
+            // deterministically in favour of the verdict.
             Some(e) if !visitor_stopped => return Err(e),
             _ => {}
         }
@@ -573,15 +573,19 @@ mod tests {
         assert_eq!(d.take(0), None);
     }
 
+    /// One worker (the depth-first worklist fallback) and a real pool
+    /// both match the sequential engine.
     #[test]
     fn worksteal_matches_sequential_on_message_passing() {
         let (locs, a, _b, f) = locs_abf();
-        let seq = WorklistEngine::new(EngineConfig::default(), SearchOrder::Dfs);
-        let ws = WorkStealingEngine::with_threads(EngineConfig::default(), 4);
+        let seq = WorklistEngine::new(EngineConfig::default());
         let s = outcome_set(&seq, &locs, mp_machine(&locs, a, f));
-        let w = outcome_set(&ws, &locs, mp_machine(&locs, a, f));
-        assert_eq!(s, w);
-        assert!(!w.contains(&vec![1, 0]));
+        for threads in [1, 4] {
+            let ws = WorkStealingEngine::with_threads(EngineConfig::default(), threads);
+            let w = outcome_set(&ws, &locs, mp_machine(&locs, a, f));
+            assert_eq!(s, w, "{threads} worker(s)");
+            assert!(!w.contains(&vec![1, 0]));
+        }
     }
 
     #[test]
@@ -638,23 +642,27 @@ mod tests {
         assert_eq!(stopped_after, 1);
     }
 
+    /// One worker (the depth-first worklist fallback) and a real pool
+    /// both record the sequential engine's graph.
     #[test]
     fn worksteal_graph_matches_sequential_graph() {
         let (locs, a, _b, f) = locs_abf();
         let m0 = mp_machine(&locs, a, f);
-        let (seq_graph, seq_stats) = WorklistEngine::new(EngineConfig::default(), SearchOrder::Dfs)
+        let (seq_graph, seq_stats) = WorklistEngine::new(EngineConfig::default())
             .explore_graph(&locs, m0.clone())
             .unwrap();
-        let ws = WorkStealingEngine::with_threads(EngineConfig::default(), 4);
-        let (ws_graph, ws_stats) = ws.explore_graph(&locs, m0).unwrap();
-        assert_eq!(seq_graph.len(), ws_graph.len());
-        assert_eq!(seq_graph.edge_count(), ws_graph.edge_count());
-        assert_eq!(seq_stats.visited, ws_stats.visited);
-        assert_eq!(seq_stats.transitions, ws_stats.transitions);
-        assert_eq!(
-            seq_graph.terminal_ids().count(),
-            ws_graph.terminal_ids().count()
-        );
+        for threads in [1, 4] {
+            let ws = WorkStealingEngine::with_threads(EngineConfig::default(), threads);
+            let (ws_graph, ws_stats) = ws.explore_graph(&locs, m0.clone()).unwrap();
+            assert_eq!(seq_graph.len(), ws_graph.len(), "{threads} worker(s)");
+            assert_eq!(seq_graph.edge_count(), ws_graph.edge_count());
+            assert_eq!(seq_stats.visited, ws_stats.visited);
+            assert_eq!(seq_stats.transitions, ws_stats.transitions);
+            assert_eq!(
+                seq_graph.terminal_ids().count(),
+                ws_graph.terminal_ids().count()
+            );
+        }
     }
 
     #[test]

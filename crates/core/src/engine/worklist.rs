@@ -10,63 +10,48 @@
 //! would.
 //!
 //! No walk here recurses — each carries an explicit stack — so exploration
-//! depth is bounded by heap, not by the thread's call stack, and the DFS /
-//! BFS choice is a one-line worklist-discipline swap.
+//! depth is bounded by heap, not by the thread's call stack.
 //!
 //! State dedup is fingerprint-first by default ([`Dedup`]): a popped
 //! machine is identified by its zero-allocation streaming
 //! [`crate::engine::canonical_fingerprint`], and the full
 //! [`crate::engine::CanonState`] is only built on first visit (or on a
 //! verified fingerprint collision).
-//! [`Dedup::FullState`] keeps the old build-then-hash path alive as the
-//! reference the property suites compare against.
+//! [`Dedup::FullState`] keeps the build-then-hash path as the reference
+//! the dedup and forced-collision suites compare against.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use crate::engine::{
     canonicalize, intern_canonical, Control, Dedup, EngineConfig, EngineError, ExploreStats,
-    Explorer, SearchOrder, StateGraph, StateId, StateInterner, StateVisitor, TraceGraph,
-    TraceVisitor,
+    Explorer, StateGraph, StateId, StateInterner, StateVisitor, TraceGraph, TraceVisitor,
 };
 use crate::loc::LocSet;
 use crate::machine::{Expr, Machine, Transition, TransitionLabel};
 use crate::trace::TraceLabels;
 
-/// The sequential state-space engine: an explicit worklist of machines,
-/// deduplicated through a [`StateInterner`] at pop time.
-///
-/// [`SearchOrder::Dfs`] treats the worklist as a stack (identical
-/// discovery order to the legacy recursive explorer); [`SearchOrder::Bfs`]
-/// treats it as a queue. Both visit exactly the same canonical state set,
-/// under either [`Dedup`] mode.
+/// The sequential state-space engine: a depth-first worklist (an
+/// explicit stack of machines, identical discovery order to a recursive
+/// explorer), deduplicated through a [`StateInterner`] at pop time. It
+/// visits exactly the same canonical state set under either [`Dedup`]
+/// mode.
 #[derive(Clone, Copy, Debug)]
 pub struct WorklistEngine {
     /// Budgets.
     pub config: EngineConfig,
-    /// Stack or queue discipline.
-    pub order: SearchOrder,
     /// Fingerprint-first (default) or full-state reference dedup.
     pub dedup: Dedup,
 }
 
 impl WorklistEngine {
-    /// An engine with the given budgets and search order (fingerprint
-    /// dedup).
-    pub fn new(config: EngineConfig, order: SearchOrder) -> WorklistEngine {
-        WorklistEngine {
-            config,
-            order,
-            dedup: Dedup::default(),
-        }
+    /// An engine with the given budgets (fingerprint dedup).
+    pub fn new(config: EngineConfig) -> WorklistEngine {
+        WorklistEngine::with_dedup(config, Dedup::default())
     }
 
     /// An engine with an explicit [`Dedup`] mode.
-    pub fn with_dedup(config: EngineConfig, order: SearchOrder, dedup: Dedup) -> WorklistEngine {
-        WorklistEngine {
-            config,
-            order,
-            dedup,
-        }
+    pub fn with_dedup(config: EngineConfig, dedup: Dedup) -> WorklistEngine {
+        WorklistEngine { config, dedup }
     }
 
     /// Identifies `m` in the interner under the engine's [`Dedup`] mode.
@@ -107,12 +92,9 @@ impl WorklistEngine {
 
         let (id0, _) = Self::intern(self.dedup, &mut interner, locs, &m0)?;
         terminal.push(false);
-        let mut worklist: VecDeque<(StateId, Machine<E>)> = VecDeque::new();
-        worklist.push_back((id0, m0));
-        while let Some((id, m)) = match self.order {
-            SearchOrder::Dfs => worklist.pop_back(),
-            SearchOrder::Bfs => worklist.pop_front(),
-        } {
+        let mut worklist: Vec<(StateId, Machine<E>)> = Vec::new();
+        worklist.push((id0, m0));
+        while let Some((id, m)) = worklist.pop() {
             stats.visited += 1;
             bdrst_obs::counter_add(bdrst_obs::Counter::StatesVisited, 1);
             bdrst_obs::counter_max(bdrst_obs::Counter::FrontierHighWater, worklist.len() as u64);
@@ -125,7 +107,7 @@ impl WorklistEngine {
                 edges.push((id, succ));
                 if fresh {
                     terminal.push(false);
-                    worklist.push_back((succ, t.target));
+                    worklist.push((succ, t.target));
                 }
             }
             if interner.len() > self.config.max_states {
@@ -154,8 +136,10 @@ impl<E: Expr> Explorer<E> for WorklistEngine {
         let mut span = bdrst_obs::span(bdrst_obs::Phase::Explore);
         let started = std::time::Instant::now();
         let mut interner: StateInterner<crate::engine::CanonState<E>> = StateInterner::new();
-        let mut worklist: VecDeque<Machine<E>> = VecDeque::new();
-        worklist.push_back(m0);
+        // `Vec::new` + `push` grows straight to the small-vector
+        // capacity; `vec![m0]` would reallocate on the first successor.
+        let mut worklist: Vec<Machine<E>> = Vec::new();
+        worklist.push(m0);
         let mut stats = ExploreStats::default();
         let finish = |stats: ExploreStats, span: &mut bdrst_obs::SpanGuard| {
             bdrst_obs::counter_add(
@@ -165,10 +149,7 @@ impl<E: Expr> Explorer<E> for WorklistEngine {
             span.set_arg(stats.visited as u64);
             stats
         };
-        while let Some(m) = match self.order {
-            SearchOrder::Dfs => worklist.pop_back(),
-            SearchOrder::Bfs => worklist.pop_front(),
-        } {
+        while let Some(m) = worklist.pop() {
             let (id, fresh) = Self::intern(self.dedup, &mut interner, locs, &m)?;
             if !fresh {
                 continue;
@@ -187,7 +168,7 @@ impl<E: Expr> Explorer<E> for WorklistEngine {
             }
             for t in m.transitions(locs) {
                 stats.transitions += 1;
-                worklist.push_back(t.target);
+                worklist.push(t.target);
             }
         }
         Ok(finish(stats, &mut span))
@@ -415,28 +396,14 @@ mod tests {
     }
 
     #[test]
-    fn dfs_and_bfs_agree_on_store_buffering() {
-        let (locs, a, b) = locs_ab();
-        let dfs = WorklistEngine::new(EngineConfig::default(), SearchOrder::Dfs);
-        let bfs = WorklistEngine::new(EngineConfig::default(), SearchOrder::Bfs);
-        let d = terminal_reads(&dfs, &locs, sb_machine(&locs, a, b));
-        let f = terminal_reads(&bfs, &locs, sb_machine(&locs, a, b));
-        assert_eq!(d, f);
-        assert_eq!(d.len(), 4); // SB is racy: all four outcomes
-    }
-
-    #[test]
     fn dedup_modes_agree() {
         let (locs, a, b) = locs_ab();
-        for order in [SearchOrder::Dfs, SearchOrder::Bfs] {
-            let fp =
-                WorklistEngine::with_dedup(EngineConfig::default(), order, Dedup::FingerprintFirst);
-            let full = WorklistEngine::with_dedup(EngineConfig::default(), order, Dedup::FullState);
-            assert_eq!(
-                terminal_reads(&fp, &locs, sb_machine(&locs, a, b)),
-                terminal_reads(&full, &locs, sb_machine(&locs, a, b))
-            );
-        }
+        let fp = WorklistEngine::with_dedup(EngineConfig::default(), Dedup::FingerprintFirst);
+        let full = WorklistEngine::with_dedup(EngineConfig::default(), Dedup::FullState);
+        assert_eq!(
+            terminal_reads(&fp, &locs, sb_machine(&locs, a, b)),
+            terminal_reads(&full, &locs, sb_machine(&locs, a, b))
+        );
     }
 
     #[test]
@@ -445,13 +412,8 @@ mod tests {
         // the verified-equality path must keep the visited set exact.
         let _guard = crate::engine::canon::collisions::force(4);
         let (locs, a, b) = locs_ab();
-        let fp = WorklistEngine::with_dedup(
-            EngineConfig::default(),
-            SearchOrder::Dfs,
-            Dedup::FingerprintFirst,
-        );
-        let full =
-            WorklistEngine::with_dedup(EngineConfig::default(), SearchOrder::Dfs, Dedup::FullState);
+        let fp = WorklistEngine::with_dedup(EngineConfig::default(), Dedup::FingerprintFirst);
+        let full = WorklistEngine::with_dedup(EngineConfig::default(), Dedup::FullState);
         let mut count_fp = 0usize;
         fp.explore(
             &locs,
@@ -522,8 +484,7 @@ mod tests {
             let prog = [thread(&mut rng), thread(&mut rng)];
             let m0 = Machine::initial(&locs, prog);
             let run = |dedup: Dedup| {
-                let engine =
-                    WorklistEngine::with_dedup(EngineConfig::default(), SearchOrder::Dfs, dedup);
+                let engine = WorklistEngine::with_dedup(EngineConfig::default(), dedup);
                 let mut visited = 0usize;
                 let mut outcomes: BTreeSet<Vec<i64>> = BTreeSet::new();
                 engine
@@ -555,7 +516,7 @@ mod tests {
     #[test]
     fn state_ids_are_dense_and_unique() {
         let (locs, a, b) = locs_ab();
-        let engine = WorklistEngine::new(EngineConfig::default(), SearchOrder::Bfs);
+        let engine = WorklistEngine::new(EngineConfig::default());
         let mut ids = Vec::new();
         engine
             .explore(
@@ -578,7 +539,7 @@ mod tests {
         let p0 = RecordedExpr::new(vec![StepLabel::Write(a, Val(1)); 3]);
         let m0 = Machine::initial(&locs, [p0]);
         // Prune everything: only the initial state is visited.
-        let engine = WorklistEngine::new(EngineConfig::default(), SearchOrder::Dfs);
+        let engine = WorklistEngine::new(EngineConfig::default());
         let mut seen = 0;
         engine
             .explore(
@@ -596,7 +557,7 @@ mod tests {
     #[test]
     fn explore_graph_visits_same_state_set() {
         let (locs, a, b) = locs_ab();
-        let engine = WorklistEngine::new(EngineConfig::default(), SearchOrder::Dfs);
+        let engine = WorklistEngine::new(EngineConfig::default());
         let mut live = 0usize;
         engine
             .explore(
@@ -624,7 +585,7 @@ mod tests {
             max_states: 10,
             max_traces: 10,
         };
-        let engine = WorklistEngine::new(tiny, SearchOrder::Dfs);
+        let engine = WorklistEngine::new(tiny);
         assert!(matches!(
             engine.explore_graph(&locs, m0),
             Err(EngineError::BudgetExceeded { .. })

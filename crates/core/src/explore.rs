@@ -1,37 +1,28 @@
 //! Exhaustive exploration of the operational semantics — the convenience
 //! layer over [`crate::engine`].
 //!
-//! Two modes:
-//!
-//! * **State-space exploration** ([`reachable_terminals`], [`reachable_states`])
-//!   deduplicates machines up to *timestamp renaming*: two stores that
-//!   differ only in the rational representatives of their timestamps are
-//!   observationally identical, so each location's timestamps are replaced
-//!   by their rank before hashing. Used for outcome enumeration.
-//!
-//! * **Trace enumeration** ([`for_each_trace`]) walks every trace (up to a
-//!   configurable budget) carrying the [`TraceLabels`]; data races and
-//!   happens-before are trace-dependent, so the DRF checkers use this mode.
+//! State-space exploration ([`reachable_terminals`],
+//! [`reachable_terminals_with`]) deduplicates machines up to *timestamp
+//! renaming*: two stores that differ only in the rational
+//! representatives of their timestamps are observationally identical, so
+//! each location's timestamps are replaced by their rank before hashing.
+//! Used for outcome enumeration.
 //!
 //! These functions are thin wrappers: the engines themselves (iterative
-//! worklist, interned canonical states, work-stealing exploration) live
-//! in [`crate::engine`], and checkers that need to steer the search
+//! worklist, interned canonical states, work-stealing exploration, the
+//! trace walk that the trace-dependent DRF checkers drive) live in
+//! [`crate::engine`], and checkers that need to steer the search
 //! implement [`crate::engine::StateVisitor`] / [`crate::engine::TraceVisitor`]
 //! directly.
 
 use crate::engine::{
-    Control, EngineError, Explorer, SearchOrder, StateId, Strategy, TraceEngine, TraceVisitor,
-    WorklistEngine,
+    Control, EngineConfig, EngineError, Explorer, StateId, Strategy, WorklistEngine,
 };
 use crate::loc::LocSet;
-use crate::machine::{Expr, Machine, Transition};
-use crate::trace::TraceLabels;
+use crate::machine::{Expr, Machine};
 
 pub use crate::engine::canonicalize;
 pub use crate::engine::CanonState;
-/// Budget configuration (the engine's [`crate::engine::EngineConfig`],
-/// re-exported under its historical name).
-pub use crate::engine::EngineConfig as ExploreConfig;
 pub use crate::engine::ExploreStats;
 
 /// Explores the full state space from `m0`, returning all *terminal*
@@ -48,14 +39,14 @@ pub use crate::engine::ExploreStats;
 pub fn reachable_terminals<E: Expr>(
     locs: &LocSet,
     m0: Machine<E>,
-    config: ExploreConfig,
+    config: EngineConfig,
 ) -> Result<Vec<Machine<E>>, EngineError> {
-    let engine = WorklistEngine::new(config, SearchOrder::Dfs);
+    let engine = WorklistEngine::new(config);
     collect_terminals(&engine, locs, m0)
 }
 
 /// [`reachable_terminals`] with an explicit engine [`Strategy`]
-/// (DFS / BFS / work-stealing / DPOR). All strategies return the same
+/// (DFS / work-stealing / DPOR). All strategies return the same
 /// canonical terminal set; only discovery order — and, for
 /// [`Strategy::Dpor`], the number of traces explored to find it —
 /// differs.
@@ -66,7 +57,7 @@ pub fn reachable_terminals<E: Expr>(
 pub fn reachable_terminals_with<E: Expr + Send + Sync>(
     locs: &LocSet,
     m0: Machine<E>,
-    config: ExploreConfig,
+    config: EngineConfig,
     strategy: Strategy,
 ) -> Result<Vec<Machine<E>>, EngineError> {
     if strategy == Strategy::Dpor {
@@ -100,73 +91,6 @@ fn collect_terminals<E: Expr>(
     Ok(terminals)
 }
 
-/// Explores the full state space from `m0`, invoking `visit` once per
-/// distinct canonical state (including `m0` and terminals).
-///
-/// # Errors
-///
-/// Returns [`EngineError`] if the state budget is exhausted or a machine
-/// fails to canonicalize.
-pub fn reachable_states<E: Expr>(
-    locs: &LocSet,
-    m0: Machine<E>,
-    config: ExploreConfig,
-    mut visit: impl FnMut(&Machine<E>),
-) -> Result<ExploreStats, EngineError> {
-    let engine = WorklistEngine::new(config, SearchOrder::Dfs);
-    engine.explore(locs, m0, &mut |m: &Machine<E>, _id: StateId| {
-        visit(m);
-        Control::Continue
-    })
-}
-
-/// Adapts a `(step_filter, visit)` closure pair to [`TraceVisitor`].
-struct ClosureTraceVisitor<F, V> {
-    filter: F,
-    visit: V,
-}
-
-impl<E, F, V> TraceVisitor<E> for ClosureTraceVisitor<F, V>
-where
-    E: Expr,
-    F: FnMut(&Transition<E>) -> bool,
-    V: FnMut(&TraceLabels, &Transition<E>) -> Control,
-{
-    fn step_filter(&mut self, transition: &Transition<E>) -> bool {
-        (self.filter)(transition)
-    }
-
-    fn visit(&mut self, trace: &TraceLabels, transition: &Transition<E>) -> Control {
-        (self.visit)(trace, transition)
-    }
-}
-
-/// Enumerates traces from `m0` in depth-first order.
-///
-/// `step_filter` selects which transitions may be taken (e.g. only
-/// L-sequential ones); `visit` is called after each extension with the
-/// current trace labels, the transition just taken, and the machine
-/// reached. Every prefix of a trace is itself a trace (Definition 5), so
-/// the visitor sees each prefix exactly once.
-///
-/// # Errors
-///
-/// Returns [`EngineError::BudgetExceeded`] if more than `config.max_traces`
-/// trace extensions are made.
-pub fn for_each_trace<E: Expr>(
-    locs: &LocSet,
-    m0: Machine<E>,
-    config: ExploreConfig,
-    step_filter: impl FnMut(&Transition<E>) -> bool,
-    visit: impl FnMut(&TraceLabels, &Transition<E>) -> Control,
-) -> Result<ExploreStats, EngineError> {
-    let mut visitor = ClosureTraceVisitor {
-        filter: step_filter,
-        visit,
-    };
-    TraceEngine::new(config).explore(locs, m0, &mut visitor)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,7 +113,7 @@ mod tests {
         let p0 = RecordedExpr::new(vec![StepLabel::Write(a, Val(1)), StepLabel::Read(b)]);
         let p1 = RecordedExpr::new(vec![StepLabel::Write(b, Val(1)), StepLabel::Read(a)]);
         let m0 = Machine::initial(&locs, [p0, p1]);
-        let terms = reachable_terminals(&locs, m0, ExploreConfig::default()).unwrap();
+        let terms = reachable_terminals(&locs, m0, EngineConfig::default()).unwrap();
         let outcomes: HashSet<(Val, Val)> = terms
             .iter()
             .map(|m| (m.threads[0].expr.reads[0], m.threads[1].expr.reads[0]))
@@ -209,7 +133,7 @@ mod tests {
         let p0 = RecordedExpr::new(vec![StepLabel::Write(a, Val(1))]);
         let p1 = RecordedExpr::new(vec![StepLabel::Write(a, Val(2))]);
         let m0 = Machine::initial(&locs, [p0, p1]);
-        let terms = reachable_terminals(&locs, m0, ExploreConfig::default()).unwrap();
+        let terms = reachable_terminals(&locs, m0, EngineConfig::default()).unwrap();
         // Terminal stores: histories [0,1,2] or [0,2,1] — exactly two
         // canonical classes.
         assert_eq!(terms.len(), 2);
@@ -225,39 +149,16 @@ mod tests {
         };
         let outcome_set = |strategy| {
             let terms =
-                reachable_terminals_with(&locs, mk(), ExploreConfig::default(), strategy).unwrap();
+                reachable_terminals_with(&locs, mk(), EngineConfig::default(), strategy).unwrap();
             terms
                 .iter()
                 .map(|m| (m.threads[0].expr.reads[0], m.threads[1].expr.reads[0]))
                 .collect::<HashSet<_>>()
         };
-        let dfs = outcome_set(Strategy::Dfs);
-        assert_eq!(dfs, outcome_set(Strategy::Bfs));
-        assert_eq!(dfs, outcome_set(Strategy::WorkStealing));
-    }
-
-    #[test]
-    fn trace_enumeration_sees_all_interleavings() {
-        let (locs, a, b) = locs_ab();
-        let p0 = RecordedExpr::new(vec![StepLabel::Write(a, Val(1))]);
-        let p1 = RecordedExpr::new(vec![StepLabel::Write(b, Val(1))]);
-        let m0 = Machine::initial(&locs, [p0, p1]);
-        let mut complete = 0;
-        for_each_trace(
-            &locs,
-            m0,
-            ExploreConfig::default(),
-            |_| true,
-            |tr, t| {
-                if tr.len() == 2 && t.target.is_terminal() {
-                    complete += 1;
-                }
-                Control::Continue
-            },
-        )
-        .unwrap();
-        // Independent writes to different locations: 2 interleavings.
-        assert_eq!(complete, 2);
+        assert_eq!(
+            outcome_set(Strategy::Dfs),
+            outcome_set(Strategy::WorkStealing)
+        );
     }
 
     #[test]
@@ -265,35 +166,13 @@ mod tests {
         let (locs, a, _) = locs_ab();
         let mk = || RecordedExpr::new(vec![StepLabel::Write(a, Val(1)); 6]);
         let m0 = Machine::initial(&locs, [mk(), mk(), mk()]);
-        let tiny = ExploreConfig {
+        let tiny = EngineConfig {
             max_states: 10,
             max_traces: 10,
         };
         assert!(matches!(
-            reachable_terminals(&locs, m0.clone(), tiny),
+            reachable_terminals(&locs, m0, tiny),
             Err(EngineError::BudgetExceeded { .. })
         ));
-        let r = for_each_trace(&locs, m0, tiny, |_| true, |_, _| Control::Continue);
-        assert!(matches!(r, Err(EngineError::BudgetExceeded { .. })));
-    }
-
-    #[test]
-    fn visit_stop_aborts() {
-        let (locs, a, _) = locs_ab();
-        let p0 = RecordedExpr::new(vec![StepLabel::Write(a, Val(1)); 4]);
-        let m0 = Machine::initial(&locs, [p0]);
-        let mut seen = 0;
-        for_each_trace(
-            &locs,
-            m0,
-            ExploreConfig::default(),
-            |_| true,
-            |_, _| {
-                seen += 1;
-                Control::Stop
-            },
-        )
-        .unwrap();
-        assert_eq!(seen, 1);
     }
 }

@@ -17,20 +17,20 @@
 //!
 //! Everything above is *checked by exhaustive exploration*, and that
 //! exploration is provided by the pluggable [`engine`] layer: an iterative
-//! worklist with DFS/BFS selection, canonical states interned to dense
+//! depth-first worklist, canonical states interned to dense
 //! `u32` ids ([`engine::StateInterner`]), a work-stealing parallel
 //! engine ([`engine::WorkStealingEngine`]) that visits the same state set
 //! as the sequential one, and an iterative trace enumerator
-//! ([`engine::TraceEngine`]) for the trace-dependent checkers. The
-//! historical helpers ([`explore::reachable_terminals`],
-//! [`explore::for_each_trace`]) remain as thin wrappers.
+//! ([`engine::TraceEngine`]) for the trace-dependent checkers.
+//! [`explore::reachable_terminals`] remains as a thin wrapper.
 //!
 //! ## Quick example: message passing
 //!
 //! ```
 //! use bdrst_core::loc::{LocSet, LocKind, Val};
 //! use bdrst_core::machine::{Machine, RecordedExpr, StepLabel};
-//! use bdrst_core::explore::{reachable_terminals, ExploreConfig};
+//! use bdrst_core::engine::EngineConfig;
+//! use bdrst_core::explore::reachable_terminals;
 //!
 //! let mut locs = LocSet::new();
 //! let data = locs.fresh("data", LocKind::Nonatomic);
@@ -44,7 +44,7 @@
 //! let p1 = RecordedExpr::new(vec![StepLabel::Read(flag), StepLabel::Read(data)]);
 //!
 //! let m0 = Machine::initial(&locs, [p0, p1]);
-//! let finals = reachable_terminals(&locs, m0, ExploreConfig::default())?;
+//! let finals = reachable_terminals(&locs, m0, EngineConfig::default())?;
 //! // flag = 1 implies data = 1: the relaxed outcome (1, 0) never appears.
 //! assert!(finals.iter().all(|m| {
 //!     let r = &m.threads[1].expr.reads;
@@ -70,10 +70,10 @@ pub mod trace;
 pub mod wire;
 
 pub use engine::{
-    Control, EngineConfig, EngineError, Explorer, SearchOrder, StateId, StateVisitor, Strategy,
-    TraceEngine, TraceVisitor, WorkStealingEngine, WorklistEngine,
+    Control, EngineConfig, EngineError, Explorer, StateId, StateVisitor, Strategy, TraceEngine,
+    TraceVisitor, WorkStealingEngine, WorklistEngine,
 };
-pub use explore::{ExploreConfig, ExploreStats};
+pub use explore::ExploreStats;
 pub use frontier::Frontier;
 pub use history::History;
 pub use loc::{Action, LabeledAction, Loc, LocKind, LocSet, Val};

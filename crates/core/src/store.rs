@@ -303,8 +303,11 @@ impl Store {
 
     /// A structurally fresh copy sharing nothing with `self` — the cost
     /// profile `Store::clone` had before the copy-on-write refactor.
-    /// Exists for baseline comparisons (the seed-equivalent bench lane);
-    /// exploration code should always use the cheap `clone`.
+    /// A test and measurement reference: the copy-on-write leak property
+    /// test snapshots stores with it, and `engine_baseline` prices a
+    /// full rebuild (the store lane) and the seed hot path (the seed
+    /// lane) with it. Exploration code should always use the cheap
+    /// `clone`.
     pub fn deep_clone(&self) -> Store {
         Store {
             contents: self.contents.iter().cloned().collect(),

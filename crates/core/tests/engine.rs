@@ -1,12 +1,12 @@
 //! Integration tests for the exploration engine: budget exhaustion,
-//! DFS/BFS/work-stealing agreement on the message-passing and store-buffering
+//! DFS/work-stealing agreement on the message-passing and store-buffering
 //! shapes, and determinism of canonical hashing.
 
 use std::collections::BTreeSet;
 
 use bdrst_core::engine::{
-    canonicalize, Control, EngineConfig, EngineError, Explorer, Hashed, SearchOrder, StateId,
-    Strategy, WorkStealingEngine, WorklistEngine,
+    canonicalize, Control, EngineConfig, EngineError, Explorer, Hashed, StateId, Strategy,
+    WorkStealingEngine, WorklistEngine,
 };
 use bdrst_core::explore::reachable_terminals_with;
 use bdrst_core::loc::{Loc, LocKind, LocSet, Val};
@@ -55,9 +55,7 @@ fn outcomes(locs: &LocSet, m0: Machine<RecordedExpr>, strategy: Strategy) -> BTr
 fn strategies_agree_on_message_passing() {
     let (locs, a, _b, f) = locs_abf();
     let dfs = outcomes(&locs, message_passing(&locs, a, f), Strategy::Dfs);
-    let bfs = outcomes(&locs, message_passing(&locs, a, f), Strategy::Bfs);
     let ws = outcomes(&locs, message_passing(&locs, a, f), Strategy::WorkStealing);
-    assert_eq!(dfs, bfs);
     assert_eq!(dfs, ws);
     // The MP guarantee itself: flag read 1 implies payload read 1.
     assert!(!dfs.contains(&vec![1, 0]));
@@ -68,9 +66,7 @@ fn strategies_agree_on_message_passing() {
 fn strategies_agree_on_store_buffering() {
     let (locs, a, b, _f) = locs_abf();
     let dfs = outcomes(&locs, store_buffering(&locs, a, b), Strategy::Dfs);
-    let bfs = outcomes(&locs, store_buffering(&locs, a, b), Strategy::Bfs);
     let ws = outcomes(&locs, store_buffering(&locs, a, b), Strategy::WorkStealing);
-    assert_eq!(dfs, bfs);
     assert_eq!(dfs, ws);
     // SB is racy: all four read combinations appear.
     assert_eq!(dfs.len(), 4);
@@ -95,11 +91,9 @@ fn strategies_agree_on_visited_state_counts() {
         n
     };
     let cfg = EngineConfig::default();
-    let dfs = count(&WorklistEngine::new(cfg, SearchOrder::Dfs));
-    let bfs = count(&WorklistEngine::new(cfg, SearchOrder::Bfs));
+    let dfs = count(&WorklistEngine::new(cfg));
     let ws2 = count(&WorkStealingEngine::with_threads(cfg, 2));
     let ws8 = count(&WorkStealingEngine::with_threads(cfg, 8));
-    assert_eq!(dfs, bfs);
     assert_eq!(dfs, ws2);
     assert_eq!(dfs, ws8);
 }
@@ -113,7 +107,7 @@ fn budget_exhaustion_is_uniform_across_engines() {
         max_states: 10,
         max_traces: 10,
     };
-    for strategy in [Strategy::Dfs, Strategy::Bfs, Strategy::WorkStealing] {
+    for strategy in [Strategy::Dfs, Strategy::WorkStealing] {
         let r = reachable_terminals_with(&locs, m0.clone(), tiny, strategy);
         match r {
             Err(EngineError::BudgetExceeded { visited }) => {
@@ -140,7 +134,7 @@ fn canonical_hashing_is_deterministic() {
     // hashes of every visited state; the multisets must coincide.
     let hashes = |m0: Machine<RecordedExpr>| {
         let mut hs: Vec<u64> = Vec::new();
-        WorklistEngine::new(EngineConfig::default(), SearchOrder::Bfs)
+        WorklistEngine::new(EngineConfig::default())
             .explore(&locs, m0, &mut |m: &Machine<RecordedExpr>, _: StateId| {
                 hs.push(Hashed::new(canonicalize(&locs, m).unwrap()).hash64());
                 Control::Continue

@@ -5,9 +5,9 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use bdrst_core::engine::{
-    EngineError, ExploreStats, SearchOrder, StateGraph, Strategy, WorklistEngine,
+    EngineConfig, EngineError, ExploreStats, StateGraph, Strategy, WorklistEngine,
 };
-use bdrst_core::explore::{reachable_terminals, reachable_terminals_with, ExploreConfig};
+use bdrst_core::explore::{reachable_terminals, reachable_terminals_with};
 use bdrst_core::loc::{Loc, LocKind, LocSet, Val};
 use bdrst_core::machine::Machine;
 
@@ -108,7 +108,7 @@ impl Program {
     /// # Errors
     ///
     /// Returns [`EngineError`] if the state space exceeds the budget.
-    pub fn outcomes(&self, config: ExploreConfig) -> Result<Outcomes, EngineError> {
+    pub fn outcomes(&self, config: EngineConfig) -> Result<Outcomes, EngineError> {
         let terminals = reachable_terminals(&self.locs, self.initial_machine(), config)?;
         Ok(Outcomes {
             program: self.clone(),
@@ -117,15 +117,15 @@ impl Program {
     }
 
     /// [`Program::outcomes`] under an explicit engine [`Strategy`]
-    /// (DFS / BFS / parallel frontier expansion). All strategies produce
-    /// the same observation set.
+    /// (DFS / work-stealing / DPOR). All strategies produce the same
+    /// observation set.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError`] if the state space exceeds the budget.
     pub fn outcomes_with(
         &self,
-        config: ExploreConfig,
+        config: EngineConfig,
         strategy: Strategy,
     ) -> Result<Outcomes, EngineError> {
         let terminals =
@@ -146,13 +146,13 @@ impl Program {
     /// Returns [`EngineError`] if the state space exceeds the budget.
     pub fn state_graph(
         &self,
-        config: ExploreConfig,
+        config: EngineConfig,
     ) -> Result<(StateGraph<ThreadState>, ExploreStats), EngineError> {
         self.state_graph_with(config, Strategy::Dfs)
     }
 
     /// [`Program::state_graph`] under an explicit engine [`Strategy`].
-    /// `Dfs`/`Bfs` record through the sequential worklist;
+    /// `Dfs` (and `Dpor`) record through the sequential worklist;
     /// `WorkStealing` records through the work-stealing pool. All
     /// strategies record the same canonical state set (the engines
     /// guarantee it); only id order may differ.
@@ -162,7 +162,7 @@ impl Program {
     /// Returns [`EngineError`] if the state space exceeds the budget.
     pub fn state_graph_with(
         &self,
-        config: ExploreConfig,
+        config: EngineConfig,
         strategy: Strategy,
     ) -> Result<(StateGraph<ThreadState>, ExploreStats), EngineError> {
         let m0 = self.initial_machine();
@@ -171,10 +171,7 @@ impl Program {
             // successor graph; the reduced walk cannot record one, so
             // Dpor falls back to the sequential DFS recorder.
             Strategy::Dfs | Strategy::Dpor => {
-                WorklistEngine::new(config, SearchOrder::Dfs).explore_graph(&self.locs, m0)
-            }
-            Strategy::Bfs => {
-                WorklistEngine::new(config, SearchOrder::Bfs).explore_graph(&self.locs, m0)
+                WorklistEngine::new(config).explore_graph(&self.locs, m0)
             }
             Strategy::WorkStealing => {
                 bdrst_core::engine::WorkStealingEngine::new(config).explore_graph(&self.locs, m0)
@@ -560,8 +557,8 @@ mod tests {
     #[test]
     fn graph_outcomes_match_live_outcomes() {
         let p = mini_program();
-        let live = p.outcomes(ExploreConfig::default()).unwrap();
-        let (graph, stats) = p.state_graph(ExploreConfig::default()).unwrap();
+        let live = p.outcomes(EngineConfig::default()).unwrap();
+        let (graph, stats) = p.state_graph(EngineConfig::default()).unwrap();
         assert!(stats.visited > 0);
         let cached = p.outcomes_from_graph(&graph);
         assert_eq!(live.set(), cached.set());
@@ -570,7 +567,7 @@ mod tests {
     #[test]
     fn outcomes_of_race() {
         let p = mini_program();
-        let o = p.outcomes(ExploreConfig::default()).unwrap();
+        let o = p.outcomes(EngineConfig::default()).unwrap();
         // The reader may see 0 or 1.
         assert!(o.any(|x| x.reg_named("P1", "r0") == Some(0)));
         assert!(o.any(|x| x.reg_named("P1", "r0") == Some(1)));
@@ -647,7 +644,7 @@ mod tests {
     #[test]
     fn observation_round_trips_through_the_wire() {
         let p = mini_program();
-        let o = p.outcomes(ExploreConfig::default()).unwrap();
+        let o = p.outcomes(EngineConfig::default()).unwrap();
         for named in o.iter() {
             let obs = named.observation();
             let mut bytes = Vec::new();

@@ -9,7 +9,7 @@
 //! hardware models.
 //!
 //! [`runner::RunConfig::strategy`] selects the exploration engine
-//! (DFS / BFS / work-stealing / DPOR), and the batched sweep entry points
+//! (DFS / work-stealing / DPOR), and the batched sweep entry points
 //! [`runner::run_corpus`] / [`runner::run_corpus_sharded`] run the whole
 //! corpus — the sharded variant distributes tests across the core
 //! engine's work-stealing parallel map.

@@ -6,8 +6,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use bdrst_axiomatic::{axiomatic_outcomes, EnumError, EnumLimits, GenError};
-use bdrst_core::engine::{parallel_map_with, EngineError, Strategy};
-use bdrst_core::explore::ExploreConfig;
+use bdrst_core::engine::{parallel_map_with, EngineConfig, EngineError, Strategy};
 use bdrst_hw::{hw_outcomes, Target};
 use bdrst_lang::{Observation, Program};
 
@@ -17,10 +16,9 @@ use crate::corpus::LitmusTest;
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct RunConfig {
     /// Budget for operational exploration.
-    pub explore: ExploreConfig,
-    /// Engine strategy for operational exploration: sequential DFS or
-    /// BFS, the work-stealing pool, or DPOR (see
-    /// [`bdrst_core::engine::Strategy`]).
+    pub explore: EngineConfig,
+    /// Engine strategy for operational exploration: sequential DFS, the
+    /// work-stealing pool, or DPOR (see [`bdrst_core::engine::Strategy`]).
     pub strategy: Strategy,
     /// Budget for axiomatic/hardware enumeration.
     pub enumerate: EnumLimits,
@@ -405,20 +403,18 @@ mod tests {
 
     #[test]
     fn corpus_outcome_sets_identical_across_strategies() {
-        // The acceptance bar for the engine refactor: DFS, BFS and the
+        // The acceptance bar for the engine refactor: DFS and the
         // work-stealing engine produce byte-identical canonical outcome
         // sets on the full corpus.
         for t in corpus::all_tests() {
             let p = Program::parse(t.source).unwrap();
-            let cfg = ExploreConfig::default();
+            let cfg = EngineConfig::default();
             let dfs = p.outcomes_with(cfg, Strategy::Dfs).unwrap().set().clone();
-            let bfs = p.outcomes_with(cfg, Strategy::Bfs).unwrap().set().clone();
             let ws = p
                 .outcomes_with(cfg, Strategy::WorkStealing)
                 .unwrap()
                 .set()
                 .clone();
-            assert_eq!(dfs, bfs, "DFS vs BFS diverge on {}", t.name);
             assert_eq!(dfs, ws, "DFS vs work-stealing diverge on {}", t.name);
             assert_eq!(
                 format!("{dfs:?}"),
@@ -453,8 +449,8 @@ mod tests {
         // cached terminal states.
         for t in corpus::all_tests() {
             let p = Program::parse(t.source).unwrap();
-            let live = p.outcomes(ExploreConfig::default()).unwrap().set().clone();
-            let (graph, _) = p.state_graph(ExploreConfig::default()).unwrap();
+            let live = p.outcomes(EngineConfig::default()).unwrap().set().clone();
+            let (graph, _) = p.state_graph(EngineConfig::default()).unwrap();
             let cached = p.outcomes_from_graph(&graph).set().clone();
             assert_eq!(live, cached, "graph replay diverges on {}", t.name);
         }
@@ -497,7 +493,7 @@ mod tests {
         for t in corpus::all_tests() {
             let program = Program::parse(t.source).unwrap();
             let op = program
-                .outcomes(ExploreConfig::default())
+                .outcomes(EngineConfig::default())
                 .unwrap()
                 .set()
                 .clone();
@@ -516,7 +512,7 @@ mod tests {
     #[test]
     fn run_error_kinds_classify_budget_and_parse() {
         let tiny = RunConfig {
-            explore: ExploreConfig {
+            explore: EngineConfig {
                 max_states: 1,
                 max_traces: 1,
             },

@@ -13,8 +13,8 @@
 
 use std::collections::BTreeSet;
 
-use bdrst_core::engine::EngineError;
-use bdrst_core::explore::{reachable_terminals, ExploreConfig};
+use bdrst_core::engine::{EngineConfig, EngineError};
+use bdrst_core::explore::reachable_terminals;
 use bdrst_core::loc::{LocKind, LocSet, Val};
 use bdrst_core::machine::Machine;
 use bdrst_lang::{Stmt, ThreadState};
@@ -39,7 +39,7 @@ pub fn context_outcomes(
     locs: &LocSet,
     thread: &[Stmt],
     context: &[Vec<Stmt>],
-    config: ExploreConfig,
+    config: EngineConfig,
 ) -> Result<BTreeSet<ContextObservation>, EngineError> {
     let mut exprs = vec![ThreadState::new(thread.to_vec())];
     exprs.extend(context.iter().map(|c| ThreadState::new(c.clone())));
@@ -94,7 +94,7 @@ pub fn validate_in_context(
     original: &[Stmt],
     transformed: &[Stmt],
     context: &[Vec<Stmt>],
-    config: ExploreConfig,
+    config: EngineConfig,
 ) -> Result<ValidationReport, EngineError> {
     Ok(ValidationReport {
         original: context_outcomes(locs, original, context, config)?,
@@ -108,8 +108,8 @@ mod tests {
     use crate::passes;
     use bdrst_lang::Program;
 
-    fn cfg() -> ExploreConfig {
-        ExploreConfig::default()
+    fn cfg() -> EngineConfig {
+        EngineConfig::default()
     }
 
     /// Parses a two-part program: thread P0 is the transformed subject,

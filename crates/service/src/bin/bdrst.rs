@@ -22,12 +22,11 @@
 //! `serve` flags: `--max-conns N`, `--queue-depth N` (admission /
 //! backpressure bounds), `--rate-per-sec N` + `--burst N`
 //! (per-connection token bucket; 0 = unlimited), `--metrics` (print a
-//! metrics JSON snapshot line every 10s), `--thread-per-conn` (legacy
-//! connection layer instead of the readiness-loop reactor — baseline
-//! comparisons only), `--trace-dir DIR` + `--trace-keep N` + `--slow-ms N`
-//! (per-request traces, retention, slow-request flagging/flight dumps),
-//! `--log-level L` + `--log-dir DIR` (structured JSON-lines logging;
-//! the `BDRST_LOG` environment variable also sets the level). `bdrst
+//! metrics JSON snapshot line every 10s), `--trace-dir DIR` +
+//! `--trace-keep N` + `--slow-ms N` (per-request traces, retention,
+//! slow-request flagging/flight dumps), `--log-level L` + `--log-dir DIR`
+//! (structured JSON-lines logging; the `BDRST_LOG` environment variable
+//! also sets the level). `bdrst
 //! metrics --addr HOST:PORT` asks a running server for the same
 //! counters over the wire; `bdrst status --addr HOST:PORT` for the
 //! live in-flight request table.
@@ -61,7 +60,6 @@ struct Opts {
     rate_per_sec: u32,
     burst: Option<u32>,
     metrics: bool,
-    thread_per_conn: bool,
     profile: Option<PathBuf>,
     trace_dir: Option<PathBuf>,
     slow_ms: Option<u64>,
@@ -79,7 +77,7 @@ fn usage() -> ExitCode {
          flags: --json --cache-dir DIR --addr HOST:PORT --workers N --max-states N --max-traces N --shrink\n\
          profiling: --profile OUT.json (check/corpus/races: Chrome trace export + summary on stderr)\n\
          \x20          --progress (check/corpus/races: engine progress ticks on stderr)\n\
-         serve flags: --max-conns N --queue-depth N --rate-per-sec N --burst N --metrics --thread-per-conn\n\
+         serve flags: --max-conns N --queue-depth N --rate-per-sec N --burst N --metrics\n\
          \x20              --trace-dir DIR (per-request timing files) --trace-keep N (retain newest N) --slow-ms N (slow-request flagging)\n\
          \x20              --log-level error|warn|info|debug|trace (also via BDRST_LOG) --log-dir DIR (JSON-lines log files; default stderr)\n\
          metrics flags: --prom (Prometheus text exposition)\n\
@@ -104,7 +102,6 @@ fn parse_opts(mut argv: std::env::Args) -> Option<(String, Opts)> {
         rate_per_sec: 0,
         burst: None,
         metrics: false,
-        thread_per_conn: false,
         profile: None,
         trace_dir: None,
         slow_ms: None,
@@ -130,7 +127,6 @@ fn parse_opts(mut argv: std::env::Args) -> Option<(String, Opts)> {
             "--rate-per-sec" => opts.rate_per_sec = argv.next()?.parse().ok()?,
             "--burst" => opts.burst = Some(argv.next()?.parse().ok()?),
             "--metrics" => opts.metrics = true,
-            "--thread-per-conn" => opts.thread_per_conn = true,
             "--profile" => opts.profile = Some(PathBuf::from(argv.next()?)),
             "--trace-dir" => opts.trace_dir = Some(PathBuf::from(argv.next()?)),
             "--slow-ms" => opts.slow_ms = Some(argv.next()?.parse().ok()?),
@@ -550,11 +546,6 @@ fn cmd_serve(opts: &Opts) -> ExitCode {
         queue_depth: opts.queue_depth.unwrap_or(defaults.queue_depth),
         rate_per_sec: opts.rate_per_sec,
         burst: opts.burst.unwrap_or(defaults.burst),
-        model: if opts.thread_per_conn {
-            bdrst_service::ServeModel::ThreadPerConn
-        } else {
-            bdrst_service::ServeModel::Reactor
-        },
         trace_dir: opts.trace_dir.clone(),
         slow_ms: opts.slow_ms,
         trace_keep: opts.trace_keep,

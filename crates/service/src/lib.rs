@@ -59,6 +59,6 @@ pub mod store;
 
 pub use json::Json;
 pub use metrics::Metrics;
-pub use server::{serve, ServeConfig, ServeModel, ServerHandle};
+pub use server::{serve, ServeConfig, ServerHandle};
 pub use service::{CheckService, Checked};
 pub use store::{version_tag, CacheEntry, CacheKey, CacheStats, ResultStore, StoreConfig};

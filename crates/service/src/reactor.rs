@@ -1,5 +1,4 @@
-//! The std-only readiness-loop reactor: the server's default
-//! connection layer.
+//! The std-only readiness-loop reactor: the server's connection layer.
 //!
 //! One thread owns the nonblocking listener and every client socket.
 //! Each poll cycle it
@@ -53,7 +52,7 @@ use crate::json::Json;
 use crate::metrics::Metrics;
 use crate::server::{
     error_response, rate_limited_response, shutting_down_response, ConnGuard, Job, JobQueue,
-    ReqMeta, ServeConfig, Sink, TokenBucket, TraceLog, TryPushError,
+    ReqMeta, ServeConfig, TokenBucket, TraceLog, TryPushError,
 };
 
 /// Upper bound on an idle park: with a live wakeup pipe the park ends
@@ -139,7 +138,7 @@ impl Waker {
 /// lines have been drained, so a response can never be lost between a
 /// worker and the socket.
 pub(crate) struct Outbox {
-    lines: Mutex<Vec<(String, Option<ReqMeta>)>>,
+    lines: Mutex<Vec<(String, ReqMeta)>>,
     submitted: AtomicUsize,
     completed: AtomicUsize,
     /// Pokes the reactor awake on every deposit; `None` when the wakeup
@@ -160,7 +159,7 @@ impl Outbox {
     /// Called by a worker with the finished response line; `meta`
     /// carries the request's timing so the reactor can stamp the
     /// write-back when the line actually reaches the socket.
-    pub(crate) fn complete(&self, line: &str, meta: Option<ReqMeta>) {
+    pub(crate) fn complete(&self, line: &str, meta: ReqMeta) {
         let mut lines = self.lines.lock().unwrap();
         lines.push((line.to_string(), meta));
         // Bumped under the lock: once a reader of `completed` sees the
@@ -187,7 +186,7 @@ impl Outbox {
         self.completed.load(Ordering::SeqCst) == self.submitted.load(Ordering::SeqCst)
     }
 
-    fn drain(&self) -> Vec<(String, Option<ReqMeta>)> {
+    fn drain(&self) -> Vec<(String, ReqMeta)> {
         std::mem::take(&mut *self.lines.lock().unwrap())
     }
 }
@@ -255,7 +254,7 @@ pub(crate) fn spawn(
     metrics: Arc<Metrics>,
     stop: Arc<AtomicBool>,
     flush: Arc<AtomicBool>,
-    trace: Arc<Option<TraceLog>>,
+    trace: Option<TraceLog>,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
         // Built on the reactor thread; if loopback is unavailable the
@@ -287,7 +286,7 @@ struct Reactor {
     metrics: Arc<Metrics>,
     stop: Arc<AtomicBool>,
     flush: Arc<AtomicBool>,
-    trace: Arc<Option<TraceLog>>,
+    trace: Option<TraceLog>,
     conns: Vec<Conn>,
     /// Shared write half of the wakeup pipe (cloned into each outbox).
     waker: Option<Arc<Waker>>,
@@ -327,9 +326,7 @@ impl Reactor {
             // whose client is gone.
             for conn in self.conns.iter_mut().filter(|c| c.dead) {
                 for (_, meta) in conn.outbox.drain() {
-                    if let Some(meta) = meta {
-                        self.metrics.inflight_done(meta.req_id);
-                    }
+                    self.metrics.inflight_done(meta.req_id);
                 }
                 for meta in conn.inflight.drain(..) {
                     self.metrics.inflight_done(meta.req_id);
@@ -442,9 +439,9 @@ impl Reactor {
                     match guard {
                         Some(g) => conn._guard = Some(g),
                         None => {
-                            // Same atomic admission as the legacy path:
-                            // the loser of the race gets one error line
-                            // and a drained, clean close.
+                            // Atomic admission: the loser of the race
+                            // gets one error line and a drained, clean
+                            // close.
                             self.metrics.count_error("overloaded");
                             let resp = error_response(
                                 Json::Null,
@@ -481,7 +478,7 @@ impl Reactor {
             for (line, meta) in conn.outbox.drain() {
                 conn.wbuf.extend_from_slice(line.as_bytes());
                 conn.wbuf.push(b'\n');
-                conn.inflight.extend(meta);
+                conn.inflight.push(meta);
             }
         }
 
@@ -548,7 +545,7 @@ impl Reactor {
             for (line, meta) in conn.outbox.drain() {
                 conn.wbuf.extend_from_slice(line.as_bytes());
                 conn.wbuf.push(b'\n');
-                conn.inflight.extend(meta);
+                conn.inflight.push(meta);
             }
             conn.wbuf.is_empty()
         };
@@ -641,8 +638,7 @@ impl Reactor {
                     any = true;
                     match &mut conn.state {
                         ConnState::Rejecting { discarded, .. } => {
-                            // Bounded discard (the nonblocking twin of
-                            // the legacy drain): absorbing the client's
+                            // Bounded discard: absorbing the client's
                             // in-flight bytes keeps the close a clean
                             // FIN instead of an RST over the error line.
                             *discarded += n;
@@ -727,7 +723,7 @@ impl Reactor {
             let outbox = Arc::clone(&conn.outbox);
             self.conns[i]
                 .pending
-                .push_back(Job::new(line.to_string(), Sink::Outbox(outbox)));
+                .push_back(Job::new(line.to_string(), outbox));
             self.submit_pending(i);
         }
     }

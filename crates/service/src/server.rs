@@ -39,37 +39,32 @@
 //!
 //! # Architecture
 //!
-//! The default connection layer is the std-only **readiness-loop
-//! reactor** ([`crate::reactor`]): one thread owns the nonblocking
-//! listener and every client socket, polling per-connection read/write
-//! buffers, so idle connections cost buffers instead of threads.
-//! Parsed request lines become [`Job`]s on a **bounded** queue
-//! (backpressure: a connection with queued-but-unsubmitted lines stops
-//! being read); `workers` worker threads pop jobs, compute through the
-//! shared cache-first [`CheckService`] (whose misses run on the
-//! existing engine machinery — the default configuration explores with
-//! the work-stealing engine), and hand each response line back to the
-//! reactor, which writes it on the connection's next writable cycle —
-//! whole lines, never interleaved bytes.
+//! The connection layer is the std-only **readiness-loop reactor**
+//! ([`crate::reactor`]): one thread owns the nonblocking listener and
+//! every client socket, polling per-connection read/write buffers, so
+//! idle connections cost buffers instead of threads. Parsed request
+//! lines become [`Job`]s on a **bounded** queue (backpressure: a
+//! connection with queued-but-unsubmitted lines stops being read);
+//! `workers` worker threads pop jobs, compute through the shared
+//! cache-first [`CheckService`] (whose misses run on the existing engine
+//! machinery — the default configuration explores with the
+//! work-stealing engine), and append each response line to the
+//! connection's outbox; the reactor writes it on the
+//! connection's next writable cycle — whole lines, never interleaved
+//! bytes.
 //!
-//! [`ServeModel::ThreadPerConn`] keeps the previous
-//! thread-per-connection reader layer (one blocking reader thread per
-//! client, responses written under a per-connection lock) as a
-//! comparison lane for the `engine_baseline` connection-scaling sweep.
-//!
-//! Shutdown is drain-then-close in both models: queued jobs are
-//! completed by the workers and their responses delivered; a request
-//! line that was accepted but can no longer be served receives one
+//! Shutdown is drain-then-close: queued jobs are completed by the
+//! workers and their responses delivered; a request line that was
+//! accepted but can no longer be served receives one
 //! `{"kind":"shutting-down"}` error line before its connection closes.
 //! Every accepted request produces exactly one response line.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bdrst_core::engine::Strategy;
 use bdrst_litmus::{classify_entries, CorpusVerdict, RunConfig, RunError};
@@ -79,20 +74,6 @@ use crate::metrics::{Metrics, ServerInfo};
 use crate::reactor;
 use crate::service::{outcome_strings, CheckService, Checked};
 use crate::store::ResultStore;
-
-/// Which connection layer a server runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ServeModel {
-    /// The readiness-loop reactor ([`crate::reactor`]): one polling
-    /// thread, nonblocking sockets, per-connection buffers. Thousands
-    /// of idle connections cost memory, not threads.
-    #[default]
-    Reactor,
-    /// The legacy thread-per-connection reader layer: connection
-    /// capacity is bounded by thread count. Kept as the baseline lane
-    /// for the connection-scaling sweep.
-    ThreadPerConn,
-}
 
 /// Server knobs.
 #[derive(Clone, Debug)]
@@ -120,8 +101,6 @@ pub struct ServeConfig {
     /// Token-bucket capacity: how many requests a connection may burst
     /// above the steady rate (clamped to ≥ 1 when rate limiting is on).
     pub burst: u32,
-    /// The connection layer (readiness-loop reactor by default).
-    pub model: ServeModel,
     /// When set, every served request writes a `req-<id>.json` timing
     /// file here: queue-wait / execute / write-back as integer
     /// nanoseconds plus the same split as Chrome trace events. `None`
@@ -149,7 +128,6 @@ impl Default for ServeConfig {
             max_request_bytes: 1 << 20,
             rate_per_sec: 0,
             burst: 8,
-            model: ServeModel::Reactor,
             trace_dir: None,
             slow_ms: None,
             trace_keep: None,
@@ -327,70 +305,19 @@ impl TraceLog {
     }
 }
 
-/// Where a worker delivers one response line.
-pub(crate) enum Sink {
-    /// Legacy model: write directly to the client socket, whole lines
-    /// under the connection's write lock.
-    Stream(Arc<Mutex<TcpStream>>),
-    /// Reactor model: append to the connection's outbox; the reactor
-    /// flushes it on the next writable cycle.
-    Outbox(Arc<reactor::Outbox>),
-}
-
-impl Sink {
-    /// Delivers one response line. The stream path flushes inline, so
-    /// write-back is stamped (the trace file written, the slow request
-    /// counted, the registry entry retired) here; the outbox path hands
-    /// the meta to the reactor, which does all of that when the
-    /// connection's buffer actually drains.
-    pub(crate) fn send(
-        &self,
-        line: &str,
-        meta: ReqMeta,
-        trace: Option<&TraceLog>,
-        metrics: Option<&Metrics>,
-    ) {
-        match self {
-            Sink::Stream(out) => {
-                let mut w = out.lock().unwrap();
-                let _ = writeln!(w, "{line}");
-                let _ = w.flush();
-                drop(w);
-                let flush_ns = bdrst_obs::now_ns();
-                bdrst_obs::event(
-                    bdrst_obs::Phase::WriteBack,
-                    meta.exec_end_ns,
-                    flush_ns.saturating_sub(meta.exec_end_ns),
-                    meta.req_id,
-                );
-                if let Some(trace) = trace {
-                    if trace.record(&meta, flush_ns) {
-                        if let Some(m) = metrics {
-                            m.count_slow_request();
-                        }
-                    }
-                }
-                if let Some(m) = metrics {
-                    m.inflight_done(meta.req_id);
-                }
-            }
-            Sink::Outbox(outbox) => outbox.complete(line, Some(meta)),
-        }
-    }
-}
-
-/// One queued request: the raw line, where to deliver the response, and
-/// the request's identity/enqueue stamp for the observability span tree.
+/// One queued request: the raw line, the outbox of the connection that
+/// sent it, and the request's identity/enqueue stamp for the
+/// observability span tree.
 pub(crate) struct Job {
     pub(crate) line: String,
-    pub(crate) out: Sink,
+    pub(crate) out: Arc<reactor::Outbox>,
     pub(crate) req_id: u64,
     pub(crate) enqueue_ns: u64,
 }
 
 impl Job {
     /// Mints the process-unique request ID and stamps the enqueue time.
-    pub(crate) fn new(line: String, out: Sink) -> Job {
+    pub(crate) fn new(line: String, out: Arc<reactor::Outbox>) -> Job {
         static NEXT_REQ_ID: AtomicU64 = AtomicU64::new(1);
         Job {
             line,
@@ -411,13 +338,12 @@ pub(crate) enum TryPushError {
     Closed,
 }
 
-/// A bounded MPMC job queue: `push` blocks while full, `pop` blocks while
-/// empty, both wake on close. `pop` keeps returning queued jobs after
+/// A bounded MPMC job queue: `try_push` refuses while full, `pop` blocks
+/// while empty and wakes on close. `pop` keeps returning queued jobs after
 /// close (drain-then-stop), so closing never abandons accepted work.
 pub(crate) struct JobQueue {
     inner: Mutex<QueueInner>,
     not_empty: Condvar,
-    not_full: Condvar,
     depth: usize,
 }
 
@@ -434,26 +360,8 @@ impl JobQueue {
                 closed: false,
             }),
             not_empty: Condvar::new(),
-            not_full: Condvar::new(),
             depth: depth.max(1),
         }
-    }
-
-    /// Blocks until there is room; `Err(job)` when the queue is closed —
-    /// the caller owns the job again and must answer its client
-    /// (`shutting-down`), never drop it silently.
-    fn push(&self, job: Job) -> Result<usize, Job> {
-        let mut inner = self.inner.lock().unwrap();
-        while inner.jobs.len() >= self.depth && !inner.closed {
-            inner = self.not_full.wait(inner).unwrap();
-        }
-        if inner.closed {
-            return Err(job);
-        }
-        inner.jobs.push_back(job);
-        let depth = inner.jobs.len();
-        self.not_empty.notify_one();
-        Ok(depth)
     }
 
     /// Nonblocking push for the reactor: never stalls the poll loop.
@@ -477,7 +385,6 @@ impl JobQueue {
         let mut inner = self.inner.lock().unwrap();
         loop {
             if let Some(job) = inner.jobs.pop_front() {
-                self.not_full.notify_one();
                 return Some(job);
             }
             if inner.closed {
@@ -490,7 +397,6 @@ impl JobQueue {
     pub(crate) fn close(&self) {
         self.inner.lock().unwrap().closed = true;
         self.not_empty.notify_all();
-        self.not_full.notify_all();
     }
 }
 
@@ -525,9 +431,6 @@ impl ServerHandle {
     /// never silently drops an accepted request.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        // Unblock a legacy blocking accept loop with a throwaway
-        // connection (harmless no-op for the nonblocking reactor).
-        let _ = TcpStream::connect(self.addr);
         // Close the queue *then* join the workers: `pop` drains queued
         // jobs after close, so every accepted request is computed and
         // its response line delivered before the workers exit.
@@ -537,8 +440,7 @@ impl ServerHandle {
         }
         // All responses are now in their sinks; tell the reactor to
         // flush outstanding write buffers, answer any straggler lines
-        // with `shutting-down`, and exit. The legacy accept thread has
-        // already observed `stop` via the throwaway connection.
+        // with `shutting-down`, and exit.
         self.flush.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept.take() {
             let _ = h.join();
@@ -563,7 +465,6 @@ pub fn serve(
     let flush = Arc::new(AtomicBool::new(false));
     let queue = Arc::new(JobQueue::new(config.queue_depth));
     let metrics = Arc::new(Metrics::new());
-    let trace = Arc::new(TraceLog::from_config(&config));
 
     let worker_count = if config.workers == 0 {
         std::thread::available_parallelism().map_or(2, |n| n.get())
@@ -594,7 +495,6 @@ pub fn serve(
             let queue = Arc::clone(&queue);
             let service = Arc::clone(&service);
             let metrics = Arc::clone(&metrics);
-            let trace = Arc::clone(&trace);
             std::thread::spawn(move || {
                 while let Some(job) = queue.pop() {
                     let exec_start_ns = bdrst_obs::now_ns();
@@ -645,38 +545,23 @@ pub fn serve(
                         exec_end_ns.saturating_sub(exec_start_ns),
                         meta.req_id,
                     );
-                    job.out.send(
-                        &response.render(),
-                        meta,
-                        trace.as_ref().as_ref(),
-                        Some(&metrics),
-                    );
+                    job.out.complete(&response.render(), meta);
                 }
             })
         })
         .collect();
 
-    let accept = match config.model {
-        ServeModel::Reactor => {
-            listener.set_nonblocking(true)?;
-            reactor::spawn(
-                listener,
-                config,
-                Arc::clone(&queue),
-                Arc::clone(&metrics),
-                Arc::clone(&stop),
-                Arc::clone(&flush),
-                Arc::clone(&trace),
-            )
-        }
-        ServeModel::ThreadPerConn => spawn_thread_per_conn(
-            listener,
-            config,
-            Arc::clone(&queue),
-            Arc::clone(&metrics),
-            Arc::clone(&stop),
-        ),
-    };
+    listener.set_nonblocking(true)?;
+    let trace = TraceLog::from_config(&config);
+    let accept = reactor::spawn(
+        listener,
+        config,
+        Arc::clone(&queue),
+        Arc::clone(&metrics),
+        Arc::clone(&stop),
+        Arc::clone(&flush),
+        trace,
+    );
 
     Ok(ServerHandle {
         addr,
@@ -709,180 +594,6 @@ impl Drop for ConnGuard {
     fn drop(&mut self) {
         self.0.release_conn();
     }
-}
-
-/// Writes `resp` to a connection being rejected, then drains whatever
-/// the client already sent — bounded in bytes and time — before the
-/// close. Without the drain, already-received request bytes sitting
-/// unread in the kernel buffer can turn the close into an RST that
-/// destroys the response in flight; with it, the close is a clean FIN
-/// and the client reliably reads the error line (even if it pipelined
-/// a request before the rejection was decided).
-pub(crate) fn reject_and_drain(mut stream: TcpStream, resp: &Json, max_request_bytes: usize) {
-    let _ = writeln!(stream, "{}", resp.render());
-    let _ = stream.flush();
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let mut drained = 0usize;
-    let mut scratch = [0u8; 4096];
-    loop {
-        match stream.read(&mut scratch) {
-            Ok(0) | Err(_) => break, // EOF or timeout
-            Ok(n) => {
-                drained += n;
-                if drained > 16 * max_request_bytes {
-                    break;
-                }
-            }
-        }
-    }
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-}
-
-/// The legacy thread-per-connection accept layer: one blocking reader
-/// thread per admitted client. Kept behind [`ServeModel::ThreadPerConn`]
-/// as the baseline lane of the connection-scaling sweep.
-fn spawn_thread_per_conn(
-    listener: TcpListener,
-    config: ServeConfig,
-    queue: Arc<JobQueue>,
-    metrics: Arc<Metrics>,
-    stop: Arc<AtomicBool>,
-) -> JoinHandle<()> {
-    let max_conns = config.max_conns.max(1);
-    let max_request = config.max_request_bytes.max(1);
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            // Connection limit: a single atomic admit-or-reject before
-            // spawning anything (increment first — two racing accepts
-            // can never both pass a load-then-add check again). The
-            // rejected client gets one well-formed error line so it can
-            // distinguish "overloaded" from a network failure, and its
-            // already-sent bytes are drained off the accept thread so
-            // the close cannot RST the error line away.
-            let Some(guard) = ConnGuard::try_admit(&metrics, max_conns) else {
-                let resp = error_response(
-                    Json::Null,
-                    "overloaded",
-                    format!("server at its {max_conns}-connection limit"),
-                );
-                metrics.count_error("overloaded");
-                std::thread::spawn(move || reject_and_drain(stream, &resp, max_request));
-                continue;
-            };
-            let queue = Arc::clone(&queue);
-            let metrics = Arc::clone(&metrics);
-            let mut bucket = TokenBucket::from_config(&config);
-            // Reader threads exit with their connection (EOF / error);
-            // they are not joined on shutdown — each owns only its
-            // client socket (and its slot in the connection count).
-            std::thread::spawn(move || {
-                let _guard = guard;
-                let Ok(write_half) = stream.try_clone() else {
-                    return;
-                };
-                let out = Arc::new(Mutex::new(write_half));
-                let write_line = |resp: &Json| {
-                    let mut w = out.lock().unwrap();
-                    let _ = writeln!(w, "{}", resp.render());
-                    let _ = w.flush();
-                };
-                let mut reader = BufReader::new(stream);
-                loop {
-                    // Size-capped line read: take() bounds how much a
-                    // single request may buffer, so a client cannot
-                    // grow the reader's memory without limit.
-                    let mut line = Vec::new();
-                    let mut limited = Read::take(&mut reader, max_request as u64 + 1);
-                    match limited.read_until(b'\n', &mut line) {
-                        Ok(0) => break,
-                        Err(_) => break,
-                        Ok(_) => {}
-                    }
-                    if !line.ends_with(b"\n") && line.len() > max_request {
-                        let resp = error_response(
-                            Json::Null,
-                            "too-large",
-                            format!("request exceeds {max_request} bytes"),
-                        );
-                        metrics.count_error("too-large");
-                        write_line(&resp);
-                        // Drain whatever else the client already sent —
-                        // the rest of the line AND anything pipelined
-                        // behind it — bounded in bytes and time, so the
-                        // close is a clean FIN: an RST from unread
-                        // buffered data could destroy the error
-                        // response in flight. The read timeout bounds
-                        // how long a silent client holds the slot.
-                        {
-                            let w = out.lock().unwrap();
-                            let _ = w.set_read_timeout(Some(Duration::from_millis(200)));
-                        }
-                        let mut drained = 0usize;
-                        let mut scratch = [0u8; 4096];
-                        loop {
-                            match reader.read(&mut scratch) {
-                                Ok(0) | Err(_) => break, // EOF or timeout
-                                Ok(n) => {
-                                    drained += n;
-                                    if drained > 16 * max_request {
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                        break;
-                    }
-                    let Ok(line) = String::from_utf8(line) else {
-                        metrics.count_error("proto");
-                        write_line(&error_response(
-                            Json::Null,
-                            "proto",
-                            "request is not UTF-8".into(),
-                        ));
-                        continue;
-                    };
-                    let line = line.trim();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    // Per-connection rate limit: over-limit requests are
-                    // answered (with a retry hint), never dropped, and
-                    // the connection stays open.
-                    if let Some(bucket) = bucket.as_mut() {
-                        if let Err(retry_ms) = bucket.try_take(Instant::now()) {
-                            metrics.count_rate_limited();
-                            write_line(&rate_limited_response(retry_ms));
-                            continue;
-                        }
-                    }
-                    let job = Job::new(line.to_string(), Sink::Stream(Arc::clone(&out)));
-                    // Registered before the push: once the job is
-                    // visible to a worker its registry entry must
-                    // already exist (the executing transition is
-                    // update-only).
-                    metrics.inflight_enqueued(job.req_id, job.enqueue_ns);
-                    let req_id = job.req_id;
-                    match queue.push(job) {
-                        Ok(depth) => metrics.note_queue_depth(depth),
-                        Err(_job) => {
-                            metrics.inflight_done(req_id);
-                            // Queue closed (shutdown): the request was
-                            // accepted, so it still gets exactly one
-                            // response line before the connection
-                            // closes — never a silent drop.
-                            metrics.count_error("shutting-down");
-                            write_line(&shutting_down_response());
-                            break;
-                        }
-                    }
-                }
-            });
-        }
-    })
 }
 
 pub(crate) fn error_response(id: Json, kind: &str, message: String) -> Json {

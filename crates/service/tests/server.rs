@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use bdrst_litmus::{run_corpus, RunConfig};
 use bdrst_service::json::Json;
-use bdrst_service::server::{handle_line, serve, ServeConfig, ServeModel};
+use bdrst_service::server::{handle_line, serve, ServeConfig};
 use bdrst_service::service::CheckService;
 use bdrst_service::store::ResultStore;
 
@@ -365,8 +365,8 @@ fn connection_limit_rejects_cleanly() {
     );
     drop((s3, r3));
 
-    // Releasing a slot re-admits new clients (the reader thread frees it
-    // when it observes the close — poll briefly).
+    // Releasing a slot re-admits new clients (the reactor frees it when
+    // it observes the close — poll briefly).
     drop((s1, r1));
     let mut admitted = false;
     for _ in 0..100 {
@@ -445,64 +445,61 @@ fn oversized_requests_are_rejected() {
 /// of connects far over the cap. The old accept loop did a `load` then a
 /// separate `fetch_add`, so racing accepts could both pass the check;
 /// the metrics high-water mark is the observable witness that the
-/// atomic admission never exceeds `max_conns` — in either model.
+/// atomic admission never exceeds `max_conns`.
 #[test]
 fn admission_burst_never_exceeds_max_conns() {
-    for model in [ServeModel::Reactor, ServeModel::ThreadPerConn] {
-        let service = CheckService::new(Arc::new(ResultStore::in_memory()), RunConfig::default());
-        let handle = serve(
-            Arc::new(service),
-            "127.0.0.1:0",
-            ServeConfig {
-                workers: 2,
-                max_conns: 4,
-                model,
-                ..ServeConfig::default()
-            },
-        )
-        .unwrap();
-        let addr = handle.addr();
-        let barrier = Arc::new(std::sync::Barrier::new(16));
-        let clients: Vec<_> = (0..16)
-            .map(|_| {
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    let Ok(stream) = TcpStream::connect(addr) else {
-                        return;
-                    };
-                    // Exercise the admitted path (a full round-trip) or
-                    // read the rejection; either way hold the socket
-                    // until the server answered, maximising overlap.
-                    let mut reader = BufReader::new(stream.try_clone().unwrap());
-                    let mut stream = stream;
-                    let ping = Json::obj([("cmd", Json::Str("cache-stats".into()))]);
-                    let _ = writeln!(stream, "{}", ping.render());
-                    let mut line = String::new();
-                    let _ = reader.read_line(&mut line);
-                    if !line.trim().is_empty() {
-                        let resp = Json::parse(line.trim()).expect("well-formed line");
-                        if resp.get("ok").and_then(Json::as_bool) == Some(false) {
-                            assert_eq!(
-                                resp.get_in(&["error", "kind"]).and_then(Json::as_str),
-                                Some("overloaded")
-                            );
-                        }
+    let service = CheckService::new(Arc::new(ResultStore::in_memory()), RunConfig::default());
+    let handle = serve(
+        Arc::new(service),
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 2,
+            max_conns: 4,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = handle.addr();
+    let barrier = Arc::new(std::sync::Barrier::new(16));
+    let clients: Vec<_> = (0..16)
+        .map(|_| {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                barrier.wait();
+                let Ok(stream) = TcpStream::connect(addr) else {
+                    return;
+                };
+                // Exercise the admitted path (a full round-trip) or
+                // read the rejection; either way hold the socket
+                // until the server answered, maximising overlap.
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut stream = stream;
+                let ping = Json::obj([("cmd", Json::Str("cache-stats".into()))]);
+                let _ = writeln!(stream, "{}", ping.render());
+                let mut line = String::new();
+                let _ = reader.read_line(&mut line);
+                if !line.trim().is_empty() {
+                    let resp = Json::parse(line.trim()).expect("well-formed line");
+                    if resp.get("ok").and_then(Json::as_bool) == Some(false) {
+                        assert_eq!(
+                            resp.get_in(&["error", "kind"]).and_then(Json::as_str),
+                            Some("overloaded")
+                        );
                     }
-                })
+                }
             })
-            .collect();
-        for c in clients {
-            c.join().unwrap();
-        }
-        let high_water = handle.metrics().conns_high_water();
-        assert!(
-            high_water <= 4,
-            "{model:?}: {high_water} simultaneous connections over a max_conns=4 cap"
-        );
-        assert!(high_water > 0, "{model:?}: nothing was ever admitted");
-        handle.shutdown();
+        })
+        .collect();
+    for c in clients {
+        c.join().unwrap();
     }
+    let high_water = handle.metrics().conns_high_water();
+    assert!(
+        high_water <= 4,
+        "{high_water} simultaneous connections over a max_conns=4 cap"
+    );
+    assert!(high_water > 0, "nothing was ever admitted");
+    handle.shutdown();
 }
 
 /// Regression (shutdown silently dropped queued responses): a client
@@ -621,51 +618,48 @@ fn malformed_budget_fields_are_proto_errors() {
 /// client pipelines a request *before* reading, so its bytes sit unread
 /// in the server's kernel buffer when the server closes. Without the
 /// bounded drain the close could RST the error line away; with it the
-/// client reliably reads `overloaded` then EOF — in either model.
+/// client reliably reads `overloaded` then EOF.
 #[test]
 fn overloaded_rejection_survives_pipelined_request() {
-    for model in [ServeModel::Reactor, ServeModel::ThreadPerConn] {
-        let service = CheckService::new(Arc::new(ResultStore::in_memory()), RunConfig::default());
-        let handle = serve(
-            Arc::new(service),
-            "127.0.0.1:0",
-            ServeConfig {
-                workers: 2,
-                max_conns: 1,
-                model,
-                ..ServeConfig::default()
-            },
-        )
-        .unwrap();
-        let addr = handle.addr();
+    let service = CheckService::new(Arc::new(ResultStore::in_memory()), RunConfig::default());
+    let handle = serve(
+        Arc::new(service),
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 2,
+            max_conns: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = handle.addr();
 
-        // Occupy the only slot with a verified round-trip.
-        let (mut s1, mut r1) = connect(addr);
-        let ping = Json::obj([("cmd", Json::Str("cache-stats".into()))]);
-        assert_eq!(
-            request(&mut s1, &mut r1, &ping)
-                .get("ok")
-                .and_then(Json::as_bool),
-            Some(true)
-        );
+    // Occupy the only slot with a verified round-trip.
+    let (mut s1, mut r1) = connect(addr);
+    let ping = Json::obj([("cmd", Json::Str("cache-stats".into()))]);
+    assert_eq!(
+        request(&mut s1, &mut r1, &ping)
+            .get("ok")
+            .and_then(Json::as_bool),
+        Some(true)
+    );
 
-        // The rejected client writes before reading.
-        let (mut s2, mut r2) = connect(addr);
-        writeln!(s2, "{}", ping.render()).unwrap();
-        s2.flush().unwrap();
-        let mut line = String::new();
-        r2.read_line(&mut line).unwrap();
-        let resp = Json::parse(line.trim())
-            .unwrap_or_else(|e| panic!("{model:?}: overloaded line destroyed: {line:?} ({e})"));
-        assert_eq!(
-            resp.get_in(&["error", "kind"]).and_then(Json::as_str),
-            Some("overloaded"),
-            "{model:?}: {resp:?}"
-        );
-        line.clear();
-        assert_eq!(r2.read_line(&mut line).unwrap(), 0, "{model:?}: not closed");
-        handle.shutdown();
-    }
+    // The rejected client writes before reading.
+    let (mut s2, mut r2) = connect(addr);
+    writeln!(s2, "{}", ping.render()).unwrap();
+    s2.flush().unwrap();
+    let mut line = String::new();
+    r2.read_line(&mut line).unwrap();
+    let resp = Json::parse(line.trim())
+        .unwrap_or_else(|e| panic!("overloaded line destroyed: {line:?} ({e})"));
+    assert_eq!(
+        resp.get_in(&["error", "kind"]).and_then(Json::as_str),
+        Some("overloaded"),
+        "{resp:?}"
+    );
+    line.clear();
+    assert_eq!(r2.read_line(&mut line).unwrap(), 0, "not closed");
+    handle.shutdown();
 }
 
 /// The per-connection token bucket: an over-limit request is answered
@@ -773,42 +767,6 @@ fn metrics_command_serves_live_counters() {
         resp.get_in(&["error", "kind"]).and_then(Json::as_str),
         Some("proto")
     );
-    handle.shutdown();
-}
-
-/// The legacy thread-per-connection lane still serves the protocol
-/// end to end (it remains the baseline side of the scaling sweep).
-#[test]
-fn thread_per_conn_model_still_serves() {
-    let service = CheckService::new(Arc::new(ResultStore::in_memory()), RunConfig::default());
-    let handle = serve(
-        Arc::new(service),
-        "127.0.0.1:0",
-        ServeConfig {
-            workers: 2,
-            model: ServeModel::ThreadPerConn,
-            rate_per_sec: 1000,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-    let (mut stream, mut reader) = connect(handle.addr());
-    let t = bdrst_litmus::all_tests()[0];
-    let resp = request(
-        &mut stream,
-        &mut reader,
-        &Json::obj([
-            ("cmd", Json::Str("check".into())),
-            ("name", Json::Str(t.name.into())),
-            ("source", Json::Str(t.source.into())),
-        ]),
-    );
-    assert_eq!(
-        resp.get("ok").and_then(Json::as_bool),
-        Some(true),
-        "{resp:?}"
-    );
-    assert_eq!(resp.get("passed").and_then(Json::as_bool), Some(true));
     handle.shutdown();
 }
 

@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --example local_drf_demo`.
 
-use bdrst::core::explore::ExploreConfig;
+use bdrst::core::engine::EngineConfig;
 use bdrst::core::localdrf::{check_local_drf, is_l_stable_for_prefix};
 use bdrst::core::trace::LocPredicate;
 use bdrst::lang::Program;
@@ -15,7 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          thread P0 { c = a + 10; b = a + 10; }
          thread P1 { c = 1; }",
     )?;
-    let outcomes = ex1.outcomes(ExploreConfig::default())?;
+    let outcomes = ex1.outcomes(EngineConfig::default())?;
     assert!(outcomes.all(|o| o.mem_named("b") == Some(10)));
     println!("Example 1: b = a + 10 holds in every outcome (races bounded in space)");
 
@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          thread P0 { x = 42; out = x; g = 1; }
          thread P1 { r = g; if (r == 1) { x = 7; } }",
     )?;
-    let outcomes = ex3.outcomes(ExploreConfig::default())?;
+    let outcomes = ex3.outcomes(EngineConfig::default())?;
     assert!(outcomes.all(|o| o.mem_named("out") == Some(42)));
     println!("Example 3: the fragment reads 42 despite the future race on x");
     Ok(())

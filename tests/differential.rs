@@ -19,14 +19,13 @@ use common::small_program;
 use bdrst::axiomatic::{
     consistent_executions, consistent_executions_streaming, EnumLimits, ProgramExecution,
 };
-use bdrst::core::engine::Strategy as EngineStrategy;
-use bdrst::core::explore::ExploreConfig;
+use bdrst::core::engine::{EngineConfig, Strategy as EngineStrategy};
 use bdrst::lang::{Observation, Program};
 use bdrst::litmus::all_tests;
 
 /// The operational outcome set under one engine strategy.
 fn operational(p: &Program, strategy: EngineStrategy) -> BTreeSet<Observation> {
-    p.outcomes_with(ExploreConfig::default(), strategy)
+    p.outcomes_with(EngineConfig::default(), strategy)
         .expect("operational exploration fits budget")
         .set()
         .clone()

@@ -15,7 +15,6 @@ use bdrst::core::engine::{
     dpor_reachable_terminals, full_complete_traces, Dependence, EngineConfig,
     Strategy as EngineStrategy,
 };
-use bdrst::core::explore::ExploreConfig;
 use bdrst::core::loc::LocKind;
 use bdrst::core::localdrf::{
     check_global_drf, check_local_drf, sc_race_freedom, sc_race_freedom_reduced, DrfStatus,
@@ -28,7 +27,7 @@ use std::collections::BTreeSet;
 
 /// Outcome set of `p` through the full DFS engine.
 fn full_outcomes(p: &Program) -> BTreeSet<bdrst::lang::Observation> {
-    p.outcomes_with(ExploreConfig::default(), EngineStrategy::Dfs)
+    p.outcomes_with(EngineConfig::default(), EngineStrategy::Dfs)
         .expect("exploration fits budget")
         .set()
         .clone()
@@ -36,7 +35,7 @@ fn full_outcomes(p: &Program) -> BTreeSet<bdrst::lang::Observation> {
 
 /// Outcome set of `p` through the reduced lane.
 fn dpor_outcomes(p: &Program) -> BTreeSet<bdrst::lang::Observation> {
-    p.outcomes_with(ExploreConfig::default(), EngineStrategy::Dpor)
+    p.outcomes_with(EngineConfig::default(), EngineStrategy::Dpor)
         .expect("reduced exploration fits budget")
         .set()
         .clone()

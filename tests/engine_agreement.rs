@@ -1,6 +1,6 @@
 //! Property suite for the exploration engines: random programs are
 //! generated through the vendored proptest stub and every engine —
-//! sequential DFS, sequential BFS and work-stealing — must agree on the
+//! sequential DFS and work-stealing — must agree on the
 //! *visited canonical state count* and the terminal outcome set, and the
 //! recorded trace tree must replay to the live soundness verdict.
 //!
@@ -14,11 +14,9 @@ use common::small_program;
 
 use bdrst::axiomatic::{check_soundness, generate, GenLimits};
 use bdrst::core::engine::{
-    explorer, Control, Dedup, EngineConfig, StateId, Strategy as EngineStrategy, TraceEngine,
-    WorkStealingEngine, WorklistEngine,
+    explorer, Control, Dedup, EngineConfig, Explorer, StateId, Strategy as EngineStrategy,
+    TraceEngine, WorkStealingEngine, WorklistEngine,
 };
-use bdrst::core::engine::{Explorer, SearchOrder};
-use bdrst::core::explore::ExploreConfig;
 use bdrst::core::machine::Machine;
 use bdrst::lang::{Program, ThreadState};
 
@@ -38,11 +36,7 @@ fn visited_count(p: &Program, engine: &dyn Explorer<ThreadState>) -> usize {
     n
 }
 
-const ALL_STRATEGIES: [EngineStrategy; 3] = [
-    EngineStrategy::Dfs,
-    EngineStrategy::Bfs,
-    EngineStrategy::WorkStealing,
-];
+const ALL_STRATEGIES: [EngineStrategy; 2] = [EngineStrategy::Dfs, EngineStrategy::WorkStealing];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -52,7 +46,7 @@ proptest! {
     /// so the counts must coincide.
     #[test]
     fn engines_agree_on_visited_state_counts(p in small_program()) {
-        let dfs = visited_count(&p, &WorklistEngine::new(EngineConfig::default(), SearchOrder::Dfs));
+        let dfs = visited_count(&p, &WorklistEngine::new(EngineConfig::default()));
         for strategy in ALL_STRATEGIES {
             let engine = explorer::<ThreadState>(strategy, EngineConfig::default());
             prop_assert_eq!(
@@ -67,13 +61,13 @@ proptest! {
     #[test]
     fn engines_agree_on_outcome_sets(p in small_program()) {
         let dfs = p
-            .outcomes_with(ExploreConfig::default(), EngineStrategy::Dfs)
+            .outcomes_with(EngineConfig::default(), EngineStrategy::Dfs)
             .expect("exploration fits budget")
             .set()
             .clone();
         for strategy in ALL_STRATEGIES {
             let got = p
-                .outcomes_with(ExploreConfig::default(), strategy)
+                .outcomes_with(EngineConfig::default(), strategy)
                 .expect("exploration fits budget")
                 .set()
                 .clone();
@@ -106,16 +100,14 @@ proptest! {
     /// `bdrst-core`, where the test-only mask is reachable.
     #[test]
     fn fingerprint_dedup_matches_full_state_dedup(p in small_program()) {
-        let fp = WorklistEngine::with_dedup(
-            EngineConfig::default(), SearchOrder::Dfs, Dedup::FingerprintFirst);
-        let full = WorklistEngine::with_dedup(
-            EngineConfig::default(), SearchOrder::Dfs, Dedup::FullState);
+        let fp = WorklistEngine::with_dedup(EngineConfig::default(), Dedup::FingerprintFirst);
+        let full = WorklistEngine::with_dedup(EngineConfig::default(), Dedup::FullState);
         prop_assert_eq!(
             visited_count(&p, &fp),
             visited_count(&p, &full),
             "dedup modes diverge on\n{}", p
         );
-        let o_fp = p.outcomes_with(ExploreConfig::default(), EngineStrategy::Dfs)
+        let o_fp = p.outcomes_with(EngineConfig::default(), EngineStrategy::Dfs)
             .expect("fits budget").set().clone();
         // FullState outcomes via the explicit reference engine.
         let mut terms = std::collections::BTreeSet::new();
@@ -133,18 +125,18 @@ proptest! {
     /// outcome set — on random programs, not just the corpus.
     #[test]
     fn recorded_graphs_replay_to_sequential_verdicts(p in small_program()) {
-        let live = check_soundness(&p, ExploreConfig::default()).expect("theorem 15 holds");
+        let live = check_soundness(&p, EngineConfig::default()).expect("theorem 15 holds");
         let (graph, _) = TraceEngine::new(EngineConfig::default())
             .record(&p.locs, p.initial_machine())
             .expect("fits budget");
         let replayed = bdrst::axiomatic::check_soundness_replayed(
-            &p, &graph, ExploreConfig::default())
+            &p, &graph, EngineConfig::default())
             .expect("theorem 15 holds on replay");
         prop_assert_eq!(live, replayed, "soundness replay diverges on\n{}", p);
 
-        let (sgraph, _) = p.state_graph(ExploreConfig::default()).expect("fits budget");
+        let (sgraph, _) = p.state_graph(EngineConfig::default()).expect("fits budget");
         let cached = p.outcomes_from_graph(&sgraph).set().clone();
-        let live_outcomes = p.outcomes(ExploreConfig::default())
+        let live_outcomes = p.outcomes(EngineConfig::default())
             .expect("fits budget").set().clone();
         prop_assert_eq!(&cached, &live_outcomes, "graph outcomes diverge on\n{}", p);
     }
@@ -160,7 +152,7 @@ proptest! {
         let product: usize = g.per_thread.iter().map(Vec::len).product();
         prop_assert_eq!(g.candidate_count(), product);
         prop_assert!(g.per_thread.iter().all(|alts| !alts.is_empty()));
-        let dfs = visited_count(&p, &WorklistEngine::new(EngineConfig::default(), SearchOrder::Dfs));
+        let dfs = visited_count(&p, &WorklistEngine::new(EngineConfig::default()));
         let ws = visited_count(
             &p,
             &WorkStealingEngine::with_threads(EngineConfig::default(), 4),

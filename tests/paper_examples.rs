@@ -2,7 +2,7 @@
 //! sequentially under the model, and the anomalies of C++/Java are
 //! reproduced as hardware/optimiser artefacts the model rules out.
 
-use bdrst::core::explore::ExploreConfig;
+use bdrst::core::engine::EngineConfig;
 use bdrst::hw::{hw_outcomes, Target, NAIVE};
 use bdrst::lang::Program;
 use bdrst::litmus::{all_tests, run_test, RunConfig};
@@ -38,7 +38,7 @@ fn example1_cpp_rematerialisation_is_caught() {
         .body
         .clone();
     let ctx = vec![p.threads[1].body.clone()];
-    let rep = validate_in_context(&p.locs, &orig, &bad, &ctx, ExploreConfig::default()).unwrap();
+    let rep = validate_in_context(&p.locs, &orig, &bad, &ctx, EngineConfig::default()).unwrap();
     assert!(
         !rep.refines(),
         "rematerialisation from a raced location must be observable (b = 1 appears)"
@@ -55,7 +55,7 @@ fn example3_future_race_visible_on_naive_arm_only() {
          thread P1 { r = g; if (r == 1) { x = 7; } }",
     )
     .unwrap();
-    let model = p.outcomes(ExploreConfig::default()).unwrap();
+    let model = p.outcomes(EngineConfig::default()).unwrap();
     assert!(model.all(|o| o.mem_named("out") == Some(42)));
     let naive = hw_outcomes(&p, Target::Arm(NAIVE), Default::default()).unwrap();
     let out = p.locs.by_name("out").unwrap();
@@ -75,7 +75,7 @@ fn example2_reads_agree_once_race_is_past() {
          thread P1 { a = 2; f = flag; b = a; c = a; }",
     )
     .unwrap();
-    let outcomes = p.outcomes(ExploreConfig::default()).unwrap();
+    let outcomes = p.outcomes(EngineConfig::default()).unwrap();
     // f = 1 ⇒ b = c (the race is in the past); f = 0 may split them.
     assert!(outcomes
         .all(|o| { o.reg_named("P1", "f") != Some(1) || o.mem_named("b") == o.mem_named("c") }));

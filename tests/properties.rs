@@ -9,8 +9,7 @@ mod common;
 use common::{small_program, wide_program};
 
 use bdrst::axiomatic::{check_equivalence, EnumLimits};
-use bdrst::core::engine::canonical_fingerprint;
-use bdrst::core::explore::ExploreConfig;
+use bdrst::core::engine::{canonical_fingerprint, EngineConfig};
 use bdrst::core::frontier::Frontier;
 use bdrst::core::history::History;
 use bdrst::core::loc::{Action, Loc, LocKind, LocSet, Val};
@@ -97,7 +96,7 @@ proptest! {
     /// Theorems 15+16 on random programs: the two semantics agree exactly.
     #[test]
     fn random_programs_equivalent_semantics(p in small_program()) {
-        let rep = check_equivalence(&p, ExploreConfig::default(), EnumLimits::default())
+        let rep = check_equivalence(&p, EngineConfig::default(), EnumLimits::default())
             .expect("exploration fits budget");
         prop_assert!(rep.holds(),
             "missing {:?} extra {:?}", rep.missing_in_axiomatic(), rep.extra_in_axiomatic());
@@ -108,7 +107,7 @@ proptest! {
     fn random_programs_local_drf(p in small_program()) {
         for loc in p.locs.nonatomic() {
             let l: LocPredicate = [loc].into_iter().collect();
-            let res = check_local_drf(&p.locs, p.initial_machine(), &l, ExploreConfig::default());
+            let res = check_local_drf(&p.locs, p.initial_machine(), &l, EngineConfig::default());
             prop_assert!(res.is_ok(), "{:?}", res.err());
         }
     }
@@ -116,7 +115,7 @@ proptest! {
     /// Theorem 14 on random programs.
     #[test]
     fn random_programs_global_drf(p in small_program()) {
-        let res = check_global_drf(&p.locs, p.initial_machine(), ExploreConfig::default());
+        let res = check_global_drf(&p.locs, p.initial_machine(), EngineConfig::default());
         prop_assert!(res.is_ok(), "{:?}", res.err());
     }
 

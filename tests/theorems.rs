@@ -4,7 +4,7 @@
 //! (Thm 13) and global DRF (Thm 14).
 
 use bdrst::axiomatic::{check_equivalence, check_soundness, for_each_candidate, EnumLimits};
-use bdrst::core::explore::ExploreConfig;
+use bdrst::core::engine::EngineConfig;
 use bdrst::core::localdrf::{check_global_drf, check_local_drf};
 use bdrst::core::trace::LocPredicate;
 use bdrst::lang::Program;
@@ -22,7 +22,7 @@ fn corpus_programs() -> Vec<(&'static str, Program)> {
 #[test]
 fn theorems_15_16_outcome_equivalence_across_corpus() {
     for (name, p) in corpus_programs() {
-        let rep = check_equivalence(&p, ExploreConfig::default(), EnumLimits::default())
+        let rep = check_equivalence(&p, EngineConfig::default(), EnumLimits::default())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(
             rep.holds(),
@@ -37,7 +37,7 @@ fn theorems_15_16_outcome_equivalence_across_corpus() {
 fn theorem_15_every_trace_induces_consistent_execution() {
     for (name, p) in corpus_programs() {
         let checked =
-            check_soundness(&p, ExploreConfig::default()).unwrap_or_else(|e| panic!("{name}: {e}"));
+            check_soundness(&p, EngineConfig::default()).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(checked > 0, "{name}: no traces checked");
     }
 }
@@ -66,7 +66,7 @@ fn theorem_13_local_drf_from_initial_states() {
         // §5's rule of thumb: L = all nonatomic locations; initial states
         // are always L-stable.
         let l: LocPredicate = p.locs.nonatomic().collect();
-        check_local_drf(&p.locs, p.initial_machine(), &l, ExploreConfig::default())
+        check_local_drf(&p.locs, p.initial_machine(), &l, EngineConfig::default())
             .unwrap_or_else(|e| panic!("{name}: local DRF violated: {e}"));
     }
 }
@@ -77,7 +77,7 @@ fn theorem_13_singleton_location_sets() {
     for (name, p) in corpus_programs() {
         for loc in p.locs.nonatomic() {
             let l: LocPredicate = [loc].into_iter().collect();
-            check_local_drf(&p.locs, p.initial_machine(), &l, ExploreConfig::default())
+            check_local_drf(&p.locs, p.initial_machine(), &l, EngineConfig::default())
                 .unwrap_or_else(|e| panic!("{name}/{loc}: {e}"));
         }
     }
@@ -86,7 +86,7 @@ fn theorem_13_singleton_location_sets() {
 #[test]
 fn theorem_14_global_drf_across_corpus() {
     for (name, p) in corpus_programs() {
-        check_global_drf(&p.locs, p.initial_machine(), ExploreConfig::default())
+        check_global_drf(&p.locs, p.initial_machine(), EngineConfig::default())
             .unwrap_or_else(|e| panic!("{name}: global DRF theorem violated: {e}"));
     }
 }
