@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use bdrst_core::engine::{
-    canonical_fingerprint, canonicalize, Control, Dedup, EngineConfig, Explorer, StateId, Strategy,
+    canonical_fingerprint, canonicalize, Control, Dedup, EngineConfig, StateId, Strategy,
     WorklistEngine,
 };
 use bdrst_core::machine::Machine;
@@ -42,7 +42,10 @@ fn bench_corpus_per_test_dfs(c: &mut Criterion) {
 
 fn bench_single_test_strategies(c: &mut Criterion) {
     // IRIW (4 threads) has the largest state space in the corpus: the
-    // most interesting single-test probe for engine comparisons.
+    // most interesting single-test probe for engine comparisons. The DFS
+    // probe times the sequential visitor walk; the work-stealing probe
+    // times the pool's state-graph recorder plus reading the outcomes
+    // off the graph, which is what `outcomes_with(WorkStealing)` runs.
     let p = Program::parse(corpus::IRIW_AT.source).unwrap();
     for (name, strategy) in [
         ("explore_iriw_dfs", Strategy::Dfs),

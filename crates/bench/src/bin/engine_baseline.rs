@@ -47,7 +47,11 @@
 //! removed level-synchronous engine. v12 drops the IRIW BFS probe and
 //! the scaling lane of the old connection layer (one reader thread per
 //! connection) with the code they measured, and evaluates the eight
-//! warn-or-panic checks from one table, [`GATES`].
+//! warn-or-panic checks from one table, `GATES`. v13 keeps every key,
+//! but `corpus_sweep_worksteal_s` and `explore_iriw_worksteal_s` now time
+//! the work-stealing state-graph recorder plus reading outcomes off the
+//! graph — what `outcomes_with(WorkStealing)` runs since the visitor-
+//! driven work-stealing walk was removed.
 //! The alloc-per-visit lanes sweep the
 //! pre-v8 *narrow* corpus (the `Wide*` stress programs are excluded by
 //! name prefix) so the v5/v6 bars stay like-for-like comparable; the
@@ -65,7 +69,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use bdrst_core::engine::{
-    canonical_fingerprint, canonicalize, Control, Dedup, EngineConfig, Explorer, StateId, Strategy,
+    canonical_fingerprint, canonicalize, Control, Dedup, EngineConfig, StateId, Strategy,
     WorklistEngine,
 };
 use bdrst_core::machine::Machine;
@@ -876,7 +880,7 @@ fn main() {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         r#"{{
-  "schema": "bdrst-engine-baseline/v12",
+  "schema": "bdrst-engine-baseline/v13",
   "samples": {SAMPLES},
   "threads_available": {threads},
   "corpus_sweep_sequential_s": {seq:.6},

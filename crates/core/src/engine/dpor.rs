@@ -362,17 +362,10 @@ impl DporEngine {
         m0: Machine<E>,
         visitor: &mut dyn TraceVisitor<E>,
     ) -> Result<DporStats, EngineError> {
-        let mut span = bdrst_obs::span(bdrst_obs::Phase::Explore);
-        let started = std::time::Instant::now();
-        let result = self.explore_inner(locs, m0, visitor);
-        bdrst_obs::counter_add(
-            bdrst_obs::Counter::ExploreNanos,
-            started.elapsed().as_nanos() as u64,
-        );
-        if let Ok(stats) = &result {
-            span.set_arg(stats.visited as u64);
-        }
-        result
+        crate::engine::timed_walk(
+            || self.explore_inner(locs, m0, visitor),
+            |stats| stats.visited,
+        )
     }
 
     fn explore_inner<E: Expr>(
@@ -622,7 +615,7 @@ pub fn dpor_reachable_terminals<E: Expr>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EngineConfig, Explorer, StateId, WorklistEngine};
+    use crate::engine::{EngineConfig, StateId, WorklistEngine};
     use crate::loc::{Loc, LocKind, Val};
     use crate::machine::{RecordedExpr, StepLabel};
     use std::collections::BTreeSet;

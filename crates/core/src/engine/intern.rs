@@ -216,7 +216,7 @@ const SHARDS: usize = 16;
 /// the states stored inline (ids are global, issued by one atomic counter).
 type Shard<T> = HashMap<u64, Vec<(StateId, T)>>;
 
-/// Thread-safe interner, lock-striped over [`SHARDS`] shards selected by
+/// Thread-safe interner, lock-striped over 16 shards selected by
 /// the fingerprint. Ids remain globally unique and dense-ish (a single
 /// atomic counter), but their order depends on the race between claiming
 /// threads.

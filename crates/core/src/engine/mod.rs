@@ -7,18 +7,19 @@
 //! them, replacing the ad-hoc recursive search that used to live in
 //! [`crate::explore`]:
 //!
-//! * **[`Explorer`]** — the pluggable state-space engine interface. A
-//!   caller hands an initial [`Machine`] and a [`StateVisitor`]; the
-//!   engine invokes the visitor exactly once per *canonical* state (up to
-//!   timestamp renaming) and lets it steer with [`Control`].
 //! * **[`WorklistEngine`]** ([`worklist`]) — the sequential engine: an
 //!   iterative depth-first worklist (an explicit stack, no recursion).
-//! * **[`WorkStealingEngine`]** ([`steal`]) — the parallel state engine:
-//!   a persistent worker pool with per-worker deques and FIFO stealing,
-//!   no barrier per search level, so a single deep exploration scales, not
-//!   just multi-test sweeps. States are claimed exactly once through a
-//!   lock-striped interner, so it visits the same canonical state set as
-//!   the sequential engines.
+//!   [`WorklistEngine::explore`] hands every *canonical* state (up to
+//!   timestamp renaming) to a [`StateVisitor`] exactly once and lets it
+//!   steer with [`Control`]; [`WorklistEngine::explore_graph`] records
+//!   the successor graph instead.
+//! * **[`WorkStealingEngine`]** ([`steal`]) — the parallel state
+//!   recorder: a persistent worker pool with per-worker deques and FIFO
+//!   stealing, no barrier per search level, so a single deep exploration
+//!   scales, not just multi-test sweeps. Its one walk,
+//!   [`WorkStealingEngine::explore_graph`], claims states exactly once
+//!   through a lock-striped interner, so it records the same canonical
+//!   state set as the sequential engine.
 //! * **[`TraceEngine`]** ([`worklist`]) — iterative depth-first trace
 //!   enumeration for the trace-dependent checkers (data races and
 //!   happens-before are properties of traces, not states);
@@ -46,26 +47,26 @@
 //!   exhaustion and corrupted-frontier detection (formerly a panic in
 //!   `canonicalize`).
 //!
-//! [`crate::explore`] keeps the terminal-state helpers
-//! (`reachable_terminals`, `reachable_terminals_with`) as thin wrappers
-//! over these engines.
+//! [`crate::explore`] keeps the terminal-state helper
+//! (`reachable_terminals`) as a thin wrapper over the sequential engine.
 //!
 //! # Strategy selection and thread knobs
 //!
 //! Callers pick an engine through [`Strategy`] (threaded through
-//! `Program::outcomes_with`, the litmus runner's `RunConfig`, and
-//! [`explorer`]):
+//! `Program::outcomes_with`, `Program::state_graph_with` and the litmus
+//! runner's `RunConfig`):
 //!
 //! | Strategy | Engine | When to prefer it |
 //! |---|---|---|
 //! | [`Strategy::Dfs`] | [`WorklistEngine`] (stack) | default; smallest footprint |
-//! | [`Strategy::WorkStealing`] | [`WorkStealingEngine`] | deep or irregular spaces; no per-level barrier |
+//! | [`Strategy::WorkStealing`] | [`WorkStealingEngine`] (graph recorder) | deep or irregular spaces; no per-level barrier |
+//! | [`Strategy::Dpor`] | [`DporEngine`] | outcome enumeration over one trace per equivalence class |
 //!
 //! Every parallel entry point resolves its worker count through
 //! [`steal::engine_threads`]: an explicit nonzero count wins, `0` ("all
 //! cores") honours the `BDRST_ENGINE_THREADS` environment variable
-//! before falling back to [`std::thread::available_parallelism`]. All
-//! engines visit the same canonical state set and surface the same
+//! before falling back to [`std::thread::available_parallelism`]. Both
+//! full engines visit the same canonical state set and surface the same
 //! [`EngineError`]s — the differential and property suites under
 //! `tests/` enforce this across the litmus corpus and randomly generated
 //! programs.
@@ -73,8 +74,8 @@
 //! # Example: counting canonical states under each engine
 //!
 //! ```
-//! use bdrst_core::engine::{Control, EngineConfig, Explorer, StateId,
-//!                          WorkStealingEngine, WorklistEngine};
+//! use bdrst_core::engine::{Control, EngineConfig, StateId, WorkStealingEngine,
+//!                          WorklistEngine};
 //! use bdrst_core::loc::{LocKind, LocSet, Val};
 //! use bdrst_core::machine::{Machine, RecordedExpr, StepLabel};
 //!
@@ -91,12 +92,8 @@
 //!     Control::Continue
 //! })?;
 //!
-//! let mut par_count = 0usize;
 //! let engine = WorkStealingEngine::new(EngineConfig::default());
-//! engine.explore(&locs, m0, &mut |_m: &Machine<RecordedExpr>, _id: StateId| {
-//!     par_count += 1;
-//!     Control::Continue
-//! })?;
+//! let par_count = engine.explore_graph(&locs, m0)?.0.len();
 //! assert_eq!(count, par_count);
 //! # Ok::<(), bdrst_core::engine::EngineError>(())
 //! ```
@@ -203,6 +200,28 @@ pub fn claim_canonical<E: Expr>(
         bdrst_obs::counter_max(bdrst_obs::Counter::InternerOccupancy, interner.len() as u64);
     }
     Ok((id, fresh))
+}
+
+/// Runs one state walk under an `Explore` span and charges its wall time
+/// to `ExploreNanos` on every exit, a budget trip or corruption included:
+/// the walk has already counted its visited states by then, and the
+/// states-per-second gauge divides one counter by the other. The span is
+/// tagged with the visited count when the walk finishes.
+pub(crate) fn timed_walk<T>(
+    walk: impl FnOnce() -> Result<T, EngineError>,
+    visited: impl FnOnce(&T) -> usize,
+) -> Result<T, EngineError> {
+    let mut span = bdrst_obs::span(bdrst_obs::Phase::Explore);
+    let started = std::time::Instant::now();
+    let result = walk();
+    bdrst_obs::counter_add(
+        bdrst_obs::Counter::ExploreNanos,
+        started.elapsed().as_nanos() as u64,
+    );
+    if let Ok(done) = &result {
+        span.set_arg(visited(done) as u64);
+    }
+    result
 }
 
 /// Budgets for exploration. The defaults are generous for litmus-scale
@@ -312,10 +331,10 @@ pub enum Strategy {
     /// representative per Mazurkiewicz class of maximal traces, under the
     /// observational [`Dependence`]. Outcome enumeration
     /// (`Program::outcomes_with`, [`dpor_reachable_terminals`]) explores
-    /// strictly fewer traces on programs with commuting transitions;
-    /// state-space entry points that promise the full canonical visited
-    /// set ([`explorer`]) fall back to [`Strategy::Dfs`], since a reduced
-    /// walk cannot honour the [`Explorer`] visit-every-state contract.
+    /// strictly fewer traces on programs with commuting transitions.
+    /// A reduced walk cannot record the full successor graph, so
+    /// `Program::state_graph_with` records it with [`Strategy::Dfs`]'s
+    /// engine instead.
     Dpor,
 }
 
@@ -349,44 +368,4 @@ pub trait TraceVisitor<E: Expr> {
     /// Inspects one trace extension; `trace` ends with `transition`'s
     /// label.
     fn visit(&mut self, trace: &TraceLabels, transition: &Transition<E>) -> Control;
-}
-
-/// The pluggable state-space exploration interface.
-///
-/// Implementations guarantee: the visitor is invoked exactly once per
-/// canonical state reachable from `m0` (unless pruned or stopped), and the
-/// *set* of visited canonical states is identical across implementations —
-/// only the visit order may differ.
-pub trait Explorer<E: Expr> {
-    /// Explores the state space from `m0`, driving `visitor`.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::BudgetExceeded`] if the state budget is exhausted;
-    /// [`EngineError::CorruptFrontier`] if a reached machine fails to
-    /// canonicalize.
-    fn explore(
-        &self,
-        locs: &LocSet,
-        m0: Machine<E>,
-        visitor: &mut dyn StateVisitor<E>,
-    ) -> Result<ExploreStats, EngineError>;
-}
-
-/// Builds the engine selected by `strategy` as a trait object.
-///
-/// `WorkStealing` requires `E: Send + Sync`, which every expression
-/// language in this repository satisfies (they are plain data).
-pub fn explorer<E: Expr + Send + Sync>(
-    strategy: Strategy,
-    config: EngineConfig,
-) -> Box<dyn Explorer<E>> {
-    match strategy {
-        // A reduced walk visits a subset of traces, not of canonical
-        // states; callers that need the full visited-state contract get
-        // the sequential DFS engine. Outcome enumeration routes Dpor to
-        // the reduced engine in `crate::explore` instead.
-        Strategy::Dfs | Strategy::Dpor => Box::new(WorklistEngine::new(config)),
-        Strategy::WorkStealing => Box::new(WorkStealingEngine::new(config)),
-    }
 }

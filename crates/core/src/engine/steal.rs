@@ -21,28 +21,16 @@
 //!   allocation, and the full canonical state is built only on first
 //!   claim (or verified fingerprint collision), exactly as in the
 //!   sequential engines;
-//! * the caller's [`StateVisitor`] — which is `&mut` and need not be
-//!   `Send` — runs on the coordinating thread, fed by a channel of
-//!   freshly claimed states; admitted states return to the pool through
-//!   one coordinator-owned lock-free [`ChaseLev`] *injector* (the
-//!   coordinator is its single bottom-end owner, workers steal from the
-//!   top), so every idle worker sees every admitted state immediately —
-//!   no state can stall behind one worker's backoff. A state is never
-//!   expanded before the visitor admits it, so
-//!   [`Control::Prune`]/[`Control::Stop`] steer the search exactly as
-//!   they do sequentially.
+//! * each expansion records its successor ids (every endpoint has a
+//!   known id thanks to claim-or-lookup interning) and terminal flag —
+//!   the raw material of the [`crate::engine::StateGraph`] that
+//!   [`WorkStealingEngine::explore_graph`] returns.
 //!
 //! Termination uses a single `pending` counter covering every state that
-//! is queued, being expanded, or awaiting its visitor verdict: when it
-//! reaches zero the space is exhausted. Budget and corruption errors are
-//! recorded first-error-wins and surfaced as the same [`EngineError`]
-//! values the sequential engines produce.
-//!
-//! [`WorkStealingEngine::explore_graph`] runs the same pool without a
-//! visitor (full exploration, nothing to admit or prune): workers push
-//! fresh claims straight onto their own deques and record, per expanded
-//! [`StateId`], its successor ids and terminal flag — the raw material of
-//! the [`crate::engine::StateGraph`].
+//! is queued or being expanded: when it reaches zero the space is
+//! exhausted. Budget and corruption errors are recorded first-error-wins
+//! and surfaced as the same [`EngineError`] values the sequential
+//! engines produce.
 //!
 //! # Thread-count knobs
 //!
@@ -55,14 +43,13 @@
 //! single worker) and once unset, so both paths stay exercised.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::engine::deque::{ChaseLev, Steal};
 use crate::engine::{
-    claim_canonical, CanonState, Control, EngineConfig, EngineError, ExploreStats, Explorer,
-    SharedInterner, StateGraph, StateId, StateVisitor, WorklistEngine,
+    claim_canonical, timed_walk, CanonState, EngineConfig, EngineError, ExploreStats,
+    SharedInterner, StateGraph, StateId, WorklistEngine,
 };
 use crate::loc::LocSet;
 use crate::machine::{Expr, Machine};
@@ -166,9 +153,9 @@ impl FirstError {
     }
 }
 
-/// Brief-yield-then-sleep backoff for a worker that found no work: when
-/// the coordinator's visitor is the bottleneck the deques stay empty for
-/// long stretches and spinning would burn cores.
+/// Brief-yield-then-sleep backoff for a worker that found no work: on a
+/// narrow stretch of the search one worker holds the whole frontier, the
+/// other deques stay empty, and spinning would burn cores.
 pub(crate) fn idle_backoff(idle_spins: &mut u32) {
     if *idle_spins < 64 {
         *idle_spins += 1;
@@ -183,11 +170,11 @@ pub(crate) fn idle_backoff(idle_spins: &mut u32) {
 /// barrier.
 ///
 /// Deep explorations scale because a worker never waits for a level to
-/// drain — it either pops its own deque or steals. The visitor runs on
-/// the coordinating (calling) thread and admits every state before it is
-/// expanded, so pruning and stopping behave exactly as in the sequential
-/// engines; the visited canonical state *set* is identical across all
-/// engines (claim-exactly-once interning), only the visit order differs.
+/// drain — it either pops its own deque or steals. Its one walk,
+/// [`WorkStealingEngine::explore_graph`], records the full successor
+/// graph; the visited canonical state *set* is identical to the
+/// sequential engine's (claim-exactly-once interning), only the id order
+/// differs.
 #[derive(Clone, Copy, Debug)]
 pub struct WorkStealingEngine {
     /// Budgets.
@@ -219,7 +206,7 @@ impl WorkStealingEngine {
     ///
     /// # Errors
     ///
-    /// As [`Explorer::explore`]: budget exhaustion or a corrupted
+    /// As [`WorklistEngine::explore`]: budget exhaustion or a corrupted
     /// machine.
     pub fn explore_graph<E: Expr + Send + Sync>(
         &self,
@@ -230,9 +217,18 @@ impl WorkStealingEngine {
         if workers <= 1 {
             return WorklistEngine::new(self.config).explore_graph(locs, m0);
         }
-        let mut span = bdrst_obs::span(bdrst_obs::Phase::Explore);
-        let started = std::time::Instant::now();
+        timed_walk(
+            || self.explore_graph_inner(workers, locs, m0),
+            |(_, stats)| stats.visited,
+        )
+    }
 
+    fn explore_graph_inner<E: Expr + Send + Sync>(
+        &self,
+        workers: usize,
+        locs: &LocSet,
+        m0: Machine<E>,
+    ) -> Result<(StateGraph<E>, ExploreStats), EngineError> {
         let interner: SharedInterner<CanonState<E>> = SharedInterner::new();
         let (id0, _) = claim_canonical(&interner, locs, &m0)?;
         let deques: StealDeques<(StateId, Machine<E>)> = StealDeques::new(workers);
@@ -323,194 +319,10 @@ impl WorkStealingEngine {
             visited: interner.len(),
             transitions: transitions.load(Ordering::Relaxed),
         };
-        bdrst_obs::counter_add(
-            bdrst_obs::Counter::ExploreNanos,
-            started.elapsed().as_nanos() as u64,
-        );
-        span.set_arg(stats.visited as u64);
         Ok((
             StateGraph::from_parts(interner.into_states(), &edges, terminal),
             stats,
         ))
-    }
-}
-
-/// A batch of freshly claimed states travelling worker → coordinator.
-type Claimed<E> = Vec<(StateId, Machine<E>)>;
-
-impl<E: Expr + Send + Sync> Explorer<E> for WorkStealingEngine {
-    fn explore(
-        &self,
-        locs: &LocSet,
-        m0: Machine<E>,
-        visitor: &mut dyn StateVisitor<E>,
-    ) -> Result<ExploreStats, EngineError> {
-        let workers = engine_threads(self.threads);
-        if workers <= 1 {
-            // One worker degenerates to a sequential walk; the
-            // depth-first worklist engine produces the identical state
-            // set and error surface without the channel machinery.
-            return WorklistEngine::new(self.config).explore(locs, m0, visitor);
-        }
-        let mut span = bdrst_obs::span(bdrst_obs::Phase::Explore);
-        let started = std::time::Instant::now();
-
-        let interner: SharedInterner<CanonState<E>> = SharedInterner::new();
-        let mut stats = ExploreStats::default();
-        let (id, _) = claim_canonical(&interner, locs, &m0)?;
-        stats.visited += 1;
-        bdrst_obs::counter_add(bdrst_obs::Counter::StatesVisited, 1);
-        match visitor.visit(&m0, id) {
-            Control::Stop | Control::Prune => return Ok(stats),
-            Control::Continue => {}
-        }
-
-        // Admitted machines return to the pool through one lock-free
-        // injector: the coordinating thread is its single bottom-end
-        // owner (only it pushes), every worker steals from the top, so
-        // each admitted state is visible to the whole pool immediately.
-        let injector: ChaseLev<Machine<E>> = ChaseLev::new();
-        injector.push(m0);
-        // `pending` counts states that are queued for expansion (in the
-        // injector), being expanded, or sitting in the channel awaiting
-        // their visitor verdict. Zero means the whole space has been
-        // processed.
-        let pending = AtomicUsize::new(1);
-        let stop = AtomicBool::new(false);
-        let transitions = AtomicUsize::new(0);
-        let failure = FirstError::new();
-        let max_states = self.config.max_states;
-
-        let (tx, rx) = mpsc::channel::<Claimed<E>>();
-        let mut visitor_stopped = false;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let (injector, pending, stop, transitions, failure, interner) = (
-                    &injector,
-                    &pending,
-                    &stop,
-                    &transitions,
-                    &failure,
-                    &interner,
-                );
-                scope.spawn(move || {
-                    let mut idle_spins = 0u32;
-                    while !stop.load(Ordering::Acquire) {
-                        let m = match injector.steal() {
-                            Steal::Success(m) => m,
-                            // Lost a race: another worker took it.
-                            Steal::Retry => continue,
-                            Steal::Empty => {
-                                if pending.load(Ordering::Acquire) == 0 {
-                                    break;
-                                }
-                                idle_backoff(&mut idle_spins);
-                                continue;
-                            }
-                        };
-                        idle_spins = 0;
-                        let mut claimed: Claimed<E> = Vec::new();
-                        let mut err = None;
-                        for t in m.transitions(locs) {
-                            transitions.fetch_add(1, Ordering::Relaxed);
-                            match claim_canonical(interner, locs, &t.target) {
-                                Ok((id, fresh)) => {
-                                    if fresh {
-                                        claimed.push((id, t.target));
-                                    }
-                                }
-                                Err(e) => {
-                                    err = Some(e);
-                                    break;
-                                }
-                            }
-                        }
-                        if err.is_none() && interner.len() > max_states {
-                            err = Some(EngineError::budget(interner.len()));
-                        }
-                        if let Some(e) = err {
-                            failure.record(e);
-                            stop.store(true, Ordering::Release);
-                            break;
-                        }
-                        if !claimed.is_empty() {
-                            let depth =
-                                pending.fetch_add(claimed.len(), Ordering::AcqRel) + claimed.len();
-                            bdrst_obs::counter_max(
-                                bdrst_obs::Counter::FrontierHighWater,
-                                depth as u64,
-                            );
-                            // The coordinator only hangs up after `stop`;
-                            // a failed send means shutdown is under way.
-                            let _ = tx.send(claimed);
-                        }
-                        pending.fetch_sub(1, Ordering::AcqRel);
-                    }
-                });
-            }
-            drop(tx); // workers hold the remaining senders
-
-            // Coordinator: admit states through the visitor and feed the
-            // survivors back to the pool through the injector (this
-            // thread is the injector's only owner, so the push below is
-            // the single-owner Chase–Lev bottom operation).
-            'coordinate: loop {
-                if stop.load(Ordering::Acquire) {
-                    break;
-                }
-                match rx.recv_timeout(Duration::from_millis(1)) {
-                    Ok(batch) => {
-                        for (id, m) in batch {
-                            stats.visited += 1;
-                            bdrst_obs::counter_add(bdrst_obs::Counter::StatesVisited, 1);
-                            bdrst_obs::progress_tick(stats.visited as u64, max_states as u64);
-                            match visitor.visit(&m, id) {
-                                Control::Continue => {
-                                    injector.push(m);
-                                }
-                                Control::Prune => {
-                                    pending.fetch_sub(1, Ordering::AcqRel);
-                                }
-                                Control::Stop => {
-                                    visitor_stopped = true;
-                                    stop.store(true, Ordering::Release);
-                                    break 'coordinate;
-                                }
-                            }
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if pending.load(Ordering::Acquire) == 0 {
-                            break;
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-            stop.store(true, Ordering::Release);
-        });
-
-        match failure.into_inner() {
-            // Corruption is never masked by verdicts.
-            Some(e @ EngineError::CorruptFrontier { .. }) => return Err(e),
-            // A visitor Stop is a definitive verdict, so a budget trip an
-            // in-flight worker recorded concurrently does not override
-            // it. Whether the stop or the budget lands first in this
-            // regime is search-order dependent (different orders intern
-            // different state prefixes, and the budget check precedes
-            // each visit); this engine resolves the race
-            // deterministically in favour of the verdict.
-            Some(e) if !visitor_stopped => return Err(e),
-            _ => {}
-        }
-        stats.transitions = transitions.load(Ordering::Relaxed);
-        bdrst_obs::counter_add(
-            bdrst_obs::Counter::ExploreNanos,
-            started.elapsed().as_nanos() as u64,
-        );
-        span.set_arg(stats.visited as u64);
-        Ok(stats)
     }
 }
 
@@ -519,7 +331,6 @@ mod tests {
     use super::*;
     use crate::loc::{Loc, LocKind, Val};
     use crate::machine::{RecordedExpr, StepLabel};
-    use std::collections::BTreeSet;
 
     fn locs_abf() -> (LocSet, Loc, Loc, Loc) {
         let mut l = LocSet::new();
@@ -538,28 +349,6 @@ mod tests {
         Machine::initial(locs, [p0, p1])
     }
 
-    fn outcome_set(
-        engine: &dyn Explorer<RecordedExpr>,
-        locs: &LocSet,
-        m0: Machine<RecordedExpr>,
-    ) -> BTreeSet<Vec<i64>> {
-        let mut outcomes = BTreeSet::new();
-        engine
-            .explore(locs, m0, &mut |m: &Machine<RecordedExpr>, _id: StateId| {
-                if m.is_terminal() {
-                    outcomes.insert(
-                        m.threads
-                            .iter()
-                            .flat_map(|t| t.expr.reads.iter().map(|v| v.0))
-                            .collect(),
-                    );
-                }
-                Control::Continue
-            })
-            .unwrap();
-        outcomes
-    }
-
     #[test]
     fn deques_lifo_owner_fifo_thief() {
         let d: StealDeques<u32> = StealDeques::new(2);
@@ -571,75 +360,6 @@ mod tests {
         assert_eq!(d.pop(0), Some(3));
         assert_eq!(d.take(1), Some(2)); // own deque empty → steal
         assert_eq!(d.take(0), None);
-    }
-
-    /// One worker (the depth-first worklist fallback) and a real pool
-    /// both match the sequential engine.
-    #[test]
-    fn worksteal_matches_sequential_on_message_passing() {
-        let (locs, a, _b, f) = locs_abf();
-        let seq = WorklistEngine::new(EngineConfig::default());
-        let s = outcome_set(&seq, &locs, mp_machine(&locs, a, f));
-        for threads in [1, 4] {
-            let ws = WorkStealingEngine::with_threads(EngineConfig::default(), threads);
-            let w = outcome_set(&ws, &locs, mp_machine(&locs, a, f));
-            assert_eq!(s, w, "{threads} worker(s)");
-            assert!(!w.contains(&vec![1, 0]));
-        }
-    }
-
-    #[test]
-    fn worksteal_single_thread_delegates() {
-        let (locs, a, _b, f) = locs_abf();
-        let ws1 = WorkStealingEngine::with_threads(EngineConfig::default(), 1);
-        let ws4 = WorkStealingEngine::with_threads(EngineConfig::default(), 4);
-        assert_eq!(
-            outcome_set(&ws1, &locs, mp_machine(&locs, a, f)),
-            outcome_set(&ws4, &locs, mp_machine(&locs, a, f))
-        );
-    }
-
-    #[test]
-    fn worksteal_budget_is_enforced() {
-        let (locs, a, _, _) = locs_abf();
-        let mk = || RecordedExpr::new(vec![StepLabel::Write(a, Val(1)); 6]);
-        let m0 = Machine::initial(&locs, [mk(), mk(), mk()]);
-        let tiny = EngineConfig {
-            max_states: 10,
-            max_traces: 10,
-        };
-        let ws = WorkStealingEngine::with_threads(tiny, 4);
-        let r = ws.explore(&locs, m0, &mut |_: &Machine<RecordedExpr>, _: StateId| {
-            Control::Continue
-        });
-        assert!(matches!(r, Err(EngineError::BudgetExceeded { .. })));
-    }
-
-    #[test]
-    fn worksteal_prune_and_stop() {
-        let (locs, a, _, _) = locs_abf();
-        let p0 = RecordedExpr::new(vec![StepLabel::Write(a, Val(1)); 3]);
-        let m0 = Machine::initial(&locs, [p0]);
-        let ws = WorkStealingEngine::with_threads(EngineConfig::default(), 4);
-        let mut seen = 0usize;
-        ws.explore(
-            &locs,
-            m0.clone(),
-            &mut |_: &Machine<RecordedExpr>, _: StateId| {
-                seen += 1;
-                Control::Prune
-            },
-        )
-        .unwrap();
-        assert_eq!(seen, 1); // initial state only: everything else pruned
-
-        let mut stopped_after = 0usize;
-        ws.explore(&locs, m0, &mut |_: &Machine<RecordedExpr>, _: StateId| {
-            stopped_after += 1;
-            Control::Stop
-        })
-        .unwrap();
-        assert_eq!(stopped_after, 1);
     }
 
     /// One worker (the depth-first worklist fallback) and a real pool

@@ -23,8 +23,8 @@
 use std::collections::HashMap;
 
 use crate::engine::{
-    canonicalize, intern_canonical, Control, Dedup, EngineConfig, EngineError, ExploreStats,
-    Explorer, StateGraph, StateId, StateInterner, StateVisitor, TraceGraph, TraceVisitor,
+    canonicalize, intern_canonical, timed_walk, Control, Dedup, EngineConfig, EngineError,
+    ExploreStats, StateGraph, StateId, StateInterner, StateVisitor, TraceGraph, TraceVisitor,
 };
 use crate::loc::LocSet;
 use crate::machine::{Expr, Machine, Transition, TransitionLabel};
@@ -67,24 +67,95 @@ impl WorklistEngine {
         }
     }
 
+    /// Explores the state space from `m0`, driving `visitor`: it is
+    /// invoked exactly once per canonical state reachable from `m0`
+    /// (unless pruned or stopped), and the *set* of visited canonical
+    /// states is the one every recorder interns — only the visit order
+    /// may differ.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::BudgetExceeded`] if the state budget is exhausted;
+    /// [`EngineError::CorruptFrontier`] if a reached machine fails to
+    /// canonicalize.
+    pub fn explore<E: Expr>(
+        &self,
+        locs: &LocSet,
+        m0: Machine<E>,
+        visitor: &mut dyn StateVisitor<E>,
+    ) -> Result<ExploreStats, EngineError> {
+        timed_walk(
+            || self.explore_inner(locs, m0, visitor),
+            |stats| stats.visited,
+        )
+    }
+
+    fn explore_inner<E: Expr>(
+        &self,
+        locs: &LocSet,
+        m0: Machine<E>,
+        visitor: &mut dyn StateVisitor<E>,
+    ) -> Result<ExploreStats, EngineError> {
+        let mut interner: StateInterner<crate::engine::CanonState<E>> = StateInterner::new();
+        // `Vec::new` + `push` grows straight to the small-vector
+        // capacity; `vec![m0]` would reallocate on the first successor.
+        let mut worklist: Vec<Machine<E>> = Vec::new();
+        worklist.push(m0);
+        let mut stats = ExploreStats::default();
+        while let Some(m) = worklist.pop() {
+            let (id, fresh) = Self::intern(self.dedup, &mut interner, locs, &m)?;
+            if !fresh {
+                continue;
+            }
+            if interner.len() > self.config.max_states {
+                return Err(EngineError::budget(interner.len()));
+            }
+            stats.visited += 1;
+            bdrst_obs::counter_add(bdrst_obs::Counter::StatesVisited, 1);
+            bdrst_obs::counter_max(bdrst_obs::Counter::FrontierHighWater, worklist.len() as u64);
+            bdrst_obs::progress_tick(stats.visited as u64, self.config.max_states as u64);
+            match visitor.visit(&m, id) {
+                Control::Stop => return Ok(stats),
+                Control::Prune => continue,
+                Control::Continue => {}
+            }
+            for t in m.transitions(locs) {
+                stats.transitions += 1;
+                worklist.push(t.target);
+            }
+        }
+        Ok(stats)
+    }
+
     /// Fully explores the state space from `m0` (no visitor, no pruning),
     /// recording the interned successor graph: per dense [`StateId`], its
     /// successor ids — one entry per transition — and terminal flag, with
     /// the canonical states retained for replay. Dedup here claims
     /// successors at *expansion* time (the worklist holds only fresh
     /// states), so the visited canonical state set is identical to
-    /// [`Explorer::explore`]'s while every edge endpoint has a known id.
+    /// [`WorklistEngine::explore`]'s while every edge endpoint has a
+    /// known id.
     ///
     /// # Errors
     ///
-    /// As [`Explorer::explore`]: budget exhaustion or a corrupted machine.
+    /// As [`WorklistEngine::explore`]: budget exhaustion or a corrupted
+    /// machine.
     pub fn explore_graph<E: Expr>(
         &self,
         locs: &LocSet,
         m0: Machine<E>,
     ) -> Result<(StateGraph<E>, ExploreStats), EngineError> {
-        let mut span = bdrst_obs::span(bdrst_obs::Phase::Explore);
-        let started = std::time::Instant::now();
+        timed_walk(
+            || self.explore_graph_inner(locs, m0),
+            |(_, stats)| stats.visited,
+        )
+    }
+
+    fn explore_graph_inner<E: Expr>(
+        &self,
+        locs: &LocSet,
+        m0: Machine<E>,
+    ) -> Result<(StateGraph<E>, ExploreStats), EngineError> {
         let mut interner: StateInterner<crate::engine::CanonState<E>> = StateInterner::new();
         let mut edges: Vec<(StateId, StateId)> = Vec::new();
         let mut terminal: Vec<bool> = Vec::new();
@@ -114,64 +185,10 @@ impl WorklistEngine {
                 return Err(EngineError::budget(interner.len()));
             }
         }
-        bdrst_obs::counter_add(
-            bdrst_obs::Counter::ExploreNanos,
-            started.elapsed().as_nanos() as u64,
-        );
-        span.set_arg(stats.visited as u64);
         Ok((
             StateGraph::from_parts(interner.into_states(), &edges, terminal),
             stats,
         ))
-    }
-}
-
-impl<E: Expr> Explorer<E> for WorklistEngine {
-    fn explore(
-        &self,
-        locs: &LocSet,
-        m0: Machine<E>,
-        visitor: &mut dyn StateVisitor<E>,
-    ) -> Result<ExploreStats, EngineError> {
-        let mut span = bdrst_obs::span(bdrst_obs::Phase::Explore);
-        let started = std::time::Instant::now();
-        let mut interner: StateInterner<crate::engine::CanonState<E>> = StateInterner::new();
-        // `Vec::new` + `push` grows straight to the small-vector
-        // capacity; `vec![m0]` would reallocate on the first successor.
-        let mut worklist: Vec<Machine<E>> = Vec::new();
-        worklist.push(m0);
-        let mut stats = ExploreStats::default();
-        let finish = |stats: ExploreStats, span: &mut bdrst_obs::SpanGuard| {
-            bdrst_obs::counter_add(
-                bdrst_obs::Counter::ExploreNanos,
-                started.elapsed().as_nanos() as u64,
-            );
-            span.set_arg(stats.visited as u64);
-            stats
-        };
-        while let Some(m) = worklist.pop() {
-            let (id, fresh) = Self::intern(self.dedup, &mut interner, locs, &m)?;
-            if !fresh {
-                continue;
-            }
-            if interner.len() > self.config.max_states {
-                return Err(EngineError::budget(interner.len()));
-            }
-            stats.visited += 1;
-            bdrst_obs::counter_add(bdrst_obs::Counter::StatesVisited, 1);
-            bdrst_obs::counter_max(bdrst_obs::Counter::FrontierHighWater, worklist.len() as u64);
-            bdrst_obs::progress_tick(stats.visited as u64, self.config.max_states as u64);
-            match visitor.visit(&m, id) {
-                Control::Stop => return Ok(finish(stats, &mut span)),
-                Control::Prune => continue,
-                Control::Continue => {}
-            }
-            for t in m.transitions(locs) {
-                stats.transitions += 1;
-                worklist.push(t.target);
-            }
-        }
-        Ok(finish(stats, &mut span))
     }
 }
 
@@ -374,7 +391,7 @@ mod tests {
     }
 
     fn terminal_reads(
-        engine: &dyn Explorer<RecordedExpr>,
+        engine: &WorklistEngine,
         locs: &LocSet,
         m0: Machine<RecordedExpr>,
     ) -> BTreeSet<Vec<i64>> {

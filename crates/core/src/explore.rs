@@ -1,23 +1,22 @@
 //! Exhaustive exploration of the operational semantics — the convenience
 //! layer over [`crate::engine`].
 //!
-//! State-space exploration ([`reachable_terminals`],
-//! [`reachable_terminals_with`]) deduplicates machines up to *timestamp
-//! renaming*: two stores that differ only in the rational
-//! representatives of their timestamps are observationally identical, so
-//! each location's timestamps are replaced by their rank before hashing.
-//! Used for outcome enumeration.
+//! State-space exploration ([`reachable_terminals`]) deduplicates
+//! machines up to *timestamp renaming*: two stores that differ only in
+//! the rational representatives of their timestamps are observationally
+//! identical, so each location's timestamps are replaced by their rank
+//! before hashing. Used for outcome enumeration.
 //!
-//! These functions are thin wrappers: the engines themselves (iterative
-//! worklist, interned canonical states, work-stealing exploration, the
-//! trace walk that the trace-dependent DRF checkers drive) live in
-//! [`crate::engine`], and checkers that need to steer the search
-//! implement [`crate::engine::StateVisitor`] / [`crate::engine::TraceVisitor`]
+//! [`reachable_terminals`] is a thin wrapper over the sequential
+//! [`WorklistEngine`], the reference every other outcome path is checked
+//! against. The engines themselves (the worklist, interned canonical
+//! states, the work-stealing graph recorder, DPOR, the trace walk that
+//! the trace-dependent DRF checkers drive) live in [`crate::engine`], and
+//! checkers that need to steer the search implement
+//! [`crate::engine::StateVisitor`] / [`crate::engine::TraceVisitor`]
 //! directly.
 
-use crate::engine::{
-    Control, EngineConfig, EngineError, Explorer, StateId, Strategy, WorklistEngine,
-};
+use crate::engine::{Control, EngineConfig, EngineError, StateId, WorklistEngine};
 use crate::loc::LocSet;
 use crate::machine::{Expr, Machine};
 
@@ -26,10 +25,8 @@ pub use crate::engine::CanonState;
 pub use crate::engine::ExploreStats;
 
 /// Explores the full state space from `m0`, returning all *terminal*
-/// machines (no thread can step), deduplicated canonically.
-///
-/// Uses the sequential depth-first engine; [`reachable_terminals_with`]
-/// selects other engines.
+/// machines (no thread can step), deduplicated canonically, on the
+/// sequential depth-first engine.
 ///
 /// # Errors
 ///
@@ -41,48 +38,8 @@ pub fn reachable_terminals<E: Expr>(
     m0: Machine<E>,
     config: EngineConfig,
 ) -> Result<Vec<Machine<E>>, EngineError> {
-    let engine = WorklistEngine::new(config);
-    collect_terminals(&engine, locs, m0)
-}
-
-/// [`reachable_terminals`] with an explicit engine [`Strategy`]
-/// (DFS / work-stealing / DPOR). All strategies return the same
-/// canonical terminal set; only discovery order — and, for
-/// [`Strategy::Dpor`], the number of traces explored to find it —
-/// differs.
-///
-/// # Errors
-///
-/// As [`reachable_terminals`].
-pub fn reachable_terminals_with<E: Expr + Send + Sync>(
-    locs: &LocSet,
-    m0: Machine<E>,
-    config: EngineConfig,
-    strategy: Strategy,
-) -> Result<Vec<Machine<E>>, EngineError> {
-    if strategy == Strategy::Dpor {
-        // The reduced walk reaches every terminal through one
-        // representative trace per equivalence class instead of visiting
-        // every canonical state.
-        let (terminals, _) = crate::engine::dpor_reachable_terminals(
-            locs,
-            m0,
-            config,
-            crate::engine::Dependence::Observational,
-        )?;
-        return Ok(terminals);
-    }
-    let engine = crate::engine::explorer::<E>(strategy, config);
-    collect_terminals(engine.as_ref(), locs, m0)
-}
-
-fn collect_terminals<E: Expr>(
-    engine: &dyn Explorer<E>,
-    locs: &LocSet,
-    m0: Machine<E>,
-) -> Result<Vec<Machine<E>>, EngineError> {
     let mut terminals = Vec::new();
-    engine.explore(locs, m0, &mut |m: &Machine<E>, _id: StateId| {
+    WorklistEngine::new(config).explore(locs, m0, &mut |m: &Machine<E>, _id: StateId| {
         if m.is_terminal() {
             terminals.push(m.clone());
         }
@@ -137,28 +94,6 @@ mod tests {
         // Terminal stores: histories [0,1,2] or [0,2,1] — exactly two
         // canonical classes.
         assert_eq!(terms.len(), 2);
-    }
-
-    #[test]
-    fn all_strategies_agree_on_terminals() {
-        let (locs, a, b) = locs_ab();
-        let mk = || {
-            let p0 = RecordedExpr::new(vec![StepLabel::Write(a, Val(1)), StepLabel::Read(b)]);
-            let p1 = RecordedExpr::new(vec![StepLabel::Write(b, Val(1)), StepLabel::Read(a)]);
-            Machine::initial(&locs, [p0, p1])
-        };
-        let outcome_set = |strategy| {
-            let terms =
-                reachable_terminals_with(&locs, mk(), EngineConfig::default(), strategy).unwrap();
-            terms
-                .iter()
-                .map(|m| (m.threads[0].expr.reads[0], m.threads[1].expr.reads[0]))
-                .collect::<HashSet<_>>()
-        };
-        assert_eq!(
-            outcome_set(Strategy::Dfs),
-            outcome_set(Strategy::WorkStealing)
-        );
     }
 
     #[test]

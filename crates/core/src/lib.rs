@@ -70,8 +70,8 @@ pub mod trace;
 pub mod wire;
 
 pub use engine::{
-    Control, EngineConfig, EngineError, Explorer, StateId, StateVisitor, Strategy, TraceEngine,
-    TraceVisitor, WorkStealingEngine, WorklistEngine,
+    Control, EngineConfig, EngineError, StateId, StateVisitor, Strategy, TraceEngine, TraceVisitor,
+    WorkStealingEngine, WorklistEngine,
 };
 pub use explore::ExploreStats;
 pub use frontier::Frontier;

@@ -60,7 +60,7 @@ pub enum StepLabel {
 const STEPS_INLINE: usize = 4;
 
 /// The enabled steps of an expression: a small inline buffer that spills
-/// to a `Vec` only past [`STEPS_INLINE`] entries.
+/// to a `Vec` only past four entries.
 ///
 /// `Expr::steps` sits on the hottest loop of every engine — once per
 /// thread per expansion — and used to allocate a `Vec` on each call.

@@ -1,14 +1,15 @@
 //! Integration tests for the exploration engine: budget exhaustion,
-//! DFS/work-stealing agreement on the message-passing and store-buffering
-//! shapes, and determinism of canonical hashing.
+//! agreement of the sequential walk and the work-stealing graph recorder
+//! on the message-passing and store-buffering shapes, and determinism of
+//! canonical hashing.
 
 use std::collections::BTreeSet;
 
 use bdrst_core::engine::{
-    canonicalize, Control, EngineConfig, EngineError, Explorer, Hashed, StateId, Strategy,
+    canonicalize, Control, EngineConfig, EngineError, Hashed, StateId, Strategy,
     WorkStealingEngine, WorklistEngine,
 };
-use bdrst_core::explore::reachable_terminals_with;
+use bdrst_core::explore::reachable_terminals;
 use bdrst_core::loc::{Loc, LocKind, LocSet, Val};
 use bdrst_core::machine::{Machine, RecordedExpr, StepLabel};
 
@@ -37,18 +38,32 @@ fn store_buffering(locs: &LocSet, a: Loc, b: Loc) -> Machine<RecordedExpr> {
     Machine::initial(locs, [p0, p1])
 }
 
-/// The canonical terminal outcome set under one strategy.
+/// The read values of one terminal state, thread by thread.
+fn reads<'a>(exprs: impl Iterator<Item = &'a RecordedExpr>) -> Vec<i64> {
+    exprs.flat_map(|e| e.reads.iter().map(|v| v.0)).collect()
+}
+
+/// The canonical terminal outcome set under one strategy: the sequential
+/// visitor walk for `Dfs`, the terminal states of the work-stealing
+/// graph recorder (four workers) for `WorkStealing`.
 fn outcomes(locs: &LocSet, m0: Machine<RecordedExpr>, strategy: Strategy) -> BTreeSet<Vec<i64>> {
-    reachable_terminals_with(locs, m0, EngineConfig::default(), strategy)
-        .unwrap()
-        .iter()
-        .map(|m| {
-            m.threads
-                .iter()
-                .flat_map(|t| t.expr.reads.iter().map(|v| v.0))
+    let cfg = EngineConfig::default();
+    match strategy {
+        Strategy::WorkStealing => {
+            let (graph, _) = WorkStealingEngine::with_threads(cfg, 4)
+                .explore_graph(locs, m0)
+                .unwrap();
+            graph
+                .terminal_ids()
+                .map(|id| reads(graph.state(id).thread_exprs()))
                 .collect()
-        })
-        .collect()
+        }
+        _ => reachable_terminals(locs, m0, cfg)
+            .unwrap()
+            .iter()
+            .map(|m| reads(m.threads.iter().map(|t| &t.expr)))
+            .collect(),
+    }
 }
 
 #[test]
@@ -77,25 +92,25 @@ fn strategies_agree_on_visited_state_counts() {
     // Not just terminals: the engines must visit the *same* canonical
     // state set, so the visited counts coincide.
     let (locs, a, _b, f) = locs_abf();
-    let count = |e: &dyn Explorer<RecordedExpr>| {
-        let mut n = 0usize;
-        e.explore(
+    let cfg = EngineConfig::default();
+    let mut dfs = 0usize;
+    WorklistEngine::new(cfg)
+        .explore(
             &locs,
             message_passing(&locs, a, f),
             &mut |_: &Machine<RecordedExpr>, _: StateId| {
-                n += 1;
+                dfs += 1;
                 Control::Continue
             },
         )
         .unwrap();
-        n
-    };
-    let cfg = EngineConfig::default();
-    let dfs = count(&WorklistEngine::new(cfg));
-    let ws2 = count(&WorkStealingEngine::with_threads(cfg, 2));
-    let ws8 = count(&WorkStealingEngine::with_threads(cfg, 8));
-    assert_eq!(dfs, ws2);
-    assert_eq!(dfs, ws8);
+    for threads in [2, 8] {
+        let (graph, stats) = WorkStealingEngine::with_threads(cfg, threads)
+            .explore_graph(&locs, message_passing(&locs, a, f))
+            .unwrap();
+        assert_eq!(graph.len(), dfs, "{threads} workers");
+        assert_eq!(stats.visited, dfs, "{threads} workers");
+    }
 }
 
 #[test]
@@ -107,13 +122,24 @@ fn budget_exhaustion_is_uniform_across_engines() {
         max_states: 10,
         max_traces: 10,
     };
-    for strategy in [Strategy::Dfs, Strategy::WorkStealing] {
-        let r = reachable_terminals_with(&locs, m0.clone(), tiny, strategy);
+    let runs = [
+        (
+            "dfs",
+            reachable_terminals(&locs, m0.clone(), tiny).map(drop),
+        ),
+        (
+            "work-stealing",
+            WorkStealingEngine::with_threads(tiny, 4)
+                .explore_graph(&locs, m0)
+                .map(drop),
+        ),
+    ];
+    for (engine, r) in runs {
         match r {
             Err(EngineError::BudgetExceeded { visited }) => {
-                assert!(visited > tiny.max_states, "{strategy:?}: visited={visited}")
+                assert!(visited > tiny.max_states, "{engine}: visited={visited}")
             }
-            other => panic!("{strategy:?}: expected budget error, got {other:?}"),
+            other => panic!("{engine}: expected budget error, got {other:?}"),
         }
     }
 }

@@ -5,9 +5,10 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use bdrst_core::engine::{
-    EngineConfig, EngineError, ExploreStats, StateGraph, Strategy, WorklistEngine,
+    dpor_reachable_terminals, Dependence, EngineConfig, EngineError, ExploreStats, StateGraph,
+    Strategy, WorkStealingEngine, WorklistEngine,
 };
-use bdrst_core::explore::{reachable_terminals, reachable_terminals_with};
+use bdrst_core::explore::reachable_terminals;
 use bdrst_core::loc::{Loc, LocKind, LocSet, Val};
 use bdrst_core::machine::Machine;
 
@@ -110,15 +111,19 @@ impl Program {
     /// Returns [`EngineError`] if the state space exceeds the budget.
     pub fn outcomes(&self, config: EngineConfig) -> Result<Outcomes, EngineError> {
         let terminals = reachable_terminals(&self.locs, self.initial_machine(), config)?;
-        Ok(Outcomes {
-            program: self.clone(),
-            set: terminals.iter().map(|m| self.observe(m)).collect(),
-        })
+        Ok(self.observe_all(&terminals))
     }
 
-    /// [`Program::outcomes`] under an explicit engine [`Strategy`]
-    /// (DFS / work-stealing / DPOR). All strategies produce the same
-    /// observation set.
+    /// [`Program::outcomes`] under an explicit engine [`Strategy`]. All
+    /// strategies produce the same observation set:
+    ///
+    /// * `Dfs` runs [`Program::outcomes`]' sequential visitor walk, the
+    ///   reference;
+    /// * `WorkStealing` records the state graph across the worker pool
+    ///   ([`Program::state_graph_with`], the check service's path) and
+    ///   reads the outcomes off it ([`Program::outcomes_from_graph`]);
+    /// * `Dpor` reaches every terminal through one representative trace
+    ///   per equivalence class instead of visiting every canonical state.
     ///
     /// # Errors
     ///
@@ -128,12 +133,30 @@ impl Program {
         config: EngineConfig,
         strategy: Strategy,
     ) -> Result<Outcomes, EngineError> {
-        let terminals =
-            reachable_terminals_with(&self.locs, self.initial_machine(), config, strategy)?;
-        Ok(Outcomes {
+        match strategy {
+            Strategy::Dfs => self.outcomes(config),
+            Strategy::WorkStealing => {
+                let (graph, _) = self.state_graph_with(config, strategy)?;
+                Ok(self.outcomes_from_graph(&graph))
+            }
+            Strategy::Dpor => {
+                let (terminals, _) = dpor_reachable_terminals(
+                    &self.locs,
+                    self.initial_machine(),
+                    config,
+                    Dependence::Observational,
+                )?;
+                Ok(self.observe_all(&terminals))
+            }
+        }
+    }
+
+    /// The outcome set observed at `terminals`.
+    fn observe_all(&self, terminals: &[Machine<ThreadState>]) -> Outcomes {
+        Outcomes {
             program: self.clone(),
             set: terminals.iter().map(|m| self.observe(m)).collect(),
-        })
+        }
     }
 
     /// Fully explores the program's state space once, returning the
@@ -173,9 +196,7 @@ impl Program {
             Strategy::Dfs | Strategy::Dpor => {
                 WorklistEngine::new(config).explore_graph(&self.locs, m0)
             }
-            Strategy::WorkStealing => {
-                bdrst_core::engine::WorkStealingEngine::new(config).explore_graph(&self.locs, m0)
-            }
+            Strategy::WorkStealing => WorkStealingEngine::new(config).explore_graph(&self.locs, m0),
         }
     }
 

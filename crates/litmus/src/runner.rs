@@ -370,6 +370,7 @@ fn truncate(s: &str, n: usize) -> String {
 mod tests {
     use super::*;
     use crate::corpus;
+    use bdrst_core::engine::WorkStealingEngine;
 
     #[test]
     fn sb_passes_both_models() {
@@ -405,23 +406,31 @@ mod tests {
     fn corpus_outcome_sets_identical_across_strategies() {
         // The acceptance bar for the engine refactor: DFS and the
         // work-stealing engine produce byte-identical canonical outcome
-        // sets on the full corpus.
+        // sets on the full corpus. The explicit four-worker pool races
+        // for real even where `BDRST_ENGINE_THREADS=1` makes the
+        // defaulted strategy delegate to the sequential recorder.
         for t in corpus::all_tests() {
             let p = Program::parse(t.source).unwrap();
             let cfg = EngineConfig::default();
-            let dfs = p.outcomes_with(cfg, Strategy::Dfs).unwrap().set().clone();
+            let dfs = p.outcomes(cfg).unwrap().set().clone();
             let ws = p
                 .outcomes_with(cfg, Strategy::WorkStealing)
                 .unwrap()
                 .set()
                 .clone();
-            assert_eq!(dfs, ws, "DFS vs work-stealing diverge on {}", t.name);
-            assert_eq!(
-                format!("{dfs:?}"),
-                format!("{ws:?}"),
-                "rendered outcome sets differ on {}",
-                t.name
-            );
+            let (graph, _) = WorkStealingEngine::with_threads(cfg, 4)
+                .explore_graph(&p.locs, p.initial_machine())
+                .unwrap();
+            let pool = p.outcomes_from_graph(&graph).set().clone();
+            for (lane, got) in [("work-stealing", &ws), ("four-worker pool", &pool)] {
+                assert_eq!(&dfs, got, "DFS vs {lane} diverge on {}", t.name);
+                assert_eq!(
+                    format!("{dfs:?}"),
+                    format!("{got:?}"),
+                    "rendered outcome sets differ under {lane} on {}",
+                    t.name
+                );
+            }
         }
     }
 

@@ -4,11 +4,11 @@
 //! Each poll cycle it
 //!
 //! 1. **accepts** pending connections (atomic admission against
-//!    `max_conns` via [`crate::metrics::Metrics::try_acquire_conn`];
+//!    `max_conns` via `Metrics::try_acquire_conn`;
 //!    an over-limit connection is parked in a rejecting state with one
 //!    `overloaded` error line queued, drained bounded, then closed —
 //!    never silently dropped, never an RST over the error line);
-//! 2. **drains** each connection's [`Outbox`] — response lines the
+//! 2. **drains** each connection's `Outbox` — response lines the
 //!    workers finished since the last cycle — into its write buffer and
 //!    writes as much as the socket accepts (whole lines enter the
 //!    buffer atomically, so concurrent workers never interleave bytes);
@@ -16,28 +16,28 @@
 //!    read buffer (size-capped: a line over `max_request_bytes` turns
 //!    the connection into a rejecting one with a `too-large` error),
 //!    splits complete lines, rate-limits them, and pushes them as jobs
-//!    with [`crate::server::JobQueue::try_push`] — a full queue leaves
+//!    with `JobQueue::try_push` — a full queue leaves
 //!    the line in the connection's pending list and pauses reading that
 //!    connection: backpressure instead of unbounded buffering;
 //! 4. **closes** connections that are finished: EOF seen, no pending
 //!    lines, every submitted job answered, write buffer flushed.
 //!
 //! The loop never blocks on a client socket. A cycle that moves no
-//! bytes parks on the [`Waker`] pipe — a loopback socket pair whose
+//! bytes parks on the `Waker` pipe — a loopback socket pair whose
 //! write half the workers poke when they deposit a response — so a
 //! finished job wakes the reactor immediately instead of waiting out
-//! the rest of an [`IDLE_SLEEP`] poll cycle. For [`HOT_WINDOW`] after
+//! the rest of a 500 µs poll cycle. For 2 ms after
 //! any byte moves the loop polls eagerly (yielding, not sleeping), so
 //! an interactive client's next request is read the moment it lands;
 //! only a connection idle past the window falls back to the
-//! [`IDLE_SLEEP`]-bounded park.
+//! 500 µs-bounded park.
 //!
 //! Shutdown (driven by [`crate::server::ServerHandle::shutdown`]): the
 //! `stop` flag stops accepting; the queue closes and the workers drain
 //! it (responses keep flowing through the outboxes); once the workers
 //! are done the `flush` flag tells the reactor to answer every line it
 //! can still read with `{"kind":"shutting-down"}`, flush all write
-//! buffers (bounded by [`FLUSH_DEADLINE`]), shut down the write halves,
+//! buffers (bounded by a two-second deadline), shut down the write halves,
 //! and exit. Every accepted request line gets exactly one response.
 
 use std::collections::VecDeque;

@@ -43,7 +43,7 @@
 //! ([`crate::reactor`]): one thread owns the nonblocking listener and
 //! every client socket, polling per-connection read/write buffers, so
 //! idle connections cost buffers instead of threads. Parsed request
-//! lines become [`Job`]s on a **bounded** queue (backpressure: a
+//! lines become jobs on a **bounded** queue (backpressure: a
 //! connection with queued-but-unsubmitted lines stops being read);
 //! `workers` worker threads pop jobs, compute through the shared
 //! cache-first [`CheckService`] (whose misses run on the existing engine

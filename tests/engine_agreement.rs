@@ -1,8 +1,9 @@
 //! Property suite for the exploration engines: random programs are
-//! generated through the vendored proptest stub and every engine —
-//! sequential DFS and work-stealing — must agree on the
-//! *visited canonical state count* and the terminal outcome set, and the
-//! recorded trace tree must replay to the live soundness verdict.
+//! generated through the vendored proptest stub and every engine — the
+//! sequential DFS walk and both state-graph recorders, sequential and
+//! work-stealing — must agree on the *visited canonical state count* and
+//! the terminal outcome set, and the recorded trace tree must replay to
+//! the live soundness verdict.
 //!
 //! These are the lock-down tests for the work-stealing pool: parallel
 //! decomposition must be observationally invisible.
@@ -14,14 +15,15 @@ use common::small_program;
 
 use bdrst::axiomatic::{check_soundness, generate, GenLimits};
 use bdrst::core::engine::{
-    explorer, Control, Dedup, EngineConfig, Explorer, StateId, Strategy as EngineStrategy,
-    TraceEngine, WorkStealingEngine, WorklistEngine,
+    Control, Dedup, EngineConfig, StateId, Strategy as EngineStrategy, TraceEngine,
+    WorkStealingEngine, WorklistEngine,
 };
 use bdrst::core::machine::Machine;
 use bdrst::lang::{Program, ThreadState};
 
-/// Number of canonical states an engine visits on `p`'s state space.
-fn visited_count(p: &Program, engine: &dyn Explorer<ThreadState>) -> usize {
+/// Number of canonical states the sequential walk visits on `p`'s state
+/// space.
+fn visited_count(p: &Program, engine: &WorklistEngine) -> usize {
     let mut n = 0usize;
     engine
         .explore(
@@ -36,21 +38,33 @@ fn visited_count(p: &Program, engine: &dyn Explorer<ThreadState>) -> usize {
     n
 }
 
+/// Number of canonical states the work-stealing recorder records on
+/// `p`'s state space with `threads` workers.
+fn recorded_count(p: &Program, threads: usize) -> usize {
+    WorkStealingEngine::with_threads(EngineConfig::default(), threads)
+        .explore_graph(&p.locs, p.initial_machine())
+        .expect("exploration fits budget")
+        .0
+        .len()
+}
+
 const ALL_STRATEGIES: [EngineStrategy; 2] = [EngineStrategy::Dfs, EngineStrategy::WorkStealing];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Every engine visits exactly the same number of canonical states —
-    /// the claim-exactly-once interner makes the visited *set* identical,
-    /// so the counts must coincide.
+    /// Every state-graph recorder records exactly the states the
+    /// sequential walk visits — the claim-exactly-once interner makes the
+    /// visited *set* identical, so the counts must coincide.
     #[test]
     fn engines_agree_on_visited_state_counts(p in small_program()) {
         let dfs = visited_count(&p, &WorklistEngine::new(EngineConfig::default()));
         for strategy in ALL_STRATEGIES {
-            let engine = explorer::<ThreadState>(strategy, EngineConfig::default());
+            let (graph, _) = p
+                .state_graph_with(EngineConfig::default(), strategy)
+                .expect("exploration fits budget");
             prop_assert_eq!(
-                visited_count(&p, engine.as_ref()),
+                graph.len(),
                 dfs,
                 "visited counts diverge under {:?} on\n{}", strategy, p
             );
@@ -81,12 +95,7 @@ proptest! {
     fn work_stealing_agrees_across_worker_counts(p in small_program()) {
         let counts: Vec<usize> = [1usize, 2, 8]
             .into_iter()
-            .map(|threads| {
-                visited_count(
-                    &p,
-                    &WorkStealingEngine::with_threads(EngineConfig::default(), threads),
-                )
-            })
+            .map(|threads| recorded_count(&p, threads))
             .collect();
         prop_assert_eq!(counts[0], counts[1], "1 vs 2 workers on\n{}", p);
         prop_assert_eq!(counts[0], counts[2], "1 vs 8 workers on\n{}", p);
@@ -153,10 +162,7 @@ proptest! {
         prop_assert_eq!(g.candidate_count(), product);
         prop_assert!(g.per_thread.iter().all(|alts| !alts.is_empty()));
         let dfs = visited_count(&p, &WorklistEngine::new(EngineConfig::default()));
-        let ws = visited_count(
-            &p,
-            &WorkStealingEngine::with_threads(EngineConfig::default(), 4),
-        );
+        let ws = recorded_count(&p, 4);
         prop_assert_eq!(dfs, ws, "visited counts diverge on generated program\n{}", p);
     }
 }
