@@ -11,20 +11,30 @@
 //! every frontier, and every thread — wasted work when the state has
 //! already been visited, which on the engines' hot path is the common
 //! case. [`canonical_fingerprint`] therefore streams the exact same
-//! canonical content straight into a 64-bit hasher without allocating,
-//! and [`canon_matches`] compares a machine against an already-built
-//! `CanonState` equally allocation-free. Together they let the interners
-//! probe by fingerprint first and only build the full canonical form on
-//! first visit (or on a genuine fingerprint collision, where the verified
-//! equality keeps dedup outcomes bit-identical to full-state dedup).
+//! canonical content straight into a 64-bit hasher, and [`canon_matches`]
+//! compares a machine against an already-built `CanonState` without
+//! building one. Together they let the interners probe by fingerprint
+//! first and only build the full canonical form on first visit (or on a
+//! genuine fingerprint collision, where the verified equality keeps dedup
+//! outcomes bit-identical to full-state dedup).
+//!
+//! All three rank frontier entries against one *rank table* per machine:
+//! each location's contents are looked up in the store once, and each
+//! nonatomic history records whether it starts at timestamp 0, so an
+//! entry at 0 — most entries of most frontiers — ranks 0 without scanning
+//! the history. The interners build the table once per probe and share it
+//! between the fingerprint, the collision check and the first-visit
+//! build, at the cost of one small allocation per probe.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 use crate::engine::EngineError;
 use crate::frontier::Frontier;
+use crate::history::History;
 use crate::loc::{Loc, LocKind, LocSet, Val};
 use crate::machine::{Expr, Machine};
+use crate::timestamp::Timestamp;
 use crate::wire::{Codec, Reader, WireError};
 
 /// The canonical (timestamp-renamed) form of a location's contents.
@@ -116,27 +126,150 @@ impl<E: Codec> Codec for CanonState<E> {
     }
 }
 
-/// The per-location frontier rank: the position of the frontier's
-/// timestamp within the owning history (atomic locations rank 0, mirroring
-/// the canonical form).
-fn frontier_rank<E: Expr>(
-    locs: &LocSet,
-    m: &Machine<E>,
-    f: &Frontier,
-    l: Loc,
-) -> Result<u32, EngineError> {
-    match locs.kind(l) {
-        LocKind::Nonatomic => {
-            let t = f.get(l);
-            match m.store.history(l).rank_of(t) {
-                Some(rank) => Ok(rank as u32),
-                None => Err(EngineError::CorruptFrontier {
-                    loc: l,
-                    timestamp: t,
-                }),
+/// One location's contents, resolved once per machine.
+enum Row<'m> {
+    /// A nonatomic history, and whether its first write is at timestamp 0
+    /// (so a frontier entry at 0 ranks 0 without a scan).
+    Na { hist: &'m History, zero_first: bool },
+    /// An atomic location's frontier and value.
+    At(&'m Frontier, Val),
+}
+
+/// A machine's rank table: every location's contents, looked up once,
+/// against which every frontier entry of the machine is ranked. A frontier
+/// entry's rank is the position of its timestamp within the owning history
+/// (atomic locations rank 0, mirroring the canonical form).
+///
+/// The dedup probes build one table and share it between the fingerprint,
+/// the collision check and the first-visit canonicalization, instead of a
+/// store lookup per (frontier, location) pair in each.
+pub(crate) struct RankTable<'m, E> {
+    m: &'m Machine<E>,
+    rows: Vec<Row<'m>>,
+}
+
+impl<'m, E: Expr> RankTable<'m, E> {
+    /// Resolves every location of `m` declared in `locs`.
+    pub(crate) fn new(locs: &LocSet, m: &'m Machine<E>) -> RankTable<'m, E> {
+        let rows = locs
+            .iter()
+            .map(|l| {
+                let c = m.store.contents(l);
+                match locs.kind(l) {
+                    LocKind::Nonatomic => {
+                        let hist = c.history();
+                        let zero_first = hist.timestamps().next() == Some(Timestamp::ZERO);
+                        Row::Na { hist, zero_first }
+                    }
+                    LocKind::Atomic => {
+                        let (f, v) = c.atomic();
+                        Row::At(f, v)
+                    }
+                }
+            })
+            .collect();
+        RankTable { m, rows }
+    }
+
+    /// The rank of frontier `f`'s entry for location `i`.
+    fn rank(&self, i: usize, f: &Frontier) -> Result<u32, EngineError> {
+        match self.rows[i] {
+            Row::Na { hist, zero_first } => {
+                let loc = Loc(i as u32);
+                let t = f.get(loc);
+                if zero_first && t == Timestamp::ZERO {
+                    return Ok(0);
+                }
+                match hist.rank_of(t) {
+                    Some(rank) => Ok(rank as u32),
+                    None => Err(EngineError::CorruptFrontier { loc, timestamp: t }),
+                }
+            }
+            Row::At(..) => Ok(0),
+        }
+    }
+
+    fn ranks(&self, f: &Frontier) -> Result<Vec<u32>, EngineError> {
+        (0..self.rows.len()).map(|i| self.rank(i, f)).collect()
+    }
+
+    /// Streams a frontier's ranks into `h`.
+    fn hash_ranks<H: Hasher>(&self, f: &Frontier, h: &mut H) -> Result<(), EngineError> {
+        for i in 0..self.rows.len() {
+            h.write_u32(self.rank(i, f)?);
+        }
+        Ok(())
+    }
+
+    /// Compares a frontier's ranks against a stored rank vector.
+    fn ranks_match(&self, f: &Frontier, ranks: &[u32]) -> bool {
+        ranks.len() == self.rows.len()
+            && ranks
+                .iter()
+                .enumerate()
+                .all(|(i, r)| self.rank(i, f) == Ok(*r))
+    }
+
+    /// See [`canonicalize`].
+    pub(crate) fn canonicalize(&self) -> Result<CanonState<E>, EngineError> {
+        let store = self
+            .rows
+            .iter()
+            .map(|row| match *row {
+                Row::Na { hist, .. } => Ok(CanonLoc::Na(hist.iter().map(|(_, v)| v).collect())),
+                Row::At(f, v) => Ok(CanonLoc::At(v, self.ranks(f)?)),
+            })
+            .collect::<Result<_, EngineError>>()?;
+        let threads = self
+            .m
+            .threads
+            .iter()
+            .map(|t| Ok((self.ranks(&t.frontier)?, t.expr.clone())))
+            .collect::<Result<_, EngineError>>()?;
+        Ok(CanonState { store, threads })
+    }
+
+    /// See [`canonical_fingerprint`].
+    pub(crate) fn fingerprint(&self) -> Result<u64, EngineError> {
+        bdrst_obs::counter_add(bdrst_obs::Counter::FingerprintCalls, 1);
+        let _span = bdrst_obs::span(bdrst_obs::Phase::Fingerprint);
+        let mut h = DefaultHasher::new();
+        h.write_u64(self.m.store.content_digest());
+        for row in &self.rows {
+            if let Row::At(f, _) = *row {
+                self.hash_ranks(f, &mut h)?;
             }
         }
-        LocKind::Atomic => Ok(0),
+        h.write_usize(self.m.threads.len());
+        for t in &self.m.threads {
+            self.hash_ranks(&t.frontier, &mut h)?;
+            t.expr.hash(&mut h);
+        }
+        let fp = h.finish();
+        #[cfg(test)]
+        let fp = fp & collisions::mask();
+        Ok(fp)
+    }
+
+    /// See [`canon_matches`].
+    pub(crate) fn matches(&self, canon: &CanonState<E>) -> bool {
+        if canon.store.len() != self.rows.len() || canon.threads.len() != self.m.threads.len() {
+            return false;
+        }
+        let store_matches = self.rows.iter().zip(&canon.store).all(|pair| match pair {
+            (Row::Na { hist, .. }, CanonLoc::Na(vals)) => {
+                hist.len() == vals.len() && hist.iter().map(|(_, v)| v).eq(vals.iter().copied())
+            }
+            (Row::At(f, v), CanonLoc::At(cv, ranks)) => v == cv && self.ranks_match(f, ranks),
+            _ => false,
+        });
+        store_matches
+            && self
+                .m
+                .threads
+                .iter()
+                .zip(&canon.threads)
+                .all(|(t, (ranks, expr))| t.expr == *expr && self.ranks_match(&t.frontier, ranks))
     }
 }
 
@@ -150,27 +283,7 @@ fn frontier_rank<E: Expr>(
 /// machines produced by the paper's rules, but reachable from broken
 /// semantics variants or hand-built machines.
 pub fn canonicalize<E: Expr>(locs: &LocSet, m: &Machine<E>) -> Result<CanonState<E>, EngineError> {
-    let rank_frontier = |f: &Frontier| -> Result<Vec<u32>, EngineError> {
-        locs.iter().map(|l| frontier_rank(locs, m, f, l)).collect()
-    };
-    let store = locs
-        .iter()
-        .map(|l| match locs.kind(l) {
-            LocKind::Nonatomic => Ok(CanonLoc::Na(
-                m.store.history(l).iter().map(|(_, v)| v).collect(),
-            )),
-            LocKind::Atomic => {
-                let (f, v) = m.store.atomic(l);
-                Ok(CanonLoc::At(v, rank_frontier(f)?))
-            }
-        })
-        .collect::<Result<_, EngineError>>()?;
-    let threads = m
-        .threads
-        .iter()
-        .map(|t| Ok((rank_frontier(&t.frontier)?, t.expr.clone())))
-        .collect::<Result<_, EngineError>>()?;
-    Ok(CanonState { store, threads })
+    RankTable::new(locs, m).canonicalize()
 }
 
 /// Test-only fingerprint truncation, used to force collisions: correctness
@@ -224,19 +337,6 @@ pub(crate) mod collisions {
     }
 }
 
-/// Streams a frontier's canonical ranks into `h`.
-fn hash_frontier<E: Expr, H: Hasher>(
-    locs: &LocSet,
-    m: &Machine<E>,
-    f: &Frontier,
-    h: &mut H,
-) -> Result<(), EngineError> {
-    for l in locs.iter() {
-        h.write_u32(frontier_rank(locs, m, f, l)?);
-    }
-    Ok(())
-}
-
 /// The 64-bit fingerprint of a machine's canonical form — *incremental*:
 /// the store's canonical-local half (history value sequences, atomic
 /// values) enters as one recombined [`crate::store::Store::content_digest`]
@@ -244,7 +344,11 @@ fn hash_frontier<E: Expr, H: Hasher>(
 /// one-location update only the O(log n) copied path is rehashed, not
 /// every location. Only the genuinely non-local canonical content — the
 /// per-location *ranks* of atomic and thread frontiers, which depend on
-/// other locations' histories — is still streamed per visited state.
+/// other locations' histories — is still streamed per visited state. Those
+/// ranks come from one table per machine that resolves each location's
+/// contents once, and a frontier entry at timestamp 0 ranks 0 without a
+/// scan whenever its history starts at 0. Thread expressions enter through
+/// their own `Hash`, which for litmus threads is a memoized O(1) digest.
 ///
 /// The fingerprint is a pure function of the [`CanonState`] content
 /// (canonically equal machines always collide; unequal machines collide
@@ -258,34 +362,7 @@ fn hash_frontier<E: Expr, H: Hasher>(
 /// Returns [`EngineError::CorruptFrontier`] exactly when [`canonicalize`]
 /// would: a successful fingerprint guarantees the machine canonicalizes.
 pub fn canonical_fingerprint<E: Expr>(locs: &LocSet, m: &Machine<E>) -> Result<u64, EngineError> {
-    bdrst_obs::counter_add(bdrst_obs::Counter::FingerprintCalls, 1);
-    let _span = bdrst_obs::span(bdrst_obs::Phase::Fingerprint);
-    let mut h = DefaultHasher::new();
-    h.write_u64(m.store.content_digest());
-    for l in locs.iter() {
-        if locs.kind(l) == LocKind::Atomic {
-            let (f, _) = m.store.atomic(l);
-            hash_frontier(locs, m, f, &mut h)?;
-        }
-    }
-    h.write_usize(m.threads.len());
-    for t in &m.threads {
-        hash_frontier(locs, m, &t.frontier, &mut h)?;
-        t.expr.hash(&mut h);
-    }
-    let fp = h.finish();
-    #[cfg(test)]
-    let fp = fp & collisions::mask();
-    Ok(fp)
-}
-
-/// Compares a frontier's ranks against a stored rank vector.
-fn frontier_matches<E: Expr>(locs: &LocSet, m: &Machine<E>, f: &Frontier, ranks: &[u32]) -> bool {
-    ranks.len() == locs.len()
-        && locs
-            .iter()
-            .zip(ranks)
-            .all(|(l, r)| frontier_rank(locs, m, f, l) == Ok(*r))
+    RankTable::new(locs, m).fingerprint()
 }
 
 /// True iff `m`'s canonical form equals `canon`, decided by streaming
@@ -294,31 +371,7 @@ fn frontier_matches<E: Expr>(locs: &LocSet, m: &Machine<E>, f: &Frontier, ranks:
 /// with `canonicalize(locs, m)? == *c` (a machine that fails to
 /// canonicalize matches nothing).
 pub fn canon_matches<E: Expr>(locs: &LocSet, m: &Machine<E>, canon: &CanonState<E>) -> bool {
-    if canon.store.len() != locs.len() || canon.threads.len() != m.threads.len() {
-        return false;
-    }
-    for l in locs.iter() {
-        match (locs.kind(l), &canon.store[l.index()]) {
-            (LocKind::Nonatomic, CanonLoc::Na(vals)) => {
-                let hist = m.store.history(l);
-                if hist.len() != vals.len() || !hist.iter().map(|(_, v)| v).eq(vals.iter().copied())
-                {
-                    return false;
-                }
-            }
-            (LocKind::Atomic, CanonLoc::At(v, ranks)) => {
-                let (f, val) = m.store.atomic(l);
-                if val != *v || !frontier_matches(locs, m, f, ranks) {
-                    return false;
-                }
-            }
-            _ => return false,
-        }
-    }
-    m.threads
-        .iter()
-        .zip(&canon.threads)
-        .all(|(t, (ranks, expr))| t.expr == *expr && frontier_matches(locs, m, &t.frontier, ranks))
+    RankTable::new(locs, m).matches(canon)
 }
 
 #[cfg(test)]
@@ -348,6 +401,34 @@ mod tests {
             }
             other => panic!("expected CorruptFrontier, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn frontier_at_zero_of_a_history_without_zero_is_corrupt() {
+        // The rank shortcut (an entry at 0 ranks 0) applies only when the
+        // history starts at 0. Here a's history is just a write at 1, and
+        // the thread's frontier still sits at 0.
+        let mut locs = LocSet::new();
+        let a = locs.fresh("a", LocKind::Nonatomic);
+        let p = RecordedExpr::new(vec![StepLabel::Read(a)]);
+        let one = Timestamp(Ratio::from_integer(1));
+        let mut m = Machine::initial(&locs, [p]);
+        let mut h = History::new();
+        h.insert(one, Val(5));
+        m.store.update(a, LocContents::Nonatomic(h));
+        let want = EngineError::CorruptFrontier {
+            loc: a,
+            timestamp: Timestamp::ZERO,
+        };
+        assert_eq!(canonicalize(&locs, &m).unwrap_err(), want);
+        assert_eq!(canonical_fingerprint(&locs, &m).unwrap_err(), want);
+        // The same machine with the frontier on the write is valid, and its
+        // canonical form ranks a at 0: the corrupt machine must not match it.
+        let mut valid = m.clone();
+        valid.threads[0].frontier.advance(a, one);
+        let canon = canonicalize(&locs, &valid).unwrap();
+        assert!(canon_matches(&locs, &valid, &canon));
+        assert!(!canon_matches(&locs, &m, &canon));
     }
 
     #[test]

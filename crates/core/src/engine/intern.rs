@@ -6,11 +6,11 @@
 //! state (fresh `Vec`s for the store, every frontier, and every thread)
 //! before it could be hashed. This version probes by the 64-bit
 //! [`canonical fingerprint`](crate::engine::canonical_fingerprint), which
-//! streams the same canonical content into a hasher with zero allocation:
+//! streams the same canonical content into a hasher without building it:
 //!
 //! * **re-visit (hot path)**: fingerprint → bucket → verified streaming
 //!   equality against the stored state ([`crate::engine::canon_matches`]) —
-//!   no allocation at all;
+//!   one small rank-table allocation, nothing else;
 //! * **first visit**: fingerprint → empty bucket → build the full
 //!   [`crate::engine::CanonState`] once and store it against the next
 //!   dense [`StateId`];

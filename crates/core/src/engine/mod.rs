@@ -28,8 +28,8 @@
 //!   replay: a sequential depth-first walk memoized by exact machine.
 //! * **[`StateInterner`] / [`SharedInterner`]** ([`intern`]) — state
 //!   dedup is **fingerprint-first** ([`canonical_fingerprint`] streams
-//!   the canonical form into a hasher with zero allocation; re-visits
-//!   allocate nothing, and verified equality on collision keeps
+//!   the canonical form into a hasher without building it; a re-visit
+//!   allocates only its rank table, and verified equality on collision keeps
 //!   outcomes bit-identical — [`Dedup`] selects the full-state
 //!   reference path). States live in a dense id-indexed table behind
 //!   `u32` [`StateId`]s.
@@ -114,6 +114,7 @@ use crate::machine::{Expr, Machine, Transition};
 use crate::timestamp::Timestamp;
 use crate::trace::TraceLabels;
 
+use canon::RankTable;
 pub use canon::{canon_matches, canonical_fingerprint, canonicalize, CanonState};
 pub use deque::ChaseLev;
 pub use dpor::{dpor_reachable_terminals, full_complete_traces, Dependence, DporEngine, DporStats};
@@ -130,10 +131,10 @@ pub use worklist::{TraceEngine, WorklistEngine};
 /// hot path allocates:
 ///
 /// * [`Dedup::FingerprintFirst`] (default): a popped machine is hashed by
-///   the zero-allocation streaming [`canonical_fingerprint`]; the full
-///   [`CanonState`] is built only on first visit (or on a verified
-///   fingerprint collision). Re-visits — the common case — allocate
-///   nothing.
+///   the streaming [`canonical_fingerprint`]; the full [`CanonState`] is
+///   built only on first visit (or on a verified fingerprint collision).
+///   Re-visits — the common case — allocate only the machine's rank
+///   table.
 /// * [`Dedup::FullState`]: the original build-then-hash path, kept as the
 ///   reference implementation and allocation baseline.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -148,8 +149,10 @@ pub enum Dedup {
 
 /// Fingerprint-first identification of a machine against a
 /// single-threaded interner: the zero-copy dedup hot path shared by the
-/// sequential engines. Re-visits allocate nothing; the full
-/// [`CanonState`] is built only on first visit or verified collision.
+/// sequential engines. One rank table per probe serves the fingerprint,
+/// the collision check and the build; a re-visit allocates only that
+/// table, and the full [`CanonState`] is built only on first visit or
+/// verified collision.
 ///
 /// # Errors
 ///
@@ -160,14 +163,19 @@ pub fn intern_canonical<E: Expr>(
     locs: &LocSet,
     m: &Machine<E>,
 ) -> Result<(StateId, bool), EngineError> {
-    let fp = canonical_fingerprint(locs, m)?;
+    let table = RankTable::new(locs, m);
+    let fp = table.fingerprint()?;
     let _span = bdrst_obs::span(bdrst_obs::Phase::InternClaim);
     let (id, fresh) = interner.intern_with(
         fp,
-        |c| canon_matches(locs, m, c),
+        |c| table.matches(c),
         // A successful fingerprint walks every frontier, so
         // canonicalization cannot fail afterwards.
-        || canonicalize(locs, m).expect("fingerprinted machines canonicalize"),
+        || {
+            table
+                .canonicalize()
+                .expect("fingerprinted machines canonicalize")
+        },
     );
     if fresh {
         bdrst_obs::counter_add(bdrst_obs::Counter::StatesInterned, 1);
@@ -188,12 +196,17 @@ pub fn claim_canonical<E: Expr>(
     locs: &LocSet,
     m: &Machine<E>,
 ) -> Result<(StateId, bool), EngineError> {
-    let fp = canonical_fingerprint(locs, m)?;
+    let table = RankTable::new(locs, m);
+    let fp = table.fingerprint()?;
     let _span = bdrst_obs::span(bdrst_obs::Phase::InternClaim);
     let (id, fresh) = interner.claim_or_intern_with(
         fp,
-        |c| canon_matches(locs, m, c),
-        || canonicalize(locs, m).expect("fingerprinted machines canonicalize"),
+        |c| table.matches(c),
+        || {
+            table
+                .canonicalize()
+                .expect("fingerprinted machines canonicalize")
+        },
     );
     if fresh {
         bdrst_obs::counter_add(bdrst_obs::Counter::StatesInterned, 1);

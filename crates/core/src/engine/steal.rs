@@ -17,8 +17,8 @@
 //!   the steal path;
 //! * newly reached states are admitted through the claim-exactly-once
 //!   [`SharedInterner`], probed **fingerprint-first**
-//!   ([`crate::engine::canonical_fingerprint`]): a re-visit costs zero
-//!   allocation, and the full canonical state is built only on first
+//!   ([`crate::engine::canonical_fingerprint`]): a re-visit allocates
+//!   only its rank table, and the full canonical state is built only on first
 //!   claim (or verified fingerprint collision), exactly as in the
 //!   sequential engines;
 //! * each expansion records its successor ids (every endpoint has a

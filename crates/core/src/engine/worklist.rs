@@ -13,7 +13,7 @@
 //! depth is bounded by heap, not by the thread's call stack.
 //!
 //! State dedup is fingerprint-first by default ([`Dedup`]): a popped
-//! machine is identified by its zero-allocation streaming
+//! machine is identified by its streaming
 //! [`crate::engine::canonical_fingerprint`], and the full
 //! [`crate::engine::CanonState`] is only built on first visit (or on a
 //! verified fingerprint collision).

@@ -7,6 +7,7 @@
 //! published between threads (Read-AT / Write-AT merge frontiers).
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::loc::{Loc, LocSet};
 use crate::timestamp::Timestamp;
@@ -14,7 +15,10 @@ use crate::timestamp::Timestamp;
 /// A map from (nonatomic) locations to timestamps, ordered pointwise.
 ///
 /// Internally sized by the total number of declared locations; entries for
-/// atomic locations exist but are never consulted by the semantics.
+/// atomic locations exist but are never consulted by the semantics. The
+/// entries are shared and copied on write, so the machine's successors
+/// clone the frontiers of the threads that did not move for a refcount
+/// bump.
 ///
 /// # Examples
 ///
@@ -32,14 +36,14 @@ use crate::timestamp::Timestamp;
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct Frontier {
-    at: Vec<Timestamp>,
+    at: Arc<[Timestamp]>,
 }
 
 impl Frontier {
     /// The initial frontier `F₀`, mapping every location to timestamp 0.
     pub fn initial(locs: &LocSet) -> Frontier {
         Frontier {
-            at: vec![Timestamp::ZERO; locs.len()],
+            at: vec![Timestamp::ZERO; locs.len()].into(),
         }
     }
 
@@ -64,26 +68,28 @@ impl Frontier {
             "frontier for {loc} moved backwards ({} -> {t})",
             self.at[loc.index()]
         );
-        self.at[loc.index()] = t;
+        Arc::make_mut(&mut self.at)[loc.index()] = t;
     }
 
     /// The join `F₁ ⊔ F₂`: pointwise later timestamp.
     pub fn join(&self, other: &Frontier) -> Frontier {
-        debug_assert_eq!(self.at.len(), other.at.len());
-        Frontier {
-            at: self
-                .at
-                .iter()
-                .zip(&other.at)
-                .map(|(x, y)| (*x).max(*y))
-                .collect(),
-        }
+        let mut out = self.clone();
+        out.join_assign(other);
+        out
     }
 
-    /// Merges `other` into `self` in place (`self ← self ⊔ other`).
+    /// Merges `other` into `self` in place (`self ← self ⊔ other`). When
+    /// one side already dominates, the result shares its entries.
     pub fn join_assign(&mut self, other: &Frontier) {
         debug_assert_eq!(self.at.len(), other.at.len());
-        for (x, y) in self.at.iter_mut().zip(&other.at) {
+        if other.le(self) {
+            return;
+        }
+        if self.le(other) {
+            *self = other.clone();
+            return;
+        }
+        for (x, y) in Arc::make_mut(&mut self.at).iter_mut().zip(other.at.iter()) {
             if *y > *x {
                 *x = *y;
             }
@@ -92,7 +98,7 @@ impl Frontier {
 
     /// Pointwise order: true iff `self(a) ≤ other(a)` for every location.
     pub fn le(&self, other: &Frontier) -> bool {
-        self.at.iter().zip(&other.at).all(|(x, y)| x <= y)
+        self.at.iter().zip(other.at.iter()).all(|(x, y)| x <= y)
     }
 
     /// Iterates over `(loc, timestamp)` entries.
@@ -121,7 +127,7 @@ impl crate::wire::Codec for Frontier {
 
     fn decode(r: &mut crate::wire::Reader<'_>) -> Result<Frontier, crate::wire::WireError> {
         Ok(Frontier {
-            at: Vec::decode(r)?,
+            at: crate::wire::Codec::decode(r)?,
         })
     }
 }

@@ -28,6 +28,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::Hasher;
+use std::sync::Arc;
 
 use crate::loc::{Loc, LocKind, Val};
 
@@ -216,6 +217,20 @@ impl<T: Codec> Codec for Vec<T> {
             out.push(T::decode(r)?);
         }
         Ok(out)
+    }
+}
+
+/// A shared slice has the bytes of the `Vec` it was built from.
+impl<T: Codec> Codec for Arc<[T]> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.len().encode(out);
+        for item in self.iter() {
+            item.encode(out);
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Arc<[T]>, WireError> {
+        Ok(Vec::decode(r)?.into())
     }
 }
 

@@ -6,7 +6,10 @@
 //! value being read") holds by construction: a [`Stmt::Load`] step accepts
 //! whatever value the memory supplies.
 
+use std::collections::hash_map::DefaultHasher;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use bdrst_core::loc::Val;
 use bdrst_core::machine::{Expr, StepLabel, Steps};
@@ -14,8 +17,139 @@ use bdrst_core::wire::{Codec, Reader, WireError};
 
 use crate::ast::{Reg, Stmt};
 
+/// A continuation: the statements left to run, as a persistent stack of
+/// shared frames (the next statement is the top frame).
+///
+/// Successor states share every frame below the one they pop or push, so
+/// cloning and popping are a refcount bump. Each frame memoizes the stack's
+/// length and a structural digest (its statement's hash combined with the
+/// digest of the frame below), so hashing is O(1) and most unequal pairs
+/// are told apart without a walk. Equality stays structural: it walks the
+/// frames and stops at the first shared suffix.
+#[derive(Clone, Default)]
+struct Cont(Option<Arc<Frame>>);
+
+struct Frame {
+    stmt: Stmt,
+    /// Frames in the stack this one tops, itself included.
+    len: usize,
+    /// Hash of `stmt` combined with the digest of `below`.
+    digest: u64,
+    below: Cont,
+}
+
+impl Cont {
+    fn len(&self) -> usize {
+        self.0.as_ref().map_or(0, |f| f.len)
+    }
+
+    fn digest(&self) -> u64 {
+        self.0.as_ref().map_or(0, |f| f.digest)
+    }
+
+    fn top(&self) -> Option<&Stmt> {
+        self.0.as_ref().map(|f| &f.stmt)
+    }
+
+    fn push(&mut self, stmt: Stmt) {
+        let below = std::mem::take(self);
+        let mut h = DefaultHasher::new();
+        stmt.hash(&mut h);
+        h.write_u64(below.digest());
+        *self = Cont(Some(Arc::new(Frame {
+            stmt,
+            len: below.len() + 1,
+            digest: h.finish(),
+            below,
+        })));
+    }
+
+    /// The statements bottom first, the order of the wire format.
+    fn bottom_up(&self) -> Vec<&Stmt> {
+        let mut stmts: Vec<&Stmt> =
+            std::iter::successors(self.0.as_deref(), |f| f.below.0.as_deref())
+                .map(|f| &f.stmt)
+                .collect();
+        stmts.reverse();
+        stmts
+    }
+}
+
+impl PartialEq for Cont {
+    fn eq(&self, other: &Cont) -> bool {
+        let (mut a, mut b) = (self.0.as_ref(), other.0.as_ref());
+        loop {
+            match (a, b) {
+                (None, None) => return true,
+                (Some(x), Some(y)) => {
+                    if Arc::ptr_eq(x, y) {
+                        return true;
+                    }
+                    if x.len != y.len || x.digest != y.digest || x.stmt != y.stmt {
+                        return false;
+                    }
+                    (a, b) = (x.below.0.as_ref(), y.below.0.as_ref());
+                }
+                _ => return false,
+            }
+        }
+    }
+}
+
+impl Eq for Cont {}
+
+impl Hash for Cont {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.len());
+        state.write_u64(self.digest());
+    }
+}
+
+impl Drop for Cont {
+    /// Unlinks uniquely owned frames one at a time: the default recursive
+    /// drop would overflow the stack on a long straight-line thread.
+    fn drop(&mut self) {
+        let mut next = self.0.take();
+        while let Some(frame) = next {
+            next = Arc::into_inner(frame).and_then(|mut f| f.below.0.take());
+        }
+    }
+}
+
+impl fmt::Debug for Cont {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.bottom_up()).finish()
+    }
+}
+
+impl Codec for Cont {
+    /// The same bytes as a `Vec<Stmt>` holding the statements bottom first.
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.len().encode(out);
+        for s in self.bottom_up() {
+            s.encode(out);
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Cont, WireError> {
+        let mut cont = Cont::default();
+        for s in Vec::<Stmt>::decode(r)? {
+            cont.push(s);
+        }
+        Ok(cont)
+    }
+}
+
 /// The dynamic state of one thread: the remaining statements (a
 /// continuation) and the register file.
+///
+/// Both halves are shared, so cloning a thread allocates nothing. The
+/// continuation is a persistent stack of frames: a step pops or pushes one
+/// frame and shares the rest with its predecessor, and the stack is hashed
+/// by a digest memoized per frame. The register file is copied only by a
+/// step that writes a register. Equality is still structural — two states
+/// are equal exactly when their wire bytes are — so state sets do not
+/// depend on how a continuation was reached.
 ///
 /// # Examples
 ///
@@ -37,10 +171,10 @@ use crate::ast::{Reg, Stmt};
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct ThreadState {
-    /// Remaining statements, stored reversed (next statement is `last()`).
-    cont: Vec<Stmt>,
-    /// The register file.
-    regs: Vec<Val>,
+    /// Remaining statements; the next one is on top.
+    cont: Cont,
+    /// The register file, copied on write.
+    regs: Arc<[Val]>,
 }
 
 impl ThreadState {
@@ -53,11 +187,13 @@ impl ThreadState {
             .filter_map(Stmt::max_reg)
             .max()
             .map_or(0, |m| m as usize + 1);
-        let mut cont = body;
-        cont.reverse();
+        let mut cont = Cont::default();
+        for s in body.into_iter().rev() {
+            cont.push(s);
+        }
         ThreadState {
             cont,
-            regs: vec![Val::INIT; nregs],
+            regs: vec![Val::INIT; nregs].into(),
         }
     }
 
@@ -74,14 +210,16 @@ impl ThreadState {
 
     /// True if the thread has finished executing.
     pub fn is_done(&self) -> bool {
-        self.cont.is_empty()
+        self.cont.0.is_none()
     }
 
     fn set_reg(&mut self, r: Reg, v: Val) {
         if r.index() >= self.regs.len() {
-            self.regs.resize(r.index() + 1, Val::INIT);
+            let mut regs = self.regs.to_vec();
+            regs.resize(r.index() + 1, Val::INIT);
+            self.regs = regs.into();
         }
-        self.regs[r.index()] = v;
+        Arc::make_mut(&mut self.regs)[r.index()] = v;
     }
 
     fn push_block(&mut self, block: &[Stmt]) {
@@ -93,7 +231,7 @@ impl ThreadState {
 
 impl Expr for ThreadState {
     fn steps(&self) -> Steps {
-        match self.cont.last() {
+        match self.cont.top() {
             None => Steps::none(),
             Some(Stmt::Assign(..)) | Some(Stmt::If(..)) | Some(Stmt::While(..)) => {
                 Steps::one(StepLabel::Silent)
@@ -104,31 +242,35 @@ impl Expr for ThreadState {
     }
 
     fn has_step(&self) -> bool {
-        !self.cont.is_empty()
+        !self.is_done()
     }
 
     fn apply_step(&self, index: usize, read_value: Val) -> ThreadState {
         assert_eq!(index, 0, "litmus threads expose exactly one step");
-        let mut next = self.clone();
-        let stmt = next.cont.pop().expect("apply_step on finished thread");
-        match stmt {
+        let top = self.cont.0.as_ref().expect("apply_step on finished thread");
+        let mut next = ThreadState {
+            cont: top.below.clone(),
+            regs: self.regs.clone(),
+        };
+        match &top.stmt {
             Stmt::Assign(r, e) => {
                 let v = e.eval(&next.regs);
-                next.set_reg(r, v);
+                next.set_reg(*r, v);
             }
-            Stmt::Load(r, _) => next.set_reg(r, read_value),
+            Stmt::Load(r, _) => next.set_reg(*r, read_value),
             Stmt::Store(..) => {}
             Stmt::If(c, then_b, else_b) => {
                 if c.eval(&next.regs) != Val(0) {
-                    next.push_block(&then_b);
+                    next.push_block(then_b);
                 } else {
-                    next.push_block(&else_b);
+                    next.push_block(else_b);
                 }
             }
             Stmt::While(c, body, fuel) => {
-                if fuel > 0 && c.eval(&next.regs) != Val(0) {
-                    next.cont.push(Stmt::While(c, body.clone(), fuel - 1));
-                    next.push_block(&body);
+                if *fuel > 0 && c.eval(&next.regs) != Val(0) {
+                    next.cont
+                        .push(Stmt::While(c.clone(), body.clone(), fuel - 1));
+                    next.push_block(body);
                 }
             }
         }
@@ -144,8 +286,8 @@ impl Codec for ThreadState {
 
     fn decode(r: &mut Reader<'_>) -> Result<ThreadState, WireError> {
         Ok(ThreadState {
-            cont: Vec::decode(r)?,
-            regs: Vec::decode(r)?,
+            cont: Cont::decode(r)?,
+            regs: Codec::decode(r)?,
         })
     }
 }
@@ -234,13 +376,45 @@ mod tests {
                 vec![Stmt::While(PureExpr::reg(Reg(0)), vec![], 3)],
             ),
         ]);
-        // Round-trip both the initial state and a mid-execution one.
-        for state in [t.clone(), t.apply_step(0, Val::INIT).apply_step(0, Val(1))] {
+        // Round-trip both the initial state and a mid-execution one. The
+        // bytes are pinned: the continuation encodes as the statement list
+        // it stands for, bottom first, however its frames are shared.
+        let golden = [
+            "03000000000000000303030101000001000000000000000100000000000000020000000001000001\
+             000000000000000401000000000000000000000300000001010000000000000000000300000000\
+             000000020000000000000000000000000000000000000000000000",
+            "01000000000000000303030101000001000000000000000100000000000000020000000001000001\
+             000000000000000401000000000000000000000300000002000000000000000300000000000000\
+             0100000000000000",
+        ];
+        let states = [t.clone(), t.apply_step(0, Val::INIT).apply_step(0, Val(1))];
+        for (state, want) in states.iter().zip(golden) {
             let mut bytes = Vec::new();
             state.encode(&mut bytes);
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, want);
             let back = ThreadState::decode(&mut Reader::new(&bytes)).unwrap();
-            assert_eq!(back, state);
+            assert_eq!(&back, state);
         }
+    }
+
+    #[test]
+    fn a_long_thread_builds_steps_compares_and_drops_iteratively() {
+        // Far deeper than a recursive drop or equality walk could go on a
+        // test thread's stack.
+        let (_, a) = loc_a();
+        let body = vec![Stmt::Store(a, PureExpr::constant(1)); 100_000];
+        let t = ThreadState::new(body.clone());
+        let mut stepped = t.clone();
+        for _ in 0..3 {
+            stepped = stepped.apply_step(0, Val::INIT);
+        }
+        assert_eq!(t.cont.len(), 100_000);
+        assert_eq!(stepped.cont.len(), 99_997);
+        // Built separately, so no frame is shared: a full structural walk.
+        assert_eq!(ThreadState::new(body), t);
+        drop(t);
+        drop(stepped);
     }
 
     #[test]

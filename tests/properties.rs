@@ -9,7 +9,7 @@ mod common;
 use common::{small_program, wide_program};
 
 use bdrst::axiomatic::{check_equivalence, EnumLimits};
-use bdrst::core::engine::{canonical_fingerprint, EngineConfig};
+use bdrst::core::engine::{canonical_fingerprint, EngineConfig, StateId};
 use bdrst::core::frontier::Frontier;
 use bdrst::core::history::History;
 use bdrst::core::loc::{Action, Loc, LocKind, LocSet, Val};
@@ -19,7 +19,8 @@ use bdrst::core::store::{LocContents, Store};
 use bdrst::core::timestamp::Ratio;
 use bdrst::core::trace::LocPredicate;
 use bdrst::core::wire::{Codec, Reader};
-use bdrst::lang::Program;
+use bdrst::lang::{Program, ThreadState};
+use bdrst::litmus::all_tests;
 
 // ---------- rationals ----------
 
@@ -274,5 +275,78 @@ proptest! {
     #[test]
     fn wide_programs_pmap_store_matches_vec_reference(p in wide_program()) {
         assert_store_matches_reference(&p, 32);
+    }
+}
+
+// ---------- shared continuations ----------
+
+fn hash_of(t: &ThreadState) -> u64 {
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+    let mut h = DefaultHasher::new();
+    t.hash(&mut h);
+    h.finish()
+}
+
+/// The continuation oracle: over every thread state reached in `p`'s state
+/// graph, equality holds exactly when the wire bytes are equal, and equal
+/// states hash equally. Each distinct byte string is represented by the
+/// first and last state reached with it and by a decoded copy, whose
+/// frames share nothing, so equality is checked both through shared
+/// suffixes and by a full structural walk.
+fn assert_thread_states_match_their_bytes(name: &str, p: &Program) {
+    let (graph, _) = p
+        .state_graph(EngineConfig::default())
+        .expect("exploration fits budget");
+    let mut groups: std::collections::BTreeMap<Vec<u8>, Vec<ThreadState>> = Default::default();
+    for id in 0..graph.len() {
+        for t in graph.state(StateId(id as u32)).thread_exprs() {
+            let mut bytes = Vec::new();
+            t.encode(&mut bytes);
+            let group = groups.entry(bytes).or_default();
+            match group.len() {
+                0 | 1 => group.push(t.clone()),
+                _ => group[1] = t.clone(),
+            }
+        }
+    }
+    let mut reps: Vec<(&[u8], ThreadState)> = Vec::new();
+    for (bytes, group) in &groups {
+        let decoded = ThreadState::decode(&mut Reader::new(bytes)).expect("decodes");
+        for t in group.iter().cloned().chain([decoded]) {
+            reps.push((bytes, t));
+        }
+    }
+    for (ba, a) in &reps {
+        for (bb, b) in &reps {
+            assert_eq!(a == b, ba == bb, "{name}: equality disagrees with bytes");
+            if a == b {
+                assert_eq!(hash_of(a), hash_of(b), "{name}: equal states hash apart");
+            }
+        }
+    }
+}
+
+#[test]
+fn corpus_thread_states_are_equal_exactly_when_their_bytes_are() {
+    for t in all_tests() {
+        let p = bdrst::lang::parse(t.source).expect("corpus parses");
+        assert_thread_states_match_their_bytes(t.name, &p);
+    }
+    // A loop whose unrollings push equal frames at different times, so
+    // equal continuations are reached without sharing them.
+    let looping = "nonatomic a; atomic F; \
+        thread P0 { r0 = 2; while (r0 > 0) { a = r0; r0 = r0 - 1; } F = 1; } \
+        thread P1 { r1 = F; if (r1 == 1) { r0 = a; } else { r0 = 0; } }";
+    let p = bdrst::lang::parse(looping).expect("parses");
+    assert_thread_states_match_their_bytes("loop", &p);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn random_thread_states_are_equal_exactly_when_their_bytes_are(p in small_program()) {
+        assert_thread_states_match_their_bytes("random program", &p);
     }
 }
