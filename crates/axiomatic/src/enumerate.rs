@@ -1,29 +1,55 @@
-//! Enumerating the consistent executions of a program (§6): all rf and co
-//! choices over the generated event graphs, filtered by the consistency
-//! axioms, together with outcome extraction.
+//! Enumerating the consistent executions of a program (§6), and reading
+//! outcomes off them.
 //!
-//! Enumeration parallelism has two levels, both riding the core engine's
-//! work-stealing [`parallel_map`]. Thread-alternative combinations are
-//! independent search trees and shard naturally; *within* a combination
-//! the rf/co odometer is sharded by splitting the **first read's** rf
-//! choice range — each candidate write source of the first read roots an
-//! independent sub-odometer — so single-combination programs (most litmus
-//! tests) get parallelism too. The candidate budget is one shared atomic
-//! counter across every shard: splitting the work never splits the
-//! budget, and [`EnumError::TooManyCandidates`] surfaces exactly when the
-//! sequential enumeration would have surfaced it. The fully sequential
-//! path is kept public as [`consistent_executions_streaming`] so the
-//! differential suite can assert sharded == streaming on every program.
+//! [`consistent_executions`] is a pruned backtracking search, in the
+//! style of herd and GenMC (Alglave et al., "Herding cats", TOPLAS 2014;
+//! Kokologiannakis et al., PLDI 2019). It has three rules:
+//!
+//! * **Thread alternatives** are chosen thread by thread. A partial
+//!   choice is cut as soon as one of its reads returns a value that is
+//!   neither the initial value nor written by a chosen alternative or by
+//!   some alternative of a thread not yet chosen.
+//! * **Events** are built only for the locations the chosen alternatives
+//!   access. [`ProgramExecution::observation`] reports the initial value
+//!   for every other declared location.
+//! * **rf and co** choices respect `po`. A co order never reverses two
+//!   same-thread writes (CoWW). A read never reads from a po-later write,
+//!   from a same-thread write that a po-between write overwrote, or from
+//!   the initial write once its own thread has written the location
+//!   (Causality and CoWR).
+//!
+//! Each rule drops only candidates that have no source for some read or
+//! break an axiom, and every candidate left still goes through
+//! [`CandidateExecution::is_consistent`]. So the search finds the
+//! consistent executions of the unpruned enumeration, one for one, less
+//! the initial writes of locations nothing accesses: the same
+//! observations and the same count.
+//!
+//! The top of the search tree is expanded breadth-first until it has
+//! enough subtrees to feed the core engine's work-stealing
+//! [`parallel_map_with`], and each subtree is finished depth-first on a
+//! worker (a frontier of a few leaves stays on the calling thread). The budget, [`EnumLimits::max_candidates`], is one shared
+//! atomic counter debited once per search node and once per candidate
+//! built. The total debit does not depend on how the work is spread, so
+//! [`EnumError::TooManyCandidates`] surfaces exactly when a sequential
+//! search would surface it.
+//!
+//! The unpruned enumeration stays, sequential: every combination of
+//! thread alternatives, every rf and co choice, events for every
+//! declared location. [`consistent_executions_streaming`] is the oracle
+//! the differential suites compare the search against;
+//! [`for_each_candidate`] feeds the hardware-soundness checkers, which
+//! need the inconsistent candidates too.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use bdrst_core::engine::parallel_map;
-use bdrst_core::loc::Val;
+use bdrst_core::engine::parallel_map_with;
+use bdrst_core::loc::{Action, Loc, Val};
 use bdrst_core::relation::Relation;
 use bdrst_lang::{Observation, Program};
+use bdrst_obs::{counter_add, Counter, Phase};
 
 use crate::exec::{CandidateExecution, EventSet};
 use crate::generate::{generate, GenError, GenLimits, ThreadAlternative};
@@ -33,7 +59,10 @@ use crate::generate::{generate, GenError, GenLimits, ThreadAlternative};
 pub struct EnumLimits {
     /// Generation limits (free-read alternatives, domain fixpoint).
     pub gen: GenLimits,
-    /// Maximum candidate executions examined before giving up.
+    /// The enumeration budget. [`consistent_executions`] spends one unit
+    /// per search node (a thread alternative tried at some depth) and one
+    /// per candidate execution built; the unpruned enumerations, which do
+    /// not search, spend one per candidate.
     pub max_candidates: usize,
 }
 
@@ -51,7 +80,9 @@ impl Default for EnumLimits {
 pub enum EnumError {
     /// Event-graph generation failed.
     Gen(GenError),
-    /// Too many rf/co candidates.
+    /// The enumeration spent [`EnumLimits::max_candidates`]: search nodes
+    /// plus candidates built for [`consistent_executions`], candidates
+    /// for the unpruned enumerations.
     TooManyCandidates,
 }
 
@@ -84,7 +115,9 @@ pub struct ProgramExecution {
 
 impl ProgramExecution {
     /// The observation of this execution: final registers plus the
-    /// co-maximal write value per location.
+    /// co-maximal write value per location. A location without events
+    /// (the search builds none for locations nothing accesses) keeps its
+    /// initial value.
     pub fn observation(&self) -> Observation {
         let base = &self.exec.base;
         let memory = base
@@ -92,12 +125,10 @@ impl ProgramExecution {
             .iter()
             .map(|l| {
                 let ws = base.writes_to(l);
-                let co_max = ws
-                    .iter()
+                ws.iter()
                     .copied()
                     .find(|&w| ws.iter().all(|&x| x == w || self.exec.co.contains(x, w)))
-                    .expect("nonempty write set (initial write exists)");
-                base.events[co_max].value()
+                    .map_or(Val::INIT, |w| base.events[w].value())
             })
             .collect();
         Observation {
@@ -122,25 +153,16 @@ pub fn for_each_candidate(
 ) -> Result<(), EnumError> {
     let generated = generate(program, limits.gen)?;
     let budget = AtomicUsize::new(limits.max_candidates);
-    stream_candidates(
-        program,
-        &generated.per_thread,
-        &mut |pe: ProgramExecution| visit(&pe),
-        &budget,
-    )
+    stream_candidates(program, &generated.per_thread, &mut visit, &budget)
 }
 
-/// Streams every alternative combination through the odometer, invoking
-/// `visit` per candidate — the sequential backend shared by
-/// [`for_each_candidate`], [`consistent_executions_streaming`] and the
-/// large-cross-product fallback of [`consistent_executions`]. Candidates
-/// are handed over *by value*, so a visitor that keeps one (the
-/// consistent-execution collectors) takes ownership instead of
-/// deep-cloning the event set and relations a second time.
+/// Streams every alternative combination through the unpruned odometer,
+/// invoking `visit` per candidate — the sequential backend shared by
+/// [`for_each_candidate`] and [`consistent_executions_streaming`].
 fn stream_candidates(
     program: &Program,
     per_thread: &[Vec<ThreadAlternative>],
-    visit: &mut impl FnMut(ProgramExecution),
+    visit: &mut impl FnMut(&ProgramExecution),
     budget: &AtomicUsize,
 ) -> Result<(), EnumError> {
     let mut choice = vec![0usize; per_thread.len()];
@@ -150,155 +172,86 @@ fn stream_candidates(
             .zip(per_thread)
             .map(|(&c, alts)| &alts[c])
             .collect();
-        if let Some(e) = AltEnumeration::new(program, &alts) {
-            e.run(0..e.rf0_len(), visit, budget)?;
+        if let Some(e) = AltEnumeration::new(program, &alts, false) {
+            e.run(visit, budget)?;
         }
-        if !advance_odometer(&mut choice, per_thread) {
+        if !advance(&mut choice, |i| per_thread[i].len()) {
             return Ok(());
         }
     }
 }
 
-/// Advances the per-thread alternative odometer in place; false on wrap.
-fn advance_odometer(choice: &mut [usize], per_thread: &[Vec<ThreadAlternative>]) -> bool {
-    for (i, slot) in choice.iter_mut().enumerate() {
-        *slot += 1;
-        if *slot < per_thread[i].len() {
-            return true;
-        }
-        *slot = 0;
-    }
-    false
-}
+/// The search expands its tree breadth-first until the frontier holds at
+/// least this many subtrees, then hands them to the worker pool.
+const SHARD_TARGET: usize = 64;
 
-/// Materializing the shard list (for parallel sharding) is only
-/// worthwhile — and only safe, memory-wise — for modest counts; beyond
-/// this the enumeration streams sequentially like [`for_each_candidate`].
-const COMBO_SHARD_CAP: usize = 4096;
+/// A frontier smaller than this is a handful of leaves, each a few
+/// candidates: spawning workers would cost more than it saves, so the
+/// calling thread finishes it alone.
+const MIN_SHARDS: usize = 32;
 
-/// Enumerates every *consistent* execution of `program`, sharded over the
-/// core engine's work-stealing [`parallel_map`].
-///
-/// Thread-alternative combinations are independent search trees; within
-/// each combination the rf/co odometer is further split by the first
-/// read's rf choice (each candidate source write roots an independent
-/// sub-odometer), so even a single-combination program — most litmus
-/// tests — is sharded one way or another. The candidate budget is shared
-/// atomically across all shards. A cross product too large to materialize
-/// streams through the sequential odometer instead (see
-/// [`consistent_executions_streaming`], which the differential tests use
-/// to pin the sharded result to the sequential one).
+/// Enumerates every *consistent* execution of `program` by the pruned
+/// search described in the [module docs](self), spread over the core
+/// engine's work-stealing [`parallel_map_with`]. Its executions have initial
+/// writes only for accessed locations; otherwise they, and their count,
+/// equal those of [`consistent_executions_streaming`] (the `Vec` order
+/// may differ).
 ///
 /// # Errors
 ///
-/// Returns [`EnumError`] on generation failure or combinatorial blow-up.
+/// Returns [`EnumError`] on generation failure or when the search spends
+/// its budget.
 pub fn consistent_executions(
     program: &Program,
     limits: EnumLimits,
 ) -> Result<Vec<ProgramExecution>, EnumError> {
     let generated = generate(program, limits.gen)?;
-    let combo_count = generated
-        .per_thread
-        .iter()
-        .try_fold(1usize, |acc, alts| acc.checked_mul(alts.len().max(1)))
-        .filter(|&n| n <= COMBO_SHARD_CAP);
+    let search = AltSearch::new(&generated.per_thread);
     let budget = AtomicUsize::new(limits.max_candidates);
-    let Some(combo_count) = combo_count else {
-        // Too many combinations to materialize: stream them.
-        let mut out = Vec::new();
-        collect_consistent(program, &generated.per_thread, &budget, &mut out)?;
-        return Ok(out);
-    };
-
-    // Materialize the (cheap) choice-index vectors; the factorial-sized
-    // enumeration spaces themselves are built inside the parallel map.
-    let mut combos: Vec<Vec<usize>> = Vec::with_capacity(combo_count);
-    let mut choice = vec![0usize; generated.per_thread.len()];
-    loop {
-        combos.push(choice.clone());
-        if !advance_odometer(&mut choice, &generated.per_thread) {
-            break;
+    let mut frontier: Vec<Vec<usize>> = vec![Vec::new()];
+    let mut depth = 0;
+    while depth < generated.per_thread.len() && frontier.len() < SHARD_TARGET {
+        let mut next = Vec::new();
+        for prefix in &frontier {
+            for a in search.children(prefix, &budget)? {
+                let mut child = prefix.clone();
+                child.push(a);
+                next.push(child);
+            }
         }
+        frontier = next;
+        depth += 1;
     }
-    let alts_of = |choice: &[usize]| -> Vec<&ThreadAlternative> {
-        choice
-            .iter()
-            .zip(&generated.per_thread)
-            .map(|(&c, alts)| &alts[c])
-            .collect()
-    };
-
-    let consistent_in =
-        |e: &AltEnumeration, rf0_range: Range<usize>| -> Result<Vec<ProgramExecution>, EnumError> {
-            let mut found = Vec::new();
-            e.run(
-                rf0_range,
-                &mut |pe: ProgramExecution| {
-                    if pe.exec.is_consistent() {
-                        found.push(pe);
-                    }
-                },
-                &budget,
-            )?;
-            Ok(found)
-        };
-
-    // Few combinations cannot feed the pool on their own, so build each
-    // combination's enumeration space once (dead combinations — some
-    // read's value unwritable — become `None`) and split it into one
-    // shard per first-read rf choice; at most RF0_SPLIT_MAX_COMBOS
-    // spaces are alive. Many combinations already parallelise, and
-    // splitting them would keep every factorial-sized space in memory at
-    // once, so each shard then builds its space locally and drops it
-    // when done (peak O(workers)).
-    let results: Vec<Result<Vec<ProgramExecution>, EnumError>> =
-        if combos.len() <= RF0_SPLIT_MAX_COMBOS {
-            let spaces: Vec<Option<AltEnumeration>> = combos
-                .iter()
-                .map(|c| AltEnumeration::new(program, &alts_of(c)))
-                .collect();
-            let shards: Vec<(usize, usize)> = spaces
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.as_ref().map(|e| (i, e.rf0_len())))
-                .flat_map(|(i, w)| (0..w).map(move |j| (i, j)))
-                .collect();
-            parallel_map(&shards, |&(i, j)| {
-                let e = spaces[i].as_ref().expect("sharded combinations are live");
-                consistent_in(e, j..j + 1)
-            })
-        } else {
-            let indices: Vec<usize> = (0..combos.len()).collect();
-            parallel_map(&indices, |&i| {
-                match AltEnumeration::new(program, &alts_of(&combos[i])) {
-                    None => Ok(Vec::new()),
-                    Some(e) => consistent_in(&e, 0..e.rf0_len()),
-                }
-            })
-        };
+    let workers = if frontier.len() < MIN_SHARDS { 1 } else { 0 };
+    let shards = parallel_map_with(&frontier, workers, |prefix| -> Result<_, EnumError> {
+        let mut found = Vec::new();
+        search.descend(
+            &mut prefix.clone(),
+            &budget,
+            &mut |choice| match AltEnumeration::new(program, &search.alternatives(choice), true) {
+                None => Ok(()),
+                Some(e) => e.run(&mut keep_consistent(&mut found), &budget),
+            },
+        )?;
+        Ok(found)
+    });
     let mut out = Vec::new();
-    for shard in results {
+    for shard in shards {
         out.extend(shard?);
     }
+    counter_add(Counter::AxiomaticConsistent, out.len() as u64);
     Ok(out)
 }
 
-/// Above this many combinations the first-read rf0 split is skipped: the
-/// combinations alone saturate the worker pool, and splitting would both
-/// duplicate per-combination setup and keep every enumeration space
-/// alive simultaneously.
-const RF0_SPLIT_MAX_COMBOS: usize = 64;
-
-/// The fully sequential enumeration of every consistent execution: one
-/// thread, one odometer, combinations in odometer order. This is the
-/// oracle the differential suite compares [`consistent_executions`]
-/// against (identical execution *sets*; the `Vec` order may differ).
+/// The fully sequential, unpruned enumeration of every consistent
+/// execution: one thread, one odometer, combinations in odometer order.
+/// This is the oracle the differential suites compare
+/// [`consistent_executions`] against.
 ///
 /// # Errors
 ///
-/// Returns [`EnumError`] on generation failure or combinatorial blow-up —
-/// the shared-budget design makes the sharded path err exactly when this
-/// one does.
+/// Returns [`EnumError`] on generation failure or when the candidates
+/// exceed the budget.
 pub fn consistent_executions_streaming(
     program: &Program,
     limits: EnumLimits,
@@ -306,178 +259,338 @@ pub fn consistent_executions_streaming(
     let generated = generate(program, limits.gen)?;
     let budget = AtomicUsize::new(limits.max_candidates);
     let mut out = Vec::new();
-    collect_consistent(program, &generated.per_thread, &budget, &mut out)?;
+    stream_candidates(
+        program,
+        &generated.per_thread,
+        &mut keep_consistent(&mut out),
+        &budget,
+    )?;
     Ok(out)
 }
 
-/// Streams all candidates, keeping the consistent ones.
-fn collect_consistent(
-    program: &Program,
-    per_thread: &[Vec<ThreadAlternative>],
-    budget: &AtomicUsize,
-    out: &mut Vec<ProgramExecution>,
-) -> Result<(), EnumError> {
-    stream_candidates(
-        program,
-        per_thread,
-        &mut |pe: ProgramExecution| {
-            if pe.exec.is_consistent() {
-                out.push(pe);
-            }
-        },
-        budget,
-    )
+/// A candidate visitor that keeps a copy of each consistent candidate.
+fn keep_consistent(out: &mut Vec<ProgramExecution>) -> impl FnMut(&ProgramExecution) + '_ {
+    |pe| {
+        if pe.exec.is_consistent() {
+            out.push(pe.clone());
+        }
+    }
 }
 
-/// The precomputed enumeration space of one thread-alternative
-/// combination: the base event set, the rf source candidates per read,
-/// the co permutations per location, and the final register files. The
-/// rf/co odometer itself turns inside [`AltEnumeration::run`], which can
-/// be restricted to a sub-range of the first read's rf choices — the
-/// shard axis of [`consistent_executions`].
+/// Takes one unit of the shared budget. Saturating: the counter never
+/// wraps below zero, even when several shards exhaust it at once.
+fn debit(budget: &AtomicUsize) -> Result<(), EnumError> {
+    budget
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1))
+        .map(|_| ())
+        .map_err(|_| EnumError::TooManyCandidates)
+}
+
+/// A set of (location, value) pair ids.
+type PairSet = Vec<u64>;
+
+fn pair_set(words: usize, ids: impl IntoIterator<Item = usize>) -> PairSet {
+    let mut set = vec![0; words];
+    for id in ids {
+        set[id / 64] |= 1 << (id % 64);
+    }
+    set
+}
+
+fn union_into(into: &mut PairSet, other: &PairSet) {
+    for (a, b) in into.iter_mut().zip(other) {
+        *a |= b;
+    }
+}
+
+/// The thread-alternative search tree. A node at depth `k` fixes the
+/// alternatives of threads `0..k`; a leaf fixes them all. The (location,
+/// value) pairs that some alternative writes are numbered densely, so
+/// the feasibility cut works on bit sets.
+struct AltSearch<'a> {
+    per_thread: &'a [Vec<ThreadAlternative>],
+    /// Per thread and alternative: the pairs its reads need written
+    /// (reads of the initial value need nothing), or `None` if one of
+    /// them is written by no alternative at all.
+    reads: Vec<Vec<Option<Vec<usize>>>>,
+    /// Per thread and alternative: the pairs it writes.
+    writes: Vec<Vec<PairSet>>,
+    /// `writable_from[k]`: the pairs some alternative of a thread `k..`
+    /// writes.
+    writable_from: Vec<PairSet>,
+}
+
+impl<'a> AltSearch<'a> {
+    fn new(per_thread: &'a [Vec<ThreadAlternative>]) -> AltSearch<'a> {
+        let mut ids: HashMap<(Loc, Val), usize> = HashMap::new();
+        for (l, a) in per_thread.iter().flatten().flat_map(|alt| &alt.actions) {
+            if let Action::Write(v) = a {
+                let next = ids.len();
+                ids.entry((*l, *v)).or_insert(next);
+            }
+        }
+        let words = ids.len().div_ceil(64);
+        fn per_alt<T>(
+            per_thread: &[Vec<ThreadAlternative>],
+            f: impl Fn(&ThreadAlternative) -> T,
+        ) -> Vec<Vec<T>> {
+            per_thread
+                .iter()
+                .map(|alts| alts.iter().map(&f).collect())
+                .collect()
+        }
+        let reads = per_alt(per_thread, |alt| {
+            alt.actions
+                .iter()
+                .filter_map(|&(l, a)| match a {
+                    Action::Read(v) if v != Val::INIT => Some(ids.get(&(l, v)).copied()),
+                    _ => None,
+                })
+                .collect::<Option<Vec<usize>>>()
+        });
+        let writes = per_alt(per_thread, |alt| {
+            pair_set(
+                words,
+                alt.actions.iter().filter_map(|&(l, a)| match a {
+                    Action::Write(v) => Some(ids[&(l, v)]),
+                    Action::Read(_) => None,
+                }),
+            )
+        });
+        let mut writable_from = vec![vec![0; words]; per_thread.len() + 1];
+        for t in (0..per_thread.len()).rev() {
+            let mut later = writable_from[t + 1].clone();
+            for set in &writes[t] {
+                union_into(&mut later, set);
+            }
+            writable_from[t] = later;
+        }
+        AltSearch {
+            per_thread,
+            reads,
+            writes,
+            writable_from,
+        }
+    }
+
+    /// The chosen alternatives of a complete choice.
+    fn alternatives(&self, choice: &[usize]) -> Vec<&'a ThreadAlternative> {
+        choice
+            .iter()
+            .zip(self.per_thread)
+            .map(|(&c, alts)| &alts[c])
+            .collect()
+    }
+
+    /// The alternatives of the next thread that keep `prefix` feasible.
+    /// Every alternative tried is one search node: it is debited from
+    /// `budget` and counted in [`Counter::AxiomaticNodes`].
+    fn children(&self, prefix: &[usize], budget: &AtomicUsize) -> Result<Vec<usize>, EnumError> {
+        let thread = prefix.len();
+        let mut feasible = Vec::new();
+        for a in 0..self.per_thread[thread].len() {
+            debit(budget)?;
+            counter_add(Counter::AxiomaticNodes, 1);
+            if self.feasible(prefix, a) {
+                feasible.push(a);
+            }
+        }
+        Ok(feasible)
+    }
+
+    /// False if some read of `prefix` extended by alternative `a` of the
+    /// next thread returns a value that is not the initial value and that
+    /// neither a chosen alternative nor any alternative of a later thread
+    /// writes.
+    fn feasible(&self, prefix: &[usize], a: usize) -> bool {
+        let chosen: Vec<(usize, usize)> = prefix.iter().copied().chain([a]).enumerate().collect();
+        let mut available = self.writable_from[chosen.len()].clone();
+        for &(t, i) in &chosen {
+            union_into(&mut available, &self.writes[t][i]);
+        }
+        chosen.iter().all(|&(t, i)| {
+            self.reads[t][i].as_ref().is_some_and(|needs| {
+                needs
+                    .iter()
+                    .all(|&id| available[id / 64] & (1 << (id % 64)) != 0)
+            })
+        })
+    }
+
+    /// Finishes the subtree under `prefix` depth-first, calling `leaf` on
+    /// every complete choice.
+    fn descend(
+        &self,
+        prefix: &mut Vec<usize>,
+        budget: &AtomicUsize,
+        leaf: &mut impl FnMut(&[usize]) -> Result<(), EnumError>,
+    ) -> Result<(), EnumError> {
+        if prefix.len() == self.per_thread.len() {
+            return leaf(prefix);
+        }
+        for a in self.children(prefix, budget)? {
+            prefix.push(a);
+            self.descend(prefix, budget, leaf)?;
+            prefix.pop();
+        }
+        Ok(())
+    }
+}
+
+/// The rf/co candidates of one thread-alternative combination: the base
+/// event set, the rf source candidates per read, the co orders per
+/// location and the final register files. The odometer over them turns
+/// in [`AltEnumeration::run`].
 struct AltEnumeration {
     base: EventSet,
     final_regs: Vec<Vec<Val>>,
     reads: Vec<usize>,
     rf_choices: Vec<Vec<usize>>,
-    co_choices: Vec<Vec<Vec<usize>>>,
+    /// Per location with an initial write: that write and the orders of
+    /// the location's other writes, which all follow it in co.
+    co_choices: Vec<(usize, Vec<Vec<usize>>)>,
 }
 
 impl AltEnumeration {
-    /// Builds the space for one combination; `None` if some read's value
-    /// is unwritable (the combination contributes no candidates).
-    fn new(program: &Program, alts: &[&ThreadAlternative]) -> Option<AltEnumeration> {
-        let base = EventSet::new(
-            program.locs.clone(),
-            alts.iter().map(|a| a.actions.clone()).collect(),
-        );
-        let final_regs: Vec<Vec<Val>> = alts.iter().map(|a| a.final_regs.clone()).collect();
+    /// Builds the candidates of one combination; `None` if some read has
+    /// no source (the combination contributes no candidates).
+    ///
+    /// Unpruned, events cover every declared location and rf/co range
+    /// over every same-location choice. Pruned, events cover only the
+    /// accessed locations and rf/co respect `po` (see the module docs).
+    fn new(program: &Program, alts: &[&ThreadAlternative], pruned: bool) -> Option<AltEnumeration> {
+        let per_thread = alts.iter().map(|a| a.actions.clone()).collect();
+        let base = if pruned {
+            EventSet::accessed(program.locs.clone(), per_thread)
+        } else {
+            EventSet::new(program.locs.clone(), per_thread)
+        };
+        let ev = &base.events;
 
         // rf candidates per read: same-location same-value writes.
         let reads = base.reads();
         let mut rf_choices: Vec<Vec<usize>> = Vec::with_capacity(reads.len());
         for &r in &reads {
-            let er = base.events[r];
+            let local = pruned.then(|| local_source(&base, r));
             let sources: Vec<usize> = base
-                .writes_to(er.loc)
+                .writes_to(ev[r].loc)
                 .into_iter()
-                .filter(|&w| base.events[w].value() == er.value())
+                .filter(|&w| ev[w].value() == ev[r].value())
+                .filter(|&w| match local {
+                    // A read of its own thread's writes, or of the
+                    // initial write, may only see the latest one.
+                    Some(l) if ev[w].is_init() || ev[w].thread() == ev[r].thread() => w == l,
+                    _ => true,
+                })
                 .collect();
             if sources.is_empty() {
-                return None; // this alternative's read value is unwritable
+                return None;
             }
             rf_choices.push(sources);
         }
 
-        // co candidates per location: permutations of non-initial writes,
-        // with the initial write first (any other placement violates CoWW,
-        // since initial writes happen-before everything).
-        let mut co_choices: Vec<Vec<Vec<usize>>> = Vec::new();
-        for l in program.locs.iter() {
-            let ws: Vec<usize> = base
-                .writes_to(l)
-                .into_iter()
-                .filter(|&w| !base.events[w].is_init())
-                .collect();
-            co_choices.push(permutations(&ws));
-        }
+        // co candidates per location: orders of the non-initial writes,
+        // with the initial write first (any other placement violates
+        // CoWW, since initial writes happen-before everything). Pruned,
+        // only orders that keep each thread's writes in po order.
+        let co_choices = ev
+            .iter()
+            .enumerate()
+            .take_while(|(_, e)| e.is_init())
+            .map(|(init, e)| {
+                let ws: Vec<usize> = base
+                    .writes_to(e.loc)
+                    .into_iter()
+                    .filter(|&w| w != init)
+                    .collect();
+                let orders = if pruned {
+                    let chains: Vec<Vec<usize>> = ws
+                        .chunk_by(|&a, &b| ev[a].thread() == ev[b].thread())
+                        .map(<[usize]>::to_vec)
+                        .collect();
+                    interleavings(&chains)
+                } else {
+                    permutations(&ws)
+                };
+                (init, orders)
+            })
+            .collect();
         Some(AltEnumeration {
+            final_regs: alts.iter().map(|a| a.final_regs.clone()).collect(),
             base,
-            final_regs,
             reads,
             rf_choices,
             co_choices,
         })
     }
 
-    /// Number of rf choices of the first read — the shardable axis. A
-    /// read-free combination has one (trivial) shard.
-    fn rf0_len(&self) -> usize {
-        self.rf_choices.first().map_or(1, Vec::len)
-    }
-
-    /// Turns the rf/co odometer over the candidates whose first-read rf
-    /// choice lies in `rf0_range`, invoking `visit` per candidate and
-    /// debiting the shared `budget`.
+    /// Turns the rf/co odometer, invoking `visit` per candidate and
+    /// debiting the shared `budget` once per candidate. The candidates
+    /// share one event set; a visitor that keeps one clones it.
     fn run(
-        &self,
-        rf0_range: Range<usize>,
-        visit: &mut impl FnMut(ProgramExecution),
+        self,
+        visit: &mut impl FnMut(&ProgramExecution),
         budget: &AtomicUsize,
     ) -> Result<(), EnumError> {
-        if rf0_range.is_empty() {
-            return Ok(());
-        }
-        let locs = &self.base.locs;
+        let n = self.base.len();
+        let mut pe = ProgramExecution {
+            exec: CandidateExecution {
+                base: self.base,
+                rf: Relation::new(n),
+                co: Relation::new(n),
+            },
+            final_regs: self.final_regs,
+        };
         let mut rf_idx = vec![0usize; self.rf_choices.len()];
-        if let Some(first) = rf_idx.first_mut() {
-            *first = rf0_range.start;
-        }
         loop {
             let mut co_idx = vec![0usize; self.co_choices.len()];
             loop {
-                // Saturating take: never wraps below zero, even when
-                // several parallel shards hit exhaustion at once.
-                let taken = budget
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1))
-                    .is_ok();
-                if !taken {
-                    return Err(EnumError::TooManyCandidates);
-                }
-
-                let mut rf = Relation::new(self.base.len());
+                debit(budget)?;
+                let mut rf = Relation::new(n);
                 for (k, &r) in self.reads.iter().enumerate() {
                     rf.insert(self.rf_choices[k][rf_idx[k]], r);
                 }
-                let mut co = Relation::new(self.base.len());
-                for (li, l) in locs.iter().enumerate() {
-                    let perm = &self.co_choices[li][co_idx[li]];
-                    let init = l.index(); // initial events occupy 0..nlocs
-                    for (x, &a) in perm.iter().enumerate() {
-                        co.insert(init, a);
-                        for &b in &perm[x + 1..] {
+                let mut co = Relation::new(n);
+                for ((init, orders), &i) in self.co_choices.iter().zip(&co_idx) {
+                    let order = &orders[i];
+                    for (x, &a) in order.iter().enumerate() {
+                        co.insert(*init, a);
+                        for &b in &order[x + 1..] {
                             co.insert(a, b);
                         }
                     }
                 }
-                let cand = CandidateExecution {
-                    base: self.base.clone(),
-                    rf,
-                    co,
-                };
-                debug_assert!(cand.validate().is_ok(), "{:?}", cand.validate());
-                visit(ProgramExecution {
-                    exec: cand,
-                    final_regs: self.final_regs.clone(),
-                });
+                pe.exec.rf = rf;
+                pe.exec.co = co;
+                debug_assert!(pe.exec.validate().is_ok(), "{:?}", pe.exec.validate());
+                visit(&pe);
 
-                if !advance(&mut co_idx, |i| self.co_choices[i].len()) {
+                if !advance(&mut co_idx, |i| self.co_choices[i].1.len()) {
                     break;
                 }
             }
-            if !self.advance_rf(&mut rf_idx, &rf0_range) {
+            if !advance(&mut rf_idx, |i| self.rf_choices[i].len()) {
                 return Ok(());
             }
         }
     }
+}
 
-    /// Odometer increment over the rf indices, with slot 0 confined to
-    /// `rf0_range`; returns false when the (restricted) odometer wraps.
-    fn advance_rf(&self, idx: &mut [usize], rf0_range: &Range<usize>) -> bool {
-        for (i, slot) in idx.iter_mut().enumerate() {
-            *slot += 1;
-            let (end, reset) = if i == 0 {
-                (rf0_range.end, rf0_range.start)
-            } else {
-                (self.rf_choices[i].len(), 0)
-            };
-            if *slot < end {
-                return true;
-            }
-            *slot = reset;
-        }
-        false
-    }
+/// The write a read `r` sees without communication: the last po-earlier
+/// write of its own thread to its location, or, if there is none, the
+/// location's initial write.
+fn local_source(base: &EventSet, r: usize) -> usize {
+    let er = base.events[r];
+    (0..r)
+        .rev()
+        .map_while(|i| (base.events[i].thread() == er.thread()).then_some(i))
+        .find(|&i| base.events[i].is_write() && base.events[i].loc == er.loc)
+        .or_else(|| {
+            base.events
+                .iter()
+                .position(|e| e.is_init() && e.loc == er.loc)
+        })
+        .expect("an accessed location has an initial write")
 }
 
 /// Odometer increment; returns false when the odometer wraps to all-zero.
@@ -492,21 +605,43 @@ fn advance(idx: &mut [usize], len_of: impl Fn(usize) -> usize) -> bool {
     false
 }
 
-/// All permutations of a slice (n! of them; litmus write counts are tiny).
-fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
-    if items.is_empty() {
-        return vec![vec![]];
-    }
-    let mut out = Vec::new();
-    for (i, &x) in items.iter().enumerate() {
-        let mut rest: Vec<usize> = items.to_vec();
-        rest.remove(i);
-        for mut p in permutations(&rest) {
-            p.insert(0, x);
-            out.push(p);
+/// Every merge of `chains` that keeps each chain's order.
+fn interleavings(chains: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    fn extend(
+        chains: &[Vec<usize>],
+        next: &mut [usize],
+        order: &mut Vec<usize>,
+        out: &mut Vec<Vec<usize>>,
+    ) {
+        let mut done = true;
+        for c in 0..chains.len() {
+            if let Some(&w) = chains[c].get(next[c]) {
+                done = false;
+                order.push(w);
+                next[c] += 1;
+                extend(chains, next, order, out);
+                next[c] -= 1;
+                order.pop();
+            }
+        }
+        if done {
+            out.push(order.clone());
         }
     }
+    let mut out = Vec::new();
+    extend(
+        chains,
+        &mut vec![0; chains.len()],
+        &mut Vec::new(),
+        &mut out,
+    );
     out
+}
+
+/// All permutations of a slice (n! of them; litmus write counts are tiny).
+fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
+    let singletons: Vec<Vec<usize>> = items.iter().map(|&w| vec![w]).collect();
+    interleavings(&singletons)
 }
 
 /// The observation set of a program under the axiomatic semantics.
@@ -518,10 +653,10 @@ pub fn axiomatic_outcomes(
     program: &Program,
     limits: EnumLimits,
 ) -> Result<BTreeSet<Observation>, EnumError> {
-    Ok(consistent_executions(program, limits)?
-        .iter()
-        .map(ProgramExecution::observation)
-        .collect())
+    let mut span = bdrst_obs::span(Phase::Axiomatic);
+    let execs = consistent_executions(program, limits)?;
+    span.set_arg(execs.len() as u64);
+    Ok(execs.iter().map(ProgramExecution::observation).collect())
 }
 
 /// Convenience: true if some consistent execution's observation satisfies
@@ -621,8 +756,7 @@ mod tests {
 
     #[test]
     fn sharded_enumeration_matches_streaming() {
-        // Single-combination programs exercise the first-read odometer
-        // split; multi-read programs exercise shard × sub-odometer.
+        // The pruned search against the unpruned oracle.
         for src in [
             "nonatomic a b;
              thread P0 { a = 1; r0 = b; }
@@ -647,7 +781,7 @@ mod tests {
                     .collect();
             assert_eq!(sharded, streaming, "diverged on {src}");
             // Not just observations: the execution count must also match
-            // (no candidate double-counted or dropped by the range split).
+            // (no consistent candidate pruned or found twice).
             assert_eq!(
                 consistent_executions(&p, EnumLimits::default())
                     .unwrap()

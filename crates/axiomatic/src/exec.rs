@@ -11,8 +11,9 @@ use bdrst_core::relation::Relation;
 use crate::event::{Event, EventId};
 
 /// An event set with its program order: the `G` of the paper together with
-/// the structural `po` relation. Initial writes occupy indices
-/// `0..locs.len()`; thread events follow in thread order.
+/// the structural `po` relation. Initial writes come first, in location
+/// order (built by [`EventSet::new`], they occupy indices
+/// `0..locs.len()`); thread events follow in thread order.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct EventSet {
     /// The declared locations (fixes atomic vs nonatomic).
@@ -27,7 +28,28 @@ impl EventSet {
     /// Builds the event set for per-thread action sequences, adding the
     /// initial write `IWℓ` for every declared location (the `G₀` of §6).
     pub fn new(locs: LocSet, per_thread: Vec<Vec<(Loc, Action)>>) -> EventSet {
-        let mut events: Vec<Event> = locs.iter().map(Event::initial).collect();
+        let inits: Vec<Loc> = locs.iter().collect();
+        EventSet::with_initial_writes(locs, &inits, per_thread)
+    }
+
+    /// Like [`EventSet::new`], but with initial writes only for the
+    /// locations some action accesses. A location no event touches has
+    /// no communication, so leaving out its initial write changes no
+    /// axiom's verdict.
+    pub(crate) fn accessed(locs: LocSet, per_thread: Vec<Vec<(Loc, Action)>>) -> EventSet {
+        let inits: Vec<Loc> = locs
+            .iter()
+            .filter(|&l| per_thread.iter().flatten().any(|&(at, _)| at == l))
+            .collect();
+        EventSet::with_initial_writes(locs, &inits, per_thread)
+    }
+
+    fn with_initial_writes(
+        locs: LocSet,
+        inits: &[Loc],
+        per_thread: Vec<Vec<(Loc, Action)>>,
+    ) -> EventSet {
+        let mut events: Vec<Event> = inits.iter().copied().map(Event::initial).collect();
         let mut thread_indices: Vec<Vec<usize>> = Vec::new();
         for (ti, actions) in per_thread.into_iter().enumerate() {
             let mut indices = Vec::new();
@@ -240,22 +262,38 @@ impl CandidateExecution {
 
     /// Causality: no cycles in `hb ∪ rf ∪ frat`.
     pub fn causality_holds(&self) -> bool {
-        self.hb().union(&self.rf).union(&self.frat()).is_acyclic()
+        self.causality_given(&self.hb(), &self.fr())
     }
 
     /// CoWW: no `E₁ hb E₂` with `E₂ co E₁`.
     pub fn coww_holds(&self) -> bool {
-        self.hb().compose(&self.co).is_irreflexive()
+        self.coww_given(&self.hb())
     }
 
     /// CoWR: no `E₁ hb E₂` with `E₂ fr E₁`.
     pub fn cowr_holds(&self) -> bool {
-        self.hb().compose(&self.fr()).is_irreflexive()
+        self.cowr_given(&self.hb(), &self.fr())
+    }
+
+    fn causality_given(&self, hb: &Relation, fr: &Relation) -> bool {
+        hb.union(&self.rf)
+            .union(&self.restrict_atomic(fr))
+            .is_acyclic()
+    }
+
+    fn coww_given(&self, hb: &Relation) -> bool {
+        hb.compose(&self.co).is_irreflexive()
+    }
+
+    fn cowr_given(&self, hb: &Relation, fr: &Relation) -> bool {
+        hb.compose(fr).is_irreflexive()
     }
 
     /// A consistent execution satisfies Causality, CoWW and CoWR (§6).
+    /// `hb` and `fr` are built once and shared by the three axioms.
     pub fn is_consistent(&self) -> bool {
-        self.causality_holds() && self.coww_holds() && self.cowr_holds()
+        let (hb, fr) = (self.hb(), self.fr());
+        self.coww_given(&hb) && self.cowr_given(&hb, &fr) && self.causality_given(&hb, &fr)
     }
 
     // ---- §7: program-order subrelations and the alternative axioms ----

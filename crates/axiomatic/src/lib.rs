@@ -5,7 +5,8 @@
 //! event graphs ([`event`]), candidate executions with `po`/`rf`/`co` and
 //! the consistency axioms Causality, CoWW and CoWR ([`exec`]), event-graph
 //! generation from programs under free reads ([`generate`](mod@generate)),
-//! exhaustive enumeration of consistent executions ([`enumerate`]), and the
+//! the pruned search for consistent executions, with the exhaustive
+//! enumeration kept as its oracle ([`enumerate`]), and the
 //! mapping `|Σ|` from operational traces to executions together with
 //! checkers for Theorems 15/16 ([`equiv`]). The `hb` decomposition (Theorem 17) and the
 //! alternative consistency characterisation (Theorem 18) are methods on

@@ -51,7 +51,11 @@
 //! but `corpus_sweep_worksteal_s` and `explore_iriw_worksteal_s` now time
 //! the work-stealing state-graph recorder plus reading outcomes off the
 //! graph — what `outcomes_with(WorkStealing)` runs since the visitor-
-//! driven work-stealing walk was removed.
+//! driven work-stealing walk was removed. v14 adds the **axiomatic
+//! lane**: the corpus through `axiomatic_outcomes` alone, recording its
+//! time (`axiomatic_corpus_s`) and, from the observability counters, the
+//! pruned search's node and consistent-execution totals — both
+//! deterministic, whatever the worker count.
 //! The alloc-per-visit lanes sweep the
 //! pre-v8 *narrow* corpus (the `Wide*` stress programs are excluded by
 //! name prefix) so the v5/v6 bars stay like-for-like comparable; the
@@ -820,6 +824,26 @@ fn main() {
     let race_live_events_per_s = race_events as f64 / race_live_s;
     let race_replay_events_per_s = race_events as f64 / race_replay_s;
 
+    // --- v14: the axiomatic search over the corpus ---
+    // One counted pass (counter deltas: other lanes enumerate too), then
+    // the timed passes.
+    let axiomatic_pass = || {
+        for p in &programs {
+            std::hint::black_box(
+                bdrst_axiomatic::axiomatic_outcomes(p, Default::default()).unwrap(),
+            );
+        }
+    };
+    let (nodes_before, consistent_before) = (
+        bdrst_obs::counter_get(bdrst_obs::Counter::AxiomaticNodes),
+        bdrst_obs::counter_get(bdrst_obs::Counter::AxiomaticConsistent),
+    );
+    axiomatic_pass();
+    let axiomatic_nodes = bdrst_obs::counter_get(bdrst_obs::Counter::AxiomaticNodes) - nodes_before;
+    let axiomatic_consistent =
+        bdrst_obs::counter_get(bdrst_obs::Counter::AxiomaticConsistent) - consistent_before;
+    let axiomatic_s = measure(axiomatic_pass);
+
     // --- litmus-as-a-service: cold vs warm corpus through the store ---
     use bdrst_litmus::{classify_entries, CorpusVerdict};
     use bdrst_service::service::CheckService;
@@ -880,7 +904,7 @@ fn main() {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         r#"{{
-  "schema": "bdrst-engine-baseline/v13",
+  "schema": "bdrst-engine-baseline/v14",
   "samples": {SAMPLES},
   "threads_available": {threads},
   "corpus_sweep_sequential_s": {seq:.6},
@@ -920,6 +944,9 @@ fn main() {
   "race_detect_replay_events_per_s": {race_replay_events_per_s:.0},
   "race_detect_replay_speedup": {race_replay_speedup:.3},
   "race_replay_semantics_probes": {race_replay_probes},
+  "axiomatic_corpus_nodes": {axiomatic_nodes},
+  "axiomatic_corpus_consistent": {axiomatic_consistent},
+  "axiomatic_corpus_s": {axiomatic_s:.6},
   "service_corpus_cold_s": {service_cold_s:.6},
   "service_corpus_warm_s": {service_warm_s:.6},
   "service_warm_speedup": {service_warm_speedup:.3},

@@ -47,10 +47,14 @@ pub enum Counter {
     LogRateLimited,
     /// Flight-recorder snapshots dumped to disk.
     FlightDumps,
+    /// Nodes of the axiomatic search: thread alternatives tried.
+    AxiomaticNodes,
+    /// Consistent executions the axiomatic search found.
+    AxiomaticConsistent,
 }
 
 /// Number of registry slots.
-pub const COUNTER_COUNT: usize = 18;
+pub const COUNTER_COUNT: usize = 20;
 
 const NAMES: [&str; COUNTER_COUNT] = [
     "semantics_probes",
@@ -71,6 +75,8 @@ const NAMES: [&str; COUNTER_COUNT] = [
     "log_lines",
     "log_rate_limited",
     "flight_dumps",
+    "axiomatic_nodes",
+    "axiomatic_consistent",
 ];
 
 static REGISTRY: [AtomicU64; COUNTER_COUNT] = [const { AtomicU64::new(0) }; COUNTER_COUNT];

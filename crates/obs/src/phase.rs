@@ -37,10 +37,12 @@ pub enum Phase {
     PollCycle,
     /// Reactor: the shutdown flush phase.
     Flush,
+    /// `axiomatic_outcomes`: the search for consistent executions.
+    Axiomatic,
 }
 
 /// Number of phases.
-pub const PHASE_COUNT: usize = 15;
+pub const PHASE_COUNT: usize = 16;
 
 const NAMES: [&str; PHASE_COUNT] = [
     "parse",
@@ -58,6 +60,7 @@ const NAMES: [&str; PHASE_COUNT] = [
     "write-back",
     "poll-cycle",
     "flush",
+    "axiomatic",
 ];
 
 const ALL: [Phase; PHASE_COUNT] = [
@@ -76,6 +79,7 @@ const ALL: [Phase; PHASE_COUNT] = [
     Phase::WriteBack,
     Phase::PollCycle,
     Phase::Flush,
+    Phase::Axiomatic,
 ];
 
 impl Phase {

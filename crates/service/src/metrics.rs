@@ -781,6 +781,14 @@ pub fn engine_gauges_json() -> Json {
             "spans_dropped",
             Json::Int(get(Counter::SpansDropped) as i64),
         ),
+        (
+            "axiomatic_nodes",
+            Json::Int(get(Counter::AxiomaticNodes) as i64),
+        ),
+        (
+            "axiomatic_consistent",
+            Json::Int(get(Counter::AxiomaticConsistent) as i64),
+        ),
     ])
 }
 

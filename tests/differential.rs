@@ -1,13 +1,13 @@
 //! Cross-semantics differential suite: for the full litmus corpus *and*
 //! ≥ 100 randomly generated programs, the operational final-state set
 //! (every engine strategy) must equal the axiomatic consistent-execution
-//! final-state set (sequential streaming *and* odometer-sharded) — four
-//! independently computed sets, one answer.
+//! final-state set (the unpruned streaming oracle *and* the pruned,
+//! sharded search) — four independently computed sets, one answer.
 //!
 //! This is the harness the parallel decompositions are locked down by:
 //! checker verdicts and outcome sets are exactly the kind of output that
-//! silently diverges under parallel decomposition, so every sharded path
-//! is compared against its sequential oracle on every program.
+//! silently diverges under parallel decomposition or pruning, so every
+//! such path is compared against its sequential oracle on every program.
 
 use std::collections::BTreeSet;
 
@@ -31,8 +31,8 @@ fn operational(p: &Program, strategy: EngineStrategy) -> BTreeSet<Observation> {
         .clone()
 }
 
-/// The axiomatic outcome set via the sharded enumeration.
-fn axiomatic_sharded(p: &Program) -> BTreeSet<Observation> {
+/// The axiomatic outcome set via the pruned search.
+fn axiomatic_pruned(p: &Program) -> BTreeSet<Observation> {
     consistent_executions(p, EnumLimits::default())
         .expect("axiomatic enumeration fits budget")
         .iter()
@@ -40,7 +40,7 @@ fn axiomatic_sharded(p: &Program) -> BTreeSet<Observation> {
         .collect()
 }
 
-/// The axiomatic outcome set via the fully sequential streaming odometer.
+/// The axiomatic outcome set via the unpruned sequential odometer.
 fn axiomatic_streaming(p: &Program) -> BTreeSet<Observation> {
     consistent_executions_streaming(p, EnumLimits::default())
         .expect("axiomatic enumeration fits budget")
@@ -58,10 +58,10 @@ fn assert_all_agree(name: &str, p: &Program) {
         "{name}: operational DFS vs work-stealing diverge"
     );
     let ax_stream = axiomatic_streaming(p);
-    let ax_shard = axiomatic_sharded(p);
+    let ax_pruned = axiomatic_pruned(p);
     assert_eq!(
-        ax_stream, ax_shard,
-        "{name}: axiomatic streaming vs sharded diverge"
+        ax_stream, ax_pruned,
+        "{name}: axiomatic streaming vs pruned diverge"
     );
     assert_eq!(
         op_seq, ax_stream,
@@ -79,17 +79,17 @@ fn corpus_operational_equals_axiomatic_sequential_and_sharded() {
 
 #[test]
 fn corpus_axiomatic_execution_counts_match() {
-    // Sharding the odometer partitions the candidate space: the number
-    // of consistent executions (not just distinct observations) must be
-    // preserved shard-for-shard.
+    // Pruning drops only inconsistent candidates and sharding splits
+    // the search tree: the number of consistent executions (not just
+    // distinct observations) must be preserved.
     for t in all_tests() {
         let p = Program::parse(t.source).unwrap();
-        let sharded = consistent_executions(&p, EnumLimits::default())
+        let pruned = consistent_executions(&p, EnumLimits::default())
             .unwrap_or_else(|e| panic!("{}: {e}", t.name));
         let streamed = consistent_executions_streaming(&p, EnumLimits::default())
             .unwrap_or_else(|e| panic!("{}: {e}", t.name));
         assert_eq!(
-            sharded.len(),
+            pruned.len(),
             streamed.len(),
             "{}: consistent execution counts diverge",
             t.name
@@ -103,7 +103,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// ≥ 100 generated programs: operational (sequential and
-    /// work-stealing) == axiomatic (streaming and sharded).
+    /// work-stealing) == axiomatic (streaming and pruned).
     #[test]
     fn generated_operational_equals_axiomatic_sequential_and_sharded(p in small_program()) {
         assert_all_agree("generated", &p);
