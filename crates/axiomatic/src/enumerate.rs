@@ -28,7 +28,8 @@
 //! The top of the search tree is expanded breadth-first until it has
 //! enough subtrees to feed the core engine's work-stealing
 //! [`parallel_map_with`], and each subtree is finished depth-first on a
-//! worker (a frontier of a few leaves stays on the calling thread). The budget, [`EnumLimits::max_candidates`], is one shared
+//! worker (a frontier of few subtrees stays on the calling thread). The
+//! budget, [`EnumLimits::max_candidates`], is one shared
 //! atomic counter debited once per search node and once per candidate
 //! built. The total debit does not depend on how the work is spread, so
 //! [`EnumError::TooManyCandidates`] surfaces exactly when a sequential
@@ -185,9 +186,14 @@ fn stream_candidates(
 /// least this many subtrees, then hands them to the worker pool.
 const SHARD_TARGET: usize = 64;
 
-/// A frontier smaller than this is a handful of leaves, each a few
-/// candidates: spawning workers would cost more than it saves, so the
-/// calling thread finishes it alone.
+/// A frontier smaller than this is finished on the calling thread.
+/// Its size counts thread-alternative combinations, not rf/co
+/// candidates, but on the benchmark's families the small frontiers are
+/// the small searches: sb-4 and sb-at-4x1 (16 subtrees) take about
+/// 0.2 ms alone and 1.4-2x that when the pool starts two workers on two
+/// cores, while iriw-at-4, mp-chain-7 and the other families of 32 or
+/// more subtrees take the pool. A program with few combinations and a large rf/co
+/// space runs on one thread; the rf/co level is not split.
 const MIN_SHARDS: usize = 32;
 
 /// Enumerates every *consistent* execution of `program` by the pruned

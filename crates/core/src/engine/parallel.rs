@@ -4,7 +4,7 @@
 //! work-stealing substrate as [`crate::engine::WorkStealingEngine`]
 //! ([`crate::engine::steal`]): the litmus corpus runner shards tests
 //! across it, the §8 simulator shards workloads across it, and the
-//! axiomatic enumerator shards rf/co odometer ranges across it. Items
+//! axiomatic search shards its top subtrees across it. Items
 //! are seeded round-robin onto per-worker deques; a worker that drains
 //! its own deque steals from the others, so uneven item costs (litmus
 //! tests vary by orders of magnitude) still balance without a shared
