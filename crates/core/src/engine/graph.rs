@@ -34,7 +34,8 @@
 //!   walk would never have entered. A visitor whose decisions below an
 //!   extension depend only on the reached row and a summary of its path
 //!   opts in to memoization ([`ReplayVisitor::summary`]), and the replay
-//!   then walks each (row, summary) pair once instead of once per path.
+//!   then walks each (row, summary) pair once instead of once per path;
+//!   its trace budget counts those walks, not the paths.
 //!
 //! A note on why *state*-graph paths cannot replace the trace graph for
 //! race checking: the state graph merges machines by canonical form,
@@ -50,6 +51,7 @@
 use std::collections::HashMap;
 
 use crate::engine::{CanonState, Control, EngineConfig, EngineError, ExploreStats, StateId};
+use crate::loc::LocSet;
 use crate::machine::TransitionLabel;
 use crate::trace::TraceLabels;
 use crate::wire::{Codec, Reader, WireError};
@@ -309,20 +311,22 @@ pub struct TraceGraph {
 }
 
 impl TraceGraph {
-    /// Assembles the graph from the recorder's post-order rows.
+    /// Assembles the graph from post-order CSR rows whose offsets span
+    /// at least one row and the whole children column; fails as
+    /// [`unfolded`] does.
     pub(crate) fn from_rows(
         labels: Vec<TransitionLabel>,
         child_offsets: Vec<u32>,
         children: Vec<u32>,
-    ) -> TraceGraph {
-        let below = unfolded(&child_offsets, &children).expect("recorded rows are a DAG");
-        TraceGraph {
+    ) -> Result<TraceGraph, WireError> {
+        let below = unfolded(&child_offsets, &children)?;
+        Ok(TraceGraph {
             len: *below.last().expect("at least one row"),
             memo: memo_rows(&below, &children),
             labels,
             child_offsets,
             children,
-        }
+        })
     }
 
     /// Number of recorded trace extensions: the nodes of the unfolded
@@ -361,23 +365,33 @@ impl TraceGraph {
         self.children.encode(out);
     }
 
-    /// Decodes a graph previously written by [`TraceGraph::encode`],
-    /// re-validating every structural invariant `TraceEngine::record`
-    /// guarantees — a corrupted entry must become a [`WireError`], never
-    /// a graph that panics, loops, or replays differently from the
-    /// recording.
+    /// Decodes a graph previously written by [`TraceGraph::encode`] for a
+    /// program of `threads` threads over `locs`, re-validating every
+    /// structural invariant `TraceEngine::record` guarantees — a
+    /// corrupted entry must become a [`WireError`], never a graph that
+    /// panics, loops, or replays differently from the recording.
     ///
     /// # Errors
     ///
-    /// Any [`WireError`]; in particular [`WireError::Invalid`] when the
+    /// Any [`WireError`]; in particular [`WireError::Invalid`] when a
+    /// label names a thread or location the program does not have, the
     /// label and children columns differ in length, the offsets are not
     /// monotone over at least one row, a child row does not precede its
     /// parent (the only way to encode a cycle), or the unfolded tree has
     /// more extensions than a `usize` counts.
-    pub fn decode(r: &mut Reader<'_>) -> Result<TraceGraph, WireError> {
+    pub fn decode(
+        r: &mut Reader<'_>,
+        locs: &LocSet,
+        threads: usize,
+    ) -> Result<TraceGraph, WireError> {
         let labels: Vec<TransitionLabel> = Vec::decode(r)?;
         let child_offsets: Vec<u32> = Vec::decode(r)?;
         let children: Vec<u32> = Vec::decode(r)?;
+        if labels.iter().any(|l| {
+            l.thread.index() >= threads || l.action.is_some_and(|a| a.loc.index() >= locs.len())
+        }) {
+            return Err(WireError::Invalid("label outside the program"));
+        }
         if labels.len() != children.len() {
             return Err(WireError::Invalid("one label per child entry"));
         }
@@ -388,23 +402,16 @@ impl TraceGraph {
         {
             return Err(WireError::Invalid("trace CSR offsets"));
         }
-        let below = unfolded(&child_offsets, &children)?;
-        Ok(TraceGraph {
-            len: *below.last().expect("at least one row"),
-            memo: memo_rows(&below, &children),
-            labels,
-            child_offsets,
-            children,
-        })
+        TraceGraph::from_rows(labels, child_offsets, children)
     }
 
     /// Replays the recorded graph under `visitor`, reproducing the exact
-    /// depth-first order, filtering, pruning, stopping, and budget
-    /// semantics of a live [`crate::engine::TraceEngine::explore`] walk —
-    /// without invoking the transition semantics at all. Verdicts are
-    /// therefore identical to the live walk's for any visitor whose
-    /// decisions depend only on labels (every checker in
-    /// [`crate::localdrf`] and the Theorem 15 soundness scan qualify).
+    /// depth-first order, filtering, pruning and stopping of a live
+    /// [`crate::engine::TraceEngine::explore`] walk — without invoking
+    /// the transition semantics at all. Verdicts are therefore identical
+    /// to the live walk's for any visitor whose decisions depend only on
+    /// labels (every checker in [`crate::localdrf`] and the Theorem 15
+    /// soundness scan qualify).
     ///
     /// A visitor that opts out of [`ReplayVisitor::summary`] is shown the
     /// whole unfolded tree. For one that opts in, the replay keys each
@@ -414,15 +421,16 @@ impl TraceGraph {
     /// acyclic and the walk depth-first, so the first visit finishes
     /// before an equal one starts, and by the visitor's promise the
     /// skipped subtree would have replayed as the first did, without a
-    /// stop. A skip charges the first visit's `visited` and
-    /// `transitions` to the statistics and to the budget, so both stay
-    /// those of the unfolded walk.
+    /// stop. A skip adds the first visit's `visited` and `transitions`
+    /// to the statistics, so they stay those of the unfolded walk.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::BudgetExceeded`] after `config.max_traces`
-    /// filter-passing extensions of the unfolded tree, exactly like the
-    /// live walk (a skipped subtree the budget does not cover trips it).
+    /// Returns [`EngineError::BudgetExceeded`] when the visitor would be
+    /// shown more than `config.max_traces` extensions. The budget counts
+    /// the work the replay does: an unfolded replay trips exactly where
+    /// the live walk does, and a skip costs nothing, so a memoized
+    /// replay can answer under a budget its unfolded tree exceeds.
     pub fn replay<V: ReplayVisitor>(
         &self,
         config: EngineConfig,
@@ -495,10 +503,6 @@ impl TraceGraph {
                             memo: None,
                         });
                     } else if let Some(added) = done.get(key.as_slice()) {
-                        if added.visited > budget {
-                            return Err(EngineError::budget(config.max_traces + 1));
-                        }
-                        budget -= added.visited;
                         stats.visited += added.visited;
                         stats.transitions += added.transitions;
                         trace.pop();
@@ -576,7 +580,7 @@ mod tests {
     use super::*;
     use crate::engine::{TraceEngine, TraceVisitor, WorklistEngine};
     use crate::loc::{Loc, LocKind, LocSet, Val};
-    use crate::machine::{Machine, RecordedExpr, StepLabel, Transition};
+    use crate::machine::{Machine, RecordedExpr, StepLabel, ThreadId, Transition};
 
     fn locs_ab() -> (LocSet, Loc, Loc) {
         let mut l = LocSet::new();
@@ -762,10 +766,19 @@ mod tests {
             .unwrap();
         let replayed = graph.replay(tight, &mut Go);
         assert_eq!(live.unwrap_err(), replayed.unwrap_err());
-        // Recording under the tight budget trips identically.
+        // Recording counts rows: it fits a budget of its row count and
+        // trips one short of it.
+        let rows = |max_traces| EngineConfig {
+            max_states: usize::MAX,
+            max_traces,
+        };
+        let n = graph.rows();
+        assert!(n < total);
+        let (exact, _) = TraceEngine::new(rows(n)).record(&locs, m0.clone()).unwrap();
+        assert_eq!(exact.len(), total);
         assert_eq!(
-            TraceEngine::new(tight).record(&locs, m0).unwrap_err(),
-            EngineError::budget(tight.max_traces + 1)
+            TraceEngine::new(rows(n - 1)).record(&locs, m0).unwrap_err(),
+            EngineError::budget(n)
         );
     }
 
@@ -777,7 +790,7 @@ mod tests {
             .unwrap();
         let mut bytes = Vec::new();
         graph.encode(&mut bytes);
-        let decoded = TraceGraph::decode(&mut crate::wire::Reader::new(&bytes)).unwrap();
+        let decoded = TraceGraph::decode(&mut crate::wire::Reader::new(&bytes), &locs, 2).unwrap();
         assert_eq!(decoded.len(), graph.len());
         assert_eq!(decoded.root_enabled(), graph.root_enabled());
         // Rows are shared: fewer labels than extensions. The root's row
@@ -822,7 +835,7 @@ mod tests {
         // Truncation anywhere must be an error, never a panic.
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
             assert!(
-                TraceGraph::decode(&mut crate::wire::Reader::new(&bytes[..cut])).is_err(),
+                TraceGraph::decode(&mut crate::wire::Reader::new(&bytes[..cut]), &locs, 2).is_err(),
                 "truncation at {cut} decoded"
             );
         }
@@ -835,7 +848,7 @@ mod tests {
             labels.to_vec().encode(&mut out);
             offsets.to_vec().encode(&mut out);
             children.to_vec().encode(&mut out);
-            TraceGraph::decode(&mut crate::wire::Reader::new(&out))
+            TraceGraph::decode(&mut crate::wire::Reader::new(&out), &locs, 2)
         };
         let (labels, offsets, children) = (&graph.labels, &graph.child_offsets, &graph.children);
         assert_eq!(
@@ -861,6 +874,20 @@ mod tests {
             WireError::Invalid("trace CSR offsets")
         );
         let label = labels[0];
+        // A label naming a thread or a location the program lacks.
+        let mut stray = labels.clone();
+        stray[0].thread = ThreadId(2);
+        assert_eq!(
+            columns(&stray, offsets, children).unwrap_err(),
+            WireError::Invalid("label outside the program")
+        );
+        let mut stray = labels.clone();
+        let access = stray.iter_mut().find_map(|l| l.action.as_mut()).unwrap();
+        access.loc = Loc(2);
+        assert_eq!(
+            columns(&stray, offsets, children).unwrap_err(),
+            WireError::Invalid("label outside the program")
+        );
         assert_eq!(
             columns(&[label], &[0, 1], &[0]).unwrap_err(),
             WireError::Invalid("child row does not precede its parent")
@@ -889,7 +916,7 @@ mod tests {
         for i in (0..bytes.len()).step_by(5) {
             let mut bad = bytes.clone();
             bad[i] ^= 0x41;
-            if let Ok(g) = TraceGraph::decode(&mut crate::wire::Reader::new(&bad)) {
+            if let Ok(g) = TraceGraph::decode(&mut crate::wire::Reader::new(&bad), &locs, 2) {
                 struct Go;
                 impl ReplayVisitor for Go {
                     fn visit(&mut self, _: &TraceLabels, _: ReplayStep<'_>) -> Control {
@@ -937,14 +964,24 @@ mod tests {
         let (memoized, seen) = replay(true, EngineConfig::default()).unwrap();
         assert_eq!(memoized, unfolded);
         assert!(seen < graph.len(), "{seen} of {} visited", graph.len());
-        // A skipped subtree the budget does not cover trips it.
+        // The budget counts the extensions a replay shows: the memoized
+        // replay fits `seen` and the unfolded one the whole tree, each
+        // with the unfolded statistics, and each trips one short.
         for max_traces in 0..=graph.len() {
             let tight = EngineConfig {
                 max_states: usize::MAX,
                 max_traces,
             };
+            let expected = |shown| {
+                if max_traces >= shown {
+                    Ok(unfolded)
+                } else {
+                    Err(EngineError::budget(max_traces + 1))
+                }
+            };
             let stats = |r: Result<(ExploreStats, usize), EngineError>| r.map(|(s, _)| s);
-            assert_eq!(stats(replay(true, tight)), stats(replay(false, tight)));
+            assert_eq!(stats(replay(true, tight)), expected(seen));
+            assert_eq!(stats(replay(false, tight)), expected(graph.len()));
         }
     }
 

@@ -5,9 +5,9 @@
 //! [`TraceEngine::record`] records the full trace tree into a
 //! [`TraceGraph`], memoized by exact machine: a depth-first walk that
 //! closes one row per distinct machine, in post-order, and points every
-//! later path to that machine at the closed row. The trace budget counts
-//! the unfolded tree, so it trips exactly where walking the whole tree
-//! would.
+//! later path to that machine at the closed row. Each walk's trace
+//! budget counts the work it does: the live walk its extensions, the
+//! recorder its rows.
 //!
 //! No walk here recurses — each carries an explicit stack — so exploration
 //! depth is bounded by heap, not by the thread's call stack.
@@ -194,14 +194,12 @@ impl WorklistEngine {
 
 /// One open node of the recording walk: its machine (the memo key once
 /// its row closes), the transitions not yet taken, its row of enabled
-/// labels, the rows of the children taken so far, and the number of
-/// trace extensions those children's subtrees unfold to.
+/// labels, and the rows of the children taken so far.
 struct RecFrame<E> {
     machine: Machine<E>,
     rest: std::vec::IntoIter<Transition<E>>,
     labels: Vec<TransitionLabel>,
     rows: Vec<u32>,
-    unfolded: usize,
 }
 
 impl<E: Expr> RecFrame<E> {
@@ -212,7 +210,6 @@ impl<E: Expr> RecFrame<E> {
             rows: Vec::with_capacity(ts.len()),
             rest: ts.into_iter(),
             machine,
-            unfolded: 0,
         }
     }
 }
@@ -225,7 +222,8 @@ impl<E: Expr> RecFrame<E> {
 /// `dfs` helper with an explicit frame stack.
 #[derive(Clone, Copy, Debug)]
 pub struct TraceEngine {
-    /// Budgets (`max_traces` bounds the number of extensions made).
+    /// Budgets (`max_traces` bounds the extensions a live walk makes and
+    /// the rows a recording holds).
     pub config: EngineConfig,
 }
 
@@ -296,74 +294,68 @@ impl TraceEngine {
     /// nodes holding equal machines have identical subtrees: the walk
     /// memoizes rows by exact machine (timestamps and frontiers included,
     /// never the canonical form) and every path that reaches a machine
-    /// points at its one row. The budget still counts the unfolded tree —
-    /// a memoized child adds its whole subtree — so it trips exactly where
-    /// a tree-by-tree recording would, and the graph's [`TraceGraph::len`]
-    /// is the tree's extension count.
+    /// points at its one row. The budget counts rows — the distinct
+    /// machines whose transitions the walk computes — and the returned
+    /// statistics are the tree's extension count, [`TraceGraph::len`].
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::BudgetExceeded`] if the full tree exceeds
-    /// `config.max_traces` extensions. (A *filtered* live walk can fit a
-    /// budget the full tree exceeds; recording trades that slack for
-    /// replayability.)
+    /// Returns [`EngineError::BudgetExceeded`] when the tree has more
+    /// than `config.max_traces` distinct machines, or when it unfolds to
+    /// more extensions than a `usize` counts, which no replay's
+    /// statistics could hold (reported as `visited: usize::MAX`).
     pub fn record<E: Expr>(
         &self,
         locs: &LocSet,
         m0: Machine<E>,
     ) -> Result<(TraceGraph, ExploreStats), EngineError> {
         let max = self.config.max_traces;
+        let over_budget = || EngineError::budget(max + 1);
+        if max == 0 {
+            return Err(over_budget());
+        }
         // The store's only interior mutability is its memoized content
         // digest, which neither `Hash` nor `Eq` reads.
         #[allow(clippy::mutable_key_type)]
         let mut memo: HashMap<Machine<E>, u32> = HashMap::new();
-        // Per closed row, the extensions its subtree unfolds to.
-        let mut unfolded_at: Vec<usize> = Vec::new();
         let mut labels: Vec<TransitionLabel> = Vec::new();
         let mut children: Vec<u32> = Vec::new();
         let mut child_offsets: Vec<u32> = vec![0];
-        // Extensions of the unfolded tree counted so far, in preorder.
-        let mut unfolded = 0usize;
+        // Rows opened so far, the root's included; each closes as one row.
+        let mut rows = 1usize;
         let mut stack = vec![RecFrame::open(locs, m0)];
-        let root = loop {
+        loop {
             let frame = stack.last_mut().expect("the root closes last");
             if let Some(t) = frame.rest.next() {
-                let memoized = memo.get(&t.target).copied();
-                let subtree = memoized.map_or(0, |row| unfolded_at[row as usize]);
-                unfolded = unfolded
-                    .checked_add(subtree)
-                    .and_then(|n| n.checked_add(1))
-                    .filter(|&n| n <= max)
-                    .ok_or_else(|| EngineError::budget(max + 1))?;
-                match memoized {
-                    Some(row) => {
-                        frame.rows.push(row);
-                        frame.unfolded += 1 + subtree;
+                match memo.get(&t.target) {
+                    Some(&row) => frame.rows.push(row),
+                    None if rows == max => return Err(over_budget()),
+                    None => {
+                        rows += 1;
+                        stack.push(RecFrame::open(locs, t.target));
                     }
-                    None => stack.push(RecFrame::open(locs, t.target)),
                 }
                 continue;
             }
             let done = stack.pop().expect("the frame just inspected");
-            let row = unfolded_at.len() as u32;
+            let row = (child_offsets.len() - 1) as u32;
             labels.extend(done.labels);
             children.extend(done.rows);
             child_offsets.push(children.len() as u32);
-            unfolded_at.push(done.unfolded);
             let Some(parent) = stack.last_mut() else {
-                break done.unfolded;
+                break;
             };
             parent.rows.push(row);
-            parent.unfolded += 1 + done.unfolded;
             memo.insert(done.machine, row);
-        };
-        let graph = TraceGraph::from_rows(labels, child_offsets, children);
-        debug_assert_eq!(graph.len(), root);
+        }
+        let graph = TraceGraph::from_rows(labels, child_offsets, children)
+            .map_err(|_| EngineError::budget(usize::MAX))?;
+        let extensions = graph.len();
         Ok((
             graph,
             ExploreStats {
-                visited: root,
-                transitions: root,
+                visited: extensions,
+                transitions: extensions,
             },
         ))
     }

@@ -313,7 +313,8 @@ pub fn check_local_drf<E: Expr>(
 ///
 /// # Errors
 ///
-/// As [`check_local_drf`] (replay mirrors the live budget).
+/// As [`check_local_drf`], except that the trace budget counts only the
+/// extensions the replay checks, not the ones the memo skips.
 pub fn check_local_drf_replayed(
     locs: &LocSet,
     graph: &TraceGraph,
@@ -744,41 +745,62 @@ mod tests {
         assert!(is_l_stable_for_prefix(&locs, &[t.label], t.target, &on_a, cfg()).unwrap());
     }
 
-    /// Memo ≡ unmemoized replay for Theorem 13: forwarding the filter and
-    /// the visits but not [`ReplayVisitor::summary`] makes the replay
-    /// walk the whole unfolded tree.
-    struct Unfolded<V>(V);
+    /// Memo ≡ unmemoized replay for Theorem 13: forwards the filter and
+    /// the visits, counting the visits, and forwards
+    /// [`ReplayVisitor::summary`] only when `memo` is set — otherwise the
+    /// replay walks the whole unfolded tree.
+    struct Shown<V> {
+        inner: V,
+        memo: bool,
+        seen: usize,
+    }
 
-    impl<V: ReplayVisitor> ReplayVisitor for Unfolded<V> {
+    impl<V: ReplayVisitor> ReplayVisitor for Shown<V> {
         fn step_filter(&mut self, label: &TransitionLabel) -> bool {
-            self.0.step_filter(label)
+            self.inner.step_filter(label)
         }
 
         fn visit(&mut self, trace: &TraceLabels, step: ReplayStep<'_>) -> Control {
-            self.0.visit(trace, step)
+            self.seen += 1;
+            self.inner.visit(trace, step)
+        }
+
+        fn summary(&mut self, trace: &TraceLabels, key: &mut Vec<u64>) -> bool {
+            self.memo && self.inner.summary(trace, key)
         }
     }
 
     /// [`check_local_drf_replayed`] with the visitor wrapped in
-    /// [`Unfolded`].
-    fn local_drf_unfolded(
+    /// [`Shown`], and the number of extensions the replay showed it.
+    fn local_drf_shown(
         locs: &LocSet,
         graph: &TraceGraph,
         l_set: &LocPredicate,
         config: EngineConfig,
-    ) -> Result<ExploreStats, CheckError<LocalDrfViolation>> {
-        let mut visitor = Unfolded(LocalDrfVisitor::new(locs, l_set));
+        memo: bool,
+    ) -> (Result<ExploreStats, CheckError<LocalDrfViolation>>, usize) {
+        let mut visitor = Shown {
+            inner: LocalDrfVisitor::new(locs, l_set),
+            memo,
+            seen: 0,
+        };
         let root = graph.root_enabled().iter().copied();
-        if let Some(v) = visitor.0.check_state(&TraceLabels::new(), root) {
-            return Err(CheckError::Violation(v));
+        if let Some(v) = visitor.inner.check_state(&TraceLabels::new(), root) {
+            return (Err(CheckError::Violation(v)), 0);
         }
-        let stats = graph.replay(config, &mut visitor)?;
-        visitor.0.verdict(stats)
+        let replayed = graph.replay(config, &mut visitor);
+        let seen = visitor.seen;
+        let verdict = replayed
+            .map_err(CheckError::Engine)
+            .and_then(|stats| visitor.inner.verdict(stats));
+        (verdict, seen)
     }
 
     /// The memoized and the unfolded local-DRF replay agree on `graph`
-    /// for `l_set`; on a tree of at most `sweep` extensions they also
-    /// agree under every trace budget up to the tree's size.
+    /// for `l_set`. On a tree of at most `sweep` extensions, every trace
+    /// budget up to the tree's size trips each replay exactly when it is
+    /// below the extensions that replay shows, and leaves its verdict
+    /// unchanged otherwise.
     fn memo_matches_unfolded(
         name: &str,
         locs: &LocSet,
@@ -787,7 +809,9 @@ mod tests {
         sweep: usize,
     ) {
         let memo = check_local_drf_replayed(locs, graph, l_set, cfg());
-        let unfolded = local_drf_unfolded(locs, graph, l_set, cfg());
+        let (counted, shown) = local_drf_shown(locs, graph, l_set, cfg(), true);
+        assert_eq!(counted, memo, "{name}: L = {l_set:?}");
+        let (unfolded, unfolded_shown) = local_drf_shown(locs, graph, l_set, cfg(), false);
         assert_eq!(memo, unfolded, "{name}: L = {l_set:?}");
         if graph.len() <= sweep {
             for max_traces in 0..=graph.len() {
@@ -795,10 +819,22 @@ mod tests {
                     max_states: usize::MAX,
                     max_traces,
                 };
+                let expected = |shown| {
+                    if max_traces >= shown {
+                        memo.clone()
+                    } else {
+                        Err(CheckError::Engine(EngineError::budget(max_traces + 1)))
+                    }
+                };
                 assert_eq!(
                     check_local_drf_replayed(locs, graph, l_set, tight),
-                    local_drf_unfolded(locs, graph, l_set, tight),
-                    "{name}: L = {l_set:?}, max_traces = {max_traces}"
+                    expected(shown),
+                    "{name}: L = {l_set:?}, max_traces = {max_traces}, memoized"
+                );
+                assert_eq!(
+                    local_drf_shown(locs, graph, l_set, tight, false).0,
+                    expected(unfolded_shown),
+                    "{name}: L = {l_set:?}, max_traces = {max_traces}, unfolded"
                 );
             }
         }
@@ -981,7 +1017,7 @@ mod tests {
             children.extend(row.iter().map(|&(_, c)| c));
             offsets.push(labels.len() as u32);
         }
-        TraceGraph::from_rows(labels, offsets, children)
+        TraceGraph::from_rows(labels, offsets, children).unwrap()
     }
 
     /// Crafted graphs around a shared row, two of them with a Theorem 13

@@ -1,11 +1,11 @@
 //! The memoized trace recorder against the live walk: on the litmus
 //! corpus and on generated programs, replaying the recorded graph must
 //! show a visitor exactly the stream of extensions a live walk shows it —
-//! same depth, label and enabled labels, in the same order — and the
-//! recording, the live walk and the replay must trip the trace budget at
-//! exactly the same count. Recordings are deterministic and survive the
-//! wire byte for byte, and a tree with repeated machines is stored in
-//! fewer rows than it has extensions.
+//! same depth, label and enabled labels, in the same order — and the live
+//! walk and the replay must trip the trace budget at exactly the same
+//! count. The recording's budget counts its rows. Recordings are
+//! deterministic and survive the wire byte for byte, and a tree with
+//! repeated machines is stored in fewer rows than it has extensions.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::Hasher;
@@ -106,8 +106,9 @@ fn walk_and_replay<E: Expr>(
 
 /// Records `m0` and checks the recording against the live walk: the same
 /// extension stream and count, the same budget trip one short of the
-/// total, a deterministic encoding that round-trips exactly. Returns the
-/// recorded graph.
+/// total, a deterministic encoding that round-trips exactly. The
+/// recording fits a budget of its row count and trips one short of it.
+/// Returns the recorded graph.
 fn replays_like_the_live_walk<E: Expr>(name: &str, locs: &LocSet, m0: &Machine<E>) -> TraceGraph {
     let engine = TraceEngine::new(EngineConfig::default());
     let (graph, stats) = engine.record(locs, m0.clone()).unwrap();
@@ -122,11 +123,17 @@ fn replays_like_the_live_walk<E: Expr>(name: &str, locs: &LocSet, m0: &Machine<E
         walked,
         "{name}: exact budget"
     );
-    let (exact, _) = budget(total).record(locs, m0.clone()).unwrap();
+    let rows = graph.rows();
+    let (exact, _) = budget(rows).record(locs, m0.clone()).unwrap();
     assert_eq!(
         encoded(&exact),
         encoded(&graph),
         "{name}: record, exact budget"
+    );
+    assert_eq!(
+        budget(rows - 1).record(locs, m0.clone()).unwrap_err(),
+        EngineError::budget(rows),
+        "{name}: record, budget one short"
     );
     if total > 0 {
         assert_eq!(
@@ -134,17 +141,12 @@ fn replays_like_the_live_walk<E: Expr>(name: &str, locs: &LocSet, m0: &Machine<E
             EngineError::budget(total),
             "{name}: live walk and replay, budget one short"
         );
-        assert_eq!(
-            budget(total - 1).record(locs, m0.clone()).unwrap_err(),
-            EngineError::budget(total),
-            "{name}: record, budget one short"
-        );
     }
 
     let bytes = encoded(&graph);
     let (again, _) = engine.record(locs, m0.clone()).unwrap();
     assert_eq!(encoded(&again), bytes, "{name}: recording twice");
-    let decoded = TraceGraph::decode(&mut Reader::new(&bytes)).unwrap();
+    let decoded = TraceGraph::decode(&mut Reader::new(&bytes), locs, m0.threads.len()).unwrap();
     assert_eq!(encoded(&decoded), bytes, "{name}: encode, decode, encode");
     assert_eq!(decoded.len(), total, "{name}: decoded count");
     assert_eq!(decoded.rows(), graph.rows(), "{name}: decoded rows");
@@ -240,5 +242,31 @@ fn store_buffering_shares_rows_between_paths() {
         "{} rows for {} extensions",
         graph.rows(),
         graph.len()
+    );
+}
+
+#[test]
+fn a_tree_too_large_to_count_is_a_budget_error() {
+    // Two threads that each write their own location 40 times: 41 × 41
+    // machines, but C(80, 40) ≈ 10²³ complete traces, more than a
+    // `usize` counts. The recording is bounded by its rows and must
+    // return an error rather than a graph whose count overflowed.
+    let mut locs = LocSet::new();
+    let prog: Vec<RecordedExpr> = ["a", "b"]
+        .into_iter()
+        .map(|name| {
+            let l = locs.fresh(name, LocKind::Nonatomic);
+            RecordedExpr::new(vec![StepLabel::Write(l, Val(1)); 40])
+        })
+        .collect();
+    let m0 = Machine::initial(&locs, prog);
+    assert_eq!(
+        budget(1680).record(&locs, m0.clone()).unwrap_err(),
+        EngineError::budget(1681),
+        "the rows are the 41 × 41 machines"
+    );
+    assert_eq!(
+        budget(1681).record(&locs, m0).unwrap_err(),
+        EngineError::budget(usize::MAX)
     );
 }

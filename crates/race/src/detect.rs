@@ -54,12 +54,14 @@ pub fn detect_races<E: Expr>(
 
 /// Offline detection over a recorded [`TraceGraph`]: identical
 /// witnesses, statistics and `events` to [`detect_races`] (the replay
-/// reproduces the live walk's order, filter and budget semantics) with
-/// **zero** transition-semantics steps.
+/// reproduces the live walk's order and filter) with **zero**
+/// transition-semantics steps.
 ///
 /// # Errors
 ///
-/// As [`detect_races`] (replay mirrors the live budget).
+/// [`EngineError::BudgetExceeded`] when the detector would judge more
+/// than `engine.max_traces` extensions. The memo's skips are free, so
+/// this can succeed under a budget the live walk exceeds.
 pub fn detect_races_replayed(
     locs: &LocSet,
     graph: &TraceGraph,

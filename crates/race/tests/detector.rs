@@ -2,8 +2,9 @@
 //! DRF checkers, live/replayed equivalence, witness bound validity, and
 //! the ddmin shrinker.
 
-use bdrst_core::engine::{EngineConfig, TraceEngine};
+use bdrst_core::engine::{EngineConfig, TraceEngine, TraceGraph};
 use bdrst_core::localdrf::{sc_race_freedom, DrfStatus};
+use bdrst_core::wire::Reader;
 use bdrst_lang::Program;
 use bdrst_litmus::all_tests;
 use bdrst_race::{detect_races_program, detect_races_replayed, shrink_witness, DetectorConfig};
@@ -219,4 +220,54 @@ fn linear_mode_detects_on_a_fixed_schedule() {
     let w = w.expect("schedule exhibits the SB race");
     assert!(w.validate(&p.locs));
     assert_eq!(p.locs.name(w.loc), "a");
+}
+
+#[test]
+fn corrupted_corpus_recordings_decode_to_errors_or_replayable_graphs() {
+    // Every truncation and every single-byte flip (low bit, all bits) of
+    // every corpus recording must decode to an error, or to a graph that
+    // re-encodes to the bytes it consumed and replays the race detector
+    // without panicking. The replay's budget bounds a flip that makes the
+    // tree larger; a budget error is an answer, not a failure.
+    let replay_budget = EngineConfig {
+        max_traces: 10_000,
+        ..cfg()
+    };
+    for t in all_tests() {
+        let p = Program::parse(t.source).unwrap();
+        let threads = p.threads.len();
+        let (graph, _) = TraceEngine::new(cfg())
+            .record(&p.locs, p.initial_machine())
+            .unwrap();
+        let mut bytes = Vec::new();
+        graph.encode(&mut bytes);
+        assert!(bytes.len() <= 9_060, "{}: {} bytes", t.name, bytes.len());
+        for cut in 0..bytes.len() {
+            assert!(
+                TraceGraph::decode(&mut Reader::new(&bytes[..cut]), &p.locs, threads).is_err(),
+                "{}: truncation at {cut} decoded",
+                t.name
+            );
+        }
+        for i in 0..bytes.len() {
+            for mask in [0x01, 0xff] {
+                let mut bad = bytes.clone();
+                bad[i] ^= mask;
+                let mut r = Reader::new(&bad);
+                let Ok(g) = TraceGraph::decode(&mut r, &p.locs, threads) else {
+                    continue;
+                };
+                let mut again = Vec::new();
+                g.encode(&mut again);
+                assert_eq!(
+                    again,
+                    bad[..bad.len() - r.remaining()],
+                    "{}: byte {i} ^ {mask:#x} re-encodes differently",
+                    t.name
+                );
+                let _ =
+                    detect_races_replayed(&p.locs, &g, replay_budget, DetectorConfig::default());
+            }
+        }
+    }
 }

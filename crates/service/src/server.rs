@@ -23,7 +23,11 @@
 //! limits — a present-but-non-integer budget field is a `proto` error,
 //! never silently ignored); exhaustion surfaces as
 //! `{"ok":false,"error":{"kind":"budget",...}}` — the same [`RunError`]
-//! classification the CLI exit codes use.
+//! classification the CLI exit codes use. `max_traces` counts work, not
+//! the unfolded trace tree: the rows of the program's trace recording
+//! and the extensions a replay shows its checker. `check-races` and
+//! `check-localdrf` always answer by replay, so a request over either
+//! bound gets the `budget` error.
 //!
 //! The server does not trust its clients: beyond the JSON depth guard,
 //! each request line is size-capped ([`ServeConfig::max_request_bytes`],

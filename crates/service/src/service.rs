@@ -1,32 +1,37 @@
 //! The cache-first check service: the one compute path shared by the CLI
 //! and the TCP server.
 //!
-//! Every query resolves the program's [`CacheKey`](crate::store::CacheKey)
+//! Every query resolves the program's [`CacheKey`]
 //! (canonical fingerprint plus version tag) and consults the
 //! [`ResultStore`] first. On a hit the
 //! response is assembled purely from the cached entry — **zero
 //! transition-semantics steps**, which the test suite asserts through the
 //! engine's probe counter ([`bdrst_core::machine::semantics_probes`]).
-//! On a miss the program is explored exactly once through the existing
-//! engine machinery (`Program::state_graph` records the interned
-//! successor graph; outcomes are read off its terminal states;
-//! [`bdrst_axiomatic::axiomatic_outcomes`] supplies the axiomatic set)
-//! and the entry is inserted for every later query — including later
-//! *processes*, when the store is disk-backed.
+//! On a miss the program is explored exactly once, in public steps
+//! ([`CheckService::operational_outcomes`] records the interned successor
+//! graph and reads the outcomes off its terminal states;
+//! [`CheckService::axiomatic_outcomes`] supplies the axiomatic set;
+//! [`CacheEntry::new`] assembles the entry), and the entry is inserted
+//! for every later query — including later *processes*, when the store
+//! is disk-backed.
+//!
+//! Trace-dependent queries (`check-races`, `check-localdrf`) have one
+//! lane: record the trace graph once ([`CheckService::trace_graph`]) and
+//! replay it; a request over the trace budget fails with `budget`.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use bdrst_core::engine::{EngineConfig, TraceEngine, TraceGraph};
+use bdrst_core::engine::{EngineConfig, ExploreStats, StateGraph, TraceEngine, TraceGraph};
 use bdrst_core::localdrf::{
-    check_local_drf, check_local_drf_replayed, sc_race_freedom_reduced, CheckError, DrfStatus,
+    check_local_drf_replayed, sc_race_freedom_reduced, CheckError, DrfStatus,
 };
 use bdrst_core::trace::LocPredicate;
-use bdrst_lang::Program;
+use bdrst_lang::{Observation, Program, ThreadState};
 use bdrst_litmus::{report_from_outcomes, LitmusTest, RunConfig, RunError, TestReport};
-use bdrst_race::{detect_races_program, detect_races_replayed, DetectorConfig, RaceReport};
+use bdrst_race::{detect_races_replayed, DetectorConfig, RaceReport};
 
-use crate::store::{version_tag, CacheEntry, CacheStats, ResultStore};
+use crate::store::{version_tag, CacheEntry, CacheKey, CacheStats, ResultStore};
 
 /// A cache-aware checking façade over one (shared) [`ResultStore`] and
 /// one [`RunConfig`].
@@ -36,12 +41,14 @@ pub struct CheckService {
     version: u64,
 }
 
-/// One resolved query: the parsed program, its store entry, and whether
-/// the entry came from the cache.
+/// One resolved query: the parsed program, its store key and entry, and
+/// whether the entry came from the cache.
 #[derive(Debug)]
 pub struct Checked {
     /// The parsed program (needed for name-based outcome rendering).
     pub program: Program,
+    /// The key the entry is stored (and re-persisted) under.
+    pub key: CacheKey,
     /// The (possibly just-computed) cache entry.
     pub entry: Arc<CacheEntry>,
     /// True iff the entry was served from the store.
@@ -133,33 +140,52 @@ impl CheckService {
         if let Some(entry) = self.store.lookup(key, &canonical) {
             return Ok(Checked {
                 program,
+                key,
                 entry,
                 cached: true,
             });
         }
         drop(lookup_span);
+        let (op, graph, stats) = self.operational_outcomes(&program)?;
+        let ax = self.axiomatic_outcomes(&program)?;
+        let graph = self.store.persist_graphs().then_some(graph);
+        let entry = CacheEntry::new(canonical, op, ax, stats.visited as u64, graph);
+        let entry = self.store.insert(key, entry);
+        Ok(Checked {
+            program,
+            key,
+            entry,
+            cached: false,
+        })
+    }
+
+    /// The operational step of a miss: the outcome set, read off the
+    /// program's interned state graph, with the graph and the
+    /// exploration's statistics.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Operational`] on budget exhaustion or corruption.
+    pub fn operational_outcomes(
+        &self,
+        program: &Program,
+    ) -> Result<(BTreeSet<Observation>, StateGraph<ThreadState>, ExploreStats), RunError> {
         let (graph, stats) = program
             .state_graph_with(self.config.explore, self.config.strategy)
             .map_err(RunError::Operational)?;
         let op = program.outcomes_from_graph(&graph).set().clone();
-        let ax = bdrst_axiomatic::axiomatic_outcomes(&program, self.config.enumerate)
-            .map_err(RunError::Enumeration)?;
-        let entry = CacheEntry {
-            source: canonical,
-            op,
-            ax,
-            visited_states: stats.visited as u64,
-            graph: self.store.persist_graphs().then_some(graph),
-            global_racefree: std::sync::OnceLock::new(),
-            trace: std::sync::OnceLock::new(),
-            trace_infeasible: std::sync::OnceLock::new(),
-        };
-        let entry = self.store.insert(key, entry);
-        Ok(Checked {
-            program,
-            entry,
-            cached: false,
-        })
+        Ok((op, graph, stats))
+    }
+
+    /// The axiomatic step of a miss: the observations of the program's
+    /// consistent executions under this service's enumeration limits.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Enumeration`] when the search exceeds its limits.
+    pub fn axiomatic_outcomes(&self, program: &Program) -> Result<BTreeSet<Observation>, RunError> {
+        bdrst_axiomatic::axiomatic_outcomes(program, self.config.enumerate)
+            .map_err(RunError::Enumeration)
     }
 
     /// The global-DRF verdict (Theorem 14 hypothesis — every sequentially
@@ -188,9 +214,7 @@ impl CheckService {
         .map_err(RunError::Operational)?;
         let racefree = matches!(status, DrfStatus::RaceFree);
         if checked.entry.global_racefree.set(racefree).is_ok() {
-            if let Ok(key) = self.store.key_for(&checked.program, self.version) {
-                self.store.persist(key, &checked.entry);
-            }
+            self.store.persist(checked.key, &checked.entry);
         }
         Ok(racefree)
     }
@@ -204,43 +228,34 @@ impl CheckService {
     ///
     /// # Errors
     ///
-    /// [`RunError::Operational`] when the *full* (unfiltered) tree
-    /// exceeds the trace budget. Callers that can fall back to a
-    /// filtered live walk do so on budget errors.
+    /// [`RunError::Operational`] when the tree has more distinct machines
+    /// than the trace budget allows. The budget error is memoized in
+    /// [`CacheEntry::trace_infeasible`], so a repeat query fails at once.
     pub fn trace_graph<'e>(&self, checked: &'e Checked) -> Result<&'e TraceGraph, RunError> {
         if let Some(t) = checked.entry.trace.get() {
             return Ok(t);
         }
-        // A previous attempt already proved the full tree does not fit
-        // the budget: don't re-run the doomed recording per request.
         if let Some(e) = checked.entry.trace_infeasible.get() {
             return Err(RunError::Operational(*e));
         }
-        let graph = match TraceEngine::new(self.engine_config())
+        let (graph, _) = TraceEngine::new(self.engine_config())
             .record(&checked.program.locs, checked.program.initial_machine())
-        {
-            Ok((graph, _)) => graph,
-            Err(e) => {
+            .map_err(|e| {
                 if e.is_budget() {
                     let _ = checked.entry.trace_infeasible.set(e);
                 }
-                return Err(RunError::Operational(e));
-            }
-        };
+                RunError::Operational(e)
+            })?;
         if checked.entry.trace.set(graph).is_ok() {
-            if let Ok(key) = self.store.key_for(&checked.program, self.version) {
-                self.store.persist(key, &checked.entry);
-            }
+            self.store.persist(checked.key, &checked.entry);
         }
         Ok(checked.entry.trace.get().expect("just set"))
     }
 
     /// Checks Theorem 13's derived local-DRF property for the locations
-    /// named in `loc_names` (every nonatomic location when empty). The
-    /// verdict replays the cached trace tree ([`CheckService::trace_graph`]
-    /// — one recording answers every `L` set); only when recording the
-    /// full tree exceeds the trace budget does it fall back to a
-    /// filtered live walk.
+    /// named in `loc_names` (every nonatomic location when empty) by
+    /// replaying the cached trace tree ([`CheckService::trace_graph`] —
+    /// one recording answers every `L` set).
     ///
     /// Returns `Ok(true)` when the theorem holds and `Ok(false)` on a
     /// violation (impossible for the paper's semantics).
@@ -248,7 +263,8 @@ impl CheckService {
     /// # Errors
     ///
     /// [`RunError::Parse`] on an unknown location name, and
-    /// [`RunError::Operational`] on engine failures.
+    /// [`RunError::Operational`] on engine failures, budget exhaustion
+    /// included.
     pub fn local_drf(&self, checked: &Checked, loc_names: &[String]) -> Result<bool, RunError> {
         let program = &checked.program;
         let mut l = LocPredicate::default();
@@ -265,17 +281,8 @@ impl CheckService {
                 l.insert(loc);
             }
         }
-        let result = match self.trace_graph(checked) {
-            Ok(graph) => check_local_drf_replayed(&program.locs, graph, &l, self.engine_config()),
-            Err(e) if e.is_budget() => check_local_drf(
-                &program.locs,
-                program.initial_machine(),
-                &l,
-                self.engine_config(),
-            ),
-            Err(e) => return Err(e),
-        };
-        match result {
+        let graph = self.trace_graph(checked)?;
+        match check_local_drf_replayed(&program.locs, graph, &l, self.engine_config()) {
             Ok(_) => Ok(true),
             Err(CheckError::Violation(_)) => Ok(false),
             Err(CheckError::Engine(e)) => Err(RunError::Operational(e)),
@@ -285,25 +292,20 @@ impl CheckService {
     /// Dynamic race detection ([`bdrst_race`]) for a checked program:
     /// replays the detector over the cached trace tree (zero
     /// transition-semantics steps when the entry — including its
-    /// recording — is warm), falling back to a live walk only when the
-    /// full tree exceeds the trace budget.
+    /// recording — is warm).
     ///
     /// # Errors
     ///
     /// [`RunError::Operational`] on budget exhaustion.
     pub fn check_races(&self, checked: &Checked) -> Result<RaceReport, RunError> {
-        let config = DetectorConfig::default();
-        match self.trace_graph(checked) {
-            Ok(graph) => {
-                detect_races_replayed(&checked.program.locs, graph, self.engine_config(), config)
-                    .map_err(RunError::Operational)
-            }
-            Err(e) if e.is_budget() => {
-                detect_races_program(&checked.program, self.engine_config(), config)
-                    .map_err(RunError::Operational)
-            }
-            Err(e) => Err(e),
-        }
+        let graph = self.trace_graph(checked)?;
+        detect_races_replayed(
+            &checked.program.locs,
+            graph,
+            self.engine_config(),
+            DetectorConfig::default(),
+        )
+        .map_err(RunError::Operational)
     }
 
     /// Builds the [`TestReport`] of a built-in corpus test from a checked

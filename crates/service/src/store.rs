@@ -111,16 +111,35 @@ pub struct CacheEntry {
     /// `check-races`) and memoized — warm queries replay it without
     /// running the transition semantics.
     pub trace: OnceLock<TraceGraph>,
-    /// Memoized "the full tree does not fit the trace budget" verdict,
-    /// so later trace-dependent queries go straight to their filtered
-    /// live fallback instead of re-running a doomed recording each
-    /// time. In-memory only (never serialized): budgets can differ
-    /// across processes, and re-probing once per process is cheap
-    /// relative to serving wrong feasibility.
+    /// The budget error a recording of this program returned, memoized
+    /// so a repeat trace-dependent query fails at once instead of
+    /// re-running the recording. In-memory only (never serialized): a
+    /// process re-probes once.
     pub trace_infeasible: OnceLock<EngineError>,
 }
 
 impl CacheEntry {
+    /// An entry with the lazily computed fields (global-DRF verdict,
+    /// trace graph, recording failure) not yet set.
+    pub fn new(
+        source: String,
+        op: BTreeSet<Observation>,
+        ax: BTreeSet<Observation>,
+        visited_states: u64,
+        graph: Option<StateGraph<ThreadState>>,
+    ) -> CacheEntry {
+        CacheEntry {
+            source,
+            op,
+            ax,
+            visited_states,
+            graph,
+            global_racefree: OnceLock::new(),
+            trace: OnceLock::new(),
+            trace_infeasible: OnceLock::new(),
+        }
+    }
+
     fn encode(&self, out: &mut Vec<u8>) {
         self.source.encode(out);
         let op: Vec<&Observation> = self.op.iter().collect();
@@ -172,16 +191,19 @@ impl CacheEntry {
                 })
             }
         };
-        let global = Option::<bool>::decode(r)?;
-        let global_racefree = OnceLock::new();
-        if let Some(v) = global {
-            let _ = global_racefree.set(v);
+        let entry = CacheEntry::new(source, op, ax, visited_states, graph);
+        if let Some(v) = Option::<bool>::decode(r)? {
+            let _ = entry.global_racefree.set(v);
         }
-        let trace = OnceLock::new();
         match u8::decode(r)? {
             0 => {}
             1 => {
-                let _ = trace.set(TraceGraph::decode(r)?);
+                // The graph's labels are checked against the recorded
+                // program's threads and locations.
+                let program = Program::parse(&entry.source)
+                    .map_err(|_| WireError::Invalid("entry source does not parse"))?;
+                let trace = TraceGraph::decode(r, &program.locs, program.threads.len())?;
+                let _ = entry.trace.set(trace);
             }
             tag => {
                 return Err(WireError::BadTag {
@@ -190,16 +212,7 @@ impl CacheEntry {
                 })
             }
         }
-        Ok(CacheEntry {
-            source,
-            op,
-            ax,
-            visited_states,
-            graph,
-            global_racefree,
-            trace,
-            trace_infeasible: OnceLock::new(),
-        })
+        Ok(entry)
     }
 }
 
@@ -499,19 +512,14 @@ mod tests {
         let p = Program::parse(src).unwrap();
         let (graph, stats) = p.state_graph(Default::default()).unwrap();
         let op = p.outcomes_from_graph(&graph).set().clone();
-        (
-            p.clone(),
-            CacheEntry {
-                source: p.to_source(),
-                op,
-                ax: BTreeSet::new(),
-                visited_states: stats.visited as u64,
-                graph: Some(graph),
-                global_racefree: OnceLock::new(),
-                trace: OnceLock::new(),
-                trace_infeasible: OnceLock::new(),
-            },
-        )
+        let entry = CacheEntry::new(
+            p.to_source(),
+            op,
+            BTreeSet::new(),
+            stats.visited as u64,
+            Some(graph),
+        );
+        (p, entry)
     }
 
     const SB: &str = "nonatomic a b;

@@ -280,11 +280,11 @@ fn local_drf_checks_run_per_request_with_named_locations() {
 
 #[test]
 fn infeasible_trace_recordings_are_memoized() {
-    // A trace budget the full unfiltered tree cannot fit: the first
-    // trace-dependent query proves infeasibility, and later ones must
-    // answer from the memo instead of re-running the doomed recording.
+    // A trace budget the recording cannot fit: the first trace-dependent
+    // query proves infeasibility, and later ones must answer from the
+    // memo instead of re-running the doomed recording.
     let mut config = RunConfig::default();
-    config.explore.max_traces = 4; // SB's full tree has 36 extensions
+    config.explore.max_traces = 4; // SB's trace tree has 14 rows
     let service = CheckService::new(Arc::new(ResultStore::in_memory()), config);
     let checked = service
         .check_source(
@@ -302,4 +302,7 @@ fn infeasible_trace_recordings_are_memoized() {
     let second = service.trace_graph(&checked).unwrap_err();
     assert_eq!(first, second);
     assert!(checked.entry.trace.get().is_none());
+    // Both trace-dependent requests fail with that budget error.
+    assert_eq!(service.check_races(&checked).unwrap_err(), first);
+    assert_eq!(service.local_drf(&checked, &[]).unwrap_err(), first);
 }

@@ -80,4 +80,27 @@ fn warm_runs_perform_zero_transition_semantics_steps() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+
+    // A capped request answers by replay. SB's trace tree has 14 rows and
+    // 36 extensions; a budget of 20 records it and replays both checkers
+    // to the uncapped verdicts, and the repeat query runs no semantics.
+    let sb = "nonatomic a b;
+        thread P0 { a = 1; r0 = b; }
+        thread P1 { b = 1; r1 = a; }";
+    let uncapped = CheckService::new(Arc::new(ResultStore::in_memory()), RunConfig::default());
+    let capped = uncapped.fork_tightened(None, Some(20));
+    let full = uncapped.check_source(sb).unwrap();
+    let races = uncapped.check_races(&full).unwrap();
+    let holds = uncapped.local_drf(&full, &[]).unwrap();
+    let first = capped.check_source(sb).unwrap();
+    let graph = capped.trace_graph(&first).unwrap();
+    assert_eq!((graph.rows(), graph.len()), (14, 36));
+    let before = semantics_probes();
+    let checked = capped.check_source(sb).unwrap();
+    assert!(checked.cached, "the capped query missed the cache");
+    let report = capped.check_races(&checked).unwrap();
+    assert_eq!(report.witnesses, races.witnesses);
+    assert_eq!(report.events, races.events);
+    assert_eq!(capped.local_drf(&checked, &[]).unwrap(), holds);
+    assert_eq!(semantics_probes(), before, "the repeat capped query probed");
 }

@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 
 mod common;
-use common::small_program;
+use common::{mp_chain, names, small_program, Src};
 
 use bdrst::axiomatic::{
     consistent_executions, consistent_executions_streaming, for_each_candidate, generate,
@@ -59,57 +59,6 @@ proptest! {
 }
 
 // ---------- small copies of the benchmark's program families ----------
-
-/// Source text builder in the benchmark's layout.
-#[derive(Default)]
-struct Src(String);
-
-impl Src {
-    fn decl(&mut self, kind: &str, names: &[String]) {
-        if !names.is_empty() {
-            self.0 += &format!("{kind} {};\n", names.join(" "));
-        }
-    }
-
-    fn thread(&mut self, index: usize, body: &[String]) {
-        self.0 += &format!("thread P{index} {{\n  {}\n}}\n", body.join("\n  "));
-    }
-
-    /// A guarded message-passing chain over the declared nonatomic
-    /// locations `data`: hop `i` reads flag `i - 1` and, only when it is
-    /// set, reads payload `i - 1`, writes payload `i` and sets flag `i`.
-    fn chain(&mut self, data: &[String]) {
-        let n = data.len();
-        self.decl("atomic", &names("f", n - 1));
-        self.thread(0, &[format!("{} = 3;", data[0]), "f0 = 1;".to_string()]);
-        for i in 1..n {
-            let mut guarded = vec![format!("r1 = {};", data[i - 1])];
-            if i + 1 < n {
-                guarded.push(format!("{} = r1 + 1;", data[i]));
-                guarded.push(format!("f{i} = 1;"));
-            }
-            self.thread(
-                i,
-                &[
-                    format!("r0 = f{};", i - 1),
-                    format!("if (r0 == 1) {{ {} }}", guarded.join(" ")),
-                ],
-            );
-        }
-    }
-}
-
-fn names(prefix: &str, n: usize) -> Vec<String> {
-    (0..n).map(|i| format!("{prefix}{i}")).collect()
-}
-
-fn mp_chain(threads: usize) -> String {
-    let mut s = Src::default();
-    let data = names("d", threads);
-    s.decl("nonatomic", &data);
-    s.chain(&data);
-    s.0
-}
 
 /// A chain over `threads` payload slots scattered among `padding`
 /// declared locations that nothing else touches.

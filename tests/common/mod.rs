@@ -1,7 +1,8 @@
 //! Shared random-program generators for the integration suites
 //! (`properties`, `engine_agreement`, `differential`): one definition of
 //! the generated fragment, so widening it (more threads, fences, ...)
-//! widens every suite at once.
+//! widens every suite at once. Also a source builder for in-repo copies
+//! of the benchmark's program families.
 
 use proptest::prelude::*;
 
@@ -90,4 +91,61 @@ pub fn small_program() -> impl Strategy<Value = Program> {
             ],
         }
     })
+}
+
+/// Source text builder in the benchmark's layout.
+#[allow(dead_code)]
+#[derive(Default)]
+pub struct Src(pub String);
+
+#[allow(dead_code)]
+impl Src {
+    pub fn decl(&mut self, kind: &str, names: &[String]) {
+        if !names.is_empty() {
+            self.0 += &format!("{kind} {};\n", names.join(" "));
+        }
+    }
+
+    pub fn thread(&mut self, index: usize, body: &[String]) {
+        self.0 += &format!("thread P{index} {{\n  {}\n}}\n", body.join("\n  "));
+    }
+
+    /// A guarded message-passing chain over the declared nonatomic
+    /// locations `data`: hop `i` reads flag `i - 1` and, only when it is
+    /// set, reads payload `i - 1`, writes payload `i` and sets flag `i`.
+    pub fn chain(&mut self, data: &[String]) {
+        let n = data.len();
+        self.decl("atomic", &names("f", n - 1));
+        self.thread(0, &[format!("{} = 3;", data[0]), "f0 = 1;".to_string()]);
+        for i in 1..n {
+            let mut guarded = vec![format!("r1 = {};", data[i - 1])];
+            if i + 1 < n {
+                guarded.push(format!("{} = r1 + 1;", data[i]));
+                guarded.push(format!("f{i} = 1;"));
+            }
+            self.thread(
+                i,
+                &[
+                    format!("r0 = f{};", i - 1),
+                    format!("if (r0 == 1) {{ {} }}", guarded.join(" ")),
+                ],
+            );
+        }
+    }
+}
+
+/// `prefix0` .. `prefix{n-1}`.
+#[allow(dead_code)]
+pub fn names(prefix: &str, n: usize) -> Vec<String> {
+    (0..n).map(|i| format!("{prefix}{i}")).collect()
+}
+
+/// The benchmark's guarded message-passing chain `mp-chain-{threads}`.
+#[allow(dead_code)]
+pub fn mp_chain(threads: usize) -> String {
+    let mut s = Src::default();
+    let data = names("d", threads);
+    s.decl("nonatomic", &data);
+    s.chain(&data);
+    s.0
 }

@@ -1,7 +1,7 @@
 //! Local-DRF differential suite: the production `check-localdrf` lane
 //! replays Theorem 13 over a recorded trace graph
-//! (`check_local_drf_replayed`), falling back to the live walk
-//! (`check_local_drf`). On the whole litmus corpus and on 128 generated
+//! (`check_local_drf_replayed`); the live walk (`check_local_drf`) is
+//! its oracle. On the whole litmus corpus and on 128 generated
 //! programs, with `L` = every nonatomic location and each singleton,
 //! both must return the same verdict and statistics, and the replay must
 //! not probe the transition semantics at all.

@@ -11,15 +11,17 @@
 use proptest::prelude::*;
 
 mod common;
-use common::small_program;
+use common::{mp_chain, small_program};
 
 use bdrst::core::engine::{
     Control, EngineConfig, EngineError, ExploreStats, ReplayStep, ReplayVisitor, TraceEngine,
     TraceGraph,
 };
-use bdrst::core::localdrf::{check_global_drf, sc_race_freedom, DrfStatus};
+use bdrst::core::localdrf::{
+    check_global_drf, check_local_drf_replayed, sc_race_freedom, DrfStatus,
+};
 use bdrst::core::machine::{ThreadId, TransitionLabel};
-use bdrst::core::trace::TraceLabels;
+use bdrst::core::trace::{LocPredicate, TraceLabels};
 use bdrst::lang::Program;
 use bdrst::litmus::all_tests;
 use bdrst::race::{
@@ -55,8 +57,10 @@ fn verdict(report: Result<RaceReport, EngineError>) -> Verdict {
 /// The memoized replay ([`detect_races_replayed`]) against the detector
 /// over the unfolded tree, for the default detector, one stopping at its
 /// first witness and one scanning weak traces too. On a tree of at most
-/// `sweep` extensions the default detector is also compared under every
-/// trace budget up to the tree's size.
+/// `sweep` extensions, every trace budget up to the tree's size trips
+/// each replay of the default detector exactly when it is below the
+/// extensions that replay shows the detector, and leaves its report
+/// unchanged otherwise.
 fn assert_memo_matches_unfolded(name: &str, p: &Program, graph: &TraceGraph, sweep: usize) {
     let first_race = DetectorConfig {
         max_witnesses: 1,
@@ -66,23 +70,48 @@ fn assert_memo_matches_unfolded(name: &str, p: &Program, graph: &TraceGraph, swe
         sc_only: false,
         ..DetectorConfig::default()
     };
-    let compare = |engine: EngineConfig, config: DetectorConfig| {
-        let memo = verdict(detect_races_replayed(&p.locs, graph, engine, config));
+    let unfolded = |engine: EngineConfig, config: DetectorConfig| {
         let mut unfolded = Unfolded(RaceDetector::new(&p.locs, config));
         let stats = graph.replay(engine, &mut unfolded);
-        let unfolded = verdict(stats.map(|stats| unfolded.0.into_report(stats)));
-        assert_eq!(memo, unfolded, "{name}: {config:?}, {engine:?}");
+        let shown = unfolded.0.events() as usize;
+        (
+            verdict(stats.map(|stats| unfolded.0.into_report(stats))),
+            shown,
+        )
     };
     for config in [DetectorConfig::default(), first_race, weak_too] {
-        compare(cfg(), config);
+        let memo = verdict(detect_races_replayed(&p.locs, graph, cfg(), config));
+        assert_eq!(memo, unfolded(cfg(), config).0, "{name}: {config:?}");
     }
     if graph.len() <= sweep {
+        let config = DetectorConfig::default();
+        let uncapped = verdict(detect_races_replayed(&p.locs, graph, cfg(), config));
+        let mut memo = RaceDetector::new(&p.locs, config);
+        graph.replay(cfg(), &mut memo).unwrap();
+        let shown = memo.events() as usize;
+        let unfolded_shown = unfolded(cfg(), config).1;
         for max_traces in 0..=graph.len() {
             let engine = EngineConfig {
                 max_states: usize::MAX,
                 max_traces,
             };
-            compare(engine, DetectorConfig::default());
+            let expected = |shown| {
+                if max_traces >= shown {
+                    uncapped.clone()
+                } else {
+                    Err(EngineError::budget(max_traces + 1))
+                }
+            };
+            assert_eq!(
+                verdict(detect_races_replayed(&p.locs, graph, engine, config)),
+                expected(shown),
+                "{name}: {engine:?}, memoized"
+            );
+            assert_eq!(
+                unfolded(engine, config).0,
+                expected(unfolded_shown),
+                "{name}: {engine:?}, unfolded"
+            );
         }
     }
 }
@@ -245,26 +274,7 @@ fn perfbench_shapes() -> Vec<(String, String)> {
     }
     shapes.push(("mp-2x2".to_string(), src));
     for n in [4, 5] {
-        let data: Vec<String> = (0..n).map(|i| format!("d{i}")).collect();
-        let flags: Vec<String> = (0..n - 1).map(|i| format!("f{i}")).collect();
-        let mut src = format!(
-            "nonatomic {};\natomic {};\n",
-            data.join(" "),
-            flags.join(" ")
-        );
-        src += &thread(0, &["d0 = 1;".into(), "f0 = 1;".into()]);
-        for i in 1..n {
-            let mut guarded = format!("r1 = d{};", i - 1);
-            if i + 1 < n {
-                guarded += &format!(" d{i} = r1 + 1; f{i} = 1;");
-            }
-            let body = [
-                format!("r0 = f{};", i - 1),
-                format!("if (r0 == 1) {{ {guarded} }}"),
-            ];
-            src += &thread(i, &body);
-        }
-        shapes.push((format!("mp-chain-{n}"), src));
+        shapes.push((format!("mp-chain-{n}"), mp_chain(n)));
     }
     shapes
 }
@@ -278,6 +288,24 @@ fn memoized_replay_matches_unfolded_on_perfbench_shapes() {
             .unwrap_or_else(|e| panic!("{name}: recording failed: {e}"));
         assert_memo_matches_unfolded(&name, &p, &graph, 0);
     }
+}
+
+#[test]
+fn mp_chain_6_records_and_replays_under_the_default_budget() {
+    // 73.9 M extensions, far over the default trace budget of 10 M, fold
+    // into 1 332 rows; the memoized replays show their checkers a few
+    // thousand extensions.
+    let p = Program::parse(&mp_chain(6)).unwrap();
+    let (graph, _) = TraceEngine::new(cfg())
+        .record(&p.locs, p.initial_machine())
+        .unwrap();
+    assert_eq!(graph.rows(), 1332);
+    assert!(graph.len() > cfg().max_traces, "{}", graph.len());
+    let report = detect_races_replayed(&p.locs, &graph, cfg(), DetectorConfig::default()).unwrap();
+    assert!(!report.racy(), "{:?}", report.witnesses);
+    assert_eq!(report.events, report.stats.visited as u64);
+    let l: LocPredicate = p.locs.nonatomic().collect();
+    check_local_drf_replayed(&p.locs, &graph, &l, cfg()).expect("Theorem 13 holds");
 }
 
 proptest! {
