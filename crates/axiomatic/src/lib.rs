@@ -26,6 +26,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod enumerate;
 pub mod equiv;
 pub mod event;

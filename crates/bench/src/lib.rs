@@ -12,3 +12,5 @@
 //! `engine_baseline` binary records that comparison as JSON under
 //! `baselines/` (with the host's core count, since a single-core host
 //! cannot show a parallel win) so later PRs have a perf trajectory.
+
+#![forbid(unsafe_code)]

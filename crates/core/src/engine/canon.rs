@@ -288,51 +288,34 @@ pub fn canonicalize<E: Expr>(locs: &LocSet, m: &Machine<E>) -> Result<CanonState
 
 /// Test-only fingerprint truncation, used to force collisions: correctness
 /// must not depend on fingerprints being collision-free, and the forced
-/// collision suite proves it. The mask is process-global, and dedup stays
-/// *correct* under any mask — but tests that assert fingerprint
-/// *distinctness* would fail under a truncated mask, so every
-/// mask-sensitive test (forcing or asserting distinctness) serializes
-/// through the same lock via [`force`]/[`unforced`].
+/// collision suite proves it. The mask is per thread, so it truncates only
+/// the forcing test's own walks: a walk on another test thread that saw
+/// the mask change midway would file one state under two fingerprints and
+/// count it twice.
 #[cfg(test)]
 pub(crate) mod collisions {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Mutex, MutexGuard};
+    use std::cell::Cell;
 
-    static MASK: AtomicU64 = AtomicU64::new(u64::MAX);
-    static SERIAL: Mutex<()> = Mutex::new(());
+    thread_local! {
+        static MASK: Cell<u64> = const { Cell::new(u64::MAX) };
+    }
 
     pub(crate) fn mask() -> u64 {
-        MASK.load(Ordering::Relaxed)
+        MASK.with(Cell::get)
     }
 
-    fn serialize() -> MutexGuard<'static, ()> {
-        // A panicking mask test must not wedge the others.
-        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Truncates every fingerprint to `bits` low bits until the guard
-    /// drops, holding the serialization lock for the guard's lifetime.
+    /// Truncates every fingerprint this thread computes to `bits` low
+    /// bits until the guard drops.
     pub(crate) fn force(bits: u32) -> Guard {
-        let lock = serialize();
-        MASK.store((1u64 << bits) - 1, Ordering::Relaxed);
-        Guard { _lock: lock }
+        MASK.with(|m| m.set((1u64 << bits) - 1));
+        Guard
     }
 
-    /// Holds the serialization lock with the mask at full width: for
-    /// tests asserting that distinct states get distinct fingerprints.
-    pub(crate) fn unforced() -> Guard {
-        let lock = serialize();
-        MASK.store(u64::MAX, Ordering::Relaxed);
-        Guard { _lock: lock }
-    }
-
-    pub(crate) struct Guard {
-        _lock: MutexGuard<'static, ()>,
-    }
+    pub(crate) struct Guard;
 
     impl Drop for Guard {
         fn drop(&mut self) {
-            MASK.store(u64::MAX, Ordering::Relaxed);
+            MASK.with(|m| m.set(u64::MAX));
         }
     }
 }
@@ -352,10 +335,10 @@ pub(crate) mod collisions {
 ///
 /// The fingerprint is a pure function of the [`CanonState`] content
 /// (canonically equal machines always collide; unequal machines collide
-/// with probability ~2⁻⁶⁴), and it is deterministic across processes —
-/// the same property [`crate::engine::Hashed`] provides for full states.
-/// It is **not** the same value as hashing the built `CanonState`; the
-/// two hash spaces are independent.
+/// with probability ~2⁻⁶⁴), and it is deterministic across processes,
+/// as hashing a built state with [`DefaultHasher`]'s default keys is. It
+/// is **not** the same value as hashing the built `CanonState`; the two
+/// hash spaces are independent.
 ///
 /// # Errors
 ///
@@ -504,7 +487,6 @@ mod tests {
         // Equal canonical forms ⇒ equal fingerprints, and (on this space)
         // distinct canonical forms get distinct fingerprints; canon_matches
         // agrees with built-form equality in both directions.
-        let _guard = collisions::unforced();
         let (locs, machines) = zoo();
         for m1 in &machines {
             let c1 = canonicalize(&locs, m1).unwrap();
@@ -520,7 +502,6 @@ mod tests {
 
     #[test]
     fn fingerprint_ignores_timestamp_representatives() {
-        let _guard = collisions::unforced();
         let mut locs = LocSet::new();
         let a = locs.fresh("a", LocKind::Nonatomic);
         let p = RecordedExpr::new(vec![]);

@@ -1,12 +1,11 @@
 //! Canonical-state interning: fingerprint-first dedup, dense `u32` ids,
 //! and id-indexed canonical state storage.
 //!
-//! The first-generation interner kept a `HashMap<Hashed<CanonState>, _>`:
-//! every probe — visit or re-visit — had to *build* the full canonical
-//! state (fresh `Vec`s for the store, every frontier, and every thread)
-//! before it could be hashed. This version probes by the 64-bit
+//! Interning probes by the 64-bit
 //! [`canonical fingerprint`](crate::engine::canonical_fingerprint), which
-//! streams the same canonical content into a hasher without building it:
+//! streams the canonical content into a hasher without building the full
+//! canonical state (fresh `Vec`s for the store, every frontier, and every
+//! thread):
 //!
 //! * **re-visit (hot path)**: fingerprint → bucket → verified streaming
 //!   equality against the stored state ([`crate::engine::canon_matches`]) —
@@ -27,10 +26,11 @@
 //! Two flavours share the same claim semantics:
 //!
 //! * [`StateInterner`] — single-threaded, used by the worklist engine;
-//! * [`SharedInterner`] — lock-striped across shards, used by the parallel
-//!   and work-stealing engines. `claim_with` admits each canonical state
-//!   exactly once across all threads, which is what makes parallel
-//!   exploration outcome-equivalent to sequential exploration.
+//! * [`SharedInterner`] — lock-striped across shards, used by the
+//!   work-stealing engine. [`SharedInterner::claim_or_intern_with`] admits
+//!   each canonical state exactly once across all threads, which is what
+//!   makes parallel exploration outcome-equivalent to sequential
+//!   exploration.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -54,54 +54,6 @@ impl StateId {
 impl fmt::Debug for StateId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "s{}", self.0)
-    }
-}
-
-/// A value carrying its own precomputed hash.
-///
-/// Hashing a [`crate::engine::CanonState`] walks the whole store and every
-/// thread; `Hashed` does that walk exactly once. The hasher is
-/// [`DefaultHasher`] *with its default keys*, which is deterministic
-/// across processes and runs — a property the engine tests rely on.
-#[derive(Clone, Debug)]
-pub struct Hashed<T> {
-    hash: u64,
-    value: T,
-}
-
-impl<T: Hash> Hashed<T> {
-    /// Wraps `value`, computing its hash once.
-    pub fn new(value: T) -> Hashed<T> {
-        let mut h = DefaultHasher::new();
-        value.hash(&mut h);
-        Hashed {
-            hash: h.finish(),
-            value,
-        }
-    }
-
-    /// The precomputed 64-bit hash.
-    pub fn hash64(&self) -> u64 {
-        self.hash
-    }
-
-    /// The wrapped value.
-    pub fn get(&self) -> &T {
-        &self.value
-    }
-}
-
-impl<T: PartialEq> PartialEq for Hashed<T> {
-    fn eq(&self, other: &Hashed<T>) -> bool {
-        self.hash == other.hash && self.value == other.value
-    }
-}
-
-impl<T: Eq> Eq for Hashed<T> {}
-
-impl<T> Hash for Hashed<T> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
     }
 }
 
@@ -170,11 +122,6 @@ impl<T> StateInterner<T> {
     /// Panics if `id` was not issued by this interner.
     pub fn state(&self, id: StateId) -> &T {
         &self.states[id.index()]
-    }
-
-    /// All interned states, in id order.
-    pub fn states(&self) -> &[T] {
-        &self.states
     }
 
     /// Consumes the interner, returning the id-ordered states (the state
@@ -283,19 +230,6 @@ impl<T> SharedInterner<T> {
         (id, true)
     }
 
-    /// Fingerprint-first claim: `Some(id)` iff this call admitted the
-    /// state (exactly one concurrent caller wins), `None` if it was
-    /// already interned.
-    pub fn claim_with(
-        &self,
-        fingerprint: u64,
-        matches: impl FnMut(&T) -> bool,
-        build: impl FnOnce() -> T,
-    ) -> Option<StateId> {
-        let (id, fresh) = self.claim_or_intern_with(fingerprint, matches, build);
-        fresh.then_some(id)
-    }
-
     /// Consumes the interner, returning the states in id order.
     ///
     /// # Panics
@@ -326,27 +260,6 @@ impl<T> SharedInterner<T> {
     /// True if nothing has been claimed.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-impl<T: Hash + Eq> SharedInterner<T> {
-    /// Claims a fully built `value`: `Some(id)` iff this call admitted it.
-    /// The full-state reference path; engines claim through
-    /// [`SharedInterner::claim_with`].
-    pub fn claim(&self, value: T) -> Option<StateId> {
-        let mut h = DefaultHasher::new();
-        value.hash(&mut h);
-        let fp = h.finish();
-        let mut shard = self.shards[Self::shard_of(fp)]
-            .lock()
-            .expect("interner shard poisoned");
-        let bucket = shard.entry(fp).or_default();
-        if bucket.iter().any(|(_, t)| *t == value) {
-            return None;
-        }
-        let id = StateId(self.next.fetch_add(1, Ordering::Relaxed));
-        bucket.push((id, value));
-        Some(id)
     }
 }
 
@@ -396,14 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn hashed_hash_is_deterministic_across_constructions() {
-        let a = Hashed::new((1u32, vec![2u8, 3]));
-        let b = Hashed::new((1u32, vec![2u8, 3]));
-        assert_eq!(a.hash64(), b.hash64());
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn shared_claim_admits_each_value_exactly_once() {
         let interner = SharedInterner::new();
         let wins = AtomicUsize::new(0);
@@ -411,7 +316,7 @@ mod tests {
             for _ in 0..8 {
                 s.spawn(|| {
                     for v in 0..100u32 {
-                        if interner.claim(v).is_some() {
+                        if interner.claim_or_intern_with(v.into(), |t| *t == v, || v).1 {
                             wins.fetch_add(1, Ordering::Relaxed);
                         }
                     }
@@ -452,7 +357,7 @@ mod tests {
             for _ in 0..8 {
                 s.spawn(|| {
                     for v in 0..50u32 {
-                        if interner.claim_with(42, |t| *t == v, || v).is_some() {
+                        if interner.claim_or_intern_with(42, |t| *t == v, || v).1 {
                             wins.fetch_add(1, Ordering::Relaxed);
                         }
                     }

@@ -40,9 +40,6 @@
 //!   as a DAG with one row per distinct machine; both replay new
 //!   predicates ([`ReplayVisitor`]) without re-running the transition
 //!   semantics.
-//! * **[`deque::ChaseLev`]** ([`deque`]) — the lock-free work-stealing
-//!   deque under [`StealDeques`]: latched owner ops, CAS-only steals,
-//!   `unsafe` confined to that module.
 //! * **[`EngineError`]** — the structured error surface: budget
 //!   exhaustion and corrupted-frontier detection (formerly a panic in
 //!   `canonicalize`).
@@ -99,7 +96,6 @@
 //! ```
 
 pub mod canon;
-pub mod deque;
 pub mod dpor;
 pub mod graph;
 pub mod intern;
@@ -116,12 +112,11 @@ use crate::trace::TraceLabels;
 
 use canon::RankTable;
 pub use canon::{canon_matches, canonical_fingerprint, canonicalize, CanonState};
-pub use deque::ChaseLev;
 pub use dpor::{dpor_reachable_terminals, full_complete_traces, Dependence, DporEngine, DporStats};
 pub use graph::{ReplayStep, ReplayVisitor, StateGraph, TraceGraph};
-pub use intern::{Hashed, SharedInterner, StateId, StateInterner};
+pub use intern::{SharedInterner, StateId, StateInterner};
 pub use parallel::{parallel_map, parallel_map_with};
-pub use steal::{engine_threads, StealDeques, WorkStealingEngine};
+pub use steal::{engine_threads, WorkStealingEngine};
 pub use worklist::{TraceEngine, WorklistEngine};
 
 /// How the sequential worklist engine identifies states for dedup.

@@ -1,24 +1,23 @@
 //! The fork/join helper behind the corpus sweeps.
 //!
-//! [`parallel_map`] shards an arbitrary slice over the same deque-based
-//! work-stealing substrate as [`crate::engine::WorkStealingEngine`]
-//! ([`crate::engine::steal`]): the litmus corpus runner shards tests
-//! across it, the §8 simulator shards workloads across it, and the
-//! axiomatic search shards its top subtrees across it. Items
-//! are seeded round-robin onto per-worker deques; a worker that drains
-//! its own deque steals from the others, so uneven item costs (litmus
-//! tests vary by orders of magnitude) still balance without a shared
-//! cursor in the hot path.
+//! [`parallel_map`] shards an arbitrary slice over a scoped worker pool:
+//! the litmus corpus runner shards tests across it, the §8 simulator
+//! shards workloads across it, and the axiomatic search shards its top
+//! subtrees across it. Workers take item indices from one shared atomic
+//! cursor, so uneven item costs (litmus tests vary by orders of
+//! magnitude) still balance; items are coarse, so one `fetch_add` per
+//! item is noise.
 
-use crate::engine::steal::{engine_threads, StealDeques};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use crate::engine::steal::engine_threads;
 
 /// Applies `f` to every item of `items` across all available cores,
 /// preserving input order in the result.
 ///
-/// Items are seeded round-robin onto per-worker stealing deques
-/// ([`StealDeques`]); a worker that exhausts its own deque steals from
-/// the others, so uneven item costs (litmus tests vary by orders of
-/// magnitude) still balance. Panics in `f` propagate to the caller.
+/// Each worker takes the next unclaimed index from a shared cursor, so
+/// a worker that finishes a cheap item moves straight on to the next
+/// one. Panics in `f` propagate to the caller.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -41,21 +40,19 @@ where
     if workers <= 1 {
         return items.iter().map(f).collect();
     }
-    let deques: StealDeques<usize> = StealDeques::new(workers);
-    for i in 0..items.len() {
-        deques.push(i % workers, i);
-    }
+    let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let (deques, f) = (&deques, &f);
+            .map(|_| {
+                let (next, f) = (&next, &f);
                 scope.spawn(move || {
                     let mut out = Vec::new();
-                    while let Some(i) = deques.take(w) {
-                        out.push((i, f(&items[i])));
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break out };
+                        out.push((i, f(item)));
                     }
-                    out
                 })
             })
             .collect();

@@ -53,6 +53,8 @@
 //! # Ok::<(), bdrst_core::engine::EngineError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod explore;
 pub mod frontier;

@@ -3,10 +3,12 @@
 //! on the message-passing and store-buffering shapes, and determinism of
 //! canonical hashing.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
+use std::hash::{Hash, Hasher};
 
 use bdrst_core::engine::{
-    canonicalize, Control, EngineConfig, EngineError, Hashed, StateId, Strategy,
+    canonicalize, CanonState, Control, EngineConfig, EngineError, StateId, Strategy,
     WorkStealingEngine, WorklistEngine,
 };
 use bdrst_core::explore::reachable_terminals;
@@ -144,17 +146,25 @@ fn budget_exhaustion_is_uniform_across_engines() {
     }
 }
 
+/// The full-state interning hash: `DefaultHasher` with its default keys.
+fn canon_hash(c: &CanonState<RecordedExpr>) -> u64 {
+    let mut h = DefaultHasher::new();
+    c.hash(&mut h);
+    h.finish()
+}
+
 #[test]
 fn canonical_hashing_is_deterministic() {
     // Build the same logical machine twice, independently, and compare
-    // the one-shot hashes the interner stores. DefaultHasher with default
-    // keys is deterministic across processes within a toolchain, so
-    // equality of independently computed hashes is the per-run witness.
+    // the hashes the full-state interner probes by. DefaultHasher with
+    // default keys is deterministic across processes within a toolchain,
+    // so equality of independently computed hashes is the per-run
+    // witness.
     let (locs, a, _b, f) = locs_abf();
-    let h1 = Hashed::new(canonicalize(&locs, &message_passing(&locs, a, f)).unwrap());
-    let h2 = Hashed::new(canonicalize(&locs, &message_passing(&locs, a, f)).unwrap());
-    assert_eq!(h1.hash64(), h2.hash64());
-    assert_eq!(h1, h2);
+    let c1 = canonicalize(&locs, &message_passing(&locs, a, f)).unwrap();
+    let c2 = canonicalize(&locs, &message_passing(&locs, a, f)).unwrap();
+    assert_eq!(canon_hash(&c1), canon_hash(&c2));
+    assert_eq!(c1, c2);
 
     // And through an actual run: explore MP twice, collecting canonical
     // hashes of every visited state; the multisets must coincide.
@@ -162,7 +172,7 @@ fn canonical_hashing_is_deterministic() {
         let mut hs: Vec<u64> = Vec::new();
         WorklistEngine::new(EngineConfig::default())
             .explore(&locs, m0, &mut |m: &Machine<RecordedExpr>, _: StateId| {
-                hs.push(Hashed::new(canonicalize(&locs, m).unwrap()).hash64());
+                hs.push(canon_hash(&canonicalize(&locs, m).unwrap()));
                 Control::Continue
             })
             .unwrap();

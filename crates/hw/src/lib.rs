@@ -23,6 +23,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod arm;
 pub mod compile;
 pub mod exec;

@@ -33,6 +33,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod parser;
 pub mod program;

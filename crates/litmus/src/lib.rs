@@ -25,6 +25,8 @@
 //! # Ok::<(), bdrst_litmus::runner::RunError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod corpus;
 pub mod runner;
 

@@ -478,7 +478,7 @@ mod tests {
     #[test]
     fn work_stealing_sweep_matches_sequential_sweep() {
         // The whole corpus under the work-stealing strategy, itself
-        // sharded test-by-test over the stealing pool: reports must be
+        // sharded test-by-test over the parallel map: reports must be
         // identical to the fully sequential sweep.
         let ws = RunConfig {
             strategy: Strategy::WorkStealing,

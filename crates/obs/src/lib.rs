@@ -41,6 +41,8 @@
 //!   to an installable [`ProgressSink`] (CLI `--progress`, the server's
 //!   `status` command).
 
+#![forbid(unsafe_code)]
+
 mod counters;
 pub mod flight;
 pub mod log;

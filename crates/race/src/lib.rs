@@ -47,6 +47,8 @@
 //! assert!(w.space_bound().contains(&w.loc));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod detect;
 pub mod shrink;
 

@@ -49,6 +49,8 @@
 //! # Ok::<(), bdrst_litmus::RunError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod corpusdir;
 pub mod json;
 pub mod metrics;

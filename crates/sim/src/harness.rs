@@ -4,11 +4,11 @@
 //!
 //! The 29-workload sweep is embarrassingly parallel (each row simulates
 //! four independent instruction streams), so [`figure5`] shards workloads
-//! across the core engine's [`parallel_map`] rather than looping. Since
-//! the engine grew its work-stealing pool, the map seeds workloads onto
-//! per-worker deques and idle workers steal — workload costs vary with
-//! the padded access rate, so the sweep no longer straggles on the
-//! slowest rows (the worker count honours `BDRST_ENGINE_THREADS`).
+//! across the core engine's [`parallel_map`] rather than looping. Its
+//! workers take the next unclaimed workload from a shared cursor —
+//! workload costs vary with the padded access rate, so the sweep does not
+//! straggle on the slowest rows (the worker count honours
+//! `BDRST_ENGINE_THREADS`).
 
 use bdrst_core::engine::parallel_map;
 use rand::rngs::StdRng;

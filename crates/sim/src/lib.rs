@@ -21,6 +21,8 @@
 //! println!("{}", format_figure5(&fig));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cpu;
 pub mod harness;
 pub mod schemes;

@@ -40,6 +40,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use bdrst_axiomatic as axiomatic;
 pub use bdrst_core as core;
 pub use bdrst_hw as hw;
