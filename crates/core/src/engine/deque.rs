@@ -1,438 +1,215 @@
-//! A Chase–Lev work-stealing deque: lock-free steals, allocation-free
-//! owner operations, bounded `unsafe`.
+//! The per-worker deques of the work-stealing state recorder
+//! ([`crate::engine::WorkStealingEngine`], its only user).
 //!
-//! This is the deque of Chase & Lev, *Dynamic Circular Work-Stealing
-//! Deque* (SPAA 2005), with the memory orderings of Lê, Pop, Cohen &
-//! Zappa Nardelli, *Correct and Efficient Work-Stealing for Weak Memory
-//! Models* (PPoPP 2013):
-//!
-//! * the **owner** pushes and pops at the *bottom* of a circular buffer
-//!   with plain loads/stores (one `SeqCst` fence and, for the last
-//!   element, one CAS);
-//! * **thieves** take from the *top* with a CAS — no locks anywhere on
-//!   the steal path, so a stalled thief never blocks the owner or other
-//!   thieves;
-//! * when the buffer fills, the owner grows it; *retired* buffers stay
-//!   alive until the deque drops, because a concurrent thief may still be
-//!   reading them (the classic leak-until-drop reclamation, bounded by
-//!   log₂(peak size) buffers).
-//!
-//! One deviation from the textbook structure: the owner side is guarded
-//! by an *owner latch* (a `Mutex<()>`). Chase–Lev is only correct when
-//! push/pop are called from a single thread at a time, but
-//! [`crate::engine::StealDeques`] exposes a safe `&self` API; the latch
-//! turns the "single owner" protocol requirement into a runtime
-//! guarantee instead of library-level UB. Used correctly (one owner
-//! thread), the latch is never contended and costs one uncontended
-//! lock/unlock per operation — the *steal* path, where the contention
-//! actually lives, takes no lock at all.
-//!
-//! All `unsafe` in this workspace's deques is confined to this module;
-//! the invariants are spelled out inline. The stress tests at the bottom
-//! hammer the push/pop/steal races across threads and check element
-//! conservation and drop-exactly-once.
+//! Each worker's deque is a `Mutex<VecDeque>`: the owner pushes and pops
+//! at the back (LIFO: the hottest subtree stays in cache), and a thief
+//! takes from the front (FIFO: the oldest entry roots the largest
+//! unexplored subtree). The module is safe code throughout; the
+//! synchronisation is the per-deque lock.
 
-use std::mem::MaybeUninit;
-use std::ptr;
-use std::sync::atomic::{AtomicIsize, AtomicPtr, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// The outcome of one steal attempt.
-#[derive(Debug)]
-pub enum Steal<T> {
-    /// The deque was observed empty.
-    Empty,
-    /// Lost a race with another thief (or the owner taking the last
-    /// element); retrying may succeed.
-    Retry,
-    /// Stole one element.
-    Success(T),
+/// One deque per worker, with LIFO owner access and FIFO stealing.
+///
+/// Each deque's length is mirrored in a relaxed hint, written under the
+/// lock, so a thief skips an empty victim without taking its lock. A
+/// stale hint costs at most one wasted lock or one missed steal that the
+/// idle loop retries.
+pub(super) struct StealDeques<T> {
+    queues: Vec<WorkerDeque<T>>,
 }
 
-/// A growable circular buffer of `MaybeUninit<T>` slots. Slots in
-/// `top..bottom` are initialized; everything else is garbage. Raw reads
-/// and writes go through indices that increase monotonically and are
-/// masked into the array.
-struct Buffer<T> {
-    data: *mut MaybeUninit<T>,
-    cap: usize,
+struct WorkerDeque<T> {
+    items: Mutex<VecDeque<T>>,
+    len_hint: AtomicUsize,
 }
 
-impl<T> Buffer<T> {
-    fn alloc(cap: usize) -> *mut Buffer<T> {
-        debug_assert!(cap.is_power_of_two());
-        let mut slots: Vec<MaybeUninit<T>> = Vec::with_capacity(cap);
-        // SAFETY: MaybeUninit<T> is valid uninitialized; the length equals
-        // the capacity just reserved.
-        unsafe { slots.set_len(cap) };
-        let data = Box::into_raw(slots.into_boxed_slice()) as *mut MaybeUninit<T>;
-        Box::into_raw(Box::new(Buffer { data, cap }))
-    }
-
-    /// Frees the buffer *array* (not the elements — callers drain those
-    /// first, or the bits are duplicates whose owners live elsewhere).
-    ///
-    /// # Safety
-    ///
-    /// `buf` must come from [`Buffer::alloc`] and not be freed twice.
-    unsafe fn dealloc(buf: *mut Buffer<T>) {
-        let b = Box::from_raw(buf);
-        drop(Box::from_raw(ptr::slice_from_raw_parts_mut(b.data, b.cap)));
-    }
-
-    unsafe fn slot(&self, i: isize) -> *mut MaybeUninit<T> {
-        self.data.add(i as usize & (self.cap - 1))
-    }
-
-    /// Copies the bits out of slot `i` without claiming ownership.
-    ///
-    /// # Safety
-    ///
-    /// Caller must only `assume_init` the result while it has exclusive
-    /// logical ownership of index `i` (owner with `top < bottom`, or a
-    /// thief whose CAS on `top` succeeded).
-    unsafe fn read(&self, i: isize) -> MaybeUninit<T> {
-        ptr::read(self.slot(i))
-    }
-
-    /// # Safety
-    ///
-    /// Caller must own index `i` (the owner writing at `bottom`).
-    unsafe fn write(&self, i: isize, v: T) {
-        ptr::write(self.slot(i), MaybeUninit::new(v));
+impl<T> WorkerDeque<T> {
+    /// Runs `f` on the locked items and refreshes the length hint.
+    fn with<R>(&self, f: impl FnOnce(&mut VecDeque<T>) -> R) -> R {
+        let mut items = self.items.lock().expect("worker deque poisoned");
+        let r = f(&mut items);
+        self.len_hint.store(items.len(), Ordering::Relaxed);
+        r
     }
 }
 
-const MIN_CAP: usize = 16;
-
-/// The Chase–Lev deque. See the module docs for the protocol; the public
-/// surface is `push`/`pop` (owner end, latched) and `steal` (lock-free).
-pub struct ChaseLev<T> {
-    /// Next index the owner writes (grows without bound; masked into the
-    /// buffer).
-    bottom: AtomicIsize,
-    /// Next index thieves claim.
-    top: AtomicIsize,
-    buffer: AtomicPtr<Buffer<T>>,
-    /// Grown-out-of buffers, kept until drop (thieves may still read
-    /// them).
-    retired: Mutex<Vec<*mut Buffer<T>>>,
-    /// Serializes owner operations so the safe API cannot express the
-    /// multi-owner races Chase–Lev forbids. Uncontended in correct use.
-    owner: Mutex<()>,
-}
-
-// SAFETY: elements move between threads (that is the point); all shared
-// mutable state is behind atomics or the mutexes above.
-unsafe impl<T: Send> Send for ChaseLev<T> {}
-unsafe impl<T: Send> Sync for ChaseLev<T> {}
-
-impl<T> Default for ChaseLev<T> {
-    fn default() -> ChaseLev<T> {
-        ChaseLev::new()
-    }
-}
-
-impl<T> ChaseLev<T> {
-    /// An empty deque.
-    pub fn new() -> ChaseLev<T> {
-        ChaseLev {
-            bottom: AtomicIsize::new(0),
-            top: AtomicIsize::new(0),
-            buffer: AtomicPtr::new(Buffer::alloc(MIN_CAP)),
-            retired: Mutex::new(Vec::new()),
-            owner: Mutex::new(()),
+impl<T> StealDeques<T> {
+    /// Empty deques for `workers` workers.
+    pub(super) fn new(workers: usize) -> StealDeques<T> {
+        StealDeques {
+            queues: (0..workers)
+                .map(|_| WorkerDeque {
+                    items: Mutex::new(VecDeque::new()),
+                    len_hint: AtomicUsize::new(0),
+                })
+                .collect(),
         }
     }
 
-    /// A snapshot of the number of queued elements (exact when quiescent,
-    /// a hint under concurrency).
-    pub fn len(&self) -> usize {
-        let b = self.bottom.load(Ordering::Relaxed);
-        let t = self.top.load(Ordering::Relaxed);
-        b.saturating_sub(t).max(0) as usize
+    /// Pushes `item` onto `worker`'s deque (owner side).
+    pub(super) fn push(&self, worker: usize, item: T) {
+        self.queues[worker].with(|q| q.push_back(item));
     }
 
-    /// True if the deque appears empty (same caveat as [`ChaseLev::len`]).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Pops from `worker`'s own deque (LIFO: depth-first locality).
+    pub(super) fn pop(&self, worker: usize) -> Option<T> {
+        self.queues[worker].with(VecDeque::pop_back)
     }
 
-    /// Doubles the buffer, copying the live range `t..b`. Owner-only
-    /// (holds the latch). The old buffer is retired, not freed: thieves
-    /// that loaded it before the swap still read valid (unchanged)
-    /// memory, and the live slots they may touch are never rewritten in
-    /// the old array.
-    fn grow(&self, old: *mut Buffer<T>, t: isize, b: isize) -> *mut Buffer<T> {
-        // SAFETY: `old` is the current buffer (only the latched owner
-        // replaces buffers); `t..b` are its initialized slots.
-        unsafe {
-            let new = Buffer::alloc(((*old).cap * 2).max(MIN_CAP));
-            for i in t..b {
-                ptr::write((*new).slot(i), (*old).read(i));
-            }
-            self.buffer.store(new, Ordering::Release);
-            self.retired.lock().expect("retire list poisoned").push(old);
-            new
-        }
+    /// Steals from the front of some other worker's deque (FIFO: the
+    /// oldest entry roots the largest subtree). Victims are scanned
+    /// round-robin starting after the thief; one whose hint reads empty
+    /// is skipped unlocked.
+    pub(super) fn steal(&self, thief: usize) -> Option<T> {
+        let n = self.queues.len();
+        (1..n)
+            .map(|k| &self.queues[(thief + k) % n])
+            .filter(|victim| victim.len_hint.load(Ordering::Relaxed) > 0)
+            .find_map(|victim| victim.with(VecDeque::pop_front))
     }
 
-    /// Pushes onto the owner end.
-    pub fn push(&self, value: T) {
-        let _latch = self.owner.lock().expect("owner latch poisoned");
-        let b = self.bottom.load(Ordering::Relaxed);
-        let t = self.top.load(Ordering::Acquire);
-        let mut buf = self.buffer.load(Ordering::Relaxed);
-        // SAFETY: latched owner; cap is stable under us.
-        if b - t >= unsafe { (*buf).cap } as isize {
-            buf = self.grow(buf, t, b);
-        }
-        // SAFETY: index b is outside every thief's reach (they claim
-        // below bottom) and inside the (possibly grown) capacity.
-        unsafe { (*buf).write(b, value) };
-        // Publish the element: thieves acquire `bottom`.
-        self.bottom.store(b + 1, Ordering::Release);
-    }
-
-    /// Pops from the owner end (LIFO).
-    pub fn pop(&self) -> Option<T> {
-        let _latch = self.owner.lock().expect("owner latch poisoned");
-        let b = self.bottom.load(Ordering::Relaxed) - 1;
-        let buf = self.buffer.load(Ordering::Relaxed);
-        self.bottom.store(b, Ordering::Relaxed);
-        std::sync::atomic::fence(Ordering::SeqCst);
-        let t = self.top.load(Ordering::Relaxed);
-        if t <= b {
-            if t == b {
-                // Last element: race the thieves for it.
-                let won = self
-                    .top
-                    .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-                    .is_ok();
-                self.bottom.store(b + 1, Ordering::Relaxed);
-                if won {
-                    // SAFETY: the CAS claimed index b == t exclusively;
-                    // no thief reads a claimed index, and the owner
-                    // cannot overwrite it before this read (we hold the
-                    // latch).
-                    Some(unsafe { (*buf).read(b).assume_init() })
-                } else {
-                    None
-                }
-            } else {
-                // SAFETY: t < b, so index b is unreachable by thieves
-                // (they claim top-side indices < b) and initialized.
-                Some(unsafe { (*buf).read(b).assume_init() })
-            }
-        } else {
-            // Empty: restore bottom.
-            self.bottom.store(b + 1, Ordering::Relaxed);
-            None
-        }
-    }
-
-    /// Attempts to steal from the top (FIFO side). Lock-free: never
-    /// blocks on the owner latch.
-    pub fn steal(&self) -> Steal<T> {
-        let t = self.top.load(Ordering::Acquire);
-        std::sync::atomic::fence(Ordering::SeqCst);
-        let b = self.bottom.load(Ordering::Acquire);
-        if t >= b {
-            return Steal::Empty;
-        }
-        let buf = self.buffer.load(Ordering::Acquire);
-        // Copy the bits out *before* claiming: once the CAS lands another
-        // party may reuse the slot. If the CAS fails the copy is
-        // discarded un-assumed (MaybeUninit: no drop, no use), so a torn
-        // copy from a racing overwrite is never observed — the standard
-        // Chase–Lev read-validate-claim pattern.
-        let value = unsafe { (*buf).read(t) };
-        if self
-            .top
-            .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-            .is_ok()
-        {
-            // SAFETY: the CAS claimed index t while it held an element:
-            // the copy read above is that element, now exclusively ours.
-            Steal::Success(unsafe { value.assume_init() })
-        } else {
-            Steal::Retry
-        }
-    }
-}
-
-impl<T> Drop for ChaseLev<T> {
-    fn drop(&mut self) {
-        // Exclusive access: drain remaining elements so their destructors
-        // run, then free the current and retired buffers.
-        while self.pop().is_some() {}
-        // SAFETY: all buffers came from Buffer::alloc; nothing references
-        // them after drop.
-        unsafe {
-            Buffer::dealloc(self.buffer.load(Ordering::Relaxed));
-            for old in self
-                .retired
-                .get_mut()
-                .expect("retire list poisoned")
-                .drain(..)
-            {
-                Buffer::dealloc(old);
-            }
-        }
+    /// Owner pop, falling back to stealing.
+    pub(super) fn take(&self, worker: usize) -> Option<T> {
+        self.pop(worker).or_else(|| self.steal(worker))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
-    use std::sync::atomic::AtomicUsize;
-    use std::sync::Arc;
+    use std::sync::atomic::AtomicBool;
+
+    /// Counts its drops in `drops[id]`.
+    struct Token<'a> {
+        id: usize,
+        drops: &'a [AtomicUsize],
+    }
+
+    impl Drop for Token<'_> {
+        fn drop(&mut self) {
+            self.drops[self.id].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn counters(n: usize) -> Vec<AtomicUsize> {
+        (0..n).map(|_| AtomicUsize::new(0)).collect()
+    }
 
     #[test]
     fn lifo_owner_order() {
-        let d = ChaseLev::new();
-        d.push(1);
-        d.push(2);
-        d.push(3);
-        assert_eq!(d.pop(), Some(3));
-        assert_eq!(d.pop(), Some(2));
-        assert_eq!(d.pop(), Some(1));
-        assert_eq!(d.pop(), None);
-        assert!(d.is_empty());
+        let d = StealDeques::new(1);
+        d.push(0, 1);
+        d.push(0, 2);
+        d.push(0, 3);
+        assert_eq!(d.queues[0].len_hint.load(Ordering::Relaxed), 3);
+        assert_eq!(d.pop(0), Some(3));
+        assert_eq!(d.pop(0), Some(2));
+        assert_eq!(d.pop(0), Some(1));
+        assert_eq!(d.pop(0), None);
+        assert_eq!(d.queues[0].len_hint.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn fifo_thief_order() {
-        let d = ChaseLev::new();
+        // Worker 2 stays empty: thief 1 scans it first and moves on to 0.
+        let d = StealDeques::new(3);
         for i in 0..5 {
-            d.push(i);
+            d.push(0, i);
         }
-        assert!(matches!(d.steal(), Steal::Success(0)));
-        assert!(matches!(d.steal(), Steal::Success(1)));
-        assert_eq!(d.pop(), Some(4));
-        assert_eq!(d.len(), 2);
+        assert_eq!(d.steal(1), Some(0));
+        assert_eq!(d.steal(1), Some(1));
+        assert_eq!(d.pop(0), Some(4));
+        assert_eq!(d.queues[0].len_hint.load(Ordering::Relaxed), 2);
+        assert_eq!(d.steal(0), None, "a thief never takes from itself");
     }
 
-    #[test]
-    fn growth_preserves_elements() {
-        let d = ChaseLev::new();
-        let n = 10_000; // forces many growths from MIN_CAP
-        for i in 0..n {
-            d.push(i);
-        }
-        let mut seen = Vec::new();
-        while let Some(x) = d.pop() {
-            seen.push(x);
-        }
-        seen.reverse();
-        assert_eq!(seen, (0..n).collect::<Vec<_>>());
-    }
-
+    /// One owner pushes and pops while three thieves steal: every element
+    /// is taken exactly once, and each is dropped exactly once, either by
+    /// its taker or, still queued, with the deques. The thread counts are
+    /// explicit, so the test runs in every CI lane.
     #[test]
     fn concurrent_steals_conserve_elements() {
         const N: usize = 20_000;
-        const THIEVES: usize = 4;
-        let d = Arc::new(ChaseLev::new());
-        let produced: BTreeSet<usize> = (0..N).collect();
-        let done = Arc::new(AtomicIsize::new(0));
-
-        let mut handles = Vec::new();
-        for _ in 0..THIEVES {
-            let d = Arc::clone(&d);
-            let done = Arc::clone(&done);
-            handles.push(std::thread::spawn(move || {
-                let mut got = Vec::new();
-                loop {
-                    match d.steal() {
-                        Steal::Success(x) => got.push(x),
-                        Steal::Retry => std::hint::spin_loop(),
-                        Steal::Empty => {
-                            if done.load(Ordering::Acquire) == 1 {
-                                break;
+        const QUEUED: usize = 50;
+        const THIEVES: usize = 3;
+        let drops = counters(N + QUEUED);
+        let deques: StealDeques<Token> = StealDeques::new(1 + THIEVES);
+        let done = AtomicBool::new(false);
+        let stolen = AtomicUsize::new(0);
+        let mut taken: Vec<usize> = std::thread::scope(|s| {
+            let thieves: Vec<_> = (1..=THIEVES)
+                .map(|t| {
+                    let (deques, done, stolen) = (&deques, &done, &stolen);
+                    s.spawn(move || {
+                        let mut got = Vec::new();
+                        while !done.load(Ordering::Acquire) {
+                            match deques.steal(t) {
+                                Some(token) => {
+                                    got.push(token.id);
+                                    stolen.fetch_add(1, Ordering::Relaxed);
+                                }
+                                None => std::thread::yield_now(),
                             }
-                            std::thread::yield_now();
                         }
-                    }
-                }
-                got
-            }));
-        }
-
-        // Owner: interleave pushes with occasional pops.
-        let mut owner_got = Vec::new();
-        for i in 0..N {
-            d.push(i);
-            if i % 7 == 0 {
-                if let Some(x) = d.pop() {
-                    owner_got.push(x);
+                        got
+                    })
+                })
+                .collect();
+            let mut got = Vec::new();
+            for id in 0..N {
+                deques.push(0, Token { id, drops: &drops });
+                if id % 7 == 0 {
+                    got.extend(deques.pop(0).map(|token| token.id));
                 }
             }
+            // Only every seventh push is popped back, so items stay
+            // queued until a thief runs: wait for one steal, so the
+            // steal path runs even if the thieves start late.
+            while stolen.load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
+            done.store(true, Ordering::Release);
+            for h in thieves {
+                got.extend(h.join().expect("thief panicked"));
+            }
+            while let Some(token) = deques.take(0) {
+                got.push(token.id);
+            }
+            got
+        });
+        taken.sort_unstable();
+        assert_eq!(taken, (0..N).collect::<Vec<_>>(), "taken exactly once");
+        // These stay queued, on every deque, until the deques drop.
+        for id in N..N + QUEUED {
+            deques.push(id % (1 + THIEVES), Token { id, drops: &drops });
         }
-        done.store(1, Ordering::Release);
-        let mut all: Vec<usize> = owner_got;
-        for h in handles {
-            all.extend(h.join().unwrap());
+        drop(deques);
+        for (id, d) in drops.iter().enumerate() {
+            assert_eq!(d.load(Ordering::Relaxed), 1, "element {id}");
         }
-        // Whatever remains after the thieves bailed out:
-        while let Some(x) = d.pop() {
-            all.push(x);
-        }
-        assert_eq!(all.len(), N, "elements lost or duplicated");
-        assert_eq!(all.into_iter().collect::<BTreeSet<_>>(), produced);
     }
 
     #[test]
     fn drops_run_exactly_once() {
-        static DROPS: AtomicUsize = AtomicUsize::new(0);
-        struct Token;
-        impl Drop for Token {
-            fn drop(&mut self) {
-                DROPS.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let drops = counters(100);
         {
-            let d = ChaseLev::new();
-            for _ in 0..100 {
-                d.push(Token);
+            let d = StealDeques::new(2);
+            for id in 0..100 {
+                d.push(0, Token { id, drops: &drops });
             }
             for _ in 0..40 {
-                drop(d.pop());
+                drop(d.pop(0));
             }
             for _ in 0..10 {
-                if let Steal::Success(t) = d.steal() {
-                    drop(t)
-                }
+                drop(d.steal(1));
             }
-            // 50 tokens still queued: freed by ChaseLev::drop.
+            // 50 tokens still queued: freed when the deques drop.
         }
-        assert_eq!(DROPS.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
-    fn owner_races_last_element_with_thieves() {
-        // Repeatedly race pop against steals over a single element; the
-        // element must go to exactly one side every round.
-        let d = Arc::new(ChaseLev::new());
-        for round in 0..2_000usize {
-            d.push(round);
-            let stolen = {
-                let d = Arc::clone(&d);
-                std::thread::spawn(move || loop {
-                    match d.steal() {
-                        Steal::Success(x) => break Some(x),
-                        Steal::Retry => continue,
-                        Steal::Empty => break None,
-                    }
-                })
-            };
-            let popped = d.pop();
-            let stolen = stolen.join().unwrap();
-            assert!(
-                popped.is_some() != stolen.is_some(),
-                "round {round}: popped {popped:?}, stolen {stolen:?}"
-            );
-            assert_eq!(popped.or(stolen), Some(round));
+        for (id, d) in drops.iter().enumerate() {
+            assert_eq!(d.load(Ordering::Relaxed), 1, "element {id}");
         }
     }
 }

@@ -147,14 +147,21 @@ impl<T: Hash + Eq> StateInterner<T> {
     /// [`crate::engine::Dedup::FullState`] and the differential suites);
     /// the engines' hot path is [`StateInterner::intern_with`].
     pub fn intern(&mut self, value: T) -> (StateId, bool) {
-        let mut h = DefaultHasher::new();
-        value.hash(&mut h);
-        let fp = h.finish();
+        let fp = full_state_hash(&value);
         match self.probe(fp, |t| *t == value) {
             Some(id) => (id, false),
             None => (self.admit(fp, value), true),
         }
     }
+}
+
+/// The fingerprint [`StateInterner::intern`] files a full state under:
+/// `DefaultHasher` with its default keys, so equal values built
+/// independently hash alike.
+fn full_state_hash<T: Hash>(value: &T) -> u64 {
+    let mut h = DefaultHasher::new();
+    value.hash(&mut h);
+    h.finish()
 }
 
 const SHARDS: usize = 16;
@@ -306,6 +313,17 @@ mod tests {
         assert_eq!(b, b2);
         assert_eq!(builds.load(Ordering::Relaxed), 2);
         assert_eq!(i.len(), 2);
+    }
+
+    #[test]
+    fn hashed_hash_is_deterministic_across_constructions() {
+        let a = (1u32, vec![2u8, 3]);
+        let b = (1u32, vec![2u8, 3]);
+        assert_eq!(full_state_hash(&a), full_state_hash(&b));
+        // The second construction is a re-visit of the first.
+        let mut i = StateInterner::new();
+        assert_eq!(i.intern(a), (StateId(0), true));
+        assert_eq!(i.intern(b), (StateId(0), false));
     }
 
     #[test]

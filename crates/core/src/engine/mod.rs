@@ -96,6 +96,7 @@
 //! ```
 
 pub mod canon;
+mod deque;
 pub mod dpor;
 pub mod graph;
 pub mod intern;

@@ -7,7 +7,8 @@
 //! work-stealing engine instead keeps one pool of workers alive for the
 //! whole exploration:
 //!
-//! * each worker owns a deque (a `Mutex<VecDeque>`) of machines awaiting
+//! * each worker owns a deque (a `Mutex<VecDeque>`, in the private
+//!   `deque` module) of machines awaiting
 //!   expansion, pushed and popped LIFO at the owner end (depth-first
 //!   locality: the hottest subtree stays in cache);
 //! * an idle worker steals from the *front* of a victim's deque — the
@@ -41,11 +42,11 @@
 //! once with `BDRST_ENGINE_THREADS=1` (forcing every defaulted pool to a
 //! single worker) and once unset, so both paths stay exercised.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use crate::engine::deque::StealDeques;
 use crate::engine::{
     claim_canonical, timed_walk, CanonState, EngineConfig, EngineError, ExploreStats,
     SharedInterner, StateGraph, StateId, WorklistEngine,
@@ -69,73 +70,6 @@ pub fn engine_threads(requested: usize) -> usize {
         }
     }
     std::thread::available_parallelism().map_or(4, |n| n.get())
-}
-
-/// One deque per worker, with LIFO owner access and FIFO stealing.
-///
-/// Each deque is a `Mutex<VecDeque>`: the owner pushes and pops at the
-/// back, a thief takes from the front. Its length is mirrored in a
-/// relaxed hint, written under the lock, so a thief skips an empty
-/// victim without taking its lock. A stale hint costs at most one wasted
-/// lock or one missed steal that the idle loop retries.
-struct StealDeques<T> {
-    queues: Vec<WorkerDeque<T>>,
-}
-
-struct WorkerDeque<T> {
-    items: Mutex<VecDeque<T>>,
-    len_hint: AtomicUsize,
-}
-
-impl<T> WorkerDeque<T> {
-    /// Runs `f` on the locked items and refreshes the length hint.
-    fn with<R>(&self, f: impl FnOnce(&mut VecDeque<T>) -> R) -> R {
-        let mut items = self.items.lock().expect("worker deque poisoned");
-        let r = f(&mut items);
-        self.len_hint.store(items.len(), Ordering::Relaxed);
-        r
-    }
-}
-
-impl<T> StealDeques<T> {
-    /// Empty deques for `workers` workers.
-    fn new(workers: usize) -> StealDeques<T> {
-        StealDeques {
-            queues: (0..workers)
-                .map(|_| WorkerDeque {
-                    items: Mutex::new(VecDeque::new()),
-                    len_hint: AtomicUsize::new(0),
-                })
-                .collect(),
-        }
-    }
-
-    /// Pushes `item` onto `worker`'s deque (owner side).
-    fn push(&self, worker: usize, item: T) {
-        self.queues[worker].with(|q| q.push_back(item));
-    }
-
-    /// Pops from `worker`'s own deque (LIFO: depth-first locality).
-    fn pop(&self, worker: usize) -> Option<T> {
-        self.queues[worker].with(VecDeque::pop_back)
-    }
-
-    /// Steals from the front of some other worker's deque (FIFO: the
-    /// oldest entry roots the largest subtree). Victims are scanned
-    /// round-robin starting after the thief; one whose hint reads empty
-    /// is skipped unlocked.
-    fn steal(&self, thief: usize) -> Option<T> {
-        let n = self.queues.len();
-        (1..n)
-            .map(|k| &self.queues[(thief + k) % n])
-            .filter(|victim| victim.len_hint.load(Ordering::Relaxed) > 0)
-            .find_map(|victim| victim.with(VecDeque::pop_front))
-    }
-
-    /// Owner pop, falling back to stealing.
-    fn take(&self, worker: usize) -> Option<T> {
-        self.pop(worker).or_else(|| self.steal(worker))
-    }
 }
 
 /// Records the first error any worker hits; later errors are dropped.
@@ -366,80 +300,6 @@ mod tests {
         assert_eq!(d.pop(0), Some(3));
         assert_eq!(d.take(1), Some(2)); // own deque empty → steal
         assert_eq!(d.take(0), None);
-    }
-
-    /// One owner pushes and pops while three thieves steal: every element
-    /// is taken exactly once, and each is dropped exactly once, either by
-    /// its taker or, still queued, with the deques.
-    #[test]
-    fn deques_conserve_elements_under_concurrent_steals() {
-        const N: usize = 20_000;
-        const QUEUED: usize = 50;
-        const THIEVES: usize = 3;
-        struct Token<'a> {
-            id: usize,
-            drops: &'a [AtomicUsize],
-        }
-        impl Drop for Token<'_> {
-            fn drop(&mut self) {
-                self.drops[self.id].fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let drops: Vec<AtomicUsize> = (0..N + QUEUED).map(|_| AtomicUsize::new(0)).collect();
-        let deques: StealDeques<Token> = StealDeques::new(1 + THIEVES);
-        let done = AtomicBool::new(false);
-        let stolen = AtomicUsize::new(0);
-        let mut taken: Vec<usize> = std::thread::scope(|s| {
-            let thieves: Vec<_> = (1..=THIEVES)
-                .map(|t| {
-                    let (deques, done, stolen) = (&deques, &done, &stolen);
-                    s.spawn(move || {
-                        let mut got = Vec::new();
-                        while !done.load(Ordering::Acquire) {
-                            match deques.steal(t) {
-                                Some(token) => {
-                                    got.push(token.id);
-                                    stolen.fetch_add(1, Ordering::Relaxed);
-                                }
-                                None => std::thread::yield_now(),
-                            }
-                        }
-                        got
-                    })
-                })
-                .collect();
-            let mut got = Vec::new();
-            for id in 0..N {
-                deques.push(0, Token { id, drops: &drops });
-                if id % 7 == 0 {
-                    got.extend(deques.pop(0).map(|token| token.id));
-                }
-            }
-            // Only every seventh push is popped back, so items stay
-            // queued until a thief runs: wait for one steal, so the
-            // steal path runs even if the thieves start late.
-            while stolen.load(Ordering::Relaxed) == 0 {
-                std::thread::yield_now();
-            }
-            done.store(true, Ordering::Release);
-            for h in thieves {
-                got.extend(h.join().expect("thief panicked"));
-            }
-            while let Some(token) = deques.take(0) {
-                got.push(token.id);
-            }
-            got
-        });
-        taken.sort_unstable();
-        assert_eq!(taken, (0..N).collect::<Vec<_>>(), "taken exactly once");
-        // These stay queued, on every deque, until the deques drop.
-        for id in N..N + QUEUED {
-            deques.push(id % (1 + THIEVES), Token { id, drops: &drops });
-        }
-        drop(deques);
-        for (id, d) in drops.iter().enumerate() {
-            assert_eq!(d.load(Ordering::Relaxed), 1, "element {id}");
-        }
     }
 
     /// One worker (the depth-first worklist fallback) and a real pool
