@@ -56,6 +56,7 @@ fn bench_single_test_strategies(c: &mut Criterion) {
                 black_box(
                     p.outcomes_with(EngineConfig::default(), strategy)
                         .unwrap()
+                        .0
                         .len(),
                 )
             })

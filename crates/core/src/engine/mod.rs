@@ -55,9 +55,9 @@
 //!
 //! | Strategy | Engine | When to prefer it |
 //! |---|---|---|
-//! | [`Strategy::Dfs`] | [`WorklistEngine`] (stack) | default; smallest footprint |
-//! | [`Strategy::WorkStealing`] | [`WorkStealingEngine`] (graph recorder) | deep or irregular spaces; no per-level barrier |
-//! | [`Strategy::Dpor`] | [`DporEngine`] | outcome enumeration over one trace per equivalence class |
+//! | [`Strategy::Dfs`] | [`WorklistEngine`] (stack) | default; the reference walk |
+//! | [`Strategy::WorkStealing`] | [`WorkStealingEngine`] (graph recorder) | a recorded state graph over the worker pool; no production caller |
+//! | [`Strategy::Dpor`] | [`DporEngine`] | outcome enumeration over one trace per equivalence class, no state graph held; the check service's default |
 //!
 //! Every parallel entry point resolves its worker count through
 //! [`steal::engine_threads`]: an explicit nonzero count wins, `0` ("all
@@ -237,7 +237,10 @@ pub(crate) fn timed_walk<T>(
 /// programs while guaranteeing termination on accidental state explosions.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct EngineConfig {
-    /// Maximum number of distinct canonical states to visit.
+    /// Maximum number of distinct canonical states to visit — or, for
+    /// outcome enumeration under [`Strategy::Dpor`]
+    /// (`Program::outcomes_with`, the check service's default), of trace
+    /// extensions to execute.
     pub max_states: usize,
     /// Maximum number of trace prefixes to enumerate in trace mode.
     pub max_traces: usize,
@@ -340,7 +343,9 @@ pub enum Strategy {
     /// representative per Mazurkiewicz class of maximal traces, under the
     /// observational [`Dependence`]. Outcome enumeration
     /// (`Program::outcomes_with`, [`dpor_reachable_terminals`]) explores
-    /// strictly fewer traces on programs with commuting transitions.
+    /// strictly fewer traces on programs with commuting transitions;
+    /// `Program::outcomes_with` charges its executed extensions to
+    /// [`EngineConfig::max_states`].
     /// A reduced walk cannot record the full successor graph, so
     /// `Program::state_graph_with` records it with [`Strategy::Dfs`]'s
     /// engine instead.

@@ -5,10 +5,9 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use bdrst_core::engine::{
-    dpor_reachable_terminals, Dependence, EngineConfig, EngineError, ExploreStats, StateGraph,
-    Strategy, WorkStealingEngine, WorklistEngine,
+    dpor_reachable_terminals, Control, Dependence, EngineConfig, EngineError, ExploreStats,
+    StateGraph, StateId, Strategy, WorkStealingEngine, WorklistEngine,
 };
-use bdrst_core::explore::reachable_terminals;
 use bdrst_core::loc::{Loc, LocKind, LocSet, Val};
 use bdrst_core::machine::Machine;
 
@@ -110,43 +109,70 @@ impl Program {
     ///
     /// Returns [`EngineError`] if the state space exceeds the budget.
     pub fn outcomes(&self, config: EngineConfig) -> Result<Outcomes, EngineError> {
-        let terminals = reachable_terminals(&self.locs, self.initial_machine(), config)?;
-        Ok(self.observe_all(&terminals))
+        Ok(self.outcomes_with(config, Strategy::Dfs)?.0)
     }
 
-    /// [`Program::outcomes`] under an explicit engine [`Strategy`]. All
-    /// strategies produce the same observation set:
+    /// [`Program::outcomes`] under an explicit engine [`Strategy`], with
+    /// the statistics of the walk that found them. All strategies produce
+    /// the same observation set:
     ///
-    /// * `Dfs` runs [`Program::outcomes`]' sequential visitor walk, the
-    ///   reference;
+    /// * `Dfs` runs the sequential visitor walk, the reference; `visited`
+    ///   counts canonical states;
     /// * `WorkStealing` records the state graph across the worker pool
-    ///   ([`Program::state_graph_with`], the check service's path) and
-    ///   reads the outcomes off it ([`Program::outcomes_from_graph`]);
+    ///   ([`Program::state_graph_with`]) and reads the outcomes off it
+    ///   ([`Program::outcomes_from_graph`]); `visited` counts canonical
+    ///   states;
     /// * `Dpor` reaches every terminal through one representative trace
-    ///   per equivalence class instead of visiting every canonical state.
+    ///   per equivalence class instead of visiting every canonical state
+    ///   (the check service's path); `visited` counts the executed trace
+    ///   extensions, and `config.max_states` bounds them.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError`] if the state space exceeds the budget.
+    /// Returns [`EngineError`] if the exploration exceeds `max_states`.
     pub fn outcomes_with(
         &self,
         config: EngineConfig,
         strategy: Strategy,
-    ) -> Result<Outcomes, EngineError> {
+    ) -> Result<(Outcomes, ExploreStats), EngineError> {
         match strategy {
-            Strategy::Dfs => self.outcomes(config),
-            Strategy::WorkStealing => {
-                let (graph, _) = self.state_graph_with(config, strategy)?;
-                Ok(self.outcomes_from_graph(&graph))
-            }
-            Strategy::Dpor => {
-                let (terminals, _) = dpor_reachable_terminals(
+            Strategy::Dfs => {
+                let mut terminals = Vec::new();
+                let stats = WorklistEngine::new(config).explore(
                     &self.locs,
                     self.initial_machine(),
-                    config,
+                    &mut |m: &Machine<ThreadState>, _id: StateId| {
+                        if m.is_terminal() {
+                            terminals.push(m.clone());
+                        }
+                        Control::Continue
+                    },
+                )?;
+                Ok((self.observe_all(&terminals), stats))
+            }
+            Strategy::WorkStealing => {
+                let (graph, stats) = self.state_graph_with(config, strategy)?;
+                Ok((self.outcomes_from_graph(&graph), stats))
+            }
+            Strategy::Dpor => {
+                // The reduced walk charges executed extensions to
+                // `max_traces`; outcome enumeration is bounded by
+                // `max_states`, whatever the strategy.
+                let reduced = EngineConfig {
+                    max_traces: config.max_states,
+                    ..config
+                };
+                let (terminals, stats) = dpor_reachable_terminals(
+                    &self.locs,
+                    self.initial_machine(),
+                    reduced,
                     Dependence::Observational,
                 )?;
-                Ok(self.observe_all(&terminals))
+                let stats = ExploreStats {
+                    visited: stats.visited,
+                    transitions: stats.transitions,
+                };
+                Ok((self.observe_all(&terminals), stats))
             }
         }
     }

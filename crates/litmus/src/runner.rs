@@ -222,11 +222,10 @@ pub fn hardware_flags(
 /// Returns [`RunError`] if parsing or any exploration fails.
 pub fn run_test(test: &LitmusTest, config: RunConfig) -> Result<TestReport, RunError> {
     let program = Program::parse(test.source).map_err(|e| RunError::Parse(e.to_string()))?;
-    let op = program
+    let (op, _) = program
         .outcomes_with(config.explore, config.strategy)
-        .map_err(RunError::Operational)?
-        .set()
-        .clone();
+        .map_err(RunError::Operational)?;
+    let op = op.set().clone();
     let ax = axiomatic_outcomes(&program, config.enumerate).map_err(RunError::Enumeration)?;
     let (x86, arm_bal, arm_naive) = if config.hardware {
         let (x, b, n) = hardware_flags(test, &program, config.enumerate)?;
@@ -416,6 +415,7 @@ mod tests {
             let ws = p
                 .outcomes_with(cfg, Strategy::WorkStealing)
                 .unwrap()
+                .0
                 .set()
                 .clone();
             let (graph, _) = WorkStealingEngine::with_threads(cfg, 4)

@@ -14,7 +14,9 @@
 //!
 //! Common flags: `--cache-dir DIR` (persistent cache; omit for
 //! memory-only), `--json` (machine-readable output), `--max-states N`,
-//! `--max-traces N` (budgets), `--shrink` (`races` only: ddmin the
+//! `--max-traces N` (budgets; `--max-states` bounds the DPOR walk behind
+//! `check`'s outcomes, whose executed extensions are the `states` it
+//! reports), `--shrink` (`races` only: ddmin the
 //! program and interleaving of each first witness), `--progress`
 //! (`check`/`corpus`/`races`: engine progress ticks on stderr every few
 //! thousand states).
@@ -228,7 +230,7 @@ fn cmd_check(opts: &Opts) -> ExitCode {
             ]));
         } else {
             println!(
-                "{path}: {} canonical states{}, operational/axiomatic {}",
+                "{path}: {} DPOR extensions{}, operational/axiomatic {}",
                 checked.entry.visited_states,
                 if checked.cached { " (cached)" } else { "" },
                 if models_agree { "AGREE" } else { "DIVERGE" },

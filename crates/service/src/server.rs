@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! {"id":1,"cmd":"outcomes","source":"nonatomic a; thread P0 { a = 1; }"}
-//! {"id":1,"ok":true,"cached":false,"states":3,"operational":["a=1"],"axiomatic":["a=1"]}
+//! {"id":1,"ok":true,"cached":false,"states":1,"operational":["a=1"],"axiomatic":["a=1"]}
 //! ```
 //!
 //! Commands: `parse`, `outcomes`, `check`, `check-localdrf` (optional
@@ -23,7 +23,10 @@
 //! limits — a present-but-non-integer budget field is a `proto` error,
 //! never silently ignored); exhaustion surfaces as
 //! `{"ok":false,"error":{"kind":"budget",...}}` — the same [`RunError`]
-//! classification the CLI exit codes use. `max_traces` counts work, not
+//! classification the CLI exit codes use. `max_states` bounds the
+//! operational walk of a cold miss: under [`default_run_config`]'s DPOR
+//! it counts executed trace extensions, and `states` in an
+//! `outcomes`/`check` response is that count. `max_traces` counts work, not
 //! the unfolded trace tree: the rows of the program's trace recording
 //! and the extensions a replay shows its checker. `check-races` and
 //! `check-localdrf` always answer by replay, so a request over either
@@ -51,8 +54,8 @@
 //! connection with queued-but-unsubmitted lines stops being read);
 //! `workers` worker threads pop jobs, compute through the shared
 //! cache-first [`CheckService`] (whose misses run on the existing engine
-//! machinery — the default configuration explores with the
-//! work-stealing engine), and append each response line to the
+//! machinery — the default configuration enumerates outcomes with DPOR
+//! on the worker's own thread), and append each response line to the
 //! connection's outbox; the reactor writes it on the
 //! connection's next writable cycle — whole lines, never interleaved
 //! bytes.
@@ -144,11 +147,13 @@ impl Default for ServeConfig {
 /// [`ServeConfig::trace_keep`].
 const FLIGHT_DUMP_KEEP: usize = 16;
 
-/// The default run configuration for served checks: work-stealing
-/// exploration (misses ride the engine's worker pool), default budgets.
+/// The default run configuration for served checks: misses enumerate
+/// outcomes with DPOR (one trace per equivalence class, no state graph
+/// held; its executed extensions count against `max_states`), default
+/// budgets.
 pub fn default_run_config() -> RunConfig {
     RunConfig {
-        strategy: Strategy::WorkStealing,
+        strategy: Strategy::Dpor,
         ..RunConfig::default()
     }
 }

@@ -8,12 +8,14 @@
 //! transition-semantics steps**, which the test suite asserts through the
 //! engine's probe counter ([`bdrst_core::machine::semantics_probes`]).
 //! On a miss the program is explored exactly once, in public steps
-//! ([`CheckService::operational_outcomes`] records the interned successor
-//! graph and reads the outcomes off its terminal states;
+//! ([`CheckService::operational_outcomes`] enumerates the outcomes through
+//! [`Program::outcomes_with`] under the configured strategy — DPOR in the
+//! server's default, which holds no state graph;
 //! [`CheckService::axiomatic_outcomes`] supplies the axiomatic set;
 //! [`CacheEntry::new`] assembles the entry), and the entry is inserted
 //! for every later query — including later *processes*, when the store
-//! is disk-backed.
+//! is disk-backed. The entry's `visited_states` is that walk's size:
+//! executed trace extensions under DPOR, bounded by `max_states`.
 //!
 //! Trace-dependent queries (`check-races`, `check-localdrf`) have one
 //! lane: record the trace graph once ([`CheckService::trace_graph`]) and
@@ -22,12 +24,12 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use bdrst_core::engine::{EngineConfig, ExploreStats, StateGraph, TraceEngine, TraceGraph};
+use bdrst_core::engine::{EngineConfig, ExploreStats, TraceEngine, TraceGraph};
 use bdrst_core::localdrf::{
     check_local_drf_replayed, sc_race_freedom_reduced, CheckError, DrfStatus,
 };
 use bdrst_core::trace::LocPredicate;
-use bdrst_lang::{Observation, Program, ThreadState};
+use bdrst_lang::{Observation, Program};
 use bdrst_litmus::{report_from_outcomes, LitmusTest, RunConfig, RunError, TestReport};
 use bdrst_race::{detect_races_replayed, DetectorConfig, RaceReport};
 
@@ -146,10 +148,9 @@ impl CheckService {
             });
         }
         drop(lookup_span);
-        let (op, graph, stats) = self.operational_outcomes(&program)?;
+        let (op, stats) = self.operational_outcomes(&program)?;
         let ax = self.axiomatic_outcomes(&program)?;
-        let graph = self.store.persist_graphs().then_some(graph);
-        let entry = CacheEntry::new(canonical, op, ax, stats.visited as u64, graph);
+        let entry = CacheEntry::new(canonical, op, ax, stats.visited as u64);
         let entry = self.store.insert(key, entry);
         Ok(Checked {
             program,
@@ -159,9 +160,14 @@ impl CheckService {
         })
     }
 
-    /// The operational step of a miss: the outcome set, read off the
-    /// program's interned state graph, with the graph and the
-    /// exploration's statistics.
+    /// The operational step of a miss: the outcome set with the
+    /// statistics of the walk that found it — the call the litmus runner
+    /// makes, [`Program::outcomes_with`] under this service's budgets and
+    /// strategy. Under the server's default, [`Strategy::Dpor`], the walk
+    /// runs one trace per equivalence class, holds no state graph, and
+    /// charges its executed extensions to `max_states`.
+    ///
+    /// [`Strategy::Dpor`]: bdrst_core::engine::Strategy::Dpor
     ///
     /// # Errors
     ///
@@ -169,12 +175,11 @@ impl CheckService {
     pub fn operational_outcomes(
         &self,
         program: &Program,
-    ) -> Result<(BTreeSet<Observation>, StateGraph<ThreadState>, ExploreStats), RunError> {
-        let (graph, stats) = program
-            .state_graph_with(self.config.explore, self.config.strategy)
+    ) -> Result<(BTreeSet<Observation>, ExploreStats), RunError> {
+        let (op, stats) = program
+            .outcomes_with(self.config.explore, self.config.strategy)
             .map_err(RunError::Operational)?;
-        let op = program.outcomes_from_graph(&graph).set().clone();
-        Ok((op, graph, stats))
+        Ok((op.set().clone(), stats))
     }
 
     /// The axiomatic step of a miss: the observations of the program's

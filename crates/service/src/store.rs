@@ -40,10 +40,12 @@ use bdrst_core::engine::{canonical_fingerprint, EngineError, StateGraph, TraceGr
 use bdrst_core::wire::{checksum, Codec, Reader, WireError, SEMANTICS_VERSION};
 use bdrst_lang::{Observation, Program, ThreadState};
 
-/// Bumped whenever the on-disk entry layout changes (3: trace trees
-/// store each transition label once; 4: trace graphs store one row per
-/// distinct machine, in post-order).
-pub const ENTRY_FORMAT_VERSION: u32 = 4;
+/// Bumped whenever the on-disk entry layout or the meaning of a field
+/// changes (3: trace trees store each transition label once; 4: trace
+/// graphs store one row per distinct machine, in post-order; 5:
+/// `visited_states` counts the operational walk's executed extensions
+/// under the service's DPOR default, and entries carry no state graph).
+pub const ENTRY_FORMAT_VERSION: u32 = 5;
 
 const MAGIC: &[u8; 4] = b"BDRS";
 
@@ -55,10 +57,6 @@ pub struct StoreConfig {
     /// Directory for on-disk persistence; `None` keeps the store
     /// memory-only.
     pub disk_dir: Option<PathBuf>,
-    /// Whether to persist the interned successor graph inside entries
-    /// (outcome sets are always persisted; the graph enables future
-    /// re-checking without any exploration).
-    pub persist_graphs: bool,
     /// Fingerprint truncation mask — `!0` in production. Tests force
     /// collisions by narrowing it (the same technique as the engine's
     /// forced-collision suites), proving correctness never depends on
@@ -72,7 +70,6 @@ impl Default for StoreConfig {
         StoreConfig {
             shards: 16,
             disk_dir: None,
-            persist_graphs: true,
             fingerprint_mask: !0,
         }
     }
@@ -88,8 +85,8 @@ pub struct CacheKey {
 }
 
 /// Everything the service caches for one program: canonical source (the
-/// collision check), both outcome sets, exploration size, the optional
-/// successor graph, and the lazily computed global-DRF verdict.
+/// collision check), both outcome sets, exploration size, and the lazily
+/// computed global-DRF verdict and trace graph.
 #[derive(Debug)]
 pub struct CacheEntry {
     /// Canonical program text ([`Program::to_source`]); verified on every
@@ -99,9 +96,16 @@ pub struct CacheEntry {
     pub op: BTreeSet<Observation>,
     /// Axiomatic outcome set.
     pub ax: BTreeSet<Observation>,
-    /// Canonical states visited by the recording exploration.
+    /// The size of the operational walk that computed `op`: the
+    /// `visited` count of [`Program::outcomes_with`] under the service's
+    /// strategy — executed trace extensions under DPOR (the server's
+    /// default), canonical states under DFS or work-stealing.
     pub visited_states: u64,
-    /// The interned successor graph, if graph persistence is on.
+    /// Always `None`: the service computes outcomes without recording a
+    /// state graph, and entries are persisted without one. The field
+    /// stays only because the benchmark's ledger builds entries by struct
+    /// literal; it goes once the ledger calls [`CacheEntry::new`]
+    /// (ROADMAP items 1 and 2).
     pub graph: Option<StateGraph<ThreadState>>,
     /// Global-DRF verdict (Theorem 14 hypothesis: all SC traces race
     /// free), computed on first demand and memoized.
@@ -126,14 +130,13 @@ impl CacheEntry {
         op: BTreeSet<Observation>,
         ax: BTreeSet<Observation>,
         visited_states: u64,
-        graph: Option<StateGraph<ThreadState>>,
     ) -> CacheEntry {
         CacheEntry {
             source,
             op,
             ax,
             visited_states,
-            graph,
+            graph: None,
             global_racefree: OnceLock::new(),
             trace: OnceLock::new(),
             trace_infeasible: OnceLock::new(),
@@ -153,13 +156,6 @@ impl CacheEntry {
             o.encode(out);
         }
         self.visited_states.encode(out);
-        match &self.graph {
-            None => out.push(0),
-            Some(g) => {
-                out.push(1);
-                g.encode(out);
-            }
-        }
         self.global_racefree.get().copied().encode(out);
         match self.trace.get() {
             None => out.push(0),
@@ -181,17 +177,7 @@ impl CacheEntry {
             ax.insert(Observation::decode(r)?);
         }
         let visited_states = u64::decode(r)?;
-        let graph = match u8::decode(r)? {
-            0 => None,
-            1 => Some(StateGraph::decode(r)?),
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "CacheEntry.graph",
-                    tag,
-                })
-            }
-        };
-        let entry = CacheEntry::new(source, op, ax, visited_states, graph);
+        let entry = CacheEntry::new(source, op, ax, visited_states);
         if let Some(v) = Option::<bool>::decode(r)? {
             let _ = entry.global_racefree.set(v);
         }
@@ -256,16 +242,23 @@ pub struct ResultStore {
 }
 
 /// The version tag for cache keys: any change to the semantics, the
-/// entry layout, or the run configuration (budgets, enumeration limits)
-/// lands entries in a disjoint key space, so stale results are
-/// unreachable rather than filtered.
+/// entry layout, or the run configuration (budgets, enumeration limits,
+/// and the strategy, which sets the unit of `visited_states`) lands
+/// entries in a disjoint key space, so stale results are unreachable
+/// rather than filtered.
 pub fn version_tag(config: &bdrst_litmus::RunConfig) -> u64 {
     let mut h = DefaultHasher::new();
     h.write_u32(SEMANTICS_VERSION);
     h.write_u32(ENTRY_FORMAT_VERSION);
     // The budget/limit knobs are plain-data Copy structs; their Debug
     // form is a stable, total description of the configuration.
-    h.write(format!("{:?}|{:?}", config.explore, config.enumerate).as_bytes());
+    h.write(
+        format!(
+            "{:?}|{:?}|{:?}",
+            config.explore, config.enumerate, config.strategy
+        )
+        .as_bytes(),
+    );
     h.finish()
 }
 
@@ -448,9 +441,12 @@ impl ResultStore {
         }
     }
 
-    /// Whether graphs are persisted inside entries.
+    /// Always `false`: entries never hold a state graph. Its sole caller
+    /// is the benchmark's ledger (`perfbench/src/ledger.rs`), which builds
+    /// entries by struct literal; it goes when the ledger calls the
+    /// service's miss steps instead (ROADMAP item 1).
     pub fn persist_graphs(&self) -> bool {
-        self.config.persist_graphs
+        false
     }
 
     /// The disk directory, if any.
@@ -510,14 +506,14 @@ mod tests {
 
     fn entry_for(src: &str) -> (Program, CacheEntry) {
         let p = Program::parse(src).unwrap();
-        let (graph, stats) = p.state_graph(Default::default()).unwrap();
-        let op = p.outcomes_from_graph(&graph).set().clone();
+        let (op, stats) = p
+            .outcomes_with(Default::default(), bdrst_core::engine::Strategy::Dpor)
+            .unwrap();
         let entry = CacheEntry::new(
             p.to_source(),
-            op,
+            op.set().clone(),
             BTreeSet::new(),
             stats.visited as u64,
-            Some(graph),
         );
         (p, entry)
     }
@@ -545,10 +541,7 @@ mod tests {
         assert_eq!(back.ax, entry.ax);
         assert_eq!(back.visited_states, entry.visited_states);
         assert_eq!(back.global_racefree.get(), Some(&true));
-        let g = back.graph.as_ref().unwrap();
-        assert_eq!(g.len(), entry.graph.as_ref().unwrap().len());
-        // The decoded graph serves outcomes identical to the original.
-        assert_eq!(p.outcomes_from_graph(g).set(), &entry.op);
+        assert!(back.graph.is_none());
         // The decoded trace tree survives with its node count intact.
         assert_eq!(
             back.trace.get().map(|t| t.len()),
@@ -601,5 +594,9 @@ mod tests {
         tight.explore.max_states = 3;
         assert_ne!(version_tag(&d), version_tag(&tight));
         assert_eq!(version_tag(&d), version_tag(&d));
+        // DFS entries count canonical states, DPOR entries extensions.
+        let mut dpor = d;
+        dpor.strategy = bdrst_core::engine::Strategy::Dpor;
+        assert_ne!(version_tag(&d), version_tag(&dpor));
     }
 }

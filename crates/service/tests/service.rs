@@ -8,7 +8,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
+use bdrst_core::engine::{EngineConfig, EngineError, Strategy};
+use bdrst_lang::Program;
 use bdrst_litmus::{run_corpus, RunConfig, RunError};
+use bdrst_service::server::default_run_config;
 use bdrst_service::service::CheckService;
 use bdrst_service::store::{version_tag, ResultStore, StoreConfig, ENTRY_FORMAT_VERSION};
 
@@ -258,6 +261,47 @@ fn budget_failures_are_not_cached_and_surface_distinctly() {
     let err = service.check_source("thread P0 {").unwrap_err();
     assert!(matches!(err, RunError::Parse(_)));
     assert_eq!(err.kind(), "parse");
+}
+
+#[test]
+fn dpor_check_is_bounded_by_max_states_and_keeps_no_graph() {
+    // The server's configuration answers a cold `check` with DPOR, whose
+    // walk executes 12 extensions on SB (DFS visits 14 canonical states).
+    let src = "nonatomic a b;
+        thread P0 { a = 1; r0 = b; }
+        thread P1 { b = 1; r1 = a; }";
+    let (_, stats) = Program::parse(src)
+        .unwrap()
+        .outcomes_with(EngineConfig::default(), Strategy::Dpor)
+        .unwrap();
+    let extensions = stats.visited;
+    assert_eq!(extensions, 12);
+    let service = |max_states| {
+        let mut config = default_run_config();
+        assert_eq!(config.strategy, Strategy::Dpor);
+        config.explore.max_states = max_states;
+        CheckService::new(Arc::new(ResultStore::in_memory()), config)
+    };
+    let fits = service(extensions);
+    let checked = fits.check_source(src).unwrap();
+    assert!(!checked.cached);
+    assert!(checked.entry.graph.is_none(), "a miss kept a state graph");
+    assert_eq!(checked.entry.visited_states, extensions as u64);
+    assert_eq!(
+        checked.entry.op,
+        in_memory_service().check_source(src).unwrap().entry.op,
+        "DPOR and DFS outcome sets differ"
+    );
+    // One extension short: the `budget` error, and nothing cached.
+    let short = service(extensions - 1);
+    let err = short.check_source(src).unwrap_err();
+    assert_eq!(err.kind(), "budget");
+    assert_eq!(
+        err,
+        RunError::Operational(EngineError::budget(extensions)),
+        "{err:?}"
+    );
+    assert_eq!(short.stats().insertions, 0, "a failure was cached");
 }
 
 #[test]

@@ -27,6 +27,7 @@ use bdrst::litmus::all_tests;
 fn operational(p: &Program, strategy: EngineStrategy) -> BTreeSet<Observation> {
     p.outcomes_with(EngineConfig::default(), strategy)
         .expect("operational exploration fits budget")
+        .0
         .set()
         .clone()
 }

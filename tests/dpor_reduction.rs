@@ -29,6 +29,7 @@ use std::collections::BTreeSet;
 fn full_outcomes(p: &Program) -> BTreeSet<bdrst::lang::Observation> {
     p.outcomes_with(EngineConfig::default(), EngineStrategy::Dfs)
         .expect("exploration fits budget")
+        .0
         .set()
         .clone()
 }
@@ -37,6 +38,7 @@ fn full_outcomes(p: &Program) -> BTreeSet<bdrst::lang::Observation> {
 fn dpor_outcomes(p: &Program) -> BTreeSet<bdrst::lang::Observation> {
     p.outcomes_with(EngineConfig::default(), EngineStrategy::Dpor)
         .expect("reduced exploration fits budget")
+        .0
         .set()
         .clone()
 }

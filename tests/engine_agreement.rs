@@ -77,12 +77,14 @@ proptest! {
         let dfs = p
             .outcomes_with(EngineConfig::default(), EngineStrategy::Dfs)
             .expect("exploration fits budget")
+            .0
             .set()
             .clone();
         for strategy in ALL_STRATEGIES {
             let got = p
                 .outcomes_with(EngineConfig::default(), strategy)
                 .expect("exploration fits budget")
+                .0
                 .set()
                 .clone();
             prop_assert_eq!(&got, &dfs, "outcomes diverge under {:?} on\n{}", strategy, p);
@@ -117,7 +119,7 @@ proptest! {
             "dedup modes diverge on\n{}", p
         );
         let o_fp = p.outcomes_with(EngineConfig::default(), EngineStrategy::Dfs)
-            .expect("fits budget").set().clone();
+            .expect("fits budget").0.set().clone();
         // FullState outcomes via the explicit reference engine.
         let mut terms = std::collections::BTreeSet::new();
         full.explore(&p.locs, p.initial_machine(), &mut |m: &Machine<ThreadState>, _: StateId| {
