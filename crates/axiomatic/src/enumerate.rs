@@ -26,7 +26,7 @@
 //! observations and the same count.
 //!
 //! The top of the search tree is expanded breadth-first until it has
-//! enough subtrees to feed the core engine's work-stealing
+//! enough subtrees to feed the core engine's
 //! [`parallel_map_with`], and each subtree is finished depth-first on a
 //! worker (a frontier of few subtrees stays on the calling thread). The
 //! budget, [`EnumLimits::max_candidates`], is one shared
@@ -198,7 +198,7 @@ const MIN_SHARDS: usize = 32;
 
 /// Enumerates every *consistent* execution of `program` by the pruned
 /// search described in the [module docs](self), spread over the core
-/// engine's work-stealing [`parallel_map_with`]. Its executions have initial
+/// engine's [`parallel_map_with`]. Its executions have initial
 /// writes only for accessed locations; otherwise they, and their count,
 /// equal those of [`consistent_executions_streaming`] (the `Vec` order
 /// may differ).

@@ -43,13 +43,12 @@ fn bench_corpus_per_test_dfs(c: &mut Criterion) {
 fn bench_single_test_strategies(c: &mut Criterion) {
     // IRIW (4 threads) has the largest state space in the corpus: the
     // most interesting single-test probe for engine comparisons. The DFS
-    // probe times the sequential visitor walk; the work-stealing probe
-    // times the pool's state-graph recorder plus reading the outcomes
-    // off the graph, which is what `outcomes_with(WorkStealing)` runs.
+    // probe times the sequential visitor walk; the DPOR probe times the
+    // reduced walk that answers the check service's `check`.
     let p = Program::parse(corpus::IRIW_AT.source).unwrap();
     for (name, strategy) in [
         ("explore_iriw_dfs", Strategy::Dfs),
-        ("explore_iriw_worksteal", Strategy::WorkStealing),
+        ("explore_iriw_dpor", Strategy::Dpor),
     ] {
         c.bench_function(name, |b| {
             b.iter(|| {

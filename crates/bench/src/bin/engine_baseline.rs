@@ -1,8 +1,8 @@
 //! Records the engine performance baseline as JSON.
 //!
 //! Measures the litmus corpus sweep sequentially and spread test by test
-//! over `parallel_map` (each test on sequential DFS, or on the
-//! work-stealing engine), plus single-test strategy probes on IRIW, the
+//! over `parallel_map` (each test on sequential DFS), plus the
+//! single-test DFS probe on IRIW, the
 //! canonicalize-vs-fingerprint throughput of the state-dedup hot path,
 //! the **cold-vs-warm** corpus sweep through the content-addressed
 //! result store (warm runs are asserted to make *zero* transition-
@@ -55,7 +55,10 @@
 //! lane**: the corpus through `axiomatic_outcomes` alone, recording its
 //! time (`axiomatic_corpus_s`) and, from the observability counters, the
 //! pruned search's node and consistent-execution totals — both
-//! deterministic, whatever the worker count.
+//! deterministic, whatever the worker count. v15 drops the two lanes of
+//! the deleted work-stealing recorder, `corpus_sweep_worksteal_s` and
+//! `explore_iriw_worksteal_s`, so the parallel-sweep gate reads the
+//! per-test DFS sweep alone.
 //! The alloc-per-visit lanes sweep the
 //! pre-v8 *narrow* corpus (the `Wide*` stress programs are excluded by
 //! name prefix) so the v5/v6 bars stay like-for-like comparable; the
@@ -73,8 +76,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use bdrst_core::engine::{
-    canonical_fingerprint, canonicalize, Control, Dedup, EngineConfig, StateId, Strategy,
-    WorklistEngine,
+    canonical_fingerprint, canonicalize, Control, Dedup, EngineConfig, StateId, WorklistEngine,
 };
 use bdrst_core::machine::Machine;
 use bdrst_lang::{Program, ThreadState};
@@ -452,8 +454,8 @@ struct Summary {
     store_update_alloc_growth: f64,
     /// Sequential corpus sweep seconds.
     seq: f64,
-    /// The faster of the two parallel corpus sweeps, seconds.
-    best_par: f64,
+    /// Per-test DFS corpus sweep over `parallel_map`, seconds.
+    per_test_dfs: f64,
     dpor_s: f64,
     full_trace_s: f64,
     race_live_s: f64,
@@ -526,7 +528,7 @@ const GATES: &[Gate] = &[
     },
     Gate {
         what: "parallel / sequential corpus sweep time",
-        value: |s| s.best_par / s.seq,
+        value: |s| s.per_test_dfs / s.seq,
         cmp: Cmp::Below,
         bound: 1.0,
         multicore: true,
@@ -595,23 +597,11 @@ fn main() {
     let per_test_dfs = measure(|| {
         assert!(corpus_passes(&run_corpus_sharded(RunConfig::default(), 0)));
     });
-    let ws_config = RunConfig {
-        strategy: Strategy::WorkStealing,
-        ..RunConfig::default()
-    };
-    let worksteal = measure(|| {
-        assert!(corpus_passes(&run_corpus_sharded(ws_config, 0)));
-    });
 
     let iriw = Program::parse(corpus::IRIW_AT.source).unwrap();
-    let probe = |strategy: Strategy| {
-        measure(|| {
-            iriw.outcomes_with(EngineConfig::default(), strategy)
-                .unwrap();
-        })
-    };
-    let dfs = probe(Strategy::Dfs);
-    let stealing = probe(Strategy::WorkStealing);
+    let dfs = measure(|| {
+        iriw.outcomes(EngineConfig::default()).unwrap();
+    });
 
     // --- state-dedup hot path: canonicalize vs streaming fingerprint ---
     // Collect every reachable machine of IRIW once, then time the two
@@ -904,15 +894,13 @@ fn main() {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         r#"{{
-  "schema": "bdrst-engine-baseline/v14",
+  "schema": "bdrst-engine-baseline/v15",
   "samples": {SAMPLES},
   "threads_available": {threads},
   "corpus_sweep_sequential_s": {seq:.6},
   "corpus_sweep_per_test_dfs_s": {per_test_dfs:.6},
-  "corpus_sweep_worksteal_s": {worksteal:.6},
   "corpus_sweep_speedup": {speedup:.3},
   "explore_iriw_dfs_s": {dfs:.6},
-  "explore_iriw_worksteal_s": {stealing:.6},
   "canonicalize_states_per_s": {canonicalize_states_per_s:.0},
   "fingerprint_states_per_s": {fingerprint_states_per_s:.0},
   "corpus_dfs_visited_states": {v_fp},
@@ -985,7 +973,7 @@ fn main() {
             allocs_per_visit_fp,
             store_update_alloc_growth,
             seq,
-            best_par: per_test_dfs.min(worksteal),
+            per_test_dfs,
             dpor_s,
             full_trace_s,
             race_live_s,

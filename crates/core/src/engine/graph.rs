@@ -11,10 +11,10 @@
 //! * [`StateGraph`] — the deduplicated canonical state space as a compact
 //!   CSR table: per dense [`StateId`], its successor ids and terminal
 //!   flag, plus the id-ordered [`CanonState`]s handed over by the
-//!   interner. Recorded by `WorklistEngine::explore_graph` and
-//!   `WorkStealingEngine::explore_graph`; replayed with
-//!   [`StateGraph::replay`]. State predicates (terminal outcome
-//!   extraction, reachability counts) re-check in a linear scan.
+//!   interner. Recorded by `WorklistEngine::explore_graph`. State
+//!   predicates (terminal outcome extraction, reachability counts)
+//!   re-check in a linear scan over [`StateGraph::terminal_ids`] and
+//!   [`StateGraph::successors`].
 //! * [`TraceGraph`] — the *trace tree* of the program, recorded once,
 //!   unfiltered and unpruned, by `TraceEngine::record`, and stored as a
 //!   DAG of exact machines. The semantics is a pure function of the
@@ -151,10 +151,11 @@ impl<E> StateGraph<E> {
             .map(|(i, _)| StateId(i as u32))
     }
 
-    /// Serializes the graph for the content-addressed result store
-    /// ([`crate::wire`]): states, CSR offsets, successor ids, terminal
-    /// flags, in that order. `E` must itself be wire-codable (the litmus
-    /// language's thread states are).
+    /// Serializes the graph ([`crate::wire`]): states, CSR offsets,
+    /// successor ids, terminal flags, in that order. `E` must itself be
+    /// wire-codable (the litmus language's thread states are). Nothing
+    /// decodes these bytes: the result store keeps no state graph, and
+    /// the benchmark's ledger encodes a graph only to size it.
     pub fn encode(&self, out: &mut Vec<u8>)
     where
         E: Codec,
@@ -163,72 +164,6 @@ impl<E> StateGraph<E> {
         self.offsets.encode(out);
         self.succs.encode(out);
         self.terminal.encode(out);
-    }
-
-    /// Decodes a graph previously written by [`StateGraph::encode`],
-    /// re-validating every structural invariant the exploration engines
-    /// guarantee — a corrupted entry must become a [`WireError`], never a
-    /// graph that panics (or lies) when replayed.
-    ///
-    /// # Errors
-    ///
-    /// Any [`WireError`]; in particular [`WireError::Invalid`] when the
-    /// CSR table is malformed (non-monotone offsets, out-of-range
-    /// successor ids, terminal flags contradicting the successor lists).
-    pub fn decode(r: &mut Reader<'_>) -> Result<StateGraph<E>, WireError>
-    where
-        E: Codec,
-    {
-        let states: Vec<CanonState<E>> = Vec::decode(r)?;
-        let offsets: Vec<u32> = Vec::decode(r)?;
-        let succs: Vec<StateId> = Vec::decode(r)?;
-        let terminal: Vec<bool> = Vec::decode(r)?;
-        let n = states.len();
-        if offsets.len() != n + 1 || terminal.len() != n {
-            return Err(WireError::Invalid("CSR table sizes"));
-        }
-        if offsets[0] != 0
-            || offsets.windows(2).any(|w| w[0] > w[1])
-            || offsets[n] as usize != succs.len()
-        {
-            return Err(WireError::Invalid("CSR offsets"));
-        }
-        if succs.iter().any(|s| s.index() >= n) {
-            return Err(WireError::Invalid("successor id out of range"));
-        }
-        let graph = StateGraph {
-            states,
-            offsets,
-            succs,
-            terminal,
-        };
-        for i in 0..n {
-            let id = StateId(i as u32);
-            if graph.terminal[i] != graph.successors(id).is_empty() {
-                return Err(WireError::Invalid("terminal flag contradicts successors"));
-            }
-        }
-        Ok(graph)
-    }
-
-    /// Re-checks a state predicate over the cached graph: `visit` is
-    /// invoked once per state, in id order, with the state's successors
-    /// and terminal flag — no transition semantics run. Returning
-    /// [`Control::Stop`] ends the replay early ([`Control::Prune`] is
-    /// meaningless over an already-complete graph and is treated as
-    /// continue); the count of states visited is returned.
-    pub fn replay(
-        &self,
-        mut visit: impl FnMut(StateId, &CanonState<E>, &[StateId], bool) -> Control,
-    ) -> usize {
-        for i in 0..self.states.len() {
-            let id = StateId(i as u32);
-            if let Control::Stop = visit(id, &self.states[i], self.successors(id), self.terminal[i])
-            {
-                return i + 1;
-            }
-        }
-        self.states.len()
     }
 }
 
@@ -610,80 +545,6 @@ mod tests {
             assert_eq!(graph.is_terminal(id), graph.successors(id).is_empty());
         }
         assert!(graph.terminal_ids().count() > 0);
-    }
-
-    #[test]
-    fn state_graph_round_trips_through_the_wire() {
-        let (locs, a, b) = locs_ab();
-        let engine = WorklistEngine::new(EngineConfig::default());
-        let (graph, _) = engine
-            .explore_graph(&locs, sb_machine(&locs, a, b))
-            .unwrap();
-        let mut bytes = Vec::new();
-        graph.encode(&mut bytes);
-        let decoded =
-            StateGraph::<RecordedExpr>::decode(&mut crate::wire::Reader::new(&bytes)).unwrap();
-        assert_eq!(decoded.len(), graph.len());
-        assert_eq!(decoded.edge_count(), graph.edge_count());
-        for i in 0..graph.len() {
-            let id = StateId(i as u32);
-            assert_eq!(decoded.state(id), graph.state(id));
-            assert_eq!(decoded.successors(id), graph.successors(id));
-            assert_eq!(decoded.is_terminal(id), graph.is_terminal(id));
-        }
-    }
-
-    #[test]
-    fn corrupted_state_graph_bytes_are_rejected() {
-        let (locs, a, b) = locs_ab();
-        let engine = WorklistEngine::new(EngineConfig::default());
-        let (graph, _) = engine
-            .explore_graph(&locs, sb_machine(&locs, a, b))
-            .unwrap();
-        let mut bytes = Vec::new();
-        graph.encode(&mut bytes);
-        // Truncation anywhere must be an error, never a panic.
-        for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                StateGraph::<RecordedExpr>::decode(&mut crate::wire::Reader::new(&bytes[..cut]))
-                    .is_err(),
-                "truncation at {cut} decoded"
-            );
-        }
-        // Flipping any single byte must either fail to decode or decode
-        // to a structurally valid graph (the CSR invariants re-checked) —
-        // walk a few positions across the buffer.
-        for i in (0..bytes.len()).step_by(7) {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x41;
-            if let Ok(g) = StateGraph::<RecordedExpr>::decode(&mut crate::wire::Reader::new(&bad)) {
-                for s in 0..g.len() {
-                    let id = StateId(s as u32);
-                    assert_eq!(g.is_terminal(id), g.successors(id).is_empty());
-                    assert!(g.successors(id).iter().all(|t| t.index() < g.len()));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn state_graph_replay_stops_early() {
-        let (locs, a, b) = locs_ab();
-        let engine = WorklistEngine::new(EngineConfig::default());
-        let (graph, _) = engine
-            .explore_graph(&locs, sb_machine(&locs, a, b))
-            .unwrap();
-        let mut seen = 0usize;
-        let visited = graph.replay(|_, _, _, _| {
-            seen += 1;
-            if seen == 3 {
-                Control::Stop
-            } else {
-                Control::Continue
-            }
-        });
-        assert_eq!(seen, 3);
-        assert_eq!(visited, 3);
     }
 
     /// Counts complete interleavings of length `len` — usable both live

@@ -23,21 +23,14 @@
 //! [successor graph](crate::engine::StateGraph): `into_states` hands the
 //! id-ordered canonical states to the graph builder without copying.
 //!
-//! Two flavours share the same claim semantics:
-//!
-//! * [`StateInterner`] — single-threaded, used by the worklist engine;
-//! * [`SharedInterner`] — lock-striped across shards, used by the
-//!   work-stealing engine. [`SharedInterner::claim_or_intern_with`] admits
-//!   each canonical state exactly once across all threads, which is what
-//!   makes parallel exploration outcome-equivalent to sequential
-//!   exploration.
+//! [`StateInterner`] is single-threaded: every state walk that dedups
+//! canonical states runs on one thread, and ids are issued in discovery
+//! order.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Mutex;
 
 /// A dense identifier for an interned canonical state, assigned in
 /// discovery order starting from 0.
@@ -164,116 +157,10 @@ fn full_state_hash<T: Hash>(value: &T) -> u64 {
     h.finish()
 }
 
-const SHARDS: usize = 16;
-
-/// One lock stripe of the shared interner: fingerprint-keyed buckets with
-/// the states stored inline (ids are global, issued by one atomic counter).
-type Shard<T> = HashMap<u64, Vec<(StateId, T)>>;
-
-/// Thread-safe interner, lock-striped over 16 shards selected by
-/// the fingerprint. Ids remain globally unique and dense-ish (a single
-/// atomic counter), but their order depends on the race between claiming
-/// threads.
-pub struct SharedInterner<T> {
-    shards: Vec<Mutex<Shard<T>>>,
-    next: AtomicU32,
-}
-
-impl<T> Default for SharedInterner<T> {
-    fn default() -> SharedInterner<T> {
-        SharedInterner::new()
-    }
-}
-
-impl<T> SharedInterner<T> {
-    /// An empty shared interner.
-    pub fn new() -> SharedInterner<T> {
-        SharedInterner {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            next: AtomicU32::new(0),
-        }
-    }
-
-    fn shard_of(fingerprint: u64) -> usize {
-        // High bits select the shard; bucket lookup uses the full value.
-        (fingerprint >> 60) as usize % SHARDS
-    }
-
-    /// Fingerprint-first claim-or-lookup: returns the state's id and
-    /// whether *this* call admitted it. Exactly one concurrent caller
-    /// admits each canonical state; every caller learns its id, which is
-    /// what successor-graph recording needs (edges point at known states
-    /// as often as fresh ones).
-    ///
-    /// `matches` must agree with `T`'s `Eq` on the value `build` would
-    /// produce.
-    pub fn claim_or_intern_with(
-        &self,
-        fingerprint: u64,
-        mut matches: impl FnMut(&T) -> bool,
-        build: impl FnOnce() -> T,
-    ) -> (StateId, bool) {
-        let shard = &self.shards[Self::shard_of(fingerprint)];
-        {
-            let guard = shard.lock().expect("interner shard poisoned");
-            if let Some(bucket) = guard.get(&fingerprint) {
-                if let Some((id, _)) = bucket.iter().find(|(_, t)| matches(t)) {
-                    return (*id, false);
-                }
-            }
-        }
-        // Build the (expensive) canonical state *outside* the lock, then
-        // re-probe before admitting: a concurrent caller may have claimed
-        // the same state meanwhile, in which case our build is dropped and
-        // its id wins — the claim stays exactly-once.
-        let value = build();
-        let mut guard = shard.lock().expect("interner shard poisoned");
-        let bucket = guard.entry(fingerprint).or_default();
-        if let Some((id, _)) = bucket.iter().find(|(_, t)| matches(t)) {
-            return (*id, false);
-        }
-        let id = StateId(self.next.fetch_add(1, Ordering::Relaxed));
-        bucket.push((id, value));
-        (id, true)
-    }
-
-    /// Consumes the interner, returning the states in id order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if ids were not densely issued (impossible through this
-    /// API).
-    pub fn into_states(self) -> Vec<T> {
-        let mut pairs: Vec<(StateId, T)> = Vec::with_capacity(self.len());
-        for shard in self.shards {
-            pairs.extend(
-                shard
-                    .into_inner()
-                    .expect("interner shard poisoned")
-                    .into_values()
-                    .flatten(),
-            );
-        }
-        pairs.sort_by_key(|(id, _)| *id);
-        debug_assert!(pairs.iter().enumerate().all(|(i, (id, _))| id.index() == i));
-        pairs.into_iter().map(|(_, t)| t).collect()
-    }
-
-    /// Number of distinct states admitted so far.
-    pub fn len(&self) -> usize {
-        self.next.load(Ordering::Relaxed) as usize
-    }
-
-    /// True if nothing has been claimed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::cell::Cell;
 
     #[test]
     fn intern_is_idempotent() {
@@ -292,13 +179,13 @@ mod tests {
     #[test]
     fn intern_with_probes_before_building() {
         let mut i = StateInterner::new();
-        let builds = AtomicUsize::new(0);
+        let builds = Cell::new(0);
         let mut go = |fp: u64, v: u32| {
             i.intern_with(
                 fp,
                 |t| *t == v,
                 || {
-                    builds.fetch_add(1, Ordering::Relaxed);
+                    builds.set(builds.get() + 1);
                     v
                 },
             )
@@ -311,7 +198,7 @@ mod tests {
         assert_eq!(a, a2);
         assert_ne!(a, b);
         assert_eq!(b, b2);
-        assert_eq!(builds.load(Ordering::Relaxed), 2);
+        assert_eq!(builds.get(), 2);
         assert_eq!(i.len(), 2);
     }
 
@@ -324,65 +211,5 @@ mod tests {
         let mut i = StateInterner::new();
         assert_eq!(i.intern(a), (StateId(0), true));
         assert_eq!(i.intern(b), (StateId(0), false));
-    }
-
-    #[test]
-    fn shared_claim_admits_each_value_exactly_once() {
-        let interner = SharedInterner::new();
-        let wins = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for v in 0..100u32 {
-                        if interner.claim_or_intern_with(v.into(), |t| *t == v, || v).1 {
-                            wins.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(wins.load(Ordering::Relaxed), 100);
-        assert_eq!(interner.len(), 100);
-        let states = interner.into_states();
-        assert_eq!(states.len(), 100);
-        let mut sorted = states.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100u32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn shared_claim_or_intern_reports_ids_for_known_states() {
-        let interner: SharedInterner<u32> = SharedInterner::new();
-        let (a, fresh) = interner.claim_or_intern_with(3, |t| *t == 5, || 5);
-        assert!(fresh);
-        let (a2, fresh2) = interner.claim_or_intern_with(3, |t| *t == 5, || unreachable!());
-        assert!(!fresh2);
-        assert_eq!(a, a2);
-        // Collision under the same fingerprint: distinct id.
-        let (b, fresh3) = interner.claim_or_intern_with(3, |t| *t == 6, || 6);
-        assert!(fresh3);
-        assert_ne!(a, b);
-        assert_eq!(interner.into_states(), vec![5, 6]);
-    }
-
-    #[test]
-    fn shared_collisions_race_to_one_admission() {
-        // All values share one fingerprint: the collision chain is hit
-        // from many threads at once and must stay exact.
-        let interner: SharedInterner<u32> = SharedInterner::new();
-        let wins = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for v in 0..50u32 {
-                        if interner.claim_or_intern_with(42, |t| *t == v, || v).1 {
-                            wins.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(wins.load(Ordering::Relaxed), 50);
-        assert_eq!(interner.len(), 50);
     }
 }

@@ -13,36 +13,36 @@
 //!   timestamp renaming) to a [`StateVisitor`] exactly once and lets it
 //!   steer with [`Control`]; [`WorklistEngine::explore_graph`] records
 //!   the successor graph instead.
-//! * **[`WorkStealingEngine`]** ([`steal`]) — the parallel state
-//!   recorder: a persistent worker pool with per-worker deques and FIFO
-//!   stealing, no barrier per search level, so a single deep exploration
-//!   scales, not just multi-test sweeps. Its one walk,
-//!   [`WorkStealingEngine::explore_graph`], claims states exactly once
-//!   through a lock-striped interner, so it records the same canonical
-//!   state set as the sequential engine.
+//! * **[`DporEngine`]** ([`dpor`]) — dynamic partial-order reduction:
+//!   one representative trace per equivalence class of maximal traces.
+//!   [`dpor_reachable_terminals`] enumerates outcomes with it, which is
+//!   how the check service answers `check`.
 //! * **[`TraceEngine`]** ([`worklist`]) — iterative depth-first trace
 //!   enumeration for the trace-dependent checkers (data races and
 //!   happens-before are properties of traces, not states);
 //!   [`TraceEngine::explore`] drives a [`TraceVisitor`] on the calling
 //!   thread, and [`TraceEngine::record`] records the full tree for
 //!   replay: a sequential depth-first walk memoized by exact machine.
-//! * **[`StateInterner`] / [`SharedInterner`]** ([`intern`]) — state
-//!   dedup is **fingerprint-first** ([`canonical_fingerprint`] streams
-//!   the canonical form into a hasher without building it; a re-visit
-//!   allocates only its rank table, and verified equality on collision keeps
-//!   outcomes bit-identical — [`Dedup`] selects the full-state
+//! * **[`StateInterner`]** ([`intern`]) — state dedup is
+//!   **fingerprint-first** ([`canonical_fingerprint`] streams the
+//!   canonical form into a hasher without building it; a re-visit
+//!   allocates only its rank table, and verified equality on collision
+//!   keeps outcomes bit-identical — [`Dedup`] selects the full-state
 //!   reference path). States live in a dense id-indexed table behind
 //!   `u32` [`StateId`]s.
-//! * **[`StateGraph`] / [`TraceGraph`]** ([`graph`]) — explore once,
-//!   re-check forever: the worklist and work-stealing engines record
-//!   the interned successor graph (CSR of successor ids + terminal
-//!   flags), and [`TraceEngine::record`] records the full trace tree
-//!   as a DAG with one row per distinct machine; both replay new
-//!   predicates ([`ReplayVisitor`]) without re-running the transition
-//!   semantics.
+//! * **[`StateGraph`] / [`TraceGraph`]** ([`graph`]) — the worklist
+//!   engine records the interned successor graph (CSR of successor ids
+//!   and terminal flags), and [`TraceEngine::record`] records the full
+//!   trace tree as a DAG with one row per distinct machine, which
+//!   replays new predicates ([`ReplayVisitor`]) without re-running the
+//!   transition semantics.
 //! * **[`EngineError`]** — the structured error surface: budget
 //!   exhaustion and corrupted-frontier detection (formerly a panic in
 //!   `canonicalize`).
+//!
+//! Every walk runs on its calling thread. The one parallel helper,
+//! [`parallel_map`] ([`parallel`]), shards whole work items — litmus
+//! tests, simulator workloads, axiomatic subtrees — across a scoped pool.
 //!
 //! [`crate::explore`] keeps the terminal-state helper
 //! (`reachable_terminals`) as a thin wrapper over the sequential engine.
@@ -56,23 +56,23 @@
 //! | Strategy | Engine | When to prefer it |
 //! |---|---|---|
 //! | [`Strategy::Dfs`] | [`WorklistEngine`] (stack) | default; the reference walk |
-//! | [`Strategy::WorkStealing`] | [`WorkStealingEngine`] (graph recorder) | a recorded state graph over the worker pool; no production caller |
 //! | [`Strategy::Dpor`] | [`DporEngine`] | outcome enumeration over one trace per equivalence class, no state graph held; the check service's default |
+//! | [`Strategy::WorkStealing`] | [`WorklistEngine`] (stack) | never: a leftover name for `Dfs` (see its doc) |
 //!
-//! Every parallel entry point resolves its worker count through
-//! [`steal::engine_threads`]: an explicit nonzero count wins, `0` ("all
+//! [`parallel_map`] resolves its worker count through
+//! [`engine_threads`]: an explicit nonzero count wins, `0` ("all
 //! cores") honours the `BDRST_ENGINE_THREADS` environment variable
-//! before falling back to [`std::thread::available_parallelism`]. Both
-//! full engines visit the same canonical state set and surface the same
+//! before falling back to [`std::thread::available_parallelism`]. DFS
+//! and DPOR reach the same outcome set and surface the same
 //! [`EngineError`]s — the differential and property suites under
 //! `tests/` enforce this across the litmus corpus and randomly generated
 //! programs.
 //!
-//! # Example: counting canonical states under each engine
+//! # Example: canonical states and outcomes
 //!
 //! ```
-//! use bdrst_core::engine::{Control, EngineConfig, StateId, WorkStealingEngine,
-//!                          WorklistEngine};
+//! use bdrst_core::engine::{dpor_reachable_terminals, Control, Dependence, EngineConfig,
+//!                          StateId, WorklistEngine};
 //! use bdrst_core::loc::{LocKind, LocSet, Val};
 //! use bdrst_core::machine::{Machine, RecordedExpr, StepLabel};
 //!
@@ -83,25 +83,26 @@
 //! let m0 = Machine::initial(&locs, [p0, p1]);
 //!
 //! let mut count = 0usize;
+//! let mut terminals = 0usize;
 //! let engine = WorklistEngine::new(EngineConfig::default());
-//! engine.explore(&locs, m0.clone(), &mut |_m: &Machine<RecordedExpr>, _id: StateId| {
+//! engine.explore(&locs, m0.clone(), &mut |m: &Machine<RecordedExpr>, _id: StateId| {
 //!     count += 1;
+//!     terminals += usize::from(m.is_terminal());
 //!     Control::Continue
 //! })?;
+//! assert_eq!(count, engine.explore_graph(&locs, m0.clone())?.0.len());
 //!
-//! let engine = WorkStealingEngine::new(EngineConfig::default());
-//! let par_count = engine.explore_graph(&locs, m0)?.0.len();
-//! assert_eq!(count, par_count);
+//! let (dpor, _) =
+//!     dpor_reachable_terminals(&locs, m0, EngineConfig::default(), Dependence::Observational)?;
+//! assert_eq!(terminals, dpor.len());
 //! # Ok::<(), bdrst_core::engine::EngineError>(())
 //! ```
 
 pub mod canon;
-mod deque;
 pub mod dpor;
 pub mod graph;
 pub mod intern;
 pub mod parallel;
-pub mod steal;
 pub mod worklist;
 
 use std::fmt;
@@ -115,9 +116,8 @@ use canon::RankTable;
 pub use canon::{canon_matches, canonical_fingerprint, canonicalize, CanonState};
 pub use dpor::{dpor_reachable_terminals, full_complete_traces, Dependence, DporEngine, DporStats};
 pub use graph::{ReplayStep, ReplayVisitor, StateGraph, TraceGraph};
-pub use intern::{SharedInterner, StateId, StateInterner};
-pub use parallel::{parallel_map, parallel_map_with};
-pub use steal::{engine_threads, WorkStealingEngine};
+pub use intern::{StateId, StateInterner};
+pub use parallel::{engine_threads, parallel_map, parallel_map_with};
 pub use worklist::{TraceEngine, WorklistEngine};
 
 /// How the sequential worklist engine identifies states for dedup.
@@ -167,37 +167,6 @@ pub fn intern_canonical<E: Expr>(
         |c| table.matches(c),
         // A successful fingerprint walks every frontier, so
         // canonicalization cannot fail afterwards.
-        || {
-            table
-                .canonicalize()
-                .expect("fingerprinted machines canonicalize")
-        },
-    );
-    if fresh {
-        bdrst_obs::counter_add(bdrst_obs::Counter::StatesInterned, 1);
-        bdrst_obs::counter_max(bdrst_obs::Counter::InternerOccupancy, interner.len() as u64);
-    }
-    Ok((id, fresh))
-}
-
-/// [`intern_canonical`] against the lock-striped [`SharedInterner`]: the
-/// claim-exactly-once dedup hot path of the work-stealing engine. Returns
-/// the id and whether *this* call admitted the state.
-///
-/// # Errors
-///
-/// As [`intern_canonical`].
-pub fn claim_canonical<E: Expr>(
-    interner: &SharedInterner<CanonState<E>>,
-    locs: &LocSet,
-    m: &Machine<E>,
-) -> Result<(StateId, bool), EngineError> {
-    let table = RankTable::new(locs, m);
-    let fp = table.fingerprint()?;
-    let _span = bdrst_obs::span(bdrst_obs::Phase::InternClaim);
-    let (id, fresh) = interner.claim_or_intern_with(
-        fp,
-        |c| table.matches(c),
         || {
             table
                 .canonicalize()
@@ -336,8 +305,12 @@ pub enum Strategy {
     /// Sequential depth-first worklist.
     #[default]
     Dfs,
-    /// Deque-based work-stealing over a persistent worker pool (no
-    /// per-level barrier).
+    /// A leftover name for [`Strategy::Dfs`]: every dispatch runs the
+    /// sequential walk, and no code in this workspace constructs it. Its
+    /// only user is the benchmark's `perfbench/tests/families.rs`, whose
+    /// "DFS and work-stealing visit the same canonical states" check now
+    /// compares the sequential recorder with itself. The benchmark change
+    /// that drops that check deletes this variant (ROADMAP item 1).
     WorkStealing,
     /// Dynamic partial-order reduction ([`DporEngine`]): one
     /// representative per Mazurkiewicz class of maximal traces, under the

@@ -6,11 +6,38 @@
 //! subtrees across it. Workers take item indices from one shared atomic
 //! cursor, so uneven item costs (litmus tests vary by orders of
 //! magnitude) still balance; items are coarse, so one `fetch_add` per
-//! item is noise.
+//! item is noise. That cursor is the crate's only coordination between
+//! threads: every state, trace and DPOR walk runs on its calling thread.
+//!
+//! # Thread-count knobs
+//!
+//! Every parallel entry point resolves its worker count through
+//! [`engine_threads`]: an explicit nonzero count is used as given; `0`
+//! (the "all cores" default) consults the `BDRST_ENGINE_THREADS`
+//! environment variable before falling back to
+//! [`std::thread::available_parallelism`]. CI runs the whole test suite
+//! once with `BDRST_ENGINE_THREADS=1` (forcing every defaulted pool to a
+//! single worker) and once unset, so both paths stay exercised.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::engine::steal::engine_threads;
+/// Resolves a requested worker count: nonzero counts are taken verbatim,
+/// `0` means "all available" — first the `BDRST_ENGINE_THREADS`
+/// environment variable (if set to a positive integer), then
+/// [`std::thread::available_parallelism`].
+pub fn engine_threads(requested: usize) -> usize {
+    if requested != 0 {
+        return requested;
+    }
+    if let Ok(s) = std::env::var("BDRST_ENGINE_THREADS") {
+        if let Ok(n) = s.trim().parse::<usize>() {
+            if n > 0 {
+                return n;
+            }
+        }
+    }
+    std::thread::available_parallelism().map_or(4, |n| n.get())
+}
 
 /// Applies `f` to every item of `items` across all available cores,
 /// preserving input order in the result.
@@ -28,8 +55,7 @@ where
 }
 
 /// [`parallel_map`] with an explicit worker count (0 = all cores,
-/// honouring `BDRST_ENGINE_THREADS`; see
-/// [`crate::engine::steal::engine_threads`]).
+/// honouring `BDRST_ENGINE_THREADS`; see [`engine_threads`]).
 pub fn parallel_map_with<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -80,6 +106,12 @@ mod tests {
         let out1 = parallel_map_with(&items, 1, |x| x + 1);
         assert_eq!(out1[0], 1);
         assert_eq!(out1.len(), 257);
+    }
+
+    #[test]
+    fn engine_threads_resolution() {
+        assert_eq!(engine_threads(3), 3);
+        assert!(engine_threads(0) >= 1);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! [`reachable_terminals`] is a thin wrapper over the sequential
 //! [`WorklistEngine`], the reference every other outcome path is checked
 //! against. The engines themselves (the worklist, interned canonical
-//! states, the work-stealing graph recorder, DPOR, the trace walk that
+//! states, the state-graph recorder, DPOR, the trace walk that
 //! the trace-dependent DRF checkers drive) live in [`crate::engine`], and
 //! checkers that need to steer the search implement
 //! [`crate::engine::StateVisitor`] / [`crate::engine::TraceVisitor`]

@@ -18,10 +18,12 @@
 //! Everything above is *checked by exhaustive exploration*, and that
 //! exploration is provided by the pluggable [`engine`] layer: an iterative
 //! depth-first worklist, canonical states interned to dense
-//! `u32` ids ([`engine::StateInterner`]), a work-stealing parallel
-//! engine ([`engine::WorkStealingEngine`]) that visits the same state set
-//! as the sequential one, and an iterative trace enumerator
-//! ([`engine::TraceEngine`]) for the trace-dependent checkers.
+//! `u32` ids ([`engine::StateInterner`]), dynamic partial-order
+//! reduction ([`engine::DporEngine`]) that reaches the same outcomes
+//! over fewer traces, and an iterative trace enumerator
+//! ([`engine::TraceEngine`]) for the trace-dependent checkers. Each walk
+//! runs on its calling thread; [`engine::parallel_map`] shards whole
+//! work items across cores.
 //! [`explore::reachable_terminals`] remains as a thin wrapper.
 //!
 //! ## Quick example: message passing
@@ -73,7 +75,7 @@ pub mod wire;
 
 pub use engine::{
     Control, EngineConfig, EngineError, StateId, StateVisitor, Strategy, TraceEngine, TraceVisitor,
-    WorkStealingEngine, WorklistEngine,
+    WorklistEngine,
 };
 pub use explore::ExploreStats;
 pub use frontier::Frontier;

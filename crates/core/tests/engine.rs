@@ -1,15 +1,15 @@
 //! Integration tests for the exploration engine: budget exhaustion,
-//! agreement of the sequential walk and the work-stealing graph recorder
-//! on the message-passing and store-buffering shapes, and determinism of
-//! canonical hashing.
+//! agreement of the sequential walk, the sequential state-graph recorder
+//! and DPOR on the message-passing and store-buffering shapes, and
+//! determinism of canonical hashing.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 
 use bdrst_core::engine::{
-    canonicalize, CanonState, Control, EngineConfig, EngineError, StateId, Strategy,
-    WorkStealingEngine, WorklistEngine,
+    canonicalize, dpor_reachable_terminals, CanonState, Control, Dependence, EngineConfig,
+    EngineError, StateId, Strategy, WorklistEngine,
 };
 use bdrst_core::explore::reachable_terminals;
 use bdrst_core::loc::{Loc, LocKind, LocSet, Val};
@@ -45,35 +45,46 @@ fn reads<'a>(exprs: impl Iterator<Item = &'a RecordedExpr>) -> Vec<i64> {
     exprs.flat_map(|e| e.reads.iter().map(|v| v.0)).collect()
 }
 
+/// The read values of terminal machines.
+fn terminal_reads(terminals: &[Machine<RecordedExpr>]) -> BTreeSet<Vec<i64>> {
+    terminals
+        .iter()
+        .map(|m| reads(m.threads.iter().map(|t| &t.expr)))
+        .collect()
+}
+
 /// The canonical terminal outcome set under one strategy: the sequential
-/// visitor walk for `Dfs`, the terminal states of the work-stealing
-/// graph recorder (four workers) for `WorkStealing`.
+/// visitor walk for `Dfs`, the DPOR walk for `Dpor`.
 fn outcomes(locs: &LocSet, m0: Machine<RecordedExpr>, strategy: Strategy) -> BTreeSet<Vec<i64>> {
     let cfg = EngineConfig::default();
     match strategy {
-        Strategy::WorkStealing => {
-            let (graph, _) = WorkStealingEngine::with_threads(cfg, 4)
-                .explore_graph(locs, m0)
-                .unwrap();
-            graph
-                .terminal_ids()
-                .map(|id| reads(graph.state(id).thread_exprs()))
-                .collect()
+        Strategy::Dpor => {
+            let (terminals, _) =
+                dpor_reachable_terminals(locs, m0, cfg, Dependence::Observational).unwrap();
+            terminal_reads(&terminals)
         }
-        _ => reachable_terminals(locs, m0, cfg)
-            .unwrap()
-            .iter()
-            .map(|m| reads(m.threads.iter().map(|t| &t.expr)))
-            .collect(),
+        _ => terminal_reads(&reachable_terminals(locs, m0, cfg).unwrap()),
     }
+}
+
+/// The read values of the terminal states the sequential recorder keeps.
+fn recorded_outcomes(locs: &LocSet, m0: Machine<RecordedExpr>) -> BTreeSet<Vec<i64>> {
+    let (graph, _) = WorklistEngine::new(EngineConfig::default())
+        .explore_graph(locs, m0)
+        .unwrap();
+    graph
+        .terminal_ids()
+        .map(|id| reads(graph.state(id).thread_exprs()))
+        .collect()
 }
 
 #[test]
 fn strategies_agree_on_message_passing() {
     let (locs, a, _b, f) = locs_abf();
     let dfs = outcomes(&locs, message_passing(&locs, a, f), Strategy::Dfs);
-    let ws = outcomes(&locs, message_passing(&locs, a, f), Strategy::WorkStealing);
-    assert_eq!(dfs, ws);
+    let dpor = outcomes(&locs, message_passing(&locs, a, f), Strategy::Dpor);
+    assert_eq!(dfs, dpor);
+    assert_eq!(dfs, recorded_outcomes(&locs, message_passing(&locs, a, f)));
     // The MP guarantee itself: flag read 1 implies payload read 1.
     assert!(!dfs.contains(&vec![1, 0]));
     assert!(dfs.contains(&vec![1, 1]));
@@ -83,16 +94,18 @@ fn strategies_agree_on_message_passing() {
 fn strategies_agree_on_store_buffering() {
     let (locs, a, b, _f) = locs_abf();
     let dfs = outcomes(&locs, store_buffering(&locs, a, b), Strategy::Dfs);
-    let ws = outcomes(&locs, store_buffering(&locs, a, b), Strategy::WorkStealing);
-    assert_eq!(dfs, ws);
+    let dpor = outcomes(&locs, store_buffering(&locs, a, b), Strategy::Dpor);
+    assert_eq!(dfs, dpor);
+    assert_eq!(dfs, recorded_outcomes(&locs, store_buffering(&locs, a, b)));
     // SB is racy: all four read combinations appear.
     assert_eq!(dfs.len(), 4);
 }
 
 #[test]
 fn strategies_agree_on_visited_state_counts() {
-    // Not just terminals: the engines must visit the *same* canonical
-    // state set, so the visited counts coincide.
+    // Not just terminals: the visitor walk and the state-graph recorder
+    // must visit the *same* canonical state set, so the visited counts
+    // coincide.
     let (locs, a, _b, f) = locs_abf();
     let cfg = EngineConfig::default();
     let mut dfs = 0usize;
@@ -106,13 +119,11 @@ fn strategies_agree_on_visited_state_counts() {
             },
         )
         .unwrap();
-    for threads in [2, 8] {
-        let (graph, stats) = WorkStealingEngine::with_threads(cfg, threads)
-            .explore_graph(&locs, message_passing(&locs, a, f))
-            .unwrap();
-        assert_eq!(graph.len(), dfs, "{threads} workers");
-        assert_eq!(stats.visited, dfs, "{threads} workers");
-    }
+    let (graph, stats) = WorklistEngine::new(cfg)
+        .explore_graph(&locs, message_passing(&locs, a, f))
+        .unwrap();
+    assert_eq!(graph.len(), dfs);
+    assert_eq!(stats.visited, dfs);
 }
 
 #[test]
@@ -130,10 +141,14 @@ fn budget_exhaustion_is_uniform_across_engines() {
             reachable_terminals(&locs, m0.clone(), tiny).map(drop),
         ),
         (
-            "work-stealing",
-            WorkStealingEngine::with_threads(tiny, 4)
-                .explore_graph(&locs, m0)
+            "state-graph recorder",
+            WorklistEngine::new(tiny)
+                .explore_graph(&locs, m0.clone())
                 .map(drop),
+        ),
+        (
+            "dpor",
+            dpor_reachable_terminals(&locs, m0, tiny, Dependence::Observational).map(drop),
         ),
     ];
     for (engine, r) in runs {

@@ -1,4 +1,4 @@
-//! A state walk that trips its budget still charges its wall time to
+//! A state or DPOR walk that trips its budget still charges its wall time to
 //! `ExploreNanos`. Its visited states were already counted, so a walk
 //! that charged no time would inflate the states-per-second gauge that
 //! `metrics` and `--profile` derive from the two counters.
@@ -7,9 +7,7 @@
 
 use std::path::Path;
 
-use bdrst_core::engine::{
-    Control, EngineConfig, EngineError, StateId, WorkStealingEngine, WorklistEngine,
-};
+use bdrst_core::engine::{Control, EngineConfig, EngineError, StateId, Strategy, WorklistEngine};
 use bdrst_core::machine::Machine;
 use bdrst_lang::{Program, ThreadState};
 use bdrst_obs::{counter_get, Counter};
@@ -53,9 +51,7 @@ fn tripped_walks_charge_explore_nanos() {
             .explore_graph(&p.locs, p.initial_machine())
             .map(drop)
     });
-    assert_charged("work-stealing recorder", &|| {
-        WorkStealingEngine::with_threads(tiny, 4)
-            .explore_graph(&p.locs, p.initial_machine())
-            .map(drop)
+    assert_charged("DPOR walk", &|| {
+        p.outcomes_with(tiny, Strategy::Dpor).map(drop)
     });
 }

@@ -6,7 +6,7 @@ use std::fmt;
 
 use bdrst_core::engine::{
     dpor_reachable_terminals, Control, Dependence, EngineConfig, EngineError, ExploreStats,
-    StateGraph, StateId, Strategy, WorkStealingEngine, WorklistEngine,
+    StateGraph, StateId, Strategy, WorklistEngine,
 };
 use bdrst_core::loc::{Loc, LocKind, LocSet, Val};
 use bdrst_core::machine::Machine;
@@ -117,11 +117,8 @@ impl Program {
     /// the same observation set:
     ///
     /// * `Dfs` runs the sequential visitor walk, the reference; `visited`
-    ///   counts canonical states;
-    /// * `WorkStealing` records the state graph across the worker pool
-    ///   ([`Program::state_graph_with`]) and reads the outcomes off it
-    ///   ([`Program::outcomes_from_graph`]); `visited` counts canonical
-    ///   states;
+    ///   counts canonical states. `WorkStealing`, a leftover name, runs
+    ///   the same walk;
     /// * `Dpor` reaches every terminal through one representative trace
     ///   per equivalence class instead of visiting every canonical state
     ///   (the check service's path); `visited` counts the executed trace
@@ -136,7 +133,7 @@ impl Program {
         strategy: Strategy,
     ) -> Result<(Outcomes, ExploreStats), EngineError> {
         match strategy {
-            Strategy::Dfs => {
+            Strategy::Dfs | Strategy::WorkStealing => {
                 let mut terminals = Vec::new();
                 let stats = WorklistEngine::new(config).explore(
                     &self.locs,
@@ -149,10 +146,6 @@ impl Program {
                     },
                 )?;
                 Ok((self.observe_all(&terminals), stats))
-            }
-            Strategy::WorkStealing => {
-                let (graph, stats) = self.state_graph_with(config, strategy)?;
-                Ok((self.outcomes_from_graph(&graph), stats))
             }
             Strategy::Dpor => {
                 // The reduced walk charges executed extensions to
@@ -197,14 +190,14 @@ impl Program {
         &self,
         config: EngineConfig,
     ) -> Result<(StateGraph<ThreadState>, ExploreStats), EngineError> {
-        self.state_graph_with(config, Strategy::Dfs)
+        WorklistEngine::new(config).explore_graph(&self.locs, self.initial_machine())
     }
 
-    /// [`Program::state_graph`] under an explicit engine [`Strategy`].
-    /// `Dfs` (and `Dpor`) record through the sequential worklist;
-    /// `WorkStealing` records through the work-stealing pool. All
-    /// strategies record the same canonical state set (the engines
-    /// guarantee it); only id order may differ.
+    /// [`Program::state_graph`], whatever the [`Strategy`]: a state graph
+    /// is by definition the *full* interned successor graph, which the
+    /// reduced DPOR walk cannot record, so every strategy records through
+    /// the sequential worklist. The strategy parameter stays only because
+    /// the benchmark's ledger passes one (ROADMAP item 1).
     ///
     /// # Errors
     ///
@@ -212,18 +205,9 @@ impl Program {
     pub fn state_graph_with(
         &self,
         config: EngineConfig,
-        strategy: Strategy,
+        _strategy: Strategy,
     ) -> Result<(StateGraph<ThreadState>, ExploreStats), EngineError> {
-        let m0 = self.initial_machine();
-        match strategy {
-            // A state graph is by definition the *full* interned
-            // successor graph; the reduced walk cannot record one, so
-            // Dpor falls back to the sequential DFS recorder.
-            Strategy::Dfs | Strategy::Dpor => {
-                WorklistEngine::new(config).explore_graph(&self.locs, m0)
-            }
-            Strategy::WorkStealing => WorkStealingEngine::new(config).explore_graph(&self.locs, m0),
-        }
+        self.state_graph(config)
     }
 
     /// Re-derives the program's outcome set from a cached successor

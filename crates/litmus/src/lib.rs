@@ -9,10 +9,10 @@
 //! hardware models.
 //!
 //! [`runner::RunConfig::strategy`] selects the exploration engine
-//! (DFS / work-stealing / DPOR), and the batched sweep entry points
+//! (DFS / DPOR), and the batched sweep entry points
 //! [`runner::run_corpus`] / [`runner::run_corpus_sharded`] run the whole
 //! corpus — the sharded variant distributes tests across the core
-//! engine's work-stealing parallel map.
+//! engine's parallel map.
 //!
 //! ```
 //! use bdrst_litmus::{corpus, runner};

@@ -17,8 +17,8 @@ use crate::corpus::LitmusTest;
 pub struct RunConfig {
     /// Budget for operational exploration.
     pub explore: EngineConfig,
-    /// Engine strategy for operational exploration: sequential DFS, the
-    /// work-stealing pool, or DPOR (see [`bdrst_core::engine::Strategy`]).
+    /// Engine strategy for operational exploration: sequential DFS or
+    /// DPOR (see [`bdrst_core::engine::Strategy`]).
     pub strategy: Strategy,
     /// Budget for axiomatic/hardware enumeration.
     pub enumerate: EnumLimits,
@@ -369,7 +369,6 @@ fn truncate(s: &str, n: usize) -> String {
 mod tests {
     use super::*;
     use crate::corpus;
-    use bdrst_core::engine::WorkStealingEngine;
 
     #[test]
     fn sb_passes_both_models() {
@@ -403,26 +402,22 @@ mod tests {
 
     #[test]
     fn corpus_outcome_sets_identical_across_strategies() {
-        // The acceptance bar for the engine refactor: DFS and the
-        // work-stealing engine produce byte-identical canonical outcome
-        // sets on the full corpus. The explicit four-worker pool races
-        // for real even where `BDRST_ENGINE_THREADS=1` makes the
-        // defaulted strategy delegate to the sequential recorder.
+        // DFS, DPOR (the lane that answers `check`) and the outcomes read
+        // off the sequential state graph produce byte-identical canonical
+        // outcome sets on the full corpus.
         for t in corpus::all_tests() {
             let p = Program::parse(t.source).unwrap();
             let cfg = EngineConfig::default();
             let dfs = p.outcomes(cfg).unwrap().set().clone();
-            let ws = p
-                .outcomes_with(cfg, Strategy::WorkStealing)
+            let dpor = p
+                .outcomes_with(cfg, Strategy::Dpor)
                 .unwrap()
                 .0
                 .set()
                 .clone();
-            let (graph, _) = WorkStealingEngine::with_threads(cfg, 4)
-                .explore_graph(&p.locs, p.initial_machine())
-                .unwrap();
-            let pool = p.outcomes_from_graph(&graph).set().clone();
-            for (lane, got) in [("work-stealing", &ws), ("four-worker pool", &pool)] {
+            let (graph, _) = p.state_graph(cfg).unwrap();
+            let recorded = p.outcomes_from_graph(&graph).set().clone();
+            for (lane, got) in [("DPOR", &dpor), ("state graph", &recorded)] {
                 assert_eq!(&dfs, got, "DFS vs {lane} diverge on {}", t.name);
                 assert_eq!(
                     format!("{dfs:?}"),
@@ -466,9 +461,9 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_strategy_in_run_config() {
+    fn dpor_strategy_in_run_config() {
         let cfg = RunConfig {
-            strategy: Strategy::WorkStealing,
+            strategy: Strategy::Dpor,
             ..RunConfig::default()
         };
         let rep = run_test(&corpus::MP, cfg).unwrap();
@@ -476,23 +471,23 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_sweep_matches_sequential_sweep() {
-        // The whole corpus under the work-stealing strategy, itself
-        // sharded test-by-test over the parallel map: reports must be
-        // identical to the fully sequential sweep.
-        let ws = RunConfig {
-            strategy: Strategy::WorkStealing,
+    fn dpor_sweep_matches_sequential_sweep() {
+        // The whole corpus under DPOR, sharded test-by-test over the
+        // parallel map: reports must be identical to the fully
+        // sequential DFS sweep.
+        let dpor = RunConfig {
+            strategy: Strategy::Dpor,
             ..RunConfig::default()
         };
         let seq = run_corpus(RunConfig::default());
-        let par = run_corpus_sharded(ws, 4);
+        let par = run_corpus_sharded(dpor, 4);
         assert_eq!(seq.len(), par.len());
         for ((n1, r1), (n2, r2)) in seq.iter().zip(&par) {
             assert_eq!(n1, n2);
             assert_eq!(
                 format!("{r1:?}"),
                 format!("{r2:?}"),
-                "work-stealing sweep diverges on {n1}"
+                "DPOR sweep diverges on {n1}"
             );
         }
     }

@@ -9,7 +9,7 @@
 pub enum Phase {
     /// Litmus surface-syntax parsing.
     Parse = 0,
-    /// An engine explore call (worklist, work-stealing, or DPOR).
+    /// An engine explore call (worklist or DPOR).
     Explore,
     /// `canonical_fingerprint` (state identity hashing).
     Fingerprint,

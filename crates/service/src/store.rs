@@ -99,7 +99,7 @@ pub struct CacheEntry {
     /// The size of the operational walk that computed `op`: the
     /// `visited` count of [`Program::outcomes_with`] under the service's
     /// strategy — executed trace extensions under DPOR (the server's
-    /// default), canonical states under DFS or work-stealing.
+    /// default), canonical states under DFS.
     pub visited_states: u64,
     /// Always `None`: the service computes outcomes without recording a
     /// state graph, and entries are persisted without one. The field

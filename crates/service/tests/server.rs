@@ -14,7 +14,8 @@ use bdrst_service::store::ResultStore;
 
 fn start_server() -> bdrst_service::server::ServerHandle {
     // DFS strategy so in-process comparisons use the default runner
-    // config; the server default (work-stealing) is covered too, below.
+    // config. The server default, DPOR (`server::default_run_config`),
+    // is covered in `tests/service.rs` and `tests/introspect.rs`.
     let service = CheckService::new(Arc::new(ResultStore::in_memory()), RunConfig::default());
     serve(
         Arc::new(service),

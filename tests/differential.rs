@@ -1,13 +1,15 @@
 //! Cross-semantics differential suite: for the full litmus corpus *and*
 //! ≥ 100 randomly generated programs, the operational final-state set
-//! (every engine strategy) must equal the axiomatic consistent-execution
-//! final-state set (the unpruned streaming oracle *and* the pruned,
-//! sharded search) — four independently computed sets, one answer.
+//! (the sequential DFS walk *and* DPOR, the lane that answers `check`)
+//! must equal the axiomatic consistent-execution final-state set (the
+//! unpruned streaming oracle *and* the pruned, sharded search) — four
+//! independently computed sets, one answer.
 //!
-//! This is the harness the parallel decompositions are locked down by:
-//! checker verdicts and outcome sets are exactly the kind of output that
-//! silently diverges under parallel decomposition or pruning, so every
-//! such path is compared against its sequential oracle on every program.
+//! This is the harness the reductions and the parallel decomposition are
+//! locked down by: checker verdicts and outcome sets are exactly the kind
+//! of output that silently diverges under partial-order reduction,
+//! pruning or sharding, so every such path is compared against its
+//! exhaustive oracle on every program.
 
 use std::collections::BTreeSet;
 
@@ -53,11 +55,8 @@ fn axiomatic_streaming(p: &Program) -> BTreeSet<Observation> {
 /// Asserts all four outcome sets of `p` coincide; `name` labels failures.
 fn assert_all_agree(name: &str, p: &Program) {
     let op_seq = operational(p, EngineStrategy::Dfs);
-    let op_ws = operational(p, EngineStrategy::WorkStealing);
-    assert_eq!(
-        op_seq, op_ws,
-        "{name}: operational DFS vs work-stealing diverge"
-    );
+    let op_dpor = operational(p, EngineStrategy::Dpor);
+    assert_eq!(op_seq, op_dpor, "{name}: operational DFS vs DPOR diverge");
     let ax_stream = axiomatic_streaming(p);
     let ax_pruned = axiomatic_pruned(p);
     assert_eq!(
@@ -103,8 +102,8 @@ fn corpus_axiomatic_execution_counts_match() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// ≥ 100 generated programs: operational (sequential and
-    /// work-stealing) == axiomatic (streaming and pruned).
+    /// ≥ 100 generated programs: operational (DFS and DPOR) ==
+    /// axiomatic (streaming and pruned).
     #[test]
     fn generated_operational_equals_axiomatic_sequential_and_sharded(p in small_program()) {
         assert_all_agree("generated", &p);

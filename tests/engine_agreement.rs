@@ -1,12 +1,9 @@
 //! Property suite for the exploration engines: random programs are
 //! generated through the vendored proptest stub and every engine — the
-//! sequential DFS walk and both state-graph recorders, sequential and
-//! work-stealing — must agree on the *visited canonical state count* and
-//! the terminal outcome set, and the recorded trace tree must replay to
-//! the live soundness verdict.
-//!
-//! These are the lock-down tests for the work-stealing pool: parallel
-//! decomposition must be observationally invisible.
+//! sequential DFS walk, the sequential state-graph recorder and DPOR —
+//! must agree on the terminal outcome set, the recorder must record
+//! exactly the canonical states the walk visits, and the recorded trace
+//! tree must replay to the live soundness verdict.
 
 use proptest::prelude::*;
 
@@ -15,8 +12,7 @@ use common::small_program;
 
 use bdrst::axiomatic::{check_soundness, generate, GenLimits};
 use bdrst::core::engine::{
-    Control, Dedup, EngineConfig, StateId, Strategy as EngineStrategy, TraceEngine,
-    WorkStealingEngine, WorklistEngine,
+    Control, Dedup, EngineConfig, StateId, Strategy as EngineStrategy, TraceEngine, WorklistEngine,
 };
 use bdrst::core::machine::Machine;
 use bdrst::lang::{Program, ThreadState};
@@ -38,37 +34,21 @@ fn visited_count(p: &Program, engine: &WorklistEngine) -> usize {
     n
 }
 
-/// Number of canonical states the work-stealing recorder records on
-/// `p`'s state space with `threads` workers.
-fn recorded_count(p: &Program, threads: usize) -> usize {
-    WorkStealingEngine::with_threads(EngineConfig::default(), threads)
-        .explore_graph(&p.locs, p.initial_machine())
-        .expect("exploration fits budget")
-        .0
-        .len()
-}
-
-const ALL_STRATEGIES: [EngineStrategy; 2] = [EngineStrategy::Dfs, EngineStrategy::WorkStealing];
+const ALL_STRATEGIES: [EngineStrategy; 2] = [EngineStrategy::Dfs, EngineStrategy::Dpor];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Every state-graph recorder records exactly the states the
-    /// sequential walk visits — the claim-exactly-once interner makes the
-    /// visited *set* identical, so the counts must coincide.
+    /// The state-graph recorder records exactly the states the
+    /// sequential visitor walk visits.
     #[test]
     fn engines_agree_on_visited_state_counts(p in small_program()) {
         let dfs = visited_count(&p, &WorklistEngine::new(EngineConfig::default()));
-        for strategy in ALL_STRATEGIES {
-            let (graph, _) = p
-                .state_graph_with(EngineConfig::default(), strategy)
-                .expect("exploration fits budget");
-            prop_assert_eq!(
-                graph.len(),
-                dfs,
-                "visited counts diverge under {:?} on\n{}", strategy, p
-            );
-        }
+        let (graph, stats) = p
+            .state_graph(EngineConfig::default())
+            .expect("exploration fits budget");
+        prop_assert_eq!(graph.len(), dfs, "recorded states diverge on\n{}", p);
+        prop_assert_eq!(stats.visited, dfs, "visited counts diverge on\n{}", p);
     }
 
     /// Every engine produces the identical terminal outcome set.
@@ -89,18 +69,6 @@ proptest! {
                 .clone();
             prop_assert_eq!(&got, &dfs, "outcomes diverge under {:?} on\n{}", strategy, p);
         }
-    }
-
-    /// The work-stealing engine agrees with itself across worker counts
-    /// (1 delegates to the sequential worklist; 2 and 8 race for real).
-    #[test]
-    fn work_stealing_agrees_across_worker_counts(p in small_program()) {
-        let counts: Vec<usize> = [1usize, 2, 8]
-            .into_iter()
-            .map(|threads| recorded_count(&p, threads))
-            .collect();
-        prop_assert_eq!(counts[0], counts[1], "1 vs 2 workers on\n{}", p);
-        prop_assert_eq!(counts[0], counts[2], "1 vs 8 workers on\n{}", p);
     }
 
     /// Fingerprint-first dedup visits exactly the same canonical state
@@ -153,18 +121,14 @@ proptest! {
     }
 
     /// `axiomatic::generate` on random programs: generation succeeds on
-    /// the straight-line fragment, the candidate count is the per-thread
-    /// alternative product, and every engine visits the operational state
-    /// space of the same program identically — the event-graph side and
-    /// the engine side of the differential harness meet on one input.
+    /// the straight-line fragment and the candidate count is the
+    /// per-thread alternative product — on the same generated programs
+    /// the engine properties above run on.
     #[test]
     fn generated_event_graphs_consistent_with_engines(p in small_program()) {
         let g = generate(&p, GenLimits::default()).expect("straight-line programs converge");
         let product: usize = g.per_thread.iter().map(Vec::len).product();
         prop_assert_eq!(g.candidate_count(), product);
         prop_assert!(g.per_thread.iter().all(|alts| !alts.is_empty()));
-        let dfs = visited_count(&p, &WorklistEngine::new(EngineConfig::default()));
-        let ws = recorded_count(&p, 4);
-        prop_assert_eq!(dfs, ws, "visited counts diverge on generated program\n{}", p);
     }
 }
