@@ -4,7 +4,9 @@
 //!   traces to candidate executions, with `rfΣ` and `coΣ` recovered from
 //!   the trace's timestamps (nonatomics) and trace order (atomics).
 //! * [`check_soundness`] verifies Theorem 15 on a program: every trace's
-//!   induced execution is consistent.
+//!   induced execution is consistent. Its visitor reads labels only, so
+//!   it is one [`TraceVisitor`], and [`check_soundness_replayed`] runs
+//!   the same visitor and body over a recorded [`TraceGraph`].
 //! * [`check_equivalence`] verifies the observable content of Theorems 15
 //!   and 16 together: the operational and axiomatic semantics produce
 //!   exactly the same outcome sets.
@@ -13,15 +15,13 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use bdrst_core::engine::{
-    Control, EngineConfig, EngineError, ReplayStep, ReplayVisitor, TraceEngine, TraceGraph,
-    TraceVisitor,
+    Control, EngineConfig, EngineError, ExploreStats, Step, TraceEngine, TraceGraph, TraceVisitor,
 };
 use bdrst_core::loc::{Action, LocKind, LocSet};
-use bdrst_core::machine::{Transition, TransitionLabel};
+use bdrst_core::machine::TransitionLabel;
 use bdrst_core::relation::Relation;
 use bdrst_core::timestamp::Timestamp;
 use bdrst_core::trace::TraceLabels;
-use bdrst_lang::ThreadState;
 use bdrst_lang::{Observation, Program};
 
 use crate::enumerate::{axiomatic_outcomes, EnumError, EnumLimits};
@@ -191,16 +191,16 @@ impl std::error::Error for SoundnessError {}
 
 /// Visitor for Theorem 15: maps every trace prefix through `|Σ|` and
 /// checks the induced execution is well-formed and consistent. The check
-/// consumes only the trace's labels, so the same visitor drives live
-/// walks ([`TraceVisitor`]) and recorded-tree replays ([`ReplayVisitor`]).
+/// consumes only the trace's labels, so the one visitor drives live walks
+/// and recorded-tree replays alike.
 struct SoundnessVisitor<'a> {
     locs: &'a LocSet,
     checked: usize,
     violation: Option<SoundnessViolation>,
 }
 
-impl SoundnessVisitor<'_> {
-    fn check(&mut self, trace: &TraceLabels) -> Control {
+impl TraceVisitor for SoundnessVisitor<'_> {
+    fn visit(&mut self, trace: &TraceLabels, _step: Step<'_>) -> Control {
         self.checked += 1;
         let exec = execution_of_trace(self.locs, trace.labels());
         let reason = match exec.validate() {
@@ -218,15 +218,22 @@ impl SoundnessVisitor<'_> {
     }
 }
 
-impl TraceVisitor<ThreadState> for SoundnessVisitor<'_> {
-    fn visit(&mut self, trace: &TraceLabels, _t: &Transition<ThreadState>) -> Control {
-        self.check(trace)
-    }
-}
-
-impl ReplayVisitor for SoundnessVisitor<'_> {
-    fn visit(&mut self, trace: &TraceLabels, _step: ReplayStep<'_>) -> Control {
-        self.check(trace)
+/// The body [`check_soundness`] and [`check_soundness_replayed`] share:
+/// checks every trace prefix `walk` shows the visitor and returns how
+/// many it checked.
+fn soundness_with(
+    locs: &LocSet,
+    walk: impl FnOnce(&mut SoundnessVisitor<'_>) -> Result<ExploreStats, EngineError>,
+) -> Result<usize, SoundnessError> {
+    let mut visitor = SoundnessVisitor {
+        locs,
+        checked: 0,
+        violation: None,
+    };
+    walk(&mut visitor).map_err(SoundnessError::Engine)?;
+    match visitor.violation {
+        Some(v) => Err(SoundnessError::Violation(Box::new(v))),
+        None => Ok(visitor.checked),
     }
 }
 
@@ -239,19 +246,9 @@ impl ReplayVisitor for SoundnessVisitor<'_> {
 /// Returns [`SoundnessError::Violation`] with the first bad trace, or
 /// [`SoundnessError::Engine`] on exhaustion.
 pub fn check_soundness(program: &Program, config: EngineConfig) -> Result<usize, SoundnessError> {
-    let locs = &program.locs;
-    let mut visitor = SoundnessVisitor {
-        locs,
-        checked: 0,
-        violation: None,
-    };
-    TraceEngine::new(config)
-        .explore(locs, program.initial_machine(), &mut visitor)
-        .map_err(SoundnessError::Engine)?;
-    match visitor.violation {
-        Some(v) => Err(SoundnessError::Violation(Box::new(v))),
-        None => Ok(visitor.checked),
-    }
+    soundness_with(&program.locs, |v| {
+        TraceEngine::new(config).explore(&program.locs, program.initial_machine(), v)
+    })
 }
 
 /// [`check_soundness`] over a recorded [`TraceGraph`] of the program's
@@ -268,19 +265,7 @@ pub fn check_soundness_replayed(
     graph: &TraceGraph,
     config: EngineConfig,
 ) -> Result<usize, SoundnessError> {
-    let locs = &program.locs;
-    let mut visitor = SoundnessVisitor {
-        locs,
-        checked: 0,
-        violation: None,
-    };
-    graph
-        .replay(config, &mut visitor)
-        .map_err(SoundnessError::Engine)?;
-    match visitor.violation {
-        Some(v) => Err(SoundnessError::Violation(Box::new(v))),
-        None => Ok(visitor.checked),
-    }
+    soundness_with(&program.locs, |v| graph.replay(config, v))
 }
 
 /// The two outcome sets compared by [`check_equivalence`].

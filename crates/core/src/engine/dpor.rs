@@ -50,23 +50,23 @@
 //!
 //! # What the visitor sees
 //!
-//! [`DporEngine::explore`] drives an ordinary [`TraceVisitor`]: one
-//! `visit` per executed extension, depth-first, with the same budget
-//! discipline as the full walk (`max_traces` executed extensions, then
+//! [`DporEngine::explore`] drives the same [`TraceVisitor`] the full
+//! walk and the graph replay drive: one `visit` per executed extension,
+//! depth-first, with the same budget discipline as the full walk
+//! (`max_traces` executed extensions, then
 //! [`EngineError::BudgetExceeded`]). The visitor only sees the explored
 //! subset of prefixes, so it must check a property that is invariant
 //! across the equivalence classes of the chosen [`Dependence`] mode.
-//! `step_filter` is honoured, but it must be label-determined (as every
-//! filter in this repository is): transitions are filtered once per
-//! node, not once per visit position.
+//! `step_filter` sees a label only, so it is label-determined by type:
+//! transitions are filtered once per node, not once per visit position.
 //!
 //! # Example
 //!
 //! ```
 //! use bdrst_core::engine::dpor::{full_complete_traces, DporEngine};
-//! use bdrst_core::engine::{Control, EngineConfig, TraceVisitor};
+//! use bdrst_core::engine::{Control, EngineConfig, Step, TraceVisitor};
 //! use bdrst_core::loc::{LocKind, LocSet, Val};
-//! use bdrst_core::machine::{Machine, RecordedExpr, StepLabel, Transition};
+//! use bdrst_core::machine::{Machine, RecordedExpr, StepLabel};
 //! use bdrst_core::trace::TraceLabels;
 //!
 //! let mut locs = LocSet::new();
@@ -78,8 +78,8 @@
 //! let m0 = Machine::initial(&locs, [p0, p1]);
 //!
 //! struct Go;
-//! impl TraceVisitor<RecordedExpr> for Go {
-//!     fn visit(&mut self, _: &TraceLabels, _: &Transition<RecordedExpr>) -> Control {
+//! impl TraceVisitor for Go {
+//!     fn visit(&mut self, _: &TraceLabels, _: Step<'_>) -> Control {
 //!         Control::Continue
 //!     }
 //! }
@@ -94,7 +94,8 @@
 use std::collections::BTreeSet;
 
 use crate::engine::{
-    intern_canonical, CanonState, Control, EngineConfig, EngineError, StateInterner, TraceVisitor,
+    intern_canonical, CanonState, Control, EngineConfig, EngineError, StateInterner, Step,
+    TraceVisitor,
 };
 use crate::loc::LocSet;
 use crate::machine::{Expr, Machine, ThreadId, Transition, TransitionLabel};
@@ -296,7 +297,8 @@ impl DporEngine {
         DporEngine { config, dependence }
     }
 
-    /// Builds the node for `m`, inheriting `sleep` from the incoming edge.
+    /// Builds the node whose machine has the enabled `transitions`,
+    /// inheriting `sleep` from the incoming edge.
     ///
     /// Every enabled successor is materialised up front and parked in its
     /// group until the schedule (or a backtrack) reaches it — cheap
@@ -306,17 +308,16 @@ impl DporEngine {
     /// across the whole frontier, however long the sleep sets keep it
     /// parked.
     fn node<E: Expr>(
-        locs: &LocSet,
-        m: &Machine<E>,
+        transitions: Vec<Transition<E>>,
         sleep: BTreeSet<ThreadId>,
-        visitor: &mut dyn TraceVisitor<E>,
+        visitor: &mut dyn TraceVisitor,
         stats: &mut DporStats,
     ) -> Node<E> {
         let mut groups: Vec<Group<E>> = Vec::new();
-        for t in m.transitions(locs) {
+        for t in transitions {
             stats.transitions += 1;
             bdrst_obs::counter_add(bdrst_obs::Counter::DporBranches, 1);
-            if !visitor.step_filter(&t) {
+            if !visitor.step_filter(&t.label) {
                 continue;
             }
             if groups.last().is_none_or(|g| g.thread != t.label.thread) {
@@ -360,24 +361,34 @@ impl DporEngine {
         &self,
         locs: &LocSet,
         m0: Machine<E>,
-        visitor: &mut dyn TraceVisitor<E>,
+        visitor: &mut dyn TraceVisitor,
     ) -> Result<DporStats, EngineError> {
         crate::engine::timed_walk(
-            || self.explore_inner(locs, m0, visitor),
+            || self.walk(locs, m0, visitor, &mut |_| Ok(())),
             |stats| stats.visited,
         )
     }
 
-    fn explore_inner<E: Expr>(
+    /// The walk behind [`DporEngine::explore`]. Each reached terminal
+    /// machine is handed to `terminal` before the visit; an error it
+    /// returns ends the walk.
+    fn walk<E: Expr>(
         &self,
         locs: &LocSet,
         m0: Machine<E>,
-        visitor: &mut dyn TraceVisitor<E>,
+        visitor: &mut dyn TraceVisitor,
+        terminal: &mut dyn FnMut(Machine<E>) -> Result<(), EngineError>,
     ) -> Result<DporStats, EngineError> {
         let mut stats = DporStats::default();
         let mut budget = self.config.max_traces;
         let mut trace = TraceLabels::new();
-        let mut stack = vec![Self::node(locs, &m0, BTreeSet::new(), visitor, &mut stats)];
+        let mut enabled: Vec<TransitionLabel> = Vec::new();
+        let mut stack = vec![Self::node(
+            m0.transitions(locs),
+            BTreeSet::new(),
+            visitor,
+            &mut stats,
+        )];
         loop {
             let depth = stack.len() - 1;
             let top = stack.last_mut().expect("loop keeps the stack non-empty");
@@ -497,11 +508,20 @@ impl DporEngine {
             }
             bdrst_obs::counter_add(bdrst_obs::Counter::DporBacktrackPoints, backtrack_added);
             drop(bt_span);
-            if t.target.is_terminal() {
-                stats.complete_traces += 1;
-            }
             trace.push(e);
-            match visitor.visit(&trace, &t) {
+            let next = t.target.transitions(locs);
+            enabled.clear();
+            enabled.extend(next.iter().map(|n| n.label));
+            if next.is_empty() {
+                stats.complete_traces += 1;
+                terminal(t.target)?;
+            }
+            let step = Step {
+                label: e,
+                enabled: &enabled,
+                terminal: next.is_empty(),
+            };
+            match visitor.visit(&trace, step) {
                 Control::Stop => return Ok(stats),
                 Control::Prune => {
                     trace.pop();
@@ -524,7 +544,7 @@ impl DporEngine {
                                 })
                         })
                         .collect();
-                    let child = Self::node(locs, &t.target, child_sleep, visitor, &mut stats);
+                    let child = Self::node(next, child_sleep, visitor, &mut stats);
                     stack.push(child);
                 }
             }
@@ -544,9 +564,9 @@ pub fn full_complete_traces<E: Expr>(
     config: EngineConfig,
 ) -> Result<usize, EngineError> {
     struct Count(usize);
-    impl<E: Expr> TraceVisitor<E> for Count {
-        fn visit(&mut self, _: &TraceLabels, t: &Transition<E>) -> Control {
-            if t.target.is_terminal() {
+    impl TraceVisitor for Count {
+        fn visit(&mut self, _: &TraceLabels, step: Step<'_>) -> Control {
+            if step.terminal {
                 self.0 += 1;
             }
             Control::Continue
@@ -571,42 +591,26 @@ pub fn dpor_reachable_terminals<E: Expr>(
     config: EngineConfig,
     dependence: Dependence,
 ) -> Result<(Vec<Machine<E>>, DporStats), EngineError> {
-    struct Collect<'a, E: Expr> {
-        locs: &'a LocSet,
-        interner: StateInterner<CanonState<E>>,
-        terminals: Vec<Machine<E>>,
-        error: Option<EngineError>,
-    }
-    impl<E: Expr> TraceVisitor<E> for Collect<'_, E> {
-        fn visit(&mut self, _: &TraceLabels, t: &Transition<E>) -> Control {
-            if !t.target.is_terminal() {
-                return Control::Continue;
-            }
-            match intern_canonical(&mut self.interner, self.locs, &t.target) {
-                Ok((_, true)) => self.terminals.push(t.target.clone()),
-                Ok((_, false)) => {}
-                Err(e) => {
-                    self.error = Some(e);
-                    return Control::Stop;
-                }
-            }
+    struct Go;
+    impl TraceVisitor for Go {
+        fn visit(&mut self, _: &TraceLabels, _: Step<'_>) -> Control {
             Control::Continue
         }
     }
-    let mut collect = Collect {
-        locs,
-        interner: StateInterner::new(),
-        terminals: Vec::new(),
-        error: None,
+    let mut interner: StateInterner<CanonState<E>> = StateInterner::new();
+    let mut terminals = Vec::new();
+    let mut collect = |m: Machine<E>| {
+        if intern_canonical(&mut interner, locs, &m)?.1 {
+            terminals.push(m);
+        }
+        Ok(())
     };
-    let initially_terminal = m0.is_terminal();
-    let stats =
-        DporEngine::with_dependence(config, dependence).explore(locs, m0.clone(), &mut collect)?;
-    if let Some(e) = collect.error {
-        return Err(e);
-    }
-    let mut terminals = collect.terminals;
-    if initially_terminal {
+    let engine = DporEngine::with_dependence(config, dependence);
+    let stats = crate::engine::timed_walk(
+        || engine.walk(locs, m0.clone(), &mut Go, &mut collect),
+        |stats| stats.visited,
+    )?;
+    if m0.is_terminal() {
         terminals.push(m0);
     }
     Ok((terminals, stats))
@@ -621,8 +625,8 @@ mod tests {
     use std::collections::BTreeSet;
 
     struct Go;
-    impl TraceVisitor<RecordedExpr> for Go {
-        fn visit(&mut self, _: &TraceLabels, _: &Transition<RecordedExpr>) -> Control {
+    impl TraceVisitor for Go {
+        fn visit(&mut self, _: &TraceLabels, _: Step<'_>) -> Control {
             Control::Continue
         }
     }
@@ -825,8 +829,8 @@ mod tests {
         let p1 = RecordedExpr::new(vec![StepLabel::Write(b, Val(1)); 3]);
         let m0 = Machine::initial(&locs, [p0, p1]);
         struct StopNow(usize);
-        impl TraceVisitor<RecordedExpr> for StopNow {
-            fn visit(&mut self, _: &TraceLabels, _: &Transition<RecordedExpr>) -> Control {
+        impl TraceVisitor for StopNow {
+            fn visit(&mut self, _: &TraceLabels, _: Step<'_>) -> Control {
                 self.0 += 1;
                 Control::Stop
             }
@@ -847,11 +851,11 @@ mod tests {
         let p1 = RecordedExpr::new(vec![StepLabel::Write(b, Val(1)); 3]);
         let m0 = Machine::initial(&locs, [p0, p1]);
         struct OnlyThreadZero(usize);
-        impl TraceVisitor<RecordedExpr> for OnlyThreadZero {
-            fn step_filter(&mut self, t: &Transition<RecordedExpr>) -> bool {
-                t.label.thread == ThreadId(0)
+        impl TraceVisitor for OnlyThreadZero {
+            fn step_filter(&mut self, label: &TransitionLabel) -> bool {
+                label.thread == ThreadId(0)
             }
-            fn visit(&mut self, _: &TraceLabels, _: &Transition<RecordedExpr>) -> Control {
+            fn visit(&mut self, _: &TraceLabels, _: Step<'_>) -> Control {
                 self.0 += 1;
                 Control::Continue
             }
@@ -873,8 +877,8 @@ mod tests {
         let p1 = RecordedExpr::new(vec![StepLabel::Write(b, Val(1)); 2]);
         let m0 = Machine::initial(&locs, [p0, p1]);
         struct PruneAll(usize);
-        impl TraceVisitor<RecordedExpr> for PruneAll {
-            fn visit(&mut self, _: &TraceLabels, _: &Transition<RecordedExpr>) -> Control {
+        impl TraceVisitor for PruneAll {
+            fn visit(&mut self, _: &TraceLabels, _: Step<'_>) -> Control {
                 self.0 += 1;
                 Control::Prune
             }

@@ -23,19 +23,19 @@
 //!   that reaches the machine points at that row. A row lists the
 //!   machine's children and their labels, and because the recording is
 //!   unfiltered those labels are exactly the ones enabled at it.
-//!   Trace-dependent checkers (data races, happens-before, L-stability,
-//!   Theorem 15 soundness) consume exactly label sequences and
-//!   enabled-label sets, so [`TraceGraph::replay`] — which walks the
-//!   DAG as the tree it unfolds to — can drive any [`ReplayVisitor`],
-//!   with its own step filter, pruning, stopping and budget, and produce
-//!   verdicts identical to a live [`crate::engine::TraceEngine`] walk.
-//!   Because the recording is unfiltered it is a supertree of every
-//!   filtered walk; replaying a filter simply skips the subtrees the live
-//!   walk would never have entered. A visitor whose decisions below an
-//!   extension depend only on the reached row and a summary of its path
-//!   opts in to memoization ([`ReplayVisitor::summary`]), and the replay
-//!   then walks each (row, summary) pair once instead of once per path;
-//!   its trace budget counts those walks, not the paths.
+//!   A [`TraceVisitor`] sees only labels — the label sequence, the
+//!   labels enabled at the reached machine — so [`TraceGraph::replay`],
+//!   which walks the DAG as the tree it unfolds to, drives the very
+//!   visitor a live [`crate::engine::TraceEngine`] walk drives, with its
+//!   own step filter, pruning, stopping and budget, and produces
+//!   identical verdicts. Because the recording is unfiltered it is a
+//!   supertree of every filtered walk; replaying a filter simply skips
+//!   the subtrees the live walk would never have entered. A visitor
+//!   whose decisions below an extension depend only on the reached row
+//!   and a summary of its path opts in to memoization
+//!   ([`TraceVisitor::summary`]), and the replay then walks each (row,
+//!   summary) pair once instead of once per path; its trace budget
+//!   counts those walks, not the paths.
 //!
 //! A note on why *state*-graph paths cannot replace the trace graph for
 //! race checking: the state graph merges machines by canonical form,
@@ -50,7 +50,9 @@
 
 use std::collections::HashMap;
 
-use crate::engine::{CanonState, Control, EngineConfig, EngineError, ExploreStats, StateId};
+use crate::engine::{
+    CanonState, Control, EngineConfig, EngineError, ExploreStats, StateId, Step, TraceVisitor,
+};
 use crate::loc::LocSet;
 use crate::machine::TransitionLabel;
 use crate::trace::TraceLabels;
@@ -164,55 +166,6 @@ impl<E> StateGraph<E> {
         self.offsets.encode(out);
         self.succs.encode(out);
         self.terminal.encode(out);
-    }
-}
-
-/// What a [`ReplayVisitor`] sees at one replayed trace extension: the
-/// extension's label, the labels enabled at the reached machine, and
-/// whether that machine is terminal.
-#[derive(Clone, Copy, Debug)]
-pub struct ReplayStep<'g> {
-    /// The label of the transition just (re)taken.
-    pub label: TransitionLabel,
-    /// The labels of every transition enabled at the reached machine.
-    pub enabled: &'g [TransitionLabel],
-    /// True iff the reached machine has no enabled transition.
-    pub terminal: bool,
-}
-
-/// A trace visitor over a recorded [`TraceGraph`]: the label-level
-/// counterpart of [`crate::engine::TraceVisitor`]. The race detector
-/// ([`crate::hb::RaceDetector`]) and the local-DRF checker consume only
-/// labels, so each implements both traits over shared logic.
-pub trait ReplayVisitor {
-    /// Whether this label may extend the current trace (mirrors
-    /// [`crate::engine::TraceVisitor::step_filter`]).
-    fn step_filter(&mut self, _label: &TransitionLabel) -> bool {
-        true
-    }
-
-    /// Inspects one replayed extension; `trace` ends with `step.label`.
-    fn visit(&mut self, trace: &TraceLabels, step: ReplayStep<'_>) -> Control;
-
-    /// Opts in to memoized replay. Called after [`ReplayVisitor::visit`]
-    /// returned [`Control::Continue`] on an extension that reaches a row
-    /// with more than one incoming edge and a subtree large enough to be
-    /// worth a key. A visitor whose filter, visits and verdicts below
-    /// the extension depend only on that row and on a summary of its own
-    /// state appends the summary to `key` and returns `true`. The replay
-    /// then skips the row under any later trace with an equal summary
-    /// (see [`TraceGraph::replay`]).
-    ///
-    /// The summary must be exact, not a hash: a visitor that opts in
-    /// promises that a skipped subtree would have replayed as the first
-    /// one did, found nothing new, and not stopped. The race detector
-    /// and the local-DRF checker opt in with
-    /// [`crate::hb::HbState::summary`]. The default opts out, so the
-    /// replay shows the visitor every extension of the unfolded tree, as
-    /// visitors that count or collect per trace (Theorem 15 soundness)
-    /// need.
-    fn summary(&mut self, _trace: &TraceLabels, _key: &mut Vec<u64>) -> bool {
-        false
     }
 }
 
@@ -343,12 +296,10 @@ impl TraceGraph {
     /// Replays the recorded graph under `visitor`, reproducing the exact
     /// depth-first order, filtering, pruning and stopping of a live
     /// [`crate::engine::TraceEngine::explore`] walk — without invoking
-    /// the transition semantics at all. Verdicts are therefore identical
-    /// to the live walk's for any visitor whose decisions depend only on
-    /// labels (every checker in [`crate::localdrf`] and the Theorem 15
-    /// soundness scan qualify).
+    /// the transition semantics at all. A [`TraceVisitor`] sees only
+    /// labels, so its verdicts are identical to the live walk's.
     ///
-    /// A visitor that opts out of [`ReplayVisitor::summary`] is shown the
+    /// A visitor that opts out of [`TraceVisitor::summary`] is shown the
     /// whole unfolded tree. For one that opts in, the replay keys each
     /// shared row it enters (one with several incoming edges and a
     /// subtree worth a key) by (row, summary), and skips a row it has
@@ -366,7 +317,7 @@ impl TraceGraph {
     /// the work the replay does: an unfolded replay trips exactly where
     /// the live walk does, and a skip costs nothing, so a memoized
     /// replay can answer under a budget its unfolded tree exceeds.
-    pub fn replay<V: ReplayVisitor>(
+    pub fn replay<V: TraceVisitor + ?Sized>(
         &self,
         config: EngineConfig,
         visitor: &mut V,
@@ -416,7 +367,7 @@ impl TraceGraph {
             let child = self.children[j] as usize;
             let row = self.row(child);
             let enabled = &self.labels[row.clone()];
-            let step = ReplayStep {
+            let step = Step {
                 label,
                 enabled,
                 terminal: enabled.is_empty(),
@@ -515,7 +466,7 @@ mod tests {
     use super::*;
     use crate::engine::{TraceEngine, TraceVisitor, WorklistEngine};
     use crate::loc::{Loc, LocKind, LocSet, Val};
-    use crate::machine::{Machine, RecordedExpr, StepLabel, ThreadId, Transition};
+    use crate::machine::{Machine, RecordedExpr, StepLabel, ThreadId};
 
     fn locs_ab() -> (LocSet, Loc, Loc) {
         let mut l = LocSet::new();
@@ -554,17 +505,8 @@ mod tests {
         complete: usize,
     }
 
-    impl TraceVisitor<RecordedExpr> for CountComplete {
-        fn visit(&mut self, trace: &TraceLabels, t: &Transition<RecordedExpr>) -> Control {
-            if trace.len() == self.len && t.target.is_terminal() {
-                self.complete += 1;
-            }
-            Control::Continue
-        }
-    }
-
-    impl ReplayVisitor for CountComplete {
-        fn visit(&mut self, trace: &TraceLabels, step: ReplayStep<'_>) -> Control {
+    impl TraceVisitor for CountComplete {
+        fn visit(&mut self, trace: &TraceLabels, step: Step<'_>) -> Control {
             if trace.len() == self.len && step.terminal {
                 self.complete += 1;
             }
@@ -611,13 +553,8 @@ mod tests {
             max_traces: total - 1,
         };
         struct Go;
-        impl TraceVisitor<RecordedExpr> for Go {
-            fn visit(&mut self, _: &TraceLabels, _: &Transition<RecordedExpr>) -> Control {
-                Control::Continue
-            }
-        }
-        impl ReplayVisitor for Go {
-            fn visit(&mut self, _: &TraceLabels, _: ReplayStep<'_>) -> Control {
+        impl TraceVisitor for Go {
+            fn visit(&mut self, _: &TraceLabels, _: Step<'_>) -> Control {
                 Control::Continue
             }
         }
@@ -779,8 +716,8 @@ mod tests {
             bad[i] ^= 0x41;
             if let Ok(g) = TraceGraph::decode(&mut crate::wire::Reader::new(&bad), &locs, 2) {
                 struct Go;
-                impl ReplayVisitor for Go {
-                    fn visit(&mut self, _: &TraceLabels, _: ReplayStep<'_>) -> Control {
+                impl TraceVisitor for Go {
+                    fn visit(&mut self, _: &TraceLabels, _: Step<'_>) -> Control {
                         Control::Continue
                     }
                 }
@@ -797,8 +734,8 @@ mod tests {
         seen: usize,
     }
 
-    impl ReplayVisitor for CountVisits {
-        fn visit(&mut self, _: &TraceLabels, _: ReplayStep<'_>) -> Control {
+    impl TraceVisitor for CountVisits {
+        fn visit(&mut self, _: &TraceLabels, _: Step<'_>) -> Control {
             self.seen += 1;
             Control::Continue
         }
@@ -854,20 +791,11 @@ mod tests {
         struct OnlyP0 {
             seen: usize,
         }
-        impl TraceVisitor<RecordedExpr> for OnlyP0 {
-            fn step_filter(&mut self, t: &Transition<RecordedExpr>) -> bool {
-                t.label.thread.index() == 0
-            }
-            fn visit(&mut self, _: &TraceLabels, _: &Transition<RecordedExpr>) -> Control {
-                self.seen += 1;
-                Control::Continue
-            }
-        }
-        impl ReplayVisitor for OnlyP0 {
+        impl TraceVisitor for OnlyP0 {
             fn step_filter(&mut self, label: &TransitionLabel) -> bool {
                 label.thread.index() == 0
             }
-            fn visit(&mut self, _: &TraceLabels, _: ReplayStep<'_>) -> Control {
+            fn visit(&mut self, _: &TraceLabels, _: Step<'_>) -> Control {
                 self.seen += 1;
                 Control::Continue
             }

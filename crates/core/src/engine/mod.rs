@@ -34,8 +34,14 @@
 //!   engine records the interned successor graph (CSR of successor ids
 //!   and terminal flags), and [`TraceEngine::record`] records the full
 //!   trace tree as a DAG with one row per distinct machine, which
-//!   replays new predicates ([`ReplayVisitor`]) without re-running the
-//!   transition semantics.
+//!   replays new predicates ([`TraceGraph::replay`]) without re-running
+//!   the transition semantics.
+//! * **[`TraceVisitor`]** — the one trace visitor. It sees labels only:
+//!   each extension arrives as a [`Step`] (the label taken, the labels
+//!   enabled at the reached machine, whether that machine is terminal),
+//!   so every trace checker is written once and driven unchanged by
+//!   [`TraceEngine::explore`], [`DporEngine::explore`] and
+//!   [`TraceGraph::replay`].
 //! * **[`EngineError`]** — the structured error surface: budget
 //!   exhaustion and corrupted-frontier detection (formerly a panic in
 //!   `canonicalize`).
@@ -108,14 +114,14 @@ pub mod worklist;
 use std::fmt;
 
 use crate::loc::{Loc, LocSet};
-use crate::machine::{Expr, Machine, Transition};
+use crate::machine::{Expr, Machine, TransitionLabel};
 use crate::timestamp::Timestamp;
 use crate::trace::TraceLabels;
 
 use canon::RankTable;
 pub use canon::{canon_matches, canonical_fingerprint, canonicalize, CanonState};
 pub use dpor::{dpor_reachable_terminals, full_complete_traces, Dependence, DporEngine, DporStats};
-pub use graph::{ReplayStep, ReplayVisitor, StateGraph, TraceGraph};
+pub use graph::{StateGraph, TraceGraph};
 pub use intern::{StateId, StateInterner};
 pub use parallel::{engine_threads, parallel_map, parallel_map_with};
 pub use worklist::{TraceEngine, WorklistEngine};
@@ -239,7 +245,9 @@ pub struct ExploreStats {
 pub enum EngineError {
     /// The exploration exceeded its [`EngineConfig`] budget.
     BudgetExceeded {
-        /// The number of states or traces visited before giving up.
+        /// The number of states or traces visited before giving up, or
+        /// `usize::MAX` when a recorded trace tree unfolds to more
+        /// extensions than a `usize` counts.
         visited: usize,
     },
     /// Canonicalization found a frontier timestamp that is absent from the
@@ -269,6 +277,12 @@ impl EngineError {
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            // `TraceEngine::record`'s sentinel for a tree whose
+            // extensions overflow a `usize`: no count was reached.
+            EngineError::BudgetExceeded { visited: usize::MAX } => write!(
+                f,
+                "exploration budget exceeded: the trace tree has more extensions than a usize counts"
+            ),
             EngineError::BudgetExceeded { visited } => {
                 write!(f, "exploration budget exceeded after {visited} items")
             }
@@ -341,18 +355,76 @@ impl<E: Expr, F: FnMut(&Machine<E>, StateId) -> Control> StateVisitor<E> for F {
     }
 }
 
-/// A trace visitor: called once per trace prefix, in depth-first order.
+/// What a [`TraceVisitor`] sees at one trace extension: the label just
+/// taken, the labels enabled at the reached machine, and whether that
+/// machine is terminal. A live walk, a DPOR walk and a
+/// [`TraceGraph::replay`] fill it alike.
+#[derive(Clone, Copy, Debug)]
+pub struct Step<'a> {
+    /// The label of the transition just taken.
+    pub label: TransitionLabel,
+    /// The labels of every transition enabled at the reached machine,
+    /// unfiltered.
+    pub enabled: &'a [TransitionLabel],
+    /// True iff the reached machine has no enabled transition.
+    pub terminal: bool,
+}
+
+/// A trace visitor: called once per trace extension, in depth-first
+/// order. It sees labels only, so one implementation drives a live
+/// [`TraceEngine::explore`] walk, a [`DporEngine::explore`] walk and a
+/// [`TraceGraph::replay`] alike.
 ///
 /// `step_filter` selects which transitions may be taken at all (e.g. only
 /// L-sequential ones); `visit` then sees each taken extension with the
 /// full label stack.
-pub trait TraceVisitor<E: Expr> {
-    /// Whether this transition may extend the current trace.
-    fn step_filter(&mut self, _transition: &Transition<E>) -> bool {
+pub trait TraceVisitor {
+    /// Whether a transition with this label may extend the current
+    /// trace.
+    fn step_filter(&mut self, _label: &TransitionLabel) -> bool {
         true
     }
 
-    /// Inspects one trace extension; `trace` ends with `transition`'s
-    /// label.
-    fn visit(&mut self, trace: &TraceLabels, transition: &Transition<E>) -> Control;
+    /// Inspects one trace extension; `trace` ends with `step.label`.
+    fn visit(&mut self, trace: &TraceLabels, step: Step<'_>) -> Control;
+
+    /// Opts in to memoized replay; live walks never call it. Called
+    /// after [`TraceVisitor::visit`] returned [`Control::Continue`] on a
+    /// replayed extension that reaches a row with more than one incoming
+    /// edge and a subtree large enough to be worth a key. A visitor
+    /// whose filter, visits and verdicts below the extension depend only
+    /// on that row and on a summary of its own state appends the summary
+    /// to `key` and returns `true`. The replay then skips the row under
+    /// any later trace with an equal summary (see [`TraceGraph::replay`]).
+    ///
+    /// The summary must be exact, not a hash: a visitor that opts in
+    /// promises that a skipped subtree would have replayed as the first
+    /// one did, found nothing new, and not stopped. The race detector
+    /// and the local-DRF checker opt in with
+    /// [`crate::hb::HbState::summary`]. The default opts out, so the
+    /// replay shows the visitor every extension of the unfolded tree, as
+    /// visitors that count or collect per trace (Theorem 15 soundness)
+    /// need.
+    fn summary(&mut self, _trace: &TraceLabels, _key: &mut Vec<u64>) -> bool {
+        false
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::EngineError;
+
+    #[test]
+    fn budget_messages_name_the_count_or_the_overflow() {
+        assert_eq!(
+            EngineError::budget(11).to_string(),
+            "exploration budget exceeded after 11 items"
+        );
+        let overflow = EngineError::budget(usize::MAX).to_string();
+        assert_eq!(
+            overflow,
+            "exploration budget exceeded: the trace tree has more extensions than a usize counts"
+        );
+        assert!(!overflow.contains(&usize::MAX.to_string()), "{overflow}");
+    }
 }

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 
 use crate::engine::{
     canonicalize, intern_canonical, timed_walk, Control, Dedup, EngineConfig, EngineError,
-    ExploreStats, StateGraph, StateId, StateInterner, StateVisitor, TraceGraph, TraceVisitor,
+    ExploreStats, StateGraph, StateId, StateInterner, StateVisitor, Step, TraceGraph, TraceVisitor,
 };
 use crate::loc::LocSet;
 use crate::machine::{Expr, Machine, Transition, TransitionLabel};
@@ -234,6 +234,9 @@ impl TraceEngine {
     }
 
     /// Walks every trace from `m0` in depth-first order, driving `visitor`.
+    /// Each extension's reached machine has its transitions computed
+    /// before the visit, to show the visitor the labels they carry; on
+    /// [`Control::Continue`] they become the next frame.
     ///
     /// # Errors
     ///
@@ -243,12 +246,13 @@ impl TraceEngine {
         &self,
         locs: &LocSet,
         m0: Machine<E>,
-        visitor: &mut dyn TraceVisitor<E>,
+        visitor: &mut dyn TraceVisitor,
     ) -> Result<ExploreStats, EngineError> {
         let _span = bdrst_obs::span(bdrst_obs::Phase::TraceWalk);
         let mut stats = ExploreStats::default();
         let mut budget = self.config.max_traces;
         let mut trace = TraceLabels::new();
+        let mut enabled: Vec<TransitionLabel> = Vec::new();
         // Each frame is the untaken rest of the transitions enabled at one
         // node of the walk.
         let mut frames = vec![m0.transitions(locs).into_iter()];
@@ -263,7 +267,7 @@ impl TraceEngine {
                 continue;
             };
             stats.transitions += 1;
-            if !visitor.step_filter(&t) {
+            if !visitor.step_filter(&t.label) {
                 continue;
             }
             if budget == 0 {
@@ -272,12 +276,20 @@ impl TraceEngine {
             budget -= 1;
             stats.visited += 1;
             trace.push(t.label);
-            match visitor.visit(&trace, &t) {
+            let next = t.target.transitions(locs);
+            enabled.clear();
+            enabled.extend(next.iter().map(|n| n.label));
+            let step = Step {
+                label: t.label,
+                enabled: &enabled,
+                terminal: enabled.is_empty(),
+            };
+            match visitor.visit(&trace, step) {
                 Control::Stop => break,
                 Control::Prune => {
                     trace.pop();
                 }
-                Control::Continue => frames.push(t.target.transitions(locs).into_iter()),
+                Control::Continue => frames.push(next.into_iter()),
             }
         }
         Ok(stats)
@@ -610,9 +622,9 @@ mod tests {
         struct Count {
             complete: usize,
         }
-        impl TraceVisitor<RecordedExpr> for Count {
-            fn visit(&mut self, trace: &TraceLabels, t: &Transition<RecordedExpr>) -> Control {
-                if trace.len() == 2 && t.target.is_terminal() {
+        impl TraceVisitor for Count {
+            fn visit(&mut self, trace: &TraceLabels, step: Step<'_>) -> Control {
+                if trace.len() == 2 && step.terminal {
                     self.complete += 1;
                 }
                 Control::Continue
@@ -631,8 +643,8 @@ mod tests {
         let mk = || RecordedExpr::new(vec![StepLabel::Write(a, Val(1)); 6]);
         let m0 = Machine::initial(&locs, [mk(), mk(), mk()]);
         struct Go;
-        impl TraceVisitor<RecordedExpr> for Go {
-            fn visit(&mut self, _: &TraceLabels, _: &Transition<RecordedExpr>) -> Control {
+        impl TraceVisitor for Go {
+            fn visit(&mut self, _: &TraceLabels, _: Step<'_>) -> Control {
                 Control::Continue
             }
         }
@@ -644,8 +656,8 @@ mod tests {
         assert!(matches!(r, Err(EngineError::BudgetExceeded { .. })));
 
         struct StopNow(usize);
-        impl TraceVisitor<RecordedExpr> for StopNow {
-            fn visit(&mut self, _: &TraceLabels, _: &Transition<RecordedExpr>) -> Control {
+        impl TraceVisitor for StopNow {
+            fn visit(&mut self, _: &TraceLabels, _: Step<'_>) -> Control {
                 self.0 += 1;
                 Control::Stop
             }

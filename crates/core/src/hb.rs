@@ -32,18 +32,19 @@
 //! race verdicts below it, so a [`crate::engine::TraceGraph`] replay
 //! keys its memo by (row, summary) for the visitors built on this state.
 //!
-//! On top of the state sit the streaming [`RaceDetector`] (live, over a
-//! [`crate::engine::TraceGraph`] replay, or over one fixed label
-//! sequence) and its
+//! On top of the state sit the streaming [`RaceDetector`] — one
+//! [`TraceVisitor`] for the live walk, the DPOR walk and the
+//! [`crate::engine::TraceGraph`] replay, and also run over one fixed
+//! label sequence — and its
 //! [`RaceWitness`]. [`TraceLabels::happens_before`] and
 //! [`TraceLabels::data_races`] stay as the Definition 8 reference that
 //! [`RaceWitness::validate`] and the tests check against.
 
 use std::collections::BTreeSet;
 
-use crate::engine::{Control, ExploreStats, ReplayStep, ReplayVisitor, TraceVisitor};
+use crate::engine::{Control, ExploreStats, Step, TraceVisitor};
 use crate::loc::{Action, Loc, LocKind, LocSet};
-use crate::machine::{Expr, ThreadId, Transition, TransitionLabel};
+use crate::machine::{ThreadId, TransitionLabel};
 use crate::trace::{conflicting, TraceLabels};
 
 /// A vector clock: per-thread event counters, grown on demand (absent
@@ -327,7 +328,7 @@ impl<'a> HbState<'a> {
     /// their order in the trace, but not their trace indices. Two traces
     /// with equal summaries answer every query on every common extension
     /// alike, up to the shift of witness indices, so a replay may skip
-    /// the second (see [`ReplayVisitor::summary`]).
+    /// the second (see [`TraceVisitor::summary`]).
     ///
     /// The access order must stay in the summary, not only the epochs:
     /// [`HbState::detector_partner`] picks the earliest unordered access
@@ -589,10 +590,10 @@ impl RaceReport {
 /// kinds) and prunes the racy branch — every sibling branch is still
 /// explored in full. Its partner is [`HbState::detector_partner`].
 ///
-/// It drives a live [`crate::engine::TraceEngine`] or
-/// [`crate::engine::DporEngine`] walk as a [`TraceVisitor`], a
-/// [`crate::engine::TraceGraph`] replay as a [`ReplayVisitor`] (zero
-/// transition-semantics steps), or one fixed label sequence
+/// It is one [`TraceVisitor`], so it drives a live
+/// [`crate::engine::TraceEngine`] or [`crate::engine::DporEngine`] walk
+/// and a [`crate::engine::TraceGraph`] replay (zero transition-semantics
+/// steps) alike; it also runs over one fixed label sequence
 /// ([`RaceDetector::run_linear`]). Take the result with
 /// [`RaceDetector::into_report`].
 pub struct RaceDetector<'a> {
@@ -701,22 +702,12 @@ impl<'a> RaceDetector<'a> {
     }
 }
 
-impl<E: Expr> TraceVisitor<E> for RaceDetector<'_> {
-    fn step_filter(&mut self, t: &Transition<E>) -> bool {
-        self.passes_filter(&t.label)
-    }
-
-    fn visit(&mut self, trace: &TraceLabels, _t: &Transition<E>) -> Control {
-        self.observe(trace)
-    }
-}
-
-impl ReplayVisitor for RaceDetector<'_> {
+impl TraceVisitor for RaceDetector<'_> {
     fn step_filter(&mut self, label: &TransitionLabel) -> bool {
         self.passes_filter(label)
     }
 
-    fn visit(&mut self, trace: &TraceLabels, _step: ReplayStep<'_>) -> Control {
+    fn visit(&mut self, trace: &TraceLabels, _step: Step<'_>) -> Control {
         self.observe(trace)
     }
 

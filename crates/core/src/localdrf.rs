@@ -17,9 +17,12 @@
 //! the failure-injection tests, which check that deliberately broken
 //! semantics (e.g. non-synchronising atomics) are caught.
 //!
-//! Each checker drives the [`crate::engine::TraceEngine`] through its own
-//! [`TraceVisitor`] implementation, so the engine's budget and error
-//! surface ([`EngineError`]) apply uniformly. Every race question is
+//! Each checker is one [`TraceVisitor`] implementation over labels only,
+//! so the same visitor drives the live [`crate::engine::TraceEngine`]
+//! walk, the [`DporEngine`] walk and a [`TraceGraph`] replay, and the
+//! engines' budget and error surface ([`EngineError`]) apply uniformly.
+//! Where a checker has a live and a replayed entry point, both run one
+//! shared body and differ only in the walk. Every race question is
 //! answered by the incremental happens-before of [`crate::hb`]: the
 //! visitors push each step onto an [`HbState`] and query the enabled (or
 //! just-taken) label, and [`sc_race_freedom`] is the race detector
@@ -33,15 +36,15 @@
 //! [`check_local_drf_replayed`] re-checks Theorem 13 over a recorded
 //! [`TraceGraph`] ([`TraceEngine::record`]) without running the
 //! transition semantics, once per (row, happens-before summary) rather
-//! than once per trace ([`ReplayVisitor::summary`]).
+//! than once per trace ([`TraceVisitor::summary`]).
 
 use crate::engine::{
-    Control, Dependence, DporEngine, EngineConfig, EngineError, ExploreStats, ReplayStep,
-    ReplayVisitor, TraceEngine, TraceGraph, TraceVisitor,
+    Control, Dependence, DporEngine, EngineConfig, EngineError, ExploreStats, Step, TraceEngine,
+    TraceGraph, TraceVisitor,
 };
 use crate::hb::{AccessTable, DetectorConfig, HbState, RaceDetector, RaceWitness};
 use crate::loc::LocSet;
-use crate::machine::{Expr, Machine, Transition, TransitionLabel};
+use crate::machine::{Expr, Machine, TransitionLabel};
 use crate::trace::{is_l_sequential, LocPredicate, TraceLabels};
 
 /// A counterexample to Theorem 13 found by [`check_local_drf`]: an
@@ -110,18 +113,18 @@ struct LStabilityVisitor<'a> {
     stable: bool,
 }
 
-impl<E: Expr> TraceVisitor<E> for LStabilityVisitor<'_> {
-    fn step_filter(&mut self, t: &Transition<E>) -> bool {
-        is_l_sequential(&t.label, self.l_set)
+impl TraceVisitor for LStabilityVisitor<'_> {
+    fn step_filter(&mut self, label: &TransitionLabel) -> bool {
+        is_l_sequential(label, self.l_set)
     }
 
-    fn visit(&mut self, suffix: &TraceLabels, t: &Transition<E>) -> Control {
+    fn visit(&mut self, suffix: &TraceLabels, step: Step<'_>) -> Control {
         self.hb.truncate(self.base + suffix.len() - 1);
-        if self.hb.race_in(&self.prefix, &t.label).is_some() {
+        if self.hb.race_in(&self.prefix, &step.label).is_some() {
             self.stable = false;
             return Control::Stop;
         }
-        self.hb.push(&t.label);
+        self.hb.push(&step.label);
         Control::Continue
     }
 }
@@ -162,10 +165,8 @@ pub fn is_l_stable_for_prefix<E: Expr>(
 
 /// Visitor for Theorem 13: walks L-sequential suffixes, checking the
 /// theorem's conclusion at every reached state. The conclusion consumes
-/// only the *labels* of the transitions enabled at the reached state, so
-/// the same visitor drives live walks and graph replays.
+/// only the *labels* of the transitions enabled at the reached state.
 struct LocalDrfVisitor<'a> {
-    locs: &'a LocSet,
     /// The suffix taken since the checked state, brought up to date only
     /// where a race query is needed.
     hb: HbState<'a>,
@@ -180,7 +181,6 @@ struct LocalDrfVisitor<'a> {
 impl<'a> LocalDrfVisitor<'a> {
     fn new(locs: &'a LocSet, l_set: &'a LocPredicate) -> LocalDrfVisitor<'a> {
         LocalDrfVisitor {
-            locs,
             hb: HbState::new(locs),
             synced: 0,
             l_set,
@@ -202,15 +202,16 @@ impl<'a> LocalDrfVisitor<'a> {
     fn check_state(
         &mut self,
         suffix: &TraceLabels,
-        enabled: impl Iterator<Item = TransitionLabel> + Clone,
+        enabled: &[TransitionLabel],
     ) -> Option<LocalDrfViolation> {
         // First disjunct: every enabled transition is L-sequential.
-        let offending = enabled.clone().find(|l| !is_l_sequential(l, self.l_set))?;
+        let offending = *enabled.iter().find(|l| !is_l_sequential(l, self.l_set))?;
         // Second disjunct: a non-weak transition on L racing with a Ti.
         self.sync(suffix);
-        let mut on_l =
-            enabled.filter(|l| !l.weak && l.action.is_some_and(|a| self.l_set.contains(&a.loc)));
-        if on_l.any(|l| self.hb.race(&l).is_some()) {
+        let mut on_l = enabled
+            .iter()
+            .filter(|l| !l.weak && l.action.is_some_and(|a| self.l_set.contains(&a.loc)));
+        if on_l.any(|l| self.hb.race(l).is_some()) {
             return None;
         }
         Some(LocalDrfViolation {
@@ -218,47 +219,20 @@ impl<'a> LocalDrfVisitor<'a> {
             offending,
         })
     }
-
-    fn check(
-        &mut self,
-        suffix: &TraceLabels,
-        enabled: impl Iterator<Item = TransitionLabel> + Clone,
-    ) -> Control {
-        self.synced = self.synced.min(suffix.len() - 1);
-        if let Some(v) = self.check_state(suffix, enabled) {
-            self.violation = Some(v);
-            return Control::Stop;
-        }
-        Control::Continue
-    }
-
-    /// The verdict of a walk that started after the empty-suffix check.
-    fn verdict(self, stats: ExploreStats) -> Result<ExploreStats, CheckError<LocalDrfViolation>> {
-        match self.violation {
-            Some(v) => Err(CheckError::Violation(v)),
-            None => Ok(stats),
-        }
-    }
 }
 
-impl<E: Expr> TraceVisitor<E> for LocalDrfVisitor<'_> {
-    fn step_filter(&mut self, t: &Transition<E>) -> bool {
-        is_l_sequential(&t.label, self.l_set)
-    }
-
-    fn visit(&mut self, suffix: &TraceLabels, t: &Transition<E>) -> Control {
-        let enabled = t.target.transitions(self.locs);
-        self.check(suffix, enabled.iter().map(|t| t.label))
-    }
-}
-
-impl ReplayVisitor for LocalDrfVisitor<'_> {
+impl TraceVisitor for LocalDrfVisitor<'_> {
     fn step_filter(&mut self, label: &TransitionLabel) -> bool {
         is_l_sequential(label, self.l_set)
     }
 
-    fn visit(&mut self, suffix: &TraceLabels, step: ReplayStep<'_>) -> Control {
-        self.check(suffix, step.enabled.iter().copied())
+    fn visit(&mut self, suffix: &TraceLabels, step: Step<'_>) -> Control {
+        self.synced = self.synced.min(suffix.len() - 1);
+        if let Some(v) = self.check_state(suffix, step.enabled) {
+            self.violation = Some(v);
+            return Control::Stop;
+        }
+        Control::Continue
     }
 
     /// The filter and every later check depend only on the row and the
@@ -268,6 +242,29 @@ impl ReplayVisitor for LocalDrfVisitor<'_> {
         self.sync(suffix);
         self.hb.summary(key);
         true
+    }
+}
+
+/// The body [`check_local_drf`] and [`check_local_drf_replayed`] share:
+/// checks the empty suffix against the labels `root` enabled at the
+/// checked state, then every L-sequential suffix that `walk` shows the
+/// visitor.
+fn local_drf_with(
+    locs: &LocSet,
+    l_set: &LocPredicate,
+    root: &[TransitionLabel],
+    walk: impl FnOnce(&mut LocalDrfVisitor<'_>) -> Result<ExploreStats, EngineError>,
+) -> Result<ExploreStats, CheckError<LocalDrfViolation>> {
+    let mut visitor = LocalDrfVisitor::new(locs, l_set);
+    // The empty suffix (the checked state itself) must also satisfy the
+    // theorem.
+    if let Some(v) = visitor.check_state(&TraceLabels::new(), root) {
+        return Err(CheckError::Violation(v));
+    }
+    let stats = walk(&mut visitor)?;
+    match visitor.violation {
+        Some(v) => Err(CheckError::Violation(v)),
+        None => Ok(stats),
     }
 }
 
@@ -291,14 +288,10 @@ pub fn check_local_drf<E: Expr>(
     l_set: &LocPredicate,
     config: EngineConfig,
 ) -> Result<ExploreStats, CheckError<LocalDrfViolation>> {
-    let mut visitor = LocalDrfVisitor::new(locs, l_set);
-    // The empty suffix (state `m` itself) must also satisfy the theorem.
-    let enabled: Vec<TransitionLabel> = m.transitions(locs).iter().map(|t| t.label).collect();
-    if let Some(v) = visitor.check_state(&TraceLabels::new(), enabled.iter().copied()) {
-        return Err(CheckError::Violation(v));
-    }
-    let stats = TraceEngine::new(config).explore(locs, m, &mut visitor)?;
-    visitor.verdict(stats)
+    let root: Vec<TransitionLabel> = m.transitions(locs).iter().map(|t| t.label).collect();
+    local_drf_with(locs, l_set, &root, |v| {
+        TraceEngine::new(config).explore(locs, m, v)
+    })
 }
 
 /// [`check_local_drf`] over a recorded [`TraceGraph`] of the checked
@@ -321,14 +314,9 @@ pub fn check_local_drf_replayed(
     l_set: &LocPredicate,
     config: EngineConfig,
 ) -> Result<ExploreStats, CheckError<LocalDrfViolation>> {
-    let mut visitor = LocalDrfVisitor::new(locs, l_set);
-    // The empty suffix (the recorded root) must also satisfy the theorem.
-    if let Some(v) = visitor.check_state(&TraceLabels::new(), graph.root_enabled().iter().copied())
-    {
-        return Err(CheckError::Violation(v));
-    }
-    let stats = graph.replay(config, &mut visitor)?;
-    visitor.verdict(stats)
+    local_drf_with(locs, l_set, graph.root_enabled(), |v| {
+        graph.replay(config, v)
+    })
 }
 
 /// Classification of a program by [`sc_race_freedom`].
@@ -407,32 +395,14 @@ struct WeakTraceVisitor {
     witness: Option<TransitionLabel>,
 }
 
-impl<E: Expr> TraceVisitor<E> for WeakTraceVisitor {
-    fn visit(&mut self, _trace: &TraceLabels, t: &Transition<E>) -> Control {
-        if t.label.weak {
-            self.witness = Some(t.label);
+impl TraceVisitor for WeakTraceVisitor {
+    fn visit(&mut self, _trace: &TraceLabels, step: Step<'_>) -> Control {
+        if step.label.weak {
+            self.witness = Some(step.label);
             return Control::Stop;
         }
         Control::Continue
     }
-}
-
-/// Determines whether *every* trace of the program is sequentially
-/// consistent, i.e. no weak transition is ever enabled along a
-/// sequentially consistent trace. (The first weak transition of any trace
-/// is preceded by an SC prefix, so SC-reachability suffices.)
-///
-/// # Errors
-///
-/// Returns [`EngineError`] on budget exhaustion.
-pub fn all_traces_sequentially_consistent<E: Expr>(
-    locs: &LocSet,
-    m0: Machine<E>,
-    config: EngineConfig,
-) -> Result<bool, EngineError> {
-    let mut v = WeakTraceVisitor { witness: None };
-    TraceEngine::new(config).explore(locs, m0, &mut v)?;
-    Ok(v.witness.is_none())
 }
 
 /// A counterexample to Theorem 14: the program is data-race-free under
@@ -518,15 +488,6 @@ mod tests {
             }
             DrfStatus::RaceFree => panic!("expected a race"),
         }
-    }
-
-    #[test]
-    fn racy_program_has_weak_traces() {
-        let (locs, a, _, _) = locs_abf();
-        let p0 = RecordedExpr::new(vec![StepLabel::Write(a, Val(1)), StepLabel::Read(a)]);
-        let p1 = RecordedExpr::new(vec![StepLabel::Write(a, Val(2))]);
-        let m0 = Machine::initial(&locs, [p0, p1]);
-        assert!(!all_traces_sequentially_consistent(&locs, m0, cfg()).unwrap());
     }
 
     #[test]
@@ -659,7 +620,12 @@ mod tests {
         let mut trace = TraceLabels::new();
         for s in suffix {
             trace.push(*s);
-            assert_eq!(v.check(&trace, std::iter::empty()), Control::Continue);
+            let step = Step {
+                label: *s,
+                enabled: &[],
+                terminal: true,
+            };
+            assert_eq!(v.visit(&trace, step), Control::Continue);
         }
         (v, trace)
     }
@@ -692,14 +658,14 @@ mod tests {
             label(0, a, Read(Val(1)), false), // on L, but ordered after the write
         ];
         let violation = v
-            .check_state(&suffix, no_witness.iter().copied())
+            .check_state(&suffix, &no_witness)
             .expect("no racing L access is enabled");
         assert_eq!(violation.offending, weak_read_a);
         assert_eq!(violation.suffix, vec![p0_writes_a]);
 
         // A racing non-weak read of `a` by P1 is the theorem's witness.
         let racing = [weak_read_a, label(1, a, Read(Val(1)), false)];
-        assert_eq!(v.check_state(&suffix, racing.iter().copied()), None);
+        assert_eq!(v.check_state(&suffix, &racing), None);
 
         // Once P1 has acquired P0's release, its read no longer races.
         let (mut v, suffix) = visitor_after(
@@ -711,12 +677,12 @@ mod tests {
                 label(1, f, Read(Val(1)), false),
             ],
         );
-        assert!(v.check_state(&suffix, racing.iter().copied()).is_some());
+        assert!(v.check_state(&suffix, &racing).is_some());
 
         // Every enabled transition L-sequential: nothing to check.
         let (mut v, suffix) = visitor_after(&locs, &l, &[p0_writes_a]);
         let l_sequential = [label(1, b, Read(Val(0)), true)]; // weak outside L
-        assert_eq!(v.check_state(&suffix, l_sequential.iter().copied()), None);
+        assert_eq!(v.check_state(&suffix, &l_sequential), None);
     }
 
     #[test]
@@ -747,20 +713,20 @@ mod tests {
 
     /// Memo ≡ unmemoized replay for Theorem 13: forwards the filter and
     /// the visits, counting the visits, and forwards
-    /// [`ReplayVisitor::summary`] only when `memo` is set — otherwise the
+    /// [`TraceVisitor::summary`] only when `memo` is set — otherwise the
     /// replay walks the whole unfolded tree.
-    struct Shown<V> {
-        inner: V,
+    struct Shown<'v> {
+        inner: &'v mut dyn TraceVisitor,
         memo: bool,
         seen: usize,
     }
 
-    impl<V: ReplayVisitor> ReplayVisitor for Shown<V> {
+    impl TraceVisitor for Shown<'_> {
         fn step_filter(&mut self, label: &TransitionLabel) -> bool {
             self.inner.step_filter(label)
         }
 
-        fn visit(&mut self, trace: &TraceLabels, step: ReplayStep<'_>) -> Control {
+        fn visit(&mut self, trace: &TraceLabels, step: Step<'_>) -> Control {
             self.seen += 1;
             self.inner.visit(trace, step)
         }
@@ -779,20 +745,17 @@ mod tests {
         config: EngineConfig,
         memo: bool,
     ) -> (Result<ExploreStats, CheckError<LocalDrfViolation>>, usize) {
-        let mut visitor = Shown {
-            inner: LocalDrfVisitor::new(locs, l_set),
-            memo,
-            seen: 0,
-        };
-        let root = graph.root_enabled().iter().copied();
-        if let Some(v) = visitor.inner.check_state(&TraceLabels::new(), root) {
-            return (Err(CheckError::Violation(v)), 0);
-        }
-        let replayed = graph.replay(config, &mut visitor);
-        let seen = visitor.seen;
-        let verdict = replayed
-            .map_err(CheckError::Engine)
-            .and_then(|stats| visitor.inner.verdict(stats));
+        let mut seen = 0;
+        let verdict = local_drf_with(locs, l_set, graph.root_enabled(), |inner| {
+            let mut shown = Shown {
+                inner,
+                memo,
+                seen: 0,
+            };
+            let replayed = graph.replay(config, &mut shown);
+            seen = shown.seen;
+            replayed
+        });
         (verdict, seen)
     }
 

@@ -271,13 +271,6 @@ pub struct TransitionLabel {
     pub weak: bool,
 }
 
-impl TransitionLabel {
-    /// True if this transition performed a memory operation.
-    pub fn is_memory(&self) -> bool {
-        self.action.is_some()
-    }
-}
-
 impl crate::wire::Codec for ThreadId {
     fn encode(&self, out: &mut Vec<u8>) {
         self.0.encode(out);

@@ -119,14 +119,6 @@ impl Relation {
         r
     }
 
-    /// In-place union `self ← self ∪ other`.
-    pub fn union_assign(&mut self, other: &Relation) {
-        assert_eq!(self.n, other.n, "union of relations over different sets");
-        for (w, o) in self.bits.iter_mut().zip(&other.bits) {
-            *w |= o;
-        }
-    }
-
     /// Intersection `R₁ ∩ R₂`.
     ///
     /// # Panics

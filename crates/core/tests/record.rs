@@ -6,14 +6,14 @@
 //! count. The recording's budget counts its rows. Recordings are
 //! deterministic and survive the wire byte for byte, and a tree with
 //! repeated machines is stored in fewer rows than it has extensions.
+//! Every live step's `terminal` flag is the reached machine's.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::Hasher;
 use std::path::Path;
 
 use bdrst_core::engine::{
-    Control, EngineConfig, EngineError, ExploreStats, ReplayStep, ReplayVisitor, TraceEngine,
-    TraceGraph, TraceVisitor,
+    Control, EngineConfig, EngineError, ExploreStats, Step, TraceEngine, TraceGraph, TraceVisitor,
 };
 use bdrst_core::loc::{LocKind, LocSet, Val};
 use bdrst_core::machine::{Expr, Machine, RecordedExpr, StepLabel, Transition, TransitionLabel};
@@ -36,26 +36,15 @@ fn budget(max_traces: usize) -> TraceEngine {
 
 /// Extends every trace and digests what it sees at each extension: the
 /// trace's depth, the label just taken and the labels enabled after it.
-/// The live side reads the enabled labels off the target machine.
 struct Digest {
     hasher: DefaultHasher,
-    locs: LocSet,
 }
 
 impl Digest {
-    fn new(locs: &LocSet) -> Digest {
+    fn new() -> Digest {
         Digest {
             hasher: DefaultHasher::new(),
-            locs: locs.clone(),
         }
-    }
-
-    fn step(&mut self, depth: usize, label: TransitionLabel, enabled: &[TransitionLabel]) {
-        let mut bytes = Vec::new();
-        depth.encode(&mut bytes);
-        label.encode(&mut bytes);
-        enabled.to_vec().encode(&mut bytes);
-        self.hasher.write(&bytes);
     }
 
     fn finish(&self) -> u64 {
@@ -63,22 +52,13 @@ impl Digest {
     }
 }
 
-impl<E: Expr> TraceVisitor<E> for Digest {
-    fn visit(&mut self, trace: &TraceLabels, t: &Transition<E>) -> Control {
-        let enabled: Vec<TransitionLabel> = t
-            .target
-            .transitions(&self.locs)
-            .iter()
-            .map(|c| c.label)
-            .collect();
-        self.step(trace.len(), t.label, &enabled);
-        Control::Continue
-    }
-}
-
-impl ReplayVisitor for Digest {
-    fn visit(&mut self, trace: &TraceLabels, step: ReplayStep<'_>) -> Control {
-        self.step(trace.len(), step.label, step.enabled);
+impl TraceVisitor for Digest {
+    fn visit(&mut self, trace: &TraceLabels, step: Step<'_>) -> Control {
+        let mut bytes = Vec::new();
+        trace.len().encode(&mut bytes);
+        step.label.encode(&mut bytes);
+        step.enabled.to_vec().encode(&mut bytes);
+        self.hasher.write(&bytes);
         Control::Continue
     }
 }
@@ -91,9 +71,9 @@ fn walk_and_replay<E: Expr>(
     m0: &Machine<E>,
     graph: &TraceGraph,
 ) -> Result<ExploreStats, EngineError> {
-    let mut live_digest = Digest::new(locs);
+    let mut live_digest = Digest::new();
     let live = engine.explore(locs, m0.clone(), &mut live_digest);
-    let mut replay_digest = Digest::new(locs);
+    let mut replay_digest = Digest::new();
     let replayed = graph.replay(engine.config, &mut replay_digest);
     assert_eq!(live, replayed, "live walk and replay disagree");
     assert_eq!(
@@ -102,6 +82,53 @@ fn walk_and_replay<E: Expr>(
         "live walk and replay show different streams"
     );
     live
+}
+
+/// Follows a live walk of the whole tree with the machines it reaches,
+/// recomputed from `m0` in the walk's own order, and checks at every
+/// extension that the step is the taken transition's and that its
+/// `terminal` and `enabled` agree with the reached machine.
+struct Terminals<'a, E: Expr> {
+    locs: &'a LocSet,
+    /// Per depth: the transitions enabled there and the next one to take.
+    path: Vec<(Vec<Transition<E>>, usize)>,
+    checked: usize,
+}
+
+impl<E: Expr> TraceVisitor for Terminals<'_, E> {
+    fn visit(&mut self, trace: &TraceLabels, step: Step<'_>) -> Control {
+        self.path.truncate(trace.len());
+        let (taken, next) = self.path.last_mut().expect("the root's transitions");
+        let t = &taken[*next];
+        *next += 1;
+        assert_eq!(t.label, step.label, "walk order");
+        let after = t.target.transitions(self.locs);
+        let enabled: Vec<TransitionLabel> = after.iter().map(|t| t.label).collect();
+        assert_eq!(step.enabled, enabled.as_slice(), "enabled labels");
+        assert_eq!(
+            step.terminal,
+            step.enabled.is_empty(),
+            "terminal iff none enabled"
+        );
+        assert_eq!(step.terminal, t.target.is_terminal(), "terminal machine");
+        self.path.push((after, 0));
+        self.checked += 1;
+        Control::Continue
+    }
+}
+
+/// Walks `m0`'s whole tree live under [`Terminals`] and returns the
+/// extensions it checked.
+fn terminal_matches_target<E: Expr>(locs: &LocSet, m0: &Machine<E>) -> usize {
+    let mut v = Terminals {
+        locs,
+        path: vec![(m0.transitions(locs), 0)],
+        checked: 0,
+    };
+    TraceEngine::new(EngineConfig::default())
+        .explore(locs, m0.clone(), &mut v)
+        .unwrap();
+    v.checked
 }
 
 /// Records `m0` and checks the recording against the live walk: the same
@@ -118,6 +145,11 @@ fn replays_like_the_live_walk<E: Expr>(name: &str, locs: &LocSet, m0: &Machine<E
 
     let walked = walk_and_replay(engine, locs, m0, &graph).unwrap();
     assert_eq!(walked.visited, total, "{name}: live walk");
+    assert_eq!(
+        terminal_matches_target(locs, m0),
+        total,
+        "{name}: terminals"
+    );
     assert_eq!(
         walk_and_replay(budget(total), locs, m0, &graph).unwrap(),
         walked,

@@ -13,8 +13,7 @@
 //!   one relaxed [`enabled`] load: until [`Recorder::install`] runs, a
 //!   span entry point is a load and a branch — **no allocation, no
 //!   clock read** — so the engine's allocs-per-visit bar is untouched by
-//!   the instrumentation. With the `record` cargo feature off the span
-//!   layer compiles away entirely (identical API, unit types).
+//!   the instrumentation.
 //!
 //! When recording, each thread appends to its own single-writer ring
 //! (`Relaxed` slot stores published by one `Release` length store — the
@@ -60,12 +59,5 @@ pub use progress::{
     clear_progress_sink, install_progress_sink, progress_tick, Progress, ProgressSink,
 };
 
-#[cfg(feature = "record")]
 mod recorder;
-#[cfg(feature = "record")]
 pub use recorder::{enabled, event, now_ns, span, span_arg, Recorder, SpanGuard};
-
-#[cfg(not(feature = "record"))]
-mod noop;
-#[cfg(not(feature = "record"))]
-pub use noop::{enabled, event, now_ns, span, span_arg, Recorder, SpanGuard};

@@ -9,11 +9,11 @@
 //!   [`bdrst_core::hb::RaceDetector`], the streaming detector built on
 //!   the core's one incremental happens-before (Definition 8 — atomic
 //!   writes release, atomic accesses acquire, per-thread vector clocks).
-//!   It rides the existing engines both **live** (as a `TraceVisitor` on
-//!   [`bdrst_core::engine::TraceEngine`]) and **offline** (as a
-//!   `ReplayVisitor` over a recorded
-//!   [`bdrst_core::engine::TraceGraph`], running zero
-//!   transition-semantics steps). Every racy pair becomes a structured
+//!   The detector is one [`bdrst_core::engine::TraceVisitor`], so it
+//!   rides both the **live** [`bdrst_core::engine::TraceEngine`] walk
+//!   and the **offline** replay of a recorded
+//!   [`bdrst_core::engine::TraceGraph`], which runs zero
+//!   transition-semantics steps. Every racy pair becomes a structured
 //!   [`RaceWitness`]: the two conflicting accesses, the trace-index
 //!   window between them (the *time* bound) and the set of locations
 //!   touched inside the window (the *space* bound), with an O(n²)

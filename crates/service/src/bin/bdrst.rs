@@ -211,23 +211,8 @@ fn cmd_check(opts: &Opts) -> ExitCode {
         };
         let models_agree = checked.entry.op == checked.entry.ax;
         agree &= models_agree;
-        let op = outcome_strings(&checked.program, &checked.entry.op);
-        let ax = outcome_strings(&checked.program, &checked.entry.ax);
         if opts.json {
-            out_json.push(Json::obj([
-                ("file", Json::Str(path.clone())),
-                ("cached", Json::Bool(checked.cached)),
-                ("states", Json::Int(checked.entry.visited_states as i64)),
-                ("models_agree", Json::Bool(models_agree)),
-                (
-                    "operational",
-                    Json::Arr(op.into_iter().map(Json::Str).collect()),
-                ),
-                (
-                    "axiomatic",
-                    Json::Arr(ax.into_iter().map(Json::Str).collect()),
-                ),
-            ]));
+            out_json.push(named("file", path, server::check_json(&checked)));
         } else {
             println!(
                 "{path}: {} DPOR extensions{}, operational/axiomatic {}",
@@ -235,7 +220,7 @@ fn cmd_check(opts: &Opts) -> ExitCode {
                 if checked.cached { " (cached)" } else { "" },
                 if models_agree { "AGREE" } else { "DIVERGE" },
             );
-            for o in &op {
+            for o in outcome_strings(&checked.program, &checked.entry.op) {
                 println!("  {o}");
             }
         }
@@ -336,6 +321,16 @@ fn cmd_corpus(opts: &Opts) -> ExitCode {
     }
 }
 
+/// A response body with `key: value` put first — how `check --json` and
+/// `races --json` name the file or program each entry is about.
+fn named(key: &str, value: &str, body: Json) -> Json {
+    let mut fields = vec![(key.to_string(), Json::Str(value.to_string()))];
+    if let Json::Obj(rest) = body {
+        fields.extend(rest);
+    }
+    Json::Obj(fields)
+}
+
 /// Collects the `.litmus` inputs of `races`: directories are swept via
 /// [`corpusdir::load_dir`], plain paths are read as single programs.
 fn race_inputs(args: &[String]) -> Result<Vec<(String, String)>, String> {
@@ -390,13 +385,9 @@ fn cmd_races(opts: &Opts) -> ExitCode {
     // the rest of the results. A run error dominates the exit code.
     for (name, source) in &inputs {
         let result = service.check_source(source).and_then(|checked| {
-            // "cached" means warm end to end — entry AND trace recording
-            // from the store, captured *before* detection records one —
-            // the same definition the server's `check-races` uses.
-            let warm = checked.cached && checked.entry.trace.get().is_some();
-            service.check_races(&checked).map(|r| (checked, warm, r))
+            server::races_json(&service, &checked).map(|(json, r)| (checked, json, r))
         });
-        let (checked, warm, report) = match result {
+        let (checked, json, report) = match result {
             Ok(ok) => ok,
             Err(e) => {
                 any_failed = true;
@@ -435,23 +426,8 @@ fn cmd_races(opts: &Opts) -> ExitCode {
             None
         };
         if opts.json {
-            let mut fields = vec![
-                ("name".to_string(), Json::Str(name.clone())),
-                ("cached".to_string(), Json::Bool(warm)),
-                ("racy".to_string(), Json::Bool(report.racy())),
-                ("events".to_string(), Json::Int(report.events as i64)),
-                (
-                    "witnesses".to_string(),
-                    Json::Arr(
-                        report
-                            .witnesses
-                            .iter()
-                            .map(|w| server::witness_json(&checked.program, w))
-                            .collect(),
-                    ),
-                ),
-            ];
-            if let Some(s) = &shrunk {
+            let mut entry = named("name", name, json);
+            if let (Some(s), Json::Obj(fields)) = (&shrunk, &mut entry) {
                 fields.push((
                     "shrunk".to_string(),
                     Json::obj([
@@ -460,7 +436,7 @@ fn cmd_races(opts: &Opts) -> ExitCode {
                     ]),
                 ));
             }
-            out_json.push(Json::Obj(fields));
+            out_json.push(entry);
         } else if report.racy() {
             println!(
                 "{name}: RACY — {} witness(es) over {} events",

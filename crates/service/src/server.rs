@@ -818,27 +818,7 @@ fn handle_cmd(
         }
         "outcomes" | "check" => {
             let checked = checked_for(&service, req)?;
-            let op = outcome_strings(&checked.program, &checked.entry.op);
-            let ax = outcome_strings(&checked.program, &checked.entry.ax);
-            let mut fields = vec![
-                ("cached".to_string(), Json::Bool(checked.cached)),
-                (
-                    "states".to_string(),
-                    Json::Int(checked.entry.visited_states as i64),
-                ),
-                (
-                    "operational".to_string(),
-                    Json::Arr(op.into_iter().map(Json::Str).collect()),
-                ),
-                (
-                    "axiomatic".to_string(),
-                    Json::Arr(ax.into_iter().map(Json::Str).collect()),
-                ),
-                (
-                    "models_agree".to_string(),
-                    Json::Bool(checked.entry.op == checked.entry.ax),
-                ),
-            ];
+            let mut response = check_json(&checked);
             if cmd == "check" {
                 // Optional verdicts against a built-in test's checks. An
                 // unknown name is a protocol error, not a silent success —
@@ -851,10 +831,12 @@ fn handle_cmd(
                             HandleError::Proto(format!("no built-in test named {name:?}"))
                         })?;
                     let rep = service.report(test, &checked)?;
-                    fields.push(("passed".to_string(), Json::Bool(rep.passes())));
+                    if let Json::Obj(fields) = &mut response {
+                        fields.push(("passed".to_string(), Json::Bool(rep.passes())));
+                    }
                 }
             }
-            Ok(Json::Obj(fields))
+            Ok(response)
         }
         "check-localdrf" => {
             let checked = checked_for(&service, req)?;
@@ -885,25 +867,7 @@ fn handle_cmd(
         }
         "check-races" => {
             let checked = checked_for(&service, req)?;
-            // "cached" means the warm path end to end: the entry came
-            // from the store *and* already carried its trace recording.
-            let had_trace = checked.entry.trace.get().is_some();
-            let report = service.check_races(&checked)?;
-            Ok(Json::obj([
-                ("cached", Json::Bool(checked.cached && had_trace)),
-                ("racy", Json::Bool(report.racy())),
-                ("events", Json::Int(report.events as i64)),
-                (
-                    "witnesses",
-                    Json::Arr(
-                        report
-                            .witnesses
-                            .iter()
-                            .map(|w| witness_json(&checked.program, w))
-                            .collect(),
-                    ),
-                ),
-            ]))
+            Ok(races_json(&service, &checked)?.0)
         }
         "corpus" => {
             let entries = service.check_corpus();
@@ -950,6 +914,64 @@ fn handle_cmd(
         }
         other => Err(HandleError::Proto(format!("unknown cmd `{other}`"))),
     }
+}
+
+/// The `check` response body — `{cached, states, operational,
+/// axiomatic, models_agree}` — shared by the server's `check` and
+/// `outcomes` responses and the CLI's `check --json` entries.
+pub fn check_json(checked: &Checked) -> Json {
+    let outcomes = |set| {
+        Json::Arr(
+            outcome_strings(&checked.program, set)
+                .into_iter()
+                .map(Json::Str)
+                .collect(),
+        )
+    };
+    Json::obj([
+        ("cached", Json::Bool(checked.cached)),
+        ("states", Json::Int(checked.entry.visited_states as i64)),
+        ("operational", outcomes(&checked.entry.op)),
+        ("axiomatic", outcomes(&checked.entry.ax)),
+        (
+            "models_agree",
+            Json::Bool(checked.entry.op == checked.entry.ax),
+        ),
+    ])
+}
+
+/// Runs race detection on a checked program and renders the
+/// `check-races` response body — `{cached, racy, events, witnesses}` —
+/// shared by the server's response and the CLI's `races --json`
+/// entries; the report comes back beside it. "cached" means warm end to
+/// end: the entry came from the store *and* already carried its trace
+/// recording, read before detection records one.
+///
+/// # Errors
+///
+/// As [`CheckService::check_races`].
+pub fn races_json(
+    service: &CheckService,
+    checked: &Checked,
+) -> Result<(Json, bdrst_race::RaceReport), RunError> {
+    let cached = checked.cached && checked.entry.trace.get().is_some();
+    let report = service.check_races(checked)?;
+    let json = Json::obj([
+        ("cached", Json::Bool(cached)),
+        ("racy", Json::Bool(report.racy())),
+        ("events", Json::Int(report.events as i64)),
+        (
+            "witnesses",
+            Json::Arr(
+                report
+                    .witnesses
+                    .iter()
+                    .map(|w| witness_json(&checked.program, w))
+                    .collect(),
+            ),
+        ),
+    ]);
+    Ok((json, report))
 }
 
 /// One [`bdrst_race::RaceWitness`] as a JSON object — the shape shared

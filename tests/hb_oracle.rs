@@ -17,10 +17,10 @@ use proptest::prelude::*;
 mod common;
 use common::small_program;
 
-use bdrst::core::engine::{Control, EngineConfig, TraceEngine, TraceVisitor};
+use bdrst::core::engine::{Control, EngineConfig, Step, TraceEngine, TraceVisitor};
 use bdrst::core::hb::{AccessTable, HbState};
 use bdrst::core::loc::{LocKind, LocSet};
-use bdrst::core::machine::{Expr, Transition, TransitionLabel};
+use bdrst::core::machine::TransitionLabel;
 use bdrst::core::trace::{conflicting, TraceLabels};
 use bdrst::lang::Program;
 use bdrst::litmus::all_tests;
@@ -139,9 +139,9 @@ fn detector_rule(
         .min()
 }
 
-impl<E: Expr> TraceVisitor<E> for Oracle<'_> {
-    fn visit(&mut self, trace: &TraceLabels, t: &Transition<E>) -> Control {
-        self.check(trace, t.label);
+impl TraceVisitor for Oracle<'_> {
+    fn visit(&mut self, trace: &TraceLabels, step: Step<'_>) -> Control {
+        self.check(trace, step.label);
         Control::Continue
     }
 }

@@ -14,8 +14,7 @@ mod common;
 use common::{mp_chain, small_program};
 
 use bdrst::core::engine::{
-    Control, EngineConfig, EngineError, ExploreStats, ReplayStep, ReplayVisitor, TraceEngine,
-    TraceGraph,
+    Control, EngineConfig, EngineError, ExploreStats, Step, TraceEngine, TraceGraph, TraceVisitor,
 };
 use bdrst::core::localdrf::{
     check_global_drf, check_local_drf_replayed, sc_race_freedom, DrfStatus,
@@ -34,16 +33,16 @@ fn cfg() -> EngineConfig {
 }
 
 /// Forwards the filter and the visits but not
-/// [`ReplayVisitor::summary`], so the replay walks the whole unfolded
+/// [`TraceVisitor::summary`], so the replay walks the whole unfolded
 /// tree.
 struct Unfolded<V>(V);
 
-impl<V: ReplayVisitor> ReplayVisitor for Unfolded<V> {
+impl<V: TraceVisitor> TraceVisitor for Unfolded<V> {
     fn step_filter(&mut self, label: &TransitionLabel) -> bool {
         self.0.step_filter(label)
     }
 
-    fn visit(&mut self, trace: &TraceLabels, step: ReplayStep<'_>) -> Control {
+    fn visit(&mut self, trace: &TraceLabels, step: Step<'_>) -> Control {
         self.0.visit(trace, step)
     }
 }
