@@ -39,7 +39,8 @@ pub enum Counter {
     RaceEventsLive,
     /// Race-detector events consumed replaying a recorded trace tree.
     RaceEventsReplayed,
-    /// Span events dropped because a thread ring filled.
+    /// Profiling-session span events lost to ring wrap (added when the
+    /// session is collected).
     SpansDropped,
     /// Structured log lines emitted (post rate limiting).
     LogLines,

@@ -1,20 +1,14 @@
-//! The flight recorder: an always-on, bounded ring of recent spans that
-//! dumps a Chrome-trace + recent-log snapshot to disk when something
-//! goes wrong — a slow request, a worker panic, or an explicit `dump`
-//! protocol command — so the *cause* of an anomaly is captured without
-//! running with full profiling on.
+//! The flight recorder: dumps a Chrome-trace + recent-log snapshot of
+//! the newest spans to disk when something goes wrong — a slow request,
+//! a worker panic, or an explicit `dump` protocol command — so the
+//! *cause* of an anomaly is captured without running with full
+//! profiling on.
 //!
-//! Ring discipline (contrast with the profiler's rings in `recorder`):
-//! the profiler's rings never wrap, so a drain is tear-free; a flight
-//! ring must hold the *most recent* events indefinitely, so it **does**
-//! wrap. Each thread owns one ring and is its only writer: slot words
-//! are `Relaxed` stores published by one `Release` bump of a monotone
-//! `written` counter. A dump reads `written` (`Acquire`), copies the
-//! last `capacity` slots, re-reads `written`, and discards any entry
-//! the second read proves may have been overwritten mid-copy. The one
-//! residual race — a writer that has stored slot words but not yet
-//! published — can at worst leave a single stale-valued event in a
-//! diagnostic dump, never tear memory or block the writer.
+//! It keeps no buffer of its own. [`install`] turns on span capture
+//! into the per-thread rings the profiler also reads (see `recorder`),
+//! and [`dump`] drains the newest 2048 events of each with the same
+//! tear-free seqlock read, under the same thread ids a profile uses. A
+//! profiling session neither clears nor hides them.
 //!
 //! Dumps are written whole to a temp file and renamed into place
 //! (`flight-<seq>-<reason>.json`), retain at most `keep` files (oldest
@@ -22,24 +16,19 @@
 //! go through [`dump_throttled`] so a burst of slow requests costs one
 //! snapshot, not one per request.
 
-use std::cell::OnceCell;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 use crate::counters::{counter_add, Counter};
-use crate::phase::{Phase, PHASE_COUNT};
-use crate::profile::{Profile, TraceEvent};
+use crate::recorder::{drain_rings, FLIGHT, SINKS};
 
-/// Spans one thread's flight ring retains.
-const FLIGHT_CAPACITY: usize = 2048;
+/// Newest events per thread a dump holds.
+const FLIGHT_WINDOW: u64 = 2048;
 
 /// Minimum gap between automatic dumps ([`dump_throttled`]).
 const THROTTLE_NS: u64 = 250_000_000;
 
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-static RINGS: Mutex<Vec<Arc<FlightRing>>> = Mutex::new(Vec::new());
-static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 static STATE: OnceLock<DumpState> = OnceLock::new();
 
 struct DumpState {
@@ -50,92 +39,10 @@ struct DumpState {
     last_dump_ns: AtomicU64,
 }
 
-struct Slot {
-    phase: AtomicU64,
-    start: AtomicU64,
-    dur: AtomicU64,
-    arg: AtomicU64,
-}
-
-struct FlightRing {
-    tid: u64,
-    name: String,
-    /// Total events ever written; the ring index is `written % capacity`.
-    written: AtomicU64,
-    slots: Box<[Slot]>,
-}
-
-impl FlightRing {
-    fn new() -> FlightRing {
-        FlightRing {
-            tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
-            name: std::thread::current()
-                .name()
-                .unwrap_or("worker")
-                .to_string(),
-            written: AtomicU64::new(0),
-            slots: (0..FLIGHT_CAPACITY)
-                .map(|_| Slot {
-                    phase: AtomicU64::new(0),
-                    start: AtomicU64::new(0),
-                    dur: AtomicU64::new(0),
-                    arg: AtomicU64::new(0),
-                })
-                .collect(),
-        }
-    }
-
-    /// Owner-side append: overwrite the oldest slot, then publish.
-    fn push(&self, phase: Phase, start_ns: u64, dur_ns: u64, arg: u64) {
-        let w = self.written.load(Ordering::Relaxed);
-        let s = &self.slots[(w % self.slots.len() as u64) as usize];
-        s.phase.store(phase as u64, Ordering::Relaxed);
-        s.start.store(start_ns, Ordering::Relaxed);
-        s.dur.store(dur_ns, Ordering::Relaxed);
-        s.arg.store(arg, Ordering::Relaxed);
-        self.written.store(w + 1, Ordering::Release);
-    }
-
-    /// Dump-side copy of the retained window; drops entries the
-    /// re-read of `written` proves may have been overwritten.
-    fn drain(&self) -> (Vec<TraceEvent>, u64) {
-        let cap = self.slots.len() as u64;
-        let w1 = self.written.load(Ordering::Acquire);
-        let lo = w1.saturating_sub(cap);
-        let mut entries = Vec::with_capacity((w1 - lo) as usize);
-        for i in lo..w1 {
-            let s = &self.slots[(i % cap) as usize];
-            let phase_idx = (s.phase.load(Ordering::Relaxed) as usize).min(PHASE_COUNT - 1);
-            entries.push((
-                i,
-                TraceEvent {
-                    phase: Phase::all()[phase_idx],
-                    tid: self.tid,
-                    start_ns: s.start.load(Ordering::Relaxed),
-                    dur_ns: s.dur.load(Ordering::Relaxed),
-                    arg: s.arg.load(Ordering::Relaxed),
-                },
-            ));
-        }
-        let w2 = self.written.load(Ordering::Acquire);
-        let lo2 = w2.saturating_sub(cap);
-        let events = entries
-            .into_iter()
-            .filter(|(i, _)| *i >= lo2)
-            .map(|(_, e)| e)
-            .collect();
-        (events, lo2)
-    }
-}
-
-thread_local! {
-    static RING: OnceCell<Arc<FlightRing>> = const { OnceCell::new() };
-}
-
-/// True once [`install`] has run: span sites feed the flight rings.
+/// True once [`install`] has run: span sites feed the thread rings.
 #[inline]
 pub fn active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
+    SINKS.load(Ordering::Relaxed) & FLIGHT != 0
 }
 
 /// Installs the flight recorder: dumps land under `dir`, at most `keep`
@@ -152,53 +59,24 @@ pub fn install(dir: PathBuf, keep: usize) -> std::io::Result<()> {
             last_dump_ns: AtomicU64::new(0),
         });
     }
-    ACTIVE.store(true, Ordering::SeqCst);
+    SINKS.fetch_or(FLIGHT, Ordering::SeqCst);
     Ok(())
 }
 
-/// Records one finished span into this thread's flight ring. Called by
-/// the span entry points when [`active`]; callers with an event that
-/// never went through a `SpanGuard` (cross-thread stamps) land here via
-/// `event`.
-pub fn record_span(phase: Phase, start_ns: u64, dur_ns: u64, arg: u64) {
-    RING.with(|cell| {
-        let ring = cell.get_or_init(|| {
-            let ring = Arc::new(FlightRing::new());
-            RINGS.lock().unwrap().push(Arc::clone(&ring));
-            ring
-        });
-        ring.push(phase, start_ns, dur_ns, arg);
-    });
-}
-
-/// Snapshots every flight ring plus the logger's recent lines and
-/// writes one Chrome-trace JSON file (`flight-<seq>-<reason>.json`,
-/// temp-file + rename) under the installed directory, deleting the
-/// oldest dump past the retention cap. Returns the final path.
+/// Snapshots every thread ring's newest events plus the logger's recent
+/// lines and writes one Chrome-trace JSON file
+/// (`flight-<seq>-<reason>.json`, temp-file + rename) under the installed
+/// directory, recreating it if it vanished, and deletes the oldest dump
+/// past the retention cap. Returns the final path.
 pub fn dump(reason: &str) -> std::io::Result<PathBuf> {
     let state = STATE
         .get()
         .ok_or_else(|| std::io::Error::other("flight recorder not installed"))?;
-    let mut profile = Profile::default();
-    for ring in RINGS.lock().unwrap().iter() {
-        let (events, overwritten) = ring.drain();
-        if !events.is_empty() || overwritten > 0 {
-            profile.threads.push((ring.tid, ring.name.clone()));
-        }
-        profile.events.extend(events);
-        profile.dropped += overwritten;
-    }
+    let mut profile = drain_rings(FLIGHT_WINDOW, |_| 0);
     profile.events.sort_by_key(|e| e.start_ns);
 
     let mut extra = String::from(",\"flight_reason\":\"");
-    for c in reason.chars() {
-        match c {
-            '"' => extra.push_str("\\\""),
-            '\\' => extra.push_str("\\\\"),
-            c if (c as u32) < 0x20 => extra.push_str(&format!("\\u{:04x}", c as u32)),
-            c => extra.push(c),
-        }
-    }
+    crate::log::escape_into(&mut extra, reason);
     extra.push_str("\",\"recent_logs\":[");
     // Emitted log lines are themselves JSON objects, so they embed
     // verbatim as array elements.
@@ -213,6 +91,7 @@ pub fn dump(reason: &str) -> std::io::Result<PathBuf> {
         .collect();
     let path = state.dir.join(format!("flight-{seq}-{safe_reason}.json"));
     let tmp = state.dir.join(format!(".flight-{seq}.tmp"));
+    std::fs::create_dir_all(&state.dir)?;
     std::fs::write(&tmp, &body)?;
     std::fs::rename(&tmp, &path)?;
     counter_add(Counter::FlightDumps, 1);
@@ -248,19 +127,26 @@ pub fn dump_throttled(reason: &str) -> Option<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phase::Phase;
+    use crate::recorder::TEST_LOCK;
+    use crate::Recorder;
 
-    // One test drives the whole lifecycle: the recorder is
-    // process-global (OnceLock'd dump directory), so independent
-    // #[test]s would race each other's install/dump accounting.
+    fn test_dir() -> PathBuf {
+        std::env::temp_dir().join(format!("bdrst-flight-test-{}", std::process::id()))
+    }
+
+    // One test drives the dump lifecycle: the dump directory is fixed by
+    // the first install, so dump accounting is process-global.
     #[test]
     fn ring_wraps_dumps_throttle_and_retention() {
-        let dir = std::env::temp_dir().join(format!("bdrst-flight-test-{}", std::process::id()));
+        let _lock = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let dir = test_dir();
         let _ = std::fs::remove_dir_all(&dir);
         install(dir.clone(), 2).unwrap();
         assert!(active());
-        // Overfill this thread's ring so it wraps.
-        for i in 0..(FLIGHT_CAPACITY + 10) as u64 {
-            record_span(Phase::Execute, i, 1, i);
+        // Overfill this thread's window so it slides.
+        for i in 0..FLIGHT_WINDOW + 10 {
+            crate::event(Phase::Execute, i, 1, i);
         }
         let path = dump("unit-test").unwrap();
         assert!(path
@@ -273,8 +159,8 @@ mod tests {
         assert!(body.contains("\"traceEvents\":["));
         assert!(body.contains("\"flight_reason\":\"unit-test\""));
         assert!(body.contains("\"recent_logs\":["));
-        // Wrapped ring: only the newest FLIGHT_CAPACITY survive, and the
-        // overwritten count is reported.
+        // Only the newest FLIGHT_WINDOW survive, and the older count is
+        // reported.
         assert!(body.contains("\"dropped_events\":10"));
 
         // Automatic triggers coalesce: one dump per throttle window.
@@ -297,5 +183,56 @@ mod tests {
             .collect();
         assert_eq!(dumps.len(), 2, "retention cap keeps the newest 2");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn profiling_session_and_dump_share_the_rings() {
+        let _lock = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        install(test_dir(), 2).unwrap();
+        let spawn = |name: &str, arg: u64| {
+            std::thread::Builder::new()
+                .name(name.into())
+                .spawn(move || crate::event(Phase::Parse, arg, 1, arg))
+                .unwrap()
+                .join()
+                .unwrap()
+        };
+        // The pre-session window: this thread and a worker that exits.
+        crate::event(Phase::Parse, 1001, 1, 1001);
+        spawn("pre-session", 1002);
+
+        Recorder::install();
+        crate::event(Phase::Explore, 2001, 1, 2001);
+        drop(crate::span_arg(Phase::Execute, 2002));
+        spawn("in-session", 2003);
+        let profile = Recorder::stop_and_collect();
+
+        let mut args: Vec<u64> = profile.events.iter().map(|e| e.arg).collect();
+        args.sort();
+        assert_eq!(
+            args,
+            [2001, 2002, 2003],
+            "every session span, nothing older"
+        );
+        assert_eq!(profile.dropped, 0);
+        let me = profile.events.iter().find(|e| e.arg == 2001).unwrap().tid;
+
+        let body = std::fs::read_to_string(dump("shared-session").unwrap()).unwrap();
+        // The dump still holds the pre-session window, and every event
+        // sits under the tid the profile gave its thread.
+        assert!(body.contains(&format!(
+            "\"tid\":{me},\"ts\":1.001,\"dur\":0.001,\"args\":{{\"arg\":1001}}"
+        )));
+        assert!(body.contains("\"args\":{\"arg\":1002}"));
+        for e in &profile.events {
+            let arg = format!("\"args\":{{\"arg\":{}}}", e.arg);
+            let at = body.find(&arg).expect("session event in the dump");
+            let record = &body[body[..at].rfind('{').unwrap()..at];
+            assert!(record.contains(&format!("\"tid\":{},", e.tid)), "{record}");
+        }
+        for (tid, name) in &profile.threads {
+            assert!(body.contains(&format!("\"tid\":{tid},\"args\":{{\"name\":\"{name}\"}}")));
+        }
+        let _ = std::fs::remove_dir_all(test_dir());
     }
 }

@@ -8,34 +8,38 @@
 //!   unconditional is what lets the zero-probe warm/replay test suites
 //!   assert on them in every build. Monotone gauges (frontier high-water,
 //!   interner occupancy) live here too, via [`counter_max`].
-//! * **Spans** ([`span`], [`event`]) — per-thread fixed-capacity event
-//!   buffers behind a process-global [`Recorder`]. Recording is gated by
-//!   one relaxed [`enabled`] load: until [`Recorder::install`] runs, a
-//!   span entry point is a load and a branch — **no allocation, no
-//!   clock read** — so the engine's allocs-per-visit bar is untouched by
-//!   the instrumentation.
+//! * **Spans** ([`span`], [`event`]) — one fixed-capacity ring per
+//!   thread, which two readers share: a profiling session
+//!   ([`Recorder`]) and the [`flight`] recorder. One relaxed load of an
+//!   atomic that holds both readers' on/off bits gates every span site:
+//!   with both off, a span entry point is a load and a branch — **no
+//!   allocation, no clock read** — so the engine's allocs-per-visit bar
+//!   is untouched by the instrumentation.
 //!
-//! When recording, each thread appends to its own single-writer ring
-//! (`Relaxed` slot stores published by one `Release` length store — the
-//! draining [`Recorder`] reads lengths `Acquire`); a full ring drops new
-//! events and counts the drops rather than wrapping, so a drained buffer
-//! never tears. Exact per-phase aggregates (count / total / self time)
-//! are kept in always-written atomics beside the ring, immune to
-//! overflow, which is what the human summary reports. Timestamps come
-//! from one process-wide monotonic epoch ([`now_ns`]).
+//! A finished span is pushed once, into its thread's single-writer ring.
+//! The ring wraps and keeps its newest events; a monotone `written`
+//! counter (`Release`) publishes each one, and every drain is a seqlock
+//! read that discards any slot the writer may have overwritten mid-copy,
+//! so a drained event is never torn. Exact per-phase aggregates (count /
+//! total / self time) are kept in atomics beside the ring while a
+//! profiling session runs, immune to wrap, which is what the human
+//! summary reports. Timestamps come from one process-wide monotonic
+//! epoch ([`now_ns`]).
 //!
-//! [`Recorder::stop_and_collect`] drains everything into a [`Profile`],
-//! exportable as Chrome trace-event JSON (`chrome://tracing` / Perfetto
-//! loadable) or rendered as a per-phase table.
+//! [`Recorder::stop_and_collect`] drains the events since
+//! [`Recorder::install`] into a [`Profile`], exportable as Chrome
+//! trace-event JSON (`chrome://tracing` / Perfetto loadable) or rendered
+//! as a per-phase table; [`flight::dump`] drains the newest events of
+//! every ring the same way, under the same thread ids.
 //!
 //! Three live-introspection layers ride the same machinery:
 //!
 //! * [`log`] — a structured JSON-lines logger (levels, per-target rate
 //!   limiting, rename-based rotation), gated by one relaxed load.
-//! * [`flight`] — an always-on bounded ring of recent spans that dumps
-//!   a Chrome-trace + recent-log snapshot on anomaly (slow request,
-//!   worker panic, explicit `dump` command). Span sites feed it
-//!   whenever it is installed, with or without a profiling session.
+//! * [`flight`] — once installed, keeps span capture on and dumps a
+//!   Chrome-trace + recent-log snapshot of the rings on anomaly (slow
+//!   request, worker panic, explicit `dump` command), with or without a
+//!   profiling session.
 //! * [`progress_tick`] — engine progress ticks every N visited states
 //!   to an installable [`ProgressSink`] (CLI `--progress`, the server's
 //!   `status` command).

@@ -226,7 +226,7 @@ pub fn log_enabled(l: Level) -> bool {
 /// Escapes `s` into `out` exactly as the service's `json.rs` renderer
 /// does: `"`, `\`, `\n`, `\r`, `\t` named, every other control char as
 /// `\u00XX` — the repertoire its parser reverses losslessly.
-fn escape_into(out: &mut String, s: &str) {
+pub(crate) fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

@@ -36,27 +36,16 @@ pub struct PhaseSummary {
 /// Everything a recording session collected.
 #[derive(Clone, Debug, Default)]
 pub struct Profile {
-    /// Individual span events, per-thread ring order.
+    /// Individual span events, per-thread ring order (a flight dump
+    /// sorts them by start).
     pub events: Vec<TraceEvent>,
     /// `(tid, thread name)` for every thread that recorded.
     pub threads: Vec<(u64, String)>,
     /// Per-phase aggregates, nonzero phases only.
     pub phases: Vec<PhaseSummary>,
-    /// Events lost to full rings (the aggregates still count them).
+    /// Events lost to ring wrap, or outside a flight dump's window (the
+    /// aggregates still count them).
     pub dropped: u64,
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Nanoseconds as a microsecond decimal literal (Chrome's `ts`/`dur`
@@ -89,9 +78,10 @@ impl Profile {
             first = false;
             out.push_str(&format!(
                 "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                esc(name)
+                 \"args\":{{\"name\":\""
             ));
+            crate::log::escape_into(&mut out, name);
+            out.push_str("\"}}");
         }
         for e in &self.events {
             if !first {
@@ -143,7 +133,7 @@ impl Profile {
         }
         if self.dropped > 0 {
             out.push_str(&format!(
-                "({} events dropped to full buffers; aggregates above are exact)\n",
+                "({} events lost to ring wrap; aggregates above are exact)\n",
                 self.dropped
             ));
         }

@@ -1,23 +1,32 @@
-//! The span recording machinery: per-thread single-writer rings, the
-//! thread-local span stack (for self-time attribution), and the global
-//! [`Recorder`] that turns it all into a [`Profile`].
+//! The span ring: one per-thread buffer that both the profiler
+//! ([`Recorder`]) and the flight recorder ([`crate::flight`]) read.
 //!
 //! Concurrency story, in full:
 //!
-//! * Each thread owns one [`ThreadRing`]. Only the owner writes slots
-//!   and the length; slot words are `Relaxed` stores published by one
-//!   `Release` store of the new length, so a drainer that reads the
-//!   length `Acquire` sees fully-written slots. The ring never wraps —
-//!   a full ring drops the event and counts it — so a drain can never
-//!   observe a torn, half-overwritten slot.
+//! * Each thread owns one [`Ring`] and is its only writer. The ring
+//!   wraps: event number `i` lives in slot `i % RING_CAPACITY`, and a
+//!   monotone `written` counter, bumped with `Release` after the slot
+//!   words are stored `Relaxed`, publishes it.
+//! * Every drain is a seqlock read ([`Ring::drain`]): load `written`
+//!   `Acquire`, copy the slots, `fence(Acquire)`, load `written` again,
+//!   and discard every index `≤ written₂ − capacity` — the slots the
+//!   writer may have overwritten mid-copy, the one it may be filling
+//!   now included. A `fence(Release)` before the writer's slot stores
+//!   makes the second load see any overwrite the copy saw, so a drained
+//!   event is never torn.
+//! * A profiling session does not clear the rings: [`Recorder::install`]
+//!   records each ring's `written` as the session start, and
+//!   [`Recorder::stop_and_collect`] drains from there. Session events
+//!   the ring wrapped over are counted as dropped; the per-phase
+//!   aggregates beside the ring are exact regardless.
 //! * Rings are `Arc`-shared with a global registry and therefore
-//!   outlive their thread; a worker that exits before
-//!   [`Recorder::stop_and_collect`] still gets drained.
-//! * Recording is gated by one `Relaxed` load of [`enabled`]. The
-//!   disabled path performs no clock read and no allocation.
+//!   outlive their thread; a worker that exits before a drain still
+//!   gets drained, under the same `tid` by both readers.
+//! * One atomic holds the on/off bit of each reader. A span site with
+//!   both off is one `Relaxed` load: no clock read, no allocation.
 
 use std::cell::{OnceCell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -25,18 +34,29 @@ use crate::counters::{counter_add, Counter};
 use crate::phase::{Phase, PHASE_COUNT};
 use crate::profile::{PhaseSummary, Profile, TraceEvent};
 
-/// Events one thread can buffer per session before dropping.
-const RING_CAPACITY: usize = 8192;
+/// Events one thread's ring holds; a power of two, so an index maps to
+/// its slot by a mask.
+const RING_CAPACITY: u64 = 8192;
 
-static ACTIVE: AtomicBool = AtomicBool::new(false);
+/// [`SINKS`] bit: a [`Recorder`] session is active.
+pub(crate) const PROFILE: u8 = 1;
+/// [`SINKS`] bit: the flight recorder is installed.
+pub(crate) const FLIGHT: u8 = 2;
+
+pub(crate) static SINKS: AtomicU8 = AtomicU8::new(0);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
-static RINGS: Mutex<Vec<Arc<ThreadRing>>> = Mutex::new(Vec::new());
+static RINGS: Mutex<Vec<Arc<Ring>>> = Mutex::new(Vec::new());
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
+
+/// Serialises the tests that start or stop a reader: the rings and the
+/// sink bits are process-global.
+#[cfg(test)]
+pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 /// True while a [`Recorder`] session is active.
 #[inline]
 pub fn enabled() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
+    SINKS.load(Ordering::Relaxed) & PROFILE != 0
 }
 
 /// Nanoseconds since the process-wide monotonic epoch (first use).
@@ -58,25 +78,28 @@ struct PhaseAgg {
     self_ns: AtomicU64,
 }
 
-struct ThreadRing {
+pub(crate) struct Ring {
     tid: u64,
     name: String,
-    len: AtomicUsize,
-    dropped: AtomicU64,
+    /// Events ever pushed; event `i` lives in slot `i % RING_CAPACITY`.
+    written: AtomicU64,
+    /// `written` when the current profiling session began.
+    session_start: AtomicU64,
     slots: Box<[Slot]>,
+    /// Session aggregates, written only while profiling.
     agg: [PhaseAgg; PHASE_COUNT],
 }
 
-impl ThreadRing {
-    fn new() -> ThreadRing {
-        ThreadRing {
+impl Ring {
+    fn new() -> Ring {
+        Ring {
             tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
             name: std::thread::current()
                 .name()
                 .unwrap_or("worker")
                 .to_string(),
-            len: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
+            written: AtomicU64::new(0),
+            session_start: AtomicU64::new(0),
             slots: (0..RING_CAPACITY)
                 .map(|_| Slot {
                     phase: AtomicU64::new(0),
@@ -93,47 +116,96 @@ impl ThreadRing {
         }
     }
 
-    /// Owner-side append. `Relaxed` slot writes, `Release` publish.
+    /// Owner-side append: overwrite the oldest slot, then publish.
     fn push(&self, phase: Phase, start_ns: u64, dur_ns: u64, arg: u64) {
-        let a = &self.agg[phase as usize];
-        a.count.fetch_add(1, Ordering::Relaxed);
-        a.total_ns.fetch_add(dur_ns, Ordering::Relaxed);
-        let i = self.len.load(Ordering::Relaxed);
-        if i >= self.slots.len() {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            counter_add(Counter::SpansDropped, 1);
-            return;
-        }
-        let s = &self.slots[i];
+        let w = self.written.load(Ordering::Relaxed);
+        // Orders the publication of `w` before the stores below: a drain
+        // that copies any of them then sees `written ≥ w` and discards
+        // the slot.
+        fence(Ordering::Release);
+        let s = &self.slots[(w % RING_CAPACITY) as usize];
         s.phase.store(phase as u64, Ordering::Relaxed);
         s.start.store(start_ns, Ordering::Relaxed);
         s.dur.store(dur_ns, Ordering::Relaxed);
         s.arg.store(arg, Ordering::Relaxed);
-        self.len.store(i + 1, Ordering::Release);
+        self.written.store(w + 1, Ordering::Release);
     }
 
-    fn add_self(&self, phase: Phase, self_ns: u64) {
-        self.agg[phase as usize]
-            .self_ns
-            .fetch_add(self_ns, Ordering::Relaxed);
+    /// Pushes one event once, and folds it into the session aggregates
+    /// when `sinks` has a profiling session on.
+    fn record(&self, sinks: u8, phase: Phase, start_ns: u64, dur_ns: u64, self_ns: u64, arg: u64) {
+        self.push(phase, start_ns, dur_ns, arg);
+        if sinks & PROFILE != 0 {
+            let a = &self.agg[phase as usize];
+            a.count.fetch_add(1, Ordering::Relaxed);
+            a.total_ns.fetch_add(dur_ns, Ordering::Relaxed);
+            a.self_ns.fetch_add(self_ns, Ordering::Relaxed);
+        }
+    }
+
+    /// The seqlock read: the events with index `≥ from` among the newest
+    /// `window`, none of them torn, and the index of the first one kept
+    /// (every index below it is lost to the window or to wrap).
+    fn drain(&self, from: u64, window: u64) -> (Vec<TraceEvent>, u64) {
+        let w1 = self.written.load(Ordering::Acquire);
+        let lo = from.max(w1.saturating_sub(window));
+        let mut events = Vec::with_capacity(w1.saturating_sub(lo) as usize);
+        for i in lo..w1 {
+            let s = &self.slots[(i % RING_CAPACITY) as usize];
+            let phase_idx = (s.phase.load(Ordering::Relaxed) as usize).min(PHASE_COUNT - 1);
+            events.push(TraceEvent {
+                phase: Phase::all()[phase_idx],
+                tid: self.tid,
+                start_ns: s.start.load(Ordering::Relaxed),
+                dur_ns: s.dur.load(Ordering::Relaxed),
+                arg: s.arg.load(Ordering::Relaxed),
+            });
+        }
+        fence(Ordering::Acquire);
+        let w2 = self.written.load(Ordering::Relaxed);
+        // The writer may be filling event w2's slot, which held event
+        // w2 − capacity: that index and every older one may be torn.
+        let first = (w2 + 1)
+            .saturating_sub(RING_CAPACITY)
+            .clamp(lo, lo + events.len() as u64);
+        events.drain(..(first - lo) as usize);
+        (events, first)
     }
 }
 
 thread_local! {
-    static RING: OnceCell<Arc<ThreadRing>> = const { OnceCell::new() };
+    static RING: OnceCell<Arc<Ring>> = const { OnceCell::new() };
     /// Per-open-span accumulator of child durations, for self-time.
     static STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
-fn with_ring(f: impl FnOnce(&ThreadRing)) {
+fn with_ring(f: impl FnOnce(&Ring)) {
     RING.with(|cell| {
         let ring = cell.get_or_init(|| {
-            let ring = Arc::new(ThreadRing::new());
+            let ring = Arc::new(Ring::new());
             RINGS.lock().unwrap().push(Arc::clone(&ring));
             ring
         });
         f(ring)
     });
+}
+
+/// Drains every registered ring into one profile: per ring, the events
+/// with index `≥ from(ring)` among its newest `window`. `dropped` counts
+/// the events at or past `from` that the window or the wrap lost.
+pub(crate) fn drain_rings(window: u64, from: impl Fn(&Ring) -> u64) -> Profile {
+    let mut profile = Profile::default();
+    for ring in RINGS.lock().unwrap().iter() {
+        let start = from(ring);
+        let (events, first) = ring.drain(start, window);
+        let dropped = first.saturating_sub(start);
+        if !events.is_empty() || dropped > 0 {
+            profile.threads.push((ring.tid, ring.name.clone()));
+        }
+        profile.events.extend(events);
+        profile.dropped += dropped;
+    }
+    profile
 }
 
 /// An open span; the measurement lands when it drops. Obtain with
@@ -146,18 +218,16 @@ pub struct SpanGuard {
 }
 
 /// Opens a span of `phase` on this thread. Inert (one relaxed load)
-/// unless a [`Recorder`] session is active.
+/// unless a [`Recorder`] session or the flight recorder is active.
 #[inline]
 pub fn span(phase: Phase) -> SpanGuard {
     span_arg(phase, 0)
 }
 
-/// [`span`] with the free argument slot filled. Live while a profiling
-/// session *or* the flight recorder is active; which sinks receive the
-/// measurement is decided at drop.
+/// [`span`] with the free argument slot filled.
 #[inline]
 pub fn span_arg(phase: Phase, arg: u64) -> SpanGuard {
-    if !enabled() && !crate::flight::active() {
+    if SINKS.load(Ordering::Relaxed) == 0 {
         return SpanGuard {
             phase,
             start_ns: 0,
@@ -198,16 +268,10 @@ impl Drop for SpanGuard {
             }
             child
         });
-        let phase = self.phase;
-        let (start_ns, arg) = (self.start_ns, self.arg);
-        if enabled() {
-            with_ring(|ring| {
-                ring.push(phase, start_ns, dur_ns, arg);
-                ring.add_self(phase, dur_ns.saturating_sub(child_ns));
-            });
-        }
-        if crate::flight::active() {
-            crate::flight::record_span(phase, start_ns, dur_ns, arg);
+        let sinks = SINKS.load(Ordering::Relaxed);
+        if sinks != 0 {
+            let self_ns = dur_ns.saturating_sub(child_ns);
+            with_ring(|r| r.record(sinks, self.phase, self.start_ns, dur_ns, self_ns, self.arg));
         }
     }
 }
@@ -218,40 +282,41 @@ impl Drop for SpanGuard {
 /// not participate in self-time nesting.
 #[inline]
 pub fn event(phase: Phase, start_ns: u64, dur_ns: u64, arg: u64) {
-    if enabled() {
-        with_ring(|ring| {
-            ring.push(phase, start_ns, dur_ns, arg);
-            ring.add_self(phase, dur_ns);
-        });
-    }
-    if crate::flight::active() {
-        crate::flight::record_span(phase, start_ns, dur_ns, arg);
+    let sinks = SINKS.load(Ordering::Relaxed);
+    if sinks != 0 {
+        with_ring(|r| r.record(sinks, phase, start_ns, dur_ns, dur_ns, arg));
     }
 }
 
 /// The process-global recording session handle.
 ///
 /// `install` / `stop_and_collect` are meant to bracket a single-owner
-/// session (a CLI run, a benchmark lane): `install` resets every
-/// registered ring, so it must not race in-flight spans.
+/// session (a CLI run, a benchmark lane): `install` resets the session
+/// aggregates, so it must not race in-flight spans.
 pub struct Recorder;
 
 impl Recorder {
-    /// Starts a session: resets previously-registered rings and enables
-    /// span recording process-wide. Counters are *not* reset (they are
-    /// always-on; diff snapshots instead).
+    /// Starts a session: marks where each registered ring stands, resets
+    /// the per-phase aggregates and enables span recording process-wide.
+    /// The rings keep their events, so a flight dump still sees them.
+    /// Counters are *not* reset (they are always-on; diff snapshots
+    /// instead).
     pub fn install() {
         let _ = EPOCH.get_or_init(Instant::now);
-        for ring in RINGS.lock().unwrap().iter() {
-            ring.len.store(0, Ordering::Relaxed);
-            ring.dropped.store(0, Ordering::Relaxed);
+        // Holding the registry lock while the bit flips means a ring
+        // registered concurrently either gets its start marked here or
+        // is born into the session with start 0.
+        let rings = RINGS.lock().unwrap();
+        for ring in rings.iter() {
+            let w = ring.written.load(Ordering::Relaxed);
+            ring.session_start.store(w, Ordering::Relaxed);
             for a in &ring.agg {
                 a.count.store(0, Ordering::Relaxed);
                 a.total_ns.store(0, Ordering::Relaxed);
                 a.self_ns.store(0, Ordering::Relaxed);
             }
         }
-        ACTIVE.store(true, Ordering::SeqCst);
+        SINKS.fetch_or(PROFILE, Ordering::SeqCst);
     }
 
     /// True while a session is active.
@@ -259,28 +324,18 @@ impl Recorder {
         enabled()
     }
 
-    /// Ends the session and drains every thread ring into a [`Profile`].
-    /// Spans still open on other threads when this runs finish recording
-    /// harmlessly but may miss the drain.
+    /// Ends the session and drains the events each ring recorded since
+    /// it began into a [`Profile`] (an empty one if no session was
+    /// active). Spans still open on other threads when this runs finish
+    /// recording harmlessly but may miss the drain.
     pub fn stop_and_collect() -> Profile {
-        ACTIVE.store(false, Ordering::SeqCst);
-        let mut profile = Profile::default();
+        if SINKS.fetch_and(!PROFILE, Ordering::SeqCst) & PROFILE == 0 {
+            return Profile::default();
+        }
+        let mut profile = drain_rings(RING_CAPACITY, |r| r.session_start.load(Ordering::Relaxed));
+        counter_add(Counter::SpansDropped, profile.dropped);
         let mut agg = [(0u64, 0u64, 0u64); PHASE_COUNT];
         for ring in RINGS.lock().unwrap().iter() {
-            profile.threads.push((ring.tid, ring.name.clone()));
-            profile.dropped += ring.dropped.load(Ordering::Relaxed);
-            let len = ring.len.load(Ordering::Acquire).min(ring.slots.len());
-            for s in &ring.slots[..len] {
-                let phase_idx = s.phase.load(Ordering::Relaxed) as usize;
-                let phase = Phase::all()[phase_idx.min(PHASE_COUNT - 1)];
-                profile.events.push(TraceEvent {
-                    phase,
-                    tid: ring.tid,
-                    start_ns: s.start.load(Ordering::Relaxed),
-                    dur_ns: s.dur.load(Ordering::Relaxed),
-                    arg: s.arg.load(Ordering::Relaxed),
-                });
-            }
             for (i, a) in ring.agg.iter().enumerate() {
                 agg[i].0 += a.count.load(Ordering::Relaxed);
                 agg[i].1 += a.total_ns.load(Ordering::Relaxed);
@@ -310,6 +365,7 @@ mod tests {
     // install/stop.
     #[test]
     fn session_records_spans_events_and_self_time() {
+        let _lock = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         assert!(!enabled());
         drop(span(Phase::Parse)); // inert: no session
         Recorder::install();
@@ -349,5 +405,51 @@ mod tests {
         drop(span(Phase::Parse));
         let p2 = Recorder::stop_and_collect();
         assert!(p2.events.len() <= profile.events.len());
+    }
+
+    #[test]
+    fn drains_are_tear_free_while_the_writer_wraps() {
+        use std::sync::atomic::AtomicBool;
+        // A private ring, so the registry and the other tests never see
+        // it. Event i carries i in every word: a torn copy would mix two
+        // indices `RING_CAPACITY` apart.
+        let ring = Arc::new(Ring::new());
+        let stop = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let (ring, stop) = (Arc::clone(&ring), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut i = 0;
+                while i < 4 * RING_CAPACITY || !stop.load(Ordering::Relaxed) {
+                    ring.push(Phase::Execute, i, i, i);
+                    i += 1;
+                }
+                i
+            })
+        };
+        let check = |(events, first): (Vec<TraceEvent>, u64)| {
+            for (k, e) in events.iter().enumerate() {
+                let i = first + k as u64;
+                assert_eq!((e.start_ns, e.dur_ns, e.arg), (i, i, i), "torn event");
+                assert_eq!(e.phase, Phase::Execute);
+            }
+            (events.len() as u64, first)
+        };
+        // Drain only once the writer is wrapping, so the copies race it.
+        while ring.written.load(Ordering::Relaxed) < 2 * RING_CAPACITY {
+            std::hint::spin_loop();
+        }
+        for _ in 0..1000 {
+            check(ring.drain(0, RING_CAPACITY));
+        }
+        stop.store(true, Ordering::Relaxed);
+        let total = writer.join().unwrap();
+        assert!(total >= 4 * RING_CAPACITY);
+        // With the writer gone the newest window survives whole, but for
+        // the oldest slot, which the seqlock cannot vouch for.
+        let (kept, first) = check(ring.drain(0, RING_CAPACITY));
+        assert_eq!(
+            (kept, first),
+            (RING_CAPACITY - 1, total - RING_CAPACITY + 1)
+        );
     }
 }

@@ -35,6 +35,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
+use bdrst_obs::Phase;
+
 use crate::json::Json;
 
 /// The protocol commands with dedicated counter slots; anything else
@@ -80,37 +82,15 @@ const CMD_SLOTS: usize = COMMANDS.len() + 1;
 const KIND_SLOTS: usize = ERROR_KINDS.len() + 1;
 const BUCKETS: usize = LATENCY_LABELS.len();
 
-/// What a live request is doing right now, as the `status` command
-/// reports it: waiting in the job queue, executing on a worker, or
-/// written but not yet flushed to the client socket.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ReqPhase {
-    /// Queued (including backpressure time before the queue took it).
-    QueueWait,
-    /// A worker is computing the response.
-    Execute,
-    /// The response is written; the socket has not drained it yet.
-    WriteBack,
-}
-
-impl ReqPhase {
-    /// The phase's wire name.
-    pub const fn name(self) -> &'static str {
-        match self {
-            ReqPhase::QueueWait => "queue-wait",
-            ReqPhase::Execute => "execute",
-            ReqPhase::WriteBack => "write-back",
-        }
-    }
-}
-
 /// One live request in the registry. `states_at_start` snapshots the
 /// process-wide `StatesVisited` counter when execution begins, so the
 /// request's own progress is the (monotone) delta against it.
 struct Inflight {
     cmd: Option<String>,
     client_id: Json,
-    phase: ReqPhase,
+    /// What the request is doing now, as `status` reports it: one of
+    /// `QueueWait`, `Execute` or `WriteBack`.
+    phase: Phase,
     enqueue_ns: u64,
     states_at_start: u64,
 }
@@ -289,7 +269,7 @@ impl Metrics {
             Inflight {
                 cmd: None,
                 client_id: Json::Null,
-                phase: ReqPhase::QueueWait,
+                phase: Phase::QueueWait,
                 enqueue_ns,
                 states_at_start: 0,
             },
@@ -301,7 +281,7 @@ impl Metrics {
     /// connection died) stays gone.
     pub(crate) fn inflight_executing(&self, req_id: u64, states_at_start: u64) {
         if let Some(e) = self.inflight.lock().unwrap().get_mut(&req_id) {
-            e.phase = ReqPhase::Execute;
+            e.phase = Phase::Execute;
             e.states_at_start = states_at_start;
         }
     }
@@ -318,7 +298,7 @@ impl Metrics {
     /// Marks a request's response as written but not yet flushed.
     pub(crate) fn inflight_write_back(&self, req_id: u64) {
         if let Some(e) = self.inflight.lock().unwrap().get_mut(&req_id) {
-            e.phase = ReqPhase::WriteBack;
+            e.phase = Phase::WriteBack;
         }
     }
 
@@ -334,7 +314,7 @@ impl Metrics {
             .lock()
             .unwrap()
             .values()
-            .filter(|e| e.phase == ReqPhase::QueueWait)
+            .filter(|e| e.phase == Phase::QueueWait)
             .count() as u64
     }
 
@@ -354,7 +334,7 @@ impl Metrics {
                 // the delta is monotone because the registry counter
                 // only grows.
                 let states = match e.phase {
-                    ReqPhase::QueueWait => 0,
+                    Phase::QueueWait => 0,
                     _ => visited.saturating_sub(e.states_at_start),
                 };
                 let obj = Json::obj([

@@ -1,13 +1,15 @@
-//! Property tests for the structured logger: every line `obs::log`
-//! renders must parse back through the service's own std-only JSON
-//! parser with the message and every field intact — the two escapers
-//! were written against the same repertoire, and this is the test that
-//! keeps them aligned. Plus a rotation test: rotation happens only at
-//! line boundaries, so no line is ever split across `bdrst.log*` files.
+//! Property tests for `bdrst-obs`'s one JSON string escaper: every line
+//! `obs::log` renders, every thread name in a Chrome trace and every
+//! flight-dump reason must parse back through the service's own
+//! std-only JSON parser intact — the two escapers were written against
+//! the same repertoire, and this is the test that keeps them aligned.
+//! Plus a rotation test: rotation happens only at line boundaries, so no
+//! line is ever split across `bdrst.log*` files.
 
 use proptest::prelude::*;
 
 use bdrst_obs::log::{render_line, Field, Level, LogConfig};
+use bdrst_obs::Profile;
 use bdrst_service::json::Json;
 
 /// Arbitrary Unicode strings biased toward the troublemakers: the whole
@@ -62,6 +64,38 @@ proptest! {
         prop_assert_eq!(doc.get("i"), Some(&Json::Int(i)));
         prop_assert_eq!(doc.get("nan"), Some(&Json::Null));
         prop_assert_eq!(doc.get("yes"), Some(&Json::Bool(true)));
+    }
+
+    #[test]
+    fn trace_thread_names_round_trip(name in arb_string()) {
+        let profile = Profile {
+            threads: vec![(1, name.clone())],
+            ..Profile::default()
+        };
+        let json = profile.to_chrome_json();
+        let doc = Json::parse(&json)
+            .unwrap_or_else(|e| panic!("trace does not parse: {e} in {json:?}"));
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        prop_assert_eq!(
+            events[0].get_in(&["args", "name"]).and_then(Json::as_str),
+            Some(name.as_str())
+        );
+    }
+
+    #[test]
+    fn flight_dump_reasons_round_trip(reason in arb_string()) {
+        let dir = std::env::temp_dir().join(format!("bdrst-flight-escape-{}", std::process::id()));
+        bdrst_obs::flight::install(dir.clone(), 2).unwrap();
+        let path = bdrst_obs::flight::dump(&reason).unwrap();
+        let body = std::fs::read_to_string(&path).unwrap();
+        // The next dump recreates the directory.
+        let _ = std::fs::remove_dir_all(&dir);
+        let doc = Json::parse(&body)
+            .unwrap_or_else(|e| panic!("dump does not parse: {e} in {body:?}"));
+        prop_assert_eq!(
+            doc.get_in(&["otherData", "flight_reason"]).and_then(Json::as_str),
+            Some(reason.as_str())
+        );
     }
 }
 
