@@ -58,7 +58,12 @@
 //! deterministic, whatever the worker count. v15 drops the two lanes of
 //! the deleted work-stealing recorder, `corpus_sweep_worksteal_s` and
 //! `explore_iriw_worksteal_s`, so the parallel-sweep gate reads the
-//! per-test DFS sweep alone.
+//! per-test DFS sweep alone. v16 keeps every key, but each timing is the
+//! fastest of [`SAMPLES`] runs instead of their mean or a single sweep,
+//! and the two lanes of each compared pair (sequential / per-test sweep,
+//! recorder off / on, canonicalize / fingerprint, DPOR / full traces,
+//! live / replayed races, cold / warm service) run alternately round by
+//! round, so each ratio compares two minima taken under the same load.
 //! The alloc-per-visit lanes sweep the
 //! pre-v8 *narrow* corpus (the `Wide*` stress programs are excluded by
 //! name prefix) so the v5/v6 bars stay like-for-like comparable; the
@@ -179,14 +184,42 @@ fn connection_scaling_lane(max_conns: usize) -> (usize, usize, f64) {
     (held_count, rejected, elapsed)
 }
 
-/// Mean seconds over [`SAMPLES`] runs of `f` (after one warm-up).
-fn measure(mut f: impl FnMut()) -> f64 {
-    f();
-    let start = Instant::now();
-    for _ in 0..SAMPLES {
+/// `f` as a lane that returns the seconds one run takes.
+fn timed(mut f: impl FnMut()) -> impl FnMut() -> f64 {
+    move || {
+        let start = Instant::now();
         f();
+        start.elapsed().as_secs_f64()
     }
-    start.elapsed().as_secs_f64() / SAMPLES as f64
+}
+
+/// The fastest of [`SAMPLES`] runs of `f`, after one warm-up run. On a
+/// shared host a neighbour can only slow a run down, so the minimum is
+/// the steadiest figure.
+fn measure(f: impl FnMut()) -> f64 {
+    let mut lane = timed(f);
+    lane();
+    (0..SAMPLES).map(|_| lane()).fold(f64::INFINITY, f64::min)
+}
+
+/// The fastest run of each lane of a compared pair, each lane returning
+/// its own seconds: one warm-up run each, then [`SAMPLES`] rounds that
+/// run both, first one then the other in turn, so the two minima are
+/// taken under the same host load.
+fn measure_pair(mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> (f64, f64) {
+    a();
+    b();
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    for round in 0..SAMPLES {
+        if round % 2 == 0 {
+            best_a = best_a.min(a());
+            best_b = best_b.min(b());
+        } else {
+            best_b = best_b.min(b());
+            best_a = best_a.min(a());
+        }
+    }
+    (best_a, best_b)
 }
 
 /// Explores every corpus program's state space with the sequential DFS
@@ -306,20 +339,11 @@ struct DporRow {
 /// Runs the full trace enumeration and the DPOR lane over every corpus
 /// program, returning per-program rows plus (dpor seconds, full seconds,
 /// dpor allocations).
-fn corpus_dpor_lane(names: &[&'static str], programs: &[Program]) -> (Vec<DporRow>, f64, f64, u64) {
-    use bdrst_core::engine::{dpor_reachable_terminals, full_complete_traces, Dependence};
-
+fn corpus_dpor_lane(names: &[&'static str], programs: &[Program]) -> (Vec<DporRow>, u64) {
     let mut rows = Vec::new();
     let alloc_before = ALLOCATIONS.load(Ordering::Relaxed);
-    let dpor_start = Instant::now();
     for (name, p) in names.iter().zip(programs) {
-        let (_, stats) = dpor_reachable_terminals(
-            &p.locs,
-            p.initial_machine(),
-            EngineConfig::default(),
-            Dependence::Observational,
-        )
-        .expect("corpus fits the reduced budget");
+        let stats = dpor_sweep_one(p);
         rows.push(DporRow {
             name,
             threads: p.threads.len(),
@@ -329,17 +353,30 @@ fn corpus_dpor_lane(names: &[&'static str], programs: &[Program]) -> (Vec<DporRo
             sleep_blocked: stats.sleep_blocked,
         });
     }
-    let dpor_s = dpor_start.elapsed().as_secs_f64();
     let dpor_allocs = ALLOCATIONS.load(Ordering::Relaxed) - alloc_before;
-
-    let full_start = Instant::now();
     for (p, row) in programs.iter().zip(&mut rows) {
-        row.full_traces =
-            full_complete_traces(&p.locs, p.initial_machine(), EngineConfig::default())
-                .expect("corpus fits the full budget");
+        row.full_traces = full_sweep_one(p);
     }
-    let full_s = full_start.elapsed().as_secs_f64();
-    (rows, dpor_s, full_s, dpor_allocs)
+    (rows, dpor_allocs)
+}
+
+/// One program through the DPOR outcome lane.
+fn dpor_sweep_one(p: &Program) -> bdrst_core::engine::DporStats {
+    use bdrst_core::engine::{dpor_reachable_terminals, Dependence};
+    dpor_reachable_terminals(
+        &p.locs,
+        p.initial_machine(),
+        EngineConfig::default(),
+        Dependence::Observational,
+    )
+    .expect("corpus fits the reduced budget")
+    .1
+}
+
+/// One program's complete traces under the full enumeration.
+fn full_sweep_one(p: &Program) -> usize {
+    bdrst_core::engine::full_complete_traces(&p.locs, p.initial_machine(), EngineConfig::default())
+        .expect("corpus fits the full budget")
 }
 
 /// One size of the v8 persistent-store lane.
@@ -589,14 +626,12 @@ fn main() {
     };
     let out_dir = std::path::PathBuf::from(out_dir);
     std::fs::create_dir_all(&out_dir).expect("create the output directory");
-    let seq = measure(|| {
-        assert!(corpus_passes(&run_corpus(RunConfig::default())));
-    });
     // Per-test DFS over `parallel_map`: the tests run in parallel, each
     // on the sequential engine.
-    let per_test_dfs = measure(|| {
-        assert!(corpus_passes(&run_corpus_sharded(RunConfig::default(), 0)));
-    });
+    let (seq, per_test_dfs) = measure_pair(
+        timed(|| assert!(corpus_passes(&run_corpus(RunConfig::default())))),
+        timed(|| assert!(corpus_passes(&run_corpus_sharded(RunConfig::default(), 0)))),
+    );
 
     let iriw = Program::parse(corpus::IRIW_AT.source).unwrap();
     let dfs = measure(|| {
@@ -617,16 +652,18 @@ fn main() {
             },
         )
         .unwrap();
-    let canon_s = measure(|| {
-        for m in &machines {
-            std::hint::black_box(canonicalize(&iriw.locs, m).unwrap());
-        }
-    });
-    let fp_s = measure(|| {
-        for m in &machines {
-            std::hint::black_box(canonical_fingerprint(&iriw.locs, m).unwrap());
-        }
-    });
+    let (canon_s, fp_s) = measure_pair(
+        timed(|| {
+            for m in &machines {
+                std::hint::black_box(canonicalize(&iriw.locs, m).unwrap());
+            }
+        }),
+        timed(|| {
+            for m in &machines {
+                std::hint::black_box(canonical_fingerprint(&iriw.locs, m).unwrap());
+            }
+        }),
+    );
     let canonicalize_states_per_s = machines.len() as f64 / canon_s;
     let fingerprint_states_per_s = machines.len() as f64 / fp_s;
 
@@ -653,7 +690,7 @@ fn main() {
     bdrst_obs::log::install(bdrst_obs::log::LogConfig::default()).expect("logger install");
     let (v_seed, a_seed, t_seed) = corpus_dfs_seed_lane(&narrow);
     let (v_full, a_full, t_full) = corpus_dfs_lane(&narrow, Dedup::FullState);
-    let (v_fp, a_fp, t_fp) = corpus_dfs_lane(&narrow, Dedup::FingerprintFirst);
+    let (v_fp, a_fp, _) = corpus_dfs_lane(&narrow, Dedup::FingerprintFirst);
     assert_eq!(v_full, v_fp, "dedup lanes must visit identical state sets");
     assert_eq!(v_seed, v_fp, "seed lane must visit the identical state set");
     let allocs_per_visit_seed = a_seed as f64 / v_seed as f64;
@@ -666,7 +703,6 @@ fn main() {
     let alloc_reduction_dedup_only = 1.0 - allocs_per_visit_fp / allocs_per_visit_full;
     let dfs_seed_states_per_s = v_seed as f64 / t_seed;
     let dfs_full_states_per_s = v_full as f64 / t_full;
-    let dfs_fp_states_per_s = v_fp as f64 / t_fp;
 
     // The copy-on-write store must beat the v5 baseline outright. 35.25
     // allocations per visited state is the allocs_per_visit_fingerprint
@@ -686,29 +722,51 @@ fn main() {
     // worst-case recording tax (per-thread rings + two clock reads per
     // span); wall clock is informational, allocation counts and the
     // identical-state-set assert are deterministic.
+    let obs_lane = || {
+        bdrst_obs::Recorder::install();
+        let lane = corpus_dfs_lane(&narrow, Dedup::FingerprintFirst);
+        (lane, bdrst_obs::Recorder::stop_and_collect())
+    };
     bdrst_obs::counters_reset();
-    bdrst_obs::Recorder::install();
-    let (v_obs, a_obs, t_obs) = corpus_dfs_lane(&narrow, Dedup::FingerprintFirst);
-    let obs_profile = bdrst_obs::Recorder::stop_and_collect();
+    let ((v_obs, a_obs, _), obs_profile) = obs_lane();
     assert_eq!(
         v_obs, v_fp,
         "installing the recorder must not change the explored state set"
     );
     let allocs_per_visit_obs = a_obs as f64 / v_obs as f64;
-    let obs_time_overhead = t_obs / t_fp;
     let obs_span_events = obs_profile.events.len() as u64 + obs_profile.dropped;
     let obs_states_counted = bdrst_obs::counter_get(bdrst_obs::Counter::StatesVisited);
     assert_eq!(
         obs_states_counted, v_obs,
         "the states_visited gauge must agree with the engine's own count"
     );
+    // Each lane times its sweep alone, not the recorder's install and
+    // collect.
+    let (t_fp, t_obs) = measure_pair(
+        || corpus_dfs_lane(&narrow, Dedup::FingerprintFirst).2,
+        || (obs_lane().0).2,
+    );
+    let dfs_fp_states_per_s = v_fp as f64 / t_fp;
+    let obs_time_overhead = t_obs / t_fp;
 
     // --- partial-order reduction: pruned vs full trace counts ---
     // Deterministic counts gate hard (multithreaded programs must prune
     // strictly); the wall-clock comparison follows the warn-by-default
     // house style below.
     let corpus_names: Vec<&'static str> = corpus::all_tests().iter().map(|t| t.name).collect();
-    let (dpor_rows, dpor_s, full_trace_s, dpor_allocs) = corpus_dpor_lane(&corpus_names, &programs);
+    let (dpor_rows, dpor_allocs) = corpus_dpor_lane(&corpus_names, &programs);
+    let (dpor_s, full_trace_s) = measure_pair(
+        timed(|| {
+            programs.iter().for_each(|p| {
+                std::hint::black_box(dpor_sweep_one(p));
+            })
+        }),
+        timed(|| {
+            programs.iter().for_each(|p| {
+                std::hint::black_box(full_sweep_one(p));
+            })
+        }),
+    );
     let full_traces_total: usize = dpor_rows.iter().map(|r| r.full_traces).sum();
     let dpor_traces_total: usize = dpor_rows.iter().map(|r| r.dpor_traces).sum();
     let dpor_visited_total: usize = dpor_rows.iter().map(|r| r.dpor_visited).sum();
@@ -784,13 +842,6 @@ fn main() {
             .expect("corpus fits the budget");
         (ev + rep.events, racy + usize::from(rep.racy()))
     });
-    let race_live_s = measure(|| {
-        for p in &programs {
-            std::hint::black_box(
-                detect_races(&p.locs, p.initial_machine(), ecfg, det_cfg).unwrap(),
-            );
-        }
-    });
     let traces: Vec<TraceGraph> = programs
         .iter()
         .map(|p| {
@@ -801,15 +852,27 @@ fn main() {
         })
         .collect();
     let race_probes_before = bdrst_core::machine::semantics_probes();
-    let race_replay_s = measure(|| {
-        for (p, g) in programs.iter().zip(&traces) {
-            std::hint::black_box(detect_races_replayed(&p.locs, g, ecfg, det_cfg).unwrap());
-        }
-    });
+    for (p, g) in programs.iter().zip(&traces) {
+        std::hint::black_box(detect_races_replayed(&p.locs, g, ecfg, det_cfg).unwrap());
+    }
     let race_replay_probes = bdrst_core::machine::semantics_probes() - race_probes_before;
     assert_eq!(
         race_replay_probes, 0,
         "replayed race detection ran the transition semantics"
+    );
+    let (race_live_s, race_replay_s) = measure_pair(
+        timed(|| {
+            for p in &programs {
+                std::hint::black_box(
+                    detect_races(&p.locs, p.initial_machine(), ecfg, det_cfg).unwrap(),
+                );
+            }
+        }),
+        timed(|| {
+            for (p, g) in programs.iter().zip(&traces) {
+                std::hint::black_box(detect_races_replayed(&p.locs, g, ecfg, det_cfg).unwrap());
+            }
+        }),
     );
     let race_live_events_per_s = race_events as f64 / race_live_s;
     let race_replay_events_per_s = race_events as f64 / race_replay_s;
@@ -840,26 +903,31 @@ fn main() {
     use bdrst_service::store::ResultStore;
     use std::sync::Arc;
 
-    let service_cold_s = measure(|| {
-        let service = CheckService::new(Arc::new(ResultStore::in_memory()), RunConfig::default());
-        assert_eq!(
-            classify_entries(&service.check_corpus()),
-            CorpusVerdict::Pass
-        );
-    });
     let warm_service = CheckService::new(Arc::new(ResultStore::in_memory()), RunConfig::default());
     warm_service.check_corpus();
-    let probes_before = bdrst_core::machine::semantics_probes();
-    let service_warm_s = measure(|| {
+    let warm_sweep = || {
         assert_eq!(
             classify_entries(&warm_service.check_corpus()),
             CorpusVerdict::Pass
         );
-    });
+    };
+    let probes_before = bdrst_core::machine::semantics_probes();
+    warm_sweep();
     let service_warm_probes = bdrst_core::machine::semantics_probes() - probes_before;
     assert_eq!(
         service_warm_probes, 0,
         "warm corpus sweep ran the transition semantics"
+    );
+    let (service_cold_s, service_warm_s) = measure_pair(
+        timed(|| {
+            let service =
+                CheckService::new(Arc::new(ResultStore::in_memory()), RunConfig::default());
+            assert_eq!(
+                classify_entries(&service.check_corpus()),
+                CorpusVerdict::Pass
+            );
+        }),
+        timed(warm_sweep),
     );
     let service_warm_speedup = service_cold_s / service_warm_s;
 
@@ -894,7 +962,7 @@ fn main() {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         r#"{{
-  "schema": "bdrst-engine-baseline/v15",
+  "schema": "bdrst-engine-baseline/v16",
   "samples": {SAMPLES},
   "threads_available": {threads},
   "corpus_sweep_sequential_s": {seq:.6},

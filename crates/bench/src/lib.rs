@@ -1,16 +1,19 @@
 //! # bdrst-bench — the benchmark harness
 //!
-//! Binaries regenerate each table and figure of the paper:
-//! `table1`, `table2` (compilation schemes), `litmus` (the §2/§5/§9
-//! example verdicts), `soundness` (Theorems 19/20 across the corpus),
-//! `opts` (the §7.1 optimisation catalogue), `fig5a`, `fig5b`, `fig5c`
-//! (the §8 evaluation).
+//! This library is empty; the crate is its binaries, each run with
+//! `cargo run --release -p bdrst-bench --bin <name>`:
 //!
-//! Criterion benches measure the cost of the checkers, the simulator, and
-//! the exploration engine; see `benches/`. The `engine` bench compares a
-//! sequential litmus corpus sweep with per-test parallel ones, and the
-//! `engine_baseline` binary records that comparison as JSON under
-//! `baselines/` (with the host's core count, since a single-core host
-//! cannot show a parallel win) so later PRs have a perf trajectory.
+//! * `table1`, `table2` — Tables 1 and 2a/2b, the compilation of the
+//!   access kinds to x86-TSO and ARMv8;
+//! * `litmus` — the corpus verdict table (§2 Examples 1–3, §5, §9);
+//! * `paper_examples` — the §2 examples through the local-DRF checkers;
+//! * `soundness` — Theorems 19/20 across the corpus;
+//! * `opts` — the §7.1 optimisation catalogue;
+//! * `fig5a`, `fig5b`, `fig5c` — Fig. 5 of the §8 evaluation;
+//! * `engine_baseline OUT_DIR` — the engine performance record: corpus
+//!   sweep timings, allocation counts and deterministic engine counts as
+//!   JSON, with the host's core count and warn-or-panic gates. The
+//!   committed copy under `baselines/` is the perf trajectory later
+//!   changes compare against.
 
 #![forbid(unsafe_code)]

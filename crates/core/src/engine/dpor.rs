@@ -94,7 +94,7 @@
 use std::collections::BTreeSet;
 
 use crate::engine::{
-    intern_canonical, CanonState, Control, EngineConfig, EngineError, StateInterner, Step,
+    intern_canonical, Budget, CanonState, Control, EngineConfig, EngineError, StateInterner, Step,
     TraceVisitor,
 };
 use crate::loc::LocSet;
@@ -380,7 +380,7 @@ impl DporEngine {
         terminal: &mut dyn FnMut(Machine<E>) -> Result<(), EngineError>,
     ) -> Result<DporStats, EngineError> {
         let mut stats = DporStats::default();
-        let mut budget = self.config.max_traces;
+        let mut budget = Budget::new(self.config.max_traces);
         let mut trace = TraceLabels::new();
         let mut enabled: Vec<TransitionLabel> = Vec::new();
         let mut stack = vec![Self::node(
@@ -425,13 +425,9 @@ impl DporEngine {
             let t = top.groups[gi].transitions[bi]
                 .take()
                 .expect("transition consumed once");
-            if budget == 0 {
-                return Err(EngineError::budget(self.config.max_traces + 1));
-            }
-            budget -= 1;
+            budget.charge()?;
             stats.visited += 1;
             bdrst_obs::counter_add(bdrst_obs::Counter::StatesVisited, 1);
-            bdrst_obs::progress_tick(stats.visited as u64, self.config.max_traces as u64);
             let e = t.label;
             // Source-DPOR backtracking: for every *direct* race `d ⋖ e`
             // (cross-thread, dependent, with no intermediate

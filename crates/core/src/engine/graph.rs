@@ -51,7 +51,8 @@
 use std::collections::HashMap;
 
 use crate::engine::{
-    CanonState, Control, EngineConfig, EngineError, ExploreStats, StateId, Step, TraceVisitor,
+    Budget, CanonState, Control, EngineConfig, EngineError, ExploreStats, StateId, Step,
+    TraceVisitor,
 };
 use crate::loc::LocSet;
 use crate::machine::TransitionLabel;
@@ -323,7 +324,7 @@ impl TraceGraph {
         visitor: &mut V,
     ) -> Result<ExploreStats, EngineError> {
         let mut stats = ExploreStats::default();
-        let mut budget = config.max_traces;
+        let mut budget = Budget::new(config.max_traces);
         let mut trace = TraceLabels::new();
         // Finished (row, summary) keys, with the statistics their
         // subtrees added.
@@ -354,15 +355,14 @@ impl TraceGraph {
                 continue;
             };
             stats.transitions += 1;
-            let label = self.labels[j];
-            if !visitor.step_filter(&label) {
+            if !visitor.step_filter(&self.labels[j]) {
                 continue;
             }
-            if budget == 0 {
-                return Err(EngineError::budget(config.max_traces + 1));
-            }
-            budget -= 1;
+            budget.charge()?;
             stats.visited += 1;
+            // Read after the charge, so the label is copied once, into
+            // the trace.
+            let label = self.labels[j];
             trace.push(label);
             let child = self.children[j] as usize;
             let row = self.row(child);

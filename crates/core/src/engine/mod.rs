@@ -49,6 +49,9 @@
 //! Every walk runs on its calling thread. The one parallel helper,
 //! [`parallel_map`] ([`parallel`]), shards whole work items — litmus
 //! tests, simulator workloads, axiomatic subtrees — across a scoped pool.
+//! Every walk enforces its cap through one crate-internal budget, which
+//! also publishes the walk's work units to the [`bdrst_obs::Meter`]
+//! installed on its thread ([`bdrst_obs::metered`]).
 //!
 //! [`crate::explore`] keeps the terminal-state helper
 //! (`reachable_terminals`) as a thin wrapper over the sequential engine.
@@ -206,6 +209,88 @@ pub(crate) fn timed_walk<T>(
         span.set_arg(visited(done) as u64);
     }
     result
+}
+
+/// Units a [`Budget`] charges between two publications to its meter.
+const PUBLISH_EVERY: usize = 1024;
+
+/// The budget of one walk: it enforces the walk's cap, one
+/// [`Budget::charge`] per work unit (a DFS state, a DPOR extension, a
+/// recorded row or a replayed extension), and publishes the units it
+/// charged to the [`bdrst_obs::Meter`] installed on the thread that
+/// created it, in batches of at most [`PUBLISH_EVERY`] units and when it
+/// is dropped. The meter is looked up once, here, so a charge is one
+/// test and one decrement of a local count, as a hand-rolled cap is.
+pub(crate) struct Budget {
+    /// Units the current grant still allows.
+    left: usize,
+    /// `left` plus the units charged but not yet published.
+    granted: usize,
+    /// Units of the cap not yet granted.
+    ungranted: usize,
+    max: usize,
+    meter: Option<std::sync::Arc<bdrst_obs::Meter>>,
+}
+
+impl Budget {
+    /// A budget of `max` units, publishing to the calling thread's meter.
+    pub(crate) fn new(max: usize) -> Budget {
+        Budget {
+            left: 0,
+            granted: 0,
+            ungranted: max,
+            max,
+            meter: bdrst_obs::current_meter(),
+        }
+    }
+
+    /// Charges one unit.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::BudgetExceeded`], reporting one unit more than the
+    /// cap, when the cap is already spent. A refused unit is not counted.
+    #[inline]
+    pub(crate) fn charge(&mut self) -> Result<(), EngineError> {
+        if self.left == 0 && !self.grant() {
+            return Err(EngineError::budget(self.max.saturating_add(1)));
+        }
+        self.left -= 1;
+        Ok(())
+    }
+
+    /// Publishes the spent grant and opens the next: the rest of the
+    /// cap, or one batch when a meter is installed. False at the cap.
+    /// Out of line, and returning a flag rather than an error, so the
+    /// fast path of [`Budget::charge`] stays small.
+    #[cold]
+    #[inline(never)]
+    fn grant(&mut self) -> bool {
+        self.publish();
+        let n = match self.meter {
+            Some(_) => self.ungranted.min(PUBLISH_EVERY),
+            None => self.ungranted,
+        };
+        self.ungranted -= n;
+        self.left = n;
+        self.granted = n;
+        n > 0
+    }
+
+    fn publish(&mut self) {
+        let units = self.granted - self.left;
+        if let (Some(meter), true) = (&self.meter, units > 0) {
+            let used = self.max - self.ungranted - self.left;
+            meter.add(units as u64, used as u64, self.max as u64);
+            self.granted = self.left;
+        }
+    }
+}
+
+impl Drop for Budget {
+    fn drop(&mut self) {
+        self.publish();
+    }
 }
 
 /// Budgets for exploration. The defaults are generous for litmus-scale

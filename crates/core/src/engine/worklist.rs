@@ -23,7 +23,7 @@
 use std::collections::HashMap;
 
 use crate::engine::{
-    canonicalize, intern_canonical, timed_walk, Control, Dedup, EngineConfig, EngineError,
+    canonicalize, intern_canonical, timed_walk, Budget, Control, Dedup, EngineConfig, EngineError,
     ExploreStats, StateGraph, StateId, StateInterner, StateVisitor, Step, TraceGraph, TraceVisitor,
 };
 use crate::loc::LocSet;
@@ -102,18 +102,16 @@ impl WorklistEngine {
         let mut worklist: Vec<Machine<E>> = Vec::new();
         worklist.push(m0);
         let mut stats = ExploreStats::default();
+        let mut budget = Budget::new(self.config.max_states);
         while let Some(m) = worklist.pop() {
             let (id, fresh) = Self::intern(self.dedup, &mut interner, locs, &m)?;
             if !fresh {
                 continue;
             }
-            if interner.len() > self.config.max_states {
-                return Err(EngineError::budget(interner.len()));
-            }
+            budget.charge()?;
             stats.visited += 1;
             bdrst_obs::counter_add(bdrst_obs::Counter::StatesVisited, 1);
             bdrst_obs::counter_max(bdrst_obs::Counter::FrontierHighWater, worklist.len() as u64);
-            bdrst_obs::progress_tick(stats.visited as u64, self.config.max_states as u64);
             match visitor.visit(&m, id) {
                 Control::Stop => return Ok(stats),
                 Control::Prune => continue,
@@ -160,16 +158,19 @@ impl WorklistEngine {
         let mut edges: Vec<(StateId, StateId)> = Vec::new();
         let mut terminal: Vec<bool> = Vec::new();
         let mut stats = ExploreStats::default();
+        // Meters the visits only: the interner check below trips first,
+        // since every visited state was interned before it.
+        let mut budget = Budget::new(self.config.max_states);
 
         let (id0, _) = Self::intern(self.dedup, &mut interner, locs, &m0)?;
         terminal.push(false);
         let mut worklist: Vec<(StateId, Machine<E>)> = Vec::new();
         worklist.push((id0, m0));
         while let Some((id, m)) = worklist.pop() {
+            budget.charge()?;
             stats.visited += 1;
             bdrst_obs::counter_add(bdrst_obs::Counter::StatesVisited, 1);
             bdrst_obs::counter_max(bdrst_obs::Counter::FrontierHighWater, worklist.len() as u64);
-            bdrst_obs::progress_tick(stats.visited as u64, self.config.max_states as u64);
             let transitions = m.transitions(locs);
             terminal[id.index()] = transitions.is_empty();
             for t in transitions {
@@ -250,7 +251,7 @@ impl TraceEngine {
     ) -> Result<ExploreStats, EngineError> {
         let _span = bdrst_obs::span(bdrst_obs::Phase::TraceWalk);
         let mut stats = ExploreStats::default();
-        let mut budget = self.config.max_traces;
+        let mut budget = Budget::new(self.config.max_traces);
         let mut trace = TraceLabels::new();
         let mut enabled: Vec<TransitionLabel> = Vec::new();
         // Each frame is the untaken rest of the transitions enabled at one
@@ -270,10 +271,7 @@ impl TraceEngine {
             if !visitor.step_filter(&t.label) {
                 continue;
             }
-            if budget == 0 {
-                return Err(EngineError::budget(self.config.max_traces + 1));
-            }
-            budget -= 1;
+            budget.charge()?;
             stats.visited += 1;
             trace.push(t.label);
             let next = t.target.transitions(locs);
@@ -321,11 +319,9 @@ impl TraceEngine {
         locs: &LocSet,
         m0: Machine<E>,
     ) -> Result<(TraceGraph, ExploreStats), EngineError> {
-        let max = self.config.max_traces;
-        let over_budget = || EngineError::budget(max + 1);
-        if max == 0 {
-            return Err(over_budget());
-        }
+        // One charge per row, the root's first.
+        let mut budget = Budget::new(self.config.max_traces);
+        budget.charge()?;
         // The store's only interior mutability is its memoized content
         // digest, which neither `Hash` nor `Eq` reads.
         #[allow(clippy::mutable_key_type)]
@@ -333,17 +329,14 @@ impl TraceEngine {
         let mut labels: Vec<TransitionLabel> = Vec::new();
         let mut children: Vec<u32> = Vec::new();
         let mut child_offsets: Vec<u32> = vec![0];
-        // Rows opened so far, the root's included; each closes as one row.
-        let mut rows = 1usize;
         let mut stack = vec![RecFrame::open(locs, m0)];
         loop {
             let frame = stack.last_mut().expect("the root closes last");
             if let Some(t) = frame.rest.next() {
                 match memo.get(&t.target) {
                     Some(&row) => frame.rows.push(row),
-                    None if rows == max => return Err(over_budget()),
                     None => {
-                        rows += 1;
+                        budget.charge()?;
                         stack.push(RecFrame::open(locs, t.target));
                     }
                 }

@@ -32,7 +32,7 @@
 //! as a per-phase table; [`flight::dump`] drains the newest events of
 //! every ring the same way, under the same thread ids.
 //!
-//! Three live-introspection layers ride the same machinery:
+//! Three live-introspection layers complete the stack:
 //!
 //! * [`log`] — a structured JSON-lines logger (levels, per-target rate
 //!   limiting, rename-based rotation), gated by one relaxed load.
@@ -40,9 +40,11 @@
 //!   Chrome-trace + recent-log snapshot of the rings on anomaly (slow
 //!   request, worker panic, explicit `dump` command), with or without a
 //!   profiling session.
-//! * [`progress_tick`] — engine progress ticks every N visited states
-//!   to an installable [`ProgressSink`] (CLI `--progress`, the server's
-//!   `status` command).
+//! * [`Meter`] — a per-request work counter. [`metered`] installs one on
+//!   the calling thread while a closure runs, and the engine walks started
+//!   there publish their work units to it in batches: the server's
+//!   `status` command reports each request's own meter, and CLI
+//!   `--progress` prints its meter's readings.
 
 #![forbid(unsafe_code)]
 
@@ -59,9 +61,7 @@ pub use counters::{
 };
 pub use phase::{Phase, PHASE_COUNT};
 pub use profile::{PhaseSummary, Profile, TraceEvent};
-pub use progress::{
-    clear_progress_sink, install_progress_sink, progress_tick, Progress, ProgressSink,
-};
+pub use progress::{current_meter, metered, Meter, MeterReading};
 
 mod recorder;
 pub use recorder::{enabled, event, now_ns, span, span_arg, Recorder, SpanGuard};

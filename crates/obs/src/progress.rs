@@ -1,45 +1,41 @@
-//! Engine progress ticks: a process-global [`ProgressSink`] the
-//! exploration engines poke every N visited states, so a long-running
-//! check is observable while it runs (CLI `--progress` stderr ticks,
-//! the server's `status` command) instead of only after.
+//! Per-request work meters: a [`Meter`] counts the work of the walks run
+//! under it, so a long-running check is observable while it runs (the
+//! server's `status` command, CLI `--progress`) and each request's figure
+//! is its own.
 //!
-//! The hook is process-global rather than an engine field because the
-//! engines are small `Copy` values shared across worker threads; the
-//! shape mirrors the counter registry's discipline. Cost when disabled
-//! — the default — is **one relaxed load** per visited state
-//! (`EVERY == 0`), which is what lets `engine_baseline` hold the
-//! allocs-per-visit bar with the logger installed. When enabled, the
-//! per-visit cost is one more relaxed `fetch_add`; building the
-//! [`Progress`] snapshot and calling the sink happens only every
-//! `EVERY` ticks, off the common path.
+//! [`metered`] installs a meter on the calling thread while a closure
+//! runs. An engine walk looks the installed meter up once, when it starts
+//! (`bdrst_core::engine`'s budget), counts its work units locally and
+//! publishes them with [`Meter::add`] in batches and when it ends. A
+//! walk's unit is the one its budget charges: a DFS state, a DPOR
+//! extension, a recorded row or a replayed extension. A walk that starts
+//! on a thread with no meter installed publishes nothing, so the cost of
+//! metering off is one thread-local read per walk, not per unit.
 //!
-//! States-visited and frontier-high-water come from the always-on
-//! counter registry; the engine passes only what the registry cannot
-//! know — its budget numerator and denominator — so budget-fraction is
-//! exact per engine run.
+//! A meter may carry a hook that sees a [`MeterReading`] each time its
+//! total crosses a multiple of the hook's period; `bdrst --progress`
+//! prints those readings.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use crate::counters::{counter_get, Counter};
-
-/// One progress snapshot, as handed to the sink.
+/// What a [`Meter`]'s hook is shown: the meter's total and the budget of
+/// the walk whose batch crossed the period.
 #[derive(Clone, Copy, Debug)]
-pub struct Progress {
-    /// Ticks since the sink was installed (across all engine runs).
-    pub ticks: u64,
-    /// Process-wide states visited ([`Counter::StatesVisited`]).
-    pub states_visited: u64,
-    /// Process-wide frontier high water ([`Counter::FrontierHighWater`]).
-    pub frontier_high_water: u64,
-    /// Budget consumed by the ticking engine run (states or traces).
+pub struct MeterReading {
+    /// Work units counted by the meter so far, over every walk run under
+    /// it.
+    pub units: u64,
+    /// Units charged so far by the walk that published.
     pub budget_used: u64,
-    /// The run's budget ceiling (0 when unbounded).
+    /// That walk's cap.
     pub budget_max: u64,
 }
 
-impl Progress {
-    /// Fraction of the budget consumed, in `[0, 1]`; 0 when unbounded.
+impl MeterReading {
+    /// Fraction of the publishing walk's budget consumed, in `[0, 1]`; 0
+    /// when the cap is 0.
     pub fn budget_fraction(&self) -> f64 {
         if self.budget_max == 0 {
             0.0
@@ -49,57 +45,84 @@ impl Progress {
     }
 }
 
-/// Receives progress ticks. Implementations must be cheap and
-/// non-blocking-ish: they run on engine worker threads.
-pub trait ProgressSink: Send + Sync {
-    /// Called every N visited states while installed.
-    fn tick(&self, progress: &Progress);
+/// A hook and the period, in units, at which it fires.
+type Hook = (u64, Box<dyn Fn(&MeterReading) + Send + Sync>);
+
+/// The work counter of one request (or one CLI run). Walks add to it
+/// from the thread it is installed on; any thread may read it.
+#[derive(Default)]
+pub struct Meter {
+    units: AtomicU64,
+    hook: Option<Hook>,
 }
 
-/// Tick period; 0 disables the whole layer (the one-relaxed-load gate).
-static EVERY: AtomicU64 = AtomicU64::new(0);
-static TICKS: AtomicU64 = AtomicU64::new(0);
-static SINK: Mutex<Option<Arc<dyn ProgressSink>>> = Mutex::new(None);
-
-/// Installs `sink`, ticked every `every` visited states (min 1).
-pub fn install_progress_sink(sink: Arc<dyn ProgressSink>, every: u64) {
-    *SINK.lock().unwrap() = Some(sink);
-    TICKS.store(0, Ordering::Relaxed);
-    EVERY.store(every.max(1), Ordering::Relaxed);
-}
-
-/// Disables ticking and drops the sink.
-pub fn clear_progress_sink() {
-    EVERY.store(0, Ordering::Relaxed);
-    *SINK.lock().unwrap() = None;
-}
-
-/// Engine-side tick, called once per visited state / trace extension.
-/// One relaxed load when no sink is installed.
-#[inline]
-pub fn progress_tick(budget_used: u64, budget_max: u64) {
-    let every = EVERY.load(Ordering::Relaxed);
-    if every == 0 {
-        return;
+impl Meter {
+    /// A meter with no hook.
+    pub fn new() -> Meter {
+        Meter::default()
     }
-    let n = TICKS.fetch_add(1, Ordering::Relaxed) + 1;
-    if n.is_multiple_of(every) {
-        progress_emit(n, budget_used, budget_max);
+
+    /// A meter that calls `hook` each time its total crosses a multiple
+    /// of `every` units (at least 1). The hook runs on the publishing
+    /// walk's thread, so it must be cheap.
+    pub fn with_hook(every: u64, hook: impl Fn(&MeterReading) + Send + Sync + 'static) -> Meter {
+        Meter {
+            units: AtomicU64::new(0),
+            hook: Some((every.max(1), Box::new(hook))),
+        }
+    }
+
+    /// Work units counted so far.
+    pub fn units(&self) -> u64 {
+        // Relaxed: the count publishes no other data.
+        self.units.load(Ordering::Relaxed)
+    }
+
+    /// Adds `units` published by a walk whose budget has charged
+    /// `budget_used` of `budget_max`.
+    pub fn add(&self, units: u64, budget_used: u64, budget_max: u64) {
+        let before = self.units.fetch_add(units, Ordering::Relaxed);
+        if let Some((every, hook)) = &self.hook {
+            let after = before + units;
+            if after / every > before / every {
+                hook(&MeterReading {
+                    units: after,
+                    budget_used,
+                    budget_max,
+                });
+            }
+        }
     }
 }
 
-#[cold]
-fn progress_emit(ticks: u64, budget_used: u64, budget_max: u64) {
-    let sink = SINK.lock().unwrap().clone();
-    if let Some(sink) = sink {
-        sink.tick(&Progress {
-            ticks,
-            states_visited: counter_get(Counter::StatesVisited),
-            frontier_high_water: counter_get(Counter::FrontierHighWater),
-            budget_used,
-            budget_max,
-        });
+thread_local! {
+    static CURRENT: RefCell<Option<Arc<Meter>>> = const { RefCell::new(None) };
+}
+
+/// Puts back the meter that was installed before [`metered`], on return
+/// and on unwind.
+struct Restore(Option<Arc<Meter>>);
+
+impl Drop for Restore {
+    fn drop(&mut self) {
+        let previous = self.0.take();
+        // `try_with` fails only while the thread is being torn down, when
+        // there is nothing left to restore.
+        let _ = CURRENT.try_with(|c| *c.borrow_mut() = previous);
     }
+}
+
+/// Runs `f` with `meter` installed on the calling thread: every walk `f`
+/// starts on this thread publishes its work to `meter`. The previously
+/// installed meter, if any, is restored when `f` returns or unwinds.
+pub fn metered<T>(meter: &Arc<Meter>, f: impl FnOnce() -> T) -> T {
+    let _restore = Restore(CURRENT.with(|c| c.replace(Some(Arc::clone(meter)))));
+    f()
+}
+
+/// The meter installed on the calling thread, if any.
+pub fn current_meter() -> Option<Arc<Meter>> {
+    CURRENT.with(|c| c.borrow().clone())
 }
 
 #[cfg(test)]
@@ -107,45 +130,51 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
-    struct CountingSink {
-        calls: AtomicUsize,
-        last_used: AtomicU64,
-    }
-
-    impl ProgressSink for CountingSink {
-        fn tick(&self, p: &Progress) {
-            self.calls.fetch_add(1, Ordering::Relaxed);
-            self.last_used.store(p.budget_used, Ordering::Relaxed);
-        }
-    }
-
     #[test]
-    fn ticks_fire_every_n_and_disable_cleanly() {
-        let sink = Arc::new(CountingSink {
-            calls: AtomicUsize::new(0),
-            last_used: AtomicU64::new(0),
+    fn hook_fires_on_each_period_crossing() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&calls);
+        let meter = Meter::with_hook(10, move |_| {
+            seen.fetch_add(1, Ordering::Relaxed);
         });
-        progress_tick(1, 10); // disabled: no sink, no panic
-        install_progress_sink(Arc::clone(&sink) as Arc<dyn ProgressSink>, 10);
-        for i in 1..=25u64 {
-            progress_tick(i, 100);
+        for _ in 0..25 {
+            meter.add(1, 0, 100);
         }
-        assert_eq!(sink.calls.load(Ordering::Relaxed), 2, "ticks at 10 and 20");
-        assert_eq!(sink.last_used.load(Ordering::Relaxed), 20);
-        clear_progress_sink();
-        progress_tick(1, 10);
-        assert_eq!(
-            sink.calls.load(Ordering::Relaxed),
-            2,
-            "cleared sink is quiet"
-        );
-        let p = Progress {
-            ticks: 1,
-            states_visited: 0,
-            frontier_high_water: 0,
+        assert_eq!(meter.units(), 25);
+        assert_eq!(calls.load(Ordering::Relaxed), 2, "crossings at 10 and 20");
+        meter.add(7, 0, 100);
+        assert_eq!(calls.load(Ordering::Relaxed), 3, "one batch crossing 30");
+        let r = MeterReading {
+            units: 1,
             budget_used: 5,
             budget_max: 0,
         };
-        assert_eq!(p.budget_fraction(), 0.0, "unbounded budget reads as 0");
+        assert_eq!(r.budget_fraction(), 0.0, "a zero cap reads as 0");
+    }
+
+    #[test]
+    fn metered_nests_and_restores_on_return_and_unwind() {
+        assert!(current_meter().is_none());
+        let outer = Arc::new(Meter::new());
+        let inner = Arc::new(Meter::new());
+        metered(&outer, || {
+            assert!(Arc::ptr_eq(&current_meter().unwrap(), &outer));
+            metered(&inner, || {
+                assert!(Arc::ptr_eq(&current_meter().unwrap(), &inner));
+            });
+            assert!(Arc::ptr_eq(&current_meter().unwrap(), &outer));
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                metered(&inner, || panic!("walk panicked"))
+            }));
+            assert!(unwound.is_err());
+            assert!(Arc::ptr_eq(&current_meter().unwrap(), &outer));
+            // Another thread sees no meter: installation is per thread.
+            std::thread::scope(|s| {
+                s.spawn(|| assert!(current_meter().is_none()))
+                    .join()
+                    .unwrap();
+            });
+        });
+        assert!(current_meter().is_none());
     }
 }

@@ -18,8 +18,9 @@
 //! `check`'s outcomes, whose executed extensions are the `states` it
 //! reports), `--shrink` (`races` only: ddmin the
 //! program and interleaving of each first witness), `--progress`
-//! (`check`/`corpus`/`races`: engine progress ticks on stderr every few
-//! thousand states).
+//! (`check`/`corpus`/`races`: the run's work units on stderr every 4096
+//! units, and the total at the end; a unit is a DFS state, a DPOR
+//! extension, a recorded trace row or a replayed extension).
 //!
 //! `serve` flags: `--max-conns N`, `--queue-depth N` (admission /
 //! backpressure bounds), `--rate-per-sec N` + `--burst N`
@@ -78,7 +79,7 @@ fn usage() -> ExitCode {
         "usage: bdrst <check <file>... | corpus <dir> | races <file|dir>... | serve | metrics | status | cache <stats|clear> | corpus-export <dir>>\n\
          flags: --json --cache-dir DIR --addr HOST:PORT --workers N --max-states N --max-traces N --shrink\n\
          profiling: --profile OUT.json (check/corpus/races: Chrome trace export + summary on stderr)\n\
-         \x20          --progress (check/corpus/races: engine progress ticks on stderr)\n\
+         \x20          --progress (check/corpus/races: work units on stderr every 4096, and the total)\n\
          serve flags: --max-conns N --queue-depth N --rate-per-sec N --burst N --metrics\n\
          \x20              --trace-dir DIR (per-request timing files) --trace-keep N (retain newest N) --slow-ms N (slow-request flagging)\n\
          \x20              --log-level error|warn|info|debug|trace (also via BDRST_LOG) --log-dir DIR (JSON-lines log files; default stderr)\n\
@@ -660,28 +661,24 @@ fn cmd_status(opts: &Opts) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `--progress`: engine progress ticks on stderr — states visited,
-/// frontier high water, and the budget fraction when a budget is set.
-/// One line every few thousand states keeps the terminal readable while
-/// still proving liveness on long explorations.
-struct StderrProgress;
+/// Work units between two `--progress` lines: often enough to show a
+/// long walk is alive, rarely enough to keep the terminal readable.
+const PROGRESS_EVERY: u64 = 4096;
 
-impl bdrst_obs::ProgressSink for StderrProgress {
-    fn tick(&self, p: &bdrst_obs::Progress) {
-        if p.budget_max > 0 {
-            eprintln!(
-                "progress: {} states visited, frontier high water {}, budget {:.0}%",
-                p.states_visited,
-                p.frontier_high_water,
-                p.budget_fraction() * 100.0
-            );
-        } else {
-            eprintln!(
-                "progress: {} states visited, frontier high water {}",
-                p.states_visited, p.frontier_high_water
-            );
-        }
-    }
+/// `--progress`: runs `run` under a meter that prints the run's own work
+/// units, with the budget fraction of the walk that crossed the period,
+/// every [`PROGRESS_EVERY`] units, and the total when `run` returns.
+fn with_progress(run: impl FnOnce() -> ExitCode) -> ExitCode {
+    let meter = Arc::new(bdrst_obs::Meter::with_hook(PROGRESS_EVERY, |r| {
+        eprintln!(
+            "progress: {} work units, budget {:.0}%",
+            r.units,
+            r.budget_fraction() * 100.0
+        )
+    }));
+    let code = bdrst_obs::metered(&meter, run);
+    eprintln!("progress: {} work units, done", meter.units());
+    code
 }
 
 fn cmd_cache(opts: &Opts) -> ExitCode {
@@ -767,13 +764,18 @@ fn main() -> ExitCode {
     let Some((cmd, opts)) = parse_opts(std::env::args()) else {
         return usage();
     };
-    if opts.progress {
-        bdrst_obs::install_progress_sink(Arc::new(StderrProgress), 4096);
-    }
+    let instrumented = |command: fn(&Opts) -> ExitCode| {
+        let run = || with_profile(opts.profile.as_ref(), || command(&opts));
+        if opts.progress {
+            with_progress(run)
+        } else {
+            run()
+        }
+    };
     match cmd.as_str() {
-        "check" => with_profile(opts.profile.as_ref(), || cmd_check(&opts)),
-        "corpus" => with_profile(opts.profile.as_ref(), || cmd_corpus(&opts)),
-        "races" => with_profile(opts.profile.as_ref(), || cmd_races(&opts)),
+        "check" => instrumented(cmd_check),
+        "corpus" => instrumented(cmd_corpus),
+        "races" => instrumented(cmd_races),
         "serve" => cmd_serve(&opts),
         "metrics" => cmd_metrics(&opts),
         "status" => cmd_status(&opts),

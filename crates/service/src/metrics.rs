@@ -26,16 +26,16 @@
 //! Beyond the counters, a [`Metrics`] also carries the server's **live
 //! introspection state**: the in-flight request registry behind the
 //! `status` protocol command (request ID, command, phase — queue-wait /
-//! execute / write-back — and per-request engine progress derived from
-//! the process-wide `StatesVisited` counter) and the static
+//! execute / write-back — and `states_visited`, the request's own work
+//! units read from its [`bdrst_obs::Meter`]) and the static
 //! [`ServerInfo`] the `health` command reports against.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-use bdrst_obs::Phase;
+use bdrst_obs::{Meter, Phase};
 
 use crate::json::Json;
 
@@ -82,9 +82,8 @@ const CMD_SLOTS: usize = COMMANDS.len() + 1;
 const KIND_SLOTS: usize = ERROR_KINDS.len() + 1;
 const BUCKETS: usize = LATENCY_LABELS.len();
 
-/// One live request in the registry. `states_at_start` snapshots the
-/// process-wide `StatesVisited` counter when execution begins, so the
-/// request's own progress is the (monotone) delta against it.
+/// One live request in the registry. `meter` is the meter the request's
+/// walks publish to, so its figure counts that request's work alone.
 struct Inflight {
     cmd: Option<String>,
     client_id: Json,
@@ -92,7 +91,7 @@ struct Inflight {
     /// `QueueWait`, `Execute` or `WriteBack`.
     phase: Phase,
     enqueue_ns: u64,
-    states_at_start: u64,
+    meter: Arc<Meter>,
 }
 
 /// Static facts about the running server, registered once at bind time
@@ -125,8 +124,8 @@ pub struct Metrics {
     latency_sum_us: [AtomicU64; CMD_SLOTS],
     /// Live requests by server-minted request ID. Touched once per
     /// phase transition (a short mutex hold), never per state visited —
-    /// the engine-progress reads go through the lock-free counter
-    /// registry instead.
+    /// the engine-progress reads go through each request's meter
+    /// instead.
     inflight: Mutex<HashMap<u64, Inflight>>,
     server: OnceLock<ServerInfo>,
 }
@@ -263,7 +262,7 @@ impl Metrics {
     /// Registers a request entering the queue. Must happen before the
     /// job becomes visible to a worker, so the executing transition
     /// below always finds its entry.
-    pub(crate) fn inflight_enqueued(&self, req_id: u64, enqueue_ns: u64) {
+    pub(crate) fn inflight_enqueued(&self, req_id: u64, enqueue_ns: u64, meter: Arc<Meter>) {
         self.inflight.lock().unwrap().insert(
             req_id,
             Inflight {
@@ -271,18 +270,16 @@ impl Metrics {
                 client_id: Json::Null,
                 phase: Phase::QueueWait,
                 enqueue_ns,
-                states_at_start: 0,
+                meter,
             },
         );
     }
 
-    /// Marks a request as executing, snapshotting the engine's visited
-    /// count. Update-only: a request the reactor already reaped (its
-    /// connection died) stays gone.
-    pub(crate) fn inflight_executing(&self, req_id: u64, states_at_start: u64) {
+    /// Marks a request as executing. Update-only: a request the reactor
+    /// already reaped (its connection died) stays gone.
+    pub(crate) fn inflight_executing(&self, req_id: u64) {
         if let Some(e) = self.inflight.lock().unwrap().get_mut(&req_id) {
             e.phase = Phase::Execute;
-            e.states_at_start = states_at_start;
         }
     }
 
@@ -320,23 +317,15 @@ impl Metrics {
 
     /// The `status` command's response object: server facts, live
     /// gauges, every in-flight request (ID, command, phase, elapsed
-    /// time, engine progress), and the engine gauge snapshot.
+    /// time, its own work units so far), and the engine gauge snapshot.
     pub fn status_json(&self) -> Json {
         let now = bdrst_obs::now_ns();
-        let visited = bdrst_obs::counter_get(bdrst_obs::Counter::StatesVisited);
         let mut entries: Vec<(u64, Json)> = self
             .inflight
             .lock()
             .unwrap()
             .iter()
             .map(|(req_id, e)| {
-                // Progress is meaningful only once execution started;
-                // the delta is monotone because the registry counter
-                // only grows.
-                let states = match e.phase {
-                    Phase::QueueWait => 0,
-                    _ => visited.saturating_sub(e.states_at_start),
-                };
                 let obj = Json::obj([
                     ("req_id", Json::Int(*req_id as i64)),
                     ("id", e.client_id.clone()),
@@ -346,7 +335,7 @@ impl Metrics {
                         "elapsed_ms",
                         Json::Num(now.saturating_sub(e.enqueue_ns) as f64 / 1e6),
                     ),
-                    ("states_visited", Json::Int(states as i64)),
+                    ("states_visited", Json::Int(e.meter.units() as i64)),
                 ]);
                 (*req_id, obj)
             })
@@ -997,13 +986,15 @@ mod tests {
             max_conns: 8,
             start_ns: 0,
         });
-        m.inflight_enqueued(7, bdrst_obs::now_ns());
+        let meter = Arc::new(Meter::new());
+        m.inflight_enqueued(7, bdrst_obs::now_ns(), Arc::clone(&meter));
         let h = m.health_json();
         assert_eq!(h.get("status").and_then(Json::as_str), Some("degraded"));
         assert_eq!(h.get("queue_depth").and_then(Json::as_i64), Some(1));
 
-        m.inflight_executing(7, 0);
+        m.inflight_executing(7);
         m.inflight_describe(7, "check", &Json::Int(42));
+        meter.add(5, 5, 10);
         let s = m.status_json();
         let inflight = s.get("inflight").and_then(Json::as_arr).unwrap();
         assert_eq!(inflight.len(), 1);
@@ -1012,6 +1003,7 @@ mod tests {
         assert_eq!(e.get("id").and_then(Json::as_i64), Some(42));
         assert_eq!(e.get("cmd").and_then(Json::as_str), Some("check"));
         assert_eq!(e.get("phase").and_then(Json::as_str), Some("execute"));
+        assert_eq!(e.get("states_visited").and_then(Json::as_i64), Some(5));
         // Queue drained: healthy again, even with the request executing.
         let h = m.health_json();
         assert_eq!(h.get("status").and_then(Json::as_str), Some("ok"));
@@ -1026,7 +1018,7 @@ mod tests {
             .unwrap()
             .is_empty());
         // Update-only transitions never resurrect a reaped request.
-        m.inflight_executing(7, 0);
+        m.inflight_executing(7);
         assert_eq!(
             m.health_json().get("inflight").and_then(Json::as_i64),
             Some(0)

@@ -583,7 +583,8 @@ impl Reactor {
             // transition is update-only). Backed out if the queue
             // refuses the job.
             let req_id = job.req_id;
-            self.metrics.inflight_enqueued(req_id, job.enqueue_ns);
+            self.metrics
+                .inflight_enqueued(req_id, job.enqueue_ns, Arc::clone(&job.meter));
             match self.queue.try_push(job) {
                 Ok(depth) => {
                     self.metrics.note_queue_depth(depth);

@@ -16,7 +16,9 @@
 //! (dynamic detection with space/time-bounded witnesses), `corpus`,
 //! `cache-stats`, `metrics` (live server counters, see
 //! [`crate::metrics`]), `status` (every in-flight request with its ID,
-//! phase, and engine progress), `health` (ok/degraded with queue and
+//! phase, and `states_visited`: the request's own work units so far —
+//! DFS states, DPOR extensions, recorded rows and replayed extensions
+//! of the walks it ran), `health` (ok/degraded with queue and
 //! connection gauges plus cache stats), `dump` (trigger a flight-recorder
 //! dump; requires `--trace-dir`). Requests may lower the exploration budgets with
 //! `max_states` / `max_traces` (integers, clamped to the server's own
@@ -315,13 +317,15 @@ impl TraceLog {
 }
 
 /// One queued request: the raw line, the outbox of the connection that
-/// sent it, and the request's identity/enqueue stamp for the
-/// observability span tree.
+/// sent it, the request's identity/enqueue stamp for the observability
+/// span tree, and the meter its walks publish their work to (`status`
+/// reads it from the request's in-flight entry).
 pub(crate) struct Job {
     pub(crate) line: String,
     pub(crate) out: Arc<reactor::Outbox>,
     pub(crate) req_id: u64,
     pub(crate) enqueue_ns: u64,
+    pub(crate) meter: Arc<bdrst_obs::Meter>,
 }
 
 impl Job {
@@ -333,6 +337,7 @@ impl Job {
             out,
             req_id: NEXT_REQ_ID.fetch_add(1, Ordering::Relaxed),
             enqueue_ns: bdrst_obs::now_ns(),
+            meter: Arc::default(),
         }
     }
 }
@@ -507,10 +512,7 @@ pub fn serve(
             std::thread::spawn(move || {
                 while let Some(job) = queue.pop() {
                     let exec_start_ns = bdrst_obs::now_ns();
-                    metrics.inflight_executing(
-                        job.req_id,
-                        bdrst_obs::counter_get(bdrst_obs::Counter::StatesVisited),
-                    );
+                    metrics.inflight_executing(job.req_id);
                     // A panicking handler must not take the worker (and
                     // with it a fraction of the pool) down: log it, dump
                     // the flight recorder while the rings still hold the
@@ -518,7 +520,14 @@ pub fn serve(
                     // error — every accepted request still gets exactly
                     // one response line.
                     let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        handle_line_metered(&service, Some(&metrics), Some(job.req_id), &job.line)
+                        bdrst_obs::metered(&job.meter, || {
+                            handle_line_metered(
+                                &service,
+                                Some(&metrics),
+                                Some(job.req_id),
+                                &job.line,
+                            )
+                        })
                     }))
                     .unwrap_or_else(|_| {
                         bdrst_obs::log::error(

@@ -3,11 +3,11 @@
 //! monotonically increasing states-visited figure; `health` reports the
 //! admission gauges; `dump` writes a flight snapshot on demand; and a
 //! request over the `--slow-ms` threshold provokes a throttled
-//! slow-request flight dump in the trace directory.
+//! slow-request flight dump in the trace directory. A second server
+//! checks that each request's `states_visited` counts its own work only.
 //!
-//! Kept to a single server (and a single `#[test]`) in this binary:
-//! request IDs, the flight-recorder install, and the logger install are
-//! all process-global.
+//! The flight-recorder and logger installs are process-global, so only
+//! the first test's server has a trace directory.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -300,4 +300,195 @@ fn status_health_dump_and_slow_flight() {
 
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Sends `req` without reading its response.
+fn send(stream: &mut TcpStream, req: &Json) {
+    writeln!(stream, "{}", req.render()).unwrap();
+    stream.flush().unwrap();
+}
+
+/// Reads one response line.
+fn read_response(reader: &mut BufReader<TcpStream>) -> Json {
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    Json::parse(line.trim()).unwrap_or_else(|e| panic!("bad response {line:?}: {e}"))
+}
+
+/// The `status` readings `(phase, states_visited)` of the requests with
+/// client `id`s in `ids`, in the order of `ids`.
+fn readings(status: &Json, ids: &[&str]) -> Vec<Option<(String, i64)>> {
+    let Some(Json::Arr(entries)) = status.get("inflight") else {
+        panic!("status lacks inflight array: {status:?}");
+    };
+    ids.iter()
+        .map(|id| {
+            entries
+                .iter()
+                .find(|e| e.get("id").and_then(Json::as_str) == Some(id))
+                .map(|e| {
+                    let phase = e.get("phase").and_then(Json::as_str).unwrap();
+                    (phase.to_string(), get_i64(e, "states_visited"))
+                })
+        })
+        .collect()
+}
+
+/// Polls `status` until none of `ids` is in flight, checking every
+/// reading of `ids[i]` against `caps[i]`. Returns, per request, the
+/// largest figure it showed while executing.
+fn watch(
+    stream: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
+    ids: &[&str],
+    caps: &[i64],
+) -> Vec<i64> {
+    let status_req = Json::obj([("cmd", Json::Str("status".into()))]);
+    let mut seen = vec![0i64; ids.len()];
+    let mut started = vec![false; ids.len()];
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let resp = request(stream, reader, &status_req);
+        let status = resp.get("status").expect("response lacks status");
+        let now = readings(status, ids);
+        for (i, reading) in now.iter().enumerate() {
+            if let Some((phase, states)) = reading {
+                started[i] = true;
+                assert!(
+                    *states <= caps[i],
+                    "{} read {states} states, over its own cap {}",
+                    ids[i],
+                    caps[i]
+                );
+                if phase == "execute" {
+                    seen[i] = seen[i].max(*states);
+                }
+            }
+        }
+        if started.iter().all(|s| *s) && now.iter().all(Option::is_none) {
+            return seen;
+        }
+        assert!(Instant::now() < deadline, "{ids:?} never finished: {now:?}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Six threads writing six private locations each: DPOR runs one trace
+/// of 36 extensions, while the trace recording has 7^6 distinct machines,
+/// long enough for `status` to catch it executing.
+fn private_writes() -> String {
+    let mut src = String::new();
+    for t in 0..6 {
+        src += &format!("nonatomic x{t}; ");
+    }
+    for t in 0..6 {
+        src += &format!("thread P{t} {{ ");
+        for v in 1..=6 {
+            src += &format!("x{t} = {v}; ");
+        }
+        src += "} ";
+    }
+    src
+}
+
+#[test]
+fn status_counts_each_requests_own_work() {
+    let handle = serve(
+        Arc::new(CheckService::new(
+            Arc::new(ResultStore::in_memory()),
+            server::default_run_config(),
+        )),
+        "127.0.0.1:0",
+        // Two workers for the concurrent checks, one for `status`.
+        ServeConfig {
+            workers: 3,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let connect = || {
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        (stream, reader)
+    };
+
+    // Two long checks at once, under different caps. A figure that
+    // counted the other request's work would pass the smaller cap.
+    let caps = [20_000i64, 150_000];
+    let ids = ["small", "large"];
+    let sources = [BIG_SRC.to_string(), BIG_SRC.replace("a = 24", "a = 25")];
+    let mut conns: Vec<_> = (0..2).map(|_| connect()).collect();
+    for (i, (stream, _)) in conns.iter_mut().enumerate() {
+        send(
+            stream,
+            &Json::obj([
+                ("cmd", Json::Str("check".into())),
+                ("id", Json::Str(ids[i].into())),
+                ("source", Json::Str(sources[i].clone())),
+                ("max_states", Json::Int(caps[i])),
+            ]),
+        );
+    }
+    let (mut stream, mut reader) = connect();
+    let seen = watch(&mut stream, &mut reader, &ids, &caps);
+    for (i, (_, reader)) in conns.iter_mut().enumerate() {
+        assert!(seen[i] > 0, "{} never showed work while executing", ids[i]);
+        let resp = read_response(reader);
+        assert_eq!(
+            resp.get_in(&["error", "kind"]).and_then(Json::as_str),
+            Some("budget"),
+            "{}: {resp:?}",
+            ids[i]
+        );
+    }
+
+    // A check-races on an entry whose outcomes are cached runs no DPOR
+    // walk: what `status` shows is its trace recording's rows. Budgets
+    // are part of the cache key, so the `check` carries the same cap.
+    let source = private_writes();
+    let rows = 20_000;
+    let (conn, conn_reader) = &mut conns[0];
+    let checked = request(
+        conn,
+        conn_reader,
+        &Json::obj([
+            ("cmd", Json::Str("check".into())),
+            ("source", Json::Str(source.clone())),
+            ("max_traces", Json::Int(rows)),
+        ]),
+    );
+    assert_eq!(checked.get("ok"), Some(&Json::Bool(true)), "{checked:?}");
+    send(
+        conn,
+        &Json::obj([
+            ("cmd", Json::Str("check-races".into())),
+            ("id", Json::Str("races".into())),
+            ("source", Json::Str(source)),
+            ("max_traces", Json::Int(rows)),
+        ]),
+    );
+    let seen = watch(&mut stream, &mut reader, &["races"], &[rows]);
+    assert!(
+        seen[0] > 0,
+        "the recording never showed work while executing"
+    );
+    let resp = read_response(conn_reader);
+    assert_eq!(
+        resp.get_in(&["error", "kind"]).and_then(Json::as_str),
+        Some("budget"),
+        "{resp:?}"
+    );
+
+    // `status` itself runs no walk.
+    let resp = request(
+        &mut stream,
+        &mut reader,
+        &Json::obj([
+            ("cmd", Json::Str("status".into())),
+            ("id", Json::Str("me".into())),
+        ]),
+    );
+    let me = readings(resp.get("status").unwrap(), &["me"]);
+    assert_eq!(me[0].as_ref().map(|(_, n)| *n), Some(0), "{resp:?}");
+    handle.shutdown();
 }
