@@ -1,4 +1,4 @@
-//! # bdrst-bench — the benchmark harness
+//! # bdrst-bench — the paper's tables and figures
 //!
 //! This library is empty; the crate is its binaries, each run with
 //! `cargo run --release -p bdrst-bench --bin <name>`:
@@ -9,11 +9,11 @@
 //! * `paper_examples` — the §2 examples through the local-DRF checkers;
 //! * `soundness` — Theorems 19/20 across the corpus;
 //! * `opts` — the §7.1 optimisation catalogue;
-//! * `fig5a`, `fig5b`, `fig5c` — Fig. 5 of the §8 evaluation;
-//! * `engine_baseline OUT_DIR` — the engine performance record: corpus
-//!   sweep timings, allocation counts and deterministic engine counts as
-//!   JSON, with the host's core count and warn-or-panic gates. The
-//!   committed copy under `baselines/` is the perf trajectory later
-//!   changes compare against.
+//! * `fig5a`, `fig5b`, `fig5c` — Fig. 5 of the §8 evaluation.
+//!
+//! Its tests pin the model's deterministic counts over the litmus corpus
+//! (`tests/corpus_counts.rs`) and bound the exploration hot path's heap
+//! allocations (`tests/allocations.rs`). Timings are recorded by the
+//! benchmark under `perfbench/` alone.
 
 #![forbid(unsafe_code)]

@@ -427,7 +427,7 @@ impl DporEngine {
                 .expect("transition consumed once");
             budget.charge()?;
             stats.visited += 1;
-            bdrst_obs::counter_add(bdrst_obs::Counter::StatesVisited, 1);
+            bdrst_obs::counter_add(bdrst_obs::Counter::ExploreVisits, 1);
             let e = t.label;
             // Source-DPOR backtracking: for every *direct* race `d ⋖ e`
             // (cross-thread, dependent, with no intermediate

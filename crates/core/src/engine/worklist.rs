@@ -110,7 +110,7 @@ impl WorklistEngine {
             }
             budget.charge()?;
             stats.visited += 1;
-            bdrst_obs::counter_add(bdrst_obs::Counter::StatesVisited, 1);
+            bdrst_obs::counter_add(bdrst_obs::Counter::ExploreVisits, 1);
             bdrst_obs::counter_max(bdrst_obs::Counter::FrontierHighWater, worklist.len() as u64);
             match visitor.visit(&m, id) {
                 Control::Stop => return Ok(stats),
@@ -169,7 +169,7 @@ impl WorklistEngine {
         while let Some((id, m)) = worklist.pop() {
             budget.charge()?;
             stats.visited += 1;
-            bdrst_obs::counter_add(bdrst_obs::Counter::StatesVisited, 1);
+            bdrst_obs::counter_add(bdrst_obs::Counter::ExploreVisits, 1);
             bdrst_obs::counter_max(bdrst_obs::Counter::FrontierHighWater, worklist.len() as u64);
             let transitions = m.transitions(locs);
             terminal[id.index()] = transitions.is_empty();

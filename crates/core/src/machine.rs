@@ -65,8 +65,8 @@ const STEPS_INLINE: usize = 4;
 /// `Expr::steps` sits on the hottest loop of every engine — once per
 /// thread per expansion — and used to allocate a `Vec` on each call.
 /// Returning `Steps` keeps the common case (zero or one label)
-/// allocation-free; the counting-allocator lane in `engine_baseline`
-/// asserts it stays that way.
+/// allocation-free; the counting-allocator test
+/// `crates/bench/tests/allocations.rs` asserts it stays that way.
 #[derive(Clone, Debug, Default)]
 pub struct Steps {
     /// Number of inline labels (meaningless once `spill` is non-empty).

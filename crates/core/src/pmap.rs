@@ -36,9 +36,9 @@
 //! is needed — the "H" of HAMT without the hash, because dense keys are
 //! already perfect.
 //!
-//! Digest memoization is observable through [`digest_counters`]: the
-//! bench's store lane reads the hit/miss split to prove fingerprints are
-//! recombined, not recomputed.
+//! Digest memoization is observable through the `digest_hits` and
+//! `digest_misses` counters of [`bdrst_obs`], which `metrics` and
+//! `--profile` report as the digest hit rate.
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -62,19 +62,6 @@ pub const FANOUT: usize = 1 << BITS;
 pub trait ContentDigest {
     /// The value's canonical content digest.
     fn content_digest(&self) -> u64;
-}
-
-/// Process-wide digest memoization counters: `(hits, misses)`. A *hit* is
-/// an entry whose digest was already memoized when asked for; a *miss*
-/// computed (and cached) it. The bench's store lane snapshots these
-/// around a workload to report the incremental-fingerprint hit rate.
-/// Backed by the shared [`bdrst_obs`] counter registry, so profiles and
-/// server gauges read the same pair.
-pub fn digest_counters() -> (u64, u64) {
-    (
-        bdrst_obs::counter_get(bdrst_obs::Counter::DigestHits),
-        bdrst_obs::counter_get(bdrst_obs::Counter::DigestMisses),
-    )
 }
 
 /// What an entry points at: a value, or an interior node of entries.
@@ -527,7 +514,7 @@ mod tests {
 
     #[test]
     fn digests_are_memoized_across_path_copies() {
-        // (Asserted structurally, not via `digest_counters` — the counters
+        // (Asserted structurally, not via the digest counters — they
         // are process-global and other tests bump them concurrently.)
         let a = build(256);
         let d1 = a.content_digest();

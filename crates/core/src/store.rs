@@ -303,10 +303,8 @@ impl Store {
 
     /// A structurally fresh copy sharing nothing with `self` — the cost
     /// profile `Store::clone` had before the copy-on-write refactor.
-    /// A test and measurement reference: the copy-on-write leak property
-    /// test snapshots stores with it, and `engine_baseline` prices a
-    /// full rebuild (the store lane) and the seed hot path (the seed
-    /// lane) with it. Exploration code should always use the cheap
+    /// A test reference: the copy-on-write leak property test snapshots
+    /// stores with it. Exploration code should always use the cheap
     /// `clone`.
     pub fn deep_clone(&self) -> Store {
         Store {

@@ -21,7 +21,7 @@ fn tripped_walks_charge_explore_nanos() {
         ..EngineConfig::default()
     };
     let assert_charged = |name: &str, walk: &dyn Fn() -> Result<(), EngineError>| {
-        let states = counter_get(Counter::StatesVisited);
+        let states = counter_get(Counter::ExploreVisits);
         let nanos = counter_get(Counter::ExploreNanos);
         let result = walk();
         assert!(
@@ -29,7 +29,7 @@ fn tripped_walks_charge_explore_nanos() {
             "{name}: expected a budget trip, got {result:?}"
         );
         assert!(
-            counter_get(Counter::StatesVisited) > states,
+            counter_get(Counter::ExploreVisits) > states,
             "{name}: visited no states"
         );
         assert!(

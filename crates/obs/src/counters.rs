@@ -16,8 +16,11 @@ pub enum Counter {
     DigestHits,
     /// Pmap content-digest recomputations.
     DigestMisses,
-    /// States (worklist engines) / trace extensions (DPOR) visited.
-    StatesVisited,
+    /// Units of the timed exploration walks: DFS states and DPOR
+    /// extensions, the work [`Counter::ExploreNanos`] times. Recorded
+    /// trace rows and replayed extensions are not counted here; a
+    /// request's meter counts every unit.
+    ExploreVisits,
     /// Fresh canonical states interned.
     StatesInterned,
     /// Monotone gauge: largest interner table seen.
@@ -61,7 +64,7 @@ const NAMES: [&str; COUNTER_COUNT] = [
     "semantics_probes",
     "digest_hits",
     "digest_misses",
-    "states_visited",
+    "explore_visits",
     "states_interned",
     "interner_occupancy",
     "frontier_high_water",

@@ -681,8 +681,9 @@ impl Metrics {
 }
 
 /// Derived engine gauges from the process-wide observability registry:
-/// raw counters plus the rates the raw values only imply (states/sec,
-/// digest hit rate, DPOR pruning ratio).
+/// raw counters plus the rates the raw values only imply
+/// (`states_per_sec`, explore visits per second of explore time; digest
+/// hit rate; DPOR pruning ratio).
 pub fn engine_gauges_json() -> Json {
     use bdrst_obs::Counter;
     let get = |c: Counter| bdrst_obs::counter_get(c);
@@ -693,19 +694,19 @@ pub fn engine_gauges_json() -> Json {
             Json::Num(num as f64 / den as f64)
         }
     };
-    let visited = get(Counter::StatesVisited);
+    let visits = get(Counter::ExploreVisits);
     let explore_ns = get(Counter::ExploreNanos);
     let states_per_sec = if explore_ns == 0 {
         Json::Num(0.0)
     } else {
-        Json::Num(visited as f64 / (explore_ns as f64 / 1e9))
+        Json::Num(visits as f64 / (explore_ns as f64 / 1e9))
     };
     let hits = get(Counter::DigestHits);
     let misses = get(Counter::DigestMisses);
     let branches = get(Counter::DporBranches);
     let blocked = get(Counter::DporSleepBlocked);
     Json::obj([
-        ("states_visited", Json::Int(visited as i64)),
+        ("explore_visits", Json::Int(visits as i64)),
         (
             "states_interned",
             Json::Int(get(Counter::StatesInterned) as i64),

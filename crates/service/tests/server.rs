@@ -392,6 +392,54 @@ fn connection_limit_rejects_cleanly() {
     handle.shutdown();
 }
 
+/// The reactor holds its full cap: 320 sequential connect-and-ping
+/// attempts against a 256-connection cap, every admitted connection held
+/// open, admit exactly 256 and reject the rest.
+#[test]
+fn reactor_holds_its_full_connection_cap() {
+    const CAP: usize = 256;
+    const ATTEMPTS: usize = 320;
+    let service = CheckService::new(Arc::new(ResultStore::in_memory()), RunConfig::default());
+    let handle = serve(
+        Arc::new(service),
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 2,
+            max_conns: CAP,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = handle.addr();
+    let ping = Json::obj([("cmd", Json::Str("cache-stats".into()))]).render();
+    let mut held = Vec::new();
+    let mut rejected = 0;
+    for _ in 0..ATTEMPTS {
+        let Ok(mut stream) = TcpStream::connect(addr) else {
+            rejected += 1;
+            continue;
+        };
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut line = String::new();
+        let admitted = writeln!(stream, "{ping}").is_ok()
+            && reader.read_line(&mut line).is_ok()
+            && Json::parse(line.trim())
+                .ok()
+                .and_then(|r| r.get("ok").and_then(Json::as_bool))
+                == Some(true);
+        if admitted {
+            held.push((stream, reader));
+        } else {
+            rejected += 1;
+        }
+    }
+    assert_eq!(held.len(), CAP, "admitted connections");
+    assert_eq!(rejected, ATTEMPTS - CAP, "rejected connections");
+    assert_eq!(handle.metrics().conns_high_water(), CAP as u64);
+    drop(held);
+    handle.shutdown();
+}
+
 #[test]
 fn oversized_requests_are_rejected() {
     let service = CheckService::new(Arc::new(ResultStore::in_memory()), RunConfig::default());
