@@ -20,10 +20,8 @@ pub struct RunConfig {
     /// Engine strategy for operational exploration: sequential DFS or
     /// DPOR (see [`bdrst_core::engine::Strategy`]).
     pub strategy: Strategy,
-    /// Budget for axiomatic/hardware enumeration.
+    /// Budget for axiomatic enumeration.
     pub enumerate: EnumLimits,
-    /// Also compute hardware outcome sets (slower).
-    pub hardware: bool,
 }
 
 /// Errors from a litmus run.
@@ -102,13 +100,6 @@ pub struct TestReport {
     pub operational: Vec<CheckVerdict>,
     /// Per-check verdicts under the axiomatic model.
     pub axiomatic: Vec<CheckVerdict>,
-    /// Observations allowed by compiled execution on x86 (Table 1), if
-    /// hardware checking was requested: per-check "observed" flags.
-    pub x86: Option<Vec<bool>>,
-    /// Same for ARM under the BAL scheme (Table 2a).
-    pub arm_bal: Option<Vec<bool>>,
-    /// Same for ARM under the naive (unsound) mapping.
-    pub arm_naive: Option<Vec<bool>>,
 }
 
 impl TestReport {
@@ -117,19 +108,6 @@ impl TestReport {
     pub fn passes(&self) -> bool {
         self.operational.iter().all(CheckVerdict::passes)
             && self.axiomatic.iter().all(CheckVerdict::passes)
-    }
-
-    /// True iff the sound hardware mappings never exhibit a forbidden
-    /// outcome (vacuously true when hardware was not run).
-    pub fn hardware_sound(&self) -> bool {
-        let fine = |flags: &Option<Vec<bool>>, expected: &[CheckVerdict]| match flags {
-            None => true,
-            Some(fs) => fs
-                .iter()
-                .zip(expected)
-                .all(|(observed, v)| v.expected || !observed),
-        };
-        fine(&self.x86, &self.operational) && fine(&self.arm_bal, &self.operational)
     }
 }
 
@@ -178,9 +156,6 @@ pub fn report_from_outcomes(
         name: test.name,
         operational: verdicts(program, op, test),
         axiomatic: verdicts(program, ax, test),
-        x86: None,
-        arm_bal: None,
-        arm_naive: None,
     }
 }
 
@@ -188,11 +163,10 @@ pub fn report_from_outcomes(
 /// (x86, ARM-BAL, ARM-naive) order.
 pub type HardwareFlags = (Vec<bool>, Vec<bool>, Vec<bool>);
 
-/// Computes the per-check hardware observation flags (x86, ARM-BAL,
-/// ARM-naive, in that order) for one test — the hardware third of
-/// [`run_test`], exported so cache-backed services can attach hardware
-/// results to a [`report_from_outcomes`] report (hardware outcome sets
-/// are enumerated per call; only the operational/axiomatic sets cache).
+/// Computes the per-check hardware observation flags (x86 for Table 1,
+/// ARM under the BAL scheme for Table 2a, ARM under the naive, unsound
+/// mapping; in that order) for one test: for each check, whether the
+/// compiled program exhibits an outcome satisfying its predicate.
 ///
 /// # Errors
 ///
@@ -227,18 +201,7 @@ pub fn run_test(test: &LitmusTest, config: RunConfig) -> Result<TestReport, RunE
         .map_err(RunError::Operational)?;
     let op = op.set().clone();
     let ax = axiomatic_outcomes(&program, config.enumerate).map_err(RunError::Enumeration)?;
-    let (x86, arm_bal, arm_naive) = if config.hardware {
-        let (x, b, n) = hardware_flags(test, &program, config.enumerate)?;
-        (Some(x), Some(b), Some(n))
-    } else {
-        (None, None, None)
-    };
-    Ok(TestReport {
-        x86,
-        arm_bal,
-        arm_naive,
-        ..report_from_outcomes(test, &program, &op, &ax)
-    })
+    Ok(report_from_outcomes(test, &program, &op, &ax))
 }
 
 /// One entry of a corpus sweep: the test name and its report (or error).
@@ -554,16 +517,13 @@ mod tests {
 
     #[test]
     fn naive_arm_shows_lb_on_hardware() {
-        let cfg = RunConfig {
-            hardware: true,
-            ..RunConfig::default()
-        };
-        let rep = run_test(&corpus::LB, cfg).unwrap();
+        let program = Program::parse(corpus::LB.source).unwrap();
+        let (x86, arm_bal, arm_naive) =
+            hardware_flags(&corpus::LB, &program, EnumLimits::default()).unwrap();
         // The forbidden outcome is visible under the naive mapping…
-        assert!(rep.arm_naive.as_ref().unwrap()[0]);
+        assert!(arm_naive[0]);
         // …but not under BAL or x86.
-        assert!(!rep.arm_bal.as_ref().unwrap()[0]);
-        assert!(!rep.x86.as_ref().unwrap()[0]);
-        assert!(rep.hardware_sound());
+        assert!(!arm_bal[0]);
+        assert!(!x86[0]);
     }
 }

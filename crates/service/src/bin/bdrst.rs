@@ -25,9 +25,10 @@
 //! `serve` flags: `--max-conns N`, `--queue-depth N` (admission /
 //! backpressure bounds), `--rate-per-sec N` + `--burst N`
 //! (per-connection token bucket; 0 = unlimited), `--metrics` (print a
-//! metrics JSON snapshot line every 10s), `--trace-dir DIR` +
-//! `--trace-keep N` + `--slow-ms N` (per-request traces, retention,
-//! slow-request flagging/flight dumps), `--log-level L` + `--log-dir DIR`
+//! metrics JSON snapshot line every 10s), `--slow-ms N` (count and log
+//! requests whose enqueue → flush time reaches N ms, with a flight dump
+//! when one is installed), `--trace-dir DIR` (install the flight
+//! recorder; its dumps land here), `--log-level L` + `--log-dir DIR`
 //! (structured JSON-lines logging; the `BDRST_LOG` environment variable
 //! also sets the level). `bdrst
 //! metrics --addr HOST:PORT` asks a running server for the same
@@ -66,7 +67,6 @@ struct Opts {
     profile: Option<PathBuf>,
     trace_dir: Option<PathBuf>,
     slow_ms: Option<u64>,
-    trace_keep: Option<usize>,
     log_level: Option<String>,
     log_dir: Option<PathBuf>,
     progress: bool,
@@ -81,7 +81,7 @@ fn usage() -> ExitCode {
          profiling: --profile OUT.json (check/corpus/races: Chrome trace export + summary on stderr)\n\
          \x20          --progress (check/corpus/races: work units on stderr every 4096, and the total)\n\
          serve flags: --max-conns N --queue-depth N --rate-per-sec N --burst N --metrics\n\
-         \x20              --trace-dir DIR (per-request timing files) --trace-keep N (retain newest N) --slow-ms N (slow-request flagging)\n\
+         \x20              --slow-ms N (count, log and flight-dump requests slower than N ms) --trace-dir DIR (flight dumps)\n\
          \x20              --log-level error|warn|info|debug|trace (also via BDRST_LOG) --log-dir DIR (JSON-lines log files; default stderr)\n\
          metrics flags: --prom (Prometheus text exposition)\n\
          exit codes: 0 pass/no races · 1 model mismatch · 2 run error (parse/budget/engine) · 3 races found · 64 usage"
@@ -108,7 +108,6 @@ fn parse_opts(mut argv: std::env::Args) -> Option<(String, Opts)> {
         profile: None,
         trace_dir: None,
         slow_ms: None,
-        trace_keep: None,
         log_level: None,
         log_dir: None,
         progress: false,
@@ -133,7 +132,6 @@ fn parse_opts(mut argv: std::env::Args) -> Option<(String, Opts)> {
             "--profile" => opts.profile = Some(PathBuf::from(argv.next()?)),
             "--trace-dir" => opts.trace_dir = Some(PathBuf::from(argv.next()?)),
             "--slow-ms" => opts.slow_ms = Some(argv.next()?.parse().ok()?),
-            "--trace-keep" => opts.trace_keep = Some(argv.next()?.parse().ok()?),
             "--log-level" => opts.log_level = Some(argv.next()?),
             "--log-dir" => opts.log_dir = Some(PathBuf::from(argv.next()?)),
             "--progress" => opts.progress = true,
@@ -276,7 +274,7 @@ fn cmd_corpus(opts: &Opts) -> ExitCode {
                 "no built-in checks for test named {:?}",
                 f.name
             ))),
-            Some(test) => service.check_source(&f.source).and_then(|checked| {
+            Some(test) => service.check_source(&f.source).map(|checked| {
                 drf.push((f.name.clone(), service.global_racefree(&checked).ok()));
                 service.report(test, &checked)
             }),
@@ -527,7 +525,6 @@ fn cmd_serve(opts: &Opts) -> ExitCode {
         burst: opts.burst.unwrap_or(defaults.burst),
         trace_dir: opts.trace_dir.clone(),
         slow_ms: opts.slow_ms,
-        trace_keep: opts.trace_keep,
         ..defaults
     };
     match server::serve(Arc::new(service), &opts.addr, config) {
@@ -556,40 +553,49 @@ fn cmd_serve(opts: &Opts) -> ExitCode {
     }
 }
 
+/// One request line to the server at `--addr`: connects, writes `req`,
+/// reads one response line and parses it. Returns the response and its
+/// raw line, or exit code 2 after printing why there is none (no
+/// connection, no or malformed response, or an `ok: false` reply).
+fn round_trip(addr: &str, req: Json) -> Result<(Json, String), ExitCode> {
+    use std::io::{BufRead as _, BufReader, Write as _};
+    let mut stream = std::net::TcpStream::connect(addr).map_err(|e| {
+        eprintln!("connect {addr}: {e}");
+        ExitCode::from(2)
+    })?;
+    if writeln!(stream, "{}", req.render()).is_err() {
+        eprintln!("{addr}: write failed");
+        return Err(ExitCode::from(2));
+    }
+    let mut line = String::new();
+    if BufReader::new(stream).read_line(&mut line).is_err() || line.trim().is_empty() {
+        eprintln!("{addr}: no response");
+        return Err(ExitCode::from(2));
+    }
+    let Ok(resp) = Json::parse(line.trim()) else {
+        eprintln!("{addr}: malformed response: {line}");
+        return Err(ExitCode::from(2));
+    };
+    if resp.get("ok").and_then(Json::as_bool) != Some(true) {
+        eprintln!("{addr}: {}", line.trim());
+        return Err(ExitCode::from(2));
+    }
+    Ok((resp, line))
+}
+
 /// `bdrst metrics`: one `{"cmd":"metrics"}` round-trip against a
 /// running server; renders the counters humanly (p50/p95/p99 computed
 /// client-side from the latency histograms), the full response line
 /// with `--json`, or the Prometheus text exposition with `--prom`.
 fn cmd_metrics(opts: &Opts) -> ExitCode {
-    use std::io::{BufRead as _, BufReader, Write as _};
-    let mut stream = match std::net::TcpStream::connect(&opts.addr) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("connect {}: {e}", opts.addr);
-            return ExitCode::from(2);
-        }
-    };
     let mut req = vec![("cmd", Json::Str("metrics".into()))];
     if opts.prom {
         req.push(("format", Json::Str("prom".into())));
     }
-    if writeln!(stream, "{}", Json::obj(req).render()).is_err() {
-        eprintln!("{}: write failed", opts.addr);
-        return ExitCode::from(2);
-    }
-    let mut line = String::new();
-    if BufReader::new(stream).read_line(&mut line).is_err() || line.trim().is_empty() {
-        eprintln!("{}: no response", opts.addr);
-        return ExitCode::from(2);
-    }
-    let Ok(resp) = Json::parse(line.trim()) else {
-        eprintln!("{}: malformed response: {line}", opts.addr);
-        return ExitCode::from(2);
+    let (resp, line) = match round_trip(&opts.addr, Json::obj(req)) {
+        Ok(r) => r,
+        Err(code) => return code,
     };
-    if resp.get("ok").and_then(Json::as_bool) != Some(true) {
-        eprintln!("{}: {}", opts.addr, line.trim());
-        return ExitCode::from(2);
-    }
     if opts.prom {
         match resp.get("prom").and_then(Json::as_str) {
             Some(text) => print!("{text}"),
@@ -616,37 +622,11 @@ fn cmd_metrics(opts: &Opts) -> ExitCode {
 /// server; renders the in-flight request table and server gauges humanly
 /// or the full response line with `--json`.
 fn cmd_status(opts: &Opts) -> ExitCode {
-    use std::io::{BufRead as _, BufReader, Write as _};
-    let mut stream = match std::net::TcpStream::connect(&opts.addr) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("connect {}: {e}", opts.addr);
-            return ExitCode::from(2);
-        }
+    let req = Json::obj([("cmd", Json::Str("status".into()))]);
+    let (resp, line) = match round_trip(&opts.addr, req) {
+        Ok(r) => r,
+        Err(code) => return code,
     };
-    if writeln!(
-        stream,
-        "{}",
-        Json::obj([("cmd", Json::Str("status".into()))]).render()
-    )
-    .is_err()
-    {
-        eprintln!("{}: write failed", opts.addr);
-        return ExitCode::from(2);
-    }
-    let mut line = String::new();
-    if BufReader::new(stream).read_line(&mut line).is_err() || line.trim().is_empty() {
-        eprintln!("{}: no response", opts.addr);
-        return ExitCode::from(2);
-    }
-    let Ok(resp) = Json::parse(line.trim()) else {
-        eprintln!("{}: malformed response: {line}", opts.addr);
-        return ExitCode::from(2);
-    };
-    if resp.get("ok").and_then(Json::as_bool) != Some(true) {
-        eprintln!("{}: {}", opts.addr, line.trim());
-        return ExitCode::from(2);
-    }
     if opts.json {
         println!("{}", resp.render());
     } else {

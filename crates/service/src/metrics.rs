@@ -19,18 +19,24 @@
 //!   `overloaded`, `too-large`, `rate-limited`, `shutting-down`);
 //! * rate-limit rejections (also counted under `errors.rate-limited`);
 //! * job-queue depth high-water;
-//! * slow requests (end-to-end time over [`crate::server::ServeConfig::slow_ms`]);
+//! * slow requests: those whose time from enqueue to response flush
+//!   reached [`crate::server::ServeConfig::slow_ms`];
 //! * a per-command latency histogram (fixed exponential buckets,
-//!   100µs → 10s, plus overflow).
+//!   100µs → 10s, plus overflow) of the worker's handling of a line —
+//!   decode, dispatch and response, without the queue-wait before it or
+//!   the write-back after it, which `slow_ms` does count.
 //!
 //! Beyond the counters, a [`Metrics`] also carries the server's **live
 //! introspection state**: the in-flight request registry behind the
-//! `status` protocol command (request ID, command, phase — queue-wait /
-//! execute / write-back — and `states_visited`, the request's own work
-//! units read from its [`bdrst_obs::Meter`]) and the static
-//! [`ServerInfo`] the `health` command reports against.
+//! `status` protocol command and the static [`ServerInfo`] the `health`
+//! command reports against. The registry holds the same `Request`
+//! record the job, the outbox and the reactor's write buffer hold, so
+//! `status` reads each request's ID, command, phase — queue-wait /
+//! execute / write-back, from which stamps are set — and
+//! `states_visited`, its own work units read from its
+//! [`bdrst_obs::Meter`], from the one place the server keeps them.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -82,16 +88,81 @@ const CMD_SLOTS: usize = COMMANDS.len() + 1;
 const KIND_SLOTS: usize = ERROR_KINDS.len() + 1;
 const BUCKETS: usize = LATENCY_LABELS.len();
 
-/// One live request in the registry. `meter` is the meter the request's
-/// walks publish to, so its figure counts that request's work alone.
-struct Inflight {
-    cmd: Option<String>,
-    client_id: Json,
-    /// What the request is doing now, as `status` reports it: one of
-    /// `QueueWait`, `Execute` or `WriteBack`.
-    phase: Phase,
-    enqueue_ns: u64,
-    meter: Arc<Meter>,
+/// One served request, from the reactor queueing its line to the flush
+/// of its response. The job, the connection's outbox and write buffer,
+/// and the in-flight registry all hold this one record; `status` derives
+/// the request's phase from which stamps are set.
+pub(crate) struct Request {
+    /// Server-minted, process-unique; the `arg` of the request's
+    /// queue-wait, execute and write-back events.
+    pub(crate) id: u64,
+    /// When the accepted line was queued, so queue-wait includes
+    /// backpressure time before the job reaches the bounded queue.
+    pub(crate) enqueue_ns: u64,
+    /// The meter the request's walks publish to, so its figure counts
+    /// that request's work alone.
+    pub(crate) meter: Arc<Meter>,
+    /// When a worker started and finished handling the line; 0 = not yet.
+    exec_start_ns: AtomicU64,
+    exec_end_ns: AtomicU64,
+    /// The parsed `cmd` and the client-chosen `id`, once the worker has
+    /// decoded the line.
+    described: OnceLock<(String, Json)>,
+}
+
+impl Request {
+    /// Mints the request ID and stamps the enqueue time.
+    pub(crate) fn new() -> Request {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+        Request {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            enqueue_ns: bdrst_obs::now_ns(),
+            meter: Arc::default(),
+            exec_start_ns: AtomicU64::new(0),
+            exec_end_ns: AtomicU64::new(0),
+            described: OnceLock::new(),
+        }
+    }
+
+    /// Stamps the start of execution and returns the stamp.
+    pub(crate) fn start_execute(&self) -> u64 {
+        let ns = bdrst_obs::now_ns().max(1);
+        self.exec_start_ns.store(ns, Ordering::Release);
+        ns
+    }
+
+    /// Stamps the end of execution and returns the stamp.
+    pub(crate) fn end_execute(&self) -> u64 {
+        let ns = bdrst_obs::now_ns().max(1);
+        self.exec_end_ns.store(ns, Ordering::Release);
+        ns
+    }
+
+    /// When execution started (0 if it has not).
+    pub(crate) fn exec_start_ns(&self) -> u64 {
+        self.exec_start_ns.load(Ordering::Acquire)
+    }
+
+    /// When execution ended (0 if it has not).
+    pub(crate) fn exec_end_ns(&self) -> u64 {
+        self.exec_end_ns.load(Ordering::Acquire)
+    }
+
+    /// Records the parsed command and the client-chosen `id`.
+    pub(crate) fn describe(&self, cmd: &str, client_id: &Json) {
+        let _ = self.described.set((cmd.to_string(), client_id.clone()));
+    }
+
+    /// What the request is doing now, as `status` reports it.
+    fn phase(&self) -> Phase {
+        if self.exec_end_ns() != 0 {
+            Phase::WriteBack
+        } else if self.exec_start_ns() != 0 {
+            Phase::Execute
+        } else {
+            Phase::QueueWait
+        }
+    }
 }
 
 /// Static facts about the running server, registered once at bind time
@@ -122,11 +193,10 @@ pub struct Metrics {
     errors: [AtomicU64; KIND_SLOTS],
     latency: [[AtomicU64; BUCKETS]; CMD_SLOTS],
     latency_sum_us: [AtomicU64; CMD_SLOTS],
-    /// Live requests by server-minted request ID. Touched once per
-    /// phase transition (a short mutex hold), never per state visited —
-    /// the engine-progress reads go through each request's meter
-    /// instead.
-    inflight: Mutex<HashMap<u64, Inflight>>,
+    /// Live requests by server-minted request ID. Touched when a
+    /// request enters the queue and when it leaves the server; phase
+    /// changes and progress are written to the record itself.
+    inflight: Mutex<BTreeMap<u64, Arc<Request>>>,
     server: OnceLock<ServerInfo>,
 }
 
@@ -260,43 +330,12 @@ impl Metrics {
     }
 
     /// Registers a request entering the queue. Must happen before the
-    /// job becomes visible to a worker, so the executing transition
-    /// below always finds its entry.
-    pub(crate) fn inflight_enqueued(&self, req_id: u64, enqueue_ns: u64, meter: Arc<Meter>) {
-        self.inflight.lock().unwrap().insert(
-            req_id,
-            Inflight {
-                cmd: None,
-                client_id: Json::Null,
-                phase: Phase::QueueWait,
-                enqueue_ns,
-                meter,
-            },
-        );
-    }
-
-    /// Marks a request as executing. Update-only: a request the reactor
-    /// already reaped (its connection died) stays gone.
-    pub(crate) fn inflight_executing(&self, req_id: u64) {
-        if let Some(e) = self.inflight.lock().unwrap().get_mut(&req_id) {
-            e.phase = Phase::Execute;
-        }
-    }
-
-    /// Fills in the parsed command and client-chosen `id` once the
-    /// worker has decoded the request line.
-    pub(crate) fn inflight_describe(&self, req_id: u64, cmd: &str, client_id: &Json) {
-        if let Some(e) = self.inflight.lock().unwrap().get_mut(&req_id) {
-            e.cmd = Some(cmd.to_string());
-            e.client_id = client_id.clone();
-        }
-    }
-
-    /// Marks a request's response as written but not yet flushed.
-    pub(crate) fn inflight_write_back(&self, req_id: u64) {
-        if let Some(e) = self.inflight.lock().unwrap().get_mut(&req_id) {
-            e.phase = Phase::WriteBack;
-        }
+    /// job becomes visible to a worker.
+    pub(crate) fn inflight_enqueued(&self, req: &Arc<Request>) {
+        self.inflight
+            .lock()
+            .unwrap()
+            .insert(req.id, Arc::clone(req));
     }
 
     /// Removes a finished (or abandoned) request from the registry.
@@ -311,7 +350,7 @@ impl Metrics {
             .lock()
             .unwrap()
             .values()
-            .filter(|e| e.phase == Phase::QueueWait)
+            .filter(|r| r.phase() == Phase::QueueWait)
             .count() as u64
     }
 
@@ -320,27 +359,29 @@ impl Metrics {
     /// time, its own work units so far), and the engine gauge snapshot.
     pub fn status_json(&self) -> Json {
         let now = bdrst_obs::now_ns();
-        let mut entries: Vec<(u64, Json)> = self
+        let entries: Vec<Json> = self
             .inflight
             .lock()
             .unwrap()
-            .iter()
-            .map(|(req_id, e)| {
-                let obj = Json::obj([
-                    ("req_id", Json::Int(*req_id as i64)),
-                    ("id", e.client_id.clone()),
-                    ("cmd", e.cmd.clone().map(Json::Str).unwrap_or(Json::Null)),
-                    ("phase", Json::Str(e.phase.name().to_string())),
+            .values()
+            .map(|r| {
+                let (cmd, client_id) = match r.described.get() {
+                    Some((cmd, id)) => (Json::Str(cmd.clone()), id.clone()),
+                    None => (Json::Null, Json::Null),
+                };
+                Json::obj([
+                    ("req_id", Json::Int(r.id as i64)),
+                    ("id", client_id),
+                    ("cmd", cmd),
+                    ("phase", Json::Str(r.phase().name().to_string())),
                     (
                         "elapsed_ms",
-                        Json::Num(now.saturating_sub(e.enqueue_ns) as f64 / 1e6),
+                        Json::Num(now.saturating_sub(r.enqueue_ns) as f64 / 1e6),
                     ),
-                    ("states_visited", Json::Int(e.meter.units() as i64)),
-                ]);
-                (*req_id, obj)
+                    ("states_visited", Json::Int(r.meter.units() as i64)),
+                ])
             })
             .collect();
-        entries.sort_by_key(|(id, _)| *id);
         let info = self.server.get();
         Json::obj([
             (
@@ -379,10 +420,7 @@ impl Metrics {
                 "slow_requests",
                 Json::Int(self.slow_requests.load(Ordering::Relaxed) as i64),
             ),
-            (
-                "inflight",
-                Json::Arr(entries.into_iter().map(|(_, e)| e).collect()),
-            ),
+            ("inflight", Json::Arr(entries)),
             ("engine", engine_gauges_json()),
         ])
     }
@@ -987,20 +1025,20 @@ mod tests {
             max_conns: 8,
             start_ns: 0,
         });
-        let meter = Arc::new(Meter::new());
-        m.inflight_enqueued(7, bdrst_obs::now_ns(), Arc::clone(&meter));
+        let req = Arc::new(Request::new());
+        m.inflight_enqueued(&req);
         let h = m.health_json();
         assert_eq!(h.get("status").and_then(Json::as_str), Some("degraded"));
         assert_eq!(h.get("queue_depth").and_then(Json::as_i64), Some(1));
 
-        m.inflight_executing(7);
-        m.inflight_describe(7, "check", &Json::Int(42));
-        meter.add(5, 5, 10);
+        req.start_execute();
+        req.describe("check", &Json::Int(42));
+        req.meter.add(5, 5, 10);
         let s = m.status_json();
         let inflight = s.get("inflight").and_then(Json::as_arr).unwrap();
         assert_eq!(inflight.len(), 1);
         let e = &inflight[0];
-        assert_eq!(e.get("req_id").and_then(Json::as_i64), Some(7));
+        assert_eq!(e.get("req_id").and_then(Json::as_i64), Some(req.id as i64));
         assert_eq!(e.get("id").and_then(Json::as_i64), Some(42));
         assert_eq!(e.get("cmd").and_then(Json::as_str), Some("check"));
         assert_eq!(e.get("phase").and_then(Json::as_str), Some("execute"));
@@ -1010,20 +1048,20 @@ mod tests {
         assert_eq!(h.get("status").and_then(Json::as_str), Some("ok"));
         assert_eq!(h.get("inflight").and_then(Json::as_i64), Some(1));
 
-        m.inflight_write_back(7);
-        m.inflight_done(7);
+        req.end_execute();
+        let s = m.status_json();
+        let phase = s.get_in(&["inflight"]).and_then(Json::as_arr).unwrap()[0]
+            .get("phase")
+            .and_then(Json::as_str)
+            .map(str::to_string);
+        assert_eq!(phase.as_deref(), Some("write-back"));
+        m.inflight_done(req.id);
         assert!(m
             .status_json()
             .get("inflight")
             .and_then(Json::as_arr)
             .unwrap()
             .is_empty());
-        // Update-only transitions never resurrect a reaped request.
-        m.inflight_executing(7);
-        assert_eq!(
-            m.health_json().get("inflight").and_then(Json::as_i64),
-            Some(0)
-        );
     }
 
     #[test]

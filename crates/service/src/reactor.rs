@@ -49,10 +49,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::json::Json;
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, Request};
 use crate::server::{
     error_response, rate_limited_response, shutting_down_response, ConnGuard, Job, JobQueue,
-    ReqMeta, ServeConfig, TokenBucket, TraceLog, TryPushError,
+    ServeConfig, TokenBucket, TryPushError,
 };
 
 /// Upper bound on an idle park: with a live wakeup pipe the park ends
@@ -138,7 +138,7 @@ impl Waker {
 /// lines have been drained, so a response can never be lost between a
 /// worker and the socket.
 pub(crate) struct Outbox {
-    lines: Mutex<Vec<(String, ReqMeta)>>,
+    lines: Mutex<Vec<(String, Arc<Request>)>>,
     submitted: AtomicUsize,
     completed: AtomicUsize,
     /// Pokes the reactor awake on every deposit; `None` when the wakeup
@@ -156,12 +156,12 @@ impl Outbox {
         }
     }
 
-    /// Called by a worker with the finished response line; `meta`
-    /// carries the request's timing so the reactor can stamp the
-    /// write-back when the line actually reaches the socket.
-    pub(crate) fn complete(&self, line: &str, meta: ReqMeta) {
+    /// Called by a worker with the finished response line and the
+    /// request's record, so the reactor can stamp the write-back when
+    /// the line actually reaches the socket.
+    pub(crate) fn complete(&self, line: &str, req: Arc<Request>) {
         let mut lines = self.lines.lock().unwrap();
-        lines.push((line.to_string(), meta));
+        lines.push((line.to_string(), req));
         // Bumped under the lock: once a reader of `completed` sees the
         // count, the line is already in the vector.
         self.completed.fetch_add(1, Ordering::SeqCst);
@@ -186,7 +186,7 @@ impl Outbox {
         self.completed.load(Ordering::SeqCst) == self.submitted.load(Ordering::SeqCst)
     }
 
-    fn drain(&self) -> Vec<(String, ReqMeta)> {
+    fn drain(&self) -> Vec<(String, Arc<Request>)> {
         std::mem::take(&mut *self.lines.lock().unwrap())
     }
 }
@@ -212,13 +212,13 @@ struct Conn {
     rbuf: Vec<u8>,
     wbuf: Vec<u8>,
     /// Jobs parsed but not yet queued (the job queue was full). Each
-    /// already carries its request ID and enqueue stamp — minted at
-    /// line birth, so queue-wait includes backpressure time.
+    /// already carries its request record — minted at line birth, so
+    /// queue-wait includes backpressure time.
     pending: VecDeque<Job>,
     outbox: Arc<Outbox>,
     /// Requests whose response lines sit in `wbuf`: their write-back is
-    /// stamped (and their trace files written) when the buffer drains.
-    inflight: Vec<ReqMeta>,
+    /// stamped (and the slow path run) when the buffer drains.
+    inflight: Vec<Arc<Request>>,
     bucket: Option<TokenBucket>,
     state: ConnState,
     /// Present on admitted connections; releases the `max_conns` slot
@@ -254,7 +254,6 @@ pub(crate) fn spawn(
     metrics: Arc<Metrics>,
     stop: Arc<AtomicBool>,
     flush: Arc<AtomicBool>,
-    trace: Option<TraceLog>,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
         // Built on the reactor thread; if loopback is unavailable the
@@ -265,12 +264,12 @@ pub(crate) fn spawn(
         };
         Reactor {
             listener,
+            slow_ns: config.slow_ms.map(|ms| ms.saturating_mul(1_000_000)),
             config,
             queue,
             metrics,
             stop,
             flush,
-            trace,
             conns: Vec::new(),
             waker,
             wake_rx,
@@ -286,7 +285,8 @@ struct Reactor {
     metrics: Arc<Metrics>,
     stop: Arc<AtomicBool>,
     flush: Arc<AtomicBool>,
-    trace: Option<TraceLog>,
+    /// [`ServeConfig::slow_ms`] in nanoseconds.
+    slow_ns: Option<u64>,
     conns: Vec<Conn>,
     /// Shared write half of the wakeup pipe (cloned into each outbox).
     waker: Option<Arc<Waker>>,
@@ -325,11 +325,11 @@ impl Reactor {
             // the outbox alike) so `status` never reports a request
             // whose client is gone.
             for conn in self.conns.iter_mut().filter(|c| c.dead) {
-                for (_, meta) in conn.outbox.drain() {
-                    self.metrics.inflight_done(meta.req_id);
+                for (_, req) in conn.outbox.drain() {
+                    self.metrics.inflight_done(req.id);
                 }
-                for meta in conn.inflight.drain(..) {
-                    self.metrics.inflight_done(meta.req_id);
+                for req in conn.inflight.drain(..) {
+                    self.metrics.inflight_done(req.id);
                 }
             }
             self.conns.retain(|c| !c.dead);
@@ -475,10 +475,10 @@ impl Reactor {
         // never touch the socket, so responses cannot interleave.
         {
             let conn = &mut self.conns[i];
-            for (line, meta) in conn.outbox.drain() {
+            for (line, req) in conn.outbox.drain() {
                 conn.wbuf.extend_from_slice(line.as_bytes());
                 conn.wbuf.push(b'\n');
-                conn.inflight.push(meta);
+                conn.inflight.push(req);
             }
         }
 
@@ -507,23 +507,11 @@ impl Reactor {
                 return busy;
             }
             // Buffer flat: every in-flight response reached the socket —
-            // stamp their write-backs, write the per-request traces
-            // (counting slow requests), and retire the registry entries.
+            // stamp their write-backs and retire the registry entries.
             if conn.wbuf.is_empty() && !conn.inflight.is_empty() {
                 let flush_ns = bdrst_obs::now_ns();
-                for meta in conn.inflight.drain(..) {
-                    bdrst_obs::event(
-                        bdrst_obs::Phase::WriteBack,
-                        meta.exec_end_ns,
-                        flush_ns.saturating_sub(meta.exec_end_ns),
-                        meta.req_id,
-                    );
-                    if let Some(trace) = self.trace.as_ref() {
-                        if trace.record(&meta, flush_ns) {
-                            self.metrics.count_slow_request();
-                        }
-                    }
-                    self.metrics.inflight_done(meta.req_id);
+                for req in std::mem::take(&mut conn.inflight) {
+                    self.flushed(&req, flush_ns);
                 }
             }
         }
@@ -542,10 +530,10 @@ impl Reactor {
         // close.
         let conn = &mut self.conns[i];
         let settled = conn.outbox.is_idle() && {
-            for (line, meta) in conn.outbox.drain() {
+            for (line, req) in conn.outbox.drain() {
                 conn.wbuf.extend_from_slice(line.as_bytes());
                 conn.wbuf.push(b'\n');
-                conn.inflight.push(meta);
+                conn.inflight.push(req);
             }
             conn.wbuf.is_empty()
         };
@@ -571,6 +559,38 @@ impl Reactor {
         busy
     }
 
+    /// A request's response reached the socket at `flush_ns`: emits its
+    /// write-back event, runs the slow path when its enqueue → flush
+    /// time reaches [`ServeConfig::slow_ms`] (count, `warn` record with
+    /// the phase split, throttled flight dump), and retires it.
+    fn flushed(&self, req: &Request, flush_ns: u64) {
+        let exec_end_ns = req.exec_end_ns();
+        let write_back = flush_ns.saturating_sub(exec_end_ns);
+        bdrst_obs::event(bdrst_obs::Phase::WriteBack, exec_end_ns, write_back, req.id);
+        let total = flush_ns.saturating_sub(req.enqueue_ns);
+        if self.slow_ns.is_some_and(|t| total >= t) {
+            self.metrics.count_slow_request();
+            let exec_start_ns = req.exec_start_ns();
+            let ms = |ns: u64| bdrst_obs::log::Field::F64(ns as f64 / 1e6);
+            bdrst_obs::log::warn(
+                "server",
+                "slow request",
+                &[
+                    ("req_id", bdrst_obs::log::Field::U64(req.id)),
+                    ("total_ms", ms(total)),
+                    (
+                        "queue_wait_ms",
+                        ms(exec_start_ns.saturating_sub(req.enqueue_ns)),
+                    ),
+                    ("execute_ms", ms(exec_end_ns.saturating_sub(exec_start_ns))),
+                    ("write_back_ms", ms(write_back)),
+                ],
+            );
+            let _ = bdrst_obs::flight::dump_throttled("slow-request");
+        }
+        self.metrics.inflight_done(req.id);
+    }
+
     /// Pushes this connection's parsed-but-unqueued lines. Returns true
     /// if any job was submitted.
     fn submit_pending(&mut self, i: usize) -> bool {
@@ -578,13 +598,10 @@ impl Reactor {
         while let Some(job) = self.conns[i].pending.pop_front() {
             let outbox = Arc::clone(&self.conns[i].outbox);
             outbox.note_submitted();
-            // Registered before the push: once a worker can pop the job
-            // its registry entry must already exist (the executing
-            // transition is update-only). Backed out if the queue
-            // refuses the job.
-            let req_id = job.req_id;
-            self.metrics
-                .inflight_enqueued(req_id, job.enqueue_ns, Arc::clone(&job.meter));
+            // Registered before the push, so a popped job is always in
+            // the registry; backed out if the queue refuses the job.
+            let req_id = job.req.id;
+            self.metrics.inflight_enqueued(&job.req);
             match self.queue.try_push(job) {
                 Ok(depth) => {
                     self.metrics.note_queue_depth(depth);
@@ -721,10 +738,12 @@ impl Reactor {
                     continue;
                 }
             }
-            let outbox = Arc::clone(&conn.outbox);
-            self.conns[i]
-                .pending
-                .push_back(Job::new(line.to_string(), outbox));
+            let job = Job {
+                line: line.to_string(),
+                out: Arc::clone(&conn.outbox),
+                req: Arc::new(Request::new()),
+            };
+            self.conns[i].pending.push_back(job);
             self.submit_pending(i);
         }
     }

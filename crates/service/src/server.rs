@@ -70,7 +70,7 @@
 
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -79,7 +79,7 @@ use bdrst_core::engine::Strategy;
 use bdrst_litmus::{classify_entries, CorpusVerdict, RunConfig, RunError};
 
 use crate::json::Json;
-use crate::metrics::{Metrics, ServerInfo};
+use crate::metrics::{Metrics, Request, ServerInfo};
 use crate::reactor;
 use crate::service::{outcome_strings, CheckService, Checked};
 use crate::store::ResultStore;
@@ -110,22 +110,19 @@ pub struct ServeConfig {
     /// Token-bucket capacity: how many requests a connection may burst
     /// above the steady rate (clamped to ≥ 1 when rate limiting is on).
     pub burst: u32,
-    /// When set, every served request writes a `req-<id>.json` timing
-    /// file here: queue-wait / execute / write-back as integer
-    /// nanoseconds plus the same split as Chrome trace events. `None`
-    /// (the default) disables per-request tracing entirely.
+    /// When set, the flight recorder is installed and its dumps land
+    /// here (slow requests, worker panics, the `dump` command). Each
+    /// dump holds every recent request's queue-wait, execute and
+    /// write-back events, tagged with its request ID. `None` (the
+    /// default) installs no recorder.
     pub trace_dir: Option<PathBuf>,
-    /// With `trace_dir` set: a request whose end-to-end time (enqueue →
-    /// response flushed) reaches this many milliseconds is logged as a
-    /// structured `warn` record with its phase split, counted under the
-    /// `slow_requests` metric, and triggers a (throttled) flight-recorder
-    /// dump. `Some(0)` flags every request; `None` (the default)
-    /// disables the slow path.
+    /// A request whose time from enqueue to response flush reaches this
+    /// many milliseconds is counted under the `slow_requests` metric,
+    /// logged as a structured `warn` record with its queue-wait /
+    /// execute / write-back split, and triggers a throttled flight dump
+    /// (a no-op without `trace_dir`). `Some(0)` flags every request;
+    /// `None` (the default) disables the slow path.
     pub slow_ms: Option<u64>,
-    /// With `trace_dir` set: retain at most this many per-request
-    /// `req-<id>.json` files, deleting the oldest past the cap. `None`
-    /// (the default) keeps every file.
-    pub trace_keep: Option<usize>,
 }
 
 impl Default for ServeConfig {
@@ -139,14 +136,12 @@ impl Default for ServeConfig {
             burst: 8,
             trace_dir: None,
             slow_ms: None,
-            trace_keep: None,
         }
     }
 }
 
-/// Flight-recorder dumps retained in the trace directory (oldest
-/// deleted past the cap); per-request trace files have their own knob,
-/// [`ServeConfig::trace_keep`].
+/// Flight-recorder dumps retained in [`ServeConfig::trace_dir`] (oldest
+/// deleted past the cap).
 const FLIGHT_DUMP_KEEP: usize = 16;
 
 /// The default run configuration for served checks: misses enumerate
@@ -199,147 +194,13 @@ impl TokenBucket {
     }
 }
 
-/// Per-request timing carried from acceptance to response flush: the
-/// request ID is minted when the line is accepted (before it queues),
-/// so a request's whole span tree — queue-wait, execute, write-back —
-/// shares one `tid` in the exported trace.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ReqMeta {
-    pub(crate) req_id: u64,
-    /// When the accepted line entered the job queue.
-    pub(crate) enqueue_ns: u64,
-    /// When a worker popped it and started computing.
-    pub(crate) exec_start_ns: u64,
-    /// When the worker finished; write-back runs from here to flush.
-    pub(crate) exec_end_ns: u64,
-}
-
-/// Per-request trace files plus the slow-request path, built from
-/// [`ServeConfig::trace_dir`] / [`ServeConfig::slow_ms`] /
-/// [`ServeConfig::trace_keep`].
-pub(crate) struct TraceLog {
-    dir: PathBuf,
-    slow_ns: Option<u64>,
-    keep: Option<usize>,
-    /// Written trace files, oldest first, for the retention cap.
-    written: Mutex<std::collections::VecDeque<PathBuf>>,
-}
-
-impl TraceLog {
-    pub(crate) fn from_config(config: &ServeConfig) -> Option<TraceLog> {
-        let dir = config.trace_dir.clone()?;
-        let _ = std::fs::create_dir_all(&dir);
-        Some(TraceLog {
-            dir,
-            slow_ns: config.slow_ms.map(|ms| ms.saturating_mul(1_000_000)),
-            keep: config.trace_keep,
-            written: Mutex::new(std::collections::VecDeque::new()),
-        })
-    }
-
-    /// Writes `req-<id>.json` (write-then-rename, so a poller never
-    /// observes a partial file), prunes the oldest files past the
-    /// retention cap, and — when the end-to-end time reaches the slow
-    /// threshold — emits a structured `warn` record with the phase split
-    /// and triggers a throttled flight-recorder dump. Returns true for a
-    /// slow request so the caller can count it. All fields are integer
-    /// nanoseconds; the embedded `traceEvents` use integer microseconds
-    /// as Chrome expects.
-    pub(crate) fn record(&self, meta: &ReqMeta, flush_ns: u64) -> bool {
-        let queue_wait = meta.exec_start_ns.saturating_sub(meta.enqueue_ns);
-        let execute = meta.exec_end_ns.saturating_sub(meta.exec_start_ns);
-        let write_back = flush_ns.saturating_sub(meta.exec_end_ns);
-        let total = flush_ns.saturating_sub(meta.enqueue_ns);
-        let event = |name: &str, start_ns: u64, dur_ns: u64| {
-            Json::obj([
-                ("name", Json::Str(name.to_string())),
-                ("ph", Json::Str("X".to_string())),
-                ("pid", Json::Int(1)),
-                ("tid", Json::Int(meta.req_id as i64)),
-                ("ts", Json::Int((start_ns / 1_000) as i64)),
-                ("dur", Json::Int((dur_ns / 1_000) as i64)),
-            ])
-        };
-        let doc = Json::obj([
-            ("req_id", Json::Int(meta.req_id as i64)),
-            ("queue_wait_ns", Json::Int(queue_wait as i64)),
-            ("execute_ns", Json::Int(execute as i64)),
-            ("write_back_ns", Json::Int(write_back as i64)),
-            ("total_ns", Json::Int(total as i64)),
-            (
-                "traceEvents",
-                Json::Arr(vec![
-                    event("queue-wait", meta.enqueue_ns, queue_wait),
-                    event("execute", meta.exec_start_ns, execute),
-                    event("write-back", meta.exec_end_ns, write_back),
-                ]),
-            ),
-        ]);
-        let path = self.dir.join(format!("req-{}.json", meta.req_id));
-        let tmp = self.dir.join(format!(".req-{}.json.tmp", meta.req_id));
-        if std::fs::write(&tmp, doc.render()).is_ok() && std::fs::rename(&tmp, &path).is_ok() {
-            if let Some(keep) = self.keep {
-                let mut written = self.written.lock().unwrap();
-                written.push_back(path);
-                while written.len() > keep.max(1) {
-                    if let Some(old) = written.pop_front() {
-                        let _ = std::fs::remove_file(old);
-                    }
-                }
-            }
-        }
-        let slow = self.slow_ns.is_some_and(|t| total >= t);
-        if slow {
-            bdrst_obs::log::warn(
-                "server",
-                "slow request",
-                &[
-                    ("req_id", bdrst_obs::log::Field::U64(meta.req_id)),
-                    ("total_ms", bdrst_obs::log::Field::F64(total as f64 / 1e6)),
-                    (
-                        "queue_wait_ms",
-                        bdrst_obs::log::Field::F64(queue_wait as f64 / 1e6),
-                    ),
-                    (
-                        "execute_ms",
-                        bdrst_obs::log::Field::F64(execute as f64 / 1e6),
-                    ),
-                    (
-                        "write_back_ms",
-                        bdrst_obs::log::Field::F64(write_back as f64 / 1e6),
-                    ),
-                ],
-            );
-            let _ = bdrst_obs::flight::dump_throttled("slow-request");
-        }
-        slow
-    }
-}
-
 /// One queued request: the raw line, the outbox of the connection that
-/// sent it, the request's identity/enqueue stamp for the observability
-/// span tree, and the meter its walks publish their work to (`status`
-/// reads it from the request's in-flight entry).
+/// sent it, and the request's record (identity, stamps, meter), shared
+/// with the outbox, the reactor and the in-flight registry.
 pub(crate) struct Job {
     pub(crate) line: String,
     pub(crate) out: Arc<reactor::Outbox>,
-    pub(crate) req_id: u64,
-    pub(crate) enqueue_ns: u64,
-    pub(crate) meter: Arc<bdrst_obs::Meter>,
-}
-
-impl Job {
-    /// Mints the process-unique request ID and stamps the enqueue time.
-    pub(crate) fn new(line: String, out: Arc<reactor::Outbox>) -> Job {
-        static NEXT_REQ_ID: AtomicU64 = AtomicU64::new(1);
-        Job {
-            line,
-            out,
-            req_id: NEXT_REQ_ID.fetch_add(1, Ordering::Relaxed),
-            enqueue_ns: bdrst_obs::now_ns(),
-            meter: Arc::default(),
-        }
-    }
+    pub(crate) req: Arc<Request>,
 }
 
 /// Why [`JobQueue::try_push`] did not take a job.
@@ -491,8 +352,6 @@ pub fn serve(
         max_conns: config.max_conns.max(1),
         start_ns: bdrst_obs::now_ns(),
     });
-    // The flight recorder dumps land beside the per-request traces, so
-    // one artifact directory carries the whole story of an anomaly.
     if let Some(dir) = &config.trace_dir {
         let _ = bdrst_obs::flight::install(dir.clone(), FLIGHT_DUMP_KEEP);
     }
@@ -511,8 +370,8 @@ pub fn serve(
             let metrics = Arc::clone(&metrics);
             std::thread::spawn(move || {
                 while let Some(job) = queue.pop() {
-                    let exec_start_ns = bdrst_obs::now_ns();
-                    metrics.inflight_executing(job.req_id);
+                    let req = &job.req;
+                    let exec_start_ns = req.start_execute();
                     // A panicking handler must not take the worker (and
                     // with it a fraction of the pool) down: log it, dump
                     // the flight recorder while the rings still hold the
@@ -520,20 +379,15 @@ pub fn serve(
                     // error — every accepted request still gets exactly
                     // one response line.
                     let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        bdrst_obs::metered(&job.meter, || {
-                            handle_line_metered(
-                                &service,
-                                Some(&metrics),
-                                Some(job.req_id),
-                                &job.line,
-                            )
+                        bdrst_obs::metered(&req.meter, || {
+                            handle_line_metered(&service, Some((&metrics, req)), &job.line)
                         })
                     }))
                     .unwrap_or_else(|_| {
                         bdrst_obs::log::error(
                             "server",
                             "worker panicked handling a request",
-                            &[("req_id", bdrst_obs::log::Field::U64(job.req_id))],
+                            &[("req_id", bdrst_obs::log::Field::U64(req.id))],
                         );
                         let _ = bdrst_obs::flight::dump_throttled("worker-panic");
                         metrics.count_error("engine");
@@ -543,34 +397,26 @@ pub fn serve(
                             "internal error: request handler panicked".into(),
                         )
                     });
-                    let exec_end_ns = bdrst_obs::now_ns();
-                    metrics.inflight_write_back(job.req_id);
-                    let meta = ReqMeta {
-                        req_id: job.req_id,
-                        enqueue_ns: job.enqueue_ns,
-                        exec_start_ns,
-                        exec_end_ns,
-                    };
+                    let exec_end_ns = req.end_execute();
                     bdrst_obs::event(
                         bdrst_obs::Phase::QueueWait,
-                        meta.enqueue_ns,
-                        exec_start_ns.saturating_sub(meta.enqueue_ns),
-                        meta.req_id,
+                        req.enqueue_ns,
+                        exec_start_ns.saturating_sub(req.enqueue_ns),
+                        req.id,
                     );
                     bdrst_obs::event(
                         bdrst_obs::Phase::Execute,
                         exec_start_ns,
                         exec_end_ns.saturating_sub(exec_start_ns),
-                        meta.req_id,
+                        req.id,
                     );
-                    job.out.complete(&response.render(), meta);
+                    job.out.complete(&response.render(), Arc::clone(req));
                 }
             })
         })
         .collect();
 
     listener.set_nonblocking(true)?;
-    let trace = TraceLog::from_config(&config);
     let accept = reactor::spawn(
         listener,
         config,
@@ -578,7 +424,6 @@ pub fn serve(
         Arc::clone(&metrics),
         Arc::clone(&stop),
         Arc::clone(&flush),
-        trace,
     );
 
     Ok(ServerHandle {
@@ -666,21 +511,21 @@ fn run_error_response(id: Json, e: &RunError) -> Json {
 /// Without a server context there are no live counters, so the
 /// `metrics`, `status`, and `health` commands are `proto` errors here.
 pub fn handle_line(service: &CheckService, line: &str) -> Json {
-    handle_line_metered(service, None, None, line)
+    handle_line_metered(service, None, line)
 }
 
-/// [`handle_line`] with the server's live counters: counts the request
-/// under its command, classifies error responses by kind, and records
-/// the request's wall-clock latency into the per-command histogram.
-/// `req_id` is the server-minted request ID: once the line parses, the
-/// in-flight registry entry is annotated with the command and the
-/// client-chosen `id`, so `status` can name what each worker is doing.
-pub(crate) fn handle_line_metered(
+/// [`handle_line`] with the server's live counters and the request's
+/// record: counts the request under its command, classifies error
+/// responses by kind, and records the worker's handling time into the
+/// per-command histogram. Once the line parses, the record is annotated
+/// with the command and the client-chosen `id`, so `status` can name
+/// what each worker is doing.
+fn handle_line_metered(
     service: &CheckService,
-    metrics: Option<&Metrics>,
-    req_id: Option<u64>,
+    server: Option<(&Metrics, &Request)>,
     line: &str,
 ) -> Json {
+    let metrics = server.map(|(m, _)| m);
     let start = Instant::now();
     // The request is counted *before* dispatch, so a `metrics` snapshot
     // includes the request that asked for it.
@@ -709,8 +554,8 @@ pub(crate) fn handle_line_metered(
                 }
                 Some(cmd) => {
                     count(cmd);
-                    if let (Some(rid), Some(m)) = (req_id, metrics) {
-                        m.inflight_describe(rid, cmd, &id);
+                    if let Some((_, req)) = server {
+                        req.describe(cmd, &id);
                     }
                     let response = match handle_cmd(service, metrics, cmd, &req) {
                         Ok(mut fields) => {
@@ -839,7 +684,7 @@ fn handle_cmd(
                         .ok_or_else(|| {
                             HandleError::Proto(format!("no built-in test named {name:?}"))
                         })?;
-                    let rep = service.report(test, &checked)?;
+                    let rep = service.report(test, &checked);
                     if let Json::Obj(fields) = &mut response {
                         fields.push(("passed".to_string(), Json::Bool(rep.passes())));
                     }

@@ -314,26 +314,9 @@ impl CheckService {
     }
 
     /// Builds the [`TestReport`] of a built-in corpus test from a checked
-    /// entry's cached outcome sets. When the configuration requests
-    /// hardware checking, the hardware outcome flags are enumerated per
-    /// call ([`bdrst_litmus::hardware_flags`]) — only the
-    /// operational/axiomatic sets are cache-backed.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Enumeration`] when a requested hardware enumeration
-    /// exceeds its limits (never, when `config.hardware` is off).
-    pub fn report(&self, test: &LitmusTest, checked: &Checked) -> Result<TestReport, RunError> {
-        let mut report =
-            report_from_outcomes(test, &checked.program, &checked.entry.op, &checked.entry.ax);
-        if self.config.hardware {
-            let (x86, arm_bal, arm_naive) =
-                bdrst_litmus::hardware_flags(test, &checked.program, self.config.enumerate)?;
-            report.x86 = Some(x86);
-            report.arm_bal = Some(arm_bal);
-            report.arm_naive = Some(arm_naive);
-        }
-        Ok(report)
+    /// entry's cached outcome sets.
+    pub fn report(&self, test: &LitmusTest, checked: &Checked) -> TestReport {
+        report_from_outcomes(test, &checked.program, &checked.entry.op, &checked.entry.ax)
     }
 
     /// Runs the whole built-in corpus through the cache, returning
@@ -344,7 +327,7 @@ impl CheckService {
             .map(|t| {
                 let rep = self
                     .check_source(t.source)
-                    .and_then(|checked| self.report(t, &checked));
+                    .map(|checked| self.report(t, &checked));
                 (t.name.to_string(), rep)
             })
             .collect()

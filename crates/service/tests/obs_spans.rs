@@ -1,10 +1,10 @@
 //! Socket-level test of per-request tracing: the server splits each
-//! request's lifetime into queue-wait, execute, and write-back, and the
-//! split must be consistent with what the client observes end to end.
-//!
-//! Kept to a single server in this binary: request IDs are process-global,
-//! so a second concurrent server would interleave `req-N.json` numbering.
+//! request's lifetime into queue-wait, execute, and write-back events in
+//! the span rings, tagged with the request's ID, and the split must be
+//! consistent with what the client observes end to end. The split is
+//! read back from a `dump` flight file.
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -41,6 +41,15 @@ fn get_u64(doc: &Json, key: &str) -> u64 {
     }
 }
 
+/// A Chrome-trace duration (microseconds, three decimals) in nanoseconds.
+fn dur_ns(event: &Json) -> u64 {
+    match event.get("dur") {
+        Some(Json::Num(us)) => (us * 1000.0).round() as u64,
+        Some(Json::Int(us)) => *us as u64 * 1000,
+        other => panic!("odd dur: {other:?}"),
+    }
+}
+
 #[test]
 fn per_request_traces_are_consistent_with_observed_latency() {
     let dir = temp_dir("traces");
@@ -51,7 +60,6 @@ fn per_request_traces_are_consistent_with_observed_latency() {
         ServeConfig {
             workers: 2,
             trace_dir: Some(dir.clone()),
-            slow_ms: Some(0),
             ..ServeConfig::default()
         },
     )
@@ -69,7 +77,7 @@ fn per_request_traces_are_consistent_with_observed_latency() {
     let metrics_req = Json::obj([("cmd", Json::Str("metrics".into()))]);
 
     // One sequential connection alternating real work with metrics
-    // probes, so the trace files land in request order.
+    // probes, so request IDs rise in the order of the client's timings.
     const ROUNDS: usize = 4;
     let mut e2e: Vec<Duration> = Vec::new();
     let mut high_water: Vec<u64> = Vec::new();
@@ -101,64 +109,52 @@ fn per_request_traces_are_consistent_with_observed_latency() {
         );
     }
 
-    // Write-back is stamped by the reactor after the client may already
-    // have read the response, so poll for the files rather than expecting
-    // them synchronously.
-    let total = ROUNDS * 2;
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut files: Vec<PathBuf>;
-    loop {
-        files = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("req-") && n.ends_with(".json"))
-            })
-            .collect();
-        if files.len() >= total {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "only {} of {total} trace files appeared in {}",
-            files.len(),
-            dir.display()
-        );
-        std::thread::sleep(Duration::from_millis(20));
+    // Each request's queue-wait and execute events are emitted before
+    // the worker hands its response over, and its write-back event when
+    // the reactor flushes it, before the reactor reads the next line of
+    // this connection. So the dump holds all three for every request.
+    let resp = request(
+        &mut stream,
+        &mut reader,
+        &Json::obj([("cmd", Json::Str("dump".into()))]),
+    );
+    let path = resp
+        .get("path")
+        .and_then(Json::as_str)
+        .unwrap_or_else(|| panic!("bad dump reply: {resp:?}"));
+    let dump = Json::parse(std::fs::read_to_string(path).unwrap().trim()).unwrap();
+    let Some(Json::Arr(events)) = dump.get("traceEvents") else {
+        panic!("flight dump lacks traceEvents");
+    };
+    // Request ID → (queue-wait, execute, write-back) durations.
+    let mut split: BTreeMap<u64, [Option<u64>; 3]> = BTreeMap::new();
+    for e in events {
+        let slot = match e.get("name").and_then(Json::as_str) {
+            Some("queue-wait") => 0,
+            Some("execute") => 1,
+            Some("write-back") => 2,
+            _ => continue,
+        };
+        let req_id = get_u64(e.get("args").expect("event lacks args"), "arg");
+        split.entry(req_id).or_default()[slot] = Some(dur_ns(e));
     }
 
-    let mut traces: Vec<Json> = files
-        .iter()
-        .map(|p| Json::parse(std::fs::read_to_string(p).unwrap().trim()).unwrap())
-        .collect();
-    traces.sort_by_key(|t| get_u64(t, "req_id"));
-
-    // Requests were strictly sequential on one connection, so trace files
-    // sorted by request ID line up with the client-side timings.
-    assert_eq!(traces.len(), e2e.len());
-    for (trace, observed) in traces.iter().zip(&e2e) {
-        let queue_wait = get_u64(trace, "queue_wait_ns");
-        let execute = get_u64(trace, "execute_ns");
-        let total_ns = get_u64(trace, "total_ns");
-        let req_id = get_u64(trace, "req_id");
-        assert!(
-            queue_wait + execute <= total_ns,
-            "req {req_id}: phases exceed server total ({queue_wait} + {execute} > {total_ns})"
-        );
-        // The server's queue-wait + execute window sits strictly inside the
-        // client's request/response round trip. (total_ns is not bounded by
-        // it: the write-back stamp can postdate the client's read.)
+    // Requests were strictly sequential on one connection and this
+    // binary runs no other server, so the splits sorted by request ID
+    // line up with the client-side timings.
+    assert_eq!(split.len(), e2e.len(), "request splits: {split:?}");
+    for ((req_id, phases), observed) in split.iter().zip(&e2e) {
+        let [Some(queue_wait), Some(execute), Some(_)] = *phases else {
+            panic!("req {req_id}: incomplete split {phases:?}");
+        };
+        // The server's queue-wait + execute window sits strictly inside
+        // the client's request/response round trip. (Write-back is not
+        // bounded by it: its stamp can postdate the client's read.)
         let observed_ns = observed.as_nanos() as u64;
         assert!(
             queue_wait + execute <= observed_ns,
             "req {req_id}: queue-wait {queue_wait} + execute {execute} exceeds \
              observed e2e {observed_ns}"
-        );
-        assert!(
-            trace.get("traceEvents").is_some(),
-            "req {req_id}: trace file lacks traceEvents"
         );
     }
 

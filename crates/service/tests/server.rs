@@ -819,6 +819,58 @@ fn metrics_command_serves_live_counters() {
     handle.shutdown();
 }
 
+/// `--slow-ms` needs no `--trace-dir`: with the threshold at zero every
+/// flushed request is counted slow, recorder or not.
+#[test]
+fn slow_requests_count_without_a_trace_dir() {
+    let service = CheckService::new(Arc::new(ResultStore::in_memory()), RunConfig::default());
+    let handle = serve(
+        Arc::new(service),
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 1,
+            slow_ms: Some(0),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let (mut stream, mut reader) = connect(handle.addr());
+    let parse = Json::obj([
+        ("cmd", Json::Str("parse".into())),
+        (
+            "source",
+            Json::Str("nonatomic a; thread P0 { a = 1; }".into()),
+        ),
+    ]);
+    let resp = request(&mut stream, &mut reader, &parse);
+    assert_eq!(
+        resp.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{resp:?}"
+    );
+
+    // The count lands when the reactor flushes the response, which can
+    // postdate the client's read: poll.
+    let metrics = Json::obj([("cmd", Json::Str("metrics".into()))]);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    loop {
+        let resp = request(&mut stream, &mut reader, &metrics);
+        let slow = resp
+            .get_in(&["metrics", "slow_requests"])
+            .and_then(Json::as_i64)
+            .unwrap_or_else(|| panic!("metrics lacks slow_requests: {resp:?}"));
+        if slow >= 1 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "slow_requests stayed at {slow}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn handle_line_is_usable_without_sockets() {
     // The dispatch layer is pure: exercised directly for coverage of
