@@ -117,21 +117,6 @@ impl Frontier {
     }
 }
 
-impl crate::wire::Codec for Frontier {
-    /// Per-location timestamps in location order. The decoder accepts any
-    /// width; [`crate::store::Store::validate_kinds`] checks decoded
-    /// frontiers against the declaring [`LocSet`]'s size.
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.at.encode(out);
-    }
-
-    fn decode(r: &mut crate::wire::Reader<'_>) -> Result<Frontier, crate::wire::WireError> {
-        Ok(Frontier {
-            at: crate::wire::Codec::decode(r)?,
-        })
-    }
-}
-
 impl fmt::Debug for Frontier {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map()

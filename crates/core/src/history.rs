@@ -133,36 +133,6 @@ impl History {
     }
 }
 
-impl crate::wire::Codec for History {
-    /// `(timestamp, value)` entries in increasing timestamp order.
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.len().encode(out);
-        for (t, v) in self.iter() {
-            t.encode(out);
-            v.encode(out);
-        }
-    }
-
-    /// Rejects out-of-order or duplicate timestamps (the map invariant the
-    /// in-memory `insert` enforces by panic — decoding must never panic).
-    fn decode(r: &mut crate::wire::Reader<'_>) -> Result<History, crate::wire::WireError> {
-        use crate::wire::WireError;
-        let n = r.length(1)?;
-        let mut writes = BTreeMap::new();
-        let mut last: Option<Timestamp> = None;
-        for _ in 0..n {
-            let t = Timestamp::decode(r)?;
-            let v = Val::decode(r)?;
-            if last.is_some_and(|p| p >= t) {
-                return Err(WireError::Invalid("history timestamps not increasing"));
-            }
-            last = Some(t);
-            writes.insert(t, v);
-        }
-        Ok(History { writes })
-    }
-}
-
 impl fmt::Debug for History {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map().entries(self.writes.iter()).finish()

@@ -17,16 +17,6 @@
 //! The map also memoizes per-subtree content digests, which is what makes
 //! [`crate::engine::canonical_fingerprint`] incremental: see
 //! [`Store::content_digest`].
-//!
-//! # Wire format
-//!
-//! [`Store`] and [`LocContents`] implement [`Codec`] (tagged contents in
-//! location order — the encoding is independent of the tree shape), new
-//! in wire format [`crate::wire::SEMANTICS_VERSION`] 5. Decoding is total:
-//! kind-tag or layout corruption surfaces as a [`WireError`], and
-//! [`Store::validate_kinds`] rechecks a decoded store against the
-//! declaring [`LocSet`] so a poisoned cache entry falls back to recompute
-//! instead of panicking the server (see [`LocContents::try_history`]).
 
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
@@ -36,7 +26,6 @@ use crate::frontier::Frontier;
 use crate::history::History;
 use crate::loc::{Loc, LocKind, LocSet, Val};
 use crate::pmap::{ContentDigest, PMap};
-use crate::wire::{Codec, Reader, WireError};
 
 /// The contents of a single location in a [`Store`].
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -53,41 +42,16 @@ pub enum LocContents {
 }
 
 impl LocContents {
-    /// The history of a nonatomic location, or `None` for an atomic one.
-    ///
-    /// The semantics only ever asks a location for the shape its
-    /// [`LocKind`] declares, so in-engine code uses the panicking
-    /// [`LocContents::history`]; this total variant is for callers
-    /// handling *untrusted* stores — anything decoded from the wire —
-    /// where a kind mismatch must surface as an error, never a panic.
-    pub fn try_history(&self) -> Option<&History> {
-        match self {
-            LocContents::Nonatomic(h) => Some(h),
-            LocContents::Atomic { .. } => None,
-        }
-    }
-
-    /// The `(frontier, value)` pair of an atomic location, or `None` for
-    /// a nonatomic one. See [`LocContents::try_history`] for when to
-    /// prefer this over the panicking accessor.
-    pub fn try_atomic(&self) -> Option<(&Frontier, Val)> {
-        match self {
-            LocContents::Atomic { frontier, value } => Some((frontier, *value)),
-            LocContents::Nonatomic(_) => None,
-        }
-    }
-
     /// The history of a nonatomic location.
     ///
     /// # Panics
     ///
-    /// Panics if the location is atomic. Reserved for stores whose kinds
-    /// are trusted (built by the semantics, or decoded and then checked
-    /// with [`Store::validate_kinds`]).
+    /// Panics if the location is atomic: the semantics only ever asks a
+    /// location for the shape its [`LocKind`] declares.
     pub fn history(&self) -> &History {
-        match self.try_history() {
-            Some(h) => h,
-            None => panic!("atomic location has no history"),
+        match self {
+            LocContents::Nonatomic(h) => h,
+            LocContents::Atomic { .. } => panic!("atomic location has no history"),
         }
     }
 
@@ -95,12 +59,11 @@ impl LocContents {
     ///
     /// # Panics
     ///
-    /// Panics if the location is nonatomic; see [`LocContents::history`]
-    /// for the trust contract.
+    /// Panics if the location is nonatomic; see [`LocContents::history`].
     pub fn atomic(&self) -> (&Frontier, Val) {
-        match self.try_atomic() {
-            Some(p) => p,
-            None => panic!("nonatomic location has no atomic pair"),
+        match self {
+            LocContents::Atomic { frontier, value } => (frontier, *value),
+            LocContents::Nonatomic(_) => panic!("nonatomic location has no atomic pair"),
         }
     }
 }
@@ -130,44 +93,6 @@ impl ContentDigest for LocContents {
             }
         }
         h.finish()
-    }
-}
-
-impl Codec for LocContents {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            LocContents::Nonatomic(h) => {
-                out.push(0);
-                h.encode(out);
-            }
-            LocContents::Atomic { frontier, value } => {
-                out.push(1);
-                frontier.encode(out);
-                value.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<LocContents, WireError> {
-        match u8::decode(r)? {
-            0 => {
-                let h = History::decode(r)?;
-                // Reachable stores always contain the initial write; an
-                // empty decoded history would panic `latest()` downstream.
-                if h.is_empty() {
-                    return Err(WireError::Invalid("empty nonatomic history"));
-                }
-                Ok(LocContents::Nonatomic(h))
-            }
-            1 => Ok(LocContents::Atomic {
-                frontier: Frontier::decode(r)?,
-                value: Val::decode(r)?,
-            }),
-            tag => Err(WireError::BadTag {
-                what: "LocContents",
-                tag,
-            }),
-        }
     }
 }
 
@@ -273,34 +198,6 @@ impl Store {
         self.contents.content_digest()
     }
 
-    /// Checks a *decoded* store against the declaring [`LocSet`]: the
-    /// location count must match and every slot must hold the shape its
-    /// declared kind demands (including frontier width for atomics).
-    /// A store that passes satisfies the panicking accessors' trust
-    /// contract; a store that fails must be discarded (the cache layer
-    /// falls back to recompute).
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Invalid`] naming the violated invariant.
-    pub fn validate_kinds(&self, locs: &LocSet) -> Result<(), WireError> {
-        if self.len() != locs.len() {
-            return Err(WireError::Invalid("store/locset length mismatch"));
-        }
-        for (l, c) in self.iter() {
-            match (locs.kind(l), c) {
-                (LocKind::Nonatomic, LocContents::Nonatomic(_)) => {}
-                (LocKind::Atomic, LocContents::Atomic { frontier, .. }) => {
-                    if frontier.len() != locs.len() {
-                        return Err(WireError::Invalid("atomic frontier width mismatch"));
-                    }
-                }
-                _ => return Err(WireError::Invalid("location kind mismatch")),
-            }
-        }
-        Ok(())
-    }
-
     /// A structurally fresh copy sharing nothing with `self` — the cost
     /// profile `Store::clone` had before the copy-on-write refactor.
     /// A test reference: the copy-on-write leak property test snapshots
@@ -340,28 +237,6 @@ impl Hash for Store {
         for (_, c) in self.iter() {
             c.hash(state);
         }
-    }
-}
-
-impl Codec for Store {
-    /// Contents in location order, independent of the tree shape: two
-    /// equal stores encode identically however they were built.
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.len().encode(out);
-        for (_, c) in self.iter() {
-            c.encode(out);
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Store, WireError> {
-        let n = r.length(1)?;
-        let mut contents = Vec::with_capacity(n);
-        for _ in 0..n {
-            contents.push(LocContents::decode(r)?);
-        }
-        Ok(Store {
-            contents: contents.into_iter().collect(),
-        })
     }
 }
 
@@ -410,18 +285,6 @@ mod tests {
         let mut locs = LocSet::new();
         let a = locs.fresh("a", LocKind::Nonatomic);
         Store::initial(&locs).atomic(a);
-    }
-
-    #[test]
-    fn try_accessors_are_total() {
-        let mut locs = LocSet::new();
-        let a = locs.fresh("a", LocKind::Nonatomic);
-        let f = locs.fresh("F", LocKind::Atomic);
-        let s = Store::initial(&locs);
-        assert!(s.contents(a).try_history().is_some());
-        assert!(s.contents(a).try_atomic().is_none());
-        assert!(s.contents(f).try_history().is_none());
-        assert!(s.contents(f).try_atomic().is_some());
     }
 
     #[test]
@@ -578,101 +441,5 @@ mod tests {
             },
         );
         assert_ne!(s1.content_digest(), s3.content_digest());
-    }
-
-    fn two_kind_store() -> (LocSet, Store) {
-        let mut locs = LocSet::new();
-        let a = locs.fresh("a", LocKind::Nonatomic);
-        let _f = locs.fresh("F", LocKind::Atomic);
-        let mut s = Store::initial(&locs);
-        let mut h = History::initial(Val::INIT);
-        h.insert(Timestamp::ZERO.succ(), Val(5));
-        h.insert(Timestamp::ZERO.succ().succ(), Val(-2));
-        s.update(a, LocContents::Nonatomic(h));
-        (locs, s)
-    }
-
-    #[test]
-    fn store_round_trips() {
-        let (locs, s) = two_kind_store();
-        let mut buf = Vec::new();
-        s.encode(&mut buf);
-        let mut r = Reader::new(&buf);
-        let d = Store::decode(&mut r).unwrap();
-        assert!(r.is_done());
-        assert_eq!(d, s);
-        assert_eq!(d.content_digest(), s.content_digest());
-        d.validate_kinds(&locs).unwrap();
-    }
-
-    #[test]
-    fn kind_flip_is_an_error_never_a_panic() {
-        // Flip the kind tag byte of the first location: the bytes now
-        // describe a frontier/value pair where a history is declared. The
-        // decoder either rejects the bytes outright or yields a store that
-        // validate_kinds refuses — both are WireErrors a cache layer turns
-        // into recompute; neither path can reach a panicking accessor.
-        let (locs, s) = two_kind_store();
-        let mut buf = Vec::new();
-        s.encode(&mut buf);
-        // Byte 0..8 is the length prefix; byte 8 is loc 0's kind tag.
-        assert_eq!(buf[8], 0);
-        buf[8] = 1;
-        match Store::decode(&mut Reader::new(&buf)) {
-            Err(_) => {}
-            Ok(d) => {
-                assert!(d.validate_kinds(&locs).is_err());
-            }
-        }
-    }
-
-    #[test]
-    fn truncation_and_garbage_are_errors() {
-        let (_, s) = two_kind_store();
-        let mut buf = Vec::new();
-        s.encode(&mut buf);
-        for cut in 0..buf.len() {
-            assert!(
-                Store::decode(&mut Reader::new(&buf[..cut])).is_err(),
-                "truncation at {cut} decoded"
-            );
-        }
-        // A bad LocContents tag is rejected by name.
-        let mut bad = buf.clone();
-        bad[8] = 7;
-        assert!(matches!(
-            Store::decode(&mut Reader::new(&bad)),
-            Err(WireError::BadTag {
-                what: "LocContents",
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn validate_kinds_rejects_shape_mismatches() {
-        let (locs, s) = two_kind_store();
-        // Wrong length.
-        let short = Store {
-            contents: s.iter().take(1).map(|(_, c)| c.clone()).collect(),
-        };
-        assert!(short.validate_kinds(&locs).is_err());
-        // Swapped kinds.
-        let mut reversed: Vec<LocContents> = s.iter().map(|(_, c)| c.clone()).collect();
-        reversed.reverse();
-        let swapped = Store {
-            contents: reversed.into_iter().collect(),
-        };
-        assert!(swapped.validate_kinds(&locs).is_err());
-        // Narrow frontier on the atomic slot.
-        let mut narrow = s.clone();
-        narrow.update(
-            Loc(1),
-            LocContents::Atomic {
-                frontier: Frontier::default(),
-                value: Val::INIT,
-            },
-        );
-        assert!(narrow.validate_kinds(&locs).is_err());
     }
 }

@@ -30,19 +30,17 @@ use std::fmt;
 use std::hash::Hasher;
 use std::sync::Arc;
 
-use crate::loc::{Loc, LocKind, Val};
+use crate::loc::{Loc, Val};
 
 /// The semantics/config version tag of this build. Any change to the
 /// operational semantics, the canonical form, or the meaning of recorded
 /// artifacts must bump this; persisted cache entries carry it and are
 /// rejected (recomputed) on mismatch.
 ///
-/// Version 5: persistent-pmap stores — [`crate::store::Store`],
-/// [`crate::store::LocContents`], [`crate::history::History`], and
-/// [`crate::frontier::Frontier`] gained codecs (tagged contents in
-/// location order), and the canonical fingerprint is now recombined from
-/// memoized store digests, which changes fingerprint *values* (not their
-/// semantics) — cache entries keyed under version 4 must recompute.
+/// Version 5: persistent-pmap stores — the canonical fingerprint is now
+/// recombined from memoized [`crate::store::Store`] digests, which
+/// changes fingerprint *values* (not their semantics) — cache entries
+/// keyed under version 4 must recompute.
 pub const SEMANTICS_VERSION: u32 = 5;
 
 /// A decode failure: the bytes do not describe a well-formed value.
@@ -288,26 +286,6 @@ impl Codec for Loc {
     }
 }
 
-impl Codec for LocKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            LocKind::Nonatomic => 0,
-            LocKind::Atomic => 1,
-        });
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<LocKind, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(LocKind::Nonatomic),
-            1 => Ok(LocKind::Atomic),
-            tag => Err(WireError::BadTag {
-                what: "LocKind",
-                tag,
-            }),
-        }
-    }
-}
-
 impl Codec for crate::engine::StateId {
     fn encode(&self, out: &mut Vec<u8>) {
         self.0.encode(out);
@@ -360,8 +338,6 @@ mod tests {
         round_trip(Some(vec![Val(1), Val(-7)]));
         round_trip(None::<u32>);
         round_trip((Loc(3), vec![0u32, 9]));
-        round_trip(LocKind::Atomic);
-        round_trip(LocKind::Nonatomic);
         round_trip(crate::engine::StateId(17));
     }
 
@@ -394,13 +370,6 @@ mod tests {
         assert!(matches!(
             Option::<u8>::decode(&mut Reader::new(&buf)),
             Err(WireError::BadTag { what: "Option", .. })
-        ));
-        assert!(matches!(
-            LocKind::decode(&mut Reader::new(&buf)),
-            Err(WireError::BadTag {
-                what: "LocKind",
-                ..
-            })
         ));
     }
 

@@ -11,14 +11,17 @@
 //! profiling session neither clears nor hides them.
 //!
 //! Dumps are written whole to a temp file and renamed into place
-//! (`flight-<seq>-<reason>.json`), retain at most `keep` files (oldest
-//! deleted), and count in [`Counter::FlightDumps`]. Automatic triggers
-//! go through [`dump_throttled`] so a burst of slow requests costs one
-//! snapshot, not one per request.
+//! (`flight-<seq>-<reason>.json`) under the directory the caller names,
+//! so each server's dumps land in its own trace directory. Each
+//! directory retains at most 16 dumps (oldest deleted), and every
+//! dump counts in [`Counter::FlightDumps`]. Automatic triggers go
+//! through [`dump_throttled`] so a burst of slow requests costs one
+//! snapshot per directory, not one per request.
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 use crate::counters::{counter_add, Counter};
 use crate::recorder::{drain_rings, FLIGHT, SINKS};
@@ -26,52 +29,37 @@ use crate::recorder::{drain_rings, FLIGHT, SINKS};
 /// Newest events per thread a dump holds.
 const FLIGHT_WINDOW: u64 = 2048;
 
-/// Minimum gap between automatic dumps ([`dump_throttled`]).
+/// Dumps retained per directory.
+const KEEP: usize = 16;
+
+/// Minimum gap between automatic dumps into one directory
+/// ([`dump_throttled`]).
 const THROTTLE_NS: u64 = 250_000_000;
 
-static STATE: OnceLock<DumpState> = OnceLock::new();
+/// Process-unique dump sequence number.
+static SEQ: AtomicU64 = AtomicU64::new(1);
 
-struct DumpState {
-    dir: PathBuf,
-    keep: usize,
-    dumps: Mutex<Vec<PathBuf>>,
-    seq: AtomicU64,
-    last_dump_ns: AtomicU64,
+/// Per-directory bookkeeping: the retained dumps, oldest first, and the
+/// time of the last automatic dump (0 = none yet).
+#[derive(Default)]
+struct DirState {
+    dumps: Vec<PathBuf>,
+    last_auto_ns: u64,
 }
 
-/// True once [`install`] has run: span sites feed the thread rings.
-#[inline]
-pub fn active() -> bool {
-    SINKS.load(Ordering::Relaxed) & FLIGHT != 0
-}
+static DIRS: Mutex<BTreeMap<PathBuf, DirState>> = Mutex::new(BTreeMap::new());
 
-/// Installs the flight recorder: dumps land under `dir`, at most `keep`
-/// retained. Idempotent after the first call (which fixes the
-/// directory); capture starts immediately.
-pub fn install(dir: PathBuf, keep: usize) -> std::io::Result<()> {
-    if STATE.get().is_none() {
-        std::fs::create_dir_all(&dir)?;
-        let _ = STATE.set(DumpState {
-            dir,
-            keep: keep.max(1),
-            dumps: Mutex::new(Vec::new()),
-            seq: AtomicU64::new(1),
-            last_dump_ns: AtomicU64::new(0),
-        });
-    }
+/// Turns on span capture into the thread rings a dump drains. Idempotent.
+pub fn install() {
     SINKS.fetch_or(FLIGHT, Ordering::SeqCst);
-    Ok(())
 }
 
 /// Snapshots every thread ring's newest events plus the logger's recent
 /// lines and writes one Chrome-trace JSON file
-/// (`flight-<seq>-<reason>.json`, temp-file + rename) under the installed
-/// directory, recreating it if it vanished, and deletes the oldest dump
-/// past the retention cap. Returns the final path.
-pub fn dump(reason: &str) -> std::io::Result<PathBuf> {
-    let state = STATE
-        .get()
-        .ok_or_else(|| std::io::Error::other("flight recorder not installed"))?;
+/// (`flight-<seq>-<reason>.json`, temp-file + rename) under `dir`,
+/// creating it if needed, and deletes `dir`'s oldest dump past the 16
+/// it retains. Returns the final path.
+pub fn dump(dir: &Path, reason: &str) -> std::io::Result<PathBuf> {
     let mut profile = drain_rings(FLIGHT_WINDOW, |_| 0);
     profile.events.sort_by_key(|e| e.start_ns);
 
@@ -84,21 +72,22 @@ pub fn dump(reason: &str) -> std::io::Result<PathBuf> {
     extra.push(']');
     let body = profile.to_chrome_json_with_extra(&extra);
 
-    let seq = state.seq.fetch_add(1, Ordering::Relaxed);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     let safe_reason: String = reason
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
         .collect();
-    let path = state.dir.join(format!("flight-{seq}-{safe_reason}.json"));
-    let tmp = state.dir.join(format!(".flight-{seq}.tmp"));
-    std::fs::create_dir_all(&state.dir)?;
+    let path = dir.join(format!("flight-{seq}-{safe_reason}.json"));
+    let tmp = dir.join(format!(".flight-{seq}.tmp"));
+    std::fs::create_dir_all(dir)?;
     std::fs::write(&tmp, &body)?;
     std::fs::rename(&tmp, &path)?;
     counter_add(Counter::FlightDumps, 1);
 
-    let mut dumps = state.dumps.lock().unwrap();
+    let mut dirs = DIRS.lock().unwrap_or_else(|e| e.into_inner());
+    let dumps = &mut dirs.entry(dir.to_path_buf()).or_default().dumps;
     dumps.push(path.clone());
-    while dumps.len() > state.keep {
+    while dumps.len() > KEEP {
         let old = dumps.remove(0);
         let _ = std::fs::remove_file(old);
     }
@@ -106,22 +95,18 @@ pub fn dump(reason: &str) -> std::io::Result<PathBuf> {
 }
 
 /// [`dump`], but rate limited for automatic triggers: at most one dump
-/// per 250 ms, `None` when throttled (or not installed).
-pub fn dump_throttled(reason: &str) -> Option<PathBuf> {
-    let state = STATE.get()?;
-    let now = crate::now_ns();
-    let last = state.last_dump_ns.load(Ordering::Relaxed);
-    if now.saturating_sub(last) < THROTTLE_NS && last != 0 {
-        return None;
-    }
-    if state
-        .last_dump_ns
-        .compare_exchange(last, now, Ordering::Relaxed, Ordering::Relaxed)
-        .is_err()
+/// into `dir` per 250 ms, `None` when throttled (or the dump failed).
+pub fn dump_throttled(dir: &Path, reason: &str) -> Option<PathBuf> {
     {
-        return None;
+        let now = crate::now_ns();
+        let mut dirs = DIRS.lock().unwrap_or_else(|e| e.into_inner());
+        let state = dirs.entry(dir.to_path_buf()).or_default();
+        if state.last_auto_ns != 0 && now.saturating_sub(state.last_auto_ns) < THROTTLE_NS {
+            return None;
+        }
+        state.last_auto_ns = now;
     }
-    dump(reason).ok()
+    dump(dir, reason).ok()
 }
 
 #[cfg(test)]
@@ -135,20 +120,18 @@ mod tests {
         std::env::temp_dir().join(format!("bdrst-flight-test-{}", std::process::id()))
     }
 
-    // One test drives the dump lifecycle: the dump directory is fixed by
-    // the first install, so dump accounting is process-global.
     #[test]
     fn ring_wraps_dumps_throttle_and_retention() {
         let _lock = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let dir = test_dir();
         let _ = std::fs::remove_dir_all(&dir);
-        install(dir.clone(), 2).unwrap();
-        assert!(active());
+        install();
+        assert!(SINKS.load(Ordering::Relaxed) & FLIGHT != 0);
         // Overfill this thread's window so it slides.
         for i in 0..FLIGHT_WINDOW + 10 {
             crate::event(Phase::Execute, i, 1, i);
         }
-        let path = dump("unit-test").unwrap();
+        let path = dump(&dir, "unit-test").unwrap();
         assert!(path
             .file_name()
             .unwrap()
@@ -163,32 +146,41 @@ mod tests {
         // reported.
         assert!(body.contains("\"dropped_events\":10"));
 
-        // Automatic triggers coalesce: one dump per throttle window.
-        let first = dump_throttled("burst");
-        let second = dump_throttled("burst");
+        // Automatic triggers coalesce per directory: one dump per
+        // throttle window, while another directory is not held back.
+        let other = dir.join("other");
+        let first = dump_throttled(&dir, "burst");
+        let second = dump_throttled(&dir, "burst");
         assert!(first.is_some());
         assert!(second.is_none(), "second dump inside 250ms is throttled");
+        let elsewhere = dump_throttled(&other, "burst").expect("other directory's own throttle");
+        assert_eq!(elsewhere.parent(), Some(other.as_path()));
 
-        // Retention: more dumps cap the directory at `keep`.
-        dump("unit-test").unwrap();
-        dump("unit-test").unwrap();
-        let dumps: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| {
-                e.file_name()
-                    .to_str()
-                    .is_some_and(|n| n.starts_with("flight-"))
-            })
-            .collect();
-        assert_eq!(dumps.len(), 2, "retention cap keeps the newest 2");
+        // Retention: more dumps cap the directory at `KEEP`, and leave
+        // the other directory's dump alone.
+        for _ in 0..KEEP {
+            dump(&dir, "unit-test").unwrap();
+        }
+        let count = |d: &Path| {
+            std::fs::read_dir(d)
+                .unwrap()
+                .filter_map(|e| e.ok())
+                .filter(|e| {
+                    e.file_name()
+                        .to_str()
+                        .is_some_and(|n| n.starts_with("flight-"))
+                })
+                .count()
+        };
+        assert_eq!(count(&dir), KEEP, "retention cap keeps the newest KEEP");
+        assert_eq!(count(&other), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn profiling_session_and_dump_share_the_rings() {
         let _lock = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        install(test_dir(), 2).unwrap();
+        install();
         let spawn = |name: &str, arg: u64| {
             std::thread::Builder::new()
                 .name(name.into())
@@ -217,7 +209,7 @@ mod tests {
         assert_eq!(profile.dropped, 0);
         let me = profile.events.iter().find(|e| e.arg == 2001).unwrap().tid;
 
-        let body = std::fs::read_to_string(dump("shared-session").unwrap()).unwrap();
+        let body = std::fs::read_to_string(dump(&test_dir(), "shared-session").unwrap()).unwrap();
         // The dump still holds the pre-session window, and every event
         // sits under the tid the profile gave its thread.
         assert!(body.contains(&format!(

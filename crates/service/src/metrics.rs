@@ -30,7 +30,8 @@
 //! introspection state**: the in-flight request registry behind the
 //! `status` protocol command and the static [`ServerInfo`] the `health`
 //! command reports against. The registry holds the same `Request`
-//! record the job, the outbox and the reactor's write buffer hold, so
+//! record the job, the worker's response on the completion channel and
+//! the reactor's write-back list hold, so
 //! `status` reads each request's ID, command, phase — queue-wait /
 //! execute / write-back, from which stamps are set — and
 //! `states_visited`, its own work units read from its
@@ -89,9 +90,10 @@ const KIND_SLOTS: usize = ERROR_KINDS.len() + 1;
 const BUCKETS: usize = LATENCY_LABELS.len();
 
 /// One served request, from the reactor queueing its line to the flush
-/// of its response. The job, the connection's outbox and write buffer,
-/// and the in-flight registry all hold this one record; `status` derives
-/// the request's phase from which stamps are set.
+/// of its response. The job, the worker's response on its way back to
+/// the reactor, the connection's write-back list and the in-flight
+/// registry all hold this one record; `status` derives the request's
+/// phase from which stamps are set.
 pub(crate) struct Request {
     /// Server-minted, process-unique; the `arg` of the request's
     /// queue-wait, execute and write-back events.
@@ -718,86 +720,34 @@ impl Metrics {
     }
 }
 
-/// Derived engine gauges from the process-wide observability registry:
-/// raw counters plus the rates the raw values only imply
+/// The engine gauges of the process-wide observability registry: every
+/// counter of [`bdrst_obs::counters_snapshot`], the list Prometheus
+/// exposes too, plus the rates the raw values only imply
 /// (`states_per_sec`, explore visits per second of explore time; digest
 /// hit rate; DPOR pruning ratio).
 pub fn engine_gauges_json() -> Json {
-    use bdrst_obs::Counter;
-    let get = |c: Counter| bdrst_obs::counter_get(c);
-    let ratio = |num: u64, den: u64| {
-        if den == 0 {
-            Json::Num(0.0)
-        } else {
-            Json::Num(num as f64 / den as f64)
-        }
-    };
-    let visits = get(Counter::ExploreVisits);
-    let explore_ns = get(Counter::ExploreNanos);
-    let states_per_sec = if explore_ns == 0 {
-        Json::Num(0.0)
-    } else {
-        Json::Num(visits as f64 / (explore_ns as f64 / 1e9))
-    };
-    let hits = get(Counter::DigestHits);
-    let misses = get(Counter::DigestMisses);
-    let branches = get(Counter::DporBranches);
-    let blocked = get(Counter::DporSleepBlocked);
-    Json::obj([
-        ("explore_visits", Json::Int(visits as i64)),
+    use bdrst_obs::Counter::*;
+    let snapshot = bdrst_obs::counters_snapshot();
+    let get = |c: bdrst_obs::Counter| snapshot[c as usize].1 as f64;
+    let ratio = |num: f64, den: f64| Json::Num(if den == 0.0 { 0.0 } else { num / den });
+    let (hits, misses) = (get(DigestHits), get(DigestMisses));
+    let (branches, blocked) = (get(DporBranches), get(DporSleepBlocked));
+    let rates = [
         (
-            "states_interned",
-            Json::Int(get(Counter::StatesInterned) as i64),
+            "states_per_sec",
+            ratio(get(ExploreVisits), get(ExploreNanos) / 1e9),
         ),
-        ("explore_nanos", Json::Int(explore_ns as i64)),
-        ("states_per_sec", states_per_sec),
-        (
-            "frontier_high_water",
-            Json::Int(get(Counter::FrontierHighWater) as i64),
-        ),
-        (
-            "interner_occupancy",
-            Json::Int(get(Counter::InternerOccupancy) as i64),
-        ),
-        (
-            "fingerprint_calls",
-            Json::Int(get(Counter::FingerprintCalls) as i64),
-        ),
-        ("digest_hits", Json::Int(hits as i64)),
-        ("digest_misses", Json::Int(misses as i64)),
         ("digest_hit_rate", ratio(hits, hits + misses)),
-        ("dpor_branches", Json::Int(branches as i64)),
-        ("dpor_sleep_blocked", Json::Int(blocked as i64)),
-        (
-            "dpor_backtrack_points",
-            Json::Int(get(Counter::DporBacktrackPoints) as i64),
-        ),
         ("dpor_pruning_ratio", ratio(blocked, branches + blocked)),
-        (
-            "semantics_probes",
-            Json::Int(get(Counter::SemanticsProbes) as i64),
-        ),
-        (
-            "race_events_live",
-            Json::Int(get(Counter::RaceEventsLive) as i64),
-        ),
-        (
-            "race_events_replayed",
-            Json::Int(get(Counter::RaceEventsReplayed) as i64),
-        ),
-        (
-            "spans_dropped",
-            Json::Int(get(Counter::SpansDropped) as i64),
-        ),
-        (
-            "axiomatic_nodes",
-            Json::Int(get(Counter::AxiomaticNodes) as i64),
-        ),
-        (
-            "axiomatic_consistent",
-            Json::Int(get(Counter::AxiomaticConsistent) as i64),
-        ),
-    ])
+    ];
+    Json::Obj(
+        snapshot
+            .iter()
+            .map(|&(name, value)| (name, Json::Int(value as i64)))
+            .chain(rates)
+            .map(|(name, v)| (name.to_string(), v))
+            .collect(),
+    )
 }
 
 /// The human rendering of a `metrics` response object (the JSON the
@@ -1075,6 +1025,23 @@ mod tests {
         );
         assert!(m.to_prom().contains("bdrst_slow_requests_total 2"));
         assert!(render_human(&m.to_json()).contains("slow requests: 2"));
+    }
+
+    #[test]
+    fn every_registry_counter_is_an_engine_key() {
+        let m = Metrics::new();
+        for doc in [m.to_json(), m.status_json()] {
+            let engine = doc.get("engine").expect("engine object");
+            for (name, _) in bdrst_obs::counters_snapshot() {
+                assert!(
+                    matches!(engine.get(name), Some(Json::Int(_))),
+                    "engine object lacks counter {name}: {engine:?}"
+                );
+            }
+            for rate in ["states_per_sec", "digest_hit_rate", "dpor_pruning_ratio"] {
+                assert!(matches!(engine.get(rate), Some(Json::Num(_))), "{rate}");
+            }
+        }
     }
 
     #[test]

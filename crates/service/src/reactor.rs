@@ -1,70 +1,72 @@
 //! The std-only readiness-loop reactor: the server's connection layer.
 //!
-//! One thread owns the nonblocking listener and every client socket.
-//! Each poll cycle it
+//! One thread owns the nonblocking listener, every client socket and
+//! every connection's bookkeeping. Each poll cycle it
 //!
-//! 1. **accepts** pending connections (atomic admission against
+//! 1. **routes** the responses the workers finished since the last
+//!    cycle: each arrives on the one completion channel tagged with its
+//!    connection's id, and goes whole into that connection's write
+//!    buffer (workers never touch a socket, so responses cannot
+//!    interleave);
+//! 2. **accepts** pending connections (atomic admission against
 //!    `max_conns` via `Metrics::try_acquire_conn`;
 //!    an over-limit connection is parked in a rejecting state with one
 //!    `overloaded` error line queued, drained bounded, then closed —
 //!    never silently dropped, never an RST over the error line);
-//! 2. **drains** each connection's `Outbox` — response lines the
-//!    workers finished since the last cycle — into its write buffer and
-//!    writes as much as the socket accepts (whole lines enter the
-//!    buffer atomically, so concurrent workers never interleave bytes);
-//! 3. **reads** whatever each open connection has available into its
+//! 3. **writes** as much of each write buffer as the socket accepts;
+//! 4. **reads** whatever each open connection has available into its
 //!    read buffer (size-capped: a line over `max_request_bytes` turns
 //!    the connection into a rejecting one with a `too-large` error),
 //!    splits complete lines, rate-limits them, and pushes them as jobs
 //!    with `JobQueue::try_push` — a full queue leaves
 //!    the line in the connection's pending list and pauses reading that
 //!    connection: backpressure instead of unbounded buffering;
-//! 4. **closes** connections that are finished: EOF seen, no pending
-//!    lines, every submitted job answered, write buffer flushed.
+//! 5. **closes** connections that are finished: EOF seen, no pending
+//!    lines, no outstanding job, write buffer flushed. Every count in
+//!    that rule lives on this thread.
 //!
 //! The loop never blocks on a client socket. A cycle that moves no
-//! bytes parks on the `Waker` pipe — a loopback socket pair whose
-//! write half the workers poke when they deposit a response — so a
-//! finished job wakes the reactor immediately instead of waiting out
-//! the rest of a 500 µs poll cycle. For 2 ms after
-//! any byte moves the loop polls eagerly (yielding, not sleeping), so
-//! an interactive client's next request is read the moment it lands;
-//! only a connection idle past the window falls back to the
-//! 500 µs-bounded park.
+//! bytes parks on the completion channel for at most 500 µs: a
+//! worker's send ends the park at once, so a finished job reaches its
+//! socket in microseconds. For 2 ms after any byte moves the loop polls
+//! eagerly (yielding, not sleeping), so an interactive client's next
+//! request is read the moment it lands.
 //!
 //! Shutdown (driven by [`crate::server::ServerHandle::shutdown`]): the
-//! `stop` flag stops accepting; the queue closes and the workers drain
-//! it (responses keep flowing through the outboxes); once the workers
-//! are done the `flush` flag tells the reactor to answer every line it
-//! can still read with `{"kind":"shutting-down"}`, flush all write
-//! buffers (bounded by a two-second deadline), shut down the write halves,
-//! and exit. Every accepted request line gets exactly one response.
+//! queue closes and the workers drain it, their responses still flowing
+//! over the channel. Each worker owns a sender and the reactor holds
+//! none, so the channel reports `Disconnected` exactly when every worker
+//! has exited and every response has been received. From then on the
+//! reactor accepts no connection, answers every line it can still read
+//! with `{"kind":"shutting-down"}`, flushes all write buffers (bounded
+//! by a two-second deadline), shuts down the write halves, and exits.
+//! Every accepted request line gets exactly one response.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::json::Json;
 use crate::metrics::{Metrics, Request};
 use crate::server::{
-    error_response, rate_limited_response, shutting_down_response, ConnGuard, Job, JobQueue,
+    error_response, rate_limited_response, shutting_down_response, ConnGuard, Done, Job, JobQueue,
     ServeConfig, TokenBucket, TryPushError,
 };
 
-/// Upper bound on an idle park: with a live wakeup pipe the park ends
-/// as soon as a worker pokes; this timeout only bounds how stale the
-/// stop/flush flags can get (and is the fallback poll cadence if the
-/// pipe could not be built).
+/// Upper bound on an idle park. A worker's response ends the park at
+/// once; this bounds only how late an idle reactor sees new bytes or
+/// new connections.
 const IDLE_SLEEP: Duration = Duration::from_micros(500);
 
 /// After a cycle that moved bytes, keep polling eagerly (yielding the
-/// timeslice, not sleeping) for this long before parking on the wakeup
-/// pipe: a request-response exchange keeps the loop inside this window,
-/// so sequential round-trips never pay the idle-poll floor on reads.
+/// timeslice, not sleeping) for this long before parking on the
+/// completion channel: a request-response exchange keeps the loop
+/// inside this window, so sequential round-trips never pay the
+/// idle-poll floor on reads.
 const HOT_WINDOW: Duration = Duration::from_millis(2);
 
 /// How long a rejecting connection may take to drain before we close it
@@ -74,122 +76,6 @@ const FLUSH_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Per-cycle read chunk.
 const READ_CHUNK: usize = 16 * 1024;
-
-/// The reactor's wakeup pipe. std has no `pipe(2)`, so it is a loopback
-/// TCP pair: the write half is shared with every connection's [`Outbox`]
-/// (and through it the workers), the read half is what the reactor
-/// parks on when a cycle moves no bytes. A worker that deposits a
-/// response line pokes one byte and the park ends immediately — the
-/// response hits the socket in microseconds instead of waiting out the
-/// rest of a fixed [`IDLE_SLEEP`].
-pub(crate) struct Waker {
-    tx: TcpStream,
-    /// Collapses redundant pokes: set by the first `wake` after a
-    /// `rearm`, so a burst of completions sends one byte, not one per
-    /// response, and the pipe's buffer can never fill under load.
-    pending: AtomicBool,
-}
-
-impl Waker {
-    /// Builds the pipe. Returns the shared write half and the read half
-    /// (owned by the reactor thread, reads bounded by [`IDLE_SLEEP`]).
-    fn pipe() -> std::io::Result<(Arc<Waker>, TcpStream)> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let tx = TcpStream::connect(listener.local_addr()?)?;
-        let (rx, _) = listener.accept()?;
-        tx.set_nonblocking(true)?;
-        tx.set_nodelay(true)?;
-        rx.set_read_timeout(Some(IDLE_SLEEP))?;
-        Ok((
-            Arc::new(Waker {
-                tx,
-                pending: AtomicBool::new(false),
-            }),
-            rx,
-        ))
-    }
-
-    /// Pokes the reactor. Wait-free for the caller: one nonblocking
-    /// 1-byte write, skipped when a poke is already in flight.
-    fn wake(&self) {
-        if self.pending.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // WouldBlock means unread pokes already fill the socket buffer,
-        // so the reactor is waking regardless; any other error merely
-        // leaves it on the IDLE_SLEEP cadence — degraded latency, never
-        // a stall or a lost response.
-        let _ = (&self.tx).write(&[1]);
-    }
-
-    /// Re-arms the pipe. Called at the top of every reactor cycle,
-    /// *before* any outbox is inspected: a `wake` racing the inspection
-    /// at worst leaves one spurious byte in the pipe (a free extra
-    /// cycle), never a lost wakeup.
-    fn rearm(&self) {
-        self.pending.store(false, Ordering::SeqCst);
-    }
-}
-
-/// A connection's response mailbox: workers deposit finished lines, the
-/// reactor collects them on its next cycle. `submitted` counts jobs the
-/// reactor queued for this connection, `completed` the responses
-/// deposited — the connection may close only when they match and the
-/// lines have been drained, so a response can never be lost between a
-/// worker and the socket.
-pub(crate) struct Outbox {
-    lines: Mutex<Vec<(String, Arc<Request>)>>,
-    submitted: AtomicUsize,
-    completed: AtomicUsize,
-    /// Pokes the reactor awake on every deposit; `None` when the wakeup
-    /// pipe could not be built and the reactor is on its poll cadence.
-    waker: Option<Arc<Waker>>,
-}
-
-impl Outbox {
-    fn new(waker: Option<Arc<Waker>>) -> Outbox {
-        Outbox {
-            lines: Mutex::new(Vec::new()),
-            submitted: AtomicUsize::new(0),
-            completed: AtomicUsize::new(0),
-            waker,
-        }
-    }
-
-    /// Called by a worker with the finished response line and the
-    /// request's record, so the reactor can stamp the write-back when
-    /// the line actually reaches the socket.
-    pub(crate) fn complete(&self, line: &str, req: Arc<Request>) {
-        let mut lines = self.lines.lock().unwrap();
-        lines.push((line.to_string(), req));
-        // Bumped under the lock: once a reader of `completed` sees the
-        // count, the line is already in the vector.
-        self.completed.fetch_add(1, Ordering::SeqCst);
-        drop(lines);
-        if let Some(waker) = &self.waker {
-            waker.wake();
-        }
-    }
-
-    fn note_submitted(&self) {
-        self.submitted.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn unsubmit(&self) {
-        self.submitted.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// True when every submitted job has deposited its response.
-    fn is_idle(&self) -> bool {
-        // `submitted` only changes on the reactor thread, so sampling
-        // it after `completed` cannot race a new submission.
-        self.completed.load(Ordering::SeqCst) == self.submitted.load(Ordering::SeqCst)
-    }
-
-    fn drain(&self) -> Vec<(String, Arc<Request>)> {
-        std::mem::take(&mut *self.lines.lock().unwrap())
-    }
-}
 
 enum ConnState {
     /// Reading requests normally.
@@ -208,6 +94,9 @@ enum ConnState {
 }
 
 struct Conn {
+    /// Reactor-minted, increasing in `Reactor::conns` order: the tag a
+    /// worker's response carries back.
+    id: u64,
     stream: TcpStream,
     rbuf: Vec<u8>,
     wbuf: Vec<u8>,
@@ -215,7 +104,9 @@ struct Conn {
     /// already carries its request record — minted at line birth, so
     /// queue-wait includes backpressure time.
     pending: VecDeque<Job>,
-    outbox: Arc<Outbox>,
+    /// Jobs in the queue or on a worker whose response has not been
+    /// routed back yet.
+    outstanding: usize,
     /// Requests whose response lines sit in `wbuf`: their write-back is
     /// stamped (and the slow path run) when the buffer drains.
     inflight: Vec<Arc<Request>>,
@@ -246,33 +137,25 @@ impl Conn {
     }
 }
 
-/// Spawns the reactor thread. `listener` must already be nonblocking.
+/// Spawns the reactor thread. `listener` must already be nonblocking;
+/// `done` is the receiving end of the channel every worker answers on.
 pub(crate) fn spawn(
     listener: TcpListener,
     config: ServeConfig,
     queue: Arc<JobQueue>,
     metrics: Arc<Metrics>,
-    stop: Arc<AtomicBool>,
-    flush: Arc<AtomicBool>,
+    done: Receiver<Done>,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
-        // Built on the reactor thread; if loopback is unavailable the
-        // loop degrades to the fixed IDLE_SLEEP poll cadence.
-        let (waker, wake_rx) = match Waker::pipe() {
-            Ok((waker, rx)) => (Some(waker), Some(rx)),
-            Err(_) => (None, None),
-        };
         Reactor {
             listener,
             slow_ns: config.slow_ms.map(|ms| ms.saturating_mul(1_000_000)),
             config,
             queue,
             metrics,
-            stop,
-            flush,
+            done: Some(done),
             conns: Vec::new(),
-            waker,
-            wake_rx,
+            next_conn_id: 0,
         }
         .run()
     })
@@ -283,15 +166,16 @@ struct Reactor {
     config: ServeConfig,
     queue: Arc<JobQueue>,
     metrics: Arc<Metrics>,
-    stop: Arc<AtomicBool>,
-    flush: Arc<AtomicBool>,
+    /// The workers' completion channel; `None` once it reported
+    /// `Disconnected` — every worker gone, every response routed — which
+    /// is the flush phase of shutdown.
+    done: Option<Receiver<Done>>,
     /// [`ServeConfig::slow_ms`] in nanoseconds.
     slow_ns: Option<u64>,
+    /// Sorted by `id`: accepts append increasing ids and closes only
+    /// remove, so a response finds its connection by binary search.
     conns: Vec<Conn>,
-    /// Shared write half of the wakeup pipe (cloned into each outbox).
-    waker: Option<Arc<Waker>>,
-    /// Read half: what an idle cycle parks on, timeout [`IDLE_SLEEP`].
-    wake_rx: Option<TcpStream>,
+    next_conn_id: u64,
 }
 
 impl Reactor {
@@ -300,34 +184,26 @@ impl Reactor {
         let mut flush_start_ns: Option<u64> = None;
         let mut hot_until = Instant::now() + HOT_WINDOW;
         loop {
-            // Re-arm before inspecting any outbox: a completion landing
-            // from here on pokes a byte even if this very cycle drains
-            // its line — a spurious wakeup at worst, never a lost one.
-            if let Some(waker) = &self.waker {
-                waker.rearm();
-            }
+            self.route_done();
             let now = Instant::now();
             let cycle_start_ns = bdrst_obs::now_ns();
-            let flushing = self.flush.load(Ordering::SeqCst);
+            let flushing = self.done.is_none();
             if flushing && flush_deadline.is_none() {
                 flush_deadline = Some(now + FLUSH_DEADLINE);
                 flush_start_ns = Some(cycle_start_ns);
             }
             let mut busy = false;
-            if !self.stop.load(Ordering::SeqCst) {
+            if !flushing {
                 busy |= self.accept_pass(now);
             }
             for i in 0..self.conns.len() {
                 busy |= self.poll_conn(i, now);
             }
             // A dead connection's responses can never flush: retire
-            // their registry entries (from the write buffer and from
-            // the outbox alike) so `status` never reports a request
-            // whose client is gone.
+            // their registry entries so `status` never reports a request
+            // whose client is gone. Its jobs still running retire theirs
+            // when their responses arrive (`route`).
             for conn in self.conns.iter_mut().filter(|c| c.dead) {
-                for (_, req) in conn.outbox.drain() {
-                    self.metrics.inflight_done(req.id);
-                }
                 for req in conn.inflight.drain(..) {
                     self.metrics.inflight_done(req.id);
                 }
@@ -344,13 +220,12 @@ impl Reactor {
                 );
             }
             if flushing {
-                // Workers are gone and every response line is in its
-                // outbox; once the buffers are flat (or the deadline
-                // passes) the server is fully drained.
+                // Every response is routed; once the buffers are flat
+                // (or the deadline passes) the server is fully drained.
                 let drained = self
                     .conns
                     .iter()
-                    .all(|c| c.wbuf.is_empty() && c.pending.is_empty() && c.outbox.is_idle());
+                    .all(|c| c.wbuf.is_empty() && c.pending.is_empty() && c.outstanding == 0);
                 if (drained && !busy) || flush_deadline.is_some_and(|d| now >= d) {
                     if let Some(start) = flush_start_ns {
                         bdrst_obs::event(
@@ -389,26 +264,48 @@ impl Reactor {
         }
     }
 
-    /// Parks an idle cycle: blocks on the wakeup pipe until a worker
-    /// pokes (response ready — wake *now*) or [`IDLE_SLEEP`] elapses
-    /// (re-poll sockets and the stop/flush flags). Any pipe failure
-    /// drops back to the plain sleep permanently.
+    /// Routes every response the workers have sent so far; notes the
+    /// channel's disconnection (the flush phase).
+    fn route_done(&mut self) {
+        while let Some(done) = &self.done {
+            match done.try_recv() {
+                Ok(msg) => self.route(msg),
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => self.done = None,
+            }
+        }
+    }
+
+    /// Parks an idle cycle on the completion channel until a worker
+    /// sends (route it *now*) or [`IDLE_SLEEP`] elapses (re-poll the
+    /// sockets). In the flush phase there is nothing left to wait for
+    /// but socket buffers, so it sleeps.
     fn idle_park(&mut self) {
-        let Some(rx) = &mut self.wake_rx else {
+        let Some(done) = &self.done else {
             std::thread::sleep(IDLE_SLEEP);
             return;
         };
-        let mut buf = [0u8; 64];
-        match rx.read(&mut buf) {
-            // Poked (any byte count), or the timeout elapsed: either way
-            // the loop runs another cycle. Leftover poke bytes beyond the
-            // scratch just end the next park early — harmless.
-            Ok(n) if n > 0 => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            // EOF or a real error: the pipe is gone; poll from now on.
-            _ => self.wake_rx = None,
+        match done.recv_timeout(IDLE_SLEEP) {
+            Ok(msg) => self.route(msg),
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => self.done = None,
         }
+    }
+
+    /// One finished response into its connection's write buffer. A
+    /// response whose connection is gone (dead connections are dropped
+    /// before any routing) can never flush: its registry entry retires
+    /// here.
+    fn route(&mut self, (conn_id, line, req): Done) {
+        let Ok(i) = self.conns.binary_search_by_key(&conn_id, |c| c.id) else {
+            self.metrics.inflight_done(req.id);
+            return;
+        };
+        let conn = &mut self.conns[i];
+        conn.outstanding -= 1;
+        conn.wbuf.extend_from_slice(line.as_bytes());
+        conn.wbuf.push(b'\n');
+        conn.inflight.push(req);
     }
 
     /// Accepts every connection the listener has pending. Returns true
@@ -424,13 +321,15 @@ impl Reactor {
                         continue;
                     }
                     let guard = ConnGuard::try_admit(&self.metrics, max_conns);
+                    self.next_conn_id += 1;
                     let mut conn = Conn {
+                        id: self.next_conn_id,
                         stream,
                         rbuf: Vec::new(),
                         wbuf: Vec::new(),
                         pending: VecDeque::new(),
+                        outstanding: 0,
                         inflight: Vec::new(),
-                        outbox: Arc::new(Outbox::new(self.waker.clone())),
                         bucket: TokenBucket::from_config(&self.config),
                         state: ConnState::Open,
                         _guard: None,
@@ -470,17 +369,6 @@ impl Reactor {
     /// One cycle over one connection. Returns true if any bytes moved.
     fn poll_conn(&mut self, i: usize, now: Instant) -> bool {
         let mut busy = false;
-
-        // Worker responses → write buffer. Whole lines only: workers
-        // never touch the socket, so responses cannot interleave.
-        {
-            let conn = &mut self.conns[i];
-            for (line, req) in conn.outbox.drain() {
-                conn.wbuf.extend_from_slice(line.as_bytes());
-                conn.wbuf.push(b'\n');
-                conn.inflight.push(req);
-            }
-        }
 
         // Flush as much of the write buffer as the socket will take.
         {
@@ -522,21 +410,9 @@ impl Reactor {
         // Read pass.
         busy |= self.read_pass(i, now);
 
-        // Close decision. The ordering that makes this safe: `is_idle`
-        // is sampled *first*; a completed count implies the line is
-        // already deposited (bumped under the outbox lock), so the
-        // re-drain below catches anything a worker finished since the
-        // top-of-cycle drain — a response can never be lost to the
-        // close.
+        // Close decision: every count it reads lives on this thread.
         let conn = &mut self.conns[i];
-        let settled = conn.outbox.is_idle() && {
-            for (line, req) in conn.outbox.drain() {
-                conn.wbuf.extend_from_slice(line.as_bytes());
-                conn.wbuf.push(b'\n');
-                conn.inflight.push(req);
-            }
-            conn.wbuf.is_empty()
-        };
+        let settled = conn.outstanding == 0 && conn.wbuf.is_empty() && conn.pending.is_empty();
         match conn.state {
             ConnState::Rejecting { deadline, eof, .. } => {
                 // Close once the error line (and any straggler worker
@@ -549,7 +425,7 @@ impl Reactor {
                 }
             }
             ConnState::Eof => {
-                if settled && conn.pending.is_empty() {
+                if settled {
                     let _ = conn.stream.shutdown(std::net::Shutdown::Write);
                     conn.dead = true;
                 }
@@ -586,7 +462,9 @@ impl Reactor {
                     ("write_back_ms", ms(write_back)),
                 ],
             );
-            let _ = bdrst_obs::flight::dump_throttled("slow-request");
+            if let Some(dir) = &self.config.trace_dir {
+                let _ = bdrst_obs::flight::dump_throttled(dir, "slow-request");
+            }
         }
         self.metrics.inflight_done(req.id);
     }
@@ -596,21 +474,19 @@ impl Reactor {
     fn submit_pending(&mut self, i: usize) -> bool {
         let mut any = false;
         while let Some(job) = self.conns[i].pending.pop_front() {
-            let outbox = Arc::clone(&self.conns[i].outbox);
-            outbox.note_submitted();
             // Registered before the push, so a popped job is always in
             // the registry; backed out if the queue refuses the job.
             let req_id = job.req.id;
             self.metrics.inflight_enqueued(&job.req);
             match self.queue.try_push(job) {
                 Ok(depth) => {
+                    self.conns[i].outstanding += 1;
                     self.metrics.note_queue_depth(depth);
                     any = true;
                 }
                 Err(TryPushError::Full(job)) => {
                     // The job keeps its identity (and enqueue stamp), so
                     // queue-wait includes the backpressure time.
-                    outbox.unsubmit();
                     self.metrics.inflight_done(req_id);
                     self.conns[i].pending.push_front(job);
                     break;
@@ -618,7 +494,6 @@ impl Reactor {
                 Err(TryPushError::Closed) => {
                     // Accepted but unservable: one `shutting-down` line,
                     // never a silent drop.
-                    outbox.unsubmit();
                     self.metrics.inflight_done(req_id);
                     self.metrics.count_error("shutting-down");
                     let resp = shutting_down_response();
@@ -740,7 +615,7 @@ impl Reactor {
             }
             let job = Job {
                 line: line.to_string(),
-                out: Arc::clone(&conn.outbox),
+                conn: conn.id,
                 req: Arc::new(Request::new()),
             };
             self.conns[i].pending.push_back(job);

@@ -53,25 +53,27 @@
 //! every client socket, polling per-connection read/write buffers, so
 //! idle connections cost buffers instead of threads. Parsed request
 //! lines become jobs on a **bounded** queue (backpressure: a
-//! connection with queued-but-unsubmitted lines stops being read);
+//! connection with parsed-but-unqueued lines stops being read);
 //! `workers` worker threads pop jobs, compute through the shared
 //! cache-first [`CheckService`] (whose misses run on the existing engine
 //! machinery — the default configuration enumerates outcomes with DPOR
-//! on the worker's own thread), and append each response line to the
-//! connection's outbox; the reactor writes it on the
+//! on the worker's own thread), and send each response line, tagged
+//! with its connection's id, over one channel back to the reactor. A
+//! send wakes a parked reactor at once; it writes the line on the
 //! connection's next writable cycle — whole lines, never interleaved
 //! bytes.
 //!
-//! Shutdown is drain-then-close: queued jobs are completed by the
-//! workers and their responses delivered; a request line that was
-//! accepted but can no longer be served receives one
+//! Shutdown is drain-then-close: [`ServerHandle::shutdown`] closes the
+//! queue, the workers complete every queued job and exit, and the
+//! channel disconnects once the last worker's sender drops — the
+//! reactor's signal that every response is in, to stop accepting, flush
+//! and exit. A request line the closed queue refuses receives one
 //! `{"kind":"shutting-down"}` error line before its connection closes.
 //! Every accepted request produces exactly one response line.
 
 use std::net::{SocketAddr, TcpListener};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::path::{Path, PathBuf};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -140,10 +142,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// Flight-recorder dumps retained in [`ServeConfig::trace_dir`] (oldest
-/// deleted past the cap).
-const FLIGHT_DUMP_KEEP: usize = 16;
-
 /// The default run configuration for served checks: misses enumerate
 /// outcomes with DPOR (one trace per equivalence class, no state graph
 /// held; its executed extensions count against `max_states`), default
@@ -194,14 +192,18 @@ impl TokenBucket {
     }
 }
 
-/// One queued request: the raw line, the outbox of the connection that
-/// sent it, and the request's record (identity, stamps, meter), shared
-/// with the outbox, the reactor and the in-flight registry.
+/// One queued request: the raw line, the id of the connection that sent
+/// it, and the request's record (identity, stamps, meter), shared with
+/// the reactor and the in-flight registry.
 pub(crate) struct Job {
     pub(crate) line: String,
-    pub(crate) out: Arc<reactor::Outbox>,
+    pub(crate) conn: u64,
     pub(crate) req: Arc<Request>,
 }
+
+/// A finished job as a worker sends it back to the reactor: the
+/// connection id, the response line and the request's record.
+pub(crate) type Done = (u64, String, Arc<Request>);
 
 /// Why [`JobQueue::try_push`] did not take a job.
 pub(crate) enum TryPushError {
@@ -279,8 +281,6 @@ impl JobQueue {
 /// [`ServerHandle::shutdown`].
 pub struct ServerHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    flush: Arc<AtomicBool>,
     queue: Arc<JobQueue>,
     metrics: Arc<Metrics>,
     accept: Option<JoinHandle<()>>,
@@ -299,24 +299,20 @@ impl ServerHandle {
         Arc::clone(&self.metrics)
     }
 
-    /// Stops accepting, **drains** the queue (workers finish every job
-    /// queued before the close and their responses are delivered), and
-    /// joins every thread. A request accepted after the queue closes
-    /// receives one `{"kind":"shutting-down"}` error line — shutdown
-    /// never silently drops an accepted request.
+    /// **Drains** the queue (workers finish every job queued before the
+    /// close and their responses are delivered), then joins every
+    /// thread. A request line the queue refuses after the close receives
+    /// one `{"kind":"shutting-down"}` error line — shutdown never
+    /// silently drops an accepted request.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Close the queue *then* join the workers: `pop` drains queued
-        // jobs after close, so every accepted request is computed and
-        // its response line delivered before the workers exit.
+        // `pop` drains queued jobs after close, so every accepted
+        // request is computed before the workers exit. The last exit
+        // drops the last completion sender: the reactor sees the
+        // channel disconnect, stops accepting, flushes and exits.
         self.queue.close();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        // All responses are now in their sinks; tell the reactor to
-        // flush outstanding write buffers, answer any straggler lines
-        // with `shutting-down`, and exit.
-        self.flush.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
@@ -336,8 +332,6 @@ pub fn serve(
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let flush = Arc::new(AtomicBool::new(false));
     let queue = Arc::new(JobQueue::new(config.queue_depth));
     let metrics = Arc::new(Metrics::new());
 
@@ -352,8 +346,8 @@ pub fn serve(
         max_conns: config.max_conns.max(1),
         start_ns: bdrst_obs::now_ns(),
     });
-    if let Some(dir) = &config.trace_dir {
-        let _ = bdrst_obs::flight::install(dir.clone(), FLIGHT_DUMP_KEEP);
+    if config.trace_dir.is_some() {
+        bdrst_obs::flight::install();
     }
     bdrst_obs::log::info(
         "server",
@@ -363,8 +357,13 @@ pub fn serve(
             ("workers", bdrst_obs::log::Field::U64(worker_count as u64)),
         ],
     );
+    // Each worker owns a sender; the reactor holds none, so the channel
+    // disconnects exactly when the last worker exits.
+    let (done_tx, done_rx) = mpsc::channel::<Done>();
     let workers = (0..worker_count)
         .map(|_| {
+            let done_tx = done_tx.clone();
+            let trace_dir = config.trace_dir.clone();
             let queue = Arc::clone(&queue);
             let service = Arc::clone(&service);
             let metrics = Arc::clone(&metrics);
@@ -380,7 +379,12 @@ pub fn serve(
                     // one response line.
                     let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         bdrst_obs::metered(&req.meter, || {
-                            handle_line_metered(&service, Some((&metrics, req)), &job.line)
+                            handle_line_metered(
+                                &service,
+                                Some((&metrics, req)),
+                                trace_dir.as_deref(),
+                                &job.line,
+                            )
                         })
                     }))
                     .unwrap_or_else(|_| {
@@ -389,7 +393,9 @@ pub fn serve(
                             "worker panicked handling a request",
                             &[("req_id", bdrst_obs::log::Field::U64(req.id))],
                         );
-                        let _ = bdrst_obs::flight::dump_throttled("worker-panic");
+                        if let Some(dir) = &trace_dir {
+                            let _ = bdrst_obs::flight::dump_throttled(dir, "worker-panic");
+                        }
                         metrics.count_error("engine");
                         error_response(
                             Json::Null,
@@ -410,11 +416,14 @@ pub fn serve(
                         exec_end_ns.saturating_sub(exec_start_ns),
                         req.id,
                     );
-                    job.out.complete(&response.render(), Arc::clone(req));
+                    // Fails only once the reactor is gone, and with it
+                    // the client socket.
+                    let _ = done_tx.send((job.conn, response.render(), job.req));
                 }
             })
         })
         .collect();
+    drop(done_tx);
 
     listener.set_nonblocking(true)?;
     let accept = reactor::spawn(
@@ -422,14 +431,11 @@ pub fn serve(
         config,
         Arc::clone(&queue),
         Arc::clone(&metrics),
-        Arc::clone(&stop),
-        Arc::clone(&flush),
+        done_rx,
     );
 
     Ok(ServerHandle {
         addr,
-        stop,
-        flush,
         queue,
         metrics,
         accept: Some(accept),
@@ -511,7 +517,7 @@ fn run_error_response(id: Json, e: &RunError) -> Json {
 /// Without a server context there are no live counters, so the
 /// `metrics`, `status`, and `health` commands are `proto` errors here.
 pub fn handle_line(service: &CheckService, line: &str) -> Json {
-    handle_line_metered(service, None, line)
+    handle_line_metered(service, None, None, line)
 }
 
 /// [`handle_line`] with the server's live counters and the request's
@@ -519,10 +525,12 @@ pub fn handle_line(service: &CheckService, line: &str) -> Json {
 /// responses by kind, and records the worker's handling time into the
 /// per-command histogram. Once the line parses, the record is annotated
 /// with the command and the client-chosen `id`, so `status` can name
-/// what each worker is doing.
+/// what each worker is doing. `trace_dir` is where this server's `dump`
+/// command writes; `None` makes `dump` a `proto` error.
 fn handle_line_metered(
     service: &CheckService,
     server: Option<(&Metrics, &Request)>,
+    trace_dir: Option<&Path>,
     line: &str,
 ) -> Json {
     let metrics = server.map(|(m, _)| m);
@@ -557,7 +565,7 @@ fn handle_line_metered(
                     if let Some((_, req)) = server {
                         req.describe(cmd, &id);
                     }
-                    let response = match handle_cmd(service, metrics, cmd, &req) {
+                    let response = match handle_cmd(service, metrics, trace_dir, cmd, &req) {
                         Ok(mut fields) => {
                             let mut all =
                                 vec![("id".to_string(), id), ("ok".to_string(), Json::Bool(true))];
@@ -638,6 +646,7 @@ fn checked_for(service: &CheckService, req: &Json) -> Result<Checked, HandleErro
 fn handle_cmd(
     service: &CheckService,
     metrics: Option<&Metrics>,
+    trace_dir: Option<&Path>,
     cmd: &str,
     req: &Json,
 ) -> Result<Json, HandleError> {
@@ -757,12 +766,12 @@ fn handle_cmd(
             Ok(Json::obj([("health", health)]))
         }
         "dump" => {
-            if !bdrst_obs::flight::active() {
-                return Err(HandleError::Proto(
+            let dir = trace_dir.ok_or_else(|| {
+                HandleError::Proto(
                     "flight recorder is not installed (start the server with --trace-dir)".into(),
-                ));
-            }
-            let path = bdrst_obs::flight::dump("protocol")
+                )
+            })?;
+            let path = bdrst_obs::flight::dump(dir, "protocol")
                 .map_err(|e| HandleError::Proto(format!("flight dump failed: {e}")))?;
             Ok(Json::obj([("path", Json::Str(path.display().to_string()))]))
         }

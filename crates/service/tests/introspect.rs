@@ -3,11 +3,9 @@
 //! monotonically increasing states-visited figure; `health` reports the
 //! admission gauges; `dump` writes a flight snapshot on demand; and a
 //! request over the `--slow-ms` threshold provokes a throttled
-//! slow-request flight dump in the trace directory. A second server
-//! checks that each request's `states_visited` counts its own work only.
-//!
-//! The flight-recorder and logger installs are process-global, so only
-//! the first test's server has a trace directory.
+//! slow-request flight dump in the trace directory. Three more servers
+//! check that each one dumps into its own trace directory, and another
+//! that each request's `states_visited` counts its own work only.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -300,6 +298,123 @@ fn status_health_dump_and_slow_flight() {
 
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Servers sharing a process each dump into their own trace directory,
+/// and one without a trace directory refuses `dump` whatever the others
+/// installed.
+#[test]
+fn each_server_dumps_into_its_own_trace_dir() {
+    let dirs = [temp_dir("own-a"), temp_dir("own-b")];
+    let start = |trace_dir: Option<PathBuf>| {
+        let service = CheckService::new(
+            Arc::new(ResultStore::in_memory()),
+            server::default_run_config(),
+        );
+        serve(
+            Arc::new(service),
+            "127.0.0.1:0",
+            ServeConfig {
+                workers: 1,
+                trace_dir,
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap()
+    };
+    let handles = [
+        start(Some(dirs[0].clone())),
+        start(Some(dirs[1].clone())),
+        start(None),
+    ];
+    let dump = |handle: &server::ServerHandle| {
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        request(
+            &mut stream,
+            &mut reader,
+            &Json::obj([("cmd", Json::Str("dump".into()))]),
+        )
+    };
+    for (handle, dir) in handles.iter().zip(&dirs) {
+        let resp = dump(handle);
+        let path = PathBuf::from(
+            resp.get("path")
+                .and_then(Json::as_str)
+                .unwrap_or_else(|| panic!("bad dump: {resp:?}")),
+        );
+        assert_eq!(path.parent(), Some(dir.as_path()), "{resp:?}");
+        assert!(path.is_file(), "{}", path.display());
+    }
+    let resp = dump(&handles[2]);
+    assert_eq!(
+        resp.get_in(&["error", "kind"]).and_then(Json::as_str),
+        Some("proto"),
+        "{resp:?}"
+    );
+    for handle in handles {
+        handle.shutdown();
+    }
+    for dir in dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// A client that resets its connection while its request executes
+/// leaves nothing in `status`: the response, with no connection to go
+/// to, retires the request's registry entry when it reaches the reactor.
+#[test]
+fn reset_connection_leaves_no_inflight_request() {
+    let mut config = server::default_run_config();
+    config.explore.max_states = 200_000;
+    let service = CheckService::new(Arc::new(ResultStore::in_memory()), config);
+    let handle = serve(
+        Arc::new(service),
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let mut doomed = TcpStream::connect(handle.addr()).unwrap();
+    let batch = format!(
+        "{}\n{}\n",
+        Json::obj([("cmd", Json::Str("cache-stats".into()))]).render(),
+        Json::obj([
+            ("cmd", Json::Str("check".into())),
+            ("id", Json::Str("orphan".into())),
+            ("source", Json::Str(BIG_SRC.into())),
+        ])
+        .render()
+    );
+    doomed.write_all(batch.as_bytes()).unwrap();
+
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let status_req = Json::obj([("cmd", Json::Str("status".into()))]);
+    let orphan = |stream: &mut TcpStream, reader: &mut BufReader<TcpStream>| {
+        let resp = request(stream, reader, &status_req);
+        readings(resp.get("status").expect("status"), &["orphan"]).remove(0)
+    };
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while orphan(&mut stream, &mut reader).map(|(phase, _)| phase) != Some("execute".into()) {
+        assert!(Instant::now() < deadline, "the check never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // The ping's answer sits unread, so closing now resets the
+    // connection instead of half-closing it.
+    doomed.peek(&mut [0u8; 1]).unwrap();
+    drop(doomed);
+
+    while let Some(reading) = orphan(&mut stream, &mut reader) {
+        assert!(
+            Instant::now() < deadline,
+            "the reset client's request stayed in flight: {reading:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    handle.shutdown();
 }
 
 /// Sends `req` without reading its response.

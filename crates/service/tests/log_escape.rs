@@ -85,8 +85,8 @@ proptest! {
     #[test]
     fn flight_dump_reasons_round_trip(reason in arb_string()) {
         let dir = std::env::temp_dir().join(format!("bdrst-flight-escape-{}", std::process::id()));
-        bdrst_obs::flight::install(dir.clone(), 2).unwrap();
-        let path = bdrst_obs::flight::dump(&reason).unwrap();
+        bdrst_obs::flight::install();
+        let path = bdrst_obs::flight::dump(&dir, &reason).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
         // The next dump recreates the directory.
         let _ = std::fs::remove_dir_all(&dir);

@@ -626,6 +626,66 @@ fn shutdown_answers_every_accepted_request() {
     );
 }
 
+/// A client that half-closes with its jobs still running gets every
+/// response, then EOF: the connection closes only once nothing it sent
+/// is outstanding.
+#[test]
+fn half_closed_client_gets_every_response() {
+    let service = CheckService::new(Arc::new(ResultStore::in_memory()), RunConfig::default());
+    let handle = serve(
+        Arc::new(service),
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let (mut stream, mut reader) = connect(handle.addr());
+    let total = 32;
+    let batch: String = (0..total)
+        .map(|i| {
+            let req = if i % 2 == 0 {
+                Json::obj([
+                    ("id", Json::Int(i)),
+                    ("cmd", Json::Str("parse".into())),
+                    (
+                        "source",
+                        Json::Str("nonatomic a; thread P0 { a = 1; }".into()),
+                    ),
+                ])
+            } else {
+                Json::obj([
+                    ("id", Json::Int(i)),
+                    ("cmd", Json::Str("cache-stats".into())),
+                ])
+            };
+            format!("{}\n", req.render())
+        })
+        .collect();
+    stream.write_all(batch.as_bytes()).unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+
+    let mut ids = Vec::new();
+    let mut line = String::new();
+    while {
+        line.clear();
+        reader.read_line(&mut line).unwrap() > 0
+    } {
+        let resp = Json::parse(line.trim())
+            .unwrap_or_else(|e| panic!("malformed response line {line:?}: {e}"));
+        assert_eq!(
+            resp.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{resp:?}"
+        );
+        ids.push(resp.get("id").and_then(Json::as_i64).unwrap());
+    }
+    ids.sort_unstable();
+    assert_eq!(ids, (0..total).collect::<Vec<_>>());
+    handle.shutdown();
+}
+
 /// Regression (malformed budget fields silently ignored): a
 /// present-but-non-integer `max_states`/`max_traces` used to be dropped
 /// by `and_then(as_i64)`, so the request ran under the server's full
@@ -912,16 +972,16 @@ fn handle_line_is_usable_without_sockets() {
 
 #[test]
 fn reactor_latency_has_no_idle_poll_floor() {
-    // The reactor parks idle cycles on a wakeup pipe and polls eagerly
-    // right after activity, so a lone in-flight request must NOT pay the
-    // 500µs idle-poll cadence on either the read or the write side. The
-    // sleep-driven loop this replaced cost ~½ a poll cycle to notice the
-    // request plus ~½ to notice the worker's response — ≥ ~500µs per
-    // sequential round-trip in expectation, ≥ 25ms for the 50 pings
-    // below. With the wakeup path a cheap `cache-stats` ping is bounded
-    // by scheduling noise, not the poll clock; the *median* (immune to a
-    // loaded runner stalling a few pings) must come in well under one
-    // poll cycle.
+    // The reactor parks idle cycles on the workers' completion channel
+    // and polls eagerly right after activity, so a lone in-flight
+    // request must NOT pay the 500µs idle-poll cadence on either the
+    // read or the write side. A sleep-driven loop costs ~½ a poll cycle
+    // to notice the request plus ~½ to notice the worker's response —
+    // ≥ ~500µs per sequential round-trip in expectation, ≥ 25ms for the
+    // 50 pings below. With a worker's send ending the park, a cheap
+    // `cache-stats` ping is bounded by scheduling noise, not the poll
+    // clock; the *median* (immune to a loaded runner stalling a few
+    // pings) must come in well under one poll cycle.
     let handle = start_server();
     let (mut stream, mut reader) = connect(handle.addr());
     stream.set_nodelay(true).unwrap();
