@@ -5,6 +5,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::json::Json;
+
 /// A registry slot. Additive counters unless noted; `*HighWater` /
 /// `InternerOccupancy` are monotone gauges updated with [`counter_max`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -116,6 +118,16 @@ pub fn counters_snapshot() -> Vec<(&'static str, u64)> {
         .iter()
         .zip(&REGISTRY)
         .map(|(n, v)| (*n, v.load(Ordering::Relaxed)))
+        .collect()
+}
+
+/// The members of the counter object, one integer per counter in slot
+/// order: the base of every Chrome trace's `otherData` and of the
+/// server's `engine` gauges.
+pub fn counters_json() -> Vec<(String, Json)> {
+    counters_snapshot()
+        .into_iter()
+        .map(|(name, v)| (name.to_string(), Json::Int(v as i64)))
         .collect()
 }
 

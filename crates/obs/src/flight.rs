@@ -24,6 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::counters::{counter_add, Counter};
+use crate::json::Json;
 use crate::recorder::{drain_rings, FLIGHT, SINKS};
 
 /// Newest events per thread a dump holds.
@@ -55,7 +56,7 @@ pub fn install() {
 }
 
 /// Snapshots every thread ring's newest events plus the logger's recent
-/// lines and writes one Chrome-trace JSON file
+/// records and writes one Chrome-trace JSON file
 /// (`flight-<seq>-<reason>.json`, temp-file + rename) under `dir`,
 /// creating it if needed, and deletes `dir`'s oldest dump past the 16
 /// it retains. Returns the final path.
@@ -63,14 +64,17 @@ pub fn dump(dir: &Path, reason: &str) -> std::io::Result<PathBuf> {
     let mut profile = drain_rings(FLIGHT_WINDOW, |_| 0);
     profile.events.sort_by_key(|e| e.start_ns);
 
-    let mut extra = String::from(",\"flight_reason\":\"");
-    crate::log::escape_into(&mut extra, reason);
-    extra.push_str("\",\"recent_logs\":[");
-    // Emitted log lines are themselves JSON objects, so they embed
-    // verbatim as array elements.
-    extra.push_str(&crate::log::recent_lines().join(","));
-    extra.push(']');
-    let body = profile.to_chrome_json_with_extra(&extra);
+    let mut trace = profile.to_chrome_json();
+    if let Json::Obj(members) = &mut trace {
+        if let Some((_, Json::Obj(other))) = members.iter_mut().find(|(k, _)| k == "otherData") {
+            other.push(("flight_reason".into(), Json::Str(reason.to_string())));
+            other.push((
+                "recent_logs".into(),
+                Json::Arr(crate::log::recent_records()),
+            ));
+        }
+    }
+    let body = trace.render();
 
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     let safe_reason: String = reason

@@ -1,5 +1,7 @@
-//! A minimal, std-only JSON value for the newline-delimited check
-//! protocol and the CLI's `--json` output.
+//! A minimal, std-only JSON value: the one JSON writer and parser of
+//! the stack. The newline-delimited check protocol, the CLI's `--json`
+//! output, log records, Chrome traces and flight dumps are all built as
+//! a [`Json`] and rendered by [`Json::render`].
 //!
 //! No serde in this workspace (the build image is offline), and the
 //! protocol needs only a small well-behaved subset: objects keep their
@@ -403,6 +405,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_and_renders_round_trip() {
@@ -502,5 +505,28 @@ mod tests {
         assert_eq!(Json::parse("-7").unwrap(), Json::Int(-7));
         assert!(matches!(Json::parse("1.5").unwrap(), Json::Num(v) if v == 1.5));
         assert!(matches!(Json::parse("1e3").unwrap(), Json::Num(v) if v == 1000.0));
+    }
+
+    /// Arbitrary Unicode strings biased toward the troublemakers: the
+    /// whole ASCII block (quotes, backslashes, every control character)
+    /// plus a spread across the BMP and astral planes.
+    fn arb_string() -> impl Strategy<Value = String> {
+        prop::collection::vec(
+            prop_oneof![(0u32..0x80).boxed(), (0x80u32..0x11_0000).boxed(),],
+            0..24,
+        )
+        .prop_map(|cs| cs.into_iter().filter_map(char::from_u32).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_keys_and_values_round_trip(key in arb_string(), val in arb_string()) {
+            let v = Json::Obj(vec![(key, Json::Str(val))]);
+            let line = v.render();
+            prop_assert!(!line.contains('\n'), "{line:?} spans lines");
+            prop_assert_eq!(Json::parse(&line).unwrap(), v);
+        }
     }
 }

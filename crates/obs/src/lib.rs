@@ -1,4 +1,9 @@
-//! Structured tracing and counters for the bdrst stack, std-only.
+//! Structured tracing, counters and JSON for the bdrst stack, std-only.
+//!
+//! The bottom crate owns the JSON format: [`json::Json`] is the one
+//! value type, writer and parser behind the check protocol, the CLI's
+//! `--json` output, log records, Chrome traces and flight dumps, so
+//! every string in all of them is escaped by one function.
 //!
 //! Two layers, deliberately different in cost:
 //!
@@ -35,7 +40,9 @@
 //! Three live-introspection layers complete the stack:
 //!
 //! * [`log`] — a structured JSON-lines logger (levels, per-target rate
-//!   limiting, rename-based rotation), gated by one relaxed load.
+//!   limiting, rename-based rotation), gated by one relaxed load. Each
+//!   record is a [`Json`] object, rendered once for the sink and kept
+//!   as a value in the recent-records ring a flight dump embeds.
 //! * [`flight`] — once installed, keeps span capture on and dumps a
 //!   Chrome-trace + recent-log snapshot of the rings on anomaly (slow
 //!   request, worker panic, explicit `dump` command), with or without a
@@ -50,15 +57,17 @@
 
 mod counters;
 pub mod flight;
+pub mod json;
 pub mod log;
 mod phase;
 mod profile;
 mod progress;
 
 pub use counters::{
-    counter_add, counter_get, counter_max, counters_reset, counters_snapshot, Counter,
-    COUNTER_COUNT,
+    counter_add, counter_get, counter_max, counters_json, counters_reset, counters_snapshot,
+    Counter, COUNTER_COUNT,
 };
+pub use json::Json;
 pub use phase::{Phase, PHASE_COUNT};
 pub use profile::{PhaseSummary, Profile, TraceEvent};
 pub use progress::{current_meter, metered, Meter, MeterReading};

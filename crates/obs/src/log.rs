@@ -1,10 +1,10 @@
 //! Structured JSON-lines logging, std-only and always compiled.
 //!
 //! One line per record: `{"ts_us":...,"mono_ns":...,"level":"warn",
-//! "target":"reactor","msg":"...",<fields>}`. The escaper emits exactly
-//! the escape repertoire the service's `json.rs` parser accepts, so
-//! every logged string round-trips (property-tested from the service
-//! crate, which owns the parser).
+//! "target":"reactor","msg":"...",<fields>}`. A record is a [`Json`]
+//! object built by [`record`] and rendered by [`Json::render`], the
+//! writer the check protocol uses too, so every logged string parses
+//! back through [`Json::parse`] intact.
 //!
 //! Cost model, matching the span recorder's discipline:
 //!
@@ -20,9 +20,9 @@
 //! [`LogConfig::rate_per_sec`] lines per second per target; overflow is
 //! counted, not written, and surfaces as one summary line when the
 //! window rolls — the [`Counter::LogRateLimited`] gauge counts every
-//! suppression). Emitted lines also land in a bounded in-memory ring
-//! ([`recent_lines`]) so a flight-recorder dump can include the seconds
-//! of log context preceding an anomaly.
+//! suppression). Emitted records also land, as values, in a bounded
+//! in-memory ring ([`recent_records`]) so a flight-recorder dump can
+//! include the seconds of log context preceding an anomaly.
 //!
 //! With a directory configured, lines append to `bdrst.log` and rotate
 //! by **rename**: when the active file would exceed
@@ -38,8 +38,9 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use crate::counters::{counter_add, Counter};
+use crate::json::Json;
 
-/// Lines the in-memory recent-lines ring retains for flight dumps.
+/// Records the in-memory recent-records ring retains for flight dumps.
 const RECENT_CAPACITY: usize = 256;
 
 /// Severity, ordered: a record is emitted when its level is at or above
@@ -71,7 +72,7 @@ impl Level {
         }
     }
 
-    /// Parses a `--log-level` / `BDRST_LOG` value, case-insensitive.
+    /// Parses a `--log-level` value, case-insensitive.
     pub fn parse(s: &str) -> Option<Level> {
         match s.to_ascii_lowercase().as_str() {
             "error" => Some(Level::Error),
@@ -82,22 +83,6 @@ impl Level {
             _ => None,
         }
     }
-}
-
-/// One structured field value. Strings are escaped at render time;
-/// non-finite floats render as `null` so the line stays parseable.
-#[derive(Clone, Copy, Debug)]
-pub enum Field<'a> {
-    /// A string value.
-    Str(&'a str),
-    /// An unsigned integer.
-    U64(u64),
-    /// A signed integer.
-    I64(i64),
-    /// A float (`null` when not finite).
-    F64(f64),
-    /// A boolean.
-    Bool(bool),
 }
 
 /// Logger configuration for [`install`].
@@ -143,7 +128,7 @@ struct Window {
 struct State {
     sink: Mutex<Sink>,
     limiter: Mutex<HashMap<&'static str, Window>>,
-    recent: Mutex<VecDeque<String>>,
+    recent: Mutex<VecDeque<Json>>,
     rate_per_sec: u64,
 }
 
@@ -198,94 +183,44 @@ pub fn install(config: LogConfig) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Moves the level threshold without touching the sink.
-pub fn set_level(level: Level) {
-    if STATE.get().is_some() {
-        LEVEL.store(level as u8, Ordering::Relaxed);
-    }
-}
-
-/// The installed threshold, or `None` before [`install`].
-pub fn level() -> Option<Level> {
-    match LEVEL.load(Ordering::Relaxed) {
-        1 => Some(Level::Error),
-        2 => Some(Level::Warn),
-        3 => Some(Level::Info),
-        4 => Some(Level::Debug),
-        5 => Some(Level::Trace),
-        _ => None,
-    }
-}
-
 /// True when a record at `l` would pass the gate.
 #[inline]
 pub fn log_enabled(l: Level) -> bool {
     l as u8 <= LEVEL.load(Ordering::Relaxed)
 }
 
-/// Escapes `s` into `out` exactly as the service's `json.rs` renderer
-/// does: `"`, `\`, `\n`, `\r`, `\t` named, every other control char as
-/// `\u00XX` — the repertoire its parser reverses losslessly.
-pub(crate) fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn render(level: Level, target: &str, msg: &str, fields: &[(&str, Field)]) -> String {
+/// One record as a JSON object: `ts_us`, `mono_ns`, `level`, `target`
+/// and `msg`, then `fields` in order. Non-finite [`Json::Num`] field
+/// values render as `null`, so the line stays parseable.
+pub fn record(level: Level, target: &str, msg: &str, fields: &[(&str, Json)]) -> Json {
     let wall_us = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_micros() as u64)
+        .map(|d| d.as_micros() as i64)
         .unwrap_or(0);
-    let mut out = String::with_capacity(96 + msg.len());
-    out.push_str(&format!(
-        "{{\"ts_us\":{wall_us},\"mono_ns\":{},\"level\":\"{}\",\"target\":\"",
-        crate::now_ns(),
-        level.name()
-    ));
-    escape_into(&mut out, target);
-    out.push_str("\",\"msg\":\"");
-    escape_into(&mut out, msg);
-    out.push('"');
-    for (key, value) in fields {
-        out.push_str(",\"");
-        escape_into(&mut out, key);
-        out.push_str("\":");
-        match value {
-            Field::Str(s) => {
-                out.push('"');
-                escape_into(&mut out, s);
-                out.push('"');
-            }
-            Field::U64(n) => out.push_str(&n.to_string()),
-            Field::I64(n) => out.push_str(&n.to_string()),
-            Field::F64(f) if f.is_finite() => out.push_str(&format!("{f}")),
-            Field::F64(_) => out.push_str("null"),
-            Field::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        }
-    }
-    out.push('}');
-    out
+    let head = [
+        ("ts_us", Json::Int(wall_us)),
+        ("mono_ns", Json::Int(crate::now_ns() as i64)),
+        ("level", Json::Str(level.name().to_string())),
+        ("target", Json::Str(target.to_string())),
+        ("msg", Json::Str(msg.to_string())),
+    ];
+    Json::Obj(
+        head.into_iter()
+            .chain(fields.iter().cloned())
+            .map(|(key, value)| (key.to_string(), value))
+            .collect(),
+    )
 }
 
-fn emit(state: &State, line: String) {
+fn emit(state: &State, record: Json) {
     counter_add(Counter::LogLines, 1);
+    let line = record.render();
     {
         let mut recent = state.recent.lock().unwrap();
         if recent.len() == RECENT_CAPACITY {
             recent.pop_front();
         }
-        recent.push_back(line.clone());
+        recent.push_back(record);
     }
     let mut sink = state.sink.lock().unwrap();
     match &mut *sink {
@@ -327,7 +262,7 @@ fn emit(state: &State, line: String) {
 
 /// Emits one structured record. `target` names the subsystem (the rate
 /// limiter's key); `fields` append as extra JSON members after `msg`.
-pub fn log(level: Level, target: &'static str, msg: &str, fields: &[(&str, Field)]) {
+pub fn log(level: Level, target: &'static str, msg: &str, fields: &[(&str, Json)]) {
     if !log_enabled(level) {
         return;
     }
@@ -362,49 +297,38 @@ pub fn log(level: Level, target: &'static str, msg: &str, fields: &[(&str, Field
     if released > 0 {
         emit(
             state,
-            render(
+            record(
                 Level::Warn,
                 target,
                 "rate limiter released",
-                &[("suppressed", Field::U64(released))],
+                &[("suppressed", Json::Int(released as i64))],
             ),
         );
     }
-    emit(state, render(level, target, msg, fields));
+    emit(state, record(level, target, msg, fields));
 }
 
 /// [`log`] at [`Level::Error`].
-pub fn error(target: &'static str, msg: &str, fields: &[(&str, Field)]) {
+pub fn error(target: &'static str, msg: &str, fields: &[(&str, Json)]) {
     log(Level::Error, target, msg, fields);
 }
 
 /// [`log`] at [`Level::Warn`].
-pub fn warn(target: &'static str, msg: &str, fields: &[(&str, Field)]) {
+pub fn warn(target: &'static str, msg: &str, fields: &[(&str, Json)]) {
     log(Level::Warn, target, msg, fields);
 }
 
 /// [`log`] at [`Level::Info`].
-pub fn info(target: &'static str, msg: &str, fields: &[(&str, Field)]) {
+pub fn info(target: &'static str, msg: &str, fields: &[(&str, Json)]) {
     log(Level::Info, target, msg, fields);
 }
 
-/// [`log`] at [`Level::Debug`].
-pub fn debug(target: &'static str, msg: &str, fields: &[(&str, Field)]) {
-    log(Level::Debug, target, msg, fields);
-}
-
-/// The most recent emitted lines (oldest first), for flight dumps.
-pub fn recent_lines() -> Vec<String> {
+/// The most recent emitted records (oldest first), for flight dumps.
+pub fn recent_records() -> Vec<Json> {
     STATE
         .get()
         .map(|s| s.recent.lock().unwrap().iter().cloned().collect())
         .unwrap_or_default()
-}
-
-/// Renders a record to its JSON line without emitting it — the escaping
-/// surface the round-trip property tests target.
-pub fn render_line(level: Level, target: &str, msg: &str, fields: &[(&str, Field)]) -> String {
-    render(level, target, msg, fields)
 }
 
 #[cfg(test)]
@@ -413,19 +337,28 @@ mod tests {
 
     #[test]
     fn render_escapes_and_fields() {
-        let line = render_line(
+        let rec = record(
             Level::Warn,
             "test",
             "a \"quoted\"\nmessage\twith\u{1}ctrl",
             &[
-                ("s", Field::Str("v\\x")),
-                ("u", Field::U64(7)),
-                ("i", Field::I64(-3)),
-                ("f", Field::F64(1.5)),
-                ("nan", Field::F64(f64::NAN)),
-                ("b", Field::Bool(true)),
+                ("s", Json::Str("v\\x".into())),
+                ("u", Json::Int(7)),
+                ("i", Json::Int(-3)),
+                ("f", Json::Num(1.5)),
+                ("nan", Json::Num(f64::NAN)),
+                ("b", Json::Bool(true)),
             ],
         );
+        let Json::Obj(members) = &rec else {
+            panic!("a record is an object: {rec:?}")
+        };
+        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            ["ts_us", "mono_ns", "level", "target", "msg", "s", "u", "i", "f", "nan", "b"]
+        );
+        let line = rec.render();
         assert!(line.starts_with('{') && line.ends_with('}'));
         assert!(line.contains("\\\"quoted\\\"\\nmessage\\twith\\u0001ctrl"));
         assert!(line.contains("\"s\":\"v\\\\x\""));

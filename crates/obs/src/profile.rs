@@ -1,7 +1,8 @@
 //! The collected result of a recording session, and its two renderings:
 //! Chrome trace-event JSON and a human per-phase table.
 
-use crate::counters::counters_snapshot;
+use crate::counters::counters_json;
+use crate::json::Json;
 use crate::phase::Phase;
 
 /// One recorded span occurrence.
@@ -48,64 +49,42 @@ pub struct Profile {
     pub dropped: u64,
 }
 
-/// Nanoseconds as a microsecond decimal literal (Chrome's `ts`/`dur`
-/// unit) without going through floats: `1234` ns → `1.234`.
-fn us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
-
 impl Profile {
-    /// Renders the profile as a Chrome trace-event JSON object: complete
-    /// (`"ph":"X"`) events plus thread-name metadata in `traceEvents`,
-    /// and the full counter registry snapshot under `otherData` —
-    /// loadable in `chrome://tracing` or Perfetto as-is.
-    pub fn to_chrome_json(&self) -> String {
-        self.to_chrome_json_with_extra("")
-    }
-
-    /// [`to_chrome_json`](Profile::to_chrome_json) with extra raw-JSON
-    /// members spliced into `otherData` — `extra` must be empty or a
-    /// string of `,"key":value` members (the flight recorder uses this
-    /// for the dump reason and the recent-log snapshot).
-    pub fn to_chrome_json_with_extra(&self, extra: &str) -> String {
-        let mut out = String::with_capacity(128 + extra.len() + self.events.len() * 96);
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        for (tid, name) in &self.threads {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-                 \"args\":{{\"name\":\""
-            ));
-            crate::log::escape_into(&mut out, name);
-            out.push_str("\"}}");
-        }
-        for e in &self.events {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\
-                 \"args\":{{\"arg\":{}}}}}",
-                e.phase.name(),
-                e.tid,
-                us(e.start_ns),
-                us(e.dur_ns),
-                e.arg
-            ));
-        }
-        out.push_str("],\"otherData\":{\"dropped_events\":");
-        out.push_str(&self.dropped.to_string());
-        for (name, value) in counters_snapshot() {
-            out.push_str(&format!(",\"{name}\":{value}"));
-        }
-        out.push_str(extra);
-        out.push_str("}}");
-        out
+    /// The profile as a Chrome trace-event JSON object: complete
+    /// (`"ph":"X"`) events, with `ts`/`dur` in microseconds, plus
+    /// thread-name metadata in `traceEvents`, and the dropped-event
+    /// count and the full counter registry under `otherData` — loadable
+    /// in `chrome://tracing` or Perfetto once rendered.
+    pub fn to_chrome_json(&self) -> Json {
+        let us = |ns: u64| Json::Num(ns as f64 / 1e3);
+        let threads = self.threads.iter().map(|(tid, name)| {
+            Json::obj([
+                ("name", Json::Str("thread_name".into())),
+                ("ph", Json::Str("M".into())),
+                ("pid", Json::Int(1)),
+                ("tid", Json::Int(*tid as i64)),
+                ("args", Json::obj([("name", Json::Str(name.clone()))])),
+            ])
+        });
+        let spans = self.events.iter().map(|e| {
+            Json::obj([
+                ("name", Json::Str(e.phase.name().into())),
+                ("ph", Json::Str("X".into())),
+                ("pid", Json::Int(1)),
+                ("tid", Json::Int(e.tid as i64)),
+                ("ts", us(e.start_ns)),
+                ("dur", us(e.dur_ns)),
+                ("args", Json::obj([("arg", Json::Int(e.arg as i64))])),
+            ])
+        });
+        let other = std::iter::once(("dropped_events".to_string(), Json::Int(self.dropped as i64)))
+            .chain(counters_json())
+            .collect();
+        Json::obj([
+            ("displayTimeUnit", Json::Str("ms".into())),
+            ("traceEvents", Json::Arr(threads.chain(spans).collect())),
+            ("otherData", Json::Obj(other)),
+        ])
     }
 
     /// Renders the per-phase aggregate table, heaviest self-time first.
@@ -164,7 +143,7 @@ mod tests {
             }],
             dropped: 0,
         };
-        let json = p.to_chrome_json();
+        let json = p.to_chrome_json().render();
         assert!(json.contains("\"traceEvents\":["));
         assert!(json.contains("\"name\":\"parse\""));
         assert!(json.contains("\"ph\":\"X\""));

@@ -1,16 +1,15 @@
-//! Property tests for `bdrst-obs`'s one JSON string escaper: every line
-//! `obs::log` renders, every thread name in a Chrome trace and every
-//! flight-dump reason must parse back through the service's own
-//! std-only JSON parser intact — the two escapers were written against
-//! the same repertoire, and this is the test that keeps them aligned.
-//! Plus a rotation test: rotation happens only at line boundaries, so no
-//! line is ever split across `bdrst.log*` files.
+//! Property tests for the observability output of `bdrst-obs`: every
+//! log record, every thread name in a Chrome trace and every
+//! flight-dump reason is built as a [`Json`] value, and its rendered
+//! line must parse back through [`Json::parse`] intact. Plus a rotation
+//! test: rotation happens only at line boundaries, so no line is ever
+//! split across `bdrst.log*` files.
 
 use proptest::prelude::*;
 
-use bdrst_obs::log::{render_line, Field, Level, LogConfig};
+use bdrst_obs::json::Json;
+use bdrst_obs::log::{record, Level, LogConfig};
 use bdrst_obs::Profile;
-use bdrst_service::json::Json;
 
 /// Arbitrary Unicode strings biased toward the troublemakers: the whole
 /// ASCII block (quotes, backslashes, every control character) plus a
@@ -33,7 +32,7 @@ proptest! {
         msg in arb_string(),
         val in arb_string(),
     ) {
-        let line = render_line(Level::Info, &target, &msg, &[("v", Field::Str(&val))]);
+        let line = record(Level::Info, &target, &msg, &[("v", Json::Str(val.clone()))]).render();
         let doc = Json::parse(&line)
             .unwrap_or_else(|e| panic!("rendered line does not parse: {e} in {line:?}"));
         prop_assert_eq!(doc.get("target").and_then(Json::as_str), Some(target.as_str()));
@@ -47,17 +46,18 @@ proptest! {
         u in 0u64..1_000_000_000_000,
         i in -1_000_000_000_000i64..1_000_000_000_000,
     ) {
-        let line = render_line(
+        let line = record(
             Level::Warn,
             "t",
             "m",
             &[
-                ("u", Field::U64(u)),
-                ("i", Field::I64(i)),
-                ("nan", Field::F64(f64::NAN)),
-                ("yes", Field::Bool(true)),
+                ("u", Json::Int(u as i64)),
+                ("i", Json::Int(i)),
+                ("nan", Json::Num(f64::NAN)),
+                ("yes", Json::Bool(true)),
             ],
-        );
+        )
+        .render();
         let doc = Json::parse(&line)
             .unwrap_or_else(|e| panic!("rendered line does not parse: {e} in {line:?}"));
         prop_assert_eq!(doc.get("u"), Some(&Json::Int(u as i64)));
@@ -72,7 +72,7 @@ proptest! {
             threads: vec![(1, name.clone())],
             ..Profile::default()
         };
-        let json = profile.to_chrome_json();
+        let json = profile.to_chrome_json().render();
         let doc = Json::parse(&json)
             .unwrap_or_else(|e| panic!("trace does not parse: {e} in {json:?}"));
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
@@ -130,11 +130,11 @@ fn rotation_never_splits_a_line() {
     .unwrap();
 
     let pad = "x".repeat(64);
-    for i in 0..200u64 {
+    for i in 0..200i64 {
         bdrst_obs::log::info(
             "rotate-test",
             "padding line for the rotation property",
-            &[("i", Field::U64(i)), ("pad", Field::Str(&pad))],
+            &[("i", Json::Int(i)), ("pad", Json::Str(pad.clone()))],
         );
     }
 

@@ -24,14 +24,12 @@
 //!
 //! `serve` flags: `--max-conns N`, `--queue-depth N` (admission /
 //! backpressure bounds), `--rate-per-sec N` + `--burst N`
-//! (per-connection token bucket; 0 = unlimited), `--metrics` (print a
-//! metrics JSON snapshot line every 10s), `--slow-ms N` (count and log
-//! requests whose enqueue → flush time reaches N ms, with a flight dump
-//! when one is installed), `--trace-dir DIR` (install the flight
-//! recorder; its dumps land here), `--log-level L` + `--log-dir DIR`
-//! (structured JSON-lines logging; the `BDRST_LOG` environment variable
-//! also sets the level). `bdrst
-//! metrics --addr HOST:PORT` asks a running server for the same
+//! (per-connection token bucket; 0 = unlimited), `--slow-ms N` (count
+//! and log requests whose enqueue → flush time reaches N ms, with a
+//! flight dump when one is installed), `--trace-dir DIR` (install the
+//! flight recorder; its dumps land here), `--log-level L` (default
+//! `warn`) + `--log-dir DIR` (structured JSON-lines logging). `bdrst
+//! metrics --addr HOST:PORT` asks a running server for its live
 //! counters over the wire; `bdrst status --addr HOST:PORT` for the
 //! live in-flight request table.
 //!
@@ -63,7 +61,6 @@ struct Opts {
     queue_depth: Option<usize>,
     rate_per_sec: u32,
     burst: Option<u32>,
-    metrics: bool,
     profile: Option<PathBuf>,
     trace_dir: Option<PathBuf>,
     slow_ms: Option<u64>,
@@ -80,9 +77,9 @@ fn usage() -> ExitCode {
          flags: --json --cache-dir DIR --addr HOST:PORT --workers N --max-states N --max-traces N --shrink\n\
          profiling: --profile OUT.json (check/corpus/races: Chrome trace export + summary on stderr)\n\
          \x20          --progress (check/corpus/races: work units on stderr every 4096, and the total)\n\
-         serve flags: --max-conns N --queue-depth N --rate-per-sec N --burst N --metrics\n\
+         serve flags: --max-conns N --queue-depth N --rate-per-sec N --burst N\n\
          \x20              --slow-ms N (count, log and flight-dump requests slower than N ms) --trace-dir DIR (flight dumps)\n\
-         \x20              --log-level error|warn|info|debug|trace (also via BDRST_LOG) --log-dir DIR (JSON-lines log files; default stderr)\n\
+         \x20              --log-level error|warn|info|debug|trace (default warn) --log-dir DIR (JSON-lines log files; default stderr)\n\
          metrics flags: --prom (Prometheus text exposition)\n\
          exit codes: 0 pass/no races · 1 model mismatch · 2 run error (parse/budget/engine) · 3 races found · 64 usage"
     );
@@ -104,7 +101,6 @@ fn parse_opts(mut argv: std::env::Args) -> Option<(String, Opts)> {
         queue_depth: None,
         rate_per_sec: 0,
         burst: None,
-        metrics: false,
         profile: None,
         trace_dir: None,
         slow_ms: None,
@@ -128,7 +124,6 @@ fn parse_opts(mut argv: std::env::Args) -> Option<(String, Opts)> {
             "--queue-depth" => opts.queue_depth = Some(argv.next()?.parse().ok()?),
             "--rate-per-sec" => opts.rate_per_sec = argv.next()?.parse().ok()?,
             "--burst" => opts.burst = Some(argv.next()?.parse().ok()?),
-            "--metrics" => opts.metrics = true,
             "--profile" => opts.profile = Some(PathBuf::from(argv.next()?)),
             "--trace-dir" => opts.trace_dir = Some(PathBuf::from(argv.next()?)),
             "--slow-ms" => opts.slow_ms = Some(argv.next()?.parse().ok()?),
@@ -174,7 +169,7 @@ fn with_profile(profile: Option<&PathBuf>, f: impl FnOnce() -> ExitCode) -> Exit
     bdrst_obs::Recorder::install();
     let code = f();
     let prof = bdrst_obs::Recorder::stop_and_collect();
-    if let Err(e) = std::fs::write(path, prof.to_chrome_json()) {
+    if let Err(e) = std::fs::write(path, prof.to_chrome_json().render()) {
         eprintln!("profile {}: {e}", path.display());
         return ExitCode::from(2);
     }
@@ -478,19 +473,14 @@ fn cmd_races(opts: &Opts) -> ExitCode {
     }
 }
 
-/// Resolves the server log level: `--log-level` wins, then the
-/// `BDRST_LOG` environment variable, then the library default (warn).
+/// The server log level: `--log-level`, or the library default (warn).
 fn log_level_for(opts: &Opts) -> Result<bdrst_obs::log::Level, String> {
-    use bdrst_obs::log::Level;
-    if let Some(s) = &opts.log_level {
-        return Level::parse(s).ok_or_else(|| format!("--log-level {s}: unknown level"));
-    }
-    if let Ok(s) = std::env::var("BDRST_LOG") {
-        if !s.is_empty() {
-            return Level::parse(&s).ok_or_else(|| format!("BDRST_LOG={s}: unknown level"));
+    match &opts.log_level {
+        Some(s) => {
+            bdrst_obs::log::Level::parse(s).ok_or_else(|| format!("--log-level {s}: unknown level"))
         }
+        None => Ok(bdrst_obs::log::LogConfig::default().level),
     }
-    Ok(bdrst_obs::log::LogConfig::default().level)
 }
 
 fn cmd_serve(opts: &Opts) -> ExitCode {
@@ -532,18 +522,9 @@ fn cmd_serve(opts: &Opts) -> ExitCode {
             println!("bdrst serving on {}", handle.addr());
             use std::io::Write as _;
             let _ = std::io::stdout().flush();
-            // Serve until killed; with --metrics, print a counters
-            // snapshot line every 10s (same JSON the `metrics` command
-            // serves over the wire).
-            let metrics = handle.metrics();
+            // Serve until killed.
             loop {
-                if opts.metrics {
-                    std::thread::sleep(std::time::Duration::from_secs(10));
-                    println!("{}", metrics.to_json().render());
-                    let _ = std::io::stdout().flush();
-                } else {
-                    std::thread::park();
-                }
+                std::thread::park();
             }
         }
         Err(e) => {

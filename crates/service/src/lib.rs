@@ -7,25 +7,28 @@
 //! running the transition semantics at all. Three layers:
 //!
 //! * **[`store`]** — the [`store::ResultStore`]: outcome sets, checker
-//!   verdicts and interned successor graphs keyed by the program's
+//!   verdicts and recorded trace graphs keyed by the program's
 //!   canonical fingerprint plus a semantics/config version tag; sharded
 //!   in memory, optionally persisted in a hand-rolled versioned binary
 //!   format ([`bdrst_core::wire`]). Corrupt, stale, or colliding entries
 //!   fall back to recompute — never to a wrong verdict.
 //! * **[`service`]** — the [`service::CheckService`]: the cache-first
 //!   compute path (parse → fingerprint → lookup → on miss, explore once
-//!   through `Program::state_graph` and the axiomatic enumerator).
+//!   by DPOR through `Program::outcomes_with`, which holds no state
+//!   graph, and run the axiomatic enumerator).
 //! * **[`server`] / [`reactor`] / the `bdrst` binary** — a
 //!   `std::net::TcpListener` service speaking newline-delimited JSON
-//!   ([`json`]): a std-only readiness-loop reactor (nonblocking
-//!   sockets, per-connection buffers — idle connections cost memory,
-//!   not threads) feeding a bounded job queue and a worker pool, with
+//!   ([`json`], re-exported from `bdrst-obs`, which writes the logs
+//!   and traces with the same type): a std-only readiness-loop reactor
+//!   (nonblocking sockets, per-connection buffers — idle connections
+//!   cost memory, not threads) feeding a bounded job queue and a worker pool, with
 //!   atomic connection admission, per-connection token-bucket rate
 //!   limiting, live counters ([`metrics`], served by the `metrics`
 //!   command), and drain-then-close shutdown (every accepted request
 //!   gets exactly one response line). The CLI (`check`, `corpus`,
-//!   `races`, `serve`, `metrics`, `cache stats|clear`) makes programs
-//!   checkable without recompiling anything.
+//!   `races`, `serve`, `metrics`, `status`, `cache stats|clear`,
+//!   `corpus-export`) makes programs checkable without recompiling
+//!   anything.
 //!
 //! The whole crate is std-only, like the rest of the workspace.
 //!
@@ -52,14 +55,14 @@
 #![forbid(unsafe_code)]
 
 pub mod corpusdir;
-pub mod json;
+pub use bdrst_obs::json;
 pub mod metrics;
 pub mod reactor;
 pub mod server;
 pub mod service;
 pub mod store;
 
-pub use json::Json;
+pub use bdrst_obs::json::Json;
 pub use metrics::Metrics;
 pub use server::{serve, ServeConfig, ServerHandle};
 pub use service::{CheckService, Checked};

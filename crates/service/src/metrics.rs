@@ -721,14 +721,14 @@ impl Metrics {
 }
 
 /// The engine gauges of the process-wide observability registry: every
-/// counter of [`bdrst_obs::counters_snapshot`], the list Prometheus
-/// exposes too, plus the rates the raw values only imply
+/// counter of [`bdrst_obs::counters_json`], in the registry order
+/// Prometheus exposes too, plus the rates the raw values only imply
 /// (`states_per_sec`, explore visits per second of explore time; digest
 /// hit rate; DPOR pruning ratio).
 pub fn engine_gauges_json() -> Json {
     use bdrst_obs::Counter::*;
-    let snapshot = bdrst_obs::counters_snapshot();
-    let get = |c: bdrst_obs::Counter| snapshot[c as usize].1 as f64;
+    let mut gauges = bdrst_obs::counters_json();
+    let get = |c: bdrst_obs::Counter| gauges[c as usize].1.as_i64().unwrap_or(0) as f64;
     let ratio = |num: f64, den: f64| Json::Num(if den == 0.0 { 0.0 } else { num / den });
     let (hits, misses) = (get(DigestHits), get(DigestMisses));
     let (branches, blocked) = (get(DporBranches), get(DporSleepBlocked));
@@ -740,26 +740,24 @@ pub fn engine_gauges_json() -> Json {
         ("digest_hit_rate", ratio(hits, hits + misses)),
         ("dpor_pruning_ratio", ratio(blocked, branches + blocked)),
     ];
-    Json::Obj(
-        snapshot
-            .iter()
-            .map(|&(name, value)| (name, Json::Int(value as i64)))
-            .chain(rates)
-            .map(|(name, v)| (name.to_string(), v))
-            .collect(),
-    )
+    gauges.extend(rates.map(|(name, v)| (name.to_string(), v)));
+    Json::Obj(gauges)
 }
 
 /// The human rendering of a `metrics` response object (the JSON the
 /// server's `metrics` command returns): connection/queue gauges, request
-/// and error counts, and a per-command latency table whose p50/p95/p99
-/// are recomputed from the histogram buckets client-side via
-/// [`percentile_from_counts`] — the CLI needs no server-side percentile
-/// support to render a snapshot from an older server.
+/// and error counts, and a per-command latency table: the count is the
+/// sum of the histogram buckets, and p50/p95/p99 are the server's own
+/// `p50_us`/`p95_us`/`p99_us`.
 pub fn render_human(metrics: &Json) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     let int = |v: Option<&Json>| v.and_then(Json::as_i64).unwrap_or(0);
+    // A whole-valued percentile reads back as an integer.
+    let num = |v: Option<&Json>| match v {
+        Some(Json::Num(x)) => *x,
+        other => int(other) as f64,
+    };
     if let Some(conns) = metrics.get("conns") {
         let _ = writeln!(
             out,
@@ -796,17 +794,13 @@ pub fn render_human(metrics: &Json) -> String {
                 "command", "count", "p50", "p95", "p99"
             );
             for (cmd, row) in rows {
-                let counts: Vec<u64> = LATENCY_LABELS
-                    .iter()
-                    .map(|l| int(row.get(l)).max(0) as u64)
-                    .collect();
-                let count: u64 = counts.iter().sum();
+                let count: i64 = LATENCY_LABELS.iter().map(|l| int(row.get(l))).sum();
                 let _ = writeln!(
                     out,
                     "  {cmd:<16} {count:>8} {:>10.1} {:>10.1} {:>10.1}",
-                    percentile_from_counts(&counts, 0.5),
-                    percentile_from_counts(&counts, 0.95),
-                    percentile_from_counts(&counts, 0.99),
+                    num(row.get("p50_us")),
+                    num(row.get("p95_us")),
+                    num(row.get("p99_us")),
                 );
             }
         }
@@ -1025,6 +1019,28 @@ mod tests {
         );
         assert!(m.to_prom().contains("bdrst_slow_requests_total 2"));
         assert!(render_human(&m.to_json()).contains("slow requests: 2"));
+    }
+
+    #[test]
+    fn human_latency_rows_print_the_servers_percentiles() {
+        let m = Metrics::new();
+        m.observe_latency("parse", Duration::from_micros(150));
+        // Read back off the wire, as `bdrst metrics` does: the whole
+        // p50 (550) arrives as an integer, p95/p99 as floats.
+        let wire = Json::parse(&m.to_json().render()).unwrap();
+        assert_eq!(
+            wire.get_in(&["latency", "parse", "p50_us"]),
+            Some(&Json::Int(550))
+        );
+        let row = format!(
+            "  {:<16} {:>8} {:>10.1} {:>10.1} {:>10.1}",
+            "parse", 1, 550.0, 955.0, 991.0
+        );
+        assert!(
+            render_human(&wire).contains(&row),
+            "{}",
+            render_human(&wire)
+        );
     }
 
     #[test]

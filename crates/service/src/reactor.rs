@@ -239,8 +239,8 @@ impl Reactor {
                         "reactor",
                         "drained; shutting down",
                         &[
-                            ("conns", bdrst_obs::log::Field::U64(self.conns.len() as u64)),
-                            ("forced", bdrst_obs::log::Field::Bool(!drained)),
+                            ("conns", Json::Int(self.conns.len() as i64)),
+                            ("forced", Json::Bool(!drained)),
                         ],
                     );
                     break;
@@ -357,7 +357,7 @@ impl Reactor {
                     bdrst_obs::log::warn(
                         "reactor",
                         "accept failed",
-                        &[("error", bdrst_obs::log::Field::Str(&e.to_string()))],
+                        &[("error", Json::Str(e.to_string()))],
                     );
                     break;
                 }
@@ -447,12 +447,12 @@ impl Reactor {
         if self.slow_ns.is_some_and(|t| total >= t) {
             self.metrics.count_slow_request();
             let exec_start_ns = req.exec_start_ns();
-            let ms = |ns: u64| bdrst_obs::log::Field::F64(ns as f64 / 1e6);
+            let ms = |ns: u64| Json::Num(ns as f64 / 1e6);
             bdrst_obs::log::warn(
                 "server",
                 "slow request",
                 &[
-                    ("req_id", bdrst_obs::log::Field::U64(req.id)),
+                    ("req_id", Json::Int(req.id as i64)),
                     ("total_ms", ms(total)),
                     (
                         "queue_wait_ms",
@@ -569,29 +569,22 @@ impl Reactor {
         let max_request = self.config.max_request_bytes.max(1);
         loop {
             let conn = &mut self.conns[i];
-            let Some(pos) = conn.rbuf.iter().position(|b| *b == b'\n') else {
-                if conn.rbuf.len() > max_request {
-                    self.metrics.count_error("too-large");
-                    let resp = error_response(
-                        Json::Null,
-                        "too-large",
-                        format!("request exceeds {max_request} bytes"),
-                    );
-                    self.conns[i].start_rejecting(now, &resp);
-                    return true;
-                }
-                return false;
-            };
-            if pos > max_request {
+            let pos = conn.rbuf.iter().position(|b| *b == b'\n');
+            // A line past the cap, or an unterminated buffer already past
+            // it, is rejected the same way.
+            if pos.unwrap_or(conn.rbuf.len()) > max_request {
                 self.metrics.count_error("too-large");
                 let resp = error_response(
                     Json::Null,
                     "too-large",
                     format!("request exceeds {max_request} bytes"),
                 );
-                self.conns[i].start_rejecting(now, &resp);
+                conn.start_rejecting(now, &resp);
                 return true;
             }
+            let Some(pos) = pos else {
+                return false;
+            };
             let line_bytes: Vec<u8> = conn.rbuf.drain(..=pos).collect();
             let Ok(line) = String::from_utf8(line_bytes) else {
                 self.metrics.count_error("proto");

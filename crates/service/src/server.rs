@@ -353,8 +353,8 @@ pub fn serve(
         "server",
         "listening",
         &[
-            ("addr", bdrst_obs::log::Field::Str(&addr.to_string())),
-            ("workers", bdrst_obs::log::Field::U64(worker_count as u64)),
+            ("addr", Json::Str(addr.to_string())),
+            ("workers", Json::Int(worker_count as i64)),
         ],
     );
     // Each worker owns a sender; the reactor holds none, so the channel
@@ -391,7 +391,7 @@ pub fn serve(
                         bdrst_obs::log::error(
                             "server",
                             "worker panicked handling a request",
-                            &[("req_id", bdrst_obs::log::Field::U64(req.id))],
+                            &[("req_id", Json::Int(req.id as i64))],
                         );
                         if let Some(dir) = &trace_dir {
                             let _ = bdrst_obs::flight::dump_throttled(dir, "worker-panic");

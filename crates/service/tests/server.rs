@@ -487,6 +487,29 @@ fn oversized_requests_are_rejected() {
         0,
         "oversized conn not closed"
     );
+
+    // 4 KiB with no newline at all, then nothing: the unterminated
+    // buffer past the cap is rejected the same way, without waiting for
+    // a line end that never comes, and the connection closes.
+    let (mut s, mut r) = connect(handle.addr());
+    s.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    s.write_all(big.as_bytes()).unwrap();
+    s.flush().unwrap();
+    line.clear();
+    r.read_line(&mut line).unwrap();
+    let resp = Json::parse(line.trim()).unwrap();
+    assert_eq!(
+        resp.get_in(&["error", "kind"]).and_then(Json::as_str),
+        Some("too-large"),
+        "{line}"
+    );
+    line.clear();
+    assert_eq!(
+        r.read_line(&mut line).unwrap(),
+        0,
+        "unterminated oversized conn not closed"
+    );
     handle.shutdown();
 }
 
