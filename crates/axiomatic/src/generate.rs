@@ -11,7 +11,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use bdrst_core::loc::{Action, Loc, LocSet, Val};
+use bdrst_core::loc::{Action, Loc, Val};
 use bdrst_core::machine::{Expr, StepLabel};
 use bdrst_lang::{Program, ThreadState};
 
@@ -172,11 +172,6 @@ fn generate_with_domains(
         out.push(alternatives);
     }
     Ok(out)
-}
-
-/// Convenience: the locations of a program (used by downstream crates).
-pub fn program_locs(program: &Program) -> &LocSet {
-    &program.locs
 }
 
 #[cfg(test)]

@@ -35,7 +35,6 @@ use crate::history::History;
 use crate::loc::{Loc, LocKind, LocSet, Val};
 use crate::machine::{Expr, Machine};
 use crate::timestamp::Timestamp;
-use crate::wire::{Codec, Reader, WireError};
 
 /// The canonical (timestamp-renamed) form of a location's contents.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -68,61 +67,12 @@ impl<E> CanonState<E> {
     /// the last history entry for nonatomics (histories are stored in
     /// timestamp order), the current value for atomics. This is exactly
     /// what outcome extraction needs, so terminal observations can be
-    /// re-derived from a cached graph without the machines.
+    /// re-derived from a recorded state graph without the machines.
     pub fn latest_values(&self) -> impl Iterator<Item = Val> + '_ {
         self.store.iter().map(|c| match c {
             CanonLoc::Na(vals) => *vals.last().expect("reachable histories are nonempty"),
             CanonLoc::At(v, _) => *v,
         })
-    }
-}
-
-impl Codec for CanonLoc {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CanonLoc::Na(vals) => {
-                out.push(0);
-                vals.encode(out);
-            }
-            CanonLoc::At(v, ranks) => {
-                out.push(1);
-                v.encode(out);
-                ranks.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<CanonLoc, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(CanonLoc::Na(Vec::decode(r)?)),
-            1 => Ok(CanonLoc::At(Val::decode(r)?, Vec::decode(r)?)),
-            tag => Err(WireError::BadTag {
-                what: "CanonLoc",
-                tag,
-            }),
-        }
-    }
-}
-
-impl<E: Codec> Codec for CanonState<E> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.store.encode(out);
-        self.threads.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<CanonState<E>, WireError> {
-        let store = Vec::decode(r)?;
-        let threads = Vec::decode(r)?;
-        let state = CanonState { store, threads };
-        // Outcome extraction assumes reachable nonatomic histories are
-        // non-empty; reject hand-crafted (or corrupted) empties here so
-        // `latest_values` cannot panic on decoded graphs.
-        for c in &state.store {
-            if matches!(c, CanonLoc::Na(vals) if vals.is_empty()) {
-                return Err(WireError::Invalid("empty nonatomic history"));
-            }
-        }
-        Ok(state)
     }
 }
 

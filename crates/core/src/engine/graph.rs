@@ -154,16 +154,14 @@ impl<E> StateGraph<E> {
             .map(|(i, _)| StateId(i as u32))
     }
 
-    /// Serializes the graph ([`crate::wire`]): states, CSR offsets,
-    /// successor ids, terminal flags, in that order. `E` must itself be
-    /// wire-codable (the litmus language's thread states are). Nothing
-    /// decodes these bytes: the result store keeps no state graph, and
-    /// the benchmark's ledger encodes a graph only to size it.
-    pub fn encode(&self, out: &mut Vec<u8>)
-    where
-        E: Codec,
-    {
-        self.states.encode(out);
+    /// Serializes the graph's CSR tables ([`crate::wire`]): offsets,
+    /// successor ids and terminal flags, in that order; the canonical
+    /// states are not written. Nothing decodes these bytes. Its sole
+    /// caller is the benchmark's ledger (`perfbench/src/ledger.rs`),
+    /// which sizes an entry's graph and never reaches this, since entries
+    /// hold no graph; it goes with the state-graph recorder (ROADMAP
+    /// item 2).
+    pub fn encode(&self, out: &mut Vec<u8>) {
         self.offsets.encode(out);
         self.succs.encode(out);
         self.terminal.encode(out);

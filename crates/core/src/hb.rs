@@ -542,13 +542,11 @@ impl RaceWitness {
     }
 }
 
-/// Detector knobs.
+/// Detector knobs. The detector always explores only sequentially
+/// consistent traces (it drops weak transitions), the quantifier of the
+/// DRF theorems.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct DetectorConfig {
-    /// Explore only sequentially consistent traces (no weak
-    /// transitions) — the quantifier of the DRF theorems. Turning this
-    /// off scans weak executions too (races are defined identically).
-    pub sc_only: bool,
     /// Stop exploring once this many distinct witnesses (deduplicated by
     /// location, thread pair and access kinds) have been collected.
     pub max_witnesses: usize,
@@ -556,10 +554,7 @@ pub struct DetectorConfig {
 
 impl Default for DetectorConfig {
     fn default() -> DetectorConfig {
-        DetectorConfig {
-            sc_only: true,
-            max_witnesses: 16,
-        }
+        DetectorConfig { max_witnesses: 16 }
     }
 }
 
@@ -670,25 +665,12 @@ impl<'a> RaceDetector<'a> {
     }
 
     /// Runs the detector over one fixed label sequence (no branching),
-    /// returning the first witness if the trace races. Used by the
-    /// shrinker's candidate checks.
-    pub fn run_linear(
-        locs: &LocSet,
-        config: DetectorConfig,
-        labels: &[TransitionLabel],
-    ) -> Option<RaceWitness> {
-        let mut d = RaceDetector::new(
-            locs,
-            DetectorConfig {
-                max_witnesses: 1,
-                ..config
-            },
-        );
+    /// skipping its weak transitions, and returns the first witness if
+    /// the trace races. Used by the shrinker's candidate checks.
+    pub fn run_linear(locs: &LocSet, labels: &[TransitionLabel]) -> Option<RaceWitness> {
+        let mut d = RaceDetector::new(locs, DetectorConfig { max_witnesses: 1 });
         let mut trace = TraceLabels::new();
-        for l in labels {
-            if !d.passes_filter(l) {
-                continue;
-            }
+        for l in labels.iter().filter(|l| !l.weak) {
             trace.push(*l);
             if let Control::Stop = d.observe(&trace) {
                 break;
@@ -696,15 +678,11 @@ impl<'a> RaceDetector<'a> {
         }
         d.witnesses.pop()
     }
-
-    fn passes_filter(&self, label: &TransitionLabel) -> bool {
-        !(self.config.sc_only && label.weak)
-    }
 }
 
 impl TraceVisitor for RaceDetector<'_> {
     fn step_filter(&mut self, label: &TransitionLabel) -> bool {
-        self.passes_filter(label)
+        !label.weak
     }
 
     fn visit(&mut self, trace: &TraceLabels, _step: Step<'_>) -> Control {

@@ -331,10 +331,7 @@ pub enum DrfStatus {
 
 /// The detector run behind [`sc_race_freedom`]: sequentially consistent
 /// traces only, stopping at the first race.
-const FIRST_SC_RACE: DetectorConfig = DetectorConfig {
-    sc_only: true,
-    max_witnesses: 1,
-};
+const FIRST_SC_RACE: DetectorConfig = DetectorConfig { max_witnesses: 1 };
 
 impl DrfStatus {
     fn of(detector: RaceDetector<'_>) -> DrfStatus {

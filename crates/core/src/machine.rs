@@ -503,51 +503,6 @@ impl RecordedExpr {
     }
 }
 
-impl crate::wire::Codec for StepLabelOwned {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            StepLabelOwned::Silent => out.push(0),
-            StepLabelOwned::Read(l) => {
-                out.push(1);
-                l.encode(out);
-            }
-            StepLabelOwned::Write(l, v) => {
-                out.push(2);
-                l.encode(out);
-                v.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut crate::wire::Reader<'_>) -> Result<StepLabelOwned, crate::wire::WireError> {
-        match u8::decode(r)? {
-            0 => Ok(StepLabelOwned::Silent),
-            1 => Ok(StepLabelOwned::Read(Loc::decode(r)?)),
-            2 => Ok(StepLabelOwned::Write(Loc::decode(r)?, Val::decode(r)?)),
-            tag => Err(crate::wire::WireError::BadTag {
-                what: "StepLabel",
-                tag,
-            }),
-        }
-    }
-}
-
-impl crate::wire::Codec for RecordedExpr {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.program.encode(out);
-        self.pc.encode(out);
-        self.reads.encode(out);
-    }
-
-    fn decode(r: &mut crate::wire::Reader<'_>) -> Result<RecordedExpr, crate::wire::WireError> {
-        Ok(RecordedExpr {
-            program: Vec::decode(r)?,
-            pc: usize::decode(r)?,
-            reads: Vec::decode(r)?,
-        })
-    }
-}
-
 impl Expr for RecordedExpr {
     fn steps(&self) -> Steps {
         match self.program.get(self.pc) {

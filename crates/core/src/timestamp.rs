@@ -73,16 +73,6 @@ impl Ratio {
         Ratio { num: n, den: 1 }
     }
 
-    /// The numerator of the normalised representation.
-    pub fn numer(self) -> i64 {
-        self.num
-    }
-
-    /// The denominator of the normalised representation (always positive).
-    pub fn denom(self) -> i64 {
-        self.den
-    }
-
     /// Exact midpoint `(self + other) / 2`; strictly between distinct inputs.
     pub fn midpoint(self, other: Ratio) -> Ratio {
         // (a/b + c/d)/2 = (ad + cb) / 2bd, computed in i128 then reduced.

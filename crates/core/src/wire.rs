@@ -1,17 +1,19 @@
 //! A hand-rolled, std-only versioned binary codec for the content-addressed
 //! result store.
 //!
-//! The service layer persists explored artifacts — canonical state graphs,
-//! outcome sets, checker verdicts — keyed by program fingerprint. Nothing
-//! in this repository may pull serde (the build image has no crates.io),
-//! so this module provides the minimal substrate those codecs share:
+//! The service layer persists checker results — outcome sets, verdicts,
+//! recorded trace trees — keyed by program fingerprint; no machine state
+//! is persisted. Nothing in this repository may pull serde (the build
+//! image has no crates.io), so this module provides the minimal substrate
+//! those codecs share:
 //!
 //! * [`Codec`] — encode into a byte vector / decode from a bounds-checked
 //!   [`Reader`]. Implementations exist for the primitive scalars, `String`,
-//!   `Vec<T>`, `Option<T>`, pairs, and the core model types ([`Val`],
-//!   [`Loc`], [`crate::engine::StateId`]); richer types implement it next
-//!   to their definitions ([`crate::engine::CanonState`],
-//!   [`crate::engine::StateGraph`], `bdrst-lang`'s statements).
+//!   `Vec<T>`, `Option<T>`, and the core model types ([`Val`], [`Loc`],
+//!   [`crate::engine::StateId`]); richer types implement it next to their
+//!   definitions (timestamps, actions and transition labels, whose
+//!   vectors make up [`crate::engine::TraceGraph`]'s bytes, and
+//!   `bdrst-lang`'s observations).
 //! * [`WireError`] — the decode error surface. Every decode failure is an
 //!   *error value*, never a panic and never garbage: a corrupt or
 //!   truncated cache entry must make the store fall back to recompute,
@@ -28,7 +30,6 @@
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::Hasher;
-use std::sync::Arc;
 
 use crate::loc::{Loc, Val};
 
@@ -218,20 +219,6 @@ impl<T: Codec> Codec for Vec<T> {
     }
 }
 
-/// A shared slice has the bytes of the `Vec` it was built from.
-impl<T: Codec> Codec for Arc<[T]> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.len().encode(out);
-        for item in self.iter() {
-            item.encode(out);
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Arc<[T]>, WireError> {
-        Ok(Vec::decode(r)?.into())
-    }
-}
-
 impl<T: Codec> Codec for Option<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -252,17 +239,6 @@ impl<T: Codec> Codec for Option<T> {
                 tag,
             }),
         }
-    }
-}
-
-impl<A: Codec, B: Codec> Codec for (A, B) {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-        self.1.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<(A, B), WireError> {
-        Ok((A::decode(r)?, B::decode(r)?))
     }
 }
 
@@ -337,7 +313,7 @@ mod tests {
         round_trip(Vec::<u64>::new());
         round_trip(Some(vec![Val(1), Val(-7)]));
         round_trip(None::<u32>);
-        round_trip((Loc(3), vec![0u32, 9]));
+        round_trip(Loc(3));
         round_trip(crate::engine::StateId(17));
     }
 

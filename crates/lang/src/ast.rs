@@ -11,7 +11,6 @@
 use std::fmt;
 
 use bdrst_core::loc::{Loc, Val};
-use bdrst_core::wire::{Codec, Reader, WireError};
 
 /// A (thread-local) register identifier: an index into the thread's
 /// register file.
@@ -235,198 +234,6 @@ impl Stmt {
     }
 }
 
-impl Codec for Reg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Reg, WireError> {
-        Ok(Reg(u16::decode(r)?))
-    }
-}
-
-impl Codec for UnOp {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            UnOp::Neg => 0,
-            UnOp::Not => 1,
-        });
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<UnOp, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(UnOp::Neg),
-            1 => Ok(UnOp::Not),
-            tag => Err(WireError::BadTag { what: "UnOp", tag }),
-        }
-    }
-}
-
-impl Codec for BinOp {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            BinOp::Add => 0,
-            BinOp::Sub => 1,
-            BinOp::Mul => 2,
-            BinOp::Eq => 3,
-            BinOp::Ne => 4,
-            BinOp::Lt => 5,
-            BinOp::Le => 6,
-            BinOp::Gt => 7,
-            BinOp::Ge => 8,
-            BinOp::And => 9,
-            BinOp::Or => 10,
-        });
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<BinOp, WireError> {
-        Ok(match u8::decode(r)? {
-            0 => BinOp::Add,
-            1 => BinOp::Sub,
-            2 => BinOp::Mul,
-            3 => BinOp::Eq,
-            4 => BinOp::Ne,
-            5 => BinOp::Lt,
-            6 => BinOp::Le,
-            7 => BinOp::Gt,
-            8 => BinOp::Ge,
-            9 => BinOp::And,
-            10 => BinOp::Or,
-            tag => return Err(WireError::BadTag { what: "BinOp", tag }),
-        })
-    }
-}
-
-/// Maximum expression/statement nesting the decoders accept. Decoding is
-/// recursive, so a corrupt length byte must not be able to drive the
-/// decoder into unbounded recursion; no hand-written or generated litmus
-/// program comes anywhere near this depth.
-const MAX_DECODE_DEPTH: u32 = 256;
-
-fn decode_expr(r: &mut Reader<'_>, depth: u32) -> Result<PureExpr, WireError> {
-    if depth == 0 {
-        return Err(WireError::Invalid("expression nesting too deep"));
-    }
-    match u8::decode(r)? {
-        0 => Ok(PureExpr::Const(Val::decode(r)?)),
-        1 => Ok(PureExpr::Reg(Reg::decode(r)?)),
-        2 => Ok(PureExpr::Unary(
-            UnOp::decode(r)?,
-            Box::new(decode_expr(r, depth - 1)?),
-        )),
-        3 => {
-            let op = BinOp::decode(r)?;
-            let l = decode_expr(r, depth - 1)?;
-            let rhs = decode_expr(r, depth - 1)?;
-            Ok(PureExpr::Binary(op, Box::new(l), Box::new(rhs)))
-        }
-        tag => Err(WireError::BadTag {
-            what: "PureExpr",
-            tag,
-        }),
-    }
-}
-
-impl Codec for PureExpr {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            PureExpr::Const(v) => {
-                out.push(0);
-                v.encode(out);
-            }
-            PureExpr::Reg(reg) => {
-                out.push(1);
-                reg.encode(out);
-            }
-            PureExpr::Unary(op, e) => {
-                out.push(2);
-                op.encode(out);
-                e.encode(out);
-            }
-            PureExpr::Binary(op, l, r) => {
-                out.push(3);
-                op.encode(out);
-                l.encode(out);
-                r.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<PureExpr, WireError> {
-        decode_expr(r, MAX_DECODE_DEPTH)
-    }
-}
-
-fn decode_block(r: &mut Reader<'_>, depth: u32) -> Result<Vec<Stmt>, WireError> {
-    let n = r.length(1)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(decode_stmt(r, depth)?);
-    }
-    Ok(out)
-}
-
-fn decode_stmt(r: &mut Reader<'_>, depth: u32) -> Result<Stmt, WireError> {
-    if depth == 0 {
-        return Err(WireError::Invalid("statement nesting too deep"));
-    }
-    match u8::decode(r)? {
-        0 => Ok(Stmt::Assign(Reg::decode(r)?, PureExpr::decode(r)?)),
-        1 => Ok(Stmt::Load(Reg::decode(r)?, Loc::decode(r)?)),
-        2 => Ok(Stmt::Store(Loc::decode(r)?, PureExpr::decode(r)?)),
-        3 => {
-            let c = PureExpr::decode(r)?;
-            let t = decode_block(r, depth - 1)?;
-            let e = decode_block(r, depth - 1)?;
-            Ok(Stmt::If(c, t, e))
-        }
-        4 => {
-            let c = PureExpr::decode(r)?;
-            let b = decode_block(r, depth - 1)?;
-            Ok(Stmt::While(c, b, u32::decode(r)?))
-        }
-        tag => Err(WireError::BadTag { what: "Stmt", tag }),
-    }
-}
-
-impl Codec for Stmt {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Stmt::Assign(reg, e) => {
-                out.push(0);
-                reg.encode(out);
-                e.encode(out);
-            }
-            Stmt::Load(reg, loc) => {
-                out.push(1);
-                reg.encode(out);
-                loc.encode(out);
-            }
-            Stmt::Store(loc, e) => {
-                out.push(2);
-                loc.encode(out);
-                e.encode(out);
-            }
-            Stmt::If(c, t, e) => {
-                out.push(3);
-                c.encode(out);
-                t.encode(out);
-                e.encode(out);
-            }
-            Stmt::While(c, b, fuel) => {
-                out.push(4);
-                c.encode(out);
-                b.encode(out);
-                fuel.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Stmt, WireError> {
-        decode_stmt(r, MAX_DECODE_DEPTH)
-    }
-}
-
 fn fmt_block(f: &mut fmt::Formatter<'_>, block: &[Stmt], indent: usize) -> fmt::Result {
     for s in block {
         s.fmt_indented(f, indent)?;
@@ -517,39 +324,6 @@ mod tests {
             vec![],
         );
         assert_eq!(s.max_reg(), Some(5));
-    }
-
-    #[test]
-    fn statements_round_trip_through_the_wire() {
-        let s = Stmt::If(
-            PureExpr::reg(Reg(0)).binary(BinOp::Lt, PureExpr::constant(3)),
-            vec![Stmt::While(
-                PureExpr::Unary(UnOp::Not, Box::new(PureExpr::reg(Reg(1)))),
-                vec![Stmt::Store(Loc(2), PureExpr::constant(-9))],
-                7,
-            )],
-            vec![Stmt::Load(Reg(4), Loc(0))],
-        );
-        let mut bytes = Vec::new();
-        s.encode(&mut bytes);
-        let mut r = Reader::new(&bytes);
-        assert_eq!(Stmt::decode(&mut r).unwrap(), s);
-        assert!(r.is_done());
-    }
-
-    #[test]
-    fn decoder_rejects_unbounded_nesting() {
-        // 300 Unary tags followed by nothing: the depth guard must fire
-        // before recursion gets anywhere near the real stack limit.
-        let mut bytes = Vec::new();
-        for _ in 0..300 {
-            bytes.push(2); // PureExpr::Unary
-            bytes.push(0); // UnOp::Neg
-        }
-        assert_eq!(
-            PureExpr::decode(&mut Reader::new(&bytes)),
-            Err(WireError::Invalid("expression nesting too deep"))
-        );
     }
 
     #[test]

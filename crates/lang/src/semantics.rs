@@ -13,7 +13,6 @@ use std::sync::Arc;
 
 use bdrst_core::loc::Val;
 use bdrst_core::machine::{Expr, StepLabel, Steps};
-use bdrst_core::wire::{Codec, Reader, WireError};
 
 use crate::ast::{Reg, Stmt};
 
@@ -64,7 +63,7 @@ impl Cont {
         })));
     }
 
-    /// The statements bottom first, the order of the wire format.
+    /// The statements bottom first, the order `Debug` lists them in.
     fn bottom_up(&self) -> Vec<&Stmt> {
         let mut stmts: Vec<&Stmt> =
             std::iter::successors(self.0.as_deref(), |f| f.below.0.as_deref())
@@ -122,24 +121,6 @@ impl fmt::Debug for Cont {
     }
 }
 
-impl Codec for Cont {
-    /// The same bytes as a `Vec<Stmt>` holding the statements bottom first.
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.len().encode(out);
-        for s in self.bottom_up() {
-            s.encode(out);
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Cont, WireError> {
-        let mut cont = Cont::default();
-        for s in Vec::<Stmt>::decode(r)? {
-            cont.push(s);
-        }
-        Ok(cont)
-    }
-}
-
 /// The dynamic state of one thread: the remaining statements (a
 /// continuation) and the register file.
 ///
@@ -148,8 +129,9 @@ impl Codec for Cont {
 /// frame and shares the rest with its predecessor, and the stack is hashed
 /// by a digest memoized per frame. The register file is copied only by a
 /// step that writes a register. Equality is still structural — two states
-/// are equal exactly when their wire bytes are — so state sets do not
-/// depend on how a continuation was reached.
+/// are equal exactly when their statements and registers are, which is
+/// when their `Debug` renderings are — so state sets do not depend on how
+/// a continuation was reached.
 ///
 /// # Examples
 ///
@@ -278,20 +260,6 @@ impl Expr for ThreadState {
     }
 }
 
-impl Codec for ThreadState {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.cont.encode(out);
-        self.regs.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<ThreadState, WireError> {
-        Ok(ThreadState {
-            cont: Cont::decode(r)?,
-            regs: Codec::decode(r)?,
-        })
-    }
-}
-
 impl fmt::Display for ThreadState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "⟨{} stmts left; regs ", self.cont.len())?;
@@ -361,41 +329,6 @@ mod tests {
         let t = t.apply_step(0, Val::INIT);
         assert!(!t.has_step());
         assert!(t.steps().is_empty());
-    }
-
-    #[test]
-    fn thread_state_round_trips_through_the_wire() {
-        use bdrst_core::wire::{Codec, Reader};
-        let (_, a) = loc_a();
-        let t = ThreadState::new(vec![
-            Stmt::Assign(Reg(0), PureExpr::constant(3)),
-            Stmt::Load(Reg(1), a),
-            Stmt::If(
-                PureExpr::reg(Reg(1)).binary(BinOp::Eq, PureExpr::constant(1)),
-                vec![Stmt::Store(a, PureExpr::reg(Reg(0)))],
-                vec![Stmt::While(PureExpr::reg(Reg(0)), vec![], 3)],
-            ),
-        ]);
-        // Round-trip both the initial state and a mid-execution one. The
-        // bytes are pinned: the continuation encodes as the statement list
-        // it stands for, bottom first, however its frames are shared.
-        let golden = [
-            "03000000000000000303030101000001000000000000000100000000000000020000000001000001\
-             000000000000000401000000000000000000000300000001010000000000000000000300000000\
-             000000020000000000000000000000000000000000000000000000",
-            "01000000000000000303030101000001000000000000000100000000000000020000000001000001\
-             000000000000000401000000000000000000000300000002000000000000000300000000000000\
-             0100000000000000",
-        ];
-        let states = [t.clone(), t.apply_step(0, Val::INIT).apply_step(0, Val(1))];
-        for (state, want) in states.iter().zip(golden) {
-            let mut bytes = Vec::new();
-            state.encode(&mut bytes);
-            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
-            assert_eq!(hex, want);
-            let back = ThreadState::decode(&mut Reader::new(&bytes)).unwrap();
-            assert_eq!(&back, state);
-        }
     }
 
     #[test]

@@ -54,10 +54,6 @@ pub enum Level {
     Warn = 2,
     /// Lifecycle events (bind, shutdown, flight dumps).
     Info = 3,
-    /// Per-connection and per-request detail.
-    Debug = 4,
-    /// Everything.
-    Trace = 5,
 }
 
 impl Level {
@@ -67,8 +63,6 @@ impl Level {
             Level::Error => "error",
             Level::Warn => "warn",
             Level::Info => "info",
-            Level::Debug => "debug",
-            Level::Trace => "trace",
         }
     }
 
@@ -78,8 +72,6 @@ impl Level {
             "error" => Some(Level::Error),
             "warn" | "warning" => Some(Level::Warn),
             "info" => Some(Level::Info),
-            "debug" => Some(Level::Debug),
-            "trace" => Some(Level::Trace),
             _ => None,
         }
     }
@@ -375,6 +367,6 @@ mod tests {
         assert_eq!(Level::parse("WARN"), Some(Level::Warn));
         assert_eq!(Level::parse("warning"), Some(Level::Warn));
         assert_eq!(Level::parse("bogus"), None);
-        assert!(Level::Error < Level::Trace);
+        assert!(Level::Error < Level::Warn && Level::Warn < Level::Info);
     }
 }

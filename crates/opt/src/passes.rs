@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 use bdrst_core::loc::{LocKind, LocSet};
 use bdrst_lang::{Program, PureExpr, Reg, Stmt, ThreadProgram};
 
-use crate::ir::{def, effect, uses, Effect};
+use crate::ir::{def, effect, Effect};
 use crate::peephole;
 use crate::reorder::{can_swap, constraints_between, ReorderViolation};
 
@@ -336,12 +336,6 @@ fn shift_expr(e: &PureExpr, offset: u16) -> PureExpr {
             Box::new(shift_expr(r, offset)),
         ),
     }
-}
-
-/// Statements read by the pass API but exported for testing: the uses set
-/// of a statement.
-pub fn stmt_uses(s: &Stmt) -> BTreeSet<Reg> {
-    uses(s)
 }
 
 #[cfg(test)]

@@ -77,11 +77,6 @@ impl ValidationReport {
     pub fn refines(&self) -> bool {
         self.transformed.is_subset(&self.original)
     }
-
-    /// The outcomes the transformation wrongly introduced.
-    pub fn new_outcomes(&self) -> Vec<&ContextObservation> {
-        self.transformed.difference(&self.original).collect()
-    }
 }
 
 /// Validates `transformed` against `original` in a given parallel context.

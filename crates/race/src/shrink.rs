@@ -66,15 +66,14 @@ pub fn ddmin<T: Clone>(items: &[T], mut test: impl FnMut(&[T]) -> bool) -> Vec<T
 }
 
 /// Deterministically re-executes a thread schedule: at each step, the
-/// first enabled (non-weak, when `sc_only`) transition of the scheduled
-/// thread is taken. Returns the resulting label trace, or `None` when a
-/// scheduled thread has no enabled transition — the candidate schedule
-/// is simply invalid, which ddmin treats as a failing test.
+/// first enabled non-weak transition of the scheduled thread is taken.
+/// Returns the resulting label trace, or `None` when a scheduled thread
+/// has no enabled transition — the candidate schedule is simply invalid,
+/// which ddmin treats as a failing test.
 pub fn run_schedule<E: Expr>(
     locs: &LocSet,
     m0: &Machine<E>,
     schedule: &[ThreadId],
-    sc_only: bool,
 ) -> Option<Vec<TransitionLabel>> {
     let mut m = m0.clone();
     let mut labels = Vec::with_capacity(schedule.len());
@@ -82,7 +81,7 @@ pub fn run_schedule<E: Expr>(
         let step = m
             .transitions(locs)
             .into_iter()
-            .find(|tr| tr.label.thread == t && !(sc_only && tr.label.weak))?;
+            .find(|tr| tr.label.thread == t && !tr.label.weak)?;
         labels.push(step.label);
         m = step.target;
     }
@@ -119,7 +118,6 @@ pub fn shrink_witness(
     program: &Program,
     witness: &RaceWitness,
     engine: EngineConfig,
-    config: DetectorConfig,
 ) -> Result<ShrunkRace, EngineError> {
     let loc = witness.loc;
     let threads = witness.threads;
@@ -127,7 +125,6 @@ pub fn shrink_witness(
     // race has to be found whenever it exists.
     let config = DetectorConfig {
         max_witnesses: usize::MAX,
-        ..config
     };
 
     // --- phase 1: the program ---------------------------------------
@@ -183,9 +180,8 @@ pub fn shrink_witness(
     let m0 = shrunk.initial_machine();
     let schedule: Vec<ThreadId> = base.trace.iter().map(|l| l.thread).collect();
     let racy_linear = |sched: &[ThreadId]| -> Option<RaceWitness> {
-        let labels = run_schedule(&shrunk.locs, &m0, sched, config.sc_only)?;
-        RaceDetector::run_linear(&shrunk.locs, config, &labels)
-            .filter(|w| same_race(w, loc, threads))
+        let labels = run_schedule(&shrunk.locs, &m0, sched)?;
+        RaceDetector::run_linear(&shrunk.locs, &labels).filter(|w| same_race(w, loc, threads))
     };
     let minimal = if racy_linear(&schedule).is_some() {
         ddmin(&schedule, |cand| racy_linear(cand).is_some())

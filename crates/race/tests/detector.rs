@@ -111,10 +111,7 @@ fn replayed_detection_matches_live_on_the_corpus() {
 #[test]
 fn witness_cap_stops_collection() {
     let p = Program::parse(SB).unwrap();
-    let capped = DetectorConfig {
-        max_witnesses: 1,
-        ..DetectorConfig::default()
-    };
+    let capped = DetectorConfig { max_witnesses: 1 };
     let report = detect_races_program(&p, cfg(), capped).unwrap();
     assert_eq!(report.witnesses.len(), 1);
     let full = detect_races_program(&p, cfg(), DetectorConfig::default()).unwrap();
@@ -146,7 +143,7 @@ fn shrinker_reduces_sb_to_the_racing_pair() {
     let p = Program::parse(SB).unwrap();
     let report = detect_races_program(&p, cfg(), DetectorConfig::default()).unwrap();
     let w = report.witnesses[0].clone();
-    let shrunk = shrink_witness(&p, &w, cfg(), DetectorConfig::default()).unwrap();
+    let shrunk = shrink_witness(&p, &w, cfg()).unwrap();
     // Four statements shrink to the two that race.
     let stmts: usize = shrunk.program.threads.iter().map(|t| t.body.len()).sum();
     assert_eq!(
@@ -175,36 +172,10 @@ fn shrinker_preserves_synchronisation_when_needed() {
     .unwrap();
     let report = detect_races_program(&p, cfg(), DetectorConfig::default()).unwrap();
     let w = report.witnesses[0].clone();
-    let shrunk = shrink_witness(&p, &w, cfg(), DetectorConfig::default()).unwrap();
+    let shrunk = shrink_witness(&p, &w, cfg()).unwrap();
     let stmts: usize = shrunk.program.threads.iter().map(|t| t.body.len()).sum();
     assert_eq!(stmts, 2, "{}", shrunk.program.to_source());
     assert!(shrunk.witness.validate(&shrunk.program.locs));
-}
-
-#[test]
-fn detection_with_weak_traces_finds_at_least_sc_races() {
-    // sc_only=false scans strictly more traces; verdicts on racy
-    // programs must stay racy, and witnesses must still validate.
-    for src in [SB, MP_AT] {
-        let p = Program::parse(src).unwrap();
-        let sc = detect_races_program(&p, cfg(), DetectorConfig::default()).unwrap();
-        let all = detect_races_program(
-            &p,
-            cfg(),
-            DetectorConfig {
-                sc_only: false,
-                ..DetectorConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(all.events >= sc.events);
-        if sc.racy() {
-            assert!(all.racy());
-        }
-        for w in &all.witnesses {
-            assert!(w.validate(&p.locs));
-        }
-    }
 }
 
 #[test]
@@ -215,8 +186,8 @@ fn linear_mode_detects_on_a_fixed_schedule() {
     let m0 = p.initial_machine();
     // P0 write a; P1 read a (its second statement needs P1's first too).
     let schedule = [ThreadId(0), ThreadId(1), ThreadId(1)];
-    let labels = run_schedule(&p.locs, &m0, &schedule, true).unwrap();
-    let w = RaceDetector::run_linear(&p.locs, DetectorConfig::default(), &labels);
+    let labels = run_schedule(&p.locs, &m0, &schedule).unwrap();
+    let w = RaceDetector::run_linear(&p.locs, &labels);
     let w = w.expect("schedule exhibits the SB race");
     assert!(w.validate(&p.locs));
     assert_eq!(p.locs.name(w.loc), "a");

@@ -27,8 +27,9 @@
 //! (per-connection token bucket; 0 = unlimited), `--slow-ms N` (count
 //! and log requests whose enqueue → flush time reaches N ms, with a
 //! flight dump when one is installed), `--trace-dir DIR` (install the
-//! flight recorder; its dumps land here), `--log-level L` (default
-//! `warn`) + `--log-dir DIR` (structured JSON-lines logging). `bdrst
+//! flight recorder; its dumps land here), `--log-level
+//! error|warn|info` (default `warn`; no log site emits below `info`) +
+//! `--log-dir DIR` (structured JSON-lines logging). `bdrst
 //! metrics --addr HOST:PORT` asks a running server for its live
 //! counters over the wire; `bdrst status --addr HOST:PORT` for the
 //! live in-flight request table.
@@ -79,7 +80,7 @@ fn usage() -> ExitCode {
          \x20          --progress (check/corpus/races: work units on stderr every 4096, and the total)\n\
          serve flags: --max-conns N --queue-depth N --rate-per-sec N --burst N\n\
          \x20              --slow-ms N (count, log and flight-dump requests slower than N ms) --trace-dir DIR (flight dumps)\n\
-         \x20              --log-level error|warn|info|debug|trace (default warn) --log-dir DIR (JSON-lines log files; default stderr)\n\
+         \x20              --log-level error|warn|info (default warn) --log-dir DIR (JSON-lines log files; default stderr)\n\
          metrics flags: --prom (Prometheus text exposition)\n\
          exit codes: 0 pass/no races · 1 model mismatch · 2 run error (parse/budget/engine) · 3 races found · 64 usage"
     );
@@ -408,7 +409,6 @@ fn cmd_races(opts: &Opts) -> ExitCode {
                 &checked.program,
                 &report.witnesses[0],
                 service.config().explore,
-                Default::default(),
             ) {
                 Ok(s) => Some(s),
                 Err(e) => {

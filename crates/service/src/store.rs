@@ -49,11 +49,12 @@ pub const ENTRY_FORMAT_VERSION: u32 = 5;
 
 const MAGIC: &[u8; 4] = b"BDRS";
 
+/// Number of in-memory shards (lock stripes).
+const SHARDS: usize = 16;
+
 /// Store configuration.
 #[derive(Clone, Debug)]
 pub struct StoreConfig {
-    /// Number of in-memory shards (lock stripes).
-    pub shards: usize,
     /// Directory for on-disk persistence; `None` keeps the store
     /// memory-only.
     pub disk_dir: Option<PathBuf>,
@@ -68,7 +69,6 @@ pub struct StoreConfig {
 impl Default for StoreConfig {
     fn default() -> StoreConfig {
         StoreConfig {
-            shards: 16,
             disk_dir: None,
             fingerprint_mask: !0,
         }
@@ -272,9 +272,7 @@ impl ResultStore {
         if let Some(dir) = &config.disk_dir {
             std::fs::create_dir_all(dir)?;
         }
-        let shards = (0..config.shards.max(1))
-            .map(|_| Mutex::new(HashMap::new()))
-            .collect();
+        let shards = (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect();
         Ok(ResultStore {
             config,
             shards,
@@ -282,7 +280,7 @@ impl ResultStore {
         })
     }
 
-    /// A memory-only store with default sharding.
+    /// A memory-only store.
     pub fn in_memory() -> ResultStore {
         ResultStore::new(StoreConfig::default()).expect("no disk dir to create")
     }

@@ -215,7 +215,6 @@ fn forced_fingerprint_collisions_recompute_not_alias() {
     let store = ResultStore::new(StoreConfig {
         disk_dir: Some(dir.clone()),
         fingerprint_mask: 0,
-        ..StoreConfig::default()
     })
     .unwrap();
     let service = CheckService::new(Arc::new(store), RunConfig::default());

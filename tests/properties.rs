@@ -18,7 +18,6 @@ use bdrst::core::relation::Relation;
 use bdrst::core::store::{LocContents, Store};
 use bdrst::core::timestamp::Ratio;
 use bdrst::core::trace::LocPredicate;
-use bdrst::core::wire::{Codec, Reader};
 use bdrst::lang::{Program, ThreadState};
 use bdrst::litmus::all_tests;
 
@@ -287,37 +286,45 @@ fn hash_of(t: &ThreadState) -> u64 {
 }
 
 /// The continuation oracle: over every thread state reached in `p`'s state
-/// graph, equality holds exactly when the wire bytes are equal, and equal
-/// states hash equally. Each distinct byte string is represented by the
-/// first and last state reached with it and by a decoded copy, whose
-/// frames share nothing, so equality is checked both through shared
-/// suffixes and by a full structural walk.
+/// graph, equality holds exactly when the structural `Debug` renderings
+/// (statements bottom first, then registers) are equal, and equal states
+/// hash equally. `Debug` prints every statement and register, and reads
+/// neither the memoized digests nor the hand-written `Eq`/`Hash` under
+/// test. Each distinct rendering is represented by the first and last
+/// state reached with it and by the first state reached with it in a
+/// second, independent exploration, whose frames share nothing with the
+/// first's, so equality is checked both through shared suffixes and by a
+/// full structural walk.
 fn assert_thread_states_match_their_bytes(name: &str, p: &Program) {
-    let (graph, _) = p
-        .state_graph(EngineConfig::default())
-        .expect("exploration fits budget");
-    let mut groups: std::collections::BTreeMap<Vec<u8>, Vec<ThreadState>> = Default::default();
-    for id in 0..graph.len() {
-        for t in graph.state(StateId(id as u32)).thread_exprs() {
-            let mut bytes = Vec::new();
-            t.encode(&mut bytes);
-            let group = groups.entry(bytes).or_default();
-            match group.len() {
-                0 | 1 => group.push(t.clone()),
-                _ => group[1] = t.clone(),
+    let explore = || {
+        let (graph, _) = p
+            .state_graph(EngineConfig::default())
+            .expect("exploration fits budget");
+        let mut groups: std::collections::BTreeMap<String, Vec<ThreadState>> = Default::default();
+        for id in 0..graph.len() {
+            for t in graph.state(StateId(id as u32)).thread_exprs() {
+                let group = groups.entry(format!("{t:?}")).or_default();
+                match group.len() {
+                    0 | 1 => group.push(t.clone()),
+                    _ => group[1] = t.clone(),
+                }
             }
         }
-    }
-    let mut reps: Vec<(&[u8], ThreadState)> = Vec::new();
-    for (bytes, group) in &groups {
-        let decoded = ThreadState::decode(&mut Reader::new(bytes)).expect("decodes");
-        for t in group.iter().cloned().chain([decoded]) {
-            reps.push((bytes, t));
-        }
-    }
-    for (ba, a) in &reps {
-        for (bb, b) in &reps {
-            assert_eq!(a == b, ba == bb, "{name}: equality disagrees with bytes");
+        groups
+    };
+    let (groups, copies) = (explore(), explore());
+    assert!(
+        groups.keys().eq(copies.keys()),
+        "{name}: explorations disagree"
+    );
+    let reps: Vec<(&String, &ThreadState)> = groups
+        .iter()
+        .zip(&copies)
+        .flat_map(|((key, group), (_, copy))| group.iter().chain(&copy[..1]).map(move |t| (key, t)))
+        .collect();
+    for (ka, a) in &reps {
+        for (kb, b) in &reps {
+            assert_eq!(a == b, ka == kb, "{name}: equality disagrees with Debug");
             if a == b {
                 assert_eq!(hash_of(a), hash_of(b), "{name}: equal states hash apart");
             }

@@ -54,21 +54,14 @@ fn verdict(report: Result<RaceReport, EngineError>) -> Verdict {
 }
 
 /// The memoized replay ([`detect_races_replayed`]) against the detector
-/// over the unfolded tree, for the default detector, one stopping at its
-/// first witness and one scanning weak traces too. On a tree of at most
+/// over the unfolded tree, for the default detector and one stopping at
+/// its first witness. On a tree of at most
 /// `sweep` extensions, every trace budget up to the tree's size trips
 /// each replay of the default detector exactly when it is below the
 /// extensions that replay shows the detector, and leaves its report
 /// unchanged otherwise.
 fn assert_memo_matches_unfolded(name: &str, p: &Program, graph: &TraceGraph, sweep: usize) {
-    let first_race = DetectorConfig {
-        max_witnesses: 1,
-        ..DetectorConfig::default()
-    };
-    let weak_too = DetectorConfig {
-        sc_only: false,
-        ..DetectorConfig::default()
-    };
+    let first_race = DetectorConfig { max_witnesses: 1 };
     let unfolded = |engine: EngineConfig, config: DetectorConfig| {
         let mut unfolded = Unfolded(RaceDetector::new(&p.locs, config));
         let stats = graph.replay(engine, &mut unfolded);
@@ -78,7 +71,7 @@ fn assert_memo_matches_unfolded(name: &str, p: &Program, graph: &TraceGraph, swe
             shown,
         )
     };
-    for config in [DetectorConfig::default(), first_race, weak_too] {
+    for config in [DetectorConfig::default(), first_race] {
         let memo = verdict(detect_races_replayed(&p.locs, graph, cfg(), config));
         assert_eq!(memo, unfolded(cfg(), config).0, "{name}: {config:?}");
     }
@@ -195,9 +188,8 @@ fn every_racy_corpus_test_yields_a_shrinkable_witness() {
         if !report.racy() {
             continue;
         }
-        let shrunk =
-            bdrst::race::shrink_witness(&p, &report.witnesses[0], cfg(), DetectorConfig::default())
-                .unwrap_or_else(|e| panic!("{}: shrink failed: {e}", t.name));
+        let shrunk = bdrst::race::shrink_witness(&p, &report.witnesses[0], cfg())
+            .unwrap_or_else(|e| panic!("{}: shrink failed: {e}", t.name));
         assert!(shrunk.witness.validate(&shrunk.program.locs), "{}", t.name);
         // Shrinking never grows the program, and the result still races.
         let before: usize = p.threads.iter().map(|th| th.body.len()).sum();
