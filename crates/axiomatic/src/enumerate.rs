@@ -3,12 +3,22 @@
 //!
 //! [`consistent_executions`] is a pruned backtracking search, in the
 //! style of herd and GenMC (Alglave et al., "Herding cats", TOPLAS 2014;
-//! Kokologiannakis et al., PLDI 2019). It has three rules:
+//! Kokologiannakis et al., PLDI 2019). It has four rules:
 //!
 //! * **Thread alternatives** are chosen thread by thread. A partial
 //!   choice is cut as soon as one of its reads returns a value that is
 //!   neither the initial value nor written by a chosen alternative or by
 //!   some alternative of a thread not yet chosen.
+//! * **Inconsistent prefixes** are cut too. A choice for threads `0..k`,
+//!   short of the last thread, is checked as a sub-execution: a read
+//!   whose (location, value) pair some alternative of a thread `k..`
+//!   writes is left *open*, with no rf edge; every other read takes its
+//!   source among the chosen threads' writes and the initial writes,
+//!   under the rf rule below; co ranges over the po-respecting
+//!   interleavings of the chosen threads' writes. If none of these
+//!   *prefix candidates* is consistent, the choice is cut. Prefix
+//!   candidates are internal: they are not §6 candidates, since open
+//!   reads have no source.
 //! * **Events** are built only for the locations the chosen alternatives
 //!   access. [`ProgramExecution::observation`] reports the initial value
 //!   for every other declared location.
@@ -19,21 +29,39 @@
 //!   (Causality and CoWR).
 //!
 //! Each rule drops only candidates that have no source for some read or
-//! break an axiom, and every candidate left still goes through
+//! break an axiom, and every complete candidate left still goes through
 //! [`CandidateExecution::is_consistent`]. So the search finds the
 //! consistent executions of the unpruned enumeration, one for one, less
 //! the initial writes of locations nothing accesses: the same
 //! observations and the same count.
 //!
+//! The prefix cut is sound because the axioms are monotone. Take a
+//! consistent candidate that the rules above leave under a prefix, and
+//! restrict it to the prefix's events: keep the rf edges of the reads
+//! that are not open and the co edges among the prefix's writes. A read
+//! that is not open reads a pair no later thread writes, so its source
+//! is in the prefix or initial; the rf and co rules hold of the
+//! restriction as they held of the candidate; so the restriction is one
+//! of the prefix candidates. Each of its relations (`po`, `rf`, `co`, `hbinit`,
+//! and so `fr = rf⁻¹;co`, their atomic parts and `hb`) is a subset of the
+//! same relation in the candidate. Causality (acyclic), CoWW and CoWR
+//! (irreflexive compositions) hold of every subset of relations they
+//! hold of, so the restriction is consistent. A prefix with no
+//! consistent prefix candidate therefore has no consistent completion.
+//! The check is skipped where it cannot fail (see
+//! `AltSearch::cannot_cut`), and a complete choice is not checked as a
+//! prefix, since its own candidates are.
+//!
 //! The top of the search tree is expanded breadth-first until it has
 //! enough subtrees to feed the core engine's
 //! [`parallel_map_with`], and each subtree is finished depth-first on a
-//! worker (a frontier of few subtrees stays on the calling thread). The
+//! worker (a frontier of few subtrees, or of complete choices, stays on
+//! the calling thread). The
 //! budget, [`EnumLimits::max_candidates`], is one shared
 //! atomic counter debited once per search node and once per candidate
-//! built. The total debit does not depend on how the work is spread, so
-//! [`EnumError::TooManyCandidates`] surfaces exactly when a sequential
-//! search would surface it.
+//! built, prefix candidates included. The total debit does not depend
+//! on how the work is spread, so [`EnumError::TooManyCandidates`]
+//! surfaces exactly when a sequential search would surface it.
 //!
 //! The unpruned enumeration stays, sequential: every combination of
 //! thread alternatives, every rf and co choice, events for every
@@ -44,14 +72,16 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bdrst_core::engine::parallel_map_with;
-use bdrst_core::loc::{Action, Loc, Val};
+use bdrst_core::loc::{Action, Loc, LocSet, Val};
 use bdrst_core::relation::Relation;
 use bdrst_lang::{Observation, Program};
 use bdrst_obs::{counter_add, Counter, Phase};
 
+use crate::event::Event;
 use crate::exec::{CandidateExecution, EventSet};
 use crate::generate::{generate, GenError, GenLimits, ThreadAlternative};
 
@@ -62,8 +92,9 @@ pub struct EnumLimits {
     pub gen: GenLimits,
     /// The enumeration budget. [`consistent_executions`] spends one unit
     /// per search node (a thread alternative tried at some depth) and one
-    /// per candidate execution built; the unpruned enumerations, which do
-    /// not search, spend one per candidate.
+    /// per candidate execution built, prefix candidates included; the
+    /// unpruned enumerations, which do not search, spend one per
+    /// candidate.
     pub max_candidates: usize,
 }
 
@@ -154,7 +185,15 @@ pub fn for_each_candidate(
 ) -> Result<(), EnumError> {
     let generated = generate(program, limits.gen)?;
     let budget = AtomicUsize::new(limits.max_candidates);
-    stream_candidates(program, &generated.per_thread, &mut visit, &budget)
+    stream_candidates(
+        program,
+        &generated.per_thread,
+        &mut |pe| {
+            visit(pe);
+            ControlFlow::Continue(())
+        },
+        &budget,
+    )
 }
 
 /// Streams every alternative combination through the unpruned odometer,
@@ -163,7 +202,7 @@ pub fn for_each_candidate(
 fn stream_candidates(
     program: &Program,
     per_thread: &[Vec<ThreadAlternative>],
-    visit: &mut impl FnMut(&ProgramExecution),
+    visit: &mut impl FnMut(&ProgramExecution) -> ControlFlow<()>,
     budget: &AtomicUsize,
 ) -> Result<(), EnumError> {
     let mut choice = vec![0usize; per_thread.len()];
@@ -173,7 +212,7 @@ fn stream_candidates(
             .zip(per_thread)
             .map(|(&c, alts)| &alts[c])
             .collect();
-        if let Some(e) = AltEnumeration::new(program, &alts, false) {
+        if let Some(e) = AltEnumeration::new(&program.locs, &alts, Rules::Unpruned) {
             e.run(visit, budget)?;
         }
         if !advance(&mut choice, |i| per_thread[i].len()) {
@@ -186,14 +225,17 @@ fn stream_candidates(
 /// least this many subtrees, then hands them to the worker pool.
 const SHARD_TARGET: usize = 64;
 
-/// A frontier smaller than this is finished on the calling thread.
-/// Its size counts thread-alternative combinations, not rf/co
-/// candidates, but on the benchmark's families the small frontiers are
-/// the small searches: sb-4 and sb-at-4x1 (16 subtrees) take about
-/// 0.2 ms alone and 1.4-2x that when the pool starts two workers on two
-/// cores, while iriw-at-4, mp-chain-7 and the other families of 32 or
-/// more subtrees take the pool. A program with few combinations and a large rf/co
-/// space runs on one thread; the rf/co level is not split.
+/// A frontier smaller than this is finished on the calling thread, and
+/// so is a frontier of complete choices, whose subtrees are single rf/co
+/// odometers of a few microseconds each. Timed alone on a 2-core host,
+/// every benchmark family took longer on two workers than on one, and
+/// every one of them ends its breadth-first phase at complete choices:
+/// from 0.07 to 0.11 ms on sb-4 (16 subtrees), from 0.47 to 0.57 ms on
+/// sb-at-6x1 (64) and from 1.5 to 1.7 ms on iriw-at-4 (256). Searches
+/// whose frontier stops short of the last thread gained: sb-at-5x2 (81
+/// subtrees) went from 3.4 to 2.1 ms, mp-2x3 (200) from 2.2 to 1.4 ms and
+/// sb-at-8x1 (64) from 3.8 to 2.7 ms. A program with few combinations and
+/// a large rf/co space runs on one thread; the rf/co level is not split.
 const MIN_SHARDS: usize = 32;
 
 /// Enumerates every *consistent* execution of `program` by the pruned
@@ -212,7 +254,7 @@ pub fn consistent_executions(
     limits: EnumLimits,
 ) -> Result<Vec<ProgramExecution>, EnumError> {
     let generated = generate(program, limits.gen)?;
-    let search = AltSearch::new(&generated.per_thread);
+    let search = AltSearch::new(&program.locs, &generated.per_thread);
     let budget = AtomicUsize::new(limits.max_candidates);
     let mut frontier: Vec<Vec<usize>> = vec![Vec::new()];
     let mut depth = 0;
@@ -228,17 +270,21 @@ pub fn consistent_executions(
         frontier = next;
         depth += 1;
     }
-    let workers = if frontier.len() < MIN_SHARDS { 1 } else { 0 };
+    let complete = depth == generated.per_thread.len();
+    let workers = if complete || frontier.len() < MIN_SHARDS {
+        1
+    } else {
+        0
+    };
     let shards = parallel_map_with(&frontier, workers, |prefix| -> Result<_, EnumError> {
         let mut found = Vec::new();
-        search.descend(
-            &mut prefix.clone(),
-            &budget,
-            &mut |choice| match AltEnumeration::new(program, &search.alternatives(choice), true) {
+        search.descend(&mut prefix.clone(), &budget, &mut |choice| {
+            let alts = search.alternatives(choice);
+            match AltEnumeration::new(&program.locs, &alts, Rules::Pruned(&|_| false)) {
                 None => Ok(()),
-                Some(e) => e.run(&mut keep_consistent(&mut found), &budget),
-            },
-        )?;
+                Some(e) => e.run(&mut keep_consistent(&mut found), &budget).map(drop),
+            }
+        })?;
         Ok(found)
     });
     let mut out = Vec::new();
@@ -275,11 +321,14 @@ pub fn consistent_executions_streaming(
 }
 
 /// A candidate visitor that keeps a copy of each consistent candidate.
-fn keep_consistent(out: &mut Vec<ProgramExecution>) -> impl FnMut(&ProgramExecution) + '_ {
+fn keep_consistent(
+    out: &mut Vec<ProgramExecution>,
+) -> impl FnMut(&ProgramExecution) -> ControlFlow<()> + '_ {
     |pe| {
         if pe.exec.is_consistent() {
             out.push(pe.clone());
         }
+        ControlFlow::Continue(())
     }
 }
 
@@ -292,10 +341,10 @@ fn debit(budget: &AtomicUsize) -> Result<(), EnumError> {
         .map_err(|_| EnumError::TooManyCandidates)
 }
 
-/// A set of (location, value) pair ids.
-type PairSet = Vec<u64>;
+/// A bit set: of (location, value) pair ids, or of location indices.
+type BitSet = Vec<u64>;
 
-fn pair_set(words: usize, ids: impl IntoIterator<Item = usize>) -> PairSet {
+fn bit_set(words: usize, ids: impl IntoIterator<Item = usize>) -> BitSet {
     let mut set = vec![0; words];
     for id in ids {
         set[id / 64] |= 1 << (id % 64);
@@ -303,9 +352,88 @@ fn pair_set(words: usize, ids: impl IntoIterator<Item = usize>) -> PairSet {
     set
 }
 
-fn union_into(into: &mut PairSet, other: &PairSet) {
+fn has(set: &[u64], id: usize) -> bool {
+    set[id / 64] & (1 << (id % 64)) != 0
+}
+
+fn union_into(into: &mut BitSet, other: &BitSet) {
     for (a, b) in into.iter_mut().zip(other) {
         *a |= b;
+    }
+}
+
+/// What the search needs to know of one thread alternative. Pairs are
+/// the dense ids of the (location, value) pairs some alternative writes.
+struct AltFacts {
+    /// The pairs it writes.
+    writes: BitSet,
+    reads: Vec<ReadFacts>,
+    /// The locations it accesses, and those it writes.
+    accessed: BitSet,
+    written: BitSet,
+    /// The pairs whose last write here is followed by a write of another
+    /// value to the same location.
+    overwritten: BitSet,
+}
+
+/// What the search needs to know of one read of an alternative.
+struct ReadFacts {
+    loc: Loc,
+    /// Whether it reads the initial value.
+    initial: bool,
+    /// Its pair, if some alternative writes it.
+    pair: Option<usize>,
+    /// Whether its value is that of its local source: the last po-earlier
+    /// write to its location, or else the initial write.
+    local: bool,
+}
+
+impl AltFacts {
+    fn new(alt: &ThreadAlternative, ids: &HashMap<(Loc, Val), usize>, locs: usize) -> AltFacts {
+        let pair_words = ids.len().div_ceil(64);
+        // The value of the last write to each location so far.
+        let mut last: HashMap<Loc, Val> = HashMap::new();
+        let mut reads = Vec::new();
+        for &(l, a) in &alt.actions {
+            match a {
+                Action::Read(v) => reads.push(ReadFacts {
+                    loc: l,
+                    initial: v == Val::INIT,
+                    pair: ids.get(&(l, v)).copied(),
+                    local: v == last.get(&l).copied().unwrap_or(Val::INIT),
+                }),
+                Action::Write(v) => {
+                    last.insert(l, v);
+                }
+            }
+        }
+        let writes = bit_set(
+            pair_words,
+            alt.actions.iter().filter_map(|&(l, a)| match a {
+                Action::Write(v) => Some(ids[&(l, v)]),
+                Action::Read(_) => None,
+            }),
+        );
+        // A pair's last write is followed by another write to its
+        // location iff the location's last write is of another pair.
+        let finals = bit_set(pair_words, last.iter().map(|(&l, &v)| ids[&(l, v)]));
+        let overwritten = writes.iter().zip(&finals).map(|(w, f)| w & !f).collect();
+        let locations = |writes_only: bool| {
+            bit_set(
+                locs.div_ceil(64),
+                alt.actions
+                    .iter()
+                    .filter(|(_, a)| !writes_only || a.is_write())
+                    .map(|(l, _)| l.index()),
+            )
+        };
+        AltFacts {
+            writes,
+            reads,
+            accessed: locations(false),
+            written: locations(true),
+            overwritten,
+        }
     }
 }
 
@@ -314,20 +442,19 @@ fn union_into(into: &mut PairSet, other: &PairSet) {
 /// value) pairs that some alternative writes are numbered densely, so
 /// the feasibility cut works on bit sets.
 struct AltSearch<'a> {
+    locs: &'a LocSet,
     per_thread: &'a [Vec<ThreadAlternative>],
-    /// Per thread and alternative: the pairs its reads need written
-    /// (reads of the initial value need nothing), or `None` if one of
-    /// them is written by no alternative at all.
-    reads: Vec<Vec<Option<Vec<usize>>>>,
-    /// Per thread and alternative: the pairs it writes.
-    writes: Vec<Vec<PairSet>>,
+    /// The id of every pair some alternative writes.
+    ids: HashMap<(Loc, Val), usize>,
+    /// Per thread and alternative: its facts.
+    facts: Vec<Vec<AltFacts>>,
     /// `writable_from[k]`: the pairs some alternative of a thread `k..`
     /// writes.
-    writable_from: Vec<PairSet>,
+    writable_from: Vec<BitSet>,
 }
 
 impl<'a> AltSearch<'a> {
-    fn new(per_thread: &'a [Vec<ThreadAlternative>]) -> AltSearch<'a> {
+    fn new(locs: &'a LocSet, per_thread: &'a [Vec<ThreadAlternative>]) -> AltSearch<'a> {
         let mut ids: HashMap<(Loc, Val), usize> = HashMap::new();
         for (l, a) in per_thread.iter().flatten().flat_map(|alt| &alt.actions) {
             if let Action::Write(v) = a {
@@ -335,51 +462,32 @@ impl<'a> AltSearch<'a> {
                 ids.entry((*l, *v)).or_insert(next);
             }
         }
-        let words = ids.len().div_ceil(64);
-        fn per_alt<T>(
-            per_thread: &[Vec<ThreadAlternative>],
-            f: impl Fn(&ThreadAlternative) -> T,
-        ) -> Vec<Vec<T>> {
-            per_thread
-                .iter()
-                .map(|alts| alts.iter().map(&f).collect())
-                .collect()
-        }
-        let reads = per_alt(per_thread, |alt| {
-            alt.actions
-                .iter()
-                .filter_map(|&(l, a)| match a {
-                    Action::Read(v) if v != Val::INIT => Some(ids.get(&(l, v)).copied()),
-                    _ => None,
-                })
-                .collect::<Option<Vec<usize>>>()
-        });
-        let writes = per_alt(per_thread, |alt| {
-            pair_set(
-                words,
-                alt.actions.iter().filter_map(|&(l, a)| match a {
-                    Action::Write(v) => Some(ids[&(l, v)]),
-                    Action::Read(_) => None,
-                }),
-            )
-        });
-        let mut writable_from = vec![vec![0; words]; per_thread.len() + 1];
+        let facts: Vec<Vec<AltFacts>> = per_thread
+            .iter()
+            .map(|alts| {
+                alts.iter()
+                    .map(|alt| AltFacts::new(alt, &ids, locs.len()))
+                    .collect()
+            })
+            .collect();
+        let mut writable_from = vec![vec![0; ids.len().div_ceil(64)]; per_thread.len() + 1];
         for t in (0..per_thread.len()).rev() {
             let mut later = writable_from[t + 1].clone();
-            for set in &writes[t] {
-                union_into(&mut later, set);
+            for f in &facts[t] {
+                union_into(&mut later, &f.writes);
             }
             writable_from[t] = later;
         }
         AltSearch {
+            locs,
             per_thread,
-            reads,
-            writes,
+            ids,
+            facts,
             writable_from,
         }
     }
 
-    /// The chosen alternatives of a complete choice.
+    /// The chosen alternatives of `choice`.
     fn alternatives(&self, choice: &[usize]) -> Vec<&'a ThreadAlternative> {
         choice
             .iter()
@@ -388,20 +496,20 @@ impl<'a> AltSearch<'a> {
             .collect()
     }
 
-    /// The alternatives of the next thread that keep `prefix` feasible.
-    /// Every alternative tried is one search node: it is debited from
-    /// `budget` and counted in [`Counter::AxiomaticNodes`].
+    /// The alternatives of the next thread that keep `prefix` feasible
+    /// and consistent. Every alternative tried is one search node: it is
+    /// debited from `budget` and counted in [`Counter::AxiomaticNodes`].
     fn children(&self, prefix: &[usize], budget: &AtomicUsize) -> Result<Vec<usize>, EnumError> {
         let thread = prefix.len();
-        let mut feasible = Vec::new();
+        let mut kept = Vec::new();
         for a in 0..self.per_thread[thread].len() {
             debit(budget)?;
             counter_add(Counter::AxiomaticNodes, 1);
-            if self.feasible(prefix, a) {
-                feasible.push(a);
+            if self.feasible(prefix, a) && self.prefix_consistent(prefix, a, budget)? {
+                kept.push(a);
             }
         }
-        Ok(feasible)
+        Ok(kept)
     }
 
     /// False if some read of `prefix` extended by alternative `a` of the
@@ -412,15 +520,126 @@ impl<'a> AltSearch<'a> {
         let chosen: Vec<(usize, usize)> = prefix.iter().copied().chain([a]).enumerate().collect();
         let mut available = self.writable_from[chosen.len()].clone();
         for &(t, i) in &chosen {
-            union_into(&mut available, &self.writes[t][i]);
+            union_into(&mut available, &self.facts[t][i].writes);
         }
-        chosen.iter().all(|&(t, i)| {
-            self.reads[t][i].as_ref().is_some_and(|needs| {
-                needs
-                    .iter()
-                    .all(|&id| available[id / 64] & (1 << (id % 64)) != 0)
-            })
-        })
+        chosen
+            .iter()
+            .flat_map(|&(t, i)| &self.facts[t][i].reads)
+            .all(|r| r.initial || r.pair.is_some_and(|id| has(&available, id)))
+    }
+
+    /// False if no prefix candidate of `prefix` extended by alternative
+    /// `a` of the next thread is consistent (see the module docs). Each
+    /// prefix candidate built is debited from `budget`. A complete choice
+    /// is not checked here, since its own candidates are, and neither is
+    /// an extension that [`AltSearch::cannot_cut`] clears.
+    fn prefix_consistent(
+        &self,
+        prefix: &[usize],
+        a: usize,
+        budget: &AtomicUsize,
+    ) -> Result<bool, EnumError> {
+        let mut choice = prefix.to_vec();
+        choice.push(a);
+        if choice.len() == self.per_thread.len() {
+            return Ok(true);
+        }
+        if self.cannot_cut(prefix, a) {
+            debug_assert_eq!(
+                self.some_prefix_candidate_consistent(&choice, &AtomicUsize::new(usize::MAX)),
+                Ok(true),
+                "a cleared prefix check fails on {choice:?}"
+            );
+            return Ok(true);
+        }
+        self.some_prefix_candidate_consistent(&choice, budget)
+    }
+
+    /// Builds the prefix candidates of `choice` until one is consistent.
+    fn some_prefix_candidate_consistent(
+        &self,
+        choice: &[usize],
+        budget: &AtomicUsize,
+    ) -> Result<bool, EnumError> {
+        let later = &self.writable_from[choice.len()];
+        let open = |e: &Event| {
+            self.ids
+                .get(&(e.loc, e.value()))
+                .is_some_and(|&id| has(later, id))
+        };
+        let Some(e) =
+            AltEnumeration::new(self.locs, &self.alternatives(choice), Rules::Pruned(&open))
+        else {
+            return Ok(false);
+        };
+        e.run(
+            &mut |pe| {
+                if pe.exec.is_consistent() {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            },
+            budget,
+        )
+    }
+
+    /// True if the prefix check of `prefix` extended by alternative `a`
+    /// of the next thread `t` cannot fail, given that the check of
+    /// `prefix` passed or was cleared. That holds when `t` accesses no
+    /// location an earlier thread writes, every read of `t` that gets an
+    /// rf edge can read its local source, every earlier read that the
+    /// choice of `t` closes can read a write of `t`, and the edges
+    /// between `t` and the earlier threads then all point one way: rf
+    /// from `t` to the reads it closes, or fr from earlier reads to the
+    /// writes of `t`. Take a consistent prefix candidate of `prefix` and
+    /// add `t`: each read of `t` reads its local source, and each earlier
+    /// read it closes reads the last write of its pair in `t`. No earlier
+    /// thread writes where `t` does, so co gains no edge between the
+    /// two. The result is a prefix candidate with no cycle across the
+    /// two parts and no `hb` path that leaves one part and returns, so
+    /// it is consistent.
+    fn cannot_cut(&self, prefix: &[usize], a: usize) -> bool {
+        let chosen = prefix.len() + 1;
+        let new = &self.facts[chosen - 1][a];
+        let (was_open, open) = (&self.writable_from[chosen - 1], &self.writable_from[chosen]);
+        let own_reads_local = new
+            .reads
+            .iter()
+            .all(|r| r.local || r.pair.is_some_and(|id| has(open, id)));
+        let earlier: Vec<&AltFacts> = prefix
+            .iter()
+            .enumerate()
+            .map(|(t, &i)| &self.facts[t][i])
+            .collect();
+        let disjoint = earlier.iter().all(|f| {
+            f.written
+                .iter()
+                .zip(&new.accessed)
+                .all(|(w, acc)| w & acc == 0)
+        });
+        if !own_reads_local || !disjoint {
+            return false;
+        }
+        // `rf_out`: an rf edge from `t` to an earlier read; `fr_in`: an fr
+        // edge from an earlier read to a write of `t`.
+        let (mut rf_out, mut fr_in) = (false, false);
+        for r in earlier.iter().flat_map(|f| &f.reads) {
+            match r.pair.filter(|&id| has(was_open, id)) {
+                // Closed before `t`: it reads the initial write, which
+                // every write of `t` to its location follows in co.
+                None => fr_in |= has(&new.written, r.loc.index()),
+                Some(id) if has(open, id) => {}
+                Some(id) => {
+                    if !has(&new.writes, id) {
+                        return false;
+                    }
+                    rf_out = true;
+                    fr_in |= has(&new.overwritten, id);
+                }
+            }
+        }
+        !(rf_out && fr_in)
     }
 
     /// Finishes the subtree under `prefix` depth-first, calling `leaf` on
@@ -443,6 +662,19 @@ impl<'a> AltSearch<'a> {
     }
 }
 
+/// Which rf and co choices [`AltEnumeration::new`] offers.
+#[derive(Clone, Copy)]
+enum Rules<'a> {
+    /// Every same-location choice, over events for every declared
+    /// location.
+    Unpruned,
+    /// Choices that respect `po` (see the module docs), over events for
+    /// the accessed locations only. The reads the predicate marks open
+    /// get no rf edge: their sub-candidates are prefix candidates, not
+    /// §6 candidates.
+    Pruned(&'a dyn Fn(&Event) -> bool),
+}
+
 /// The rf/co candidates of one thread-alternative combination: the base
 /// event set, the rf source candidates per read, the co orders per
 /// location and the final register files. The odometer over them turns
@@ -450,6 +682,8 @@ impl<'a> AltSearch<'a> {
 struct AltEnumeration {
     base: EventSet,
     final_regs: Vec<Vec<Val>>,
+    /// The reads that get an rf edge: all of them, except the open reads
+    /// of a prefix candidate.
     reads: Vec<usize>,
     rf_choices: Vec<Vec<usize>>,
     /// Per location with an initial write: that write and the orders of
@@ -458,23 +692,22 @@ struct AltEnumeration {
 }
 
 impl AltEnumeration {
-    /// Builds the candidates of one combination; `None` if some read has
-    /// no source (the combination contributes no candidates).
-    ///
-    /// Unpruned, events cover every declared location and rf/co range
-    /// over every same-location choice. Pruned, events cover only the
-    /// accessed locations and rf/co respect `po` (see the module docs).
-    fn new(program: &Program, alts: &[&ThreadAlternative], pruned: bool) -> Option<AltEnumeration> {
+    /// Builds the candidates of one combination under `rules`; `None` if
+    /// some read that is not open has no source (the combination
+    /// contributes no candidates).
+    fn new(locs: &LocSet, alts: &[&ThreadAlternative], rules: Rules) -> Option<AltEnumeration> {
         let per_thread = alts.iter().map(|a| a.actions.clone()).collect();
-        let base = if pruned {
-            EventSet::accessed(program.locs.clone(), per_thread)
-        } else {
-            EventSet::new(program.locs.clone(), per_thread)
+        let (base, pruned) = match rules {
+            Rules::Unpruned => (EventSet::new(locs.clone(), per_thread), false),
+            Rules::Pruned(_) => (EventSet::accessed(locs.clone(), per_thread), true),
         };
         let ev = &base.events;
 
         // rf candidates per read: same-location same-value writes.
-        let reads = base.reads();
+        let reads: Vec<usize> = match rules {
+            Rules::Unpruned => base.reads(),
+            Rules::Pruned(open) => base.indices(|e| e.is_read() && !open(e)),
+        };
         let mut rf_choices: Vec<Vec<usize>> = Vec::with_capacity(reads.len());
         for &r in &reads {
             let local = pruned.then(|| local_source(&base, r));
@@ -530,14 +763,15 @@ impl AltEnumeration {
         })
     }
 
-    /// Turns the rf/co odometer, invoking `visit` per candidate and
-    /// debiting the shared `budget` once per candidate. The candidates
-    /// share one event set; a visitor that keeps one clones it.
+    /// Turns the rf/co odometer, invoking `visit` per candidate until it
+    /// breaks, and debiting the shared `budget` once per candidate. The
+    /// candidates share one event set; a visitor that keeps one clones
+    /// it. Returns whether `visit` broke.
     fn run(
         self,
-        visit: &mut impl FnMut(&ProgramExecution),
+        visit: &mut impl FnMut(&ProgramExecution) -> ControlFlow<()>,
         budget: &AtomicUsize,
-    ) -> Result<(), EnumError> {
+    ) -> Result<bool, EnumError> {
         let n = self.base.len();
         let mut pe = ProgramExecution {
             exec: CandidateExecution {
@@ -568,15 +802,22 @@ impl AltEnumeration {
                 }
                 pe.exec.rf = rf;
                 pe.exec.co = co;
-                debug_assert!(pe.exec.validate().is_ok(), "{:?}", pe.exec.validate());
-                visit(&pe);
+                // A prefix candidate leaves its open reads without a source.
+                debug_assert!(
+                    self.reads.len() < pe.exec.base.reads().len() || pe.exec.validate().is_ok(),
+                    "{:?}",
+                    pe.exec.validate()
+                );
+                if visit(&pe).is_break() {
+                    return Ok(true);
+                }
 
                 if !advance(&mut co_idx, |i| self.co_choices[i].1.len()) {
                     break;
                 }
             }
             if !advance(&mut rf_idx, |i| self.rf_choices[i].len()) {
-                return Ok(());
+                return Ok(false);
             }
         }
     }

@@ -37,10 +37,11 @@ impl EventSet {
     /// no communication, so leaving out its initial write changes no
     /// axiom's verdict.
     pub(crate) fn accessed(locs: LocSet, per_thread: Vec<Vec<(Loc, Action)>>) -> EventSet {
-        let inits: Vec<Loc> = locs
-            .iter()
-            .filter(|&l| per_thread.iter().flatten().any(|&(at, _)| at == l))
-            .collect();
+        let mut accessed = vec![false; locs.len()];
+        for &(l, _) in per_thread.iter().flatten() {
+            accessed[l.index()] = true;
+        }
+        let inits: Vec<Loc> = locs.iter().filter(|l| accessed[l.index()]).collect();
         EventSet::with_initial_writes(locs, &inits, per_thread)
     }
 
@@ -214,7 +215,11 @@ impl CandidateExecution {
 
     /// From-reads: `E₁ fr E₂` iff some `E′` has `E′ rf E₁` and `E′ co E₂`.
     pub fn fr(&self) -> Relation {
-        self.rf.transpose().compose(&self.co)
+        let mut fr = Relation::new(self.base.len());
+        for (w, r) in self.rf.iter() {
+            fr.union_row(r, self.co.row(w));
+        }
+        fr
     }
 
     /// `fr` restricted to atomic locations.
@@ -262,38 +267,56 @@ impl CandidateExecution {
 
     /// Causality: no cycles in `hb ∪ rf ∪ frat`.
     pub fn causality_holds(&self) -> bool {
-        self.causality_given(&self.hb(), &self.fr())
+        self.hb().union(&self.rf).union(&self.frat()).is_acyclic()
     }
 
     /// CoWW: no `E₁ hb E₂` with `E₂ co E₁`.
     pub fn coww_holds(&self) -> bool {
-        self.coww_given(&self.hb())
+        self.hb().compose(&self.co).is_irreflexive()
     }
 
     /// CoWR: no `E₁ hb E₂` with `E₂ fr E₁`.
     pub fn cowr_holds(&self) -> bool {
-        self.cowr_given(&self.hb(), &self.fr())
-    }
-
-    fn causality_given(&self, hb: &Relation, fr: &Relation) -> bool {
-        hb.union(&self.rf)
-            .union(&self.restrict_atomic(fr))
-            .is_acyclic()
-    }
-
-    fn coww_given(&self, hb: &Relation) -> bool {
-        hb.compose(&self.co).is_irreflexive()
-    }
-
-    fn cowr_given(&self, hb: &Relation, fr: &Relation) -> bool {
-        hb.compose(fr).is_irreflexive()
+        self.hb().compose(&self.fr()).is_irreflexive()
     }
 
     /// A consistent execution satisfies Causality, CoWW and CoWR (§6).
-    /// `hb` and `fr` are built once and shared by the three axioms.
+    ///
+    /// The three axioms are checked in linear passes over bit rows, with
+    /// no cubic closure; [`causality_holds`](Self::causality_holds),
+    /// [`coww_holds`](Self::coww_holds) and
+    /// [`cowr_holds`](Self::cowr_holds) are its paper-literal oracle.
+    ///
+    /// * The edges of `hb`, `hbinit ∪ po ∪ rfat ∪ coat`, with `rf` and
+    ///   `frat` added, form the Causality graph. `hb` is the transitive
+    ///   closure of its edges, so the graph has a cycle iff
+    ///   `hb ∪ rf ∪ frat` has one: Causality holds iff the graph has a
+    ///   topological order.
+    /// * That order is also one of the `hb` edges, so `hb` closes in one
+    ///   pass along it in reverse.
+    /// * CoWW and CoWR are then tested edge by edge: no `b co a` and no
+    ///   `b fr a` with `a hb b`.
+    ///
+    /// It also accepts an `rf` that leaves some reads without a source,
+    /// as the prefix check of
+    /// [`consistent_executions`](crate::consistent_executions) needs.
     pub fn is_consistent(&self) -> bool {
-        let (hb, fr) = (self.hb(), self.fr());
-        self.coww_given(&hb) && self.cowr_given(&hb, &fr) && self.causality_given(&hb, &fr)
+        let fr = self.fr();
+        let mut hb_edges = self.hbinit().union(&self.base.po);
+        for a in (0..self.base.len()).filter(|&a| self.base.is_atomic(a)) {
+            hb_edges.union_row(a, self.rf.row(a));
+            hb_edges.union_row(a, self.co.row(a));
+        }
+        let mut causality = hb_edges.union(&self.rf);
+        for r in (0..self.base.len()).filter(|&r| self.base.is_atomic(r)) {
+            causality.union_row(r, fr.row(r));
+        }
+        let Some(order) = causality.topological_order() else {
+            return false;
+        };
+        let hb = hb_edges.transitive_closure_along(&order);
+        let no_hb_against = |r: &Relation| r.iter().all(|(b, a)| !hb.contains(a, b));
+        no_hb_against(&self.co) && no_hb_against(&fr)
     }
 
     // ---- §7: program-order subrelations and the alternative axioms ----
@@ -303,14 +326,17 @@ impl CandidateExecution {
         self.base.po.filter(|a, _| self.base.is_atomic(a))
     }
 
-    /// `po−at`: `po` edges whose *second* event is an atomic write.
+    /// `po−at`: `po` edges whose *second* event is atomic (read or
+    /// write). Where `hbcom` composes it with `coeat ∪ rfeat`, only its
+    /// edges to writes matter; Theorem 18's Causality needs the edges to
+    /// atomic reads too, or a nonatomic read that sees a write could be
+    /// followed by an atomic read of a value that write's atomic
+    /// predecessor overwrote.
     pub fn po_at_snd(&self) -> Relation {
-        self.base
-            .po
-            .filter(|_, b| self.base.is_atomic(b) && self.base.events[b].is_write())
+        self.base.po.filter(|_, b| self.base.is_atomic(b))
     }
 
-    /// `poat−at`: first event atomic, second an atomic write.
+    /// `poat−at`: first and second event atomic.
     pub fn po_at_both(&self) -> Relation {
         self.po_at_fst().intersect(&self.po_at_snd())
     }

@@ -118,9 +118,12 @@ fn corpus_counts_are_pinned() {
     for p in &programs {
         bdrst_axiomatic::axiomatic_outcomes(p, Default::default()).unwrap();
     }
+    // 176: the search's prefix check cuts inconsistent thread-alternative
+    // prefixes, so two alternatives of later threads are never tried
+    // (178 without it).
     assert_eq!(
         counter_get(Counter::AxiomaticNodes) - nodes,
-        178,
+        176,
         "axiomatic search nodes"
     );
     assert_eq!(

@@ -5,6 +5,7 @@
 //! with memory by performing actions `ϕ`: `write x` and `read x`.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::wire::Codec;
 
@@ -65,11 +66,12 @@ impl fmt::Display for Loc {
 /// The declaration table for a program's locations: names and kinds.
 ///
 /// All machinery in this crate (stores, frontiers, the explorer) is sized by
-/// the number of declared locations.
+/// the number of declared locations. Clones share the table, so cloning
+/// costs no allocation however many locations are declared.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct LocSet {
-    names: Vec<String>,
-    kinds: Vec<LocKind>,
+    names: Arc<Vec<String>>,
+    kinds: Arc<Vec<LocKind>>,
 }
 
 impl LocSet {
@@ -81,8 +83,8 @@ impl LocSet {
     /// Declares a fresh location with the given name and kind.
     pub fn fresh(&mut self, name: impl Into<String>, kind: LocKind) -> Loc {
         let id = Loc(self.names.len() as u32);
-        self.names.push(name.into());
-        self.kinds.push(kind);
+        Arc::make_mut(&mut self.names).push(name.into());
+        Arc::make_mut(&mut self.kinds).push(kind);
         id
     }
 

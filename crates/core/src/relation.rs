@@ -1,7 +1,7 @@
 //! Finite binary relations as bit-matrices, with the relational algebra
 //! used throughout the paper (§6–§7): union, composition `R₁;R₂`,
 //! transpose `R⁻¹`, reflexive closure `R?`, transitive closure `R⁺`,
-//! acyclicity and irreflexivity checks.
+//! acyclicity and irreflexivity checks, and topological order.
 
 use std::fmt;
 
@@ -88,11 +88,58 @@ impl Relation {
             && self.bits[a * self.words_per_row + b / 64] & (1u64 << (b % 64)) != 0
     }
 
+    /// The bit row of `a`: bit `b % 64` of word `b / 64` is set iff
+    /// `(a, b)` is in the relation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a >= n`.
+    pub fn row(&self, a: usize) -> &[u64] {
+        assert!(a < self.n, "relation index out of range");
+        &self.bits[a * self.words_per_row..(a + 1) * self.words_per_row]
+    }
+
+    /// Adds `(a, b)` for every `b` set in `row`, a bit row laid out as
+    /// [`Relation::row`] returns it. Bits at `n` and beyond are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a >= n` or `row` has a different length than a row of
+    /// this relation.
+    pub fn union_row(&mut self, a: usize, row: &[u64]) {
+        assert!(a < self.n, "relation index out of range");
+        assert_eq!(row.len(), self.words_per_row, "row of a different width");
+        let (n, start) = (self.n, a * self.words_per_row);
+        let words = &mut self.bits[start..start + self.words_per_row];
+        for (w, &v) in words.iter_mut().zip(row) {
+            *w |= v;
+        }
+        if n % 64 != 0 {
+            words[words.len() - 1] &= (1u64 << (n % 64)) - 1;
+        }
+    }
+
+    /// The `b` with `(a, b)` in the relation, in increasing order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a >= n`.
+    pub fn successors(&self, a: usize) -> impl Iterator<Item = usize> + '_ {
+        self.row(a).iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * 64 + bit
+                })
+            })
+        })
+    }
+
     /// Iterates over all pairs in the relation.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        (0..self.n).flat_map(move |a| {
-            (0..self.n).filter_map(move |b| self.contains(a, b).then_some((a, b)))
-        })
+        (0..self.n).flat_map(move |a| self.successors(a).map(move |b| (a, b)))
     }
 
     /// The number of pairs in the relation.
@@ -155,17 +202,8 @@ impl Relation {
     pub fn compose(&self, other: &Relation) -> Relation {
         assert_eq!(self.n, other.n, "composition over different sets");
         let mut r = Relation::new(self.n);
-        for a in 0..self.n {
-            for b in 0..self.n {
-                if self.contains(a, b) {
-                    // row(r, a) |= row(other, b)
-                    let (ra, rb) = (a * self.words_per_row, b * self.words_per_row);
-                    for w in 0..self.words_per_row {
-                        let v = other.bits[rb + w];
-                        r.bits[ra + w] |= v;
-                    }
-                }
-            }
+        for (a, b) in self.iter() {
+            r.union_row(a, other.row(b));
         }
         r
     }
@@ -188,13 +226,71 @@ impl Relation {
     pub fn transitive_closure(&self) -> Relation {
         let mut r = self.clone();
         for k in 0..self.n {
+            let (rk, word, bit) = (k * self.words_per_row, k / 64, 1u64 << (k % 64));
             for a in 0..self.n {
-                if r.contains(a, k) {
-                    let (ra, rk) = (a * self.words_per_row, k * self.words_per_row);
+                let ra = a * self.words_per_row;
+                if r.bits[ra + word] & bit != 0 {
                     for w in 0..self.words_per_row {
-                        let v = r.bits[rk + w];
-                        r.bits[ra + w] |= v;
+                        r.bits[ra + w] |= r.bits[rk + w];
                     }
+                }
+            }
+        }
+        r
+    }
+
+    /// A topological order of the relation viewed as a graph (Kahn's
+    /// algorithm): every `a` comes before every `b` with `(a, b)` in the
+    /// relation. `None` iff the relation has a cycle.
+    pub fn topological_order(&self) -> Option<Vec<usize>> {
+        let mut indegree = vec![0usize; self.n];
+        for (_, b) in self.iter() {
+            indegree[b] += 1;
+        }
+        // `order` doubles as the queue: its unread tail is the elements
+        // whose predecessors are all placed.
+        let mut order: Vec<usize> = (0..self.n).filter(|&a| indegree[a] == 0).collect();
+        let mut next = 0;
+        while let Some(&a) = order.get(next) {
+            next += 1;
+            for b in self.successors(a) {
+                indegree[b] -= 1;
+                if indegree[b] == 0 {
+                    order.push(b);
+                }
+            }
+        }
+        (order.len() == self.n).then_some(order)
+    }
+
+    /// Transitive closure `R⁺` of an acyclic relation, given a
+    /// [topological order](Relation::topological_order) of it (or of any
+    /// relation that includes it): one pass over the order in reverse,
+    /// each row the union of its successors and their finished rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order` does not list `0..n`; debug builds also check
+    /// that it is topological.
+    pub fn transitive_closure_along(&self, order: &[usize]) -> Relation {
+        assert_eq!(order.len(), self.n, "order must list every element");
+        if cfg!(debug_assertions) {
+            let mut position = vec![usize::MAX; self.n];
+            for (i, &a) in order.iter().enumerate() {
+                position[a] = i;
+            }
+            assert!(
+                self.iter().all(|(a, b)| position[a] < position[b]),
+                "order is not topological"
+            );
+        }
+        let mut r = Relation::new(self.n);
+        for &a in order.iter().rev() {
+            for b in self.successors(a) {
+                r.insert(a, b);
+                let (ra, rb) = (a * self.words_per_row, b * self.words_per_row);
+                for w in 0..self.words_per_row {
+                    r.bits[ra + w] |= r.bits[rb + w];
                 }
             }
         }
@@ -214,7 +310,7 @@ impl Relation {
     /// True iff the relation's transitive closure is irreflexive, i.e. the
     /// relation (viewed as a graph) has no cycles.
     pub fn is_acyclic(&self) -> bool {
-        self.transitive_closure().is_irreflexive()
+        self.topological_order().is_some()
     }
 
     /// Restricts the relation to pairs satisfying `keep`.
@@ -337,5 +433,62 @@ mod tests {
         assert!(tc.contains(0, n - 1));
         assert!(r.is_acyclic());
         assert_eq!(r.len(), n - 1);
+    }
+
+    /// A relation over `n` elements: forward edges along a shuffled order
+    /// with probability `1/sparsity`, plus `back` edges against it, which
+    /// usually (not always) close a cycle.
+    fn random_relation(seed: &mut u64, n: usize, sparsity: u64, back: usize) -> Relation {
+        let mut next = move |below: u64| {
+            // SplitMix64.
+            *seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = *seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % below
+        };
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            order.swap(i, next(i as u64 + 1) as usize);
+        }
+        let mut r = Relation::new(n);
+        for i in 0..n {
+            for j in i + 1..n {
+                if next(sparsity) == 0 {
+                    r.insert(order[i], order[j]);
+                }
+            }
+        }
+        for _ in 0..if n > 0 { back } else { 0 } {
+            let (i, j) = (next(n as u64) as usize, next(n as u64) as usize);
+            r.insert(order[i.max(j)], order[i.min(j)]);
+        }
+        r
+    }
+
+    #[test]
+    fn topological_order_agrees_with_closure_up_to_multiword_rows() {
+        let mut seed = 7;
+        let (mut acyclic, mut cyclic) = (0, 0);
+        for n in [0, 1, 2, 5, 17, 63, 64, 65, 100, 130] {
+            for sparsity in [2, 8, 40] {
+                for back in [0, 1, 3] {
+                    let r = random_relation(&mut seed, n, sparsity, back);
+                    let closure = r.transitive_closure();
+                    assert_eq!(r.is_acyclic(), closure.is_irreflexive(), "n = {n}\n{r}");
+                    match r.topological_order() {
+                        Some(order) => {
+                            acyclic += 1;
+                            assert_eq!(r.transitive_closure_along(&order), closure);
+                        }
+                        None => cyclic += 1,
+                    }
+                }
+            }
+        }
+        assert!(
+            acyclic > 30 && cyclic > 30,
+            "{acyclic} acyclic, {cyclic} cyclic"
+        );
     }
 }

@@ -7,17 +7,16 @@ use bdrst::hw::{check_compilation, hw_outcomes, Target, BAL, FBS, NAIVE, SRA, ST
 use bdrst::lang::Program;
 use bdrst::litmus::all_tests;
 
-fn small_corpus() -> Vec<(&'static str, Program)> {
+fn corpus() -> Vec<(&'static str, Program)> {
     all_tests()
         .into_iter()
-        .filter(|t| !t.name.starts_with("IRIW")) // 4-thread tests are slow here
         .map(|t| (t.name, Program::parse(t.source).unwrap()))
         .collect()
 }
 
 #[test]
 fn theorem_19_x86_sound_across_corpus() {
-    for (name, p) in small_corpus() {
+    for (name, p) in corpus() {
         let v = check_compilation(&p, Target::X86, EnumLimits::default()).unwrap();
         assert!(v.is_sound(), "{name}: x86 compilation unsound");
     }
@@ -26,7 +25,7 @@ fn theorem_19_x86_sound_across_corpus() {
 #[test]
 fn theorem_20_arm_sound_across_corpus() {
     for scheme in [BAL, FBS, SRA] {
-        for (name, p) in small_corpus() {
+        for (name, p) in corpus() {
             let v = check_compilation(&p, Target::Arm(scheme), EnumLimits::default()).unwrap();
             assert!(
                 v.is_sound(),
@@ -67,7 +66,7 @@ fn stlr_mapping_fails_on_sec92() {
 
 #[test]
 fn hardware_outcomes_subset_of_model_for_sound_schemes() {
-    for (name, p) in small_corpus() {
+    for (name, p) in corpus() {
         let sw = axiomatic_outcomes(&p, EnumLimits::default()).unwrap();
         for (tname, t) in [("x86", Target::X86), ("bal", Target::Arm(BAL))] {
             let hw = hw_outcomes(&p, t, EnumLimits::default()).unwrap();
